@@ -3,13 +3,16 @@
 Solves   min c.x  s.t.  A x = b,  x in K,
 where K is a product of PSD cones (in scaled svec coordinates) and a
 nonnegative orthant.  Nesterov-Todd scaling with a Mehrotra
-predictor-corrector step; everything dense, aimed at problems with a few
-dozen rows.  Infeasible start: the iterates satisfy the cone constraints
+predictor-corrector step, aimed at problems with up to about a thousand
+rows.  The Schur complement A W^T W A^T is formed block by block, as SDPA
+and SDPT3 do, and factored once per iteration; all linear algebra is dense
+numpy.  Infeasible start: the iterates satisfy the cone constraints
 strictly at all times while the equality residuals are driven to zero.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -17,31 +20,59 @@ import numpy as np
 __all__ = ["ConeSpec", "ConicResult", "IpmSettings", "smat", "solve_conic", "svec", "svec_dim"]
 
 _SQRT2 = math.sqrt(2.0)
+# Rows per diagonal block of the substitutions in _cho_solve.
+_TRSV_BLOCK = 64
+# Most rounds of iterative refinement per Newton solve (_newton).
+_REFINE_STEPS = 2
 
 
 def svec_dim(d: int) -> int:
     return d * (d + 1) // 2
 
 
+@lru_cache(maxsize=None)
+def _svec_index(d: int):
+    """Flat positions of the upper triangle of a d x d matrix, of its
+    transpose, and the svec weights (1 on the diagonal, sqrt 2 off it)."""
+    rows, cols = np.triu_indices(d)
+    upper = rows * d + cols
+    lower = cols * d + rows
+    weight = np.where(rows == cols, 1.0, _SQRT2)
+    for arr in (upper, lower, weight):
+        arr.setflags(write=False)
+    return upper, lower, weight
+
+
+def _flat(X: np.ndarray) -> np.ndarray:
+    return X.reshape(X.shape[:-2] + (-1,))
+
+
 def svec(X: np.ndarray) -> np.ndarray:
-    """Isometric vectorization of a symmetric matrix (upper triangle)."""
-    d = X.shape[0]
-    iu = np.triu_indices(d)
-    out = np.asarray(X, dtype=float)[iu].copy()
-    out[iu[0] != iu[1]] *= _SQRT2
-    return out
+    """Isometric vectorization of symmetric matrices (upper triangle).
+
+    Batched over leading axes: (..., d, d) -> (..., d(d+1)/2).
+    """
+    X = np.asarray(X, dtype=float)
+    upper, _, weight = _svec_index(X.shape[-1])
+    return np.take(_flat(X), upper, axis=-1) * weight
 
 
 def smat(x: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of svec."""
-    X = np.zeros((d, d))
-    iu = np.triu_indices(d)
-    vals = np.asarray(x, dtype=float).copy()
-    off = iu[0] != iu[1]
-    vals[off] /= _SQRT2
-    X[iu] = vals
-    X[(iu[1], iu[0])] = vals
-    return X
+    """Inverse of svec, batched over leading axes."""
+    x = np.asarray(x, dtype=float)
+    upper, lower, weight = _svec_index(d)
+    vals = x / weight
+    X = np.empty(x.shape[:-1] + (d * d,))
+    X[..., upper] = vals
+    X[..., lower] = vals
+    return X.reshape(x.shape[:-1] + (d, d))
+
+
+def _svec_sym(X: np.ndarray) -> np.ndarray:
+    """svec of the symmetric part of (..., d, d) matrices."""
+    upper, lower, weight = _svec_index(X.shape[-1])
+    F = _flat(X)
+    return (np.take(F, upper, axis=-1) + np.take(F, lower, axis=-1)) * (0.5 * weight)
 
 
 @dataclass(frozen=True)
@@ -119,116 +150,117 @@ def _chol_psd(X: np.ndarray) -> np.ndarray:
 
 
 class _Scaling:
-    """Per-block NT scaling data for one iteration."""
+    """Per-block NT scaling W of one iteration.
+
+    A PSD block scales by W u = svec(R^T smat(u) R) with G = R R^T, so that
+    W^T W u = svec(G smat(u) G); an orthant block scales by the vector w.
+    Each entry of blocks is (slice, size, R, R^{-1}, G, sig) for a PSD
+    block and (slice, None, w, None, w^2, lam) for the orthant.  lam is the
+    scaled point W^{-T} x = W s.
+    """
 
     def __init__(self, cone: ConeSpec, x: np.ndarray, s: np.ndarray):
-        self.cone = cone
         self.blocks = []
+        self.lam = np.empty(cone.total_len)
         for tag, size, sl in cone.slices():
             if tag == "s":
-                X = smat(x[sl], size)
-                S = smat(s[sl], size)
-                Lx = _chol_psd(X)
-                Ls = _chol_psd(S)
+                Lx = _chol_psd(smat(x[sl], size))
+                Ls = _chol_psd(smat(s[sl], size))
                 U, sig, Vt = np.linalg.svd(Ls.T @ Lx)
                 sig = np.clip(sig, 1.0e-150, None)
-                R = Lx @ Vt.T @ np.diag(sig ** -0.5)
-                Rinv = np.diag(sig ** -0.5) @ U.T @ Ls.T
-                G = R @ R.T
-                self.blocks.append(("s", size, sl, R, Rinv, G, sig))
+                root = sig ** -0.5
+                R = (Lx @ Vt.T) * root
+                Rinv = root[:, None] * (U.T @ Ls.T)
+                self.blocks.append((sl, size, R, Rinv, R @ R.T, sig))
+                self.lam[sl] = svec(np.diag(sig))
             else:
                 w = np.sqrt(x[sl] / s[sl])
                 lam = np.sqrt(x[sl] * s[sl])
-                self.blocks.append(("l", size, sl, w, None, w * w, lam))
+                self.blocks.append((sl, None, w, None, w * w, lam))
+                self.lam[sl] = lam
+        finite = np.isfinite(self.lam).all() and all(np.isfinite(b[4]).all() for b in self.blocks)
+        if not finite:
+            raise np.linalg.LinAlgError("non-finite NT scaling")
 
-    def wsq_matrix(self) -> np.ndarray:
-        """Dense matrix of u -> svec(G smat(u) G) per block (W^T W)."""
-        n = self.cone.total_len
-        out = np.zeros((n, n))
-        for blk in self.blocks:
-            tag, size, sl = blk[0], blk[1], blk[2]
-            if tag == "s":
-                G = blk[5]
-                k = svec_dim(size)
-                T = np.zeros((k, k))
-                basis = np.eye(k)
-                for j in range(k):
-                    T[:, j] = svec(G @ smat(basis[:, j], size) @ G)
-                out[sl, sl] = 0.5 * (T + T.T)
-            else:
-                out[sl, sl] = np.diag(blk[5])
+    def wsq_rows(self, A: np.ndarray, row_mats: list) -> np.ndarray:
+        """A W^T W, block by block: row i becomes W^T W a_i.
+
+        row_mats holds, per PSD block, smat of that block of every row of A
+        (see _row_mats); an orthant block is a diagonal scaling.
+        """
+        out = np.empty_like(A)
+        nrows = A.shape[0]
+        for (sl, size, _, _, G, _), mats in zip(self.blocks, row_mats):
+            if size is None:
+                out[:, sl] = A[:, sl] * G
+                continue
+            # G A_i G for every row i as two GEMMs: T_i = A_i G, then
+            # G A_i G = T_i^T G because A_i and G are symmetric
+            T = (mats.reshape(-1, size) @ G).reshape(nrows, size, size)
+            T = (np.swapaxes(T, 1, 2).reshape(-1, size) @ G).reshape(nrows, size, size)
+            out[:, sl] = _svec_sym(T)
         return out
 
-    def lam_vec(self) -> np.ndarray:
-        v = np.zeros(self.cone.total_len)
-        for blk in self.blocks:
-            tag, size, sl = blk[0], blk[1], blk[2]
-            if tag == "s":
-                v[sl] = svec(np.diag(blk[6]))
+    def apply_wsq(self, v: np.ndarray) -> np.ndarray:
+        """W^T W v, block by block."""
+        out = np.empty_like(v)
+        for sl, size, _, _, G, _ in self.blocks:
+            if size is None:
+                out[sl] = v[sl] * G
             else:
-                v[sl] = blk[6]
-        return v
+                out[sl] = _svec_sym(G @ smat(v[sl], size) @ G)
+        return out
 
     def scale_x(self, dx: np.ndarray) -> np.ndarray:
         """W^{-T} dx: maps an x-space direction into scaled space."""
-        out = np.zeros_like(dx)
-        for blk in self.blocks:
-            tag, size, sl = blk[0], blk[1], blk[2]
-            if tag == "s":
-                Rinv = blk[4]
-                out[sl] = svec(Rinv @ smat(dx[sl], size) @ Rinv.T)
+        out = np.empty_like(dx)
+        for sl, size, w, Rinv, _, _ in self.blocks:
+            if size is None:
+                out[sl] = dx[sl] / w
             else:
-                out[sl] = dx[sl] / blk[3]
+                out[sl] = svec(Rinv @ smat(dx[sl], size) @ Rinv.T)
         return out
 
     def scale_s(self, ds: np.ndarray) -> np.ndarray:
         """W ds: maps an s-space direction into scaled space."""
-        out = np.zeros_like(ds)
-        for blk in self.blocks:
-            tag, size, sl = blk[0], blk[1], blk[2]
-            if tag == "s":
-                R = blk[3]
-                out[sl] = svec(R.T @ smat(ds[sl], size) @ R)
+        out = np.empty_like(ds)
+        for sl, size, R, _, _, _ in self.blocks:
+            if size is None:
+                out[sl] = ds[sl] * R
             else:
-                out[sl] = ds[sl] * blk[3]
+                out[sl] = svec(R.T @ smat(ds[sl], size) @ R)
         return out
 
     def unscale_to_x(self, u: np.ndarray) -> np.ndarray:
         """W^T u: maps a scaled-space vector back to an x-space direction."""
-        out = np.zeros_like(u)
-        for blk in self.blocks:
-            tag, size, sl = blk[0], blk[1], blk[2]
-            if tag == "s":
-                R = blk[3]
-                out[sl] = svec(R @ smat(u[sl], size) @ R.T)
+        out = np.empty_like(u)
+        for sl, size, R, _, _, _ in self.blocks:
+            if size is None:
+                out[sl] = u[sl] * R
             else:
-                out[sl] = u[sl] * blk[3]
+                out[sl] = svec(R @ smat(u[sl], size) @ R.T)
         return out
 
     def jordan_prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        for blk in self.blocks:
-            tag, size, sl = blk[0], blk[1], blk[2]
-            if tag == "s":
+        out = np.empty_like(u)
+        for sl, size, _, _, _, _ in self.blocks:
+            if size is None:
+                out[sl] = u[sl] * v[sl]
+            else:
                 U = smat(u[sl], size)
                 V = smat(v[sl], size)
                 out[sl] = svec(0.5 * (U @ V + V @ U))
-            else:
-                out[sl] = u[sl] * v[sl]
         return out
 
     def jordan_solve_lam(self, k: np.ndarray) -> np.ndarray:
         """Solve L(lam) z = k where lam is the scaling's spectral point."""
-        out = np.zeros_like(k)
-        for blk in self.blocks:
-            tag, size, sl = blk[0], blk[1], blk[2]
-            if tag == "s":
-                lam = blk[6]
-                K = smat(k[sl], size)
-                denom = 0.5 * (lam[:, None] + lam[None, :])
-                out[sl] = svec(K / denom)
+        out = np.empty_like(k)
+        for sl, size, _, _, _, lam in self.blocks:
+            if size is None:
+                out[sl] = k[sl] / lam
             else:
-                out[sl] = k[sl] / blk[6]
+                denom = 0.5 * (lam[:, None] + lam[None, :])
+                out[sl] = svec(smat(k[sl], size) / denom)
         return out
 
 
@@ -253,18 +285,117 @@ def _max_step(cone: ConeSpec, x: np.ndarray, dx: np.ndarray) -> float:
     return alpha
 
 
-def _solve_normal(AWA: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve with escalating regularization."""
-    scale = max(float(np.trace(AWA)) / max(AWA.shape[0], 1), 1.0e-300)
-    reg = 0.0
-    for _ in range(8):
-        try:
-            L = np.linalg.cholesky(AWA + reg * np.eye(AWA.shape[0]))
-            z = np.linalg.solve(L, rhs)
-            return np.linalg.solve(L.T, z)
-        except np.linalg.LinAlgError:
-            reg = scale * 1.0e-14 if reg == 0.0 else reg * 100.0
-    return np.linalg.lstsq(AWA, rhs, rcond=None)[0]
+class _NormalFactor:
+    """Cholesky factor of the Schur complement, computed once per step.
+
+    The factorization retries with an escalating diagonal regularization;
+    after eight failures every solve falls back to least squares.
+    """
+
+    def __init__(self, M: np.ndarray):
+        self.M = M
+        self.L = None
+        n = M.shape[0]
+        scale = max(float(np.trace(M)) / max(n, 1), 1.0e-300)
+        reg = 0.0
+        for _ in range(8):
+            try:
+                self.L = np.linalg.cholesky(M + reg * np.eye(n) if reg else M)
+                return
+            except np.linalg.LinAlgError:
+                reg = scale * 1.0e-14 if reg == 0.0 else reg * 100.0
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.L is None:
+            return np.linalg.lstsq(self.M, rhs, rcond=None)[0]
+        return _cho_solve(self.L, rhs)
+
+
+def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = rhs by blocked forward and back substitution.
+
+    Each diagonal block is solved directly; the coupling to the blocks
+    already solved is one matrix-vector product, so the work is O(n^2).
+    """
+    n = L.shape[0]
+    starts = range(0, n, _TRSV_BLOCK)
+    z = np.empty(n)
+    for k in starts:
+        e = min(k + _TRSV_BLOCK, n)
+        z[k:e] = np.linalg.solve(L[k:e, k:e], rhs[k:e] - L[k:e, :k] @ z[:k])
+    x = np.empty(n)
+    for k in reversed(starts):
+        e = min(k + _TRSV_BLOCK, n)
+        x[k:e] = np.linalg.solve(L[k:e, k:e].T, z[k:e] - L[e:, k:e].T @ x[e:])
+    return x
+
+
+def _row_mats(A: np.ndarray, cone: ConeSpec) -> list:
+    """Per PSD block, the rows of A restricted to it as (nrows, d, d)."""
+    return [smat(A[:, sl], size) if tag == "s" else None for tag, size, sl in cone.slices()]
+
+
+def _newton(A, sc, normal, rp, rd, wrd, wdc):
+    """Solve the Newton system for one right-hand side.
+
+    A dx = rp, A^T dy + ds = rd, dx + W^T W ds = wdc, through the Schur
+    complement A W^T W A^T.  Near the optimum that matrix is so
+    ill-conditioned that A dx drifts from rp; up to _REFINE_STEPS rounds of
+    iterative refinement on the primal residual, each kept only while it
+    shrinks, win the lost accuracy back with the same factor.
+    """
+    dy = normal.solve(rp - A @ wdc + A @ wrd)
+    dx = wdc - wrd + sc.apply_wsq(A.T @ dy)
+    r = rp - A @ dx
+    rn = np.linalg.norm(r)
+    for _ in range(_REFINE_STEPS):
+        ddy = normal.solve(r)
+        dx_new = dx + sc.apply_wsq(A.T @ ddy)
+        r_new = rp - A @ dx_new
+        rn_new = np.linalg.norm(r_new)
+        if not rn_new < rn:
+            break
+        dx, dy, r, rn = dx_new, dy + ddy, r_new, rn_new
+    return dx, dy, rd - A.T @ dy
+
+
+def _step(A, row_mats, cone, x, s, rp, rd, mu, gap, step_frac):
+    """Mehrotra predictor-corrector direction and step lengths.
+
+    A W^T W A^T is formed block by block and factored once for both
+    directions.  Raises LinAlgError when the scaling or a step length
+    cannot be formed.
+    """
+    sc = _Scaling(cone, x, s)
+    M = sc.wsq_rows(A, row_mats) @ A.T
+    normal = _NormalFactor(0.5 * (M + M.T))
+    wrd = sc.apply_wsq(rd)
+
+    # predictor (affine scaling) direction
+    dx_aff, _, ds_aff = _newton(A, sc, normal, rp, rd, wrd, -x)
+
+    a_x = min(1.0, _max_step(cone, x, dx_aff))
+    a_s = min(1.0, _max_step(cone, s, ds_aff))
+    a_aff = min(a_x, a_s)
+    gap_aff = float((x + a_aff * dx_aff) @ (s + a_aff * ds_aff))
+    ratio = min(gap_aff / gap, 1.0) if gap > 0 else 0.0
+    sigma = min(1.0, max(ratio ** 3, 1.0e-8))
+
+    # corrector: target sigma*mu on the central path minus the
+    # second-order term from the affine step
+    eta = sc.jordan_prod(sc.scale_x(dx_aff), sc.scale_s(ds_aff))
+    target = -sc.jordan_prod(sc.lam, sc.lam) - eta
+    for tag, size, sl in cone.slices():
+        if tag == "s":
+            target[sl] += sigma * mu * svec(np.eye(size))
+        else:
+            target[sl] += sigma * mu
+    wdc = sc.unscale_to_x(sc.jordan_solve_lam(target))
+    dx, dy, ds = _newton(A, sc, normal, rp, rd, wrd, wdc)
+
+    a_p = min(1.0, step_frac * _max_step(cone, x, dx))
+    a_d = min(1.0, step_frac * _max_step(cone, s, ds))
+    return dx, dy, ds, a_p, a_d
 
 
 def solve_conic(
@@ -274,7 +405,12 @@ def solve_conic(
     cone: ConeSpec,
     settings: Optional[IpmSettings] = None,
 ) -> ConicResult:
-    """Run the predictor-corrector loop; returns the best iterate seen."""
+    """Run the predictor-corrector loop; returns the best iterate seen.
+
+    The loop ends as "stalled" when the steps stay below min_step, and also
+    when the scaling or a step length cannot be computed or an iterate turns
+    non-finite; floating-point warnings are suppressed throughout.
+    """
     st = settings or IpmSettings()
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -295,6 +431,7 @@ def solve_conic(
     bnorm = 1.0 + float(np.linalg.norm(b))
     cnorm = 1.0 + float(np.linalg.norm(c))
 
+    row_mats = _row_mats(A, cone)
     best = None
     best_score = np.inf
     stalls = 0
@@ -302,95 +439,64 @@ def solve_conic(
     it = 0
     history = []
 
-    for it in range(1, st.max_iters + 1):
-        rp = b - A @ x
-        rd = c - A.T @ y - s
-        gap = float(x @ s)
-        mu = gap / nu
-        rp_rel = float(np.linalg.norm(rp)) / bnorm
-        rd_rel = float(np.linalg.norm(rd)) / cnorm
-        gap_rel = gap / (1.0 + abs(float(c @ x)) + abs(float(b @ y)))
-        history.append((rp_rel, rd_rel, gap_rel))
+    with np.errstate(all="ignore"):
+        for it in range(1, st.max_iters + 1):
+            rp = b - A @ x
+            rd = c - A.T @ y - s
+            gap = float(x @ s)
+            mu = gap / nu
+            rp_rel = float(np.linalg.norm(rp)) / bnorm
+            rd_rel = float(np.linalg.norm(rd)) / cnorm
+            gap_rel = gap / (1.0 + abs(float(c @ x)) + abs(float(b @ y)))
+            history.append((rp_rel, rd_rel, gap_rel))
 
-        score = max(rp_rel, rd_rel, gap_rel)
-        if score < best_score:
-            best_score = score
-            best = (x.copy(), y.copy(), s.copy(), rp_rel, rd_rel, gap_rel, mu)
+            score = max(rp_rel, rd_rel, gap_rel)
+            if score < best_score:
+                best_score = score
+                best = (x.copy(), y.copy(), s.copy(), rp_rel, rd_rel, gap_rel, mu)
 
-        if rp_rel <= st.tol_feas and rd_rel <= st.tol_feas and gap_rel <= st.tol_gap:
-            status = "optimal"
-            break
+            if rp_rel <= st.tol_feas and rd_rel <= st.tol_feas and gap_rel <= st.tol_gap:
+                status = "optimal"
+                break
 
-        try:
-            sc = _Scaling(cone, x, s)
-        except np.linalg.LinAlgError:
-            status = "stalled"
-            break
-        lam = sc.lam_vec()
-        Wsq = sc.wsq_matrix()
-        AW = A @ Wsq
-        AWA = AW @ A.T
-        AWA = 0.5 * (AWA + AWA.T)
-
-        # predictor (affine scaling) direction
-        rhs_aff = rp + A @ x + AW @ rd
-        dy_aff = _solve_normal(AWA, rhs_aff)
-        dx_aff = -x - Wsq @ rd + Wsq @ (A.T @ dy_aff)
-        ds_aff = rd - A.T @ dy_aff
-
-        a_x = min(1.0, _max_step(cone, x, dx_aff))
-        a_s = min(1.0, _max_step(cone, s, ds_aff))
-        a_aff = min(a_x, a_s)
-        gap_aff = float((x + a_aff * dx_aff) @ (s + a_aff * ds_aff))
-        sigma = min(1.0, max((gap_aff / gap) ** 3 if gap > 0 else 0.0, 1.0e-8))
-
-        # corrector: target sigma*mu on the central path minus the
-        # second-order term from the affine step
-        eta = sc.jordan_prod(sc.scale_x(dx_aff), sc.scale_s(ds_aff))
-        target = -sc.jordan_prod(lam, lam) - eta
-        for tag, size, sl in cone.slices():
-            if tag == "s":
-                target[sl] += sigma * mu * svec(np.eye(size))
-            else:
-                target[sl] += sigma * mu
-        dc = sc.jordan_solve_lam(target)
-        wdc = sc.unscale_to_x(dc)
-
-        rhs = rp - A @ wdc + AW @ rd
-        dy = _solve_normal(AWA, rhs)
-        dx = wdc - Wsq @ rd + Wsq @ (A.T @ dy)
-        ds = rd - A.T @ dy
-
-        a_x = st.step_frac * _max_step(cone, x, dx)
-        a_s = st.step_frac * _max_step(cone, s, ds)
-        a_p = min(1.0, a_x)
-        a_d = min(1.0, a_s)
-
-        if max(a_p, a_d) < st.min_step:
-            stalls += 1
-            if stalls >= st.stall_limit:
+            try:
+                dx, dy, ds, a_p, a_d = _step(
+                    A, row_mats, cone, x, s, rp, rd, mu, gap, st.step_frac
+                )
+            except np.linalg.LinAlgError:
                 status = "stalled"
                 break
+
+            if max(a_p, a_d) < st.min_step:
+                stalls += 1
+                if stalls >= st.stall_limit:
+                    status = "stalled"
+                    break
+            else:
+                stalls = 0
+
+            x_new = x + a_p * dx
+            y_new = y + a_d * dy
+            s_new = s + a_d * ds
+            if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(y_new))
+                    and np.all(np.isfinite(s_new))):
+                status = "stalled"
+                break
+            x, y, s = x_new, y_new, s_new
+
         else:
-            stalls = 0
+            it = st.max_iters
 
-        x = x + a_p * dx
-        y = y + a_d * dy
-        s = s + a_d * ds
-
-    else:
-        it = st.max_iters
-
-    if status != "optimal" and best is not None:
-        x, y, s, rp_rel, rd_rel, gap_rel, mu = best
-    else:
-        rp = b - A @ x
-        rd = c - A.T @ y - s
-        gap = float(x @ s)
-        mu = gap / nu
-        rp_rel = float(np.linalg.norm(rp)) / bnorm
-        rd_rel = float(np.linalg.norm(rd)) / cnorm
-        gap_rel = gap / (1.0 + abs(float(c @ x)) + abs(float(b @ y)))
+        if status != "optimal" and best is not None:
+            x, y, s, rp_rel, rd_rel, gap_rel, mu = best
+        else:
+            rp = b - A @ x
+            rd = c - A.T @ y - s
+            gap = float(x @ s)
+            mu = gap / nu
+            rp_rel = float(np.linalg.norm(rp)) / bnorm
+            rd_rel = float(np.linalg.norm(rd)) / cnorm
+            gap_rel = gap / (1.0 + abs(float(c @ x)) + abs(float(b @ y)))
 
     return ConicResult(
         status=status,

@@ -14,6 +14,7 @@ Infeasibility is only declared with an explicit Farkas certificate in hand.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -66,14 +67,13 @@ class SolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+@lru_cache(maxsize=None)
 def _offdiag_pairs(d: int):
-    rows, cols = [], []
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                rows.append(i)
-                cols.append(j)
-    return np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    """Row-major (row, col) indices of the off-diagonal entries of d x d."""
+    rows, cols = np.nonzero(~np.eye(d, dtype=bool))
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def _var_ncoords(v) -> int:
@@ -263,12 +263,14 @@ class _Canonical:
         assign = {}
         for v, sl in self.psd_vars + self.lin_vars:
             assign[v.name] = _var_value(v, x_cone[sl])
+        # a free variable without coordinates (hollow at dimension 1) is zero
+        xf = np.zeros(self.nfree)
         if self.nfree:
             U1, sig, Vt1 = self._free_recover
             resid = self.b_raw - self.A_cone @ x_cone
             xf = Vt1.T @ ((U1.T @ resid) / sig)
-            for v, sl in self.free_vars:
-                assign[v.name] = _var_value(v, xf[sl])
+        for v, sl in self.free_vars:
+            assign[v.name] = _var_value(v, xf[sl])
         return assign
 
     def interior_point(self) -> np.ndarray:

@@ -6,6 +6,7 @@ dimension n+m of order 20, so the extra work is immaterial).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,13 +21,21 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _strict_triu_index(d: int):
+    rows, cols = np.triu_indices(d, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def symmetrize(S: np.ndarray) -> np.ndarray:
     """Return (S + S.T)/2 as a new array with exact symmetry."""
     S = np.asarray(S, dtype=float)
     out = 0.5 * (S + S.T)
     # enforce bitwise symmetry, not just up to rounding
-    iu = np.triu_indices(out.shape[0], k=1)
-    out[(iu[1], iu[0])] = out[iu]
+    rows, cols = _strict_triu_index(out.shape[0])
+    out[cols, rows] = out[rows, cols]
     return out
 
 

@@ -22,6 +22,7 @@ by probing a coordinate basis.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -209,9 +210,16 @@ def _steer_matrix(sys: StateSpaceSystem) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+@lru_cache(maxsize=None)
+def _triu_index(d: int):
+    rows, cols = np.triu_indices(d)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def _triu_entries(P: np.ndarray) -> np.ndarray:
-    iu = np.triu_indices(P.shape[0])
-    return P[iu]
+    return P[_triu_index(P.shape[0])]
 
 
 def _offdiag_matrix(M: np.ndarray) -> np.ndarray:

@@ -239,6 +239,7 @@ def analyze(
             diagnostics=diagnostics,
         )
     cert = outcome
+    pipe["snapped_segments"] = cert.snapped
     v = sys.A @ cert.h1 + sys.B @ cert.h2
     dual_dict.update(
         {

@@ -51,6 +51,18 @@ def test_analyze_stable_exit_zero(capsys, data_dir):
     assert json.loads(captured.out)["verdict"] == "absolutely_stable"
 
 
+def test_analyze_odd_scalar_channel_on_general_band(tmp_path, capsys):
+    # odd class with m = 1: the hollow multiplier variable has no coordinates
+    path = tmp_path / "odd_m1.json"
+    path.write_text(json.dumps({
+        "A": [[0.5]], "B": [[0.1]], "C": [[0.1]], "D": [[0.0]],
+        "mu": -0.3, "nu": 1.5, "class": "slope_odd",
+    }))
+    code = main(["analyze", str(path)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "absolutely_stable"
+
+
 def test_analyze_rejects_unstable_plant(capsys, data_dir):
     code = main(["analyze", str(data_dir / "sys_unstable.json")])
     assert code == 1

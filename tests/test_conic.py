@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lurestab import conic
 from lurestab.conic import (
+    _TRSV_BLOCK,
     ConeSpec,
     IpmSettings,
+    _cho_solve,
+    _NormalFactor,
+    _row_mats,
+    _Scaling,
     smat,
     solve_conic,
     svec,
@@ -114,3 +120,111 @@ def test_history_and_iterations_reported():
     assert res.iterations >= 1
     assert len(res.history) == res.iterations
     assert res.gap_rel <= 1e-8
+
+
+def _interior_point(cone, rng):
+    """A random strictly interior cone point."""
+    x = np.zeros(cone.total_len)
+    for tag, size, sl in cone.slices():
+        if tag == "s":
+            F = rng.normal(size=(size, size))
+            x[sl] = svec(F @ F.T + size * np.eye(size))
+        else:
+            x[sl] = rng.uniform(0.5, 2.0, size=size)
+    return x
+
+
+def _dense_wsq(sc, cone):
+    """W^T W as a dense matrix, one basis vector at a time."""
+    out = np.zeros((cone.total_len, cone.total_len))
+    for (tag, size, sl), blk in zip(cone.slices(), sc.blocks):
+        G = blk[4]
+        if tag == "s":
+            k = svec_dim(size)
+            T = np.zeros((k, k))
+            basis = np.eye(k)
+            for j in range(k):
+                T[:, j] = svec(G @ smat(basis[:, j], size) @ G)
+            out[sl, sl] = 0.5 * (T + T.T)
+        else:
+            out[sl, sl] = np.diag(G)
+    return out
+
+
+def test_blockwise_wsq_matches_dense_operator():
+    cone = ConeSpec(blocks=(("s", 3), ("l", 2), ("s", 1)))
+    rng = np.random.default_rng(5)
+    sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
+    dense = _dense_wsq(sc, cone)
+    A = rng.normal(size=(4, cone.total_len))
+    v = rng.normal(size=cone.total_len)
+    AW = sc.wsq_rows(A, _row_mats(A, cone))
+    assert np.max(np.abs(AW - A @ dense)) <= 1e-12 * np.max(np.abs(A @ dense))
+    Wv = sc.apply_wsq(v)
+    assert np.max(np.abs(Wv - dense @ v)) <= 1e-12 * np.max(np.abs(dense @ v))
+
+
+@pytest.mark.parametrize("n", [_TRSV_BLOCK - 7, _TRSV_BLOCK, 2 * _TRSV_BLOCK + 5])
+def test_blocked_cholesky_solve_matches_linalg_solve(n):
+    rng = np.random.default_rng(n)
+    F = rng.normal(size=(n, n))
+    M = F @ F.T + n * np.eye(n)
+    rhs = rng.normal(size=n)
+    x = _cho_solve(np.linalg.cholesky(M), rhs)
+    ref = np.linalg.solve(M, rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_batched_svec_smat_match_single_matrices():
+    rng = np.random.default_rng(3)
+    S = rng.normal(size=(2, 3, 4, 4))
+    S = S + np.swapaxes(S, -1, -2)
+    V = svec(S)
+    assert V.shape == (2, 3, svec_dim(4))
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(V[i, j], svec(S[i, j]))
+            assert np.array_equal(smat(V, 4)[i, j], smat(V[i, j], 4))
+
+
+def test_schur_complement_factored_once_per_step(monkeypatch):
+    factored = []
+
+    class Counting(_NormalFactor):
+        def __init__(self, M):
+            factored.append(M.shape)
+            super().__init__(M)
+
+    monkeypatch.setattr(conic, "_NormalFactor", Counting)
+    cone = ConeSpec(blocks=(("s", 2), ("l", 1)))
+    A = np.zeros((2, 4))
+    A[0, :3] = svec(np.eye(2))
+    A[0, 3] = 1.0
+    A[1, 3] = 1.0
+    c = np.zeros(4)
+    c[:3] = svec(np.diag([1.0, 2.0]))
+    res = solve_conic(A, np.array([2.0, 0.5]), c, cone, IpmSettings())
+    assert res.status == "optimal"
+    # every iteration but the converged last one takes exactly one step
+    assert len(factored) == res.iterations - 1
+
+
+def test_breakdown_ends_as_stalled_with_best_iterate(monkeypatch):
+    calls = []
+    real = conic._max_step
+
+    def failing(cone, x, dx):
+        calls.append(1)
+        if len(calls) > 8:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(cone, x, dx)
+
+    monkeypatch.setattr(conic, "_max_step", failing)
+    cone = ConeSpec(blocks=(("l", 2),))
+    res = solve_conic(
+        np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 0.0]), cone, IpmSettings()
+    )
+    assert res.status == "stalled"
+    assert res.iterations == 3
+    best = min(max(h) for h in res.history)
+    assert max(res.rp_rel, res.rd_rel, res.gap_rel) == best

@@ -1,5 +1,7 @@
 """Certificate extraction and destabilizing-map construction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,12 @@ from lurestab.detector import (
     Inconclusive,
     build_pwl,
     extract_certificate,
+    snap_to_band,
 )
 from lurestab.engine import SolveResult
 from lurestab.errors import CertificateInconsistentError, StructuralError
 from lurestab.pwl import eval_pwl, verify_slope
-from lurestab.system import NonlinearityClass
+from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
 
 
 def test_extract_slope_certificate(slope_example, slope_dual_reduced):
@@ -153,3 +156,37 @@ def test_example_maps_pass_slope_audit(
         phi = build_pwl(cert, odd=cls is NonlinearityClass.SLOPE_ODD)
         rep = verify_slope(phi, sysm.band)
         assert rep.ok, (cls, rep)
+
+
+def _flat_segment_case(slope):
+    """h1 = 2 w and z = (4 w1, 2 w2): nodes (2 w2, w2) and (4 w1, w1).
+
+    With w1 = w2 the segment between them is flat, exactly on mu = 0; w1 is
+    set so that the segment has the given slope instead.
+    """
+    sysm = StateSpaceSystem(
+        0.5 * np.eye(2), np.eye(2), np.diag([2.0, 1.0]), np.zeros((2, 2)),
+        SlopeBand(0.0, 1.0), NonlinearityClass.SLOPE,
+    )
+    w1 = 1.0 + 2.0 * slope / (1.0 - 4.0 * slope)
+    w = np.array([w1, 1.0])
+    h1 = np.linalg.solve(np.eye(2) - sysm.A, sysm.B @ w)
+    return sysm, replace(_toy_cert(sysm.C @ h1 + sysm.D @ w, w), h1=h1)
+
+
+def test_snap_puts_near_flat_segment_on_band_edge():
+    sysm, cert = _flat_segment_case(-3.0e-9)
+    assert verify_slope(build_pwl(cert, odd=False), sysm.band, slope_tol=0.0).ok is False
+    snapped = snap_to_band(sysm, cert, odd=False)
+    assert snapped.snapped == 1
+    rep = verify_slope(build_pwl(snapped, odd=False), sysm.band, slope_tol=0.0)
+    assert rep.ok, rep
+    h1, w = snapped.h1, snapped.w_star
+    assert np.max(np.abs(sysm.A @ h1 + sysm.B @ w - h1)) <= 1.0e-14
+    assert np.array_equal(snapped.z_star, sysm.C @ h1 + sysm.D @ w)
+    assert np.array_equal(snapped.h2, w)
+
+
+def test_snap_leaves_in_band_certificate_alone():
+    sysm, cert = _flat_segment_case(3.0e-9)
+    assert snap_to_band(sysm, cert, odd=False) is cert

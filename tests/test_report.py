@@ -1,11 +1,17 @@
 """Canonical serialization and the analysis verdicts on the examples."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from lurestab import analyze
+import lurestab
+from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze
 from lurestab.errors import AssumptionViolatedError
 from lurestab.report import canonical_json
 
@@ -96,3 +102,38 @@ def test_unstable_system_is_rejected(data_dir):
 
     with pytest.raises(AssumptionViolatedError):
         analyze(_system_from_json(data_dir / "sys_unstable.json"))
+
+
+def _robustness_corpus_system(index):
+    """System `index` of the fixed 120-system robustness corpus (seed 2024)."""
+    rng = np.random.default_rng(2024)
+    for i in range(index + 1):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        A = rng.normal(size=(n, n))
+        A *= rng.uniform(0.3, 0.95) / max(abs(np.linalg.eigvals(A)).max(), 1e-9)
+        B, C = rng.normal(size=(n, m)), rng.normal(size=(m, n))
+        D = rng.normal(size=(m, m)) * rng.uniform(0, 1)
+    cls = NonlinearityClass.SLOPE_ODD if index % 2 else NonlinearityClass.SLOPE
+    return StateSpaceSystem(A, B, C, D, SlopeBand(0.0, 1.0), cls)
+
+
+def test_margin_solve_breakdown_is_a_status_not_an_exception():
+    # corpus system 100: the margin IPM used to drive x.s toward underflow
+    # while the primal residual stalled, until the NT scaling overflowed and
+    # raised; test_conic covers the stalled exit on its own
+    sysm = _robustness_corpus_system(100)
+    assert (sysm.n, sysm.m) == (2, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = analyze(sysm)
+    assert rep.verdict == "absolutely_stable"
+
+
+def test_import_does_not_load_scipy():
+    src = pathlib.Path(lurestab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, lurestab; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
