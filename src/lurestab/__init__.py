@@ -24,10 +24,11 @@ from .system import (
     SlopeBand,
     StateSpaceSystem,
     ValidationReport,
+    normalize_band,
     spectral_radius,
     validate,
 )
-from .cones import ConeTag, abs_d, is_member, proj_split, random_member
+from .cones import ConeTag, abs_d, is_member, random_member
 from .multipliers import Multiplier, build_multiplier, quad_form
 from .lmi import LmiKind, SdpFeasibilityProblem, build_dual, build_primal
 from .engine import Residuals, SolveResult, SolverSettings, reduce_rank, solve
@@ -74,8 +75,8 @@ __all__ = [
     "eval_pwl",
     "extract_certificate",
     "is_member",
+    "normalize_band",
     "numerical_rank_and_factor",
-    "proj_split",
     "quad_form",
     "random_member",
     "reduce_rank",

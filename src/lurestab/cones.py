@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["ConeTag", "MembershipResult", "abs_d", "is_member", "proj_split", "random_member"]
+__all__ = ["ConeTag", "MembershipResult", "abs_d", "is_member", "random_member"]
 
 
 class ConeTag(enum.Enum):
@@ -22,8 +22,6 @@ class ConeTag(enum.Enum):
     Z0 = "Z0"
     DHD = "DHD"
     DD = "DD"
-    DIAG = "Diag"
-    OFFDIAG = "OffDiag"
 
 
 def abs_d(M: np.ndarray) -> np.ndarray:
@@ -32,15 +30,6 @@ def abs_d(M: np.ndarray) -> np.ndarray:
     out = -np.abs(M)
     np.fill_diagonal(out, np.diag(M).copy())
     return out
-
-
-def proj_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split M into its diagonal part and its hollow (off-diagonal) part."""
-    M = np.asarray(M, dtype=float)
-    diag_part = np.diag(np.diag(M).copy())
-    offdiag_part = M - diag_part
-    np.fill_diagonal(offdiag_part, 0.0)
-    return diag_part, offdiag_part
 
 
 class MembershipResult(NamedTuple):
@@ -80,11 +69,6 @@ def is_member(M: np.ndarray, cone: ConeTag, tol: float = 1e-9) -> MembershipResu
         A = abs_d(M)
         excesses.append(float(np.max(-A.sum(axis=1))))
         excesses.append(float(np.max(-A.sum(axis=0))))
-    elif cone == ConeTag.DIAG:
-        if off.size:
-            excesses.append(float(np.max(np.abs(off))))
-    elif cone == ConeTag.OFFDIAG:
-        excesses.append(float(np.max(np.abs(np.diag(M)))))
     else:
         raise ValueError(f"unknown cone {cone!r}")
     worst = max(0.0, max(excesses))
@@ -121,11 +105,5 @@ def random_member(cone: ConeTag, m: int, seed: int) -> np.ndarray:
         absM = np.abs(M)
         boost = rng.uniform(0.1, 1.1, size=m)
         np.fill_diagonal(M, np.maximum(absM.sum(axis=1), absM.sum(axis=0)) + boost)
-        return M
-    if cone == ConeTag.DIAG:
-        return np.diag(rng.normal(size=m))
-    if cone == ConeTag.OFFDIAG:
-        M = np.zeros((m, m))
-        M[hollow_mask] = rng.normal(size=m * m - m)
         return M
     raise ValueError(f"unknown cone {cone!r}")

@@ -24,6 +24,12 @@ _SQRT2 = math.sqrt(2.0)
 _TRSV_BLOCK = 64
 # Most rounds of iterative refinement per Newton solve (_newton).
 _REFINE_STEPS = 2
+# Fraction of the distance to the cone boundary each step covers.
+_STEP_FRAC = 0.99
+# The loop ends as "stalled" after _STALL_LIMIT consecutive iterations
+# whose primal and dual steps both stay below _MIN_STEP.
+_MIN_STEP = 1.0e-8
+_STALL_LIMIT = 4
 
 
 def svec_dim(d: int) -> int:
@@ -108,9 +114,6 @@ class IpmSettings:
     max_iters: int = 200
     tol_feas: float = 1.0e-10
     tol_gap: float = 1.0e-10
-    step_frac: float = 0.99
-    min_step: float = 1.0e-8
-    stall_limit: int = 4
 
 
 @dataclass
@@ -359,7 +362,7 @@ def _newton(A, sc, normal, rp, rd, wrd, wdc):
     return dx, dy, rd - A.T @ dy
 
 
-def _step(A, row_mats, cone, x, s, rp, rd, mu, gap, step_frac):
+def _step(A, row_mats, cone, x, s, rp, rd, mu, gap):
     """Mehrotra predictor-corrector direction and step lengths.
 
     A W^T W A^T is formed block by block and factored once for both
@@ -393,8 +396,8 @@ def _step(A, row_mats, cone, x, s, rp, rd, mu, gap, step_frac):
     wdc = sc.unscale_to_x(sc.jordan_solve_lam(target))
     dx, dy, ds = _newton(A, sc, normal, rp, rd, wrd, wdc)
 
-    a_p = min(1.0, step_frac * _max_step(cone, x, dx))
-    a_d = min(1.0, step_frac * _max_step(cone, s, ds))
+    a_p = min(1.0, _STEP_FRAC * _max_step(cone, x, dx))
+    a_d = min(1.0, _STEP_FRAC * _max_step(cone, s, ds))
     return dx, dy, ds, a_p, a_d
 
 
@@ -407,7 +410,7 @@ def solve_conic(
 ) -> ConicResult:
     """Run the predictor-corrector loop; returns the best iterate seen.
 
-    The loop ends as "stalled" when the steps stay below min_step, and also
+    The loop ends as "stalled" when the steps stay below _MIN_STEP, and also
     when the scaling or a step length cannot be computed or an iterate turns
     non-finite; floating-point warnings are suppressed throughout.
     """
@@ -460,16 +463,14 @@ def solve_conic(
                 break
 
             try:
-                dx, dy, ds, a_p, a_d = _step(
-                    A, row_mats, cone, x, s, rp, rd, mu, gap, st.step_frac
-                )
+                dx, dy, ds, a_p, a_d = _step(A, row_mats, cone, x, s, rp, rd, mu, gap)
             except np.linalg.LinAlgError:
                 status = "stalled"
                 break
 
-            if max(a_p, a_d) < st.min_step:
+            if max(a_p, a_d) < _MIN_STEP:
                 stalls += 1
-                if stalls >= st.stall_limit:
+                if stalls >= _STALL_LIMIT:
                     status = "stalled"
                     break
             else:

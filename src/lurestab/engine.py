@@ -47,7 +47,6 @@ class SolverSettings:
     farkas_tol: float = 1.0e-7
     max_rank_rounds: int = 10
     steer_weight: float = 1.0e-3
-    ls_correct: bool = True
 
 
 @dataclass(frozen=True)
@@ -61,10 +60,13 @@ class Residuals:
 
 @dataclass
 class SolveResult:
+    """canonical is the problem's dense form, reused by reduce_rank."""
+
     status: str  # "feasible" | "infeasible" | "numerical_limit"
     assignment: dict
     residuals: Residuals
     diagnostics: dict = field(default_factory=dict)
+    canonical: Optional["_Canonical"] = field(default=None, repr=False)
 
 
 @lru_cache(maxsize=None)
@@ -343,17 +345,21 @@ def _farkas_quality(canon: _Canonical, y: np.ndarray):
 
 def _primal_true_margin(problem: SdpFeasibilityProblem, assignment: dict) -> float:
     """Achieved margin -lambda_max of the strict LMI at this assignment."""
-    meta = problem.meta
-    core = np.asarray(meta["strict_lmi"](assignment), dtype=float)
-    kind = meta["kind"]
-    if not kind.reduced:
-        P = assignment["P"]
-        n = P.shape[0]
-        top = np.hstack([core, np.zeros((core.shape[0], n))])
-        bot = np.hstack([np.zeros((n, core.shape[1])), -P])
-        core = np.vstack([top, bot])
+    core = np.asarray(problem.meta["strict_lmi"](assignment), dtype=float)
     w = np.linalg.eigvalsh(0.5 * (core + core.T))
     return -float(w[-1])
+
+
+def _candidates(canon: _Canonical, x: np.ndarray, settings: SolverSettings):
+    """Reconstruct and verify the least-squares-corrected point, then x.
+
+    Yields (label, assignment, ok, max_eq, max_cone) lazily, so a caller
+    that settles on the corrected point never reconstructs the raw one.
+    """
+    for label, xc in (("corrected", canon.ls_correct(x)), ("raw", x)):
+        assignment = canon.reconstruct(xc)
+        ok, max_eq, max_cone = canon.verify(assignment, settings)
+        yield label, assignment, ok, max_eq, max_cone
 
 
 def _solve_margin(problem, canon: _Canonical, settings: SolverSettings) -> SolveResult:
@@ -412,27 +418,17 @@ def _solve_phase1(problem, canon: _Canonical, settings: SolverSettings) -> Solve
     )
     res = solve_conic(A_ext, canon.b, c, cone_ext, ipm)
     theta = float(res.x[-1])
-    x_c = res.x[:-1]
 
-    candidates = []
-    if settings.ls_correct:
-        candidates.append(("corrected", canon.ls_correct(x_c)))
-    candidates.append(("raw", x_c))
-
-    passing = []
-    for label, xc in candidates:
-        assignment = canon.reconstruct(xc)
-        ok, max_eq, max_cone = canon.verify(assignment, settings)
-        if ok:
-            passing.append((max_eq, label, assignment, max_cone))
+    candidates = list(_candidates(canon, res.x[:-1], settings))
+    passing = [cand for cand in candidates if cand[2]]
     diagnostics = {
         "ipm_status": res.status,
         "ipm_iterations": res.iterations,
         "theta": theta,
     }
     if passing:
-        passing.sort(key=lambda t: t[0])
-        max_eq, label, assignment, max_cone = passing[0]
+        # the smallest equality residual wins; a tie goes to the corrected point
+        label, assignment, _, max_eq, max_cone = min(passing, key=lambda cand: cand[3])
         diagnostics["candidate"] = label
         return SolveResult(
             status="feasible",
@@ -444,8 +440,7 @@ def _solve_phase1(problem, canon: _Canonical, settings: SolverSettings) -> Solve
     # no verified point: try to certify infeasibility
     q = _farkas_quality(canon, res.y)
     diagnostics["farkas_quality"] = q
-    assignment = canon.reconstruct(x_c)
-    _, max_eq, max_cone = canon.verify(assignment, settings)
+    _, assignment, _, max_eq, max_cone = candidates[-1]  # the raw point
     if q is not None and q <= settings.farkas_tol:
         status = "infeasible"
     else:
@@ -472,15 +467,18 @@ def solve(problem: SdpFeasibilityProblem, settings: Optional[SolverSettings] = N
     if canon.inconsistent:
         assignment = canon.reconstruct(canon.interior_point())
         _, max_eq, max_cone = canon.verify(assignment, settings)
-        return SolveResult(
+        result = SolveResult(
             status="infeasible",
             assignment=assignment,
             residuals=Residuals(max_eq, max_cone),
             diagnostics={"reason": "inconsistent constant row"},
         )
-    if problem.objective is not None:
-        return _solve_margin(problem, canon, settings)
-    return _solve_phase1(problem, canon, settings)
+    elif problem.objective is not None:
+        result = _solve_margin(problem, canon, settings)
+    else:
+        result = _solve_phase1(problem, canon, settings)
+    result.canonical = canon
+    return result
 
 
 def _rank_ratio(H: np.ndarray):
@@ -630,7 +628,9 @@ def reduce_rank(
         warm.diagnostics.setdefault("polished", False)
         return warm
 
-    canon = _Canonical(problem)
+    canon = warm.canonical
+    if canon is None or canon.problem is not problem:
+        canon = _Canonical(problem)
     steer = problem.meta.get("steer")
     steer_term = None
     sn = 0.0
@@ -667,13 +667,7 @@ def reduce_rank(
             tol_gap=settings.margin_ipm_tol_gap,
         )
         res = solve_conic(canon.A, canon.b, c, canon.cone, ipm_steer)
-        candidates = []
-        if settings.ls_correct:
-            candidates.append(canon.ls_correct(res.x))
-        candidates.append(res.x)
-        for xc in candidates:
-            assignment = canon.reconstruct(xc)
-            ok, max_eq, max_cone = canon.verify(assignment, settings)
+        for _, assignment, ok, max_eq, max_cone in _candidates(canon, res.x, settings):
             if not ok:
                 continue
             best_assign, best_eq, best_cone = assignment, max_eq, max_cone
@@ -697,14 +691,8 @@ def reduce_rank(
         res = solve_conic(canon.A, canon.b, c, canon.cone, ipm)
         rounds += 1
 
-        candidates = []
-        if settings.ls_correct:
-            candidates.append(canon.ls_correct(res.x))
-        candidates.append(res.x)
         improved = False
-        for xc in candidates:
-            assignment = canon.reconstruct(xc)
-            ok, max_eq, max_cone = canon.verify(assignment, settings)
+        for _, assignment, ok, max_eq, max_cone in _candidates(canon, res.x, settings):
             if not ok:
                 continue
             ratio, _ = _rank_ratio(assignment[name])
@@ -743,4 +731,5 @@ def reduce_rank(
         assignment=best_assign,
         residuals=Residuals(best_eq, best_cone),
         diagnostics=diagnostics,
+        canonical=canon,
     )

@@ -1,16 +1,18 @@
 """Assembly of the stability LMI and its dual as conic feasibility problems.
 
+Both are assembled on the band [0, 1] only; every other band is brought
+there by system.normalize_band before it reaches this module.
+
 Primal (per nonlinearity class): find P and a multiplier matrix M in the
 DHD cone (DD for odd nonlinearities) such that
 
     L(P, M) = [A B; I 0]-type quadratic Lyapunov difference
             + [C D; 0 I]^T Pi(M, band) [C D; 0 I]  <  0.
 
-On the band [0, 1] the P > 0 requirement is dropped (Schur stability of A
-makes it automatic), so P is a free symmetric variable.
+P is a free symmetric variable: Schur stability of A makes P > 0 follow
+from the inequality.
 
-Dual (band [0, 1] only): find H PSD, f, g >= 0 and zero-diagonal
-Z-matrices such that
+Dual: find H PSD, f, g >= 0 and zero-diagonal Z-matrices such that
 
     [A B] H [A B]^T = [I 0] H [I 0]^T
     Y(H) := [0 I] H ([C D] - [0 I])^T   couples to (f, g, X[, Z])
@@ -51,20 +53,13 @@ _EQ_STRUCTURES = ("sym", "full", "hollow", "vector", "scalar")
 
 @dataclass(frozen=True)
 class LmiKind:
-    """Which of the four LMI systems to assemble.
-
-    reduced=True is the band-[0,1] form (P free symmetric in the primal);
-    the duals exist only in reduced form.
-    """
+    """Which of the four LMI systems to assemble."""
 
     tag: str
-    reduced: bool = True
 
     def __post_init__(self):
         if self.tag not in ("primal_dhd", "primal_dd", "dual_dhd", "dual_dd"):
             raise StructuralError(f"unknown LMI kind {self.tag!r}")
-        if self.tag.startswith("dual") and not self.reduced:
-            raise StructuralError("dual LMIs are only defined in reduced form")
 
     @property
     def is_primal(self) -> bool:
@@ -133,30 +128,8 @@ class SdpFeasibilityProblem:
     objective: Optional[dict] = None
     meta: dict = field(default_factory=dict)
 
-    def var(self, name: str) -> VarSpec:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
     def zero_assignment(self) -> dict:
         return {v.name: np.zeros(v.shape) for v in self.variables}
-
-    def debug_dump(self) -> str:
-        lines = ["variables:"]
-        for v in self.variables:
-            lines.append(f"  {v.name}: kind={v.kind} dim={v.dim}")
-        lines.append("equalities:")
-        for eq in self.equalities:
-            lines.append(
-                f"  {eq.name}: structure={eq.structure} rhs_shape={np.shape(eq.rhs)}"
-            )
-        if self.objective is not None:
-            parts = ", ".join(sorted(self.objective))
-            lines.append(f"objective over: {parts}")
-        else:
-            lines.append("objective: none (pure feasibility)")
-        return "\n".join(lines)
 
 
 def primal_lmi_matrix(sys: StateSpaceSystem, P: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -182,18 +155,15 @@ def state_equality_block(sys: StateSpaceSystem, H: np.ndarray) -> np.ndarray:
 
 
 def output_coupling_block(sys: StateSpaceSystem, H: np.ndarray) -> np.ndarray:
-    """Y(H) = ([0 I] - mu [C D]) H (nu [C D] - [0 I])^T.
+    """Y(H) = [0 I] H ([C D] - [0 I])^T, the matrix the dual couples to (f, g, X[, Z]).
 
-    On the band [0, 1] this is [0 I] H ([C D] - [0 I])^T, the matrix the
-    dual couples to (f, g, X[, Z]).  For a rank-1 H = (h1; h2)(h1; h2)^T it
-    specializes to h2 (C h1 + D h2 - h2)^T.
+    For a rank-1 H = (h1; h2)(h1; h2)^T it specializes to
+    h2 (C h1 + D h2 - h2)^T.
     """
     n, m = sys.n, sys.m
     CD = np.hstack([sys.C, sys.D])
     OI = np.hstack([np.zeros((m, n)), np.eye(m)])
-    left = OI - sys.band.mu * CD
-    right = sys.band.nu * CD - OI
-    return left @ H @ right.T
+    return OI @ H @ (CD - OI).T
 
 
 def _steer_matrix(sys: StateSpaceSystem) -> np.ndarray:
@@ -239,15 +209,15 @@ def build_primal(sys: StateSpaceSystem, kind: LmiKind) -> SdpFeasibilityProblem:
     """
     if not kind.is_primal:
         raise StructuralError(f"build_primal got dual kind {kind.tag!r}")
-    if kind.reduced and not sys.band.is_reduced:
-        raise StructuralError("reduced primal requires the band [0, 1]")
+    if not sys.band.is_reduced:
+        raise StructuralError("the primal LMI is defined on the band [0, 1] only")
     n, m = sys.n, sys.m
-    L = n + m if kind.reduced else 2 * n + m
+    L = n + m
     n_tri = n * (n + 1) // 2
     ones_m = np.ones(m)
 
     variables = [
-        VarSpec("P", "sym" if kind.reduced else "psd", n),
+        VarSpec("P", "sym", n),
         VarSpec("M_diag", "nonneg", m),
         VarSpec("lmi_slack", "psd", L),
         VarSpec("margin_slack", "nonneg", 1),
@@ -272,10 +242,6 @@ def build_primal(sys: StateSpaceSystem, kind: LmiKind) -> SdpFeasibilityProblem:
 
     def lmi_lhs(v: dict) -> np.ndarray:
         core = primal_lmi_matrix(sys, v["P"], the_m(v))
-        if not kind.reduced:
-            core = np.block(
-                [[core, np.zeros((n + m, n))], [np.zeros((n, n + m)), -v["P"]]]
-            )
         return core - v["margin_slack"][0] * np.eye(L) + v["lmi_slack"]
 
     # box equalities are stated in units of the bound (rhs 1), which keeps
@@ -349,7 +315,6 @@ def build_primal(sys: StateSpaceSystem, kind: LmiKind) -> SdpFeasibilityProblem:
         "system": sys,
         "kind": kind,
         "margin_from": "margin_slack",
-        "lmi_dim": L,
         "strict_lmi": lambda v: primal_lmi_matrix(sys, v["P"], the_m(v)),
         "multiplier_from": the_m,
     }
@@ -362,7 +327,7 @@ def build_primal(sys: StateSpaceSystem, kind: LmiKind) -> SdpFeasibilityProblem:
 
 
 def build_dual(sys: StateSpaceSystem, kind: LmiKind) -> SdpFeasibilityProblem:
-    """Assemble the reduced dual feasibility problem (band [0, 1] only).
+    """Assemble the dual feasibility problem (band [0, 1] only).
 
     Normalization trace(H) = 1 pins the scale; any nonzero solution of the
     homogeneous system has H != 0, so no solutions are lost.

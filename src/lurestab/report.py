@@ -1,11 +1,14 @@
 """Analysis pipeline and canonical report serialization.
 
-analyze() runs the primal first; a strict-margin win means absolute
+analyze() brings the loop to the slope band [0, 1] (system.normalize_band)
+and runs the primal there first; a strict-margin win means absolute
 stability.  Otherwise the dual is solved, rank-reduced, and pushed through
-certificate extraction, nonlinearity construction, the slope audit, and an
-equilibrium check by simulation.  Every verdict carries the residuals and
-tolerances that produced it, and reports serialize to byte-stable canonical
-JSON (sorted keys, fixed 17-significant-digit floats, no timestamps).
+certificate extraction and nonlinearity construction.  The certificate or
+the witness is then mapped back to the original band, where the slope
+audit and an equilibrium check by simulation run.  Every verdict carries
+the residuals and tolerances that produced it, and reports serialize to
+byte-stable canonical JSON (sorted keys, fixed 17-significant-digit
+floats, no timestamps).
 """
 
 import json
@@ -16,11 +19,11 @@ import numpy as np
 
 from .detector import Inconclusive, build_pwl, extract_certificate
 from .engine import SolverSettings, reduce_rank, solve
-from .errors import NumericFailureError, UnsupportedModeError
+from .errors import AssumptionViolatedError, NumericFailureError, UnsupportedModeError
 from .lmi import LmiKind, build_dual, build_primal
 from .pwl import PiecewiseLinearMap, verify_slope
 from .simulate import simulate
-from .system import NonlinearityClass, StateSpaceSystem, validate
+from .system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band, validate
 
 __all__ = ["AnalysisReport", "analyze", "canonical_json"]
 
@@ -122,6 +125,11 @@ class AnalysisReport:
         return canonical_json(self.to_dict())
 
 
+def _band_input(band: SlopeBand, z, w) -> np.ndarray:
+    """Loop input on the band for input w of the normalized loop at output z."""
+    return band.mu * np.asarray(z) + (band.nu - band.mu) * np.asarray(w)
+
+
 def analyze(
     sys: StateSpaceSystem,
     settings: Optional[SolverSettings] = None,
@@ -129,6 +137,9 @@ def analyze(
 ) -> AnalysisReport:
     """Decide absolute stability or produce instability evidence.
 
+    The LMIs are solved for normalize_band(sys).  The margin and the dual
+    blocks H, f, g, X, Z stay in those normalized coordinates; P, M, h1,
+    h2 = w*, z* and phi are reported for the original system and band.
     The seed is echoed into the diagnostics for provenance only; the whole
     pipeline is deterministic.
     """
@@ -161,10 +172,19 @@ def analyze(
     }
     pipe = diagnostics["pipeline"]
     is_odd = sys.nl_class is NonlinearityClass.SLOPE_ODD
+    primal_dict = dual_dict = phi = None
 
-    primal_problem = build_primal(
-        sys, LmiKind("primal_dd" if is_odd else "primal_dhd", reduced=sys.band.is_reduced)
-    )
+    def report(verdict: str) -> AnalysisReport:
+        return AnalysisReport(verdict, primal_dict, dual_dict, phi, diagnostics)
+
+    try:
+        unit = normalize_band(sys)
+    except AssumptionViolatedError as exc:
+        pipe["inconclusive_reason"] = "band_normalization"
+        pipe["inconclusive_detail"] = str(exc)
+        return report("inconclusive")
+
+    primal_problem = build_primal(unit, LmiKind("primal_dd" if is_odd else "primal_dhd"))
     primal_res = solve(primal_problem, settings)
     pipe["primal_status"] = primal_res.status
     primal_dict = {
@@ -174,27 +194,14 @@ def analyze(
         "max_cone_violation": primal_res.residuals.max_cone_violation,
     }
     if primal_res.status == "feasible":
+        # the normalized LMI at (P, M (nu - mu)^2) is a congruence of the
+        # original one at (P, M)
+        M = primal_problem.meta["multiplier_from"](primal_res.assignment)
         primal_dict["P"] = primal_res.assignment["P"]
-        primal_dict["M"] = primal_problem.meta["multiplier_from"](primal_res.assignment)
-        return AnalysisReport(
-            verdict="absolutely_stable",
-            primal=primal_dict,
-            dual=None,
-            phi=None,
-            diagnostics=diagnostics,
-        )
+        primal_dict["M"] = M / (sys.band.nu - sys.band.mu) ** 2
+        return report("absolutely_stable")
 
-    if not sys.band.is_reduced:
-        pipe["inconclusive_reason"] = "no_dual_outside_reduced_band"
-        return AnalysisReport(
-            verdict="inconclusive",
-            primal=primal_dict,
-            dual=None,
-            phi=None,
-            diagnostics=diagnostics,
-        )
-
-    dual_problem = build_dual(sys, LmiKind("dual_dd" if is_odd else "dual_dhd"))
+    dual_problem = build_dual(unit, LmiKind("dual_dd" if is_odd else "dual_dhd"))
     dual_res = solve(dual_problem, settings)
     pipe["dual_status"] = dual_res.status
     if dual_res.status != "feasible":
@@ -204,13 +211,7 @@ def analyze(
             "max_equality_residual": dual_res.residuals.max_equality,
             "max_cone_violation": dual_res.residuals.max_cone_violation,
         }
-        return AnalysisReport(
-            verdict="inconclusive",
-            primal=primal_dict,
-            dual=dual_dict,
-            phi=None,
-            diagnostics=diagnostics,
-        )
+        return report("inconclusive")
 
     reduced = reduce_rank(dual_problem, dual_res, settings)
     pipe["rank_trail"] = list(reduced.diagnostics.get("rank_trail", []))
@@ -226,28 +227,24 @@ def analyze(
     }
 
     outcome = extract_certificate(
-        sys, reduced, sys.nl_class, rank_rel_tol=settings.tol_rank
+        unit, reduced, sys.nl_class, rank_rel_tol=settings.tol_rank
     )
     if isinstance(outcome, Inconclusive):
         pipe["inconclusive_reason"] = outcome.reason
         pipe["inconclusive_detail"] = outcome.detail
-        return AnalysisReport(
-            verdict="inconclusive",
-            primal=primal_dict,
-            dual=dual_dict,
-            phi=None,
-            diagnostics=diagnostics,
-        )
+        return report("inconclusive")
     cert = outcome
     pipe["snapped_segments"] = cert.snapped
-    v = sys.A @ cert.h1 + sys.B @ cert.h2
+    # h1 and z* are shared by both loops; only the input changes
+    w_star = _band_input(sys.band, cert.z_star, cert.w_star)
+    v = sys.A @ cert.h1 + sys.B @ w_star
     dual_dict.update(
         {
             "rank": cert.rank,
             "h1": cert.h1,
-            "h2": cert.h2,
+            "h2": w_star,
             "z_star": cert.z_star,
-            "w_star": cert.w_star,
+            "w_star": w_star,
             "f": cert.f,
             "g": cert.g,
             "X": cert.X,
@@ -257,7 +254,12 @@ def analyze(
         }
     )
 
-    phi = build_pwl(cert, odd=is_odd)
+    unit_phi = build_pwl(cert, odd=is_odd)
+    z_nodes = unit_phi.z_nodes
+    phi = PiecewiseLinearMap(
+        np.column_stack([z_nodes, _band_input(sys.band, z_nodes, unit_phi.w_nodes)]),
+        odd=is_odd,
+    )
     srep = verify_slope(phi, sys.band)
     pipe["slope_check"] = {
         "ok": srep.ok,
@@ -268,13 +270,7 @@ def analyze(
     }
     if not srep.ok:
         pipe["inconclusive_reason"] = "slope_check"
-        return AnalysisReport(
-            verdict="inconclusive",
-            primal=primal_dict,
-            dual=dual_dict,
-            phi=phi,
-            diagnostics=diagnostics,
-        )
+        return report("inconclusive")
 
     try:
         traj = simulate(sys, phi, cert.h1, _EQ_CHECK_STEPS)
@@ -285,13 +281,7 @@ def analyze(
         pipe["equilibrium_deviation"] = dev
         if dev > _EQ_CHECK_TOL:
             pipe["inconclusive_reason"] = "equilibrium_check"
-            return AnalysisReport(
-                verdict="inconclusive",
-                primal=primal_dict,
-                dual=dual_dict,
-                phi=phi,
-                diagnostics=diagnostics,
-            )
+            return report("inconclusive")
     except UnsupportedModeError as exc:
         # the contraction-based loop solver does not apply; the theorem's
         # equilibrium statement stands on the certificate gates alone
@@ -301,18 +291,6 @@ def analyze(
         pipe["equilibrium_checked"] = False
         pipe["inconclusive_reason"] = "equilibrium_check"
         pipe["inconclusive_detail"] = str(exc)
-        return AnalysisReport(
-            verdict="inconclusive",
-            primal=primal_dict,
-            dual=dual_dict,
-            phi=phi,
-            diagnostics=diagnostics,
-        )
+        return report("inconclusive")
 
-    return AnalysisReport(
-        verdict="not_absolutely_stable",
-        primal=primal_dict,
-        dual=dual_dict,
-        phi=phi,
-        diagnostics=diagnostics,
-    )
+    return report("not_absolutely_stable")

@@ -22,6 +22,7 @@ __all__ = [
     "SlopeBand",
     "StateSpaceSystem",
     "ValidationReport",
+    "normalize_band",
     "spectral_radius",
     "validate",
 ]
@@ -36,7 +37,7 @@ class NonlinearityClass(enum.Enum):
 
 @dataclass(frozen=True)
 class SlopeBand:
-    """Slope restriction [mu, nu]; the band must contain 0."""
+    """Slope restriction [mu, nu]; the band must contain 0 and have width."""
 
     mu: float
     nu: float
@@ -48,10 +49,14 @@ class SlopeBand:
             raise StructuralError(
                 f"slope band must satisfy mu <= 0 <= nu, got ({self.mu}, {self.nu})"
             )
+        if self.mu == self.nu:
+            raise StructuralError(
+                "slope band [0, 0] holds only phi = 0; analyse the linear plant instead"
+            )
 
     @property
     def is_reduced(self) -> bool:
-        """True when the band is exactly [0, 1], the detection regime."""
+        """True when the band is exactly [0, 1], the band of the LMI core."""
         return self.mu == 0.0 and self.nu == 1.0
 
 
@@ -124,7 +129,6 @@ class ValidationReport:
     schur_margin: float
     d_norm: float
     gain_margin: float
-    reduced_admissible: bool
     well_posedness_guaranteed: bool
 
 
@@ -150,6 +154,49 @@ def validate(sys: StateSpaceSystem) -> ValidationReport:
         schur_margin=1.0 - rho,
         d_norm=d_norm,
         gain_margin=1.0 - d_norm,
-        reduced_admissible=sys.band.is_reduced,
         well_posedness_guaranteed=bool(d_norm < 1.0),
     )
+
+
+def normalize_band(sys: StateSpaceSystem) -> StateSpaceSystem:
+    """The same loop written for a map of slope [0, 1] (loop transformation).
+
+    Every phi of the band [mu, nu] is phi = mu z + (nu - mu) psi with psi of
+    slope [0, 1], and psi is odd exactly when phi is.  Closing the plant
+    with that split gives, with E = (I - mu D)^{-1},
+
+        A' = A + mu B E C,  B' = (nu - mu)(B + mu B E D),
+        C' = E C,           D' = (nu - mu) E D,
+
+    which has the same states and outputs z; its input is psi(z), so an
+    original input is w = mu z + (nu - mu) w'.  On [0, 1] E is solved
+    against the identity and the map returns the matrices bit for bit.
+
+    Raises AssumptionViolatedError when I - mu D is singular (the loop
+    closed with phi = mu z is ill-posed) or A' is not Schur stable (that
+    loop is not asymptotically stable).
+    """
+    mu, width = sys.band.mu, sys.band.nu - sys.band.mu
+    lhs = np.eye(sys.m) - mu * sys.D
+    try:
+        EC = np.linalg.solve(lhs, sys.C)
+        ED = np.linalg.solve(lhs, sys.D)
+    except np.linalg.LinAlgError:
+        raise AssumptionViolatedError(
+            f"I - mu D is singular at mu = {mu:.6g}: the loop closed with phi = mu z is ill-posed"
+        ) from None
+    with np.errstate(all="ignore"):  # a nearly singular I - mu D overflows
+        D = width * ED
+        A = sys.A + mu * (sys.B @ EC)
+        B = width * sys.B + mu * (sys.B @ D)
+    if not all(np.all(np.isfinite(M)) for M in (A, B, EC, D)):
+        raise AssumptionViolatedError(
+            f"I - mu D is numerically singular at mu = {mu:.6g}: the normalized plant is not finite"
+        )
+    rho = spectral_radius(A)
+    if rho >= 1.0:
+        raise AssumptionViolatedError(
+            f"A + mu B E C is not Schur stable (spectral radius {rho:.6g}): "
+            "the loop closed with phi = mu z is not asymptotically stable"
+        )
+    return StateSpaceSystem(A, B, EC, D, SlopeBand(0.0, 1.0), sys.nl_class)

@@ -10,7 +10,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .system import SlopeBand, StateSpaceSystem
+from lurestab.engine import solve
+from lurestab.lmi import LmiKind, build_dual, build_primal
+from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
 
 __all__ = [
     "DualityAuditReport",
@@ -142,10 +144,6 @@ def audit_duality(sys: StateSpaceSystem, seed: int = 0) -> DualityAuditReport:
     primal margin clears its threshold AND the dual is decisively feasible.
     Borderline numerical_limit outcomes count as non-decisive.
     """
-    from .engine import solve
-    from .lmi import LmiKind, build_dual, build_primal
-    from .system import NonlinearityClass
-
     kind_p = (
         LmiKind.PRIMAL_DD
         if sys.nl_class == NonlinearityClass.SLOPE_ODD

@@ -18,7 +18,7 @@ from lurestab.lmi import (
     primal_lmi_matrix,
     state_equality_block,
 )
-from lurestab.oracles import audit_duality, audit_multiplier_inequality, sample_slope_fn
+from oracles import audit_duality, audit_multiplier_inequality, sample_slope_fn
 from lurestab.pwl import PiecewiseLinearMap, eval_pwl, verify_slope
 from lurestab.simulate import simulate
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem

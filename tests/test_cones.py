@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lurestab.cones import ConeTag, abs_d, is_member, proj_split, random_member
+from lurestab.cones import ConeTag, abs_d, is_member, random_member
 
 
 def test_abs_d_keeps_diagonal_negates_offdiag():
@@ -15,14 +15,6 @@ def test_abs_d_keeps_diagonal_negates_offdiag():
 def test_abs_d_fixed_point_on_z():
     M = np.array([[5.0, -1.0, -2.0], [-0.5, 3.0, 0.0], [-1.0, -1.0, 4.0]])
     assert np.allclose(abs_d(M), M)
-
-
-def test_proj_split():
-    M = np.arange(9.0).reshape(3, 3)
-    diag_part, off_part = proj_split(M)
-    assert np.allclose(diag_part + off_part, M)
-    assert np.allclose(np.diag(off_part), 0.0)
-    assert np.allclose(off_part - M + diag_part, 0.0)
 
 
 def test_membership_z():
@@ -53,14 +45,6 @@ def test_membership_dd_allows_positive_offdiag():
     M = np.array([[2.0, 1.0], [-0.5, 1.0]])
     assert is_member(M, ConeTag.DD).member
     assert not is_member(np.array([[0.5, 1.0], [-0.5, 1.0]]), ConeTag.DD).member
-
-
-def test_membership_diag_offdiag():
-    assert is_member(np.diag([1.0, -2.0]), ConeTag.DIAG).member
-    assert not is_member(np.array([[1.0, 0.1], [0.0, 2.0]]), ConeTag.DIAG).member
-    hollow = np.array([[0.0, 3.0], [-1.0, 0.0]])
-    assert is_member(hollow, ConeTag.OFFDIAG).member
-    assert not is_member(np.eye(2), ConeTag.OFFDIAG).member
 
 
 def test_membership_requires_square():

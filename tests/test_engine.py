@@ -69,6 +69,14 @@ def test_reduce_rank_reaches_rank_one(slope_example):
     assert w[1] <= 1.0e-6 * w[0]
 
 
+def test_reduce_rank_reuses_the_canonical_form_of_solve(slope_example):
+    problem = build_dual(slope_example, LmiKind.DUAL_DHD)
+    warm = solve(problem)
+    assert warm.canonical is not None and warm.canonical.problem is problem
+    red = reduce_rank(problem, warm)
+    assert red.canonical is warm.canonical
+
+
 def test_reduce_rank_keeps_rank_one_warm_start(slope_example):
     problem = build_dual(slope_example, LmiKind.DUAL_DHD)
     warm = solve(problem)

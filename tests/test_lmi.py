@@ -36,7 +36,6 @@ def _random_system(seed, n=2, m=3, odd=False):
 def test_kind_constants():
     assert LmiKind.PRIMAL_DHD.is_primal
     assert not LmiKind.DUAL_DD.is_primal
-    assert LmiKind.PRIMAL_DHD.reduced
 
 
 def test_primal_structure_dhd():

@@ -4,7 +4,7 @@ import pytest
 from lurestab import SlopeBand
 from lurestab.cones import ConeTag, random_member
 from lurestab.multipliers import build_multiplier, quad_form
-from lurestab.oracles import sample_slope_fn
+from oracles import sample_slope_fn
 
 
 def test_multiplier_shape_and_symmetry():

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lurestab import SlopeBand
-from lurestab.oracles import audit_multiplier_inequality, sample_slope_fn
+from oracles import audit_multiplier_inequality, sample_slope_fn
 
 
 @settings(max_examples=40, deadline=None)

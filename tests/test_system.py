@@ -55,7 +55,6 @@ def test_validate_reports_margins(slope_example):
     assert rep.n == 2 and rep.m == 4
     assert 0.0 < rep.rho_a < 1.0
     assert rep.schur_margin == pytest.approx(1.0 - rep.rho_a)
-    assert rep.reduced_admissible
     # this example has a large direct-feedthrough block, so loop
     # well-posedness is not guaranteed for the whole class
     assert rep.d_norm > 1.0
