@@ -159,16 +159,22 @@ class _Scaling:
     W^T W u = svec(G smat(u) G); an orthant block scales by the vector w.
     Each entry of blocks is (slice, size, R, R^{-1}, G, sig) for a PSD
     block and (slice, None, w, None, w^2, lam) for the orthant.  lam is the
-    scaled point W^{-T} x = W s.
+    scaled point W^{-T} x = W s.  x_steps and s_steps carry, per block,
+    (slice, size, L^{-1}) with L the Cholesky factor of the PSD block of x
+    or s (size and L^{-1} None on the orthant), for _max_step.
     """
 
     def __init__(self, cone: ConeSpec, x: np.ndarray, s: np.ndarray):
         self.blocks = []
+        self.x_steps = []
+        self.s_steps = []
         self.lam = np.empty(cone.total_len)
         for tag, size, sl in cone.slices():
             if tag == "s":
                 Lx = _chol_psd(smat(x[sl], size))
                 Ls = _chol_psd(smat(s[sl], size))
+                self.x_steps.append((sl, size, np.linalg.inv(Lx)))
+                self.s_steps.append((sl, size, np.linalg.inv(Ls)))
                 U, sig, Vt = np.linalg.svd(Ls.T @ Lx)
                 sig = np.clip(sig, 1.0e-150, None)
                 root = sig ** -0.5
@@ -177,6 +183,8 @@ class _Scaling:
                 self.blocks.append((sl, size, R, Rinv, R @ R.T, sig))
                 self.lam[sl] = svec(np.diag(sig))
             else:
+                self.x_steps.append((sl, None, None))
+                self.s_steps.append((sl, None, None))
                 w = np.sqrt(x[sl] / s[sl])
                 lam = np.sqrt(x[sl] * s[sl])
                 self.blocks.append((sl, None, w, None, w * w, lam))
@@ -267,15 +275,15 @@ class _Scaling:
         return out
 
 
-def _max_step(cone: ConeSpec, x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha dx still in the (closed) cone."""
+def _max_step(steps: list, x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha with x + alpha dx still in the (closed) cone.
+
+    steps is _Scaling.x_steps or s_steps, whichever was factored from x.
+    """
     alpha = np.inf
-    for tag, size, sl in cone.slices():
-        if tag == "s":
-            X = smat(x[sl], size)
+    for sl, size, Linv in steps:
+        if size is not None:
             DX = smat(dx[sl], size)
-            L = _chol_psd(X)
-            Linv = np.linalg.inv(L)
             Mfr = Linv @ DX @ Linv.T
             w = np.linalg.eigvalsh(0.5 * (Mfr + Mfr.T))
             wmin = w[0]
@@ -377,8 +385,8 @@ def _step(A, row_mats, cone, x, s, rp, rd, mu, gap):
     # predictor (affine scaling) direction
     dx_aff, _, ds_aff = _newton(A, sc, normal, rp, rd, wrd, -x)
 
-    a_x = min(1.0, _max_step(cone, x, dx_aff))
-    a_s = min(1.0, _max_step(cone, s, ds_aff))
+    a_x = min(1.0, _max_step(sc.x_steps, x, dx_aff))
+    a_s = min(1.0, _max_step(sc.s_steps, s, ds_aff))
     a_aff = min(a_x, a_s)
     gap_aff = float((x + a_aff * dx_aff) @ (s + a_aff * ds_aff))
     ratio = min(gap_aff / gap, 1.0) if gap > 0 else 0.0
@@ -396,8 +404,8 @@ def _step(A, row_mats, cone, x, s, rp, rd, mu, gap):
     wdc = sc.unscale_to_x(sc.jordan_solve_lam(target))
     dx, dy, ds = _newton(A, sc, normal, rp, rd, wrd, wdc)
 
-    a_p = min(1.0, _STEP_FRAC * _max_step(cone, x, dx))
-    a_d = min(1.0, _STEP_FRAC * _max_step(cone, s, ds))
+    a_p = min(1.0, _STEP_FRAC * _max_step(sc.x_steps, x, dx))
+    a_d = min(1.0, _STEP_FRAC * _max_step(sc.s_steps, s, ds))
     return dx, dy, ds, a_p, a_d
 
 

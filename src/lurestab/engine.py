@@ -1,21 +1,21 @@
 """Feasibility engine: canonicalize declarative problems, solve, reduce rank.
 
-The pipeline takes an SdpFeasibilityProblem (named block variables plus
-affine equality callables), probes the callables on a coordinate basis to
-build a dense canonical form
-
-    min c.x   s.t.  A x = b,  x in (PSD blocks) x (orthant),
-
-eliminates free variables through an SVD, equilibrates rows, and hands the
-result to the interior-point core.  Pure feasibility questions go through a
-phase-1 reformulation; the verdict is always based on verifying the raw
+The engine probes a problem's callables on a coordinate basis to build a
+dense matrix form.  An equality-form problem (the dual: cone variables,
+affine equality blocks) becomes A x = b, x in (PSD blocks) x (orthant),
+with equilibrated rows, and is decided through a phase-1 reformulation;
+infeasibility is only declared with an explicit Farkas certificate in hand.
+An inequality-form problem (the primal LMI: free decision variables z,
+constraint expressions F0 + F z in cones) goes to the interior-point core
+as the dual side of its standard form, max b.y s.t. c - A^T y in K with
+A = -F^T / d, c = F0 and y = d z, so the Schur complement is indexed by the
+decision coordinates.  Either way the verdict rests on verifying the raw
 constraints of the original problem, never on solver status alone.
-Infeasibility is only declared with an explicit Farkas certificate in hand.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -66,7 +66,12 @@ class SolveResult:
     assignment: dict
     residuals: Residuals
     diagnostics: dict = field(default_factory=dict)
-    canonical: Optional["_Canonical"] = field(default=None, repr=False)
+    canonical: Optional[Union["_Canonical", "_Inequality"]] = field(default=None, repr=False)
+
+
+_FREE_KINDS = ("sym", "vector", "hollow")
+# how the entries of a constraint expression are scalarized, per cone
+_CONSTRAINT_STRUCTURE = {"psd": "sym", "nonneg": "vector", "hollow_nonneg": "hollow"}
 
 
 @lru_cache(maxsize=None)
@@ -81,15 +86,15 @@ def _offdiag_pairs(d: int):
 def _var_ncoords(v) -> int:
     if v.kind in ("psd", "sym"):
         return svec_dim(v.dim)
-    if v.kind == "nonneg":
+    if v.kind in ("nonneg", "vector"):
         return v.dim
-    return v.dim * v.dim - v.dim  # z0, hollow_nonneg, hollow_free
+    return v.dim * v.dim - v.dim  # z0, hollow
 
 
 def _var_value(v, coords: np.ndarray) -> np.ndarray:
     if v.kind in ("psd", "sym"):
         return smat(coords, v.dim)
-    if v.kind == "nonneg":
+    if v.kind in ("nonneg", "vector"):
         return np.asarray(coords, dtype=float)
     rows, cols = _offdiag_pairs(v.dim)
     out = np.zeros((v.dim, v.dim))
@@ -118,77 +123,77 @@ def _entry_error(value, rhs, structure: str) -> float:
     return float(np.max(np.abs(diff))) if diff.size else 0.0
 
 
-def _cone_violation_of_value(v, value: np.ndarray) -> float:
-    """Worst violation of the variable's own cone, as a nonnegative number."""
+def _cone_violation(cone: str, value) -> float:
+    """Worst violation of a variable kind's or a constraint's cone, >= 0.
+
+    "z0" also requires a zero diagonal; "hollow_nonneg" ignores it.  The
+    free variable kinds carry no cone constraint.
+    """
     value = np.asarray(value, dtype=float)
-    if v.kind == "psd":
+    if cone == "psd":
         w = np.linalg.eigvalsh(0.5 * (value + value.T))
         return float(max(0.0, -w[0]))
-    if v.kind == "nonneg":
+    if cone == "nonneg":
         return float(max(0.0, -np.min(value))) if value.size else 0.0
-    if v.kind == "z0":
-        rows, cols = _offdiag_pairs(v.dim)
+    if cone in ("z0", "hollow_nonneg"):
+        rows, cols = _offdiag_pairs(value.shape[0])
         off = value[rows, cols]
-        diag = float(np.max(np.abs(np.diag(value))))
-        return max(float(np.max(off)) if off.size else 0.0, diag, 0.0)
-    if v.kind == "hollow_nonneg":
-        rows, cols = _offdiag_pairs(v.dim)
-        off = value[rows, cols]
-        diag = float(np.max(np.abs(np.diag(value))))
-        return max(float(-np.min(off)) if off.size else 0.0, diag, 0.0)
-    return 0.0  # sym, hollow_free carry no cone constraint
+        worst = 0.0
+        if off.size:
+            worst = float(np.max(off)) if cone == "z0" else float(-np.min(off))
+        if cone == "z0":
+            worst = max(worst, float(np.max(np.abs(np.diag(value)))))
+        return max(worst, 0.0)
+    return 0.0
+
+
+def _probe(var_slices, ncols: int, evaluate, zero: dict, base: np.ndarray) -> np.ndarray:
+    """Columns evaluate(e_k) - base over the coordinate basis e_k."""
+    out = np.zeros((base.size, ncols))
+    for v, sl in var_slices:
+        nc = sl.stop - sl.start
+        for k in range(nc):
+            coords = np.zeros(nc)
+            coords[k] = 1.0
+            assign = dict(zero)
+            assign[v.name] = _var_value(v, coords)
+            out[:, sl.start + k] = evaluate(assign) - base
+    return out
+
+
+def _layout(variables) -> tuple:
+    """Contiguous coordinate slices of the variables, in order, and their total."""
+    slices, at = [], 0
+    for v in variables:
+        nc = _var_ncoords(v)
+        slices.append((v, slice(at, at + nc)))
+        at += nc
+    return slices, at
+
+
+def _stack(parts: list) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 class _Canonical:
-    """Dense canonical form of one problem, built once and reused."""
+    """Dense standard form of an equality-form problem, built once and reused."""
 
     def __init__(self, problem: SdpFeasibilityProblem):
         self.problem = problem
-        psd_vars, lin_vars, free_vars = [], [], []
-        cone_at = 0
-        free_at = 0
-        blocks = []
-        for v in problem.variables:
-            nc = _var_ncoords(v)
-            if v.kind == "psd":
-                psd_vars.append((v, slice(cone_at, cone_at + nc)))
-                blocks.append(("s", v.dim))
-                cone_at += nc
-            elif v.kind in ("nonneg", "z0", "hollow_nonneg"):
-                lin_vars.append((v, slice(cone_at, cone_at + nc)))
-                cone_at += nc
-            else:  # sym, hollow_free
-                free_vars.append((v, slice(free_at, free_at + nc)))
-                free_at += nc
-        # orthant coordinates come after all PSD blocks in the cone vector
-        lin_total = sum(sl.stop - sl.start for _, sl in lin_vars)
-        if lin_total:
-            blocks.append(("l", lin_total))
-        # shift linear slices past nothing: they were interleaved above, so
-        # rebuild them contiguously after the PSD part
-        psd_total = sum(sl.stop - sl.start for _, sl in psd_vars)
-        at = psd_total
-        fixed_psd, fixed_lin = [], []
-        at_psd = 0
-        for v, _ in psd_vars:
-            nc = _var_ncoords(v)
-            fixed_psd.append((v, slice(at_psd, at_psd + nc)))
-            at_psd += nc
-        for v, _ in lin_vars:
-            nc = _var_ncoords(v)
-            fixed_lin.append((v, slice(at, at + nc)))
-            at += nc
-        self.psd_vars = fixed_psd
-        self.lin_vars = fixed_lin
-        self.free_vars = free_vars
-        self.ncone = at
-        self.nfree = free_at
+        # PSD blocks first, then every orthant variable in one block
+        psd = [v for v in problem.variables if v.kind == "psd"]
+        lin = [v for v in problem.variables if v.kind in ("nonneg", "z0")]
+        if len(psd) + len(lin) != len(problem.variables):
+            raise StructuralError("an equality-form problem has cone variables only")
+        slices, self.ncone = _layout(psd + lin)
+        self.psd_vars, self.lin_vars = slices[: len(psd)], slices[len(psd) :]
+        lin_total = self.ncone - sum(svec_dim(v.dim) for v in psd)
+        blocks = [("s", v.dim) for v in psd] + ([("l", lin_total)] if lin_total else [])
         self.cone = ConeSpec(blocks=tuple(blocks))
 
         # probe the equality callables on the coordinate basis
         zero = problem.zero_assignment()
-        c0_parts, rhs_parts, self.block_rows = [], [], []
-        row_at = 0
+        c0_parts, rhs_parts = [], []
         for eq in problem.equalities:
             base = _scalarize(eq.fn(zero), eq.structure)
             rhs = _scalarize(eq.rhs, eq.structure)
@@ -198,56 +203,23 @@ class _Canonical:
                 )
             c0_parts.append(base)
             rhs_parts.append(rhs)
-            self.block_rows.append((eq, slice(row_at, row_at + base.size)))
-            row_at += base.size
-        c0 = np.concatenate(c0_parts) if c0_parts else np.zeros(0)
-        rhs_all = np.concatenate(rhs_parts) if rhs_parts else np.zeros(0)
-        self.b_raw = rhs_all - c0
-        nrows = self.b_raw.size
+        c0 = _stack(c0_parts)
+        b_raw = _stack(rhs_parts) - c0
 
-        def probe(v, sl, mat):
-            nc = sl.stop - sl.start
-            for k in range(nc):
-                coords = np.zeros(nc)
-                coords[k] = 1.0
-                assign = dict(zero)
-                assign[v.name] = _var_value(v, coords)
-                col_parts = []
-                for eq in problem.equalities:
-                    col_parts.append(_scalarize(eq.fn(assign), eq.structure))
-                mat[:, sl.start + k] = (
-                    np.concatenate(col_parts) - c0 if col_parts else np.zeros(0)
-                )
+        def evaluate(assign):
+            return _stack([_scalarize(eq.fn(assign), eq.structure) for eq in problem.equalities])
 
-        self.A_cone = np.zeros((nrows, self.ncone))
-        for v, sl in self.psd_vars + self.lin_vars:
-            probe(v, sl, self.A_cone)
-        self.A_free = np.zeros((nrows, self.nfree))
-        for v, sl in self.free_vars:
-            probe(v, sl, self.A_free)
-
-        # eliminate free variables: split rows into the range of A_free
-        # (always satisfiable by choice of the free part) and its complement
-        self.inconsistent = False
-        if self.nfree:
-            U, sig, Vt = np.linalg.svd(self.A_free, full_matrices=True)
-            tol = max(self.A_free.shape) * np.finfo(float).eps * (sig[0] if sig.size else 0.0)
-            r = int(np.sum(sig > tol))
-            self._free_recover = (U[:, :r], sig[:r], Vt[:r])
-            A_red = U[:, r:].T @ self.A_cone
-            b_red = U[:, r:].T @ self.b_raw
-        else:
-            self._free_recover = None
-            A_red = self.A_cone.copy()
-            b_red = self.b_raw.copy()
+        A_red = _probe(self.psd_vars + self.lin_vars, self.ncone, evaluate, zero, c0)
+        b_red = b_raw
 
         # drop numerically empty rows; flag ones with a nonzero constant
+        self.inconsistent = False
         keep = []
         scale_ref = max(float(np.max(np.abs(A_red))) if A_red.size else 0.0, 1.0)
         for i in range(A_red.shape[0]):
             rn = float(np.linalg.norm(A_red[i]))
             if rn <= 1.0e-13 * scale_ref:
-                if abs(b_red[i]) > 1.0e-10 * max(1.0, float(np.abs(self.b_raw).max() if self.b_raw.size else 0.0)):
+                if abs(b_red[i]) > 1.0e-10 * max(1.0, float(np.abs(b_raw).max() if b_raw.size else 0.0)):
                     self.inconsistent = True
             else:
                 keep.append(i)
@@ -256,24 +228,12 @@ class _Canonical:
 
         d = np.maximum(np.linalg.norm(A_red, axis=1), np.abs(b_red)) if A_red.size else np.zeros(0)
         d = np.maximum(d, 1.0e-12)
-        self.row_scale = d
         self.A = A_red / d[:, None] if A_red.size else A_red
         self.b = b_red / d if b_red.size else b_red
 
     def reconstruct(self, x_cone: np.ndarray) -> dict:
-        """Assignment from cone coordinates, solving for the free part."""
-        assign = {}
-        for v, sl in self.psd_vars + self.lin_vars:
-            assign[v.name] = _var_value(v, x_cone[sl])
-        # a free variable without coordinates (hollow at dimension 1) is zero
-        xf = np.zeros(self.nfree)
-        if self.nfree:
-            U1, sig, Vt1 = self._free_recover
-            resid = self.b_raw - self.A_cone @ x_cone
-            xf = Vt1.T @ ((U1.T @ resid) / sig)
-        for v, sl in self.free_vars:
-            assign[v.name] = _var_value(v, xf[sl])
-        return assign
+        """Assignment from cone coordinates."""
+        return {v.name: _var_value(v, x_cone[sl]) for v, sl in self.psd_vars + self.lin_vars}
 
     def interior_point(self) -> np.ndarray:
         x = np.zeros(self.ncone)
@@ -282,22 +242,6 @@ class _Canonical:
         for _, sl in self.lin_vars:
             x[sl] = 1.0
         return x
-
-    def objective_vector(self, objective: dict) -> np.ndarray:
-        c = np.zeros(self.ncone)
-        named = {v.name: (v, sl) for v, sl in self.psd_vars + self.lin_vars}
-        for name, coeff in objective.items():
-            if name not in named:
-                raise StructuralError(
-                    f"objective over {name!r}: not a cone variable"
-                )
-            v, sl = named[name]
-            coeff = np.asarray(coeff, dtype=float)
-            if v.kind == "psd":
-                c[sl] = svec(0.5 * (coeff + coeff.T))
-            else:
-                c[sl] = coeff.ravel()
-        return c
 
     def ls_correct(self, x_cone: np.ndarray) -> np.ndarray:
         """Minimum-norm shift of the cone coordinates onto A x = b."""
@@ -319,9 +263,68 @@ class _Canonical:
                 eq_ok = False
         max_cone = 0.0
         for v in self.problem.variables:
-            max_cone = max(max_cone, _cone_violation_of_value(v, assignment[v.name]))
+            max_cone = max(max_cone, _cone_violation(v.kind, assignment[v.name]))
         ok = eq_ok and max_cone <= settings.cone_tol
         return ok, max_eq, max_cone
+
+
+class _Inequality:
+    """Dense form of an inequality-form problem, over decision coordinates z.
+
+    The constraint expressions, PSD ones first, scalarize to F0 + F z.  The
+    IPM solves max b.y s.t. F0 - A^T y in K with A = -F^T / d and the
+    objective b = b_obj / d, where d equilibrates the rows of A; z = y / d.
+    """
+
+    def __init__(self, problem: SdpFeasibilityProblem):
+        if any(v.kind not in _FREE_KINDS for v in problem.variables):
+            raise StructuralError("an inequality-form problem has free variables only")
+        self.problem = problem
+        self.var_slices, nz = _layout(problem.variables)
+        # PSD constraints first, then every orthant one in one block
+        psd = [con for con in problem.constraints if con.cone == "psd"]
+        self.constraints = psd + [con for con in problem.constraints if con.cone != "psd"]
+
+        zero = problem.zero_assignment()
+        values = [con.fn(zero) for con in self.constraints]
+        self.F0 = _stack([
+            _scalarize(val, _CONSTRAINT_STRUCTURE[con.cone])
+            for con, val in zip(self.constraints, values)
+        ])
+        F = _probe(self.var_slices, nz, self._evaluate, zero, self.F0)
+        dims = [np.shape(val)[0] for val in values[: len(psd)]]
+        lin_total = self.F0.size - sum(svec_dim(k) for k in dims)
+        blocks = [("s", k) for k in dims] + ([("l", lin_total)] if lin_total else [])
+        self.cone = ConeSpec(blocks=tuple(blocks))
+
+        self.objective = np.zeros(nz)
+        named = {v.name: sl for v, sl in self.var_slices}
+        for name, coeff in problem.objective.items():
+            self.objective[named[name]] = np.ravel(coeff)
+
+        d = np.maximum(np.linalg.norm(F, axis=0), np.abs(self.objective))
+        self.d = np.maximum(d, 1.0e-12)
+        self.A = -F.T / self.d[:, None]
+        self.b = self.objective / self.d
+
+    def _evaluate(self, assign: dict) -> np.ndarray:
+        return _stack([
+            _scalarize(con.fn(assign), _CONSTRAINT_STRUCTURE[con.cone]) for con in self.constraints
+        ])
+
+    def reconstruct(self, z: np.ndarray) -> dict:
+        """Assignment from decision coordinates; a variable without
+        coordinates (hollow at dimension 1) is zero."""
+        return {v.name: _var_value(v, z[sl]) for v, sl in self.var_slices}
+
+    def verify(self, assignment: dict, settings: SolverSettings):
+        """Worst cone violation of the constraint expressions at this
+        assignment; there are no equality rows, so that residual is 0."""
+        max_cone = max(
+            (_cone_violation(con.cone, con.fn(assignment)) for con in self.constraints),
+            default=0.0,
+        )
+        return max_cone <= settings.cone_tol, 0.0, max_cone
 
 
 def _farkas_quality(canon: _Canonical, y: np.ndarray):
@@ -362,19 +365,18 @@ def _candidates(canon: _Canonical, x: np.ndarray, settings: SolverSettings):
         yield label, assignment, ok, max_eq, max_cone
 
 
-def _solve_margin(problem, canon: _Canonical, settings: SolverSettings) -> SolveResult:
-    c = canon.objective_vector(problem.objective)
+def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> SolveResult:
+    """Maximize the objective (the margin t of the primal LMI)."""
     ipm = IpmSettings(
         max_iters=settings.max_ipm_iters,
         tol_feas=settings.margin_ipm_tol_feas,
         tol_gap=settings.margin_ipm_tol_gap,
     )
-    res = solve_conic(canon.A, canon.b, c, canon.cone, ipm)
-    assignment = canon.reconstruct(res.x)
-    ok, max_eq, max_cone = canon.verify(assignment, settings)
-
-    slack_name = problem.meta.get("margin_from")
-    t_hat = 1.0 - float(assignment[slack_name][0]) if slack_name else None
+    res = solve_conic(form.A, form.b, form.F0, form.cone, ipm)
+    z = res.y / form.d
+    assignment = form.reconstruct(z)
+    ok, max_eq, max_cone = form.verify(assignment, settings)
+    t_hat = float(form.objective @ z)
     true_margin = _primal_true_margin(problem, assignment)
 
     diagnostics = {
@@ -391,7 +393,7 @@ def _solve_margin(problem, canon: _Canonical, settings: SolverSettings) -> Solve
         margin = true_margin
     elif res.status == "optimal" and ok:
         status = "infeasible"
-        margin = t_hat if t_hat is not None else true_margin
+        margin = t_hat
     else:
         status = "numerical_limit"
         margin = true_margin
@@ -456,27 +458,29 @@ def _solve_phase1(problem, canon: _Canonical, settings: SolverSettings) -> Solve
 def solve(problem: SdpFeasibilityProblem, settings: Optional[SolverSettings] = None) -> SolveResult:
     """Decide the problem and return a verified assignment or certificate.
 
-    Problems with an objective are treated as max-margin primals: the
-    verdict is "feasible" when the returned assignment itself achieves the
-    margin threshold, "infeasible" when a converged optimum stays below it.
-    Pure feasibility problems run through phase-1; "infeasible" requires a
+    An inequality-form problem is the max-margin primal: the verdict is
+    "feasible" when the returned assignment itself achieves the margin
+    threshold, "infeasible" when a converged optimum stays below it.  An
+    equality-form problem runs through phase-1; "infeasible" requires a
     Farkas certificate.  Anything undecided comes back "numerical_limit".
     """
     settings = settings or SolverSettings()
-    canon = _Canonical(problem)
-    if canon.inconsistent:
-        assignment = canon.reconstruct(canon.interior_point())
-        _, max_eq, max_cone = canon.verify(assignment, settings)
-        result = SolveResult(
-            status="infeasible",
-            assignment=assignment,
-            residuals=Residuals(max_eq, max_cone),
-            diagnostics={"reason": "inconsistent constant row"},
-        )
-    elif problem.objective is not None:
-        result = _solve_margin(problem, canon, settings)
+    if problem.constraints:
+        canon = _Inequality(problem)
+        result = _solve_inequality(problem, canon, settings)
     else:
-        result = _solve_phase1(problem, canon, settings)
+        canon = _Canonical(problem)
+        if canon.inconsistent:
+            assignment = canon.reconstruct(canon.interior_point())
+            _, max_eq, max_cone = canon.verify(assignment, settings)
+            result = SolveResult(
+                status="infeasible",
+                assignment=assignment,
+                residuals=Residuals(max_eq, max_cone),
+                diagnostics={"reason": "inconsistent constant row"},
+            )
+        else:
+            result = _solve_phase1(problem, canon, settings)
     result.canonical = canon
     return result
 

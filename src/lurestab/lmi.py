@@ -1,4 +1,4 @@
-"""Assembly of the stability LMI and its dual as conic feasibility problems.
+"""Assembly of the stability LMI and its dual as conic problems.
 
 Both are assembled on the band [0, 1] only; every other band is brought
 there by system.normalize_band before it reaches this module.
@@ -18,9 +18,11 @@ Dual: find H PSD, f, g >= 0 and zero-diagonal Z-matrices such that
     Y(H) := [0 I] H ([C D] - [0 I])^T   couples to (f, g, X[, Z])
     trace(H) = 1.
 
-Problems are declarative: named variables with cone kinds plus affine
-equality blocks given as callables; the engine turns them into matrix form
-by probing a coordinate basis.
+Problems are declarative, with constraints given as callables: the primal
+in inequality form (free variables P, M, t; affine expressions required to
+lie in cones), the dual in equality form (cone variables; affine equality
+blocks).  The engine turns them into matrix form by probing a coordinate
+basis.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +36,7 @@ from .multipliers import build_multiplier
 from .system import StateSpaceSystem
 
 __all__ = [
+    "ConeConstraint",
     "EqualityBlock",
     "LmiKind",
     "SdpFeasibilityProblem",
@@ -47,8 +50,9 @@ __all__ = [
 
 BOX_BOUND = 1.0e4
 
-_VAR_KINDS = ("psd", "sym", "nonneg", "z0", "hollow_nonneg", "hollow_free")
+_VAR_KINDS = ("psd", "nonneg", "z0", "sym", "vector", "hollow")
 _EQ_STRUCTURES = ("sym", "full", "hollow", "vector", "scalar")
+_CONES = ("psd", "nonneg", "hollow_nonneg")
 
 
 @dataclass(frozen=True)
@@ -76,11 +80,12 @@ LmiKind.DUAL_DD = LmiKind("dual_dd")
 class VarSpec:
     """One named block variable.
 
-    kind: "psd" (symmetric PSD matrix), "sym" (free symmetric matrix),
+    Cone kinds, for the equality form: "psd" (symmetric PSD matrix),
     "nonneg" (entrywise nonnegative vector), "z0" (zero diagonal,
-    nonpositive off-diagonal), "hollow_nonneg" (zero diagonal, nonnegative
-    off-diagonal), "hollow_free" (zero diagonal, free off-diagonal).
-    dim is the matrix dimension, or the length for vector kinds.
+    nonpositive off-diagonal).  Free kinds, for the inequality form: "sym"
+    (symmetric matrix), "vector", "hollow" (zero diagonal, free
+    off-diagonal).  dim is the matrix dimension, or the length for vector
+    kinds.
     """
 
     name: str
@@ -95,7 +100,7 @@ class VarSpec:
 
     @property
     def shape(self) -> tuple:
-        if self.kind == "nonneg":
+        if self.kind in ("nonneg", "vector"):
             return (self.dim,)
         return (self.dim, self.dim)
 
@@ -119,12 +124,36 @@ class EqualityBlock:
             raise StructuralError(f"unknown equality structure {self.structure!r}")
 
 
+@dataclass(frozen=True)
+class ConeConstraint:
+    """Affine constraint expression: fn(assignment) must lie in the cone.
+
+    cone: "psd" (symmetric matrix, positive semidefinite), "nonneg"
+    (entrywise nonnegative vector), "hollow_nonneg" (square matrix with
+    nonnegative off-diagonal entries; the diagonal is ignored).
+    """
+
+    name: str
+    fn: Callable[[dict], np.ndarray]
+    cone: str
+
+    def __post_init__(self):
+        if self.cone not in _CONES:
+            raise StructuralError(f"unknown constraint cone {self.cone!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SdpFeasibilityProblem:
-    """Declarative conic feasibility instance handed to the engine."""
+    """Declarative conic instance handed to the engine.
+
+    Equality form: cone variables and equality blocks, a pure feasibility
+    question.  Inequality form: free variables and cone constraints, with
+    objective {variable name: coefficients} maximized over them.
+    """
 
     variables: tuple
-    equalities: tuple
+    equalities: tuple = ()
+    constraints: tuple = ()
     objective: Optional[dict] = None
     meta: dict = field(default_factory=dict)
 
@@ -201,11 +230,10 @@ def _offdiag_matrix(M: np.ndarray) -> np.ndarray:
 def build_primal(sys: StateSpaceSystem, kind: LmiKind) -> SdpFeasibilityProblem:
     """Assemble the max-margin strict-feasibility problem for the primal.
 
-    Strictness is decided by maximizing t in L <= -t I (encoded as
-    minimizing the slack s with t = 1 - s) under box bounds on P and on the
-    diagonal of M, which makes the homogeneous problem numerically
-    well-posed.  The caller declares the primal strictly feasible when the
-    reported margin t* clears its threshold.
+    Strictness is decided by maximizing t in L <= -t I, with t <= 1, under
+    box bounds on P and on the diagonal of M, which makes the homogeneous
+    problem numerically well-posed.  The caller declares the primal strictly
+    feasible when the reported margin t* clears its threshold.
     """
     if not kind.is_primal:
         raise StructuralError(f"build_primal got dual kind {kind.tag!r}")
@@ -213,115 +241,71 @@ def build_primal(sys: StateSpaceSystem, kind: LmiKind) -> SdpFeasibilityProblem:
         raise StructuralError("the primal LMI is defined on the band [0, 1] only")
     n, m = sys.n, sys.m
     L = n + m
-    n_tri = n * (n + 1) // 2
     ones_m = np.ones(m)
 
     variables = [
         VarSpec("P", "sym", n),
-        VarSpec("M_diag", "nonneg", m),
-        VarSpec("lmi_slack", "psd", L),
-        VarSpec("margin_slack", "nonneg", 1),
-        VarSpec("P_box_hi", "nonneg", n_tri),
-        VarSpec("P_box_lo", "nonneg", n_tri),
-        VarSpec("M_diag_box", "nonneg", m),
+        VarSpec("M_diag", "vector", m),
+        VarSpec("M_offdiag", "hollow", m),
     ]
-
-    if kind.tag == "primal_dhd":
-        variables.append(VarSpec("M_offdiag", "z0", m))
-    else:
-        variables += [
-            VarSpec("M_offdiag", "hollow_free", m),
-            VarSpec("M_abs", "hollow_nonneg", m),
-            VarSpec("dom_hi_slack", "hollow_nonneg", m),
-            VarSpec("dom_lo_slack", "hollow_nonneg", m),
-        ]
-    variables += [VarSpec("row_slack", "nonneg", m), VarSpec("col_slack", "nonneg", m)]
+    if kind.tag == "primal_dd":
+        variables.append(VarSpec("M_abs", "hollow", m))
+    variables.append(VarSpec("t", "vector", 1))
 
     def the_m(v: dict) -> np.ndarray:
         return np.diag(v["M_diag"]) + v["M_offdiag"]
 
-    def lmi_lhs(v: dict) -> np.ndarray:
-        core = primal_lmi_matrix(sys, v["P"], the_m(v))
-        return core - v["margin_slack"][0] * np.eye(L) + v["lmi_slack"]
+    def strict_lmi(v: dict) -> np.ndarray:
+        return primal_lmi_matrix(sys, v["P"], the_m(v))
 
-    # box equalities are stated in units of the bound (rhs 1), which keeps
-    # every constraint constant at O(1) and the slack solutions near 1
-    equalities = [
-        EqualityBlock("lmi_margin", lmi_lhs, -np.eye(L), "sym"),
-        EqualityBlock(
-            "p_box_hi",
-            lambda v: _triu_entries(v["P"]) / BOX_BOUND + v["P_box_hi"],
-            np.ones(n_tri),
-            "vector",
+    # box constraints are stated in units of the bound, which keeps every
+    # constraint constant at O(1)
+    constraints = [
+        ConeConstraint("lmi_margin", lambda v: -strict_lmi(v) - v["t"][0] * np.eye(L), "psd"),
+        ConeConstraint("margin_cap", lambda v: 1.0 - v["t"], "nonneg"),
+        ConeConstraint(
+            "p_box_hi", lambda v: 1.0 - _triu_entries(v["P"]) / BOX_BOUND, "nonneg"
         ),
-        EqualityBlock(
-            "p_box_lo",
-            lambda v: -_triu_entries(v["P"]) / BOX_BOUND + v["P_box_lo"],
-            np.ones(n_tri),
-            "vector",
+        ConeConstraint(
+            "p_box_lo", lambda v: 1.0 + _triu_entries(v["P"]) / BOX_BOUND, "nonneg"
         ),
-        EqualityBlock(
-            "m_diag_box",
-            lambda v: v["M_diag"] / BOX_BOUND + v["M_diag_box"],
-            np.ones(m),
-            "vector",
-        ),
+        ConeConstraint("m_diag_nonneg", lambda v: v["M_diag"], "nonneg"),
+        ConeConstraint("m_diag_box", lambda v: 1.0 - v["M_diag"] / BOX_BOUND, "nonneg"),
     ]
 
     if kind.tag == "primal_dhd":
-        equalities += [
-            EqualityBlock(
-                "row_sums",
-                lambda v: v["M_diag"] + v["M_offdiag"] @ ones_m - v["row_slack"],
-                np.zeros(m),
-                "vector",
+        constraints += [
+            ConeConstraint(
+                "row_sums", lambda v: v["M_diag"] + v["M_offdiag"] @ ones_m, "nonneg"
             ),
-            EqualityBlock(
-                "col_sums",
-                lambda v: v["M_diag"] + v["M_offdiag"].T @ ones_m - v["col_slack"],
-                np.zeros(m),
-                "vector",
+            ConeConstraint(
+                "col_sums", lambda v: v["M_diag"] + v["M_offdiag"].T @ ones_m, "nonneg"
             ),
+            ConeConstraint("m_offdiag_nonpos", lambda v: -v["M_offdiag"], "hollow_nonneg"),
         ]
     else:
-        equalities += [
-            EqualityBlock(
-                "row_sums",
-                lambda v: v["M_diag"] - v["M_abs"] @ ones_m - v["row_slack"],
-                np.zeros(m),
-                "vector",
+        constraints += [
+            ConeConstraint(
+                "row_sums", lambda v: v["M_diag"] - v["M_abs"] @ ones_m, "nonneg"
             ),
-            EqualityBlock(
-                "col_sums",
-                lambda v: v["M_diag"] - v["M_abs"].T @ ones_m - v["col_slack"],
-                np.zeros(m),
-                "vector",
+            ConeConstraint(
+                "col_sums", lambda v: v["M_diag"] - v["M_abs"].T @ ones_m, "nonneg"
             ),
-            EqualityBlock(
-                "dom_hi",
-                lambda v: _offdiag_matrix(v["M_abs"] - v["M_offdiag"]) - v["dom_hi_slack"],
-                np.zeros((m, m)),
-                "hollow",
-            ),
-            EqualityBlock(
-                "dom_lo",
-                lambda v: _offdiag_matrix(v["M_abs"] + v["M_offdiag"]) - v["dom_lo_slack"],
-                np.zeros((m, m)),
-                "hollow",
-            ),
+            ConeConstraint("m_abs_nonneg", lambda v: v["M_abs"], "hollow_nonneg"),
+            ConeConstraint("dom_hi", lambda v: v["M_abs"] - v["M_offdiag"], "hollow_nonneg"),
+            ConeConstraint("dom_lo", lambda v: v["M_abs"] + v["M_offdiag"], "hollow_nonneg"),
         ]
 
     meta = {
         "system": sys,
         "kind": kind,
-        "margin_from": "margin_slack",
-        "strict_lmi": lambda v: primal_lmi_matrix(sys, v["P"], the_m(v)),
+        "strict_lmi": strict_lmi,
         "multiplier_from": the_m,
     }
     return SdpFeasibilityProblem(
         variables=tuple(variables),
-        equalities=tuple(equalities),
-        objective={"margin_slack": np.ones(1)},
+        constraints=tuple(constraints),
+        objective={"t": np.ones(1)},
         meta=meta,
     )
 

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from lurestab import engine
+from lurestab.cones import ConeTag, is_member
 from lurestab.engine import SolveResult, SolverSettings, reduce_rank, solve
 from lurestab.errors import StructuralError
 from lurestab.lmi import (
+    BOX_BOUND,
     EqualityBlock,
     LmiKind,
     SdpFeasibilityProblem,
@@ -14,6 +17,7 @@ from lurestab.lmi import (
     build_primal,
     primal_lmi_matrix,
 )
+from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
 
 
 def test_margin_primal_infeasible_on_slope_example(slope_example):
@@ -145,3 +149,100 @@ def test_settings_are_frozen():
     s = SolverSettings()
     with pytest.raises(Exception):
         s.tol_rank = 1.0
+
+
+def _capture_primal_rows(monkeypatch):
+    """Row counts of every A that engine.solve_conic receives."""
+    rows = []
+    real = engine.solve_conic
+
+    def capturing(A, b, c, cone, settings=None):
+        rows.append(np.shape(A)[0])
+        return real(A, b, c, cone, settings)
+
+    monkeypatch.setattr(engine, "solve_conic", capturing)
+    return rows
+
+
+def _seeded_system(seed, n, m, odd=False, gain=1.0):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A *= 0.6 / max(abs(np.linalg.eigvals(A)).max(), 1e-9)
+    cls = NonlinearityClass.SLOPE_ODD if odd else NonlinearityClass.SLOPE
+    return StateSpaceSystem(
+        A, 0.3 * gain * rng.normal(size=(n, m)), 0.3 * gain * rng.normal(size=(m, n)),
+        0.1 * gain * rng.normal(size=(m, m)), SlopeBand(0.0, 1.0), cls,
+    )
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_primal_schur_complement_is_indexed_by_decision_coordinates(monkeypatch, odd):
+    n = m = 3
+    rows = _capture_primal_rows(monkeypatch)
+    kind = LmiKind.PRIMAL_DD if odd else LmiKind.PRIMAL_DHD
+    solve(build_primal(_seeded_system(20, n, m, odd), kind))
+    # P, M_diag, M_offdiag and t, plus M_abs for DD: no slack rows
+    expect = n * (n + 1) // 2 + m + m * (m - 1) + 1 + (m * (m - 1) if odd else 0)
+    assert rows == [expect]
+    if not odd:
+        assert expect == 16
+
+
+def test_primal_dd_scalar_channel_on_a_general_band(monkeypatch):
+    rows = _capture_primal_rows(monkeypatch)
+    sysm = StateSpaceSystem(
+        np.array([[0.5]]), np.array([[0.1]]), np.array([[0.1]]), np.array([[0.0]]),
+        SlopeBand(-0.3, 1.5), NonlinearityClass.SLOPE_ODD,
+    )
+    res = solve(build_primal(normalize_band(sysm), LmiKind.PRIMAL_DD))
+    # P, M_diag and t; both hollow variables have no coordinates at m = 1
+    assert rows == [3]
+    assert res.status == "feasible"
+    assert np.array_equal(res.assignment["M_offdiag"], np.zeros((1, 1)))
+    assert np.array_equal(res.assignment["M_abs"], np.zeros((1, 1)))
+
+
+def _lmi_from_definition(sysm, P, M):
+    """L(P, M) on the band [0, 1], written out from the paper's definition."""
+    n, m = sysm.n, sysm.m
+    AB = np.hstack([sysm.A, sysm.B])
+    I0 = np.hstack([np.eye(n), np.zeros((n, m))])
+    outer = np.vstack([np.hstack([sysm.C, sysm.D]), np.hstack([np.zeros((m, n)), np.eye(m)])])
+    # Pi = V^T [[0, M], [M^T, 0]] V with V = [[I, -I], [0, I]] on [0, 1]
+    V = np.block([[np.eye(m), -np.eye(m)], [np.zeros((m, m)), np.eye(m)]])
+    K = np.block([[np.zeros((m, m)), M], [M.T, np.zeros((m, m))]])
+    L = AB.T @ P @ AB - I0.T @ P @ I0 + outer.T @ (V.T @ K @ V) @ outer
+    return 0.5 * (L + L.T)
+
+
+def _primal_cases(slope_example, odd_example, decoupled_example):
+    yield slope_example
+    yield odd_example
+    yield decoupled_example
+    # (n, m), alternating the slope and the odd slope class
+    shapes = [(1, 1), (2, 3), (3, 2), (1, 3), (2, 2), (3, 4)]
+    for seed, (n, m) in enumerate(shapes):
+        for gain in (1.0, 6.0):
+            yield _seeded_system(30 + seed, n, m, odd=bool(seed % 2), gain=gain)
+
+
+def test_primal_output_holds_from_definitions(slope_example, odd_example, decoupled_example):
+    statuses = []
+    for sysm in _primal_cases(slope_example, odd_example, decoupled_example):
+        odd = sysm.nl_class is NonlinearityClass.SLOPE_ODD
+        problem = build_primal(sysm, LmiKind.PRIMAL_DD if odd else LmiKind.PRIMAL_DHD)
+        res = solve(problem)
+        statuses.append(res.status)
+        assert res.status in ("feasible", "infeasible")
+        P = res.assignment["P"]
+        M = np.diag(res.assignment["M_diag"]) + res.assignment["M_offdiag"]
+        assert np.array_equal(P, P.T)
+        assert np.max(np.abs(P)) <= BOX_BOUND
+        assert is_member(M, ConeTag.DD if odd else ConeTag.DHD).member
+        assert res.residuals.max_equality == 0.0
+        if res.status == "feasible":
+            L = _lmi_from_definition(sysm, P, M)
+            lam = float(np.linalg.eigvalsh(L)[-1])
+            assert lam <= -res.residuals.margin + 1e-12 * max(1.0, np.abs(L).max())
+    assert statuses[:3] == ["infeasible", "infeasible", "feasible"]
+    assert statuses.count("feasible") >= 4 and statuses.count("infeasible") >= 4

@@ -38,30 +38,58 @@ def test_kind_constants():
     assert not LmiKind.DUAL_DD.is_primal
 
 
-def test_primal_structure_dhd():
-    sys = _random_system(0)
-    prob = build_primal(sys, LmiKind.PRIMAL_DHD)
-    names = {v.name: v for v in prob.variables}
-    assert names["P"].kind == "sym"
-    assert names["M_diag"].kind == "nonneg" and names["M_diag"].dim == 3
-    assert names["M_offdiag"].kind == "z0"
-    assert names["lmi_slack"].kind == "psd"
-    assert "row_slack" in names and "col_slack" in names
-    eq_names = [e.name for e in prob.equalities]
-    assert "lmi_margin" in eq_names
-    assert "p_box_hi" in eq_names and "m_diag_box" in eq_names
+def test_primal_decision_variables_and_kinds():
+    prob = build_primal(_random_system(0), LmiKind.PRIMAL_DHD)
+    kinds = {v.name: (v.kind, v.dim) for v in prob.variables}
+    assert kinds == {
+        "P": ("sym", 2),
+        "M_diag": ("vector", 3),
+        "M_offdiag": ("hollow", 3),
+        "t": ("vector", 1),
+    }
+    assert prob.equalities == ()
+    assert set(prob.objective) == {"t"}
     zero = prob.zero_assignment()
-    assert zero["P"].shape == (2, 2)
+    assert zero["P"].shape == (2, 2) and zero["t"].shape == (1,)
+
+    prob_dd = build_primal(_random_system(1, odd=True), LmiKind.PRIMAL_DD)
+    kinds_dd = {v.name: v.kind for v in prob_dd.variables}
+    assert kinds_dd == {
+        "P": "sym", "M_diag": "vector", "M_offdiag": "hollow", "M_abs": "hollow", "t": "vector",
+    }
 
 
-def test_primal_structure_dd_has_dominance_blocks():
-    sys = _random_system(1, odd=True)
-    prob = build_primal(sys, LmiKind.PRIMAL_DD)
-    names = {v.name: v for v in prob.variables}
-    assert names["M_offdiag"].kind == "hollow_free"
-    assert names["M_abs"].kind == "hollow_nonneg"
-    eq_names = [e.name for e in prob.equalities]
-    assert "dom_hi" in eq_names and "dom_lo" in eq_names
+def test_primal_constraint_names_and_cones():
+    common = [
+        ("lmi_margin", "psd"),
+        ("margin_cap", "nonneg"),
+        ("p_box_hi", "nonneg"),
+        ("p_box_lo", "nonneg"),
+        ("m_diag_nonneg", "nonneg"),
+        ("m_diag_box", "nonneg"),
+        ("row_sums", "nonneg"),
+        ("col_sums", "nonneg"),
+    ]
+    prob = build_primal(_random_system(0), LmiKind.PRIMAL_DHD)
+    assert [(c.name, c.cone) for c in prob.constraints] == common + [
+        ("m_offdiag_nonpos", "hollow_nonneg"),
+    ]
+    prob_dd = build_primal(_random_system(1, odd=True), LmiKind.PRIMAL_DD)
+    assert [(c.name, c.cone) for c in prob_dd.constraints] == common + [
+        ("m_abs_nonneg", "hollow_nonneg"),
+        ("dom_hi", "hollow_nonneg"),
+        ("dom_lo", "hollow_nonneg"),
+    ]
+
+
+def test_box_constraint_is_zero_at_the_bound():
+    prob = build_primal(_random_system(4), LmiKind.PRIMAL_DHD)
+    cons = {c.name: c for c in prob.constraints}
+    assign = prob.zero_assignment()
+    assert np.array_equal(cons["p_box_hi"].fn(assign), np.ones(3))
+    assign["P"][0, 0] = BOX_BOUND
+    assert cons["p_box_hi"].fn(assign)[0] == 0.0
+    assert cons["p_box_lo"].fn(assign)[0] == 2.0
 
 
 def test_primal_lmi_matrix_matches_congruence():
@@ -79,20 +107,6 @@ def test_primal_lmi_matrix_matches_congruence():
     expect = (AB.T @ P @ AB - I0.T @ P @ I0
               + np.vstack([CD, OI]).T @ pi @ np.vstack([CD, OI]))
     assert np.allclose(L, expect, atol=1e-12)
-
-
-def test_box_equalities_scaled_to_unit_rhs():
-    sys = _random_system(4)
-    prob = build_primal(sys, LmiKind.PRIMAL_DHD)
-    blocks = {e.name: e for e in prob.equalities}
-    assign = prob.zero_assignment()
-    n_tri = 2 * 3 // 2
-    assert np.allclose(blocks["p_box_hi"].rhs, np.ones(n_tri))
-    # at P with a single entry at the bound, the slack must absorb exactly 1
-    assign["P"] = np.zeros((2, 2))
-    assign["P"][0, 0] = BOX_BOUND
-    val = blocks["p_box_hi"].fn(assign)
-    assert val[0] == pytest.approx(1.0)
 
 
 def test_dual_structure():
