@@ -18,7 +18,7 @@ from .errors import (
     StructuralError,
     UnsupportedModeError,
 )
-from .linalg import EigSystem, numerical_rank_and_factor, spectral_norm, sym_eig, symmetrize
+from .linalg import numerical_rank_and_factor, spectral_norm, symmetrize
 from .system import (
     NonlinearityClass,
     SlopeBand,
@@ -28,8 +28,8 @@ from .system import (
     spectral_radius,
     validate,
 )
-from .cones import ConeTag, abs_d, is_member, random_member
-from .multipliers import Multiplier, build_multiplier, quad_form
+from .cones import ConeTag, is_member
+from .multipliers import Multiplier, build_multiplier
 from .lmi import LmiKind, SdpFeasibilityProblem, build_dual, build_primal
 from .engine import Residuals, SolveResult, SolverSettings, reduce_rank, solve
 from .pwl import PiecewiseLinearMap, SlopeReport, eval_pwl, verify_slope
@@ -46,7 +46,6 @@ __all__ = [
     "ConeTag",
     "ConeViolationError",
     "DualCertificate",
-    "EigSystem",
     "Inconclusive",
     "InternalContradictionError",
     "LmiKind",
@@ -66,7 +65,6 @@ __all__ = [
     "Trajectory",
     "UnsupportedModeError",
     "ValidationReport",
-    "abs_d",
     "analyze",
     "build_dual",
     "build_multiplier",
@@ -77,15 +75,12 @@ __all__ = [
     "is_member",
     "normalize_band",
     "numerical_rank_and_factor",
-    "quad_form",
-    "random_member",
     "reduce_rank",
     "simulate",
     "solve",
     "solve_loop",
     "spectral_norm",
     "spectral_radius",
-    "sym_eig",
     "symmetrize",
     "validate",
     "vector_field",

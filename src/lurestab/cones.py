@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["ConeTag", "MembershipResult", "abs_d", "is_member", "random_member"]
+__all__ = ["ConeTag", "MembershipResult", "is_member"]
 
 
 class ConeTag(enum.Enum):
@@ -73,37 +73,3 @@ def is_member(M: np.ndarray, cone: ConeTag, tol: float = 1e-9) -> MembershipResu
         raise ValueError(f"unknown cone {cone!r}")
     worst = max(0.0, max(excesses))
     return MembershipResult(member=worst <= tol, worst_violation=worst)
-
-
-def random_member(cone: ConeTag, m: int, seed: int) -> np.ndarray:
-    """Draw a random member of the cone, valid under is_member with tol=0."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    rng = np.random.default_rng(seed)
-    hollow_mask = ~np.eye(m, dtype=bool)
-
-    if cone == ConeTag.Z:
-        M = np.zeros((m, m))
-        M[hollow_mask] = -rng.uniform(0.0, 1.0, size=m * m - m)
-        np.fill_diagonal(M, rng.normal(size=m))
-        return M
-    if cone == ConeTag.Z0:
-        M = np.zeros((m, m))
-        M[hollow_mask] = -rng.uniform(0.0, 1.0, size=m * m - m)
-        return M
-    if cone == ConeTag.DHD:
-        M = np.zeros((m, m))
-        M[hollow_mask] = -rng.uniform(0.0, 1.0, size=m * m - m)
-        deficit_row = -M.sum(axis=1)
-        deficit_col = -M.sum(axis=0)
-        boost = rng.uniform(0.1, 1.1, size=m)
-        np.fill_diagonal(M, np.maximum(deficit_row, deficit_col) + boost)
-        return M
-    if cone == ConeTag.DD:
-        M = np.zeros((m, m))
-        M[hollow_mask] = rng.uniform(-1.0, 1.0, size=m * m - m)
-        absM = np.abs(M)
-        boost = rng.uniform(0.1, 1.1, size=m)
-        np.fill_diagonal(M, np.maximum(absM.sum(axis=1), absM.sum(axis=0)) + boost)
-        return M
-    raise ValueError(f"unknown cone {cone!r}")

@@ -1,13 +1,17 @@
-"""Dense primal-dual interior-point method for small conic programs.
+"""Dense homogeneous self-dual interior-point method for small conic programs.
 
-Solves   min c.x  s.t.  A x = b,  x in K,
+Solves   min c.x  s.t.  A x = b,  x in K,   and its dual
+         max b.y  s.t.  A^T y + s = c,  s in K,
 where K is a product of PSD cones (in scaled svec coordinates) and a
-nonnegative orthant.  Nesterov-Todd scaling with a Mehrotra
-predictor-corrector step, aimed at problems with up to about a thousand
-rows.  The Schur complement A W^T W A^T is formed block by block, as SDPA
-and SDPT3 do, and factored once per iteration; all linear algebra is dense
-numpy.  Infeasible start: the iterates satisfy the cone constraints
-strictly at all times while the equality residuals are driven to zero.
+nonnegative orthant, through the homogeneous self-dual embedding
+    A x = b tau,  A^T y + s = c tau,  b.y - c.x = kappa,  tau, kappa >= 0
+(Ye, Todd & Mizuno 1994; in conic form Andersen, Roos & Terlaky 2003).
+One run ends either with tau > 0, and (x, y, s) / tau is optimal, or with
+kappa > 0 and b.y > 0, and y is a Farkas certificate that A x = b has no
+solution in K.  Nesterov-Todd scaling with a Mehrotra predictor-corrector
+step, aimed at problems with up to about a thousand rows.  The Schur
+complement A W^T W A^T is formed block by block as B B^T with B = A W^T
+and factored once per iteration; all linear algebra is dense numpy.
 """
 
 import math
@@ -26,10 +30,6 @@ _TRSV_BLOCK = 64
 _REFINE_STEPS = 2
 # Fraction of the distance to the cone boundary each step covers.
 _STEP_FRAC = 0.99
-# The loop ends as "stalled" after _STALL_LIMIT consecutive iterations
-# whose primal and dual steps both stay below _MIN_STEP.
-_MIN_STEP = 1.0e-8
-_STALL_LIMIT = 4
 
 
 def svec_dim(d: int) -> int:
@@ -193,23 +193,25 @@ class _Scaling:
         if not finite:
             raise np.linalg.LinAlgError("non-finite NT scaling")
 
-    def wsq_rows(self, A: np.ndarray, row_mats: list) -> np.ndarray:
-        """A W^T W, block by block: row i becomes W^T W a_i.
+    def scaled_rows(self, A: np.ndarray, row_mats: list) -> np.ndarray:
+        """B = A W^T, block by block: row i becomes W a_i, so that the Schur
+        complement A W^T W A^T is the symmetric product B B^T.
 
         row_mats holds, per PSD block, smat of that block of every row of A
-        (see _row_mats); an orthant block is a diagonal scaling.
+        (see _row_mats); there W a_i = svec(R^T A_i R).  An orthant block is
+        a diagonal scaling by w.
         """
         out = np.empty_like(A)
         nrows = A.shape[0]
-        for (sl, size, _, _, G, _), mats in zip(self.blocks, row_mats):
+        for (sl, size, R, _, _, _), mats in zip(self.blocks, row_mats):
             if size is None:
-                out[:, sl] = A[:, sl] * G
+                out[:, sl] = A[:, sl] * R
                 continue
-            # G A_i G for every row i as two GEMMs: T_i = A_i G, then
-            # G A_i G = T_i^T G because A_i and G are symmetric
-            T = (mats.reshape(-1, size) @ G).reshape(nrows, size, size)
-            T = (np.swapaxes(T, 1, 2).reshape(-1, size) @ G).reshape(nrows, size, size)
-            out[:, sl] = _svec_sym(T)
+            # R^T A_i R for every row i as two GEMMs: T_i = A_i R, then
+            # R^T A_i R = T_i^T R because A_i is symmetric
+            T = (mats.reshape(-1, size) @ R).reshape(nrows, size, size)
+            T = (np.swapaxes(T, 1, 2).reshape(-1, size) @ R).reshape(nrows, size, size)
+            out[:, sl] = svec(T)
         return out
 
     def apply_wsq(self, v: np.ndarray) -> np.ndarray:
@@ -346,17 +348,21 @@ def _row_mats(A: np.ndarray, cone: ConeSpec) -> list:
     return [smat(A[:, sl], size) if tag == "s" else None for tag, size, sl in cone.slices()]
 
 
-def _newton(A, sc, normal, rp, rd, wrd, wdc):
-    """Solve the Newton system for one right-hand side.
+def _newton(A, sc, normal, rp, rd, wdc):
+    """Solve A dx = rp, A^T dy + ds = rd, dx + W^T W ds = wdc through the
+    Schur complement A W^T W A^T; returns (dx, dy)."""
+    dy = normal.solve(rp + A @ (sc.apply_wsq(rd) - wdc))
+    return wdc + sc.apply_wsq(A.T @ dy - rd), dy
 
-    A dx = rp, A^T dy + ds = rd, dx + W^T W ds = wdc, through the Schur
-    complement A W^T W A^T.  Near the optimum that matrix is so
-    ill-conditioned that A dx drifts from rp; up to _REFINE_STEPS rounds of
-    iterative refinement on the primal residual, each kept only while it
-    shrinks, win the lost accuracy back with the same factor.
+
+def _refine(A, sc, normal, rp, dx, dy):
+    """Iterative refinement of dx, dy on the primal residual rp - A dx.
+
+    Near the optimum the Schur complement is so ill-conditioned that A dx
+    drifts from rp; up to _REFINE_STEPS rounds, each kept only while it
+    shrinks the residual, win the lost accuracy back with the same factor.
+    Every round keeps dx + W^T W ds and A^T dy + ds as they are.
     """
-    dy = normal.solve(rp - A @ wdc + A @ wrd)
-    dx = wdc - wrd + sc.apply_wsq(A.T @ dy)
     r = rp - A @ dx
     rn = np.linalg.norm(r)
     for _ in range(_REFINE_STEPS):
@@ -367,46 +373,68 @@ def _newton(A, sc, normal, rp, rd, wrd, wdc):
         if not rn_new < rn:
             break
         dx, dy, r, rn = dx_new, dy + ddy, r_new, rn_new
-    return dx, dy, rd - A.T @ dy
+    return dx, dy
 
 
-def _step(A, row_mats, cone, x, s, rp, rd, mu, gap):
-    """Mehrotra predictor-corrector direction and step lengths.
+def _step(A, b, c, row_mats, cone, point, rp, rd, rg):
+    """Mehrotra predictor-corrector direction of the embedding and its step.
 
-    A W^T W A^T is formed block by block and factored once for both
-    directions.  Raises LinAlgError when the scaling or a step length
-    cannot be formed.
+    A W^T W A^T = B B^T is factored once.  The direction per unit of d tau,
+    A dx = b, A^T dy + ds = c, dx + W^T W ds = 0, is solved once with that
+    factor and shared by predictor and corrector; the last row of the
+    embedding and kappa d tau + tau d kappa = rk then fix d tau and d kappa.
+    The predictor only sets sigma and the second-order term, so only the
+    corrector is refined.  Returns (dx, dy, ds, d tau, d kappa, step length).  Raises LinAlgError
+    when the scaling or a step length cannot be formed.
     """
+    x, y, s, tau, kappa = point
     sc = _Scaling(cone, x, s)
-    M = sc.wsq_rows(A, row_mats) @ A.T
-    normal = _NormalFactor(0.5 * (M + M.T))
-    wrd = sc.apply_wsq(rd)
+    B = sc.scaled_rows(A, row_mats)
+    normal = _NormalFactor(B @ B.T)
+    dx_t, dy_t = _newton(A, sc, normal, b, c, np.zeros_like(x))
+    # b.dy_t - c.dx_t = ds_t.W^T W ds_t >= 0 with ds_t = c - A^T dy_t
+    denom = kappa / tau - dx_t @ (c - A.T @ dy_t)
+
+    def direction(eta, wdc, rk, refine=False):
+        """Targets the linear residuals eta (rp, rd, rg) and tau kappa + d = rk."""
+        dx, dy = _newton(A, sc, normal, eta * rp, eta * rd, wdc)
+        dtau = (eta * rg + rk / tau - b @ dy + c @ dx) / denom
+        dkappa = (rk - kappa * dtau) / tau
+        dx, dy = dx + dtau * dx_t, dy + dtau * dy_t
+        if refine:
+            dx, dy = _refine(A, sc, normal, eta * rp + dtau * b, dx, dy)
+        return dx, dy, eta * rd + dtau * c - A.T @ dy, dtau, dkappa
+
+    def max_step(dx, ds, dtau, dkappa):
+        alpha = min(_max_step(sc.x_steps, x, dx), _max_step(sc.s_steps, s, ds))
+        for v, dv in ((tau, dtau), (kappa, dkappa)):
+            if dv < 0:
+                alpha = min(alpha, -v / dv)
+        return alpha
 
     # predictor (affine scaling) direction
-    dx_aff, _, ds_aff = _newton(A, sc, normal, rp, rd, wrd, -x)
-
-    a_x = min(1.0, _max_step(sc.x_steps, x, dx_aff))
-    a_s = min(1.0, _max_step(sc.s_steps, s, ds_aff))
-    a_aff = min(a_x, a_s)
-    gap_aff = float((x + a_aff * dx_aff) @ (s + a_aff * ds_aff))
+    dx, _, ds, dtau, dkappa = direction(1.0, -x, -tau * kappa)
+    a_aff = min(1.0, max_step(dx, ds, dtau, dkappa))
+    gap = float(x @ s) + tau * kappa
+    gap_aff = float((x + a_aff * dx) @ (s + a_aff * ds))
+    gap_aff += (tau + a_aff * dtau) * (kappa + a_aff * dkappa)
     ratio = min(gap_aff / gap, 1.0) if gap > 0 else 0.0
     sigma = min(1.0, max(ratio ** 3, 1.0e-8))
+    mu = gap / (cone.barrier_degree + 1)
 
     # corrector: target sigma*mu on the central path minus the
-    # second-order term from the affine step
-    eta = sc.jordan_prod(sc.scale_x(dx_aff), sc.scale_s(ds_aff))
-    target = -sc.jordan_prod(sc.lam, sc.lam) - eta
+    # second-order term from the affine step; the linear residuals shrink
+    # at the same rate 1 - sigma
+    second = sc.jordan_prod(sc.scale_x(dx), sc.scale_s(ds))
+    target = -sc.jordan_prod(sc.lam, sc.lam) - second
     for tag, size, sl in cone.slices():
         if tag == "s":
             target[sl] += sigma * mu * svec(np.eye(size))
         else:
             target[sl] += sigma * mu
     wdc = sc.unscale_to_x(sc.jordan_solve_lam(target))
-    dx, dy, ds = _newton(A, sc, normal, rp, rd, wrd, wdc)
-
-    a_p = min(1.0, _STEP_FRAC * _max_step(sc.x_steps, x, dx))
-    a_d = min(1.0, _STEP_FRAC * _max_step(sc.s_steps, s, ds))
-    return dx, dy, ds, a_p, a_d
+    step = direction(1.0 - sigma, wdc, sigma * mu - tau * kappa - dtau * dkappa, refine=True)
+    return step + (min(1.0, _STEP_FRAC * max_step(step[0], step[2], step[3], step[4])),)
 
 
 def solve_conic(
@@ -416,11 +444,28 @@ def solve_conic(
     cone: ConeSpec,
     settings: Optional[IpmSettings] = None,
 ) -> ConicResult:
-    """Run the predictor-corrector loop; returns the best iterate seen.
+    """Run the predictor-corrector loop on the embedding, from x = s = e,
+    y = 0, tau = kappa = 1.  It ends in one of four ways:
 
-    The loop ends as "stalled" when the steps stay below _MIN_STEP, and also
-    when the scaling or a step length cannot be computed or an iterate turns
-    non-finite; floating-point warnings are suppressed throughout.
+    - "optimal": the tau-normalized iterate has rp_rel and rd_rel within
+      tol_feas and gap_rel within tol_gap; x, y and s are divided by tau.
+    - "infeasible": kappa dominates tau and y is a Farkas certificate,
+      b.y > 0 with ||A^T y + s|| <= tol_feas b.y, so -A^T y lies within
+      tol_feas of K; x, y and s are divided by b.y.
+    - "stalled": an iteration failed to improve the progress score, the
+      largest of the embedding's own residuals ||tau b - A x|| / (1 + ||b||)
+      and ||tau c - A^T y - s|| / (1 + ||c||) and of its complementarity
+      (x.s + tau kappa) / (nu + 1).  In exact arithmetic all three shrink
+      by the same factor every step, whichever certificate the run heads
+      for, so a failure means rounding has taken over; the previous
+      iterate is returned, divided by tau.  A breakdown of the scaling or
+      a step length, or a non-finite iterate, is such a failure.  (The
+      tau-normalized measures are no score: a sound step that lowers tau
+      can raise them.)
+    - "max_iters": the last iterate, divided by tau.
+
+    rp_rel, rd_rel and gap_rel are those of the returned iterate, normalized
+    by tau.  Floating-point warnings are suppressed throughout.
     """
     st = settings or IpmSettings()
     A = np.asarray(A, dtype=float)
@@ -429,94 +474,58 @@ def solve_conic(
     nrows = A.shape[0]
     nu = cone.barrier_degree
 
-    x = _identity_point(cone)
-    s = _identity_point(cone)
-    y = np.zeros(nrows)
-
+    x, s, y = _identity_point(cone), _identity_point(cone), np.zeros(nrows)
     if nrows == 0:
-        return ConicResult(
-            status="optimal", x=x, y=y, s=s, iterations=0, rp_rel=0.0, rd_rel=0.0,
-            gap_rel=0.0, mu=float(x @ s) / nu, obj=float(c @ x),
-        )
-
+        return ConicResult("optimal", x, y, s, 0, 0.0, 0.0, 0.0, float(x @ s) / nu, float(c @ x))
     bnorm = 1.0 + float(np.linalg.norm(b))
     cnorm = 1.0 + float(np.linalg.norm(c))
-
     row_mats = _row_mats(A, cone)
-    best = None
-    best_score = np.inf
-    stalls = 0
-    status = "max_iters"
-    it = 0
+    tau = kappa = 1.0
+    status, it, prev, prev_score = "max_iters", 0, None, np.inf
     history = []
 
     with np.errstate(all="ignore"):
         for it in range(1, st.max_iters + 1):
-            rp = b - A @ x
-            rd = c - A.T @ y - s
-            gap = float(x @ s)
-            mu = gap / nu
-            rp_rel = float(np.linalg.norm(rp)) / bnorm
-            rd_rel = float(np.linalg.norm(rd)) / cnorm
-            gap_rel = gap / (1.0 + abs(float(c @ x)) + abs(float(b @ y)))
+            aty = A.T @ y
+            rp = tau * b - A @ x
+            rd = tau * c - aty - s
+            by = float(b @ y)
+            rg = kappa - by + float(c @ x)
+            rp_n = float(np.linalg.norm(rp)) / bnorm
+            rd_n = float(np.linalg.norm(rd)) / cnorm
+            rp_rel, rd_rel = rp_n / tau, rd_n / tau
+            gap_rel = float(x @ s) / (tau * (tau + abs(float(c @ x)) + abs(by)))
+            farkas = float(np.linalg.norm(aty + s)) / by if by > 0 else np.inf
             history.append((rp_rel, rd_rel, gap_rel))
-
-            score = max(rp_rel, rd_rel, gap_rel)
-            if score < best_score:
-                best_score = score
-                best = (x.copy(), y.copy(), s.copy(), rp_rel, rd_rel, gap_rel, mu)
+            point = (x, y, s, tau, kappa, rp_rel, rd_rel, gap_rel)
 
             if rp_rel <= st.tol_feas and rd_rel <= st.tol_feas and gap_rel <= st.tol_gap:
                 status = "optimal"
                 break
+            if kappa > tau and farkas <= st.tol_feas:
+                status = "infeasible"
+                break
+            score = max(rp_n, rd_n, (float(x @ s) + tau * kappa) / (nu + 1))
+            if not score < prev_score:
+                status, point = "stalled", prev or point
+                break
+            if it == st.max_iters:
+                break
+            prev, prev_score = point, score
 
             try:
-                dx, dy, ds, a_p, a_d = _step(A, row_mats, cone, x, s, rp, rd, mu, gap)
+                step = _step(A, b, c, row_mats, cone, point[:5], rp, rd, rg)
             except np.linalg.LinAlgError:
                 status = "stalled"
                 break
+            dx, dy, ds, dtau, dkappa, alpha = step
+            x, y, s = x + alpha * dx, y + alpha * dy, s + alpha * ds
+            tau, kappa = tau + alpha * dtau, kappa + alpha * dkappa
 
-            if max(a_p, a_d) < _MIN_STEP:
-                stalls += 1
-                if stalls >= _STALL_LIMIT:
-                    status = "stalled"
-                    break
-            else:
-                stalls = 0
-
-            x_new = x + a_p * dx
-            y_new = y + a_d * dy
-            s_new = s + a_d * ds
-            if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(y_new))
-                    and np.all(np.isfinite(s_new))):
-                status = "stalled"
-                break
-            x, y, s = x_new, y_new, s_new
-
-        else:
-            it = st.max_iters
-
-        if status != "optimal" and best is not None:
-            x, y, s, rp_rel, rd_rel, gap_rel, mu = best
-        else:
-            rp = b - A @ x
-            rd = c - A.T @ y - s
-            gap = float(x @ s)
-            mu = gap / nu
-            rp_rel = float(np.linalg.norm(rp)) / bnorm
-            rd_rel = float(np.linalg.norm(rd)) / cnorm
-            gap_rel = gap / (1.0 + abs(float(c @ x)) + abs(float(b @ y)))
+        x, y, s, tau, kappa, rp_rel, rd_rel, gap_rel = point
+        scale = float(b @ y) if status == "infeasible" else tau
+        x, y, s = x / scale, y / scale, s / scale
 
     return ConicResult(
-        status=status,
-        x=x,
-        y=y,
-        s=s,
-        iterations=it,
-        rp_rel=rp_rel,
-        rd_rel=rd_rel,
-        gap_rel=gap_rel,
-        mu=mu,
-        obj=float(c @ x),
-        history=history,
+        status, x, y, s, it, rp_rel, rd_rel, gap_rel, float(x @ s) / nu, float(c @ x), history
     )

@@ -3,8 +3,10 @@
 The engine probes a problem's callables on a coordinate basis to build a
 dense matrix form.  An equality-form problem (the dual: cone variables,
 affine equality blocks) becomes A x = b, x in (PSD blocks) x (orthant),
-with equilibrated rows, and is decided through a phase-1 reformulation;
-infeasibility is only declared with an explicit Farkas certificate in hand.
+with equilibrated rows, and is decided by one homogeneous self-dual solve
+with zero objective: it returns either a point or a Farkas certificate, and
+infeasibility is only declared once that certificate passes an independent
+check.
 An inequality-form problem (the primal LMI: free decision variables z,
 constraint expressions F0 + F z in cones) goes to the interior-point core
 as the dual side of its standard form, max b.y s.t. c - A^T y in K with
@@ -30,8 +32,7 @@ __all__ = ["Residuals", "SolveResult", "SolverSettings", "reduce_rank", "solve"]
 class SolverSettings:
     """Tolerances and iteration limits for the engine.
 
-    tol_eq scales with (1 + max|rhs|) per equality block; cone_tol is an
-    absolute bound on cone violations of returned assignments.  The margin
+    tol_eq scales with (1 + max|rhs|) per equality block.  The margin
     threshold decides when a max-margin primal counts as strictly feasible.
     """
 
@@ -39,14 +40,20 @@ class SolverSettings:
     tol_eq: float = 1.0e-8
     primal_margin: float = 1.0e-7
     max_ipm_iters: int = 200
-    ipm_tol_feas: float = 1.0e-10
-    ipm_tol_gap: float = 1.0e-10
-    margin_ipm_tol_feas: float = 1.0e-11
-    margin_ipm_tol_gap: float = 1.0e-11
-    cone_tol: float = 1.0e-9
-    farkas_tol: float = 1.0e-7
-    max_rank_rounds: int = 10
-    steer_weight: float = 1.0e-3
+
+
+# IPM stopping tolerance (feasibility and gap) of the dual and rank-reduction
+# solves, and of the margin and steer solves, whose points are read off
+# directly.
+_IPM_TOL = 1.0e-10
+_MARGIN_IPM_TOL = 1.0e-11
+# Absolute bound on cone violations of returned assignments.
+CONE_TOL = 1.0e-9
+# Largest cone violation of a b.y-normalized Farkas certificate.
+_FARKAS_TOL = 1.0e-7
+_MAX_RANK_ROUNDS = 10
+# Weight of the steering term in each deflation objective.
+_STEER_WEIGHT = 1.0e-3
 
 
 @dataclass(frozen=True)
@@ -264,7 +271,7 @@ class _Canonical:
         max_cone = 0.0
         for v in self.problem.variables:
             max_cone = max(max_cone, _cone_violation(v.kind, assignment[v.name]))
-        ok = eq_ok and max_cone <= settings.cone_tol
+        ok = eq_ok and max_cone <= CONE_TOL
         return ok, max_eq, max_cone
 
 
@@ -324,7 +331,7 @@ class _Inequality:
             (_cone_violation(con.cone, con.fn(assignment)) for con in self.constraints),
             default=0.0,
         )
-        return max_cone <= settings.cone_tol, 0.0, max_cone
+        return max_cone <= CONE_TOL, 0.0, max_cone
 
 
 def _farkas_quality(canon: _Canonical, y: np.ndarray):
@@ -367,12 +374,7 @@ def _candidates(canon: _Canonical, x: np.ndarray, settings: SolverSettings):
 
 def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> SolveResult:
     """Maximize the objective (the margin t of the primal LMI)."""
-    ipm = IpmSettings(
-        max_iters=settings.max_ipm_iters,
-        tol_feas=settings.margin_ipm_tol_feas,
-        tol_gap=settings.margin_ipm_tol_gap,
-    )
-    res = solve_conic(form.A, form.b, form.F0, form.cone, ipm)
+    res = solve_conic(form.A, form.b, form.F0, form.cone, _ipm(settings, _MARGIN_IPM_TOL))
     z = res.y / form.d
     assignment = form.reconstruct(z)
     ok, max_eq, max_cone = form.verify(assignment, settings)
@@ -405,29 +407,27 @@ def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> S
     )
 
 
-def _solve_phase1(problem, canon: _Canonical, settings: SolverSettings) -> SolveResult:
-    x0 = canon.interior_point()
-    r0 = canon.b - canon.A @ x0 if canon.A.size else np.zeros(0)
-    nrows = canon.A.shape[0]
-    A_ext = np.hstack([canon.A, r0[:, None]]) if nrows else np.zeros((0, canon.ncone + 1))
-    cone_ext = ConeSpec(blocks=canon.cone.blocks + (("l", 1),))
-    c = np.zeros(canon.ncone + 1)
-    c[-1] = 1.0
-    ipm = IpmSettings(
-        max_iters=settings.max_ipm_iters,
-        tol_feas=settings.ipm_tol_feas,
-        tol_gap=settings.ipm_tol_gap,
-    )
-    res = solve_conic(A_ext, canon.b, c, cone_ext, ipm)
-    theta = float(res.x[-1])
+def _ipm(settings: SolverSettings, tol: float) -> IpmSettings:
+    return IpmSettings(max_iters=settings.max_ipm_iters, tol_feas=tol, tol_gap=tol)
 
-    candidates = list(_candidates(canon, res.x[:-1], settings))
+
+def _solve_equality(canon: _Canonical, settings: SolverSettings) -> SolveResult:
+    """One solve with zero objective: a verified point, else a certificate.
+
+    Rows that no x meets even without the cone are certified first by the
+    least-squares residual y = b - A x (A^T y = 0, b.y = |y|^2); on them
+    the embedding's Newton system is singular, so no IPM runs.
+    """
+    x = np.zeros(canon.ncone)
+    q = _farkas_quality(canon, canon.b - canon.A @ canon.ls_correct(x))
+    diagnostics = {"ipm_status": None, "ipm_iterations": 0}
+    if q is None or q > _FARKAS_TOL:
+        res = solve_conic(canon.A, canon.b, x, canon.cone, _ipm(settings, _IPM_TOL))
+        x = res.x
+        q = _farkas_quality(canon, res.y)
+        diagnostics = {"ipm_status": res.status, "ipm_iterations": res.iterations}
+    candidates = list(_candidates(canon, x, settings))
     passing = [cand for cand in candidates if cand[2]]
-    diagnostics = {
-        "ipm_status": res.status,
-        "ipm_iterations": res.iterations,
-        "theta": theta,
-    }
     if passing:
         # the smallest equality residual wins; a tie goes to the corrected point
         label, assignment, _, max_eq, max_cone = min(passing, key=lambda cand: cand[3])
@@ -439,16 +439,11 @@ def _solve_phase1(problem, canon: _Canonical, settings: SolverSettings) -> Solve
             diagnostics=diagnostics,
         )
 
-    # no verified point: try to certify infeasibility
-    q = _farkas_quality(canon, res.y)
+    # no verified point: the Farkas certificate is checked independently
     diagnostics["farkas_quality"] = q
     _, assignment, _, max_eq, max_cone = candidates[-1]  # the raw point
-    if q is not None and q <= settings.farkas_tol:
-        status = "infeasible"
-    else:
-        status = "numerical_limit"
     return SolveResult(
-        status=status,
+        status="infeasible" if q is not None and q <= _FARKAS_TOL else "numerical_limit",
         assignment=assignment,
         residuals=Residuals(max_eq, max_cone),
         diagnostics=diagnostics,
@@ -461,8 +456,9 @@ def solve(problem: SdpFeasibilityProblem, settings: Optional[SolverSettings] = N
     An inequality-form problem is the max-margin primal: the verdict is
     "feasible" when the returned assignment itself achieves the margin
     threshold, "infeasible" when a converged optimum stays below it.  An
-    equality-form problem runs through phase-1; "infeasible" requires a
-    Farkas certificate.  Anything undecided comes back "numerical_limit".
+    equality-form problem is one solve with zero objective; "infeasible"
+    requires a Farkas certificate that passes _farkas_quality.  Anything
+    undecided comes back "numerical_limit".
     """
     settings = settings or SolverSettings()
     if problem.constraints:
@@ -480,7 +476,7 @@ def solve(problem: SdpFeasibilityProblem, settings: Optional[SolverSettings] = N
                 diagnostics={"reason": "inconsistent constant row"},
             )
         else:
-            result = _solve_phase1(problem, canon, settings)
+            result = _solve_equality(canon, settings)
     result.canonical = canon
     return result
 
@@ -641,17 +637,13 @@ def reduce_rank(
     if steer is not None:
         sn = float(np.linalg.norm(steer, "fro"))
         if sn > 0:
-            steer_term = settings.steer_weight * steer / sn
+            steer_term = _STEER_WEIGHT * steer / sn
 
     best_assign = warm.assignment
     best_eq, best_cone = warm.residuals.max_equality, warm.residuals.max_cone_violation
     best_ratio = ratio0
     hsl = dict((v.name, sl) for v, sl in canon.psd_vars)[name]
-    ipm = IpmSettings(
-        max_iters=settings.max_ipm_iters,
-        tol_feas=settings.ipm_tol_feas,
-        tol_gap=settings.ipm_tol_gap,
-    )
+    ipm = _ipm(settings, _IPM_TOL)
 
     # On the trace-normalized rank-1 face the pairing functional equals the
     # squared state weight of the factor, so maximizing it both forces the
@@ -665,12 +657,7 @@ def reduce_rank(
         # solved at the high-accuracy tolerances: breakpoint data for the
         # destabilizing map is read straight off this point, and leftover
         # solver noise shows up as spurious slope defects
-        ipm_steer = IpmSettings(
-            max_iters=settings.max_ipm_iters,
-            tol_feas=settings.margin_ipm_tol_feas,
-            tol_gap=settings.margin_ipm_tol_gap,
-        )
-        res = solve_conic(canon.A, canon.b, c, canon.cone, ipm_steer)
+        res = solve_conic(canon.A, canon.b, c, canon.cone, _ipm(settings, _MARGIN_IPM_TOL))
         for _, assignment, ok, max_eq, max_cone in _candidates(canon, res.x, settings):
             if not ok:
                 continue
@@ -681,7 +668,7 @@ def reduce_rank(
             break
 
     rounds = 0
-    for _ in range(settings.max_rank_rounds):
+    for _ in range(_MAX_RANK_ROUNDS):
         if best_ratio <= settings.tol_rank:
             break
         Hc = best_assign[name]

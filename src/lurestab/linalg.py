@@ -12,13 +12,7 @@ import numpy as np
 
 from .errors import ConeViolationError
 
-__all__ = [
-    "EigSystem",
-    "numerical_rank_and_factor",
-    "spectral_norm",
-    "sym_eig",
-    "symmetrize",
-]
+__all__ = ["numerical_rank_and_factor", "spectral_norm", "symmetrize"]
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ import numpy as np
 from .linalg import symmetrize
 from .system import SlopeBand
 
-__all__ = ["Multiplier", "build_multiplier", "quad_form"]
+__all__ = ["Multiplier", "build_multiplier"]
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,3 @@ def build_multiplier(M: np.ndarray, band: SlopeBand) -> Multiplier:
     if scale > 0 and asym > 1e-14 * scale:
         raise AssertionError(f"multiplier asymmetry {asym:.3e} exceeds roundoff budget")
     return Multiplier(pi=pi, source_m=M, band=band)
-
-
-def quad_form(mult: Multiplier, zeta: np.ndarray, w: np.ndarray) -> float:
-    """Evaluate [zeta; w]^T Pi [zeta; w]."""
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if zeta.shape[0] != mult.m or w.shape[0] != mult.m:
-        raise ValueError(
-            f"expected vectors of length {mult.m}, got {zeta.shape[0]} and {w.shape[0]}"
-        )
-    v = np.concatenate([zeta, w])
-    return float(v @ mult.pi @ v)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .detector import Inconclusive, build_pwl, extract_certificate
-from .engine import SolverSettings, reduce_rank, solve
+from .engine import CONE_TOL, SolverSettings, reduce_rank, solve
 from .errors import AssumptionViolatedError, NumericFailureError, UnsupportedModeError
 from .lmi import LmiKind, build_dual, build_primal
 from .pwl import PiecewiseLinearMap, verify_slope
@@ -162,7 +162,7 @@ def analyze(
             "tol_rank": settings.tol_rank,
             "tol_eq": settings.tol_eq,
             "primal_margin": settings.primal_margin,
-            "cone_tol": settings.cone_tol,
+            "cone_tol": CONE_TOL,
             "max_ipm_iters": settings.max_ipm_iters,
             "equilibrium_check_steps": _EQ_CHECK_STEPS,
             "equilibrium_check_tol": _EQ_CHECK_TOL,

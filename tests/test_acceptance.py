@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from lurestab.cli import main
-from lurestab.cones import ConeTag, random_member
+from lurestab.cones import ConeTag
+from helpers import random_member
 from lurestab.lmi import (
     output_coupling_block,
     primal_lmi_matrix,

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lurestab.cones import ConeTag, abs_d, is_member, random_member
+from lurestab.cones import ConeTag, abs_d, is_member
+from helpers import random_member
 
 
 def test_abs_d_keeps_diagonal_negates_offdiag():

@@ -134,20 +134,17 @@ def _interior_point(cone, rng):
     return x
 
 
-def _dense_wsq(sc, cone):
-    """W^T W as a dense matrix, one basis vector at a time."""
+def _dense_w(sc, cone):
+    """The NT scaling W as a dense matrix, one basis vector at a time."""
     out = np.zeros((cone.total_len, cone.total_len))
     for (tag, size, sl), blk in zip(cone.slices(), sc.blocks):
-        G = blk[4]
+        R = blk[2]
         if tag == "s":
-            k = svec_dim(size)
-            T = np.zeros((k, k))
-            basis = np.eye(k)
-            for j in range(k):
-                T[:, j] = svec(G @ smat(basis[:, j], size) @ G)
-            out[sl, sl] = 0.5 * (T + T.T)
+            basis = np.eye(svec_dim(size))
+            for j in range(basis.shape[0]):
+                out[sl, sl.start + j] = svec(R.T @ smat(basis[:, j], size) @ R)
         else:
-            out[sl, sl] = np.diag(G)
+            out[sl, sl] = np.diag(R)
     return out
 
 
@@ -155,13 +152,17 @@ def test_blockwise_wsq_matches_dense_operator():
     cone = ConeSpec(blocks=(("s", 3), ("l", 2), ("s", 1)))
     rng = np.random.default_rng(5)
     sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
-    dense = _dense_wsq(sc, cone)
+    W = _dense_w(sc, cone)
     A = rng.normal(size=(4, cone.total_len))
     v = rng.normal(size=cone.total_len)
-    AW = sc.wsq_rows(A, _row_mats(A, cone))
-    assert np.max(np.abs(AW - A @ dense)) <= 1e-12 * np.max(np.abs(A @ dense))
+    B = sc.scaled_rows(A, _row_mats(A, cone))
+    assert np.max(np.abs(B - A @ W.T)) <= 1e-12 * np.max(np.abs(A @ W.T))
+    # the Schur complement B B^T is A W^T W A^T, and exactly symmetric
+    S, ref = B @ B.T, A @ W.T @ W @ A.T
+    assert np.array_equal(S, S.T)
+    assert np.max(np.abs(S - ref)) <= 1e-12 * np.max(np.abs(ref))
     Wv = sc.apply_wsq(v)
-    assert np.max(np.abs(Wv - dense @ v)) <= 1e-12 * np.max(np.abs(dense @ v))
+    assert np.max(np.abs(Wv - W.T @ W @ v)) <= 1e-12 * np.max(np.abs(W.T @ W @ v))
 
 
 @pytest.mark.parametrize("n", [_TRSV_BLOCK - 7, _TRSV_BLOCK, 2 * _TRSV_BLOCK + 5])
@@ -209,7 +210,7 @@ def test_schur_complement_factored_once_per_step(monkeypatch):
     assert len(factored) == res.iterations - 1
 
 
-def test_breakdown_ends_as_stalled_with_best_iterate(monkeypatch):
+def test_breakdown_ends_as_stalled(monkeypatch):
     calls = []
     real = conic._max_step
 
@@ -226,5 +227,36 @@ def test_breakdown_ends_as_stalled_with_best_iterate(monkeypatch):
     )
     assert res.status == "stalled"
     assert res.iterations == 3
-    best = min(max(h) for h in res.history)
-    assert max(res.rp_rel, res.rd_rel, res.gap_rel) == best
+    # the iterate whose step broke down is the one returned
+    assert (res.rp_rel, res.rd_rel, res.gap_rel) == res.history[-1]
+
+
+def test_non_improving_step_ends_as_stalled_with_the_previous_iterate(monkeypatch):
+    steps = []
+    real = conic._step
+
+    def backwards(*args):
+        # the second step goes the wrong way
+        steps.append(1)
+        *direction, alpha = real(*args)
+        return (*direction, -alpha if len(steps) == 2 else alpha)
+
+    monkeypatch.setattr(conic, "_step", backwards)
+    cone = ConeSpec(blocks=(("l", 2),))
+    res = solve_conic(
+        np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 0.0]), cone, IpmSettings()
+    )
+    assert res.status == "stalled"
+    assert res.iterations == 3
+    assert (res.rp_rel, res.rd_rel, res.gap_rel) == res.history[1]
+
+
+def test_infeasible_psd_problem_returns_a_farkas_certificate():
+    # tr X = 1 and X_01 = 1 have no PSD solution
+    A = np.vstack([svec(np.eye(2)), svec(np.array([[0.0, 0.5], [0.5, 0.0]]))])
+    b = np.array([1.0, 1.0])
+    res = solve_conic(A, b, np.zeros(3), ConeSpec(blocks=(("s", 2),)), IpmSettings())
+    assert res.status == "infeasible"
+    assert b @ res.y == pytest.approx(1.0)
+    # -A^T y is PSD to within the tolerance, which no x with A x = b allows
+    assert np.linalg.eigvalsh(smat(-A.T @ res.y, 2))[0] >= -1e-10

@@ -105,7 +105,7 @@ def test_reduce_rank_rejects_infeasible_warm_start(slope_example):
         reduce_rank(problem, bad)
 
 
-def test_phase1_farkas_certifies_infeasible():
+def test_equality_solve_farkas_certifies_infeasible():
     # x >= 0 with x = -1 has a one-line Farkas certificate
     problem = SdpFeasibilityProblem(
         variables=(VarSpec("x", "nonneg", 1),),
@@ -115,7 +115,39 @@ def test_phase1_farkas_certifies_infeasible():
     )
     res = solve(problem)
     assert res.status == "infeasible"
+    assert res.diagnostics["ipm_status"] == "infeasible"
     assert res.diagnostics["farkas_quality"] <= 1.0e-7
+
+
+def test_psd_block_infeasible_toy_ends_with_a_checked_certificate():
+    # tr X = 1 and X_01 = 1 cannot hold with X psd, since |X_01| <= tr X / 2
+    problem = SdpFeasibilityProblem(
+        variables=(VarSpec("X", "psd", 2),),
+        equalities=(
+            EqualityBlock("tr", lambda v: np.array([np.trace(v["X"])]), np.ones(1), "vector"),
+            EqualityBlock("off", lambda v: np.array([v["X"][0, 1]]), np.ones(1), "vector"),
+        ),
+    )
+    res = solve(problem)
+    assert res.status == "infeasible"
+    assert res.diagnostics["ipm_status"] == "infeasible"
+    assert res.diagnostics["farkas_quality"] <= engine._FARKAS_TOL
+
+
+def test_inconsistent_rows_are_certified_without_the_ipm(monkeypatch):
+    # three independent equations in two unknowns: no x at all meets them
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    problem = SdpFeasibilityProblem(
+        variables=(VarSpec("x", "nonneg", 2),),
+        equalities=(
+            EqualityBlock("eq", lambda v: A @ v["x"], np.array([1.0, 1.0, 3.0]), "vector"),
+        ),
+    )
+    monkeypatch.setattr(engine, "solve_conic", None)
+    res = solve(problem)
+    assert res.status == "infeasible"
+    assert res.diagnostics["ipm_iterations"] == 0
+    assert res.diagnostics["farkas_quality"] <= engine._FARKAS_TOL
 
 
 def test_constant_inconsistent_row_is_infeasible():
@@ -130,7 +162,7 @@ def test_constant_inconsistent_row_is_infeasible():
     assert res.diagnostics["reason"] == "inconsistent constant row"
 
 
-def test_phase1_feasible_toy():
+def test_equality_solve_feasible_toy():
     # x >= 0, sum x = 1 is plainly feasible
     problem = SdpFeasibilityProblem(
         variables=(VarSpec("x", "nonneg", 3),),
@@ -143,6 +175,28 @@ def test_phase1_feasible_toy():
     x = res.assignment["x"]
     assert np.all(x >= -1.0e-9)
     assert abs(np.sum(x) - 1.0) <= 1.0e-8
+
+
+def test_steer_solve_stops_at_its_accuracy_floor(odd_example, monkeypatch):
+    problem = build_dual(odd_example, LmiKind.DUAL_DD)
+    warm = solve(problem)
+    results = []
+    real = engine.solve_conic
+
+    def capturing(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(engine, "solve_conic", capturing)
+    red = reduce_rank(problem, warm)
+    steer = results[0]
+    # the steer solve asks for 1e-11, below what its rounding allows; it
+    # gets within 1e-9 and then stops instead of iterating at the floor
+    assert red.diagnostics["steered"]
+    assert steer.status in ("optimal", "stalled")
+    assert steer.iterations <= 30
+    assert max(steer.rp_rel, steer.rd_rel, steer.gap_rel) <= 1.0e-9
+    assert all(res.status != "max_iters" for res in results)
 
 
 def test_settings_are_frozen():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from lurestab import SlopeBand
-from lurestab.cones import ConeTag, random_member
-from lurestab.multipliers import build_multiplier, quad_form
+from lurestab.cones import ConeTag
+from helpers import quad_form, random_member
+from lurestab.multipliers import build_multiplier
 from oracles import sample_slope_fn
 
 
