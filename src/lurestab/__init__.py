@@ -28,9 +28,8 @@ from .system import (
     spectral_radius,
     validate,
 )
-from .cones import ConeTag, is_member
 from .multipliers import Multiplier, build_multiplier
-from .lmi import LmiKind, SdpFeasibilityProblem, build_dual, build_primal
+from .lmi import build_primal
 from .engine import Residuals, SolveResult, SolverSettings, reduce_rank, solve
 from .pwl import PiecewiseLinearMap, SlopeReport, eval_pwl, verify_slope
 from .detector import DualCertificate, Inconclusive, build_pwl, extract_certificate
@@ -43,19 +42,16 @@ __all__ = [
     "AnalysisReport",
     "AssumptionViolatedError",
     "CertificateInconsistentError",
-    "ConeTag",
     "ConeViolationError",
     "DualCertificate",
     "Inconclusive",
     "InternalContradictionError",
-    "LmiKind",
     "LurestabError",
     "Multiplier",
     "NonlinearityClass",
     "NumericFailureError",
     "PiecewiseLinearMap",
     "Residuals",
-    "SdpFeasibilityProblem",
     "SlopeBand",
     "SlopeReport",
     "SolveResult",
@@ -66,13 +62,11 @@ __all__ = [
     "UnsupportedModeError",
     "ValidationReport",
     "analyze",
-    "build_dual",
     "build_multiplier",
     "build_primal",
     "build_pwl",
     "eval_pwl",
     "extract_certificate",
-    "is_member",
     "normalize_band",
     "numerical_rank_and_factor",
     "reduce_rank",

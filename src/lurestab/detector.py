@@ -161,7 +161,7 @@ def _merge_pairs(pairs, tol):
             if abs(w - wr) > tol:
                 raise CertificateInconsistentError(
                     f"duplicate output value z = {zr:.6g} maps to both "
-                    f"{wr:.6g} and {w:.6g}; interpolation data inconsistent"
+                    f"{wr:.6g} and {w:.6g}; no map interpolates both"
                 )
             if label is None:
                 merged[-1] = (z, w, label)  # prefer the exact origin node
@@ -192,8 +192,8 @@ def build_pwl(cert: DualCertificate, odd: bool) -> PiecewiseLinearMap:
     sorted by z.  Odd: pairs are folded onto z >= 0 first (negating both
     coordinates), merged, then mirrored exactly, which makes antisymmetry
     hold to the last bit.  Nodes whose z values agree within
-    1e-7 * max(1, ||z*||) must carry matching w values, otherwise the
-    certificate-inconsistent error fires.
+    1e-7 * max(1, ||z*||) must carry matching w values, otherwise
+    CertificateInconsistentError is raised.
     """
     pts = [(zi, wi) for zi, wi, _ in _nodes(cert.z_star, cert.w_star, odd)]
     if odd:

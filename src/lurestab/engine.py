@@ -1,18 +1,22 @@
-"""Feasibility engine: canonicalize declarative problems, solve, reduce rank.
+"""Feasibility engine: dense forms, verdicts, and rank reduction of the dual.
 
-The engine probes a problem's callables on a coordinate basis to build a
-dense matrix form.  An equality-form problem (the dual: cone variables,
-affine equality blocks) becomes A x = b, x in (PSD blocks) x (orthant),
-with equilibrated rows, and is decided by one homogeneous self-dual solve
-with zero objective: it returns either a point or a Farkas certificate, and
-infeasibility is only declared once that certificate passes an independent
-check.
-An inequality-form problem (the primal LMI: free decision variables z,
-constraint expressions F0 + F z in cones) goes to the interior-point core
-as the dual side of its standard form, max b.y s.t. c - A^T y in K with
-A = -F^T / d, c = F0 and y = d z, so the Schur complement is indexed by the
-decision coordinates.  Either way the verdict rests on verifying the raw
-constraints of the original problem, never on solver status alone.
+The primal LMI (lmi.build_primal: free decision variables z, constraint
+expressions F0 + F z in cones) is probed once on a coordinate basis.  It
+goes to the interior-point core as the dual side of its standard form,
+max b.y s.t. c - A^T y in K with A = -F^T / d, c = F0 and y = d z, so the
+Schur complement is indexed by the decision coordinates.
+
+The dual LMI is not probed: it is the adjoint of the primal's homogeneous
+rows (F0 = 0).  build_dual restricts F to them and transposes it, giving
+A x = b, x in K, with A = -F_h^T, b = e_t and rows equilibrated.  Its rows
+are the primal's decision coordinates (full row rank, never empty), its
+coordinates the multipliers of those rows, read as the blocks H, f, g, X
+(and Z) through lmi.DUAL_SCALE.  One homogeneous self-dual solve with zero
+objective returns a point or a Farkas certificate y.  Read in the primal's
+coordinates, that certificate is (P, M, t = 1) with F_h z in K, a strict
+primal solution; infeasibility is only declared once it passes an
+independent check.  Either way the verdict rests on verifying the raw
+constraints, never on solver status alone.
 """
 
 from dataclasses import dataclass, field
@@ -23,17 +27,27 @@ import numpy as np
 
 from .conic import ConeSpec, IpmSettings, smat, solve_conic, svec, svec_dim
 from .errors import StructuralError
-from .lmi import SdpFeasibilityProblem
+from .lmi import DUAL_SCALE, SdpFeasibilityProblem
+from .system import NonlinearityClass, StateSpaceSystem
 
-__all__ = ["Residuals", "SolveResult", "SolverSettings", "reduce_rank", "solve"]
+__all__ = [
+    "DualForm",
+    "Residuals",
+    "SolveResult",
+    "SolverSettings",
+    "build_dual",
+    "reduce_rank",
+    "solve",
+]
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     """Tolerances and iteration limits for the engine.
 
-    tol_eq scales with (1 + max|rhs|) per equality block.  The margin
-    threshold decides when a max-margin primal counts as strictly feasible.
+    tol_eq bounds the largest entry of the dual's residual A x - b, in raw
+    (unequilibrated) units, relative to 1 + max|b|.  The margin threshold
+    decides when a max-margin primal counts as strictly feasible.
     """
 
     tol_rank: float = 1.0e-6
@@ -67,17 +81,18 @@ class Residuals:
 
 @dataclass
 class SolveResult:
-    """canonical is the problem's dense form, reused by reduce_rank."""
+    """canonical is the problem's dense form: build_dual reads the primal's,
+    reduce_rank reuses the dual's."""
 
     status: str  # "feasible" | "infeasible" | "numerical_limit"
     assignment: dict
     residuals: Residuals
     diagnostics: dict = field(default_factory=dict)
-    canonical: Optional[Union["_Canonical", "_Inequality"]] = field(default=None, repr=False)
+    canonical: Optional[Union["DualForm", "_Inequality"]] = field(default=None, repr=False)
 
 
-_FREE_KINDS = ("sym", "vector", "hollow")
-# how the entries of a constraint expression are scalarized, per cone
+# how the entries of a constraint expression are scalarized, per cone; the
+# values are the variable kinds with the same coordinates
 _CONSTRAINT_STRUCTURE = {"psd": "sym", "nonneg": "vector", "hollow_nonneg": "hollow"}
 
 
@@ -91,67 +106,51 @@ def _offdiag_pairs(d: int):
 
 
 def _var_ncoords(v) -> int:
-    if v.kind in ("psd", "sym"):
+    if v.kind == "sym":
         return svec_dim(v.dim)
-    if v.kind in ("nonneg", "vector"):
+    if v.kind == "vector":
         return v.dim
-    return v.dim * v.dim - v.dim  # z0, hollow
+    return v.dim * v.dim - v.dim  # hollow
 
 
-def _var_value(v, coords: np.ndarray) -> np.ndarray:
-    if v.kind in ("psd", "sym"):
-        return smat(coords, v.dim)
-    if v.kind in ("nonneg", "vector"):
+def _from_coords(kind: str, coords: np.ndarray, dim: int) -> np.ndarray:
+    """Value of a variable kind (or constraint structure) from its coordinates."""
+    if kind == "sym":
+        return smat(coords, dim)
+    if kind == "vector":
         return np.asarray(coords, dtype=float)
-    rows, cols = _offdiag_pairs(v.dim)
-    out = np.zeros((v.dim, v.dim))
-    sign = -1.0 if v.kind == "z0" else 1.0
-    out[rows, cols] = sign * np.asarray(coords, dtype=float)
+    rows, cols = _offdiag_pairs(dim)
+    out = np.zeros((dim, dim))
+    out[rows, cols] = coords
     return out
 
 
 def _scalarize(value, structure: str) -> np.ndarray:
+    """Coordinates of a value; the inverse of _from_coords."""
     value = np.asarray(value, dtype=float)
     if structure == "sym":
         return svec(0.5 * (value + value.T))
-    if structure == "full":
-        return value.ravel()
     if structure == "hollow":
         rows, cols = _offdiag_pairs(value.shape[0])
         return value[rows, cols]
     return np.atleast_1d(value).ravel()
 
 
-def _entry_error(value, rhs, structure: str) -> float:
-    diff = np.asarray(value, dtype=float) - np.asarray(rhs, dtype=float)
-    if structure == "hollow":
-        rows, cols = _offdiag_pairs(diff.shape[0])
-        diff = diff[rows, cols]
-    return float(np.max(np.abs(diff))) if diff.size else 0.0
+def _constraint_value(con, coords: np.ndarray, dim: int) -> np.ndarray:
+    """Value of a constraint expression, or of its multiplier, from coordinates."""
+    return _from_coords(_CONSTRAINT_STRUCTURE[con.cone], coords, dim)
 
 
 def _cone_violation(cone: str, value) -> float:
-    """Worst violation of a variable kind's or a constraint's cone, >= 0.
-
-    "z0" also requires a zero diagonal; "hollow_nonneg" ignores it.  The
-    free variable kinds carry no cone constraint.
-    """
+    """Worst violation of a constraint's cone, >= 0; "hollow_nonneg"
+    ignores the diagonal."""
     value = np.asarray(value, dtype=float)
     if cone == "psd":
         w = np.linalg.eigvalsh(0.5 * (value + value.T))
         return float(max(0.0, -w[0]))
-    if cone == "nonneg":
-        return float(max(0.0, -np.min(value))) if value.size else 0.0
-    if cone in ("z0", "hollow_nonneg"):
-        rows, cols = _offdiag_pairs(value.shape[0])
-        off = value[rows, cols]
-        worst = 0.0
-        if off.size:
-            worst = float(np.max(off)) if cone == "z0" else float(-np.min(off))
-        if cone == "z0":
-            worst = max(worst, float(np.max(np.abs(np.diag(value)))))
-        return max(worst, 0.0)
-    return 0.0
+    if cone == "hollow_nonneg":
+        value = _scalarize(value, "hollow")
+    return float(max(0.0, -np.min(value))) if value.size else 0.0
 
 
 def _probe(var_slices, ncols: int, evaluate, zero: dict, base: np.ndarray) -> np.ndarray:
@@ -163,7 +162,7 @@ def _probe(var_slices, ncols: int, evaluate, zero: dict, base: np.ndarray) -> np
             coords = np.zeros(nc)
             coords[k] = 1.0
             assign = dict(zero)
-            assign[v.name] = _var_value(v, coords)
+            assign[v.name] = _from_coords(v.kind, coords, v.dim)
             out[:, sl.start + k] = evaluate(assign) - base
     return out
 
@@ -178,179 +177,152 @@ def _layout(variables) -> tuple:
     return slices, at
 
 
-def _stack(parts: list) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
-class _Canonical:
-    """Dense standard form of an equality-form problem, built once and reused."""
-
-    def __init__(self, problem: SdpFeasibilityProblem):
-        self.problem = problem
-        # PSD blocks first, then every orthant variable in one block
-        psd = [v for v in problem.variables if v.kind == "psd"]
-        lin = [v for v in problem.variables if v.kind in ("nonneg", "z0")]
-        if len(psd) + len(lin) != len(problem.variables):
-            raise StructuralError("an equality-form problem has cone variables only")
-        slices, self.ncone = _layout(psd + lin)
-        self.psd_vars, self.lin_vars = slices[: len(psd)], slices[len(psd) :]
-        lin_total = self.ncone - sum(svec_dim(v.dim) for v in psd)
-        blocks = [("s", v.dim) for v in psd] + ([("l", lin_total)] if lin_total else [])
-        self.cone = ConeSpec(blocks=tuple(blocks))
-
-        # probe the equality callables on the coordinate basis
-        zero = problem.zero_assignment()
-        c0_parts, rhs_parts = [], []
-        for eq in problem.equalities:
-            base = _scalarize(eq.fn(zero), eq.structure)
-            rhs = _scalarize(eq.rhs, eq.structure)
-            if base.shape != rhs.shape:
-                raise StructuralError(
-                    f"equality {eq.name!r}: value/rhs shape mismatch"
-                )
-            c0_parts.append(base)
-            rhs_parts.append(rhs)
-        c0 = _stack(c0_parts)
-        b_raw = _stack(rhs_parts) - c0
-
-        def evaluate(assign):
-            return _stack([_scalarize(eq.fn(assign), eq.structure) for eq in problem.equalities])
-
-        A_red = _probe(self.psd_vars + self.lin_vars, self.ncone, evaluate, zero, c0)
-        b_red = b_raw
-
-        # drop numerically empty rows; flag ones with a nonzero constant
-        self.inconsistent = False
-        keep = []
-        scale_ref = max(float(np.max(np.abs(A_red))) if A_red.size else 0.0, 1.0)
-        for i in range(A_red.shape[0]):
-            rn = float(np.linalg.norm(A_red[i]))
-            if rn <= 1.0e-13 * scale_ref:
-                if abs(b_red[i]) > 1.0e-10 * max(1.0, float(np.abs(b_raw).max() if b_raw.size else 0.0)):
-                    self.inconsistent = True
-            else:
-                keep.append(i)
-        A_red = A_red[keep]
-        b_red = b_red[keep]
-
-        d = np.maximum(np.linalg.norm(A_red, axis=1), np.abs(b_red)) if A_red.size else np.zeros(0)
-        d = np.maximum(d, 1.0e-12)
-        self.A = A_red / d[:, None] if A_red.size else A_red
-        self.b = b_red / d if b_red.size else b_red
-
-    def reconstruct(self, x_cone: np.ndarray) -> dict:
-        """Assignment from cone coordinates."""
-        return {v.name: _var_value(v, x_cone[sl]) for v, sl in self.psd_vars + self.lin_vars}
-
-    def interior_point(self) -> np.ndarray:
-        x = np.zeros(self.ncone)
-        for v, sl in self.psd_vars:
-            x[sl] = svec(np.eye(v.dim))
-        for _, sl in self.lin_vars:
-            x[sl] = 1.0
-        return x
-
-    def ls_correct(self, x_cone: np.ndarray) -> np.ndarray:
-        """Minimum-norm shift of the cone coordinates onto A x = b."""
-        if not self.A.size:
-            return x_cone
-        resid = self.b - self.A @ x_cone
-        delta = np.linalg.lstsq(self.A, resid, rcond=None)[0]
-        return x_cone + delta
-
-    def verify(self, assignment: dict, settings: SolverSettings):
-        """Raw residuals of the original problem at this assignment."""
-        max_eq = 0.0
-        eq_ok = True
-        for eq in self.problem.equalities:
-            err = _entry_error(eq.fn(assignment), eq.rhs, eq.structure)
-            max_eq = max(max_eq, err)
-            rhs_scale = float(np.max(np.abs(eq.rhs))) if np.size(eq.rhs) else 0.0
-            if err > settings.tol_eq * (1.0 + rhs_scale):
-                eq_ok = False
-        max_cone = 0.0
-        for v in self.problem.variables:
-            max_cone = max(max_cone, _cone_violation(v.kind, assignment[v.name]))
-        ok = eq_ok and max_cone <= CONE_TOL
-        return ok, max_eq, max_cone
+def _cone_spec(psd_dims: list, total: int) -> ConeSpec:
+    """PSD blocks of the given dimensions, then one orthant block for the rest."""
+    lin_total = total - sum(svec_dim(k) for k in psd_dims)
+    blocks = [("s", k) for k in psd_dims] + ([("l", lin_total)] if lin_total else [])
+    return ConeSpec(blocks=tuple(blocks))
 
 
 class _Inequality:
-    """Dense form of an inequality-form problem, over decision coordinates z.
+    """Dense form of the primal, over decision coordinates z.
 
-    The constraint expressions, PSD ones first, scalarize to F0 + F z.  The
+    The constraint expressions, PSD ones first, scalarize to F0 + F z;
+    blocks holds (constraint, coordinate slice, dimension) for each.  The
     IPM solves max b.y s.t. F0 - A^T y in K with A = -F^T / d and the
     objective b = b_obj / d, where d equilibrates the rows of A; z = y / d.
     """
 
     def __init__(self, problem: SdpFeasibilityProblem):
-        if any(v.kind not in _FREE_KINDS for v in problem.variables):
-            raise StructuralError("an inequality-form problem has free variables only")
         self.problem = problem
         self.var_slices, nz = _layout(problem.variables)
-        # PSD constraints first, then every orthant one in one block
         psd = [con for con in problem.constraints if con.cone == "psd"]
-        self.constraints = psd + [con for con in problem.constraints if con.cone != "psd"]
+        constraints = psd + [con for con in problem.constraints if con.cone != "psd"]
 
         zero = problem.zero_assignment()
-        values = [con.fn(zero) for con in self.constraints]
-        self.F0 = _stack([
-            _scalarize(val, _CONSTRAINT_STRUCTURE[con.cone])
-            for con, val in zip(self.constraints, values)
-        ])
-        F = _probe(self.var_slices, nz, self._evaluate, zero, self.F0)
-        dims = [np.shape(val)[0] for val in values[: len(psd)]]
-        lin_total = self.F0.size - sum(svec_dim(k) for k in dims)
-        blocks = [("s", k) for k in dims] + ([("l", lin_total)] if lin_total else [])
-        self.cone = ConeSpec(blocks=tuple(blocks))
+        self.blocks, parts, at = [], [], 0
+        for con in constraints:
+            value = con.fn(zero)
+            part = _scalarize(value, _CONSTRAINT_STRUCTURE[con.cone])
+            self.blocks.append((con, slice(at, at + part.size), np.shape(value)[0]))
+            parts.append(part)
+            at += part.size
+        self.F0 = np.concatenate(parts)
+        self.F = _probe(self.var_slices, nz, self._evaluate, zero, self.F0)
+        self.cone = _cone_spec([dim for con, _, dim in self.blocks if con.cone == "psd"], at)
 
         self.objective = np.zeros(nz)
         named = {v.name: sl for v, sl in self.var_slices}
         for name, coeff in problem.objective.items():
             self.objective[named[name]] = np.ravel(coeff)
 
-        d = np.maximum(np.linalg.norm(F, axis=0), np.abs(self.objective))
+        d = np.maximum(np.linalg.norm(self.F, axis=0), np.abs(self.objective))
         self.d = np.maximum(d, 1.0e-12)
-        self.A = -F.T / self.d[:, None]
+        self.A = -self.F.T / self.d[:, None]
         self.b = self.objective / self.d
 
     def _evaluate(self, assign: dict) -> np.ndarray:
-        return _stack([
-            _scalarize(con.fn(assign), _CONSTRAINT_STRUCTURE[con.cone]) for con in self.constraints
+        return np.concatenate([
+            _scalarize(con.fn(assign), _CONSTRAINT_STRUCTURE[con.cone])
+            for con, _, _ in self.blocks
         ])
 
     def reconstruct(self, z: np.ndarray) -> dict:
         """Assignment from decision coordinates; a variable without
         coordinates (hollow at dimension 1) is zero."""
-        return {v.name: _var_value(v, z[sl]) for v, sl in self.var_slices}
+        return {v.name: _from_coords(v.kind, z[sl], v.dim) for v, sl in self.var_slices}
 
     def verify(self, assignment: dict, settings: SolverSettings):
         """Worst cone violation of the constraint expressions at this
         assignment; there are no equality rows, so that residual is 0."""
         max_cone = max(
-            (_cone_violation(con.cone, con.fn(assignment)) for con in self.constraints),
+            (_cone_violation(con.cone, con.fn(assignment)) for con, _, _ in self.blocks),
             default=0.0,
         )
         return max_cone <= CONE_TOL, 0.0, max_cone
 
 
-def _farkas_quality(canon: _Canonical, y: np.ndarray):
+class DualForm:
+    """The dual LMI in equality form, the adjoint of a primal's dense form.
+
+    Coordinates x are the multipliers of the primal's constraints with
+    F0 = 0, in the primal's order (PSD first); blocks holds (constraint,
+    slice, dimension) for each.  Rows are the primal's decision
+    coordinates: A_raw x = b_raw with A_raw = -F_h^T and b_raw = e_t, the
+    primal objective.  A and b are the rows equilibrated by d, which the
+    IPM sees; verify measures residuals in the raw units.
+    """
+
+    def __init__(self, primal: _Inequality):
+        self.primal = primal
+        self.system: StateSpaceSystem = primal.problem.meta["system"]
+        self.blocks, rows, at = [], [], 0
+        for con, sl, dim in primal.blocks:
+            if np.any(primal.F0[sl]):
+                continue
+            if con.dual is None:
+                raise StructuralError(f"homogeneous constraint {con.name!r} names no dual block")
+            self.blocks.append((con, slice(at, at + sl.stop - sl.start), dim))
+            rows.append(np.arange(sl.start, sl.stop))
+            at += sl.stop - sl.start
+        self.ncone = at
+        self.cone = _cone_spec([dim for con, _, dim in self.blocks if con.cone == "psd"], at)
+        self.h_slice = next(sl for con, sl, _ in self.blocks if con.dual == "H")
+
+        self.A_raw = -primal.F[np.concatenate(rows)].T
+        self.b_raw = primal.objective
+        d = np.maximum(np.linalg.norm(self.A_raw, axis=1), np.abs(self.b_raw))
+        self.d = np.maximum(d, 1.0e-12)
+        self.A = self.A_raw / self.d[:, None]
+        self.b = self.b_raw / self.d
+
+    def reconstruct(self, x: np.ndarray) -> dict:
+        """The dual blocks H, f, g, X (Z) from multiplier coordinates."""
+        return {
+            con.dual: DUAL_SCALE[con.cone] * _constraint_value(con, x[sl], dim).T
+            for con, sl, dim in self.blocks
+        }
+
+    def ls_correct(self, x: np.ndarray) -> np.ndarray:
+        """Minimum-norm shift of the coordinates onto A x = b."""
+        resid = self.b - self.A @ x
+        return x + np.linalg.lstsq(self.A, resid, rcond=None)[0]
+
+    def verify(self, assignment: dict, settings: SolverSettings):
+        """Raw adjoint residual and cone violation of the dual blocks.
+
+        The cone violation is measured on H, f, g, -X and -Z, in the units
+        of the blocks, not of the multipliers.
+        """
+        parts, max_cone = [], 0.0
+        for con, _, _ in self.blocks:
+            scale = DUAL_SCALE[con.cone]
+            multiplier = np.asarray(assignment[con.dual], dtype=float).T / scale
+            parts.append(_scalarize(multiplier, _CONSTRAINT_STRUCTURE[con.cone]))
+            max_cone = max(max_cone, _cone_violation(con.cone, abs(scale) * multiplier))
+        max_eq = float(np.max(np.abs(self.A_raw @ np.concatenate(parts) - self.b_raw)))
+        tol_eq = settings.tol_eq * (1.0 + float(np.max(np.abs(self.b_raw))))
+        return max_eq <= tol_eq and max_cone <= CONE_TOL, max_eq, max_cone
+
+
+def build_dual(primal: SolveResult) -> DualForm:
+    """The dual LMI of a solved primal, transposed from its probed form."""
+    if not isinstance(primal.canonical, _Inequality):
+        raise StructuralError("build_dual needs the result of a primal solve")
+    return DualForm(primal.canonical)
+
+
+def _farkas_quality(dual: DualForm, y: np.ndarray):
     """(b.y-normalized certificate violation, or None if no certificate)."""
-    if not canon.A.size:
-        return None
-    by = float(canon.b @ y)
+    by = float(dual.b @ y)
     if by <= 0.0:
         return None
-    yn = y / by
-    xi = -(canon.A.T @ yn)
-    q = 0.0
-    for v, sl in canon.psd_vars:
-        w = np.linalg.eigvalsh(smat(xi[sl], v.dim))
-        q = max(q, max(0.0, -float(w[0])))
-    for _, sl in canon.lin_vars:
-        if sl.stop > sl.start:
-            q = max(q, max(0.0, -float(np.min(xi[sl]))))
-    return q
+    xi = -(dual.A.T @ (y / by))
+    return max(
+        (_cone_violation(con.cone, _constraint_value(con, xi[sl], dim))
+         for con, sl, dim in dual.blocks),
+        default=0.0,
+    )
 
 
 def _primal_true_margin(problem: SdpFeasibilityProblem, assignment: dict) -> float:
@@ -360,15 +332,15 @@ def _primal_true_margin(problem: SdpFeasibilityProblem, assignment: dict) -> flo
     return -float(w[-1])
 
 
-def _candidates(canon: _Canonical, x: np.ndarray, settings: SolverSettings):
+def _candidates(dual: DualForm, x: np.ndarray, settings: SolverSettings):
     """Reconstruct and verify the least-squares-corrected point, then x.
 
     Yields (label, assignment, ok, max_eq, max_cone) lazily, so a caller
     that settles on the corrected point never reconstructs the raw one.
     """
-    for label, xc in (("corrected", canon.ls_correct(x)), ("raw", x)):
-        assignment = canon.reconstruct(xc)
-        ok, max_eq, max_cone = canon.verify(assignment, settings)
+    for label, xc in (("corrected", dual.ls_correct(x)), ("raw", x)):
+        assignment = dual.reconstruct(xc)
+        ok, max_eq, max_cone = dual.verify(assignment, settings)
         yield label, assignment, ok, max_eq, max_cone
 
 
@@ -411,22 +383,15 @@ def _ipm(settings: SolverSettings, tol: float) -> IpmSettings:
     return IpmSettings(max_iters=settings.max_ipm_iters, tol_feas=tol, tol_gap=tol)
 
 
-def _solve_equality(canon: _Canonical, settings: SolverSettings) -> SolveResult:
+def _solve_dual(dual: DualForm, settings: SolverSettings) -> SolveResult:
     """One solve with zero objective: a verified point, else a certificate.
 
-    Rows that no x meets even without the cone are certified first by the
-    least-squares residual y = b - A x (A^T y = 0, b.y = |y|^2); on them
-    the embedding's Newton system is singular, so no IPM runs.
+    A certificate that passes _farkas_quality is returned in the
+    diagnostics, read in the primal's coordinates: (P, M, t = 1).
     """
-    x = np.zeros(canon.ncone)
-    q = _farkas_quality(canon, canon.b - canon.A @ canon.ls_correct(x))
-    diagnostics = {"ipm_status": None, "ipm_iterations": 0}
-    if q is None or q > _FARKAS_TOL:
-        res = solve_conic(canon.A, canon.b, x, canon.cone, _ipm(settings, _IPM_TOL))
-        x = res.x
-        q = _farkas_quality(canon, res.y)
-        diagnostics = {"ipm_status": res.status, "ipm_iterations": res.iterations}
-    candidates = list(_candidates(canon, x, settings))
+    res = solve_conic(dual.A, dual.b, np.zeros(dual.ncone), dual.cone, _ipm(settings, _IPM_TOL))
+    diagnostics = {"ipm_status": res.status, "ipm_iterations": res.iterations}
+    candidates = list(_candidates(dual, res.x, settings))
     passing = [cand for cand in candidates if cand[2]]
     if passing:
         # the smallest equality residual wins; a tie goes to the corrected point
@@ -440,45 +405,56 @@ def _solve_equality(canon: _Canonical, settings: SolverSettings) -> SolveResult:
         )
 
     # no verified point: the Farkas certificate is checked independently
+    q = _farkas_quality(dual, res.y)
     diagnostics["farkas_quality"] = q
+    status = "numerical_limit"
+    if q is not None and q <= _FARKAS_TOL:
+        status = "infeasible"
+        diagnostics["certificate"] = dual.primal.reconstruct(res.y / float(dual.b @ res.y) / dual.d)
     _, assignment, _, max_eq, max_cone = candidates[-1]  # the raw point
     return SolveResult(
-        status="infeasible" if q is not None and q <= _FARKAS_TOL else "numerical_limit",
+        status=status,
         assignment=assignment,
         residuals=Residuals(max_eq, max_cone),
         diagnostics=diagnostics,
     )
 
 
-def solve(problem: SdpFeasibilityProblem, settings: Optional[SolverSettings] = None) -> SolveResult:
+def solve(
+    problem: Union[SdpFeasibilityProblem, DualForm], settings: Optional[SolverSettings] = None
+) -> SolveResult:
     """Decide the problem and return a verified assignment or certificate.
 
-    An inequality-form problem is the max-margin primal: the verdict is
-    "feasible" when the returned assignment itself achieves the margin
-    threshold, "infeasible" when a converged optimum stays below it.  An
-    equality-form problem is one solve with zero objective; "infeasible"
-    requires a Farkas certificate that passes _farkas_quality.  Anything
-    undecided comes back "numerical_limit".
+    The primal is the max-margin problem: the verdict is "feasible" when
+    the returned assignment itself achieves the margin threshold,
+    "infeasible" when a converged optimum stays below it.  The dual is one
+    solve with zero objective; "infeasible" requires a Farkas certificate
+    that passes _farkas_quality.  Anything undecided comes back
+    "numerical_limit".
     """
     settings = settings or SolverSettings()
-    if problem.constraints:
-        canon = _Inequality(problem)
-        result = _solve_inequality(problem, canon, settings)
+    if isinstance(problem, DualForm):
+        result = _solve_dual(problem, settings)
+        result.canonical = problem
     else:
-        canon = _Canonical(problem)
-        if canon.inconsistent:
-            assignment = canon.reconstruct(canon.interior_point())
-            _, max_eq, max_cone = canon.verify(assignment, settings)
-            result = SolveResult(
-                status="infeasible",
-                assignment=assignment,
-                residuals=Residuals(max_eq, max_cone),
-                diagnostics={"reason": "inconsistent constant row"},
-            )
-        else:
-            result = _solve_equality(canon, settings)
-    result.canonical = canon
+        form = _Inequality(problem)
+        result = _solve_inequality(problem, form, settings)
+        result.canonical = form
     return result
+
+
+def _steer_matrix(sys: StateSpaceSystem) -> np.ndarray:
+    """Linear functional whose value on rank-1 H is h1^T (A h1 + B h2).
+
+    trace(S H) with S = sym([I 0]^T [A B]) equals the proof's branch
+    discriminant on rank-1 iterates; reduce_rank uses it as a small
+    tie-break toward the branch where a certificate can be concluded.
+    """
+    n, m = sys.n, sys.m
+    AB = np.hstack([sys.A, sys.B])
+    I0 = np.hstack([np.eye(n), np.zeros((n, m))])
+    S = I0.T @ AB
+    return 0.5 * (S + S.T)
 
 
 def _rank_ratio(H: np.ndarray):
@@ -521,13 +497,13 @@ def _complete_pair_bounds(d: np.ndarray, R: np.ndarray):
         scale = max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(R))))
         worst = max(dist[v] - dist[u] - w for u, v, w in edges)
         if worst > 1.0e-9 * scale:
-            return None  # genuinely negative cycle: constraints inconsistent
+            return None  # genuinely negative cycle: no solution
     g = np.maximum(dist[:m], 0.0)
     f = np.maximum(d - g, 0.0)
     return f, g
 
 
-def _rank_one_polish(problem, canon: _Canonical, assignment: dict, settings: SolverSettings):
+def _rank_one_polish(dual: DualForm, assignment: dict, settings: SolverSettings):
     """Rebuild the dual certificate exactly from the dominant eigenvector.
 
     Projects the top eigenvector of H onto the invariant subspace
@@ -536,8 +512,8 @@ def _rank_one_polish(problem, canon: _Canonical, assignment: dict, settings: Sol
     the branch where an equilibrium can be concluded is polished; anything
     else returns None and the caller keeps the iterate it has.
     """
-    sys = problem.meta["system"]
-    kind = problem.meta["kind"]
+    sys = dual.system
+    odd = sys.nl_class is NonlinearityClass.SLOPE_ODD
     n, m = sys.n, sys.m
     H = assignment["H"]
     w, V = np.linalg.eigh(0.5 * (H + H.T))
@@ -572,18 +548,14 @@ def _rank_one_polish(problem, canon: _Canonical, assignment: dict, settings: Sol
         return None
     d = np.maximum(d, 0.0)
     Y = np.outer(wv, z - wv)
-    R = Y if kind.tag == "dual_dhd" else np.abs(Y)
+    R = np.abs(Y) if odd else Y
     fg = _complete_pair_bounds(d, R)
     if fg is None:
         return None
     f, g = fg
 
     new = {"H": np.outer(hn, hn), "f": f, "g": g}
-    if kind.tag == "dual_dhd":
-        X = Y - f[None, :] - g[:, None]
-        np.fill_diagonal(X, 0.0)
-        new["X"] = np.minimum(X, 0.0)
-    else:
+    if odd:
         pair = f[None, :] + g[:, None]
         X = 0.5 * (Y - pair)
         Z = 0.5 * (-Y - pair)
@@ -591,18 +563,22 @@ def _rank_one_polish(problem, canon: _Canonical, assignment: dict, settings: Sol
         np.fill_diagonal(Z, 0.0)
         new["X"] = np.minimum(X, 0.0)
         new["Z"] = np.minimum(Z, 0.0)
-    ok, max_eq, max_cone = canon.verify(new, settings)
+    else:
+        X = Y - f[None, :] - g[:, None]
+        np.fill_diagonal(X, 0.0)
+        new["X"] = np.minimum(X, 0.0)
+    ok, max_eq, max_cone = dual.verify(new, settings)
     if not ok:
         return None
     return new, max_eq, max_cone
 
 
 def reduce_rank(
-    problem: SdpFeasibilityProblem,
+    dual: DualForm,
     warm: SolveResult,
     settings: Optional[SolverSettings] = None,
 ) -> SolveResult:
-    """Drive the main PSD block of a feasible dual toward rank one.
+    """Drive H, the PSD block of a feasible dual, toward rank one.
 
     First re-solves the feasibility set maximizing the pairing functional,
     which selects the extremal point whose dominant factor has the largest
@@ -616,11 +592,7 @@ def reduce_rank(
     settings = settings or SolverSettings()
     if warm.status != "feasible":
         raise StructuralError("rank reduction needs a feasible warm start")
-    name = problem.meta.get("psd_main")
-    if name is None:
-        raise StructuralError("problem does not name a main PSD block")
-
-    ratio0, _ = _rank_ratio(warm.assignment[name])
+    ratio0, _ = _rank_ratio(warm.assignment["H"])
     trail = [ratio0]
     if ratio0 <= settings.tol_rank:
         warm.diagnostics.setdefault("rank_trail", trail)
@@ -628,21 +600,14 @@ def reduce_rank(
         warm.diagnostics.setdefault("polished", False)
         return warm
 
-    canon = warm.canonical
-    if canon is None or canon.problem is not problem:
-        canon = _Canonical(problem)
-    steer = problem.meta.get("steer")
-    steer_term = None
-    sn = 0.0
-    if steer is not None:
-        sn = float(np.linalg.norm(steer, "fro"))
-        if sn > 0:
-            steer_term = _STEER_WEIGHT * steer / sn
+    steer = _steer_matrix(dual.system)
+    sn = float(np.linalg.norm(steer, "fro"))
+    steer_term = _STEER_WEIGHT * steer / sn if sn > 0 else None
 
     best_assign = warm.assignment
     best_eq, best_cone = warm.residuals.max_equality, warm.residuals.max_cone_violation
     best_ratio = ratio0
-    hsl = dict((v.name, sl) for v, sl in canon.psd_vars)[name]
+    hsl = dual.h_slice
     ipm = _ipm(settings, _IPM_TOL)
 
     # On the trace-normalized rank-1 face the pairing functional equals the
@@ -652,17 +617,17 @@ def reduce_rank(
     # first typically lands (near) rank one before any deflation runs.
     steered = False
     if steer_term is not None:
-        c = np.zeros(canon.ncone)
+        c = np.zeros(dual.ncone)
         c[hsl] = svec(-steer / sn)
         # solved at the high-accuracy tolerances: breakpoint data for the
         # destabilizing map is read straight off this point, and leftover
         # solver noise shows up as spurious slope defects
-        res = solve_conic(canon.A, canon.b, c, canon.cone, _ipm(settings, _MARGIN_IPM_TOL))
-        for _, assignment, ok, max_eq, max_cone in _candidates(canon, res.x, settings):
+        res = solve_conic(dual.A, dual.b, c, dual.cone, _ipm(settings, _MARGIN_IPM_TOL))
+        for _, assignment, ok, max_eq, max_cone in _candidates(dual, res.x, settings):
             if not ok:
                 continue
             best_assign, best_eq, best_cone = assignment, max_eq, max_cone
-            best_ratio, _ = _rank_ratio(assignment[name])
+            best_ratio, _ = _rank_ratio(assignment["H"])
             trail.append(best_ratio)
             steered = True
             break
@@ -671,22 +636,22 @@ def reduce_rank(
     for _ in range(_MAX_RANK_ROUNDS):
         if best_ratio <= settings.tol_rank:
             break
-        Hc = best_assign[name]
+        Hc = best_assign["H"]
         _, V = np.linalg.eigh(0.5 * (Hc + Hc.T))
         V2 = V[:, :-1]  # all but the dominant eigenvector
         W = V2 @ V2.T
         if steer_term is not None:
             W = W - steer_term
-        c = np.zeros(canon.ncone)
+        c = np.zeros(dual.ncone)
         c[hsl] = svec(0.5 * (W + W.T))
-        res = solve_conic(canon.A, canon.b, c, canon.cone, ipm)
+        res = solve_conic(dual.A, dual.b, c, dual.cone, ipm)
         rounds += 1
 
         improved = False
-        for _, assignment, ok, max_eq, max_cone in _candidates(canon, res.x, settings):
+        for _, assignment, ok, max_eq, max_cone in _candidates(dual, res.x, settings):
             if not ok:
                 continue
-            ratio, _ = _rank_ratio(assignment[name])
+            ratio, _ = _rank_ratio(assignment["H"])
             if ratio < best_ratio:
                 best_assign, best_eq, best_cone = assignment, max_eq, max_cone
                 best_ratio = ratio
@@ -697,10 +662,10 @@ def reduce_rank(
             break
 
     polished = False
-    pol = _rank_one_polish(problem, canon, best_assign, settings)
+    pol = _rank_one_polish(dual, best_assign, settings)
     if pol is not None:
         cand, max_eq, max_cone = pol
-        ratio, _ = _rank_ratio(cand[name])
+        ratio, _ = _rank_ratio(cand["H"])
         if ratio <= max(best_ratio, settings.tol_rank):
             best_assign, best_eq, best_cone = cand, max_eq, max_cone
             best_ratio = ratio
@@ -722,5 +687,5 @@ def reduce_rank(
         assignment=best_assign,
         residuals=Residuals(best_eq, best_cone),
         diagnostics=diagnostics,
-        canonical=canon,
+        canonical=dual,
     )

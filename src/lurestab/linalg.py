@@ -5,7 +5,6 @@ input symmetrize defensively (the problems treated by this package have
 dimension n+m of order 20, so the extra work is immaterial).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,31 +32,6 @@ def symmetrize(S: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EigSystem:
-    """Eigendecomposition with eigenvalues sorted in descending order.
-
-    eigenvalues: 1-d array, descending.
-    eigenvectors: orthonormal columns, eigenvectors[:, i] belongs to
-    eigenvalues[i].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        Q, lam = self.eigenvectors, self.eigenvalues
-        return (Q * lam) @ Q.T
-
-
-def sym_eig(S: np.ndarray) -> EigSystem:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    S = symmetrize(S)
-    lam, Q = np.linalg.eigh(S)
-    order = np.argsort(lam)[::-1]
-    return EigSystem(eigenvalues=lam[order], eigenvectors=Q[:, order])
-
-
 def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value of a real matrix."""
     M = np.asarray(M, dtype=float)
@@ -79,8 +53,9 @@ def numerical_rank_and_factor(
     Raises ConeViolationError if S is indefinite beyond tolerance
     (lambda_min < -rel_tol * lambda_max).
     """
-    eig = sym_eig(S)
-    lam = eig.eigenvalues
+    lam, Q = np.linalg.eigh(symmetrize(S))
+    order = np.argsort(lam)[::-1]
+    lam, Q = lam[order], Q[:, order]
     lam_max = float(lam[0]) if lam.size else 0.0
     if lam_max <= 0.0:
         # at most the zero matrix within tolerance; negative top eigenvalue
@@ -96,5 +71,5 @@ def numerical_rank_and_factor(
         )
     keep = lam > rel_tol * lam_max
     rank = int(np.count_nonzero(keep))
-    V = eig.eigenvectors[:, keep] * np.sqrt(np.clip(lam[keep], 0.0, None))
+    V = Q[:, keep] * np.sqrt(np.clip(lam[keep], 0.0, None))
     return rank, V

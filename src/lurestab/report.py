@@ -18,9 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .detector import Inconclusive, build_pwl, extract_certificate
-from .engine import CONE_TOL, SolverSettings, reduce_rank, solve
+from .engine import CONE_TOL, SolverSettings, build_dual, reduce_rank, solve
 from .errors import AssumptionViolatedError, NumericFailureError, UnsupportedModeError
-from .lmi import LmiKind, build_dual, build_primal
+from .lmi import build_primal
 from .pwl import PiecewiseLinearMap, verify_slope
 from .simulate import simulate
 from .system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band, validate
@@ -184,7 +184,7 @@ def analyze(
         pipe["inconclusive_detail"] = str(exc)
         return report("inconclusive")
 
-    primal_problem = build_primal(unit, LmiKind("primal_dd" if is_odd else "primal_dhd"))
+    primal_problem = build_primal(unit)
     primal_res = solve(primal_problem, settings)
     pipe["primal_status"] = primal_res.status
     primal_dict = {
@@ -201,7 +201,7 @@ def analyze(
         primal_dict["M"] = M / (sys.band.nu - sys.band.mu) ** 2
         return report("absolutely_stable")
 
-    dual_problem = build_dual(unit, LmiKind("dual_dd" if is_odd else "dual_dhd"))
+    dual_problem = build_dual(primal_res)
     dual_res = solve(dual_problem, settings)
     pipe["dual_status"] = dual_res.status
     if dual_res.status != "feasible":

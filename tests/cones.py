@@ -1,4 +1,6 @@
-"""Matrix cones used by the multiplier LMIs.
+"""Membership tests of the matrix cones of the multiplier LMIs, written from
+their definitions for the tests; the package states the cones as LMI
+constraints instead.
 
 Z: nonpositive off-diagonal entries (diagonal free).
 Z0: Z with zero diagonal.

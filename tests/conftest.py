@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze
-from lurestab.engine import reduce_rank, solve
-from lurestab.lmi import LmiKind, build_dual
+from lurestab.engine import build_dual, reduce_rank, solve
+from lurestab.lmi import build_primal
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -49,14 +49,14 @@ def decoupled_example():
 @pytest.fixture(scope="session")
 def slope_dual_reduced(slope_example):
     """Rank-reduced feasible dual for the slope example."""
-    problem = build_dual(slope_example, LmiKind.DUAL_DHD)
-    return reduce_rank(problem, solve(problem))
+    dual = build_dual(solve(build_primal(slope_example)))
+    return reduce_rank(dual, solve(dual))
 
 
 @pytest.fixture(scope="session")
 def odd_dual_reduced(odd_example):
-    problem = build_dual(odd_example, LmiKind.DUAL_DD)
-    return reduce_rank(problem, solve(problem))
+    dual = build_dual(solve(build_primal(odd_example)))
+    return reduce_rank(dual, solve(dual))
 
 
 @pytest.fixture(scope="session")

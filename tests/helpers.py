@@ -3,7 +3,7 @@ multiplier quadratic form.  Nothing in the package needs them."""
 
 import numpy as np
 
-from lurestab.cones import ConeTag
+from cones import ConeTag
 from lurestab.multipliers import Multiplier
 
 __all__ = ["quad_form", "random_member"]

@@ -1,7 +1,8 @@
 """Brute-force validators kept independent of the code they check.
 
 These helpers recompute everything from raw definitions (difference
-quotients, explicit congruence products, entrywise cone arithmetic) so the
+quotients, explicit congruence products, the dual's dynamics and coupling
+blocks, entrywise cone arithmetic) so the
 test suite can cross-examine the production modules.  They intentionally do
 not call into the multiplier or LMI assembly code.
 """
@@ -10,9 +11,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from lurestab.engine import solve
-from lurestab.lmi import LmiKind, build_dual, build_primal
-from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
+from lurestab.engine import build_dual, solve
+from lurestab.lmi import build_primal
+from lurestab.system import SlopeBand, StateSpaceSystem
 
 __all__ = [
     "DualityAuditReport",
@@ -20,7 +21,9 @@ __all__ = [
     "SlopeSample",
     "audit_duality",
     "audit_multiplier_inequality",
+    "output_coupling_block",
     "sample_slope_fn",
+    "state_equality_block",
 ]
 
 
@@ -129,6 +132,26 @@ def audit_multiplier_inequality(
     return MultiplierAudit(min_value=min_value, min_normalized=min_normalized)
 
 
+def state_equality_block(sys: StateSpaceSystem, H: np.ndarray) -> np.ndarray:
+    """[A B] H [A B]^T - [I 0] H [I 0]^T, the dual's dynamics block."""
+    n, m = sys.n, sys.m
+    AB = np.hstack([sys.A, sys.B])
+    I0 = np.hstack([np.eye(n), np.zeros((n, m))])
+    return AB @ H @ AB.T - I0 @ H @ I0.T
+
+
+def output_coupling_block(sys: StateSpaceSystem, H: np.ndarray) -> np.ndarray:
+    """Y(H) = [0 I] H ([C D] - [0 I])^T, the matrix the dual couples to (f, g, X[, Z]).
+
+    For a rank-1 H = (h1; h2)(h1; h2)^T it specializes to
+    h2 (C h1 + D h2 - h2)^T.
+    """
+    n, m = sys.n, sys.m
+    CD = np.hstack([sys.C, sys.D])
+    OI = np.hstack([np.zeros((m, n)), np.eye(m)])
+    return OI @ H @ (CD - OI).T
+
+
 class DualityAuditReport(NamedTuple):
     primal_margin: float
     primal_decisive: bool
@@ -144,18 +167,8 @@ def audit_duality(sys: StateSpaceSystem, seed: int = 0) -> DualityAuditReport:
     primal margin clears its threshold AND the dual is decisively feasible.
     Borderline numerical_limit outcomes count as non-decisive.
     """
-    kind_p = (
-        LmiKind.PRIMAL_DD
-        if sys.nl_class == NonlinearityClass.SLOPE_ODD
-        else LmiKind.PRIMAL_DHD
-    )
-    kind_d = (
-        LmiKind.DUAL_DD
-        if sys.nl_class == NonlinearityClass.SLOPE_ODD
-        else LmiKind.DUAL_DHD
-    )
-    primal = solve(build_primal(sys, kind_p))
-    dual = solve(build_dual(sys, kind_d))
+    primal = solve(build_primal(sys))
+    dual = solve(build_dual(primal))
     margin = primal.residuals.margin if primal.residuals.margin is not None else -np.inf
     primal_decisive = primal.status == "feasible" and margin >= 1e-7
     dual_decisive = dual.status == "feasible"

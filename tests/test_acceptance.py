@@ -12,14 +12,16 @@ import numpy as np
 import pytest
 
 from lurestab.cli import main
-from lurestab.cones import ConeTag
+from cones import ConeTag
 from helpers import random_member
-from lurestab.lmi import (
+from lurestab.lmi import primal_lmi_matrix
+from oracles import (
+    audit_duality,
+    audit_multiplier_inequality,
     output_coupling_block,
-    primal_lmi_matrix,
+    sample_slope_fn,
     state_equality_block,
 )
-from oracles import audit_duality, audit_multiplier_inequality, sample_slope_fn
 from lurestab.pwl import PiecewiseLinearMap, eval_pwl, verify_slope
 from lurestab.simulate import simulate
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem

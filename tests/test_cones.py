@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lurestab.cones import ConeTag, abs_d, is_member
+from cones import ConeTag, abs_d, is_member
 from helpers import random_member
 
 

@@ -1,40 +1,40 @@
-"""Engine-level solves on the example systems plus small synthetic problems."""
+"""Engine-level solves on the example systems plus small synthetic plants."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from cones import ConeTag, is_member
 from lurestab import engine
-from lurestab.cones import ConeTag, is_member
-from lurestab.engine import SolveResult, SolverSettings, reduce_rank, solve
+from lurestab.engine import SolveResult, SolverSettings, build_dual, reduce_rank, solve
 from lurestab.errors import StructuralError
-from lurestab.lmi import (
-    BOX_BOUND,
-    EqualityBlock,
-    LmiKind,
-    SdpFeasibilityProblem,
-    VarSpec,
-    build_dual,
-    build_primal,
-    primal_lmi_matrix,
-)
+from lurestab.lmi import BOX_BOUND, build_primal, primal_lmi_matrix
+from lurestab.report import analyze
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
+from oracles import output_coupling_block, state_equality_block
+
+
+def _dual(sysm):
+    """The dual LMI of a plant, transposed from its solved primal."""
+    return build_dual(solve(build_primal(sysm)))
 
 
 def test_margin_primal_infeasible_on_slope_example(slope_example):
-    res = solve(build_primal(slope_example, LmiKind.PRIMAL_DHD))
+    res = solve(build_primal(slope_example))
     assert res.status == "infeasible"
     assert res.residuals.margin is not None
     assert res.residuals.margin < 1.0e-7
 
 
 def test_margin_primal_infeasible_on_odd_example(odd_example):
-    res = solve(build_primal(odd_example, LmiKind.PRIMAL_DD))
+    res = solve(build_primal(odd_example))
     assert res.status == "infeasible"
     assert res.residuals.margin < 1.0e-7
 
 
 def test_decoupled_primal_feasible_with_margin(decoupled_example):
-    problem = build_primal(decoupled_example, LmiKind.PRIMAL_DHD)
+    problem = build_primal(decoupled_example)
     res = solve(problem)
     assert res.status == "feasible"
     assert res.residuals.margin >= 1.0e-7
@@ -48,7 +48,10 @@ def test_decoupled_primal_feasible_with_margin(decoupled_example):
 
 @pytest.mark.parametrize("kind_tag", ["dual_dhd", "dual_dd"])
 def test_dual_feasible_on_slope_example(slope_example, kind_tag):
-    res = solve(build_dual(slope_example, LmiKind(kind_tag)))
+    odd = kind_tag == "dual_dd"
+    cls = NonlinearityClass.SLOPE_ODD if odd else NonlinearityClass.SLOPE
+    res = solve(_dual(dataclasses.replace(slope_example, nl_class=cls)))
+    assert ("Z" in res.assignment) == odd
     assert res.status == "feasible"
     H = res.assignment["H"]
     assert abs(np.trace(H) - 1.0) <= 1.0e-7
@@ -57,13 +60,13 @@ def test_dual_feasible_on_slope_example(slope_example, kind_tag):
 
 
 def test_dual_feasible_on_odd_example(odd_example):
-    res = solve(build_dual(odd_example, LmiKind.DUAL_DD))
+    res = solve(_dual(odd_example))
     assert res.status == "feasible"
     assert abs(np.trace(res.assignment["H"]) - 1.0) <= 1.0e-7
 
 
 def test_reduce_rank_reaches_rank_one(slope_example):
-    problem = build_dual(slope_example, LmiKind.DUAL_DHD)
+    problem = _dual(slope_example)
     warm = solve(problem)
     red = reduce_rank(problem, warm)
     assert red.status == "feasible"
@@ -74,15 +77,29 @@ def test_reduce_rank_reaches_rank_one(slope_example):
 
 
 def test_reduce_rank_reuses_the_canonical_form_of_solve(slope_example):
-    problem = build_dual(slope_example, LmiKind.DUAL_DHD)
+    problem = _dual(slope_example)
     warm = solve(problem)
-    assert warm.canonical is not None and warm.canonical.problem is problem
+    assert warm.canonical is problem
     red = reduce_rank(problem, warm)
-    assert red.canonical is warm.canonical
+    assert red.canonical is problem
+
+
+def test_analyze_probes_the_primal_once(slope_example, monkeypatch):
+    # the dual is transposed from the primal's probed matrix, not probed
+    calls = []
+    real = engine._probe
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_probe", counting)
+    assert analyze(slope_example).verdict == "not_absolutely_stable"
+    assert len(calls) == 1
 
 
 def test_reduce_rank_keeps_rank_one_warm_start(slope_example):
-    problem = build_dual(slope_example, LmiKind.DUAL_DHD)
+    problem = _dual(slope_example)
     warm = solve(problem)
     red = reduce_rank(problem, warm)
     # re-wrap without diagnostics so the early-return path fills them in
@@ -99,86 +116,80 @@ def test_reduce_rank_keeps_rank_one_warm_start(slope_example):
 
 
 def test_reduce_rank_rejects_infeasible_warm_start(slope_example):
-    problem = build_dual(slope_example, LmiKind.DUAL_DHD)
+    problem = _dual(slope_example)
     bad = SolveResult(status="infeasible", assignment={}, residuals=None)
     with pytest.raises(StructuralError):
         reduce_rank(problem, bad)
 
 
-def test_equality_solve_farkas_certifies_infeasible():
-    # x >= 0 with x = -1 has a one-line Farkas certificate
-    problem = SdpFeasibilityProblem(
-        variables=(VarSpec("x", "nonneg", 1),),
-        equalities=(
-            EqualityBlock("pin", lambda v: v["x"], -np.ones(1), "vector"),
-        ),
-    )
-    res = solve(problem)
+def _check_primal_certificate(sysm, res):
+    """The dual's Farkas certificate, read as (P, M, t = 1), is a strict
+    primal solution: L(P, M) <= -I and M in its cone."""
+    cert = res.diagnostics["certificate"]
+    assert cert["t"][0] == pytest.approx(1.0, abs=1e-9)
+    P = cert["P"]
+    M = np.diag(cert["M_diag"]) + cert["M_offdiag"]
+    L = primal_lmi_matrix(sysm, P, M)
+    lam = float(np.linalg.eigvalsh(0.5 * (L + L.T))[-1])
+    scale = max(1.0, np.abs(L).max())
+    assert lam <= -1.0 + 1e-9 * scale
+    odd = sysm.nl_class is NonlinearityClass.SLOPE_ODD
+    assert is_member(M, ConeTag.DD if odd else ConeTag.DHD, tol=1e-9 * scale).member
+
+
+def test_equality_solve_farkas_certifies_infeasible(decoupled_example):
+    # the decoupled loop is stable by small gain, so its dual is infeasible
+    res = solve(_dual(decoupled_example))
     assert res.status == "infeasible"
     assert res.diagnostics["ipm_status"] == "infeasible"
     assert res.diagnostics["farkas_quality"] <= 1.0e-7
+    _check_primal_certificate(decoupled_example, res)
 
 
 def test_psd_block_infeasible_toy_ends_with_a_checked_certificate():
-    # tr X = 1 and X_01 = 1 cannot hold with X psd, since |X_01| <= tr X / 2
-    problem = SdpFeasibilityProblem(
-        variables=(VarSpec("X", "psd", 2),),
-        equalities=(
-            EqualityBlock("tr", lambda v: np.array([np.trace(v["X"])]), np.ones(1), "vector"),
-            EqualityBlock("off", lambda v: np.array([v["X"][0, 1]]), np.ones(1), "vector"),
-        ),
+    # x+ = x / 2 + w / 10, z = x / 10: one state, one channel, stable by
+    # small gain; the dual's only PSD block is 2 x 2
+    sysm = StateSpaceSystem(
+        np.array([[0.5]]), np.array([[0.1]]), np.array([[0.1]]), np.array([[0.0]])
     )
-    res = solve(problem)
+    res = solve(_dual(sysm))
     assert res.status == "infeasible"
-    assert res.diagnostics["ipm_status"] == "infeasible"
     assert res.diagnostics["farkas_quality"] <= engine._FARKAS_TOL
+    _check_primal_certificate(sysm, res)
 
 
-def test_inconsistent_rows_are_certified_without_the_ipm(monkeypatch):
-    # three independent equations in two unknowns: no x at all meets them
-    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    problem = SdpFeasibilityProblem(
-        variables=(VarSpec("x", "nonneg", 2),),
-        equalities=(
-            EqualityBlock("eq", lambda v: A @ v["x"], np.array([1.0, 1.0, 3.0]), "vector"),
-        ),
-    )
-    monkeypatch.setattr(engine, "solve_conic", None)
-    res = solve(problem)
-    assert res.status == "infeasible"
-    assert res.diagnostics["ipm_iterations"] == 0
-    assert res.diagnostics["farkas_quality"] <= engine._FARKAS_TOL
-
-
-def test_constant_inconsistent_row_is_infeasible():
-    problem = SdpFeasibilityProblem(
-        variables=(VarSpec("x", "nonneg", 1),),
-        equalities=(
-            EqualityBlock("void", lambda v: np.zeros(1), np.ones(1), "vector"),
-        ),
-    )
-    res = solve(problem)
-    assert res.status == "infeasible"
-    assert res.diagnostics["reason"] == "inconsistent constant row"
+def test_dual_farkas_certificate_is_a_primal_certificate():
+    # small-gain plants of both classes; the decoupled example and the
+    # scalar toy above are the other cases
+    for seed, (n, m) in enumerate([(2, 3), (3, 2), (2, 2), (3, 4)]):
+        sysm = _seeded_system(60 + seed, n, m, odd=bool(seed % 2), gain=0.5)
+        res = solve(_dual(sysm))
+        assert res.status == "infeasible"
+        assert res.diagnostics["farkas_quality"] <= engine._FARKAS_TOL
+        _check_primal_certificate(sysm, res)
 
 
 def test_equality_solve_feasible_toy():
-    # x >= 0, sum x = 1 is plainly feasible
-    problem = SdpFeasibilityProblem(
-        variables=(VarSpec("x", "nonneg", 3),),
-        equalities=(
-            EqualityBlock("sum", lambda v: np.array([np.sum(v["x"])]), np.ones(1), "vector"),
-        ),
+    # x+ = x / 2 + w, z = x: phi(z) = z / 2 holds every state fixed, so the
+    # dual is feasible, and its rank-one point is that equilibrium
+    sysm = StateSpaceSystem(
+        np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]])
     )
-    res = solve(problem)
+    dual = _dual(sysm)
+    res = solve(dual)
     assert res.status == "feasible"
-    x = res.assignment["x"]
-    assert np.all(x >= -1.0e-9)
-    assert abs(np.sum(x) - 1.0) <= 1.0e-8
+    H = res.assignment["H"]
+    assert abs(np.trace(H) - 1.0) <= 1.0e-8
+    assert np.abs(state_equality_block(sysm, H)).max() <= 1.0e-8
+    Y = output_coupling_block(sysm, H)
+    assert abs(Y[0, 0] - res.assignment["f"][0] - res.assignment["g"][0]) <= 1.0e-8
+    red = reduce_rank(dual, res)
+    h = np.linalg.eigh(red.assignment["H"])[1][:, -1]
+    assert h[1] / h[0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_steer_solve_stops_at_its_accuracy_floor(odd_example, monkeypatch):
-    problem = build_dual(odd_example, LmiKind.DUAL_DD)
+    problem = _dual(odd_example)
     warm = solve(problem)
     results = []
     real = engine.solve_conic
@@ -233,8 +244,7 @@ def _seeded_system(seed, n, m, odd=False, gain=1.0):
 def test_primal_schur_complement_is_indexed_by_decision_coordinates(monkeypatch, odd):
     n = m = 3
     rows = _capture_primal_rows(monkeypatch)
-    kind = LmiKind.PRIMAL_DD if odd else LmiKind.PRIMAL_DHD
-    solve(build_primal(_seeded_system(20, n, m, odd), kind))
+    solve(build_primal(_seeded_system(20, n, m, odd)))
     # P, M_diag, M_offdiag and t, plus M_abs for DD: no slack rows
     expect = n * (n + 1) // 2 + m + m * (m - 1) + 1 + (m * (m - 1) if odd else 0)
     assert rows == [expect]
@@ -248,7 +258,7 @@ def test_primal_dd_scalar_channel_on_a_general_band(monkeypatch):
         np.array([[0.5]]), np.array([[0.1]]), np.array([[0.1]]), np.array([[0.0]]),
         SlopeBand(-0.3, 1.5), NonlinearityClass.SLOPE_ODD,
     )
-    res = solve(build_primal(normalize_band(sysm), LmiKind.PRIMAL_DD))
+    res = solve(build_primal(normalize_band(sysm)))
     # P, M_diag and t; both hollow variables have no coordinates at m = 1
     assert rows == [3]
     assert res.status == "feasible"
@@ -284,7 +294,7 @@ def test_primal_output_holds_from_definitions(slope_example, odd_example, decoup
     statuses = []
     for sysm in _primal_cases(slope_example, odd_example, decoupled_example):
         odd = sysm.nl_class is NonlinearityClass.SLOPE_ODD
-        problem = build_primal(sysm, LmiKind.PRIMAL_DD if odd else LmiKind.PRIMAL_DHD)
+        problem = build_primal(sysm)
         res = solve(problem)
         statuses.append(res.status)
         assert res.status in ("feasible", "infeasible")

@@ -7,7 +7,6 @@ from lurestab import ConeViolationError
 from lurestab.linalg import (
     numerical_rank_and_factor,
     spectral_norm,
-    sym_eig,
     symmetrize,
 )
 
@@ -18,16 +17,6 @@ def test_symmetrize_bitwise():
     out = symmetrize(S)
     assert np.array_equal(out, out.T)
     assert np.allclose(out, 0.5 * (S + S.T))
-
-
-def test_sym_eig_descending_and_reconstruct():
-    rng = np.random.default_rng(1)
-    S = symmetrize(rng.normal(size=(6, 6)))
-    eig = sym_eig(S)
-    assert np.all(np.diff(eig.eigenvalues) <= 1e-12)
-    assert np.allclose(eig.reconstruct(), S, atol=1e-12)
-    Q = eig.eigenvectors
-    assert np.allclose(Q.T @ Q, np.eye(6), atol=1e-12)
 
 
 def test_spectral_norm_matches_svd():

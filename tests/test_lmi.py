@@ -2,21 +2,18 @@ import numpy as np
 import pytest
 
 from lurestab import (
-    LmiKind,
     NonlinearityClass,
     SlopeBand,
     StateSpaceSystem,
     StructuralError,
-    build_dual,
     build_primal,
+    reduce_rank,
+    solve,
 )
-from lurestab.lmi import (
-    BOX_BOUND,
-    output_coupling_block,
-    primal_lmi_matrix,
-    state_equality_block,
-)
+from lurestab.engine import build_dual
+from lurestab.lmi import BOX_BOUND, primal_lmi_matrix
 from lurestab.multipliers import build_multiplier
+from oracles import output_coupling_block, state_equality_block
 
 
 def _random_system(seed, n=2, m=3, odd=False):
@@ -33,13 +30,8 @@ def _random_system(seed, n=2, m=3, odd=False):
     )
 
 
-def test_kind_constants():
-    assert LmiKind.PRIMAL_DHD.is_primal
-    assert not LmiKind.DUAL_DD.is_primal
-
-
 def test_primal_decision_variables_and_kinds():
-    prob = build_primal(_random_system(0), LmiKind.PRIMAL_DHD)
+    prob = build_primal(_random_system(0))
     kinds = {v.name: (v.kind, v.dim) for v in prob.variables}
     assert kinds == {
         "P": ("sym", 2),
@@ -47,12 +39,11 @@ def test_primal_decision_variables_and_kinds():
         "M_offdiag": ("hollow", 3),
         "t": ("vector", 1),
     }
-    assert prob.equalities == ()
     assert set(prob.objective) == {"t"}
     zero = prob.zero_assignment()
     assert zero["P"].shape == (2, 2) and zero["t"].shape == (1,)
 
-    prob_dd = build_primal(_random_system(1, odd=True), LmiKind.PRIMAL_DD)
+    prob_dd = build_primal(_random_system(1, odd=True))
     kinds_dd = {v.name: v.kind for v in prob_dd.variables}
     assert kinds_dd == {
         "P": "sym", "M_diag": "vector", "M_offdiag": "hollow", "M_abs": "hollow", "t": "vector",
@@ -60,30 +51,30 @@ def test_primal_decision_variables_and_kinds():
 
 
 def test_primal_constraint_names_and_cones():
+    # M_ii >= 0 and M_abs >= 0 are implied by the rest and not stated; each
+    # constraint that vanishes at zero names the dual block it carries
     common = [
-        ("lmi_margin", "psd"),
-        ("margin_cap", "nonneg"),
-        ("p_box_hi", "nonneg"),
-        ("p_box_lo", "nonneg"),
-        ("m_diag_nonneg", "nonneg"),
-        ("m_diag_box", "nonneg"),
-        ("row_sums", "nonneg"),
-        ("col_sums", "nonneg"),
+        ("lmi_margin", "psd", "H"),
+        ("margin_cap", "nonneg", None),
+        ("p_box_hi", "nonneg", None),
+        ("p_box_lo", "nonneg", None),
+        ("m_diag_box", "nonneg", None),
+        ("row_sums", "nonneg", "f"),
+        ("col_sums", "nonneg", "g"),
     ]
-    prob = build_primal(_random_system(0), LmiKind.PRIMAL_DHD)
-    assert [(c.name, c.cone) for c in prob.constraints] == common + [
-        ("m_offdiag_nonpos", "hollow_nonneg"),
+    prob = build_primal(_random_system(0))
+    assert [(c.name, c.cone, c.dual) for c in prob.constraints] == common + [
+        ("m_offdiag_nonpos", "hollow_nonneg", "X"),
     ]
-    prob_dd = build_primal(_random_system(1, odd=True), LmiKind.PRIMAL_DD)
-    assert [(c.name, c.cone) for c in prob_dd.constraints] == common + [
-        ("m_abs_nonneg", "hollow_nonneg"),
-        ("dom_hi", "hollow_nonneg"),
-        ("dom_lo", "hollow_nonneg"),
+    prob_dd = build_primal(_random_system(1, odd=True))
+    assert [(c.name, c.cone, c.dual) for c in prob_dd.constraints] == common + [
+        ("dom_hi", "hollow_nonneg", "X"),
+        ("dom_lo", "hollow_nonneg", "Z"),
     ]
 
 
 def test_box_constraint_is_zero_at_the_bound():
-    prob = build_primal(_random_system(4), LmiKind.PRIMAL_DHD)
+    prob = build_primal(_random_system(4))
     cons = {c.name: c for c in prob.constraints}
     assign = prob.zero_assignment()
     assert np.array_equal(cons["p_box_hi"].fn(assign), np.ones(3))
@@ -109,38 +100,57 @@ def test_primal_lmi_matrix_matches_congruence():
     assert np.allclose(L, expect, atol=1e-12)
 
 
-def test_dual_structure():
-    sys = _random_system(5)
-    prob = build_dual(sys, LmiKind.DUAL_DHD)
-    names = {v.name: v for v in prob.variables}
-    assert names["H"].kind == "psd" and names["H"].dim == 5
-    assert set(names) == {"H", "f", "g", "X"}
-    eq_names = [e.name for e in prob.equalities]
-    assert eq_names == ["dyn", "coupling", "scale"]
-    assert prob.meta["psd_main"] == "H"
-
-    prob_dd = build_dual(_random_system(6, odd=True), LmiKind.DUAL_DD)
-    names_dd = {v.name for v in prob_dd.variables}
-    assert "Z" in names_dd
-    eq_dd = [e.name for e in prob_dd.equalities]
-    assert "coupling_diag" in eq_dd and "pairing" in eq_dd
+def test_reduced_dual_holds_from_its_definition(
+    slope_example, odd_example, slope_dual_reduced, odd_dual_reduced
+):
+    # the dual blocks read off the adjoint of the primal satisfy the paper's
+    # dual, written out from its definition
+    cases = [(slope_example, slope_dual_reduced), (odd_example, odd_dual_reduced)]
+    for seed in range(40, 46):
+        sysm = _random_system(seed, n=2 + seed % 2, m=2 + seed % 3, odd=bool(seed % 2))
+        dual = build_dual(solve(build_primal(sysm)))
+        cases.append((sysm, reduce_rank(dual, solve(dual))))
+    for sysm, red in cases:
+        assert red.status == "feasible"
+        blocks = red.assignment
+        H, f, g, X = blocks["H"], blocks["f"], blocks["g"], blocks["X"]
+        m = sysm.m
+        off = ~np.eye(m, dtype=bool)
+        assert np.abs(state_equality_block(sysm, H)).max() <= 1e-8
+        assert abs(np.trace(H) - 1.0) <= 1e-8
+        assert np.linalg.eigvalsh(H)[0] >= -1e-8
+        Y = output_coupling_block(sysm, H)
+        pair = np.outer(np.ones(m), f) + np.outer(g, np.ones(m))
+        if sysm.nl_class is NonlinearityClass.SLOPE_ODD:
+            Z = blocks["Z"]
+            assert np.abs(np.diag(Y) - f - g).max() <= 1e-8
+            assert np.abs((Y - X + Z)[off]).max() <= 1e-8
+            assert np.abs((X + Z + pair)[off]).max() <= 1e-8
+            hollow = (X, Z)
+        else:
+            assert "Z" not in blocks
+            assert np.abs(Y - pair - X).max() <= 1e-8
+            hollow = (X,)
+        assert f.min() >= -1e-8 and g.min() >= -1e-8
+        for W in hollow:
+            assert np.array_equal(np.diag(W), np.zeros(m))
+            assert W.max() <= 1e-8
 
 
 def test_dual_requires_reduced_band():
+    # the dual is the adjoint of the primal, which exists on [0, 1] only
     rng = np.random.default_rng(7)
     A = np.eye(2) * 0.5
     sys = StateSpaceSystem(A, rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
                            rng.normal(size=(2, 2)), SlopeBand(-1.0, 1.0))
     with pytest.raises(StructuralError):
-        build_dual(sys, LmiKind.DUAL_DHD)
+        build_primal(sys)
 
 
-def test_build_primal_rejects_dual_kind():
-    sys = _random_system(8)
+def test_build_dual_needs_a_primal_result():
+    dual = build_dual(solve(build_primal(_random_system(8))))
     with pytest.raises(StructuralError):
-        build_primal(sys, LmiKind.DUAL_DHD)
-    with pytest.raises(StructuralError):
-        build_dual(sys, LmiKind.PRIMAL_DHD)
+        build_dual(solve(dual))
 
 
 def test_round_trip_identity_spot():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lurestab import SlopeBand
-from lurestab.cones import ConeTag
+from cones import ConeTag
 from helpers import quad_form, random_member
 from lurestab.multipliers import build_multiplier
 from oracles import sample_slope_fn
