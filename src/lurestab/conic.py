@@ -8,16 +8,19 @@ nonnegative orthant, through the homogeneous self-dual embedding
 (Ye, Todd & Mizuno 1994; in conic form Andersen, Roos & Terlaky 2003).
 One run ends either with tau > 0, and (x, y, s) / tau is optimal, or with
 kappa > 0 and b.y > 0, and y is a Farkas certificate that A x = b has no
-solution in K.  Nesterov-Todd scaling with a Mehrotra predictor-corrector
-step, aimed at problems with up to about a thousand rows.  The Schur
-complement A W^T W A^T is formed block by block as B B^T with B = A W^T
-and factored once per iteration; all linear algebra is dense numpy.
+solution in K.  A caller that needs some y with a property, not the
+optimum, passes the property as a predicate, and the run ends at the
+first tau-normalized iterate that has it.  Nesterov-Todd scaling with a
+Mehrotra predictor-corrector step, aimed at problems with up to about a
+thousand rows.  The Schur complement A W^T W A^T is formed block by
+block as B B^T with B = A W^T and factored once per iteration; all linear
+algebra is dense numpy.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -443,15 +446,18 @@ def solve_conic(
     c: np.ndarray,
     cone: ConeSpec,
     settings: Optional[IpmSettings] = None,
+    accept: Optional[Callable[[np.ndarray], bool]] = None,
 ) -> ConicResult:
     """Run the predictor-corrector loop on the embedding, from x = s = e,
-    y = 0, tau = kappa = 1.  It ends in one of four ways:
+    y = 0, tau = kappa = 1.  It ends in one of five ways:
 
     - "optimal": the tau-normalized iterate has rp_rel and rd_rel within
       tol_feas and gap_rel within tol_gap; x, y and s are divided by tau.
     - "infeasible": kappa dominates tau and y is a Farkas certificate,
       b.y > 0 with ||A^T y + s|| <= tol_feas b.y, so -A^T y lies within
       tol_feas of K; x, y and s are divided by b.y.
+    - "accepted": accept(y / tau) holds, tested on every iterate that is
+      neither optimal nor infeasible; x, y and s are divided by tau.
     - "stalled": an iteration failed to improve the progress score, the
       largest of the embedding's own residuals ||tau b - A x|| / (1 + ||b||)
       and ||tau c - A^T y - s|| / (1 + ||c||) and of its complementarity
@@ -504,6 +510,9 @@ def solve_conic(
                 break
             if kappa > tau and farkas <= st.tol_feas:
                 status = "infeasible"
+                break
+            if accept is not None and accept(y / tau):
+                status = "accepted"
                 break
             score = max(rp_n, rd_n, (float(x @ s) + tau * kappa) / (nu + 1))
             if not score < prev_score:

@@ -4,15 +4,23 @@ The primal LMI (lmi.build_primal: free decision variables z, constraint
 expressions F0 + F z in cones) is probed once on a coordinate basis.  It
 goes to the interior-point core as the dual side of its standard form,
 max b.y s.t. c - A^T y in K with A = -F^T / d, c = F0 and y = d z, so the
-Schur complement is indexed by the decision coordinates.
+Schur complement is indexed by the decision coordinates.  The solve stops
+at the first iterate that certifies (its margin t, the raw constraints and
+the achieved -lambda_max of the strict LMI all clear the threshold); an
+infeasible primal runs to its optimum, whose multipliers x, the standard
+form's primal side, come with the result.
 
 The dual LMI is not probed: it is the adjoint of the primal's homogeneous
 rows (F0 = 0).  build_dual restricts F to them and transposes it, giving
 A x = b, x in K, with A = -F_h^T, b = e_t and rows equilibrated.  Its rows
 are the primal's decision coordinates (full row rank, never empty), its
 coordinates the multipliers of those rows, read as the blocks H, f, g, X
-(and Z) through lmi.DUAL_SCALE.  One homogeneous self-dual solve with zero
-objective returns a point or a Farkas certificate y.  Read in the primal's
+(and Z) through lmi.DUAL_SCALE.  At the optimum t* = 0 of an infeasible
+primal the multipliers of the box and the cap vanish, so the primal's
+multipliers on the homogeneous rows are a dual point; solve tries them
+first.  Only when they do not verify, or there are none, does one
+homogeneous self-dual solve with zero objective return a point or a
+Farkas certificate y.  Read in the primal's
 coordinates, that certificate is (P, M, t = 1) with F_h z in K, a strict
 primal solution; infeasibility is only declared once it passes an
 independent check.  Either way the verdict rests on verifying the raw
@@ -82,13 +90,15 @@ class Residuals:
 @dataclass
 class SolveResult:
     """canonical is the problem's dense form: build_dual reads the primal's,
-    reduce_rank reuses the dual's."""
+    reduce_rank reuses the dual's.  multipliers are those of every primal
+    constraint at the optimum of an infeasible primal, else None."""
 
     status: str  # "feasible" | "infeasible" | "numerical_limit"
     assignment: dict
     residuals: Residuals
     diagnostics: dict = field(default_factory=dict)
     canonical: Optional[Union["DualForm", "_Inequality"]] = field(default=None, repr=False)
+    multipliers: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 # how the entries of a constraint expression are scalarized, per cone; the
@@ -250,10 +260,11 @@ class DualForm:
     slice, dimension) for each.  Rows are the primal's decision
     coordinates: A_raw x = b_raw with A_raw = -F_h^T and b_raw = e_t, the
     primal objective.  A and b are the rows equilibrated by d, which the
-    IPM sees; verify measures residuals in the raw units.
+    IPM sees; verify measures residuals in the raw units.  start is the
+    part of the primal's multipliers on these blocks, if they were given.
     """
 
-    def __init__(self, primal: _Inequality):
+    def __init__(self, primal: _Inequality, multipliers: Optional[np.ndarray] = None):
         self.primal = primal
         self.system: StateSpaceSystem = primal.problem.meta["system"]
         self.blocks, rows, at = [], [], 0
@@ -275,6 +286,7 @@ class DualForm:
         self.d = np.maximum(d, 1.0e-12)
         self.A = self.A_raw / self.d[:, None]
         self.b = self.b_raw / self.d
+        self.start = None if multipliers is None else multipliers[np.concatenate(rows)]
 
     def reconstruct(self, x: np.ndarray) -> dict:
         """The dual blocks H, f, g, X (Z) from multiplier coordinates."""
@@ -306,10 +318,11 @@ class DualForm:
 
 
 def build_dual(primal: SolveResult) -> DualForm:
-    """The dual LMI of a solved primal, transposed from its probed form."""
+    """The dual LMI of a solved primal, transposed from its probed form,
+    with the primal's multipliers on its blocks as the point to try first."""
     if not isinstance(primal.canonical, _Inequality):
         raise StructuralError("build_dual needs the result of a primal solve")
-    return DualForm(primal.canonical)
+    return DualForm(primal.canonical, primal.multipliers)
 
 
 def _farkas_quality(dual: DualForm, y: np.ndarray):
@@ -345,8 +358,31 @@ def _candidates(dual: DualForm, x: np.ndarray, settings: SolverSettings):
 
 
 def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> SolveResult:
-    """Maximize the objective (the margin t of the primal LMI)."""
-    res = solve_conic(form.A, form.b, form.F0, form.cone, _ipm(settings, _MARGIN_IPM_TOL))
+    """Maximize the margin t of the primal LMI until an iterate certifies.
+
+    An iterate z certifies when t = objective.z, the worst raw cone
+    violation and the achieved margin -lambda_max(L(P, M)) all pass; the
+    IPM stops at the first one ("accepted") and the same test decides
+    "feasible" afterwards.  The reported margin of a feasible result is
+    therefore the achieved -lambda_max(L) of the returned certificate, a
+    lower bound on the optimum min(t*, 1), not the optimum itself.  No
+    iterate of an infeasible primal passes the test on t, so it runs to
+    its optimum t* = 0 and its multipliers go with the result.
+    """
+
+    def certifies(z: np.ndarray) -> bool:
+        if form.objective @ z < settings.primal_margin:
+            return False
+        assignment = form.reconstruct(z)
+        return (
+            form.verify(assignment, settings)[0]
+            and _primal_true_margin(problem, assignment) >= settings.primal_margin
+        )
+
+    res = solve_conic(
+        form.A, form.b, form.F0, form.cone, _ipm(settings, _MARGIN_IPM_TOL),
+        accept=lambda y: certifies(y / form.d),
+    )
     z = res.y / form.d
     assignment = form.reconstruct(z)
     ok, max_eq, max_cone = form.verify(assignment, settings)
@@ -362,12 +398,14 @@ def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> S
         "verified": ok,
     }
 
-    if ok and true_margin >= settings.primal_margin:
+    multipliers = None
+    if certifies(z):
         status = "feasible"
         margin = true_margin
     elif res.status == "optimal" and ok:
         status = "infeasible"
         margin = t_hat
+        multipliers = res.x
     else:
         status = "numerical_limit"
         margin = true_margin
@@ -376,6 +414,7 @@ def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> S
         assignment=assignment,
         residuals=Residuals(max_eq, max_cone, margin=float(margin)),
         diagnostics=diagnostics,
+        multipliers=multipliers,
     )
 
 
@@ -384,14 +423,24 @@ def _ipm(settings: SolverSettings, tol: float) -> IpmSettings:
 
 
 def _solve_dual(dual: DualForm, settings: SolverSettings) -> SolveResult:
-    """One solve with zero objective: a verified point, else a certificate.
+    """The primal's multipliers if they verify, else one solve with zero
+    objective: a verified point, else a certificate.
 
     A certificate that passes _farkas_quality is returned in the
     diagnostics, read in the primal's coordinates: (P, M, t = 1).
     """
-    res = solve_conic(dual.A, dual.b, np.zeros(dual.ncone), dual.cone, _ipm(settings, _IPM_TOL))
-    diagnostics = {"ipm_status": res.status, "ipm_iterations": res.iterations}
-    candidates = list(_candidates(dual, res.x, settings))
+    diagnostics = {"dual_source": "primal_multipliers"}
+    candidates = [] if dual.start is None else list(_candidates(dual, dual.start, settings))
+    if not any(cand[2] for cand in candidates):
+        res = solve_conic(
+            dual.A, dual.b, np.zeros(dual.ncone), dual.cone, _ipm(settings, _IPM_TOL)
+        )
+        diagnostics = {
+            "dual_source": "dual_solve",
+            "ipm_status": res.status,
+            "ipm_iterations": res.iterations,
+        }
+        candidates = list(_candidates(dual, res.x, settings))
     passing = [cand for cand in candidates if cand[2]]
     if passing:
         # the smallest equality residual wins; a tie goes to the corrected point
@@ -427,10 +476,10 @@ def solve(
 
     The primal is the max-margin problem: the verdict is "feasible" when
     the returned assignment itself achieves the margin threshold,
-    "infeasible" when a converged optimum stays below it.  The dual is one
-    solve with zero objective; "infeasible" requires a Farkas certificate
-    that passes _farkas_quality.  Anything undecided comes back
-    "numerical_limit".
+    "infeasible" when a converged optimum stays below it.  The dual is
+    the primal's multipliers when they verify, else one solve with zero
+    objective; "infeasible" requires a Farkas certificate that passes
+    _farkas_quality.  Anything undecided comes back "numerical_limit".
     """
     settings = settings or SolverSettings()
     if isinstance(problem, DualForm):

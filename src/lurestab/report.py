@@ -187,6 +187,8 @@ def analyze(
     primal_problem = build_primal(unit)
     primal_res = solve(primal_problem, settings)
     pipe["primal_status"] = primal_res.status
+    pipe["primal_ipm_status"] = primal_res.diagnostics["ipm_status"]
+    pipe["primal_ipm_iterations"] = primal_res.diagnostics["ipm_iterations"]
     primal_dict = {
         "status": primal_res.status,
         "margin": primal_res.residuals.margin,
@@ -204,6 +206,7 @@ def analyze(
     dual_problem = build_dual(primal_res)
     dual_res = solve(dual_problem, settings)
     pipe["dual_status"] = dual_res.status
+    pipe["dual_source"] = dual_res.diagnostics["dual_source"]
     if dual_res.status != "feasible":
         pipe["inconclusive_reason"] = "dual_not_feasible"
         dual_dict = {

@@ -51,29 +51,48 @@ def test_cone_spec_slices():
     assert cone.total_len == 9
 
 
+def _lp_toy():
+    # min x0 subject to x0 + x1 = 1, x >= 0
+    return np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 0.0]), ConeSpec((("l", 2),))
+
+
+def _sdp_toy():
+    # min <C, X> s.t. tr X = 1, X >= 0: the smallest eigenvalue of C
+    rng = np.random.default_rng(1)
+    Cm = rng.normal(size=(3, 3))
+    Cm = 0.5 * (Cm + Cm.T)
+    return svec(np.eye(3))[None, :], np.array([1.0]), svec(Cm), ConeSpec((("s", 3),))
+
+
+def _mixed_toy():
+    A = np.zeros((2, 4))
+    A[0, :3] = svec(np.eye(2))
+    A[0, 3] = 1.0
+    A[1, 3] = 1.0
+    c = np.zeros(4)
+    c[:3] = svec(np.diag([1.0, 2.0]))
+    return A, np.array([2.0, 0.5]), c, ConeSpec((("s", 2), ("l", 1)))
+
+
+def _infeasible_toy():
+    # tr X = 1 and X_01 = 1 have no PSD solution
+    A = np.vstack([svec(np.eye(2)), svec(np.array([[0.0, 0.5], [0.5, 0.0]]))])
+    return A, np.array([1.0, 1.0]), np.zeros(3), ConeSpec((("s", 2),))
+
+
 def test_lp_solve():
-    # min x0 subject to x0 + x1 = 1, x >= 0  ->  x = (0, 1)
-    cone = ConeSpec(blocks=(("l", 2),))
-    A = np.array([[1.0, 1.0]])
-    b = np.array([1.0])
-    c = np.array([1.0, 0.0])
-    res = solve_conic(A, b, c, cone, IpmSettings())
+    # x = (0, 1)
+    res = solve_conic(*_lp_toy(), IpmSettings())
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(0.0, abs=1e-8)
     assert res.x[1] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_sdp_min_eigenvalue():
-    # min <C, X> s.t. tr X = 1, X >= 0 gives the smallest eigenvalue of C
-    rng = np.random.default_rng(1)
-    Cm = rng.normal(size=(3, 3))
-    Cm = 0.5 * (Cm + Cm.T)
-    cone = ConeSpec(blocks=(("s", 3),))
-    A = svec(np.eye(3))[None, :]
-    b = np.array([1.0])
-    res = solve_conic(A, b, svec(Cm), cone, IpmSettings())
+    A, b, c, cone = _sdp_toy()
+    res = solve_conic(A, b, c, cone, IpmSettings())
     assert res.status == "optimal"
-    lam_min = np.linalg.eigvalsh(Cm)[0]
+    lam_min = np.linalg.eigvalsh(smat(c, 3))[0]
     assert res.obj == pytest.approx(lam_min, abs=1e-7)
     X = smat(res.x, 3)
     assert np.linalg.eigvalsh(X)[0] >= -1e-9
@@ -81,15 +100,7 @@ def test_sdp_min_eigenvalue():
 
 def test_mixed_cone_problem():
     # one PSD block and one orthant block tied by a shared budget
-    cone = ConeSpec(blocks=(("s", 2), ("l", 1)))
-    A = np.zeros((2, 4))
-    A[0, :3] = svec(np.eye(2))
-    A[0, 3] = 1.0
-    A[1, 3] = 1.0
-    b = np.array([2.0, 0.5])
-    c = np.zeros(4)
-    c[:3] = svec(np.diag([1.0, 2.0]))
-    res = solve_conic(A, b, c, cone, IpmSettings())
+    res = solve_conic(*_mixed_toy(), IpmSettings())
     assert res.status == "optimal"
     X = smat(res.x[:3], 2)
     # weight concentrates on the cheap eigendirection
@@ -114,9 +125,7 @@ def test_dual_certificates_at_optimum():
 
 
 def test_history_and_iterations_reported():
-    cone = ConeSpec(blocks=(("l", 2),))
-    A = np.array([[1.0, 1.0]])
-    res = solve_conic(A, np.array([1.0]), np.array([1.0, 0.0]), cone, IpmSettings())
+    res = solve_conic(*_lp_toy(), IpmSettings())
     assert res.iterations >= 1
     assert len(res.history) == res.iterations
     assert res.gap_rel <= 1e-8
@@ -197,14 +206,7 @@ def test_schur_complement_factored_once_per_step(monkeypatch):
             super().__init__(M)
 
     monkeypatch.setattr(conic, "_NormalFactor", Counting)
-    cone = ConeSpec(blocks=(("s", 2), ("l", 1)))
-    A = np.zeros((2, 4))
-    A[0, :3] = svec(np.eye(2))
-    A[0, 3] = 1.0
-    A[1, 3] = 1.0
-    c = np.zeros(4)
-    c[:3] = svec(np.diag([1.0, 2.0]))
-    res = solve_conic(A, np.array([2.0, 0.5]), c, cone, IpmSettings())
+    res = solve_conic(*_mixed_toy(), IpmSettings())
     assert res.status == "optimal"
     # every iteration but the converged last one takes exactly one step
     assert len(factored) == res.iterations - 1
@@ -221,10 +223,7 @@ def test_breakdown_ends_as_stalled(monkeypatch):
         return real(cone, x, dx)
 
     monkeypatch.setattr(conic, "_max_step", failing)
-    cone = ConeSpec(blocks=(("l", 2),))
-    res = solve_conic(
-        np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 0.0]), cone, IpmSettings()
-    )
+    res = solve_conic(*_lp_toy(), IpmSettings())
     assert res.status == "stalled"
     assert res.iterations == 3
     # the iterate whose step broke down is the one returned
@@ -242,21 +241,57 @@ def test_non_improving_step_ends_as_stalled_with_the_previous_iterate(monkeypatc
         return (*direction, -alpha if len(steps) == 2 else alpha)
 
     monkeypatch.setattr(conic, "_step", backwards)
-    cone = ConeSpec(blocks=(("l", 2),))
-    res = solve_conic(
-        np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 0.0]), cone, IpmSettings()
-    )
+    res = solve_conic(*_lp_toy(), IpmSettings())
     assert res.status == "stalled"
     assert res.iterations == 3
     assert (res.rp_rel, res.rd_rel, res.gap_rel) == res.history[1]
 
 
 def test_infeasible_psd_problem_returns_a_farkas_certificate():
-    # tr X = 1 and X_01 = 1 have no PSD solution
-    A = np.vstack([svec(np.eye(2)), svec(np.array([[0.0, 0.5], [0.5, 0.0]]))])
-    b = np.array([1.0, 1.0])
-    res = solve_conic(A, b, np.zeros(3), ConeSpec(blocks=(("s", 2),)), IpmSettings())
+    A, b, c, cone = _infeasible_toy()
+    res = solve_conic(A, b, c, cone, IpmSettings())
     assert res.status == "infeasible"
     assert b @ res.y == pytest.approx(1.0)
     # -A^T y is PSD to within the tolerance, which no x with A x = b allows
     assert np.linalg.eigvalsh(smat(-A.T @ res.y, 2))[0] >= -1e-10
+
+
+@pytest.mark.parametrize(
+    "toy, status, iterations",
+    [
+        (_lp_toy, "optimal", 7),
+        (_sdp_toy, "optimal", 8),
+        (_mixed_toy, "optimal", 7),
+        (_infeasible_toy, "infeasible", 8),
+    ],
+)
+def test_without_a_predicate_the_toys_keep_their_ending(toy, status, iterations):
+    res = solve_conic(*toy(), IpmSettings())
+    assert (res.status, res.iterations) == (status, iterations)
+    # a predicate that never holds leaves the run as it is
+    never = solve_conic(*toy(), IpmSettings(), accept=lambda y: False)
+    assert (never.status, never.iterations) == (status, iterations)
+    assert np.array_equal(never.x, res.x) and np.array_equal(never.y, res.y)
+
+
+def test_accept_ends_the_run_at_the_first_iterate_that_has_it():
+    A, b, c, cone = _sdp_toy()
+    full = solve_conic(A, b, c, cone, IpmSettings())
+    lam_min = float(np.linalg.eigvalsh(smat(c, 3))[0])
+    seen = []
+
+    def close(y):
+        seen.append(y.copy())
+        return abs(float(b @ y) - lam_min) <= 1.0e-3
+
+    res = solve_conic(A, b, c, cone, IpmSettings(), accept=close)
+    assert res.status == "accepted"
+    assert res.iterations == len(seen) < full.iterations
+    assert not any(abs(float(b @ y) - lam_min) <= 1.0e-3 for y in seen[:-1])
+    # the accepted iterate is returned, on the same path as the full run
+    assert np.array_equal(res.y, seen[-1])
+    assert res.history == full.history[: res.iterations]
+    # the starting point y = 0 is the first iterate a predicate sees
+    first = solve_conic(A, b, c, cone, IpmSettings(), accept=lambda y: True)
+    assert (first.status, first.iterations) == ("accepted", 1)
+    assert np.array_equal(first.y, np.zeros(1))

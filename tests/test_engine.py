@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cones import ConeTag, is_member
-from lurestab import engine
+from lurestab import engine, report
 from lurestab.engine import SolveResult, SolverSettings, build_dual, reduce_rank, solve
 from lurestab.errors import StructuralError
 from lurestab.lmi import BOX_BOUND, build_primal, primal_lmi_matrix
@@ -221,9 +221,9 @@ def _capture_primal_rows(monkeypatch):
     rows = []
     real = engine.solve_conic
 
-    def capturing(A, b, c, cone, settings=None):
+    def capturing(A, *args, **kwargs):
         rows.append(np.shape(A)[0])
-        return real(A, b, c, cone, settings)
+        return real(A, *args, **kwargs)
 
     monkeypatch.setattr(engine, "solve_conic", capturing)
     return rows
@@ -310,3 +310,57 @@ def test_primal_output_holds_from_definitions(slope_example, odd_example, decoup
             assert lam <= -res.residuals.margin + 1e-12 * max(1.0, np.abs(L).max())
     assert statuses[:3] == ["infeasible", "infeasible", "feasible"]
     assert statuses.count("feasible") >= 4 and statuses.count("infeasible") >= 4
+
+
+@pytest.mark.parametrize("fixture", ["slope_example", "odd_example"])
+def test_dual_point_is_read_off_the_primal_multipliers(monkeypatch, request, fixture):
+    sysm = request.getfixturevalue(fixture)
+    solves = _capture_primal_rows(monkeypatch)
+    warm_starts = []
+    real = report.reduce_rank
+
+    def reducing(dual, warm, settings=None):
+        warm_starts.append((len(solves), dual, warm))
+        return real(dual, warm, settings)
+
+    monkeypatch.setattr(report, "reduce_rank", reducing)
+    rep = analyze(sysm)
+    assert rep.verdict == "not_absolutely_stable"
+    # the primal is the only IPM solve before rank reduction
+    [(before, dual, warm)] = warm_starts
+    assert before == 1
+    assert warm.status == "feasible"
+    assert warm.diagnostics["dual_source"] == "primal_multipliers"
+    assert dual.verify(warm.assignment, SolverSettings())[0]
+    pipe = rep.diagnostics["pipeline"]
+    assert pipe["dual_source"] == "primal_multipliers"
+    assert pipe["primal_ipm_status"] == "optimal"
+    assert pipe["primal_ipm_iterations"] >= 1
+
+
+def test_numerical_limit_primal_falls_back_to_the_dual_solve(monkeypatch, slope_example):
+    solves = _capture_primal_rows(monkeypatch)
+    primal = solve(build_primal(slope_example), SolverSettings(max_ipm_iters=3))
+    assert primal.status == "numerical_limit"
+    assert primal.diagnostics["ipm_status"] == "max_iters"
+    assert primal.multipliers is None
+    dual = build_dual(primal)
+    assert dual.start is None
+    res = solve(dual)
+    assert len(solves) == 2
+    assert res.status == "feasible"
+    assert res.diagnostics["dual_source"] == "dual_solve"
+    assert dual.verify(res.assignment, SolverSettings())[0]
+
+
+def test_stable_analyze_stops_the_primal_at_its_first_certificate(monkeypatch):
+    solves = _capture_primal_rows(monkeypatch)
+    rep = analyze(_seeded_system(8, 8, 8))
+    assert rep.verdict == "absolutely_stable"
+    assert len(solves) == 1
+    pipe = rep.diagnostics["pipeline"]
+    assert pipe["primal_ipm_status"] == "accepted"
+    # run to its optimum, this primal takes 15 iterations; its first
+    # certificate comes at iteration 6
+    assert pipe["primal_ipm_iterations"] <= 6
+    assert "dual_source" not in pipe

@@ -19,6 +19,7 @@ from lurestab import (
     normalize_band,
 )
 from lurestab.cli import main
+from lurestab.lmi import primal_lmi_matrix
 
 # Unstable on their bands; before the loop transformation both ended as
 # "inconclusive" because the dual existed only on [0, 1].
@@ -78,6 +79,19 @@ def test_stable_certificate_holds_on_the_original_band():
     L = AB.T @ P @ AB - I0.T @ P @ I0 + left.T @ M @ right + right.T @ M.T @ left
     assert np.linalg.eigvalsh(L).max() < -1e-9
     assert np.linalg.eigvalsh(P).min() > 0.0
+
+
+def test_stable_margin_is_the_achieved_margin_of_the_reported_certificate():
+    # the margin is -lambda_max of the normalized LMI at the reported
+    # (P, M), mapped to [0, 1] as (P, M (nu - mu)^2), not the optimum
+    sysm = _system(STABLE)
+    out = json.loads(analyze(sysm).to_json())
+    assert out["verdict"] == "absolutely_stable"
+    P, M = np.array(out["primal"]["P"]), np.array(out["primal"]["M"])
+    width = sysm.band.nu - sysm.band.mu
+    L = primal_lmi_matrix(normalize_band(sysm), P, M * width**2)
+    achieved = -float(np.linalg.eigvalsh(0.5 * (L + L.T))[-1])
+    assert out["primal"]["margin"] == pytest.approx(achieved, rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("name", sorted(UNSTABLE))
