@@ -1,8 +1,10 @@
 """Feasibility engine: dense forms, verdicts, and rank reduction of the dual.
 
 The primal LMI (lmi.build_primal: free decision variables z, constraint
-expressions F0 + F z in cones) is probed once on a coordinate basis.  It
-goes to the interior-point core as the dual side of its standard form,
+expressions F0 + F z in cones) is read into that dense form once: F0 from
+the zero assignment, F from one batched evaluation of each constraint per
+variable, on that variable's coordinate basis stacked.  It goes to the
+interior-point core as the dual side of its standard form,
 max b.y s.t. c - A^T y in K with A = -F^T / d, c = F0 and y = d z, so the
 Schur complement is indexed by the decision coordinates.  The solve stops
 at the first iterate that certifies (its margin t, the raw constraints and
@@ -10,12 +12,12 @@ the achieved -lambda_max of the strict LMI all clear the threshold); an
 infeasible primal runs to its optimum, whose multipliers x, the standard
 form's primal side, come with the result.
 
-The dual LMI is not probed: it is the adjoint of the primal's homogeneous
-rows (F0 = 0).  build_dual restricts F to them and transposes it, giving
-A x = b, x in K, with A = -F_h^T, b = e_t and rows equilibrated.  Its rows
-are the primal's decision coordinates (full row rank, never empty), its
-coordinates the multipliers of those rows, read as the blocks H, f, g, X
-(and Z) through lmi.DUAL_SCALE.  At the optimum t* = 0 of an infeasible
+The dual LMI is not read from callables: it is the adjoint of the
+primal's homogeneous rows (F0 = 0).  build_dual restricts F to them and
+transposes it, giving A x = b, x in K, with A = -F_h^T, b = e_t and rows
+equilibrated.  Its rows are the primal's decision coordinates (full row
+rank, never empty), its coordinates the multipliers of those rows, read
+as the blocks H, f, g, X (and Z) through lmi.DUAL_SCALE.  At the optimum t* = 0 of an infeasible
 primal the multipliers of the box and the cap vanish, so the primal's
 multipliers on the homogeneous rows are a dual point; solve tries them
 first.  Only when they do not verify, or there are none, does one
@@ -124,26 +126,28 @@ def _var_ncoords(v) -> int:
 
 
 def _from_coords(kind: str, coords: np.ndarray, dim: int) -> np.ndarray:
-    """Value of a variable kind (or constraint structure) from its coordinates."""
+    """Value of a variable kind (or constraint structure) from its
+    coordinates, batched over their leading axes."""
     if kind == "sym":
         return smat(coords, dim)
     if kind == "vector":
         return np.asarray(coords, dtype=float)
     rows, cols = _offdiag_pairs(dim)
-    out = np.zeros((dim, dim))
-    out[rows, cols] = coords
+    out = np.zeros(np.shape(coords)[:-1] + (dim, dim))
+    out[..., rows, cols] = coords
     return out
 
 
 def _scalarize(value, structure: str) -> np.ndarray:
-    """Coordinates of a value; the inverse of _from_coords."""
+    """Coordinates of a value, batched over its leading axes; the inverse
+    of _from_coords."""
     value = np.asarray(value, dtype=float)
     if structure == "sym":
-        return svec(0.5 * (value + value.T))
+        return svec(0.5 * (value + np.swapaxes(value, -1, -2)))
     if structure == "hollow":
-        rows, cols = _offdiag_pairs(value.shape[0])
-        return value[rows, cols]
-    return np.atleast_1d(value).ravel()
+        rows, cols = _offdiag_pairs(value.shape[-1])
+        return value[..., rows, cols]
+    return np.atleast_1d(value)
 
 
 def _constraint_value(con, coords: np.ndarray, dim: int) -> np.ndarray:
@@ -164,16 +168,19 @@ def _cone_violation(cone: str, value) -> float:
 
 
 def _probe(var_slices, ncols: int, evaluate, zero: dict, base: np.ndarray) -> np.ndarray:
-    """Columns evaluate(e_k) - base over the coordinate basis e_k."""
+    """Columns evaluate(e_k) - base over the coordinate basis e_k.
+
+    One evaluation per variable: its basis is stacked on a leading axis,
+    every other variable stays at zero, and evaluate(assign, k) returns
+    one row per item of a stack of k.
+    """
     out = np.zeros((base.size, ncols))
     for v, sl in var_slices:
         nc = sl.stop - sl.start
-        for k in range(nc):
-            coords = np.zeros(nc)
-            coords[k] = 1.0
+        if nc:
             assign = dict(zero)
-            assign[v.name] = _from_coords(v.kind, coords, v.dim)
-            out[:, sl.start + k] = evaluate(assign) - base
+            assign[v.name] = _from_coords(v.kind, np.eye(nc), v.dim)
+            out[:, sl] = (evaluate(assign, nc) - base).T
     return out
 
 
@@ -231,11 +238,17 @@ class _Inequality:
         self.A = -self.F.T / self.d[:, None]
         self.b = self.objective / self.d
 
-    def _evaluate(self, assign: dict) -> np.ndarray:
+    def _evaluate(self, assign: dict, k: int) -> np.ndarray:
+        """Scalarized constraints at a stacked assignment, one row per item
+        of the stack of k; a constraint that does not read the stacked
+        variable broadcasts."""
         return np.concatenate([
-            _scalarize(con.fn(assign), _CONSTRAINT_STRUCTURE[con.cone])
-            for con, _, _ in self.blocks
-        ])
+            np.broadcast_to(
+                _scalarize(con.fn(assign), _CONSTRAINT_STRUCTURE[con.cone]),
+                (k, sl.stop - sl.start),
+            )
+            for con, sl, _ in self.blocks
+        ], axis=1)
 
     def reconstruct(self, z: np.ndarray) -> dict:
         """Assignment from decision coordinates; a variable without
@@ -318,7 +331,7 @@ class DualForm:
 
 
 def build_dual(primal: SolveResult) -> DualForm:
-    """The dual LMI of a solved primal, transposed from its probed form,
+    """The dual LMI of a solved primal, transposed from its dense form,
     with the primal's multipliers on its blocks as the point to try first."""
     if not isinstance(primal.canonical, _Inequality):
         raise StructuralError("build_dual needs the result of a primal solve")
@@ -363,31 +376,42 @@ def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> S
     An iterate z certifies when t = objective.z, the worst raw cone
     violation and the achieved margin -lambda_max(L(P, M)) all pass; the
     IPM stops at the first one ("accepted") and the same test decides
-    "feasible" afterwards.  The reported margin of a feasible result is
-    therefore the achieved -lambda_max(L) of the returned certificate, a
-    lower bound on the optimum min(t*, 1), not the optimum itself.  No
-    iterate of an infeasible primal passes the test on t, so it runs to
-    its optimum t* = 0 and its multipliers go with the result.
+    "feasible" afterwards, from the values computed once for the returned
+    iterate.  The reported margin of a feasible result is therefore the
+    achieved -lambda_max(L) of the returned certificate, a lower bound on
+    the optimum min(t*, 1), not the optimum itself.  No iterate of an
+    infeasible primal passes the test on t, so it runs to its optimum
+    t* = 0 and its multipliers go with the result.
     """
+    threshold = settings.primal_margin
+    accepted = []  # (assignment, verify's result, achieved margin) of the iterate accepted
 
-    def certifies(z: np.ndarray) -> bool:
-        if form.objective @ z < settings.primal_margin:
+    def certifies(y: np.ndarray) -> bool:
+        z = y / form.d
+        if form.objective @ z < threshold:
             return False
         assignment = form.reconstruct(z)
-        return (
-            form.verify(assignment, settings)[0]
-            and _primal_true_margin(problem, assignment) >= settings.primal_margin
-        )
+        checked = form.verify(assignment, settings)
+        if not checked[0]:
+            return False
+        true_margin = _primal_true_margin(problem, assignment)
+        if true_margin < threshold:
+            return False
+        accepted.append((assignment, checked, true_margin))
+        return True
 
     res = solve_conic(
-        form.A, form.b, form.F0, form.cone, _ipm(settings, _MARGIN_IPM_TOL),
-        accept=lambda y: certifies(y / form.d),
+        form.A, form.b, form.F0, form.cone, _ipm(settings, _MARGIN_IPM_TOL), accept=certifies
     )
     z = res.y / form.d
-    assignment = form.reconstruct(z)
-    ok, max_eq, max_cone = form.verify(assignment, settings)
     t_hat = float(form.objective @ z)
-    true_margin = _primal_true_margin(problem, assignment)
+    if res.status == "accepted":
+        # res.y is the iterate certifies passed, bit for bit
+        assignment, (ok, max_eq, max_cone), true_margin = accepted[-1]
+    else:
+        assignment = form.reconstruct(z)
+        ok, max_eq, max_cone = form.verify(assignment, settings)
+        true_margin = _primal_true_margin(problem, assignment)
 
     diagnostics = {
         "ipm_status": res.status,
@@ -399,7 +423,7 @@ def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> S
     }
 
     multipliers = None
-    if certifies(z):
+    if t_hat >= threshold and ok and true_margin >= threshold:
         status = "feasible"
         margin = true_margin
     elif res.status == "optimal" and ok:

@@ -23,12 +23,13 @@ def _strict_triu_index(d: int):
 
 
 def symmetrize(S: np.ndarray) -> np.ndarray:
-    """Return (S + S.T)/2 as a new array with exact symmetry."""
+    """Return (S + S^T)/2 as a new array with exact symmetry, batched over
+    leading axes."""
     S = np.asarray(S, dtype=float)
-    out = 0.5 * (S + S.T)
+    out = 0.5 * (S + np.swapaxes(S, -1, -2))
     # enforce bitwise symmetry, not just up to rounding
-    rows, cols = _strict_triu_index(out.shape[0])
-    out[cols, rows] = out[rows, cols]
+    rows, cols = _strict_triu_index(out.shape[-1])
+    out[..., cols, rows] = out[..., rows, cols]
     return out
 
 

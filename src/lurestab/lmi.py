@@ -12,8 +12,9 @@ DHD cone (DD for odd nonlinearities) such that
 P is a free symmetric variable: Schur stability of A makes P > 0 follow
 from the inequality.  The problem is declarative: free decision variables
 (P, M, t) and affine constraint expressions, given as callables, that must
-lie in cones.  The engine probes them on a coordinate basis into
-F0 + F z.
+lie in cones.  The callables accept leading batch axes on any variable, so
+the engine reads their coefficients F0 + F z with one evaluation per
+variable, on that variable's whole coordinate basis stacked.
 
 Dual: it is not written here.  The primal's constraints that vanish at
 zero (F0 = 0) form a homogeneous system in z, and by the theorem of
@@ -90,6 +91,11 @@ class VarSpec:
 class ConeConstraint:
     """Affine constraint expression: fn(assignment) must lie in the cone.
 
+    fn must be affine in the assignment and accept leading batch axes on
+    any of its variables (a stack of values), broadcasting the others and
+    returning the stack of its values; the engine reads its coefficients
+    from one stacked evaluation per variable.
+
     cone: "psd" (symmetric matrix, positive semidefinite), "nonneg"
     (entrywise nonnegative vector), "hollow_nonneg" (square matrix with
     nonnegative off-diagonal entries; the diagonal is ignored).  dual names
@@ -121,7 +127,8 @@ class SdpFeasibilityProblem:
 
 
 def primal_lmi_matrix(sys: StateSpaceSystem, P: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """The (n+m) x (n+m) matrix required negative definite by the primal."""
+    """The (n+m) x (n+m) matrix required negative definite by the primal,
+    batched over the leading axes of P and M."""
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n, m = sys.n, sys.m
     AB = np.hstack([A, B])
@@ -143,7 +150,8 @@ def _triu_index(d: int):
 
 
 def _triu_entries(P: np.ndarray) -> np.ndarray:
-    return P[_triu_index(P.shape[0])]
+    rows, cols = _triu_index(P.shape[-1])
+    return P[..., rows, cols]
 
 
 def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
@@ -162,6 +170,7 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
     n, m = sys.n, sys.m
     L = n + m
     ones_m = np.ones(m)
+    eye_m, eye_L = np.eye(m), np.eye(L)
 
     variables = [
         VarSpec("P", "sym", n),
@@ -173,7 +182,7 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
     variables.append(VarSpec("t", "vector", 1))
 
     def the_m(v: dict) -> np.ndarray:
-        return np.diag(v["M_diag"]) + v["M_offdiag"]
+        return v["M_diag"][..., :, None] * eye_m + v["M_offdiag"]
 
     def strict_lmi(v: dict) -> np.ndarray:
         return primal_lmi_matrix(sys, v["P"], the_m(v))
@@ -182,7 +191,10 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
     # constraint constant at O(1)
     constraints = [
         ConeConstraint(
-            "lmi_margin", lambda v: -strict_lmi(v) - v["t"][0] * np.eye(L), "psd", dual="H"
+            "lmi_margin",
+            lambda v: -strict_lmi(v) - v["t"][..., 0, None, None] * eye_L,
+            "psd",
+            dual="H",
         ),
         ConeConstraint("margin_cap", lambda v: 1.0 - v["t"], "nonneg"),
         ConeConstraint(
@@ -200,7 +212,10 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
                 "row_sums", lambda v: v["M_diag"] - v["M_abs"] @ ones_m, "nonneg", dual="f"
             ),
             ConeConstraint(
-                "col_sums", lambda v: v["M_diag"] - v["M_abs"].T @ ones_m, "nonneg", dual="g"
+                "col_sums",
+                lambda v: v["M_diag"] - np.swapaxes(v["M_abs"], -1, -2) @ ones_m,
+                "nonneg",
+                dual="g",
             ),
             ConeConstraint(
                 "dom_hi", lambda v: v["M_abs"] - v["M_offdiag"], "hollow_nonneg", dual="X"
@@ -215,7 +230,10 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
                 "row_sums", lambda v: v["M_diag"] + v["M_offdiag"] @ ones_m, "nonneg", dual="f"
             ),
             ConeConstraint(
-                "col_sums", lambda v: v["M_diag"] + v["M_offdiag"].T @ ones_m, "nonneg", dual="g"
+                "col_sums",
+                lambda v: v["M_diag"] + np.swapaxes(v["M_offdiag"], -1, -2) @ ones_m,
+                "nonneg",
+                dual="g",
             ),
             ConeConstraint(
                 "m_offdiag_nonpos", lambda v: -v["M_offdiag"], "hollow_nonneg", dual="X"

@@ -4,14 +4,16 @@ These helpers recompute everything from raw definitions (difference
 quotients, explicit congruence products, the dual's dynamics and coupling
 blocks, entrywise cone arithmetic) so the
 test suite can cross-examine the production modules.  They intentionally do
-not call into the multiplier or LMI assembly code.
+not call into the multiplier or LMI assembly code, except probe_per_coordinate,
+which reads a primal's constraint callables the slow way, one unbatched
+evaluation per decision coordinate, as the reference for the batched read.
 """
 
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from lurestab.engine import build_dual, solve
+from lurestab.engine import _CONSTRAINT_STRUCTURE, _from_coords, _scalarize, build_dual, solve
 from lurestab.lmi import build_primal
 from lurestab.system import SlopeBand, StateSpaceSystem
 
@@ -22,6 +24,7 @@ __all__ = [
     "audit_duality",
     "audit_multiplier_inequality",
     "output_coupling_block",
+    "probe_per_coordinate",
     "sample_slope_fn",
     "state_equality_block",
 ]
@@ -179,3 +182,31 @@ def audit_duality(sys: StateSpaceSystem, seed: int = 0) -> DualityAuditReport:
         dual_decisive=dual_decisive,
         exclusive=not (primal_decisive and dual_decisive),
     )
+
+
+def probe_per_coordinate(form) -> np.ndarray:
+    """F of a primal's dense form (engine._Inequality), column by column.
+
+    Each column is the scalarized constraints at one coordinate basis
+    vector e_k of the decision variables, minus their value at zero, from
+    unbatched evaluations only.
+    """
+    zero = form.problem.zero_assignment()
+
+    def evaluate(assign):
+        return np.concatenate([
+            _scalarize(con.fn(assign), _CONSTRAINT_STRUCTURE[con.cone])
+            for con, _, _ in form.blocks
+        ])
+
+    base = evaluate(zero)
+    out = np.zeros((base.size, form.F.shape[1]))
+    for v, sl in form.var_slices:
+        nc = sl.stop - sl.start
+        for k in range(nc):
+            coords = np.zeros(nc)
+            coords[k] = 1.0
+            assign = dict(zero)
+            assign[v.name] = _from_coords(v.kind, coords, v.dim)
+            out[:, sl.start + k] = evaluate(assign) - base
+    return out

@@ -98,6 +98,23 @@ def test_analyze_probes_the_primal_once(slope_example, monkeypatch):
     assert len(calls) == 1
 
 
+def test_feasible_primal_measures_its_certificate_once(decoupled_example, monkeypatch):
+    # the IPM's accept test computes the achieved margin of the certifying
+    # iterate, and the verdict reuses it
+    seen = []
+    real = engine._primal_true_margin
+
+    def recording(problem, assignment):
+        seen.append(assignment["P"])
+        return real(problem, assignment)
+
+    monkeypatch.setattr(engine, "_primal_true_margin", recording)
+    res = solve(build_primal(decoupled_example))
+    assert res.status == "feasible"
+    assert res.diagnostics["ipm_status"] == "accepted"
+    assert sum(np.array_equal(P, res.assignment["P"]) for P in seen) == 1
+
+
 def test_reduce_rank_keeps_rank_one_warm_start(slope_example):
     problem = _dual(slope_example)
     warm = solve(problem)
