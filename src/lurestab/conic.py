@@ -12,9 +12,12 @@ solution in K.  A caller that needs some y with a property, not the
 optimum, passes the property as a predicate, and the run ends at the
 first tau-normalized iterate that has it.  Nesterov-Todd scaling with a
 Mehrotra predictor-corrector step, aimed at problems with up to about a
-thousand rows.  The Schur complement A W^T W A^T is formed block by
-block as B B^T with B = A W^T and factored once per iteration; all linear
-algebra is dense numpy.
+thousand rows.  Each step works in the scaled coordinates u = W^{-T} dx,
+v = W ds of CVXOPT's conelp (Vandenberghe 2010), where x and s both map
+to one point lam that is diagonal on every PSD block: B = A W^T is formed
+block by block, B B^T is factored once, every Newton solve is a product
+with B or B^T around that factor, and step lengths are read off
+lam + alpha u and lam + alpha v.  All linear algebra is dense numpy.
 """
 
 import math
@@ -29,7 +32,7 @@ __all__ = ["ConeSpec", "ConicResult", "IpmSettings", "smat", "solve_conic", "sve
 _SQRT2 = math.sqrt(2.0)
 # Rows per diagonal block of the substitutions in _cho_solve.
 _TRSV_BLOCK = 64
-# Most rounds of iterative refinement per Newton solve (_newton).
+# Most rounds of iterative refinement of the corrector (_step).
 _REFINE_STEPS = 2
 # Fraction of the distance to the cone boundary each step covers.
 _STEP_FRAC = 0.99
@@ -75,13 +78,6 @@ def smat(x: np.ndarray, d: int) -> np.ndarray:
     X[..., upper] = vals
     X[..., lower] = vals
     return X.reshape(x.shape[:-1] + (d, d))
-
-
-def _svec_sym(X: np.ndarray) -> np.ndarray:
-    """svec of the symmetric part of (..., d, d) matrices."""
-    upper, lower, weight = _svec_index(X.shape[-1])
-    F = _flat(X)
-    return (np.take(F, upper, axis=-1) + np.take(F, lower, axis=-1)) * (0.5 * weight)
 
 
 @dataclass(frozen=True)
@@ -134,13 +130,17 @@ class ConicResult:
     history: list = field(default_factory=list)
 
 
+@lru_cache(maxsize=None)
+def _svec_eye(d: int) -> np.ndarray:
+    e = svec(np.eye(d))
+    e.setflags(write=False)
+    return e
+
+
 def _identity_point(cone: ConeSpec) -> np.ndarray:
     x = np.zeros(cone.total_len)
     for tag, size, sl in cone.slices():
-        if tag == "s":
-            x[sl] = svec(np.eye(size))
-        else:
-            x[sl] = 1.0
+        x[sl] = _svec_eye(size) if tag == "s" else 1.0
     return x
 
 
@@ -156,44 +156,39 @@ def _chol_psd(X: np.ndarray) -> np.ndarray:
 
 
 class _Scaling:
-    """Per-block NT scaling W of one iteration.
+    """Per-block NT scaling W of one iteration, and the scaled point lam.
 
-    A PSD block scales by W u = svec(R^T smat(u) R) with G = R R^T, so that
-    W^T W u = svec(G smat(u) G); an orthant block scales by the vector w.
-    Each entry of blocks is (slice, size, R, R^{-1}, G, sig) for a PSD
-    block and (slice, None, w, None, w^2, lam) for the orthant.  lam is the
-    scaled point W^{-T} x = W s.  x_steps and s_steps carry, per block,
-    (slice, size, L^{-1}) with L the Cholesky factor of the PSD block of x
-    or s (size and L^{-1} None on the orthant), for _max_step.
+    A PSD block scales by W v = svec(R^T smat(v) R), where R = Lx V sig^{-1/2}
+    comes from the Cholesky factors of X and S and the SVD
+    Ls^T Lx = U diag(sig) V^T; then W^{-T} x = W s = svec(diag(sig)), and
+    W^T W s = x.  An orthant block scales by the vector w = sqrt(x / s) and
+    has lam = sqrt(x s).  Each entry of blocks is (slice, size, R, sig) for
+    a PSD block and (slice, None, w, lam) for the orthant.
+
+    The step works in the scaled coordinates u = W^{-T} dx and v = W ds,
+    where lam is diagonal on every PSD block: x + alpha dx stays in the
+    cone exactly when lam + alpha u does (see max_step).
     """
 
     def __init__(self, cone: ConeSpec, x: np.ndarray, s: np.ndarray):
         self.blocks = []
-        self.x_steps = []
-        self.s_steps = []
         self.lam = np.empty(cone.total_len)
         for tag, size, sl in cone.slices():
             if tag == "s":
-                Lx = _chol_psd(smat(x[sl], size))
-                Ls = _chol_psd(smat(s[sl], size))
-                self.x_steps.append((sl, size, np.linalg.inv(Lx)))
-                self.s_steps.append((sl, size, np.linalg.inv(Ls)))
-                U, sig, Vt = np.linalg.svd(Ls.T @ Lx)
+                XS = smat(np.stack([x[sl], s[sl]]), size)
+                try:
+                    Lx, Ls = np.linalg.cholesky(XS)
+                except np.linalg.LinAlgError:
+                    Lx, Ls = _chol_psd(XS[0]), _chol_psd(XS[1])
+                _, sig, Vt = np.linalg.svd(Ls.T @ Lx)
                 sig = np.clip(sig, 1.0e-150, None)
-                root = sig ** -0.5
-                R = (Lx @ Vt.T) * root
-                Rinv = root[:, None] * (U.T @ Ls.T)
-                self.blocks.append((sl, size, R, Rinv, R @ R.T, sig))
+                self.blocks.append((sl, size, (Lx @ Vt.T) * sig ** -0.5, sig))
                 self.lam[sl] = svec(np.diag(sig))
             else:
-                self.x_steps.append((sl, None, None))
-                self.s_steps.append((sl, None, None))
-                w = np.sqrt(x[sl] / s[sl])
                 lam = np.sqrt(x[sl] * s[sl])
-                self.blocks.append((sl, None, w, None, w * w, lam))
+                self.blocks.append((sl, None, np.sqrt(x[sl] / s[sl]), lam))
                 self.lam[sl] = lam
-        finite = np.isfinite(self.lam).all() and all(np.isfinite(b[4]).all() for b in self.blocks)
-        if not finite:
+        if not (np.isfinite(self.lam).all() and all(np.isfinite(b[2]).all() for b in self.blocks)):
             raise np.linalg.LinAlgError("non-finite NT scaling")
 
     def scaled_rows(self, A: np.ndarray, row_mats: list) -> np.ndarray:
@@ -206,7 +201,7 @@ class _Scaling:
         """
         out = np.empty_like(A)
         nrows = A.shape[0]
-        for (sl, size, R, _, _, _), mats in zip(self.blocks, row_mats):
+        for (sl, size, R, _), mats in zip(self.blocks, row_mats):
             if size is None:
                 out[:, sl] = A[:, sl] * R
                 continue
@@ -217,40 +212,21 @@ class _Scaling:
             out[:, sl] = svec(T)
         return out
 
-    def apply_wsq(self, v: np.ndarray) -> np.ndarray:
-        """W^T W v, block by block."""
-        out = np.empty_like(v)
-        for sl, size, _, _, G, _ in self.blocks:
-            if size is None:
-                out[sl] = v[sl] * G
-            else:
-                out[sl] = _svec_sym(G @ smat(v[sl], size) @ G)
-        return out
-
-    def scale_x(self, dx: np.ndarray) -> np.ndarray:
-        """W^{-T} dx: maps an x-space direction into scaled space."""
-        out = np.empty_like(dx)
-        for sl, size, w, Rinv, _, _ in self.blocks:
-            if size is None:
-                out[sl] = dx[sl] / w
-            else:
-                out[sl] = svec(Rinv @ smat(dx[sl], size) @ Rinv.T)
-        return out
-
     def scale_s(self, ds: np.ndarray) -> np.ndarray:
-        """W ds: maps an s-space direction into scaled space."""
+        """W ds: maps s-space directions (batched over leading axes) into
+        scaled space."""
         out = np.empty_like(ds)
-        for sl, size, R, _, _, _ in self.blocks:
+        for sl, size, R, _ in self.blocks:
             if size is None:
-                out[sl] = ds[sl] * R
+                out[..., sl] = ds[..., sl] * R
             else:
-                out[sl] = svec(R.T @ smat(ds[sl], size) @ R)
+                out[..., sl] = svec(R.T @ smat(ds[..., sl], size) @ R)
         return out
 
     def unscale_to_x(self, u: np.ndarray) -> np.ndarray:
         """W^T u: maps a scaled-space vector back to an x-space direction."""
         out = np.empty_like(u)
-        for sl, size, R, _, _, _ in self.blocks:
+        for sl, size, R, _ in self.blocks:
             if size is None:
                 out[sl] = u[sl] * R
             else:
@@ -259,7 +235,7 @@ class _Scaling:
 
     def jordan_prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(u)
-        for sl, size, _, _, _, _ in self.blocks:
+        for sl, size, _, _ in self.blocks:
             if size is None:
                 out[sl] = u[sl] * v[sl]
             else:
@@ -271,7 +247,7 @@ class _Scaling:
     def jordan_solve_lam(self, k: np.ndarray) -> np.ndarray:
         """Solve L(lam) z = k where lam is the scaling's spectral point."""
         out = np.empty_like(k)
-        for sl, size, _, _, _, lam in self.blocks:
+        for sl, size, _, lam in self.blocks:
             if size is None:
                 out[sl] = k[sl] / lam
             else:
@@ -279,26 +255,23 @@ class _Scaling:
                 out[sl] = svec(smat(k[sl], size) / denom)
         return out
 
+    def max_step(self, u: np.ndarray, v: np.ndarray) -> float:
+        """Largest alpha with lam + alpha u and lam + alpha v both in the
+        closed cone, that is, with x + alpha dx and s + alpha ds in it.
 
-def _max_step(steps: list, x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha dx still in the (closed) cone.
-
-    steps is _Scaling.x_steps or s_steps, whichever was factored from x.
-    """
-    alpha = np.inf
-    for sl, size, Linv in steps:
-        if size is not None:
-            DX = smat(dx[sl], size)
-            Mfr = Linv @ DX @ Linv.T
-            w = np.linalg.eigvalsh(0.5 * (Mfr + Mfr.T))
-            wmin = w[0]
-            if wmin < 0:
-                alpha = min(alpha, -1.0 / wmin)
-        else:
-            neg = dx[sl] < 0
-            if np.any(neg):
-                alpha = min(alpha, float(np.min(-x[sl][neg] / dx[sl][neg])))
-    return alpha
+        On a PSD block lam = diag(sig), so the bound is set by the least
+        eigenvalue of sig^{-1/2} smat(u) sig^{-1/2}, the same for v; the two
+        share one eigvalsh.
+        """
+        least = 0.0
+        for sl, size, _, lam in self.blocks:
+            if size is None:
+                least = min(least, float(np.min(u[sl] / lam)), float(np.min(v[sl] / lam)))
+            else:
+                r = lam ** -0.5
+                UV = smat(np.stack([u[sl], v[sl]]), size) * (r[:, None] * r[None, :])
+                least = min(least, float(np.min(np.linalg.eigvalsh(UV)[:, 0])))
+        return -1.0 / least if least < 0 else np.inf
 
 
 class _NormalFactor:
@@ -322,9 +295,10 @@ class _NormalFactor:
                 reg = scale * 1.0e-14 if reg == 0.0 else reg * 100.0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^{-1} rhs, for one right-hand side or a stack of them (k, n)."""
         if self.L is None:
-            return np.linalg.lstsq(self.M, rhs, rcond=None)[0]
-        return _cho_solve(self.L, rhs)
+            return np.linalg.lstsq(self.M, rhs.T, rcond=None)[0].T
+        return _cho_solve(self.L, rhs.T).T
 
 
 def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -332,14 +306,17 @@ def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Each diagonal block is solved directly; the coupling to the blocks
     already solved is one matrix-vector product, so the work is O(n^2).
+    rhs may be (n,) or (n, k).
     """
     n = L.shape[0]
+    if n <= _TRSV_BLOCK:
+        return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
     starts = range(0, n, _TRSV_BLOCK)
-    z = np.empty(n)
+    z = np.empty_like(rhs)
     for k in starts:
         e = min(k + _TRSV_BLOCK, n)
         z[k:e] = np.linalg.solve(L[k:e, k:e], rhs[k:e] - L[k:e, :k] @ z[:k])
-    x = np.empty(n)
+    x = np.empty_like(rhs)
     for k in reversed(starts):
         e = min(k + _TRSV_BLOCK, n)
         x[k:e] = np.linalg.solve(L[k:e, k:e].T, z[k:e] - L[e:, k:e].T @ x[e:])
@@ -351,75 +328,65 @@ def _row_mats(A: np.ndarray, cone: ConeSpec) -> list:
     return [smat(A[:, sl], size) if tag == "s" else None for tag, size, sl in cone.slices()]
 
 
-def _newton(A, sc, normal, rp, rd, wdc):
-    """Solve A dx = rp, A^T dy + ds = rd, dx + W^T W ds = wdc through the
-    Schur complement A W^T W A^T; returns (dx, dy)."""
-    dy = normal.solve(rp + A @ (sc.apply_wsq(rd) - wdc))
-    return wdc + sc.apply_wsq(A.T @ dy - rd), dy
-
-
-def _refine(A, sc, normal, rp, dx, dy):
-    """Iterative refinement of dx, dy on the primal residual rp - A dx.
-
-    Near the optimum the Schur complement is so ill-conditioned that A dx
-    drifts from rp; up to _REFINE_STEPS rounds, each kept only while it
-    shrinks the residual, win the lost accuracy back with the same factor.
-    Every round keeps dx + W^T W ds and A^T dy + ds as they are.
+def _scaled_newton(B, normal, r1, wr2, q):
+    """Solve A dx = r1, A^T dy + ds = r2, dx + W^T W ds = W^T q in the scaled
+    coordinates u = W^{-T} dx, v = W ds, where they read B u = r1,
+    B^T dy + v = W r2 and u + v = q; returns (u, dy), and v = q - u.
+    wr2 is W r2.  Batched over a leading axis of r1, wr2 and q.
     """
-    r = rp - A @ dx
-    rn = np.linalg.norm(r)
-    for _ in range(_REFINE_STEPS):
-        ddy = normal.solve(r)
-        dx_new = dx + sc.apply_wsq(A.T @ ddy)
-        r_new = rp - A @ dx_new
-        rn_new = np.linalg.norm(r_new)
-        if not rn_new < rn:
-            break
-        dx, dy, r, rn = dx_new, dy + ddy, r_new, rn_new
-    return dx, dy
+    dy = normal.solve(r1 + (wr2 - q) @ B.T)
+    return q - wr2 + dy @ B, dy
 
 
 def _step(A, b, c, row_mats, cone, point, rp, rd, rg):
     """Mehrotra predictor-corrector direction of the embedding and its step.
 
-    A W^T W A^T = B B^T is factored once.  The direction per unit of d tau,
-    A dx = b, A^T dy + ds = c, dx + W^T W ds = 0, is solved once with that
-    factor and shared by predictor and corrector; the last row of the
+    B = A W^T is formed and B B^T factored once.  The direction per unit of
+    d tau, B u = b, B^T dy + v = W c, u + v = 0, is solved together with
+    the predictor and shared with the corrector; the last row of the
     embedding and kappa d tau + tau d kappa = rk then fix d tau and d kappa.
-    The predictor only sets sigma and the second-order term, so only the
-    corrector is refined.  Returns (dx, dy, ds, d tau, d kappa, step length).  Raises LinAlgError
-    when the scaling or a step length cannot be formed.
+    The whole step stays in the scaled coordinates u, v: the predictor's
+    u and v give its step length, gap and the second-order term, and only
+    the corrector's u is refined and mapped back to dx = W^T u.  Returns
+    (dx, dy, ds, d tau, d kappa, step length).  Raises LinAlgError when the
+    scaling or a step length cannot be formed.
     """
     x, y, s, tau, kappa = point
     sc = _Scaling(cone, x, s)
+    lam = sc.lam
     B = sc.scaled_rows(A, row_mats)
     normal = _NormalFactor(B @ B.T)
-    dx_t, dy_t = _newton(A, sc, normal, b, c, np.zeros_like(x))
-    # b.dy_t - c.dx_t = ds_t.W^T W ds_t >= 0 with ds_t = c - A^T dy_t
-    denom = kappa / tau - dx_t @ (c - A.T @ dy_t)
+    w_crd = sc.scale_s(np.stack([c, rd]))
+    wc, wrd = w_crd
+    # the direction per unit of d tau (q = 0) and the predictor (q = -lam)
+    (u_t, u), (dy_t, dy) = _scaled_newton(
+        B, normal, np.stack([b, rp]), w_crd, np.stack([np.zeros_like(lam), -lam])
+    )
+    # b.dy_t - c.dx_t = ||u_t||^2 since v_t = -u_t
+    denom = kappa / tau + u_t @ u_t
 
-    def direction(eta, wdc, rk, refine=False):
-        """Targets the linear residuals eta (rp, rd, rg) and tau kappa + d = rk."""
-        dx, dy = _newton(A, sc, normal, eta * rp, eta * rd, wdc)
-        dtau = (eta * rg + rk / tau - b @ dy + c @ dx) / denom
+    def with_tau(eta, u, dy, rk):
+        """Adds to the solve (u, dy) of the linear residuals eta (rp, rd) the
+        d tau that meets eta rg and tau kappa + d = rk; returns
+        (u, dy, d tau, d kappa)."""
+        dtau = (eta * rg + rk / tau - b @ dy + wc @ u) / denom
         dkappa = (rk - kappa * dtau) / tau
-        dx, dy = dx + dtau * dx_t, dy + dtau * dy_t
-        if refine:
-            dx, dy = _refine(A, sc, normal, eta * rp + dtau * b, dx, dy)
-        return dx, dy, eta * rd + dtau * c - A.T @ dy, dtau, dkappa
+        return u + dtau * u_t, dy + dtau * dy_t, dtau, dkappa
 
-    def max_step(dx, ds, dtau, dkappa):
-        alpha = min(_max_step(sc.x_steps, x, dx), _max_step(sc.s_steps, s, ds))
+    def max_step(u, v, dtau, dkappa):
+        alpha = sc.max_step(u, v)
         for v, dv in ((tau, dtau), (kappa, dkappa)):
             if dv < 0:
                 alpha = min(alpha, -v / dv)
         return alpha
 
-    # predictor (affine scaling) direction
-    dx, _, ds, dtau, dkappa = direction(1.0, -x, -tau * kappa)
-    a_aff = min(1.0, max_step(dx, ds, dtau, dkappa))
+    # predictor (affine scaling) direction: q = -lam, that is W^T q = -x
+    u, _, dtau, dkappa = with_tau(1.0, u, dy, -tau * kappa)
+    v = -lam - u
+    a_aff = min(1.0, max_step(u, v, dtau, dkappa))
     gap = float(x @ s) + tau * kappa
-    gap_aff = float((x + a_aff * dx) @ (s + a_aff * ds))
+    # (x + a dx).(s + a ds) = (lam + a u).(lam + a v)
+    gap_aff = float((lam + a_aff * u) @ (lam + a_aff * v))
     gap_aff += (tau + a_aff * dtau) * (kappa + a_aff * dkappa)
     ratio = min(gap_aff / gap, 1.0) if gap > 0 else 0.0
     sigma = min(1.0, max(ratio ** 3, 1.0e-8))
@@ -428,16 +395,30 @@ def _step(A, b, c, row_mats, cone, point, rp, rd, rg):
     # corrector: target sigma*mu on the central path minus the
     # second-order term from the affine step; the linear residuals shrink
     # at the same rate 1 - sigma
-    second = sc.jordan_prod(sc.scale_x(dx), sc.scale_s(ds))
-    target = -sc.jordan_prod(sc.lam, sc.lam) - second
-    for tag, size, sl in cone.slices():
-        if tag == "s":
-            target[sl] += sigma * mu * svec(np.eye(size))
-        else:
-            target[sl] += sigma * mu
-    wdc = sc.unscale_to_x(sc.jordan_solve_lam(target))
-    step = direction(1.0 - sigma, wdc, sigma * mu - tau * kappa - dtau * dkappa, refine=True)
-    return step + (min(1.0, _STEP_FRAC * max_step(step[0], step[2], step[3], step[4])),)
+    eta = 1.0 - sigma
+    q = sc.jordan_solve_lam(sigma * mu * _identity_point(cone) - lam * lam - sc.jordan_prod(u, v))
+    u, dy, dtau, dkappa = with_tau(
+        eta, *_scaled_newton(B, normal, eta * rp, eta * wrd, q),
+        sigma * mu - tau * kappa - dtau * dkappa,
+    )
+    # Near the optimum B B^T is so ill-conditioned that B u drifts from r1;
+    # up to _REFINE_STEPS rounds, each kept only while it shrinks the
+    # residual, win the lost accuracy back with the same factor.  Every
+    # round keeps u + v and B^T dy + v as they are.
+    r1 = eta * rp + dtau * b
+    r = r1 - B @ u
+    rn = r @ r
+    for _ in range(_REFINE_STEPS):
+        ddy = normal.solve(r)
+        u_new = u + B.T @ ddy
+        r_new = r1 - B @ u_new
+        rn_new = r_new @ r_new
+        if not rn_new < rn:
+            break
+        u, dy, r, rn = u_new, dy + ddy, r_new, rn_new
+    alpha = min(1.0, _STEP_FRAC * max_step(u, q - u, dtau, dkappa))
+    ds = eta * rd + dtau * c - A.T @ dy
+    return sc.unscale_to_x(u), dy, ds, dtau, dkappa, alpha
 
 
 def solve_conic(

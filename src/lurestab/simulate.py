@@ -46,6 +46,15 @@ def _max_abs_slope(phi: PiecewiseLinearMap) -> float:
     return float(np.max(np.abs(slopes))) if slopes.size else 0.0
 
 
+def _check_contraction(sys: StateSpaceSystem, phi: PiecewiseLinearMap) -> None:
+    gain = spectral_norm(sys.D) * _max_abs_slope(phi)
+    if not gain < 1.0:
+        raise UnsupportedModeError(
+            f"loop gain ||D||*max|slope| = {gain:.6g} is not < 1; "
+            "the fixed-point solver does not apply"
+        )
+
+
 def solve_loop(sys: StateSpaceSystem, phi: PiecewiseLinearMap, x: np.ndarray):
     """Solve w = Phi(C x + D w) for one state; returns (w, residual).
 
@@ -53,13 +62,13 @@ def solve_loop(sys: StateSpaceSystem, phi: PiecewiseLinearMap, x: np.ndarray):
     1e-12 * (1 + ||w||), cap 10^4 iterations.  Requires the contraction
     condition ||D|| * max|slope| < 1.
     """
+    _check_contraction(sys, phi)
+    return _iterate_loop(sys, phi, x)
+
+
+def _iterate_loop(sys: StateSpaceSystem, phi: PiecewiseLinearMap, x: np.ndarray):
+    """solve_loop once the contraction condition is known to hold."""
     x = np.asarray(x, dtype=float).reshape(sys.n)
-    gain = spectral_norm(sys.D) * _max_abs_slope(phi)
-    if not gain < 1.0:
-        raise UnsupportedModeError(
-            f"loop gain ||D||*max|slope| = {gain:.6g} is not < 1; "
-            "the fixed-point solver does not apply"
-        )
     Cx = sys.C @ x
     w = np.zeros(sys.m)
     for _ in range(_LOOP_CAP):
@@ -88,6 +97,7 @@ def simulate(
     """Run the closed loop for the given number of steps."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    _check_contraction(sys, phi)
     x = np.asarray(x0, dtype=float).reshape(sys.n)
     states = np.zeros((steps + 1, sys.n))
     outputs = np.zeros((steps + 1, sys.m))
@@ -95,7 +105,7 @@ def simulate(
     residuals = np.zeros(steps + 1)
     states[0] = x
     for k in range(steps + 1):
-        w, res = solve_loop(sys, phi, states[k])
+        w, res = _iterate_loop(sys, phi, states[k])
         inputs[k] = w
         outputs[k] = sys.C @ states[k] + sys.D @ w
         residuals[k] = res
@@ -121,13 +131,14 @@ def vector_field(
     """
     if sys.n != 2:
         raise UnsupportedModeError("vector fields are only produced for n = 2")
+    _check_contraction(sys, phi)
     xs = np.linspace(float(xlim[0]), float(xlim[1]), int(nx))
     ys = np.linspace(float(ylim[0]), float(ylim[1]), int(ny))
     out = []
     for x1 in xs:
         for x2 in ys:
             x = np.array([x1, x2])
-            w, _ = solve_loop(sys, phi, x)
+            w, _ = _iterate_loop(sys, phi, x)
             dx = sys.A @ x + sys.B @ w - x
             out.append((x, dx))
     return out

@@ -7,12 +7,15 @@ test suite can cross-examine the production modules.  They intentionally do
 not call into the multiplier or LMI assembly code, except probe_per_coordinate,
 which reads a primal's constraint callables the slow way, one unbatched
 evaluation per decision coordinate, as the reference for the batched read.
+unscaled_max_step is the interior-point step length in the original
+coordinates, the reference for the step length taken in scaled ones.
 """
 
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from lurestab.conic import ConeSpec, smat
 from lurestab.engine import _CONSTRAINT_STRUCTURE, _from_coords, _scalarize, build_dual, solve
 from lurestab.lmi import build_primal
 from lurestab.system import SlopeBand, StateSpaceSystem
@@ -27,6 +30,7 @@ __all__ = [
     "probe_per_coordinate",
     "sample_slope_fn",
     "state_equality_block",
+    "unscaled_max_step",
 ]
 
 
@@ -210,3 +214,25 @@ def probe_per_coordinate(form) -> np.ndarray:
             assign[v.name] = _from_coords(v.kind, coords, v.dim)
             out[:, sl.start + k] = evaluate(assign) - base
     return out
+
+
+def unscaled_max_step(cone: ConeSpec, x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha with x + alpha dx in the closed cone, for x interior.
+
+    A PSD block with X = L L^T allows alpha up to -1 / (least eigenvalue of
+    L^{-1} dX L^{-T}) when that eigenvalue is negative; an orthant block up
+    to the least -x_i / dx_i over dx_i < 0.
+    """
+    alpha = np.inf
+    for tag, size, sl in cone.slices():
+        if tag == "s":
+            Linv = np.linalg.inv(np.linalg.cholesky(smat(x[sl], size)))
+            M = Linv @ smat(dx[sl], size) @ Linv.T
+            least = np.linalg.eigvalsh(0.5 * (M + M.T))[0]
+            if least < 0:
+                alpha = min(alpha, -1.0 / least)
+        else:
+            neg = dx[sl] < 0
+            if np.any(neg):
+                alpha = min(alpha, float(np.min(-x[sl][neg] / dx[sl][neg])))
+    return alpha

@@ -10,13 +10,16 @@ from lurestab.conic import (
     IpmSettings,
     _cho_solve,
     _NormalFactor,
+    _chol_psd,
     _row_mats,
+    _scaled_newton,
     _Scaling,
     smat,
     solve_conic,
     svec,
     svec_dim,
 )
+from oracles import unscaled_max_step
 
 
 def test_svec_roundtrip_and_isometry():
@@ -157,21 +160,105 @@ def _dense_w(sc, cone):
     return out
 
 
+_MIXED = ConeSpec(blocks=(("s", 3), ("l", 2), ("s", 1)))
+
+
 def test_blockwise_wsq_matches_dense_operator():
-    cone = ConeSpec(blocks=(("s", 3), ("l", 2), ("s", 1)))
+    cone = _MIXED
     rng = np.random.default_rng(5)
-    sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
+    x, s = _interior_point(cone, rng), _interior_point(cone, rng)
+    sc = _Scaling(cone, x, s)
     W = _dense_w(sc, cone)
     A = rng.normal(size=(4, cone.total_len))
-    v = rng.normal(size=cone.total_len)
     B = sc.scaled_rows(A, _row_mats(A, cone))
     assert np.max(np.abs(B - A @ W.T)) <= 1e-12 * np.max(np.abs(A @ W.T))
     # the Schur complement B B^T is A W^T W A^T, and exactly symmetric
     S, ref = B @ B.T, A @ W.T @ W @ A.T
     assert np.array_equal(S, S.T)
     assert np.max(np.abs(S - ref)) <= 1e-12 * np.max(np.abs(ref))
-    Wv = sc.apply_wsq(v)
-    assert np.max(np.abs(Wv - W.T @ W @ v)) <= 1e-12 * np.max(np.abs(W.T @ W @ v))
+    # W is the NT scaling: W^{-T} x = W s = lam, so W^T W s = x
+    assert np.max(np.abs(W @ s - sc.lam)) <= 1e-12 * np.max(np.abs(sc.lam))
+    assert np.max(np.abs(np.linalg.solve(W.T, x) - sc.lam)) <= 1e-12 * np.max(np.abs(sc.lam))
+    assert np.max(np.abs(W.T @ W @ s - x)) <= 1e-12 * np.max(np.abs(x))
+    # the scaled-space maps agree with the dense W, one vector or a stack
+    V = rng.normal(size=(2, cone.total_len))
+    assert np.max(np.abs(sc.scale_s(V) - V @ W.T)) <= 1e-12 * np.max(np.abs(V @ W.T))
+    assert np.array_equal(sc.scale_s(V)[1], sc.scale_s(V[1]))
+    assert np.max(np.abs(sc.unscale_to_x(V[0]) - W.T @ V[0])) <= 1e-12 * np.max(np.abs(W.T @ V[0]))
+
+
+def _rel(err, ref):
+    return np.max(np.abs(err)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scaled_direction_meets_the_unscaled_newton_equations(seed):
+    cone = _MIXED
+    rng = np.random.default_rng(seed)
+    sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
+    W = _dense_w(sc, cone)
+    A = rng.normal(size=(4, cone.total_len))
+    B = sc.scaled_rows(A, _row_mats(A, cone))
+    normal = _NormalFactor(B @ B.T)
+    r1 = rng.normal(size=(2, 4))
+    r2, q = rng.normal(size=(2, 2, cone.total_len))
+    U, DY = _scaled_newton(B, normal, r1, sc.scale_s(r2), q)
+    for k in range(2):
+        u, dy = _scaled_newton(B, normal, r1[k], sc.scale_s(r2[k]), q[k])
+        assert _rel(u - U[k], U[k]) <= 1e-12 and _rel(dy - DY[k], DY[k]) <= 1e-12
+        # back in the original coordinates: dx = W^T u and ds = W^{-1} v, v = q - u
+        dx = W.T @ u
+        ds = np.linalg.solve(W, q[k] - u)
+        wdc = W.T @ q[k]
+        assert _rel(A @ dx - r1[k], r1[k]) <= 1e-10
+        assert _rel(A.T @ dy + ds - r2[k], r2[k]) <= 1e-10
+        assert _rel(dx + W.T @ W @ ds - wdc, wdc) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scaled_step_length_matches_the_unscaled_reference(seed):
+    cone = _MIXED
+    rng = np.random.default_rng(100 + seed)
+    x, s = _interior_point(cone, rng), _interior_point(cone, rng)
+    sc = _Scaling(cone, x, s)
+    W = _dense_w(sc, cone)
+    dx, ds = rng.normal(size=(2, cone.total_len)) * (1.0 + 3.0 * seed)
+    u, v = np.linalg.solve(W.T, dx), W @ ds
+    ref = min(unscaled_max_step(cone, x, dx), unscaled_max_step(cone, s, ds))
+    assert np.isfinite(ref)
+    assert sc.max_step(u, v) == pytest.approx(ref, rel=1e-10)
+    # each side alone: a direction into the cone leaves the other unbounded
+    assert sc.max_step(u, sc.lam) == pytest.approx(unscaled_max_step(cone, x, dx), rel=1e-10)
+    assert sc.max_step(sc.lam, v) == pytest.approx(unscaled_max_step(cone, s, ds), rel=1e-10)
+    assert sc.max_step(sc.lam, sc.lam) == np.inf
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_stacked_cholesky_matches_factoring_each_block_alone(singular):
+    cone = _MIXED
+    rng = np.random.default_rng(7)
+    x, s = _interior_point(cone, rng), _interior_point(cone, rng)
+    if singular:
+        # the 3 x 3 block of x is numerically singular: a plain Cholesky
+        # fails, and the stacked one falls back on factoring block by block
+        Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        x[:6] = svec((Q * np.array([2.0, 1.0, -1.0e-13])) @ Q.T)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(smat(x[:6], 3))
+    sc = _Scaling(cone, x, s)
+    for (tag, size, sl), (_, _, R, lam) in zip(cone.slices(), sc.blocks):
+        if tag != "s":
+            assert np.array_equal(R, np.sqrt(x[sl] / s[sl]))
+            assert np.array_equal(lam, np.sqrt(x[sl] * s[sl]))
+            continue
+        # the NT scaling of this block factored on its own
+        Lx, Ls = _chol_psd(smat(x[sl], size)), _chol_psd(smat(s[sl], size))
+        _, sig, Vt = np.linalg.svd(Ls.T @ Lx)
+        ref = (Lx @ Vt.T) * np.clip(sig, 1.0e-150, None) ** -0.5
+        assert np.array_equal(R, ref)
+        assert np.array_equal(R @ R.T, ref @ ref.T)
+        assert np.array_equal(lam, sig)
+        assert np.array_equal(sc.lam[sl], svec(np.diag(sig)))
 
 
 @pytest.mark.parametrize("n", [_TRSV_BLOCK - 7, _TRSV_BLOCK, 2 * _TRSV_BLOCK + 5])
@@ -179,10 +266,11 @@ def test_blocked_cholesky_solve_matches_linalg_solve(n):
     rng = np.random.default_rng(n)
     F = rng.normal(size=(n, n))
     M = F @ F.T + n * np.eye(n)
-    rhs = rng.normal(size=n)
-    x = _cho_solve(np.linalg.cholesky(M), rhs)
-    ref = np.linalg.solve(M, rhs)
-    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for rhs in (rng.normal(size=n), rng.normal(size=(n, 2))):
+        x = _cho_solve(np.linalg.cholesky(M), rhs)
+        ref = np.linalg.solve(M, rhs)
+        assert x.shape == rhs.shape
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_batched_svec_smat_match_single_matrices():
@@ -213,16 +301,17 @@ def test_schur_complement_factored_once_per_step(monkeypatch):
 
 
 def test_breakdown_ends_as_stalled(monkeypatch):
-    calls = []
-    real = conic._max_step
+    steps = []
+    real = conic._step
 
-    def failing(cone, x, dx):
-        calls.append(1)
-        if len(calls) > 8:
+    def failing(*args):
+        # the third step breaks down
+        steps.append(1)
+        if len(steps) == 3:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(cone, x, dx)
+        return real(*args)
 
-    monkeypatch.setattr(conic, "_max_step", failing)
+    monkeypatch.setattr(conic, "_step", failing)
     res = solve_conic(*_lp_toy(), IpmSettings())
     assert res.status == "stalled"
     assert res.iterations == 3

@@ -1,5 +1,7 @@
 """Closed-loop simulation, implicit loop solving, and vector fields."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from lurestab.errors import UnsupportedModeError
 from lurestab.pwl import PiecewiseLinearMap
 from lurestab.simulate import simulate, solve_loop, vector_field
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
+
+# the package exports the function simulate under the module's name
+simulate_module = importlib.import_module("lurestab.simulate")
 
 
 def _plant(D):
@@ -67,6 +72,29 @@ def test_simulate_shapes_and_alignment():
             step = sysm.A @ traj.states[k] + sysm.B @ traj.inputs[k]
             assert np.allclose(traj.states[k + 1], step)
     assert np.max(traj.loop_residuals) <= 1.0e-10
+
+
+def test_simulate_and_field_check_the_contraction_once(monkeypatch):
+    sysm = _plant([[0.2]])
+    x0 = np.array([1.0, -0.5])
+    per_state = [solve_loop(sysm, _sat(), x0)]
+    calls = []
+    real = simulate_module.spectral_norm
+
+    def counting(M):
+        calls.append(1)
+        return real(M)
+
+    monkeypatch.setattr(simulate_module, "spectral_norm", counting)
+    traj = simulate(sysm, _sat(), x0, 10)
+    assert len(calls) == 1
+    vector_field(sysm, _sat(), nx=3, ny=3)
+    assert len(calls) == 2
+    # the loop solution is the one solve_loop gives on its own, bit for bit
+    assert np.array_equal(traj.inputs[0], per_state[0][0])
+    assert traj.loop_residuals[0] == per_state[0][1]
+    with pytest.raises(UnsupportedModeError):
+        simulate(_plant([[1.0]]), _sat(), x0, 3)
 
 
 def test_simulate_zero_state_stays_zero():
