@@ -14,10 +14,15 @@ first tau-normalized iterate that has it.  Nesterov-Todd scaling with a
 Mehrotra predictor-corrector step, aimed at problems with up to about a
 thousand rows.  Each step works in the scaled coordinates u = W^{-T} dx,
 v = W ds of CVXOPT's conelp (Vandenberghe 2010), where x and s both map
-to one point lam that is diagonal on every PSD block: B = A W^T is formed
-block by block, B B^T is factored once, every Newton solve is a product
-with B or B^T around that factor, and step lengths are read off
-lam + alpha u and lam + alpha v.  All linear algebra is dense numpy.
+to one point lam that is diagonal on every PSD block.  B = A W^T and the
+Schur complement B B^T are formed cone block by cone block, as SDP codes
+do (Fujisawa, Kojima & Nakata 1997): a PSD block adds the product of its
+own columns of B, the orthant adds its diagonal scaling over the nonzero
+pairs of its rows only.  B B^T is factored once and the diagonal blocks
+of its Cholesky factor inverted once, so every Newton solve is matrix
+products with B, B^T and that factor; step lengths are read off
+lam + alpha u and lam + alpha v.  The linear algebra is numpy, dense
+except for the orthant's pairs.
 """
 
 import math
@@ -66,7 +71,9 @@ def svec(X: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     upper, _, weight = _svec_index(X.shape[-1])
-    return np.take(_flat(X), upper, axis=-1) * weight
+    out = np.take(_flat(X), upper, axis=-1)
+    out *= weight
+    return out
 
 
 def smat(x: np.ndarray, d: int) -> np.ndarray:
@@ -191,26 +198,37 @@ class _Scaling:
         if not (np.isfinite(self.lam).all() and all(np.isfinite(b[2]).all() for b in self.blocks)):
             raise np.linalg.LinAlgError("non-finite NT scaling")
 
-    def scaled_rows(self, A: np.ndarray, row_mats: list) -> np.ndarray:
-        """B = A W^T, block by block: row i becomes W a_i, so that the Schur
-        complement A W^T W A^T is the symmetric product B B^T.
+    def schur(self, A: np.ndarray, row_data: list):
+        """B = A W^T and the Schur complement S = A W^T W A^T = B B^T, both
+        cone block by cone block (row_data as made by _row_data).
 
-        row_mats holds, per PSD block, smat of that block of every row of A
-        (see _row_mats); there W a_i = svec(R^T A_i R).  An orthant block is
-        a diagonal scaling by w.
+        Row i of B is W a_i.  On a PSD block that is svec(R^T A_i R), and
+        the block adds B_p B_p^T over its own columns.  On the orthant it is
+        a_i * w, and the block adds A_l diag(w^2) A_l^T, summed over the
+        nonzero pairs of A_l only.  S is exactly symmetric.
         """
-        out = np.empty_like(A)
         nrows = A.shape[0]
-        for (sl, size, R, _), mats in zip(self.blocks, row_mats):
+        B = np.empty_like(A)
+        S = None
+        for (sl, size, R, _), data in zip(self.blocks, row_data):
             if size is None:
-                out[:, sl] = A[:, sl] * R
-                continue
-            # R^T A_i R for every row i as two GEMMs: T_i = A_i R, then
-            # R^T A_i R = T_i^T R because A_i is symmetric
-            T = (mats.reshape(-1, size) @ R).reshape(nrows, size, size)
-            T = (np.swapaxes(T, 1, 2).reshape(-1, size) @ R).reshape(nrows, size, size)
-            out[:, sl] = svec(T)
-        return out
+                np.multiply(A[:, sl], R, out=B[:, sl])
+                flat, col, prod = data
+                term = np.bincount(flat, prod * (R * R)[col], nrows * nrows)
+                # (integer zeros when the block has no nonzero pair)
+                term = term.astype(float, copy=False).reshape(nrows, nrows)
+            else:
+                # R^T A_i R for every row i: T_i = A_i R as one GEMM, then
+                # R^T T_i batched over the rows
+                T = (data.reshape(-1, size) @ R).reshape(nrows, size, size)
+                Bp = svec(np.matmul(R.T, T))
+                B[:, sl] = Bp
+                term = Bp @ Bp.T
+            if S is None:
+                S = term
+            else:
+                S += term
+        return B, S
 
     def scale_s(self, ds: np.ndarray) -> np.ndarray:
         """W ds: maps s-space directions (batched over leading axes) into
@@ -275,7 +293,9 @@ class _Scaling:
 
 
 class _NormalFactor:
-    """Cholesky factor of the Schur complement, computed once per step.
+    """Cholesky factor L of the Schur complement and the inverses of its
+    diagonal blocks (_inverse_blocks), both computed once per step, so that
+    every solve of the step is matrix products (_cho_solve).
 
     The factorization retries with an escalating diagonal regularization;
     after eight failures every solve falls back to least squares.
@@ -290,42 +310,77 @@ class _NormalFactor:
         for _ in range(8):
             try:
                 self.L = np.linalg.cholesky(M + reg * np.eye(n) if reg else M)
-                return
+                break
             except np.linalg.LinAlgError:
                 reg = scale * 1.0e-14 if reg == 0.0 else reg * 100.0
+        self.inv = None if self.L is None else _inverse_blocks(self.L)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^{-1} rhs, for one right-hand side or a stack of them (k, n)."""
         if self.L is None:
             return np.linalg.lstsq(self.M, rhs.T, rcond=None)[0].T
-        return _cho_solve(self.L, rhs.T).T
+        return _cho_solve(self.L, self.inv, rhs.T).T
 
 
-def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = rhs by blocked forward and back substitution.
+def _inverse_blocks(L: np.ndarray) -> list:
+    """The inverse of each diagonal block of L, taken _TRSV_BLOCK rows at
+    a time (the last block may be shorter)."""
+    blocks = [L[k:k + _TRSV_BLOCK, k:k + _TRSV_BLOCK] for k in range(0, L.shape[0], _TRSV_BLOCK)]
+    return [np.linalg.solve(Lkk, np.eye(Lkk.shape[0])) for Lkk in blocks]
 
-    Each diagonal block is solved directly; the coupling to the blocks
-    already solved is one matrix-vector product, so the work is O(n^2).
-    rhs may be (n,) or (n, k).
+
+def _cho_solve(L: np.ndarray, inv: list, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = rhs by blocked forward and back substitution, where
+    inv holds the inverses of L's diagonal blocks (_inverse_blocks).
+
+    Each block of unknowns is one product for its coupling to the blocks
+    already solved and one with its diagonal block's inverse (or that
+    inverse's transpose on the way back), so the work is O(n^2) and all of
+    it is matrix products; a factor of up to _TRSV_BLOCK rows is a single
+    block.  rhs may be (n,) or (n, k).
     """
-    n = L.shape[0]
-    if n <= _TRSV_BLOCK:
-        return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-    starts = range(0, n, _TRSV_BLOCK)
+    blocks = list(zip(range(0, L.shape[0], _TRSV_BLOCK), inv))
     z = np.empty_like(rhs)
-    for k in starts:
-        e = min(k + _TRSV_BLOCK, n)
-        z[k:e] = np.linalg.solve(L[k:e, k:e], rhs[k:e] - L[k:e, :k] @ z[:k])
+    for k, Li in blocks:
+        e = k + Li.shape[0]
+        z[k:e] = Li @ (rhs[k:e] - L[k:e, :k] @ z[:k])
     x = np.empty_like(rhs)
-    for k in reversed(starts):
-        e = min(k + _TRSV_BLOCK, n)
-        x[k:e] = np.linalg.solve(L[k:e, k:e].T, z[k:e] - L[e:, k:e].T @ x[e:])
+    for k, Li in reversed(blocks):
+        e = k + Li.shape[0]
+        x[k:e] = Li.T @ (z[k:e] - L[e:, k:e].T @ x[e:])
     return x
 
 
-def _row_mats(A: np.ndarray, cone: ConeSpec) -> list:
-    """Per PSD block, the rows of A restricted to it as (nrows, d, d)."""
-    return [smat(A[:, sl], size) if tag == "s" else None for tag, size, sl in cone.slices()]
+def _orthant_pairs(A_l: np.ndarray):
+    """The nonzero pairs of an orthant block A_l (nrows, p): every (i, j, k)
+    with A_l[i, k] and A_l[j, k] both nonzero, sum_k nnz_k^2 of them, in
+    order of k.  Returns the flat position i * nrows + j, the column k and
+    the product A_l[i, k] A_l[j, k], so that A_l diag(d) A_l^T is
+    bincount(flat, prod * d[col]) reshaped; the pairs of (i, j) and (j, i)
+    meet the same products in the same order, so the sum is exactly
+    symmetric.
+    """
+    nrows = A_l.shape[0]
+    # the nonzero entries in order of column, and how many share each one's
+    col, row = np.nonzero(A_l.T)
+    nnz = np.bincount(col, minlength=A_l.shape[1])[col]
+    # entry e pairs with every entry of its column, the nnz[e] entries from
+    # the column's first one on
+    first = np.repeat(np.arange(col.size), nnz)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(nnz) - nnz, nnz)
+    second = np.repeat(np.searchsorted(col, col), nnz) + offset
+    i, j, k = row[first], row[second], col[first]
+    return i * nrows + j, k, A_l[i, k] * A_l[j, k]
+
+
+def _row_data(A: np.ndarray, cone: ConeSpec) -> list:
+    """What _Scaling.schur needs of the rows of A, per cone block: on a PSD
+    block the rows restricted to it as (nrows, d, d), on an orthant block
+    its nonzero pairs (_orthant_pairs)."""
+    return [
+        smat(A[:, sl], size) if tag == "s" else _orthant_pairs(A[:, sl])
+        for tag, size, sl in cone.slices()
+    ]
 
 
 def _scaled_newton(B, normal, r1, wr2, q):
@@ -338,12 +393,13 @@ def _scaled_newton(B, normal, r1, wr2, q):
     return q - wr2 + dy @ B, dy
 
 
-def _step(A, b, c, row_mats, cone, point, rp, rd, rg):
+def _step(A, b, c, row_data, cone, point, rp, rd, rg):
     """Mehrotra predictor-corrector direction of the embedding and its step.
 
-    B = A W^T is formed and B B^T factored once.  The direction per unit of
-    d tau, B u = b, B^T dy + v = W c, u + v = 0, is solved together with
-    the predictor and shared with the corrector; the last row of the
+    B = A W^T and the Schur complement B B^T are formed (_Scaling.schur),
+    and B B^T is factored once.  The direction per unit of d tau,
+    B u = b, B^T dy + v = W c, u + v = 0, is solved together with the
+    predictor and shared with the corrector; the last row of the
     embedding and kappa d tau + tau d kappa = rk then fix d tau and d kappa.
     The whole step stays in the scaled coordinates u, v: the predictor's
     u and v give its step length, gap and the second-order term, and only
@@ -354,8 +410,8 @@ def _step(A, b, c, row_mats, cone, point, rp, rd, rg):
     x, y, s, tau, kappa = point
     sc = _Scaling(cone, x, s)
     lam = sc.lam
-    B = sc.scaled_rows(A, row_mats)
-    normal = _NormalFactor(B @ B.T)
+    B, S = sc.schur(A, row_data)
+    normal = _NormalFactor(S)
     w_crd = sc.scale_s(np.stack([c, rd]))
     wc, wrd = w_crd
     # the direction per unit of d tau (q = 0) and the predictor (q = -lam)
@@ -466,7 +522,7 @@ def solve_conic(
         return ConicResult("optimal", x, y, s, 0, 0.0, 0.0, 0.0, float(x @ s) / nu, float(c @ x))
     bnorm = 1.0 + float(np.linalg.norm(b))
     cnorm = 1.0 + float(np.linalg.norm(c))
-    row_mats = _row_mats(A, cone)
+    row_data = _row_data(A, cone)
     tau = kappa = 1.0
     status, it, prev, prev_score = "max_iters", 0, None, np.inf
     history = []
@@ -504,7 +560,7 @@ def solve_conic(
             prev, prev_score = point, score
 
             try:
-                step = _step(A, b, c, row_mats, cone, point[:5], rp, rd, rg)
+                step = _step(A, b, c, row_data, cone, point[:5], rp, rd, rg)
             except np.linalg.LinAlgError:
                 status = "stalled"
                 break

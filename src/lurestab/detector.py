@@ -57,8 +57,10 @@ class Inconclusive:
     """The dual solution did not yield a certificate; reason says why.
 
     reason is one of "rank" (numerical rank above one), "sign" (the proof's
-    dichotomy resolved to the branch with no conclusion), or "degenerate"
-    (h1 vanished on a loop where the nonvanishing argument does not apply).
+    dichotomy resolved to the branch with no conclusion), "state_equation"
+    (the factor passes the sign test but A h1 + B h2 misses h1 by more than
+    dyn_tol ||h1||, so h1 is no equilibrium), or "degenerate" (h1 vanished
+    on a loop where the nonvanishing argument does not apply).
     """
 
     reason: str
@@ -126,7 +128,7 @@ def extract_certificate(
     dyn_residual = float(np.linalg.norm(v - h1))
     if dyn_residual > dyn_tol * norm_h1:
         return Inconclusive(
-            "sign",
+            "state_equation",
             f"state equation residual {dyn_residual:.3e} exceeds tolerance; "
             "the factor is not an equilibrium within tolerance",
         )

@@ -9,9 +9,11 @@ from lurestab.conic import (
     ConeSpec,
     IpmSettings,
     _cho_solve,
+    _inverse_blocks,
     _NormalFactor,
     _chol_psd,
-    _row_mats,
+    _orthant_pairs,
+    _row_data,
     _scaled_newton,
     _Scaling,
     smat,
@@ -170,10 +172,10 @@ def test_blockwise_wsq_matches_dense_operator():
     sc = _Scaling(cone, x, s)
     W = _dense_w(sc, cone)
     A = rng.normal(size=(4, cone.total_len))
-    B = sc.scaled_rows(A, _row_mats(A, cone))
+    B, S = sc.schur(A, _row_data(A, cone))
     assert np.max(np.abs(B - A @ W.T)) <= 1e-12 * np.max(np.abs(A @ W.T))
-    # the Schur complement B B^T is A W^T W A^T, and exactly symmetric
-    S, ref = B @ B.T, A @ W.T @ W @ A.T
+    # the Schur complement is A W^T W A^T, and exactly symmetric
+    ref = A @ W.T @ W @ A.T
     assert np.array_equal(S, S.T)
     assert np.max(np.abs(S - ref)) <= 1e-12 * np.max(np.abs(ref))
     # W is the NT scaling: W^{-T} x = W s = lam, so W^T W s = x
@@ -187,6 +189,59 @@ def test_blockwise_wsq_matches_dense_operator():
     assert np.max(np.abs(sc.unscale_to_x(V[0]) - W.T @ V[0])) <= 1e-12 * np.max(np.abs(W.T @ V[0]))
 
 
+def _sparse_orthant_rows(cone, nrows, rng):
+    """Random rows whose orthant columns hold, in turn, zero, one and three
+    nonzeros."""
+    A = rng.normal(size=(nrows, cone.total_len))
+    for tag, size, sl in cone.slices():
+        if tag == "l":
+            for j, k in enumerate(range(sl.start, sl.stop)):
+                keep = rng.permutation(nrows)[: (0, 1, 3)[j % 3]]
+                col = np.zeros(nrows)
+                col[keep] = A[keep, k]
+                A[:, k] = col
+    return A
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [
+        ConeSpec((("s", 4), ("s", 2))),
+        ConeSpec((("l", 9),)),
+        _MIXED,
+        # an orthant of one column with no nonzero, summed first
+        ConeSpec((("l", 1), ("s", 2))),
+    ],
+    ids=["psd", "orthant", "mixed", "empty-orthant"],
+)
+def test_schur_complement_matches_the_dense_product(cone):
+    rng = np.random.default_rng(11)
+    sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
+    W = _dense_w(sc, cone)
+    A = _sparse_orthant_rows(cone, 5, rng)
+    B, S = sc.schur(A, _row_data(A, cone))
+    ref = A @ W.T @ W @ A.T
+    assert _rel(B - A @ W.T, A @ W.T) <= 1e-12
+    assert _rel(S - ref, ref) <= 1e-12
+    assert np.array_equal(S, S.T)
+
+
+def test_orthant_pairs_cover_every_nonzero_pair():
+    rng = np.random.default_rng(12)
+    A_l = _sparse_orthant_rows(ConeSpec((("l", 7),)), 4, rng)
+    flat, col, prod = _orthant_pairs(A_l)
+    nnz = np.count_nonzero(A_l, axis=0)
+    assert flat.size == col.size == prod.size == int(np.sum(nnz ** 2))
+    assert np.all(np.diff(col) >= 0)
+    i, j = np.divmod(flat, 4)
+    assert np.array_equal(prod, A_l[i, col] * A_l[j, col])
+    d = rng.uniform(0.5, 2.0, size=7)
+    S = np.bincount(flat, prod * d[col], 16).reshape(4, 4)
+    assert _rel(S - (A_l * d) @ A_l.T, (A_l * d) @ A_l.T) <= 1e-12
+    # no nonzero pair at all: the orthant adds zeros
+    assert _orthant_pairs(np.zeros((3, 2)))[0].size == 0
+
+
 def _rel(err, ref):
     return np.max(np.abs(err)) / np.max(np.abs(ref))
 
@@ -198,8 +253,8 @@ def test_scaled_direction_meets_the_unscaled_newton_equations(seed):
     sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
     W = _dense_w(sc, cone)
     A = rng.normal(size=(4, cone.total_len))
-    B = sc.scaled_rows(A, _row_mats(A, cone))
-    normal = _NormalFactor(B @ B.T)
+    B, S = sc.schur(A, _row_data(A, cone))
+    normal = _NormalFactor(S)
     r1 = rng.normal(size=(2, 4))
     r2, q = rng.normal(size=(2, 2, cone.total_len))
     U, DY = _scaled_newton(B, normal, r1, sc.scale_s(r2), q)
@@ -261,16 +316,24 @@ def test_stacked_cholesky_matches_factoring_each_block_alone(singular):
         assert np.array_equal(sc.lam[sl], svec(np.diag(sig)))
 
 
-@pytest.mark.parametrize("n", [_TRSV_BLOCK - 7, _TRSV_BLOCK, 2 * _TRSV_BLOCK + 5])
+@pytest.mark.parametrize(
+    "n", [1, _TRSV_BLOCK - 7, _TRSV_BLOCK, _TRSV_BLOCK + 1, 2 * _TRSV_BLOCK + 5]
+)
 def test_blocked_cholesky_solve_matches_linalg_solve(n):
     rng = np.random.default_rng(n)
     F = rng.normal(size=(n, n))
     M = F @ F.T + n * np.eye(n)
+    L = np.linalg.cholesky(M)
+    inv = _inverse_blocks(L)
+    # one inverse per block of _TRSV_BLOCK rows; the last may be shorter
+    sizes = [Li.shape[0] for Li in inv]
+    assert sum(sizes) == n and all(size == _TRSV_BLOCK for size in sizes[:-1])
     for rhs in (rng.normal(size=n), rng.normal(size=(n, 2))):
-        x = _cho_solve(np.linalg.cholesky(M), rhs)
+        x = _cho_solve(L, inv, rhs)
         ref = np.linalg.solve(M, rhs)
         assert x.shape == rhs.shape
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(_NormalFactor(M).solve(rhs.T), x.T)
 
 
 def test_batched_svec_smat_match_single_matrices():
@@ -298,6 +361,25 @@ def test_schur_complement_factored_once_per_step(monkeypatch):
     assert res.status == "optimal"
     # every iteration but the converged last one takes exactly one step
     assert len(factored) == res.iterations - 1
+
+
+def test_orthant_pairs_built_once_per_solve(monkeypatch):
+    built = []
+    real = conic._orthant_pairs
+
+    def counting(A_l):
+        out = real(A_l)
+        built.append((A_l, out))
+        return out
+
+    monkeypatch.setattr(conic, "_orthant_pairs", counting)
+    A, b, c, cone = _mixed_toy()
+    res = solve_conic(A, b, c, cone, IpmSettings())
+    assert res.status == "optimal" and res.iterations > 2
+    # once for the one orthant block, not once per step
+    assert len(built) == 1
+    A_l, (flat, col, prod) = built[0]
+    assert flat.size == col.size == prod.size == int(np.sum(np.count_nonzero(A_l, axis=0) ** 2))
 
 
 def test_breakdown_ends_as_stalled(monkeypatch):

@@ -63,6 +63,23 @@ def test_extract_rejects_high_rank(slope_example, slope_dual_reduced):
     assert out.reason == "rank"
 
 
+def test_extract_names_a_state_equation_miss_apart_from_the_sign_test(slope_dual_reduced):
+    # h = (h1, h2) along (1, 1, 1): A h1 + B h2 = 2 h1, so every entry of
+    # (A h1 + B h2) * h1 is positive and the sign test passes, but h1 is no
+    # equilibrium
+    sysm = StateSpaceSystem(
+        0.5 * np.eye(2), np.array([[1.5], [1.5]]), np.array([[0.1, 0.1]]), np.zeros((1, 1))
+    )
+    h = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+    res = SolveResult(
+        status="feasible", assignment={"H": np.outer(h, h)}, residuals=slope_dual_reduced.residuals
+    )
+    out = extract_certificate(sysm, res, NonlinearityClass.SLOPE)
+    assert isinstance(out, Inconclusive)
+    assert out.reason == "state_equation"
+    assert "state equation residual" in out.detail
+
+
 def test_extract_checks_class_against_blocks(slope_example, slope_dual_reduced):
     with pytest.raises(StructuralError):
         extract_certificate(
