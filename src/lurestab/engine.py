@@ -38,7 +38,7 @@ import numpy as np
 from .conic import ConeSpec, IpmSettings, smat, solve_conic, svec, svec_dim
 from .errors import StructuralError
 from .lmi import DUAL_SCALE, SdpFeasibilityProblem
-from .system import NonlinearityClass, StateSpaceSystem
+from .system import StateSpaceSystem
 
 __all__ = [
     "DualForm",
@@ -308,11 +308,6 @@ class DualForm:
             for con, sl, dim in self.blocks
         }
 
-    def ls_correct(self, x: np.ndarray) -> np.ndarray:
-        """Minimum-norm shift of the coordinates onto A x = b."""
-        resid = self.b - self.A @ x
-        return x + np.linalg.lstsq(self.A, resid, rcond=None)[0]
-
     def verify(self, assignment: dict, settings: SolverSettings):
         """Raw adjoint residual and cone violation of the dual blocks.
 
@@ -356,18 +351,6 @@ def _primal_true_margin(problem: SdpFeasibilityProblem, assignment: dict) -> flo
     core = np.asarray(problem.meta["strict_lmi"](assignment), dtype=float)
     w = np.linalg.eigvalsh(0.5 * (core + core.T))
     return -float(w[-1])
-
-
-def _candidates(dual: DualForm, x: np.ndarray, settings: SolverSettings):
-    """Reconstruct and verify the least-squares-corrected point, then x.
-
-    Yields (label, assignment, ok, max_eq, max_cone) lazily, so a caller
-    that settles on the corrected point never reconstructs the raw one.
-    """
-    for label, xc in (("corrected", dual.ls_correct(x)), ("raw", x)):
-        assignment = dual.reconstruct(xc)
-        ok, max_eq, max_cone = dual.verify(assignment, settings)
-        yield label, assignment, ok, max_eq, max_cone
 
 
 def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> SolveResult:
@@ -454,8 +437,11 @@ def _solve_dual(dual: DualForm, settings: SolverSettings) -> SolveResult:
     diagnostics, read in the primal's coordinates: (P, M, t = 1).
     """
     diagnostics = {"dual_source": "primal_multipliers"}
-    candidates = [] if dual.start is None else list(_candidates(dual, dual.start, settings))
-    if not any(cand[2] for cand in candidates):
+    ok = False
+    if dual.start is not None:
+        assignment = dual.reconstruct(dual.start)
+        ok, max_eq, max_cone = dual.verify(assignment, settings)
+    if not ok:
         res = solve_conic(
             dual.A, dual.b, np.zeros(dual.ncone), dual.cone, _ipm(settings, _IPM_TOL)
         )
@@ -464,27 +450,19 @@ def _solve_dual(dual: DualForm, settings: SolverSettings) -> SolveResult:
             "ipm_status": res.status,
             "ipm_iterations": res.iterations,
         }
-        candidates = list(_candidates(dual, res.x, settings))
-    passing = [cand for cand in candidates if cand[2]]
-    if passing:
-        # the smallest equality residual wins; a tie goes to the corrected point
-        label, assignment, _, max_eq, max_cone = min(passing, key=lambda cand: cand[3])
-        diagnostics["candidate"] = label
-        return SolveResult(
-            status="feasible",
-            assignment=assignment,
-            residuals=Residuals(max_eq, max_cone),
-            diagnostics=diagnostics,
-        )
-
-    # no verified point: the Farkas certificate is checked independently
-    q = _farkas_quality(dual, res.y)
-    diagnostics["farkas_quality"] = q
-    status = "numerical_limit"
-    if q is not None and q <= _FARKAS_TOL:
-        status = "infeasible"
-        diagnostics["certificate"] = dual.primal.reconstruct(res.y / float(dual.b @ res.y) / dual.d)
-    _, assignment, _, max_eq, max_cone = candidates[-1]  # the raw point
+        assignment = dual.reconstruct(res.x)
+        ok, max_eq, max_cone = dual.verify(assignment, settings)
+    status = "feasible"
+    if not ok:
+        # no verified point: the Farkas certificate is checked independently
+        q = _farkas_quality(dual, res.y)
+        diagnostics["farkas_quality"] = q
+        status = "numerical_limit"
+        if q is not None and q <= _FARKAS_TOL:
+            status = "infeasible"
+            diagnostics["certificate"] = dual.primal.reconstruct(
+                res.y / float(dual.b @ res.y) / dual.d
+            )
     return SolveResult(
         status=status,
         assignment=assignment,
@@ -537,115 +515,6 @@ def _rank_ratio(H: np.ndarray):
     return max(ratio, 0.0), w
 
 
-def _complete_pair_bounds(d: np.ndarray, R: np.ndarray):
-    """Find f, g >= 0 with f + g = d and f_j + g_i >= R_ij for i != j.
-
-    Difference-constraint system solved by Bellman-Ford shortest paths from
-    a virtual source; returns (f, g) or None when no solution exists.
-    """
-    m = d.size
-    edges = []
-    for i in range(m):
-        edges.append((m, i, float(d[i])))  # g_i <= d_i
-        edges.append((i, m, 0.0))  # g_i >= 0
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                edges.append((i, j, float(d[j] - R[i, j])))  # g_j - g_i <= d_j - R_ij
-    dist = np.full(m + 1, np.inf)
-    dist[m] = 0.0
-    for _ in range(m + 1):
-        changed = False
-        for u, v, w in edges:
-            if dist[u] + w < dist[v] - 1.0e-15:
-                dist[v] = dist[u] + w
-                changed = True
-        if not changed:
-            break
-    else:
-        # at an extremal certificate the tight cycles sum to zero up to
-        # rounding, so judge inconsistency by the residual violation scale
-        # rather than by non-convergence alone; the caller re-verifies the
-        # completed assignment either way
-        scale = max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(R))))
-        worst = max(dist[v] - dist[u] - w for u, v, w in edges)
-        if worst > 1.0e-9 * scale:
-            return None  # genuinely negative cycle: no solution
-    g = np.maximum(dist[:m], 0.0)
-    f = np.maximum(d - g, 0.0)
-    return f, g
-
-
-def _rank_one_polish(dual: DualForm, assignment: dict, settings: SolverSettings):
-    """Rebuild the dual certificate exactly from the dominant eigenvector.
-
-    Projects the top eigenvector of H onto the invariant subspace
-    null([A - I, B]) so the dynamics block holds to rounding error, then
-    recovers f, g, X (and Z) by completing the coupling identities.  Only
-    the branch where an equilibrium can be concluded is polished; anything
-    else returns None and the caller keeps the iterate it has.
-    """
-    sys = dual.system
-    odd = sys.nl_class is NonlinearityClass.SLOPE_ODD
-    n, m = sys.n, sys.m
-    H = assignment["H"]
-    w, V = np.linalg.eigh(0.5 * (H + H.T))
-    h = V[:, -1] * np.sqrt(max(float(w[-1]), 0.0))
-    h1, h2 = h[:n], h[n:]
-    disc = float(h1 @ (sys.A @ h1 + sys.B @ h2))
-    if disc < -1.0e-12 * float(h @ h):
-        return None
-
-    K = np.hstack([sys.A - np.eye(n), sys.B])
-    _, sig, Vt = np.linalg.svd(K)
-    tol = max(K.shape) * np.finfo(float).eps * (sig[0] if sig.size else 0.0)
-    r = int(np.sum(sig > tol))
-    N = Vt[r:].T
-    if N.shape[1] == 0:
-        return None
-    hp = N @ (N.T @ h)
-    nrm = float(np.linalg.norm(hp))
-    if nrm <= 1.0e-8 * max(float(np.linalg.norm(h)), 1.0e-300):
-        return None
-    hn = hp / nrm
-    h1n = hn[:n]
-    pick = int(np.argmax(np.abs(h1n))) if float(np.max(np.abs(h1n))) > 0 else None
-    if pick is not None and h1n[pick] < 0:
-        hn = -hn
-    h1n, h2n = hn[:n], hn[n:]
-
-    z = sys.C @ h1n + sys.D @ h2n
-    wv = h2n
-    d = wv * (z - wv)
-    if float(np.min(d)) < -1.0e-10:
-        return None
-    d = np.maximum(d, 0.0)
-    Y = np.outer(wv, z - wv)
-    R = np.abs(Y) if odd else Y
-    fg = _complete_pair_bounds(d, R)
-    if fg is None:
-        return None
-    f, g = fg
-
-    new = {"H": np.outer(hn, hn), "f": f, "g": g}
-    if odd:
-        pair = f[None, :] + g[:, None]
-        X = 0.5 * (Y - pair)
-        Z = 0.5 * (-Y - pair)
-        np.fill_diagonal(X, 0.0)
-        np.fill_diagonal(Z, 0.0)
-        new["X"] = np.minimum(X, 0.0)
-        new["Z"] = np.minimum(Z, 0.0)
-    else:
-        X = Y - f[None, :] - g[:, None]
-        np.fill_diagonal(X, 0.0)
-        new["X"] = np.minimum(X, 0.0)
-    ok, max_eq, max_cone = dual.verify(new, settings)
-    if not ok:
-        return None
-    return new, max_eq, max_cone
-
-
 def reduce_rank(
     dual: DualForm,
     warm: SolveResult,
@@ -658,28 +527,22 @@ def reduce_rank(
     state weight (and in particular the branch where the factor reproduces
     the system dynamics).  If that point is not yet rank one, repeatedly
     re-solves minimizing the weight on the non-dominant eigenspace of the
-    current iterate, then attempts an exact rank-1 rebuild.  A warm start
-    that already meets the rank tolerance is returned unchanged, with zero
+    current iterate.  Every point is verified against the raw constraints
+    and kept as the solver returned it.  A warm start that already meets
+    the rank tolerance comes back with its assignment unchanged, with zero
     rounds run.
     """
     settings = settings or SolverSettings()
     if warm.status != "feasible":
         raise StructuralError("rank reduction needs a feasible warm start")
-    ratio0, _ = _rank_ratio(warm.assignment["H"])
-    trail = [ratio0]
-    if ratio0 <= settings.tol_rank:
-        warm.diagnostics.setdefault("rank_trail", trail)
-        warm.diagnostics.setdefault("rounds", 0)
-        warm.diagnostics.setdefault("polished", False)
-        return warm
-
     steer = _steer_matrix(dual.system)
     sn = float(np.linalg.norm(steer, "fro"))
     steer_term = _STEER_WEIGHT * steer / sn if sn > 0 else None
 
     best_assign = warm.assignment
     best_eq, best_cone = warm.residuals.max_equality, warm.residuals.max_cone_violation
-    best_ratio = ratio0
+    best_ratio, _ = _rank_ratio(best_assign["H"])
+    trail = [best_ratio]
     hsl = dual.h_slice
     ipm = _ipm(settings, _IPM_TOL)
 
@@ -689,21 +552,20 @@ def reduce_rank(
     # extremal certificate with dominant state part.  Solving for that point
     # first typically lands (near) rank one before any deflation runs.
     steered = False
-    if steer_term is not None:
+    if best_ratio > settings.tol_rank and steer_term is not None:
         c = np.zeros(dual.ncone)
         c[hsl] = svec(-steer / sn)
         # solved at the high-accuracy tolerances: breakpoint data for the
         # destabilizing map is read straight off this point, and leftover
         # solver noise shows up as spurious slope defects
         res = solve_conic(dual.A, dual.b, c, dual.cone, _ipm(settings, _MARGIN_IPM_TOL))
-        for _, assignment, ok, max_eq, max_cone in _candidates(dual, res.x, settings):
-            if not ok:
-                continue
+        assignment = dual.reconstruct(res.x)
+        ok, max_eq, max_cone = dual.verify(assignment, settings)
+        if ok:
             best_assign, best_eq, best_cone = assignment, max_eq, max_cone
             best_ratio, _ = _rank_ratio(assignment["H"])
             trail.append(best_ratio)
             steered = True
-            break
 
     rounds = 0
     for _ in range(_MAX_RANK_ROUNDS):
@@ -720,37 +582,22 @@ def reduce_rank(
         res = solve_conic(dual.A, dual.b, c, dual.cone, ipm)
         rounds += 1
 
-        improved = False
-        for _, assignment, ok, max_eq, max_cone in _candidates(dual, res.x, settings):
-            if not ok:
-                continue
-            ratio, _ = _rank_ratio(assignment["H"])
-            if ratio < best_ratio:
-                best_assign, best_eq, best_cone = assignment, max_eq, max_cone
-                best_ratio = ratio
-                improved = True
-                break
+        assignment = dual.reconstruct(res.x)
+        ok, max_eq, max_cone = dual.verify(assignment, settings)
+        ratio = _rank_ratio(assignment["H"])[0] if ok else best_ratio
+        improved = ratio < best_ratio
+        if improved:
+            best_assign, best_eq, best_cone = assignment, max_eq, max_cone
+            best_ratio = ratio
         trail.append(best_ratio)
         if best_ratio <= settings.tol_rank or not improved:
             break
-
-    polished = False
-    pol = _rank_one_polish(dual, best_assign, settings)
-    if pol is not None:
-        cand, max_eq, max_cone = pol
-        ratio, _ = _rank_ratio(cand["H"])
-        if ratio <= max(best_ratio, settings.tol_rank):
-            best_assign, best_eq, best_cone = cand, max_eq, max_cone
-            best_ratio = ratio
-            polished = True
-            trail.append(best_ratio)
 
     diagnostics = dict(warm.diagnostics)
     diagnostics.update(
         {
             "rank_trail": trail,
             "rounds": rounds,
-            "polished": polished,
             "steered": steered,
             "rank_ratio": best_ratio,
         }

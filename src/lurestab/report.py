@@ -217,9 +217,8 @@ def analyze(
         return report("inconclusive")
 
     reduced = reduce_rank(dual_problem, dual_res, settings)
-    pipe["rank_trail"] = list(reduced.diagnostics.get("rank_trail", []))
-    pipe["rank_rounds"] = reduced.diagnostics.get("rounds", 0)
-    pipe["rank_polished"] = reduced.diagnostics.get("polished", False)
+    pipe["rank_trail"] = list(reduced.diagnostics["rank_trail"])
+    pipe["rank_rounds"] = reduced.diagnostics["rounds"]
 
     dual_dict = {
         "status": "feasible",

@@ -119,15 +119,17 @@ def test_reduce_rank_keeps_rank_one_warm_start(slope_example):
     problem = _dual(slope_example)
     warm = solve(problem)
     red = reduce_rank(problem, warm)
-    # re-wrap without diagnostics so the early-return path fills them in
+    # re-wrap without diagnostics: they are filled in with zero rounds run
     clean = SolveResult(
         status="feasible",
         assignment=dict(red.assignment),
         residuals=red.residuals,
     )
     again = reduce_rank(problem, clean)
-    assert again is clean
+    assert again.assignment is clean.assignment
+    assert again.residuals == clean.residuals
     assert again.diagnostics["rounds"] == 0
+    assert not again.diagnostics["steered"]
     assert len(again.diagnostics["rank_trail"]) == 1
     assert np.array_equal(again.assignment["H"], red.assignment["H"])
 
@@ -211,8 +213,8 @@ def test_steer_solve_stops_at_its_accuracy_floor(odd_example, monkeypatch):
     results = []
     real = engine.solve_conic
 
-    def capturing(*args):
-        results.append(real(*args))
+    def capturing(*args, **kwargs):
+        results.append(real(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(engine, "solve_conic", capturing)
@@ -225,6 +227,26 @@ def test_steer_solve_stops_at_its_accuracy_floor(odd_example, monkeypatch):
     assert steer.iterations <= 30
     assert max(steer.rp_rel, steer.rd_rel, steer.gap_rel) <= 1.0e-9
     assert all(res.status != "max_iters" for res in results)
+
+
+@pytest.mark.parametrize("fixture", ["slope_example", "odd_example"])
+def test_witness_is_a_verified_solver_point_as_returned(monkeypatch, request, fixture):
+    problem = _dual(request.getfixturevalue(fixture))
+    warm = solve(problem)
+    points = [problem.start]
+    real = engine.solve_conic
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        points.append(res.x)
+        return res
+
+    monkeypatch.setattr(engine, "solve_conic", recording)
+    red = reduce_rank(problem, warm)
+    # nothing rewrites the point a solve returned before it is read
+    H = red.assignment["H"]
+    assert any(np.array_equal(H, problem.reconstruct(x)["H"]) for x in points)
+    assert problem.verify(red.assignment, SolverSettings())[0]
 
 
 def test_settings_are_frozen():
