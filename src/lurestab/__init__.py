@@ -5,7 +5,7 @@ block ``G = (A, B, C, D)`` with a repeated slope-restricted (optionally odd)
 static nonlinearity, using static O'Shea-Zames-Falb multiplier LMIs.  When
 the stability LMI fails, the dual LMI is solved, a rank-1 certificate is
 extracted, and an explicit destabilizing piecewise-linear nonlinearity is
-constructed and demonstrated by simulation.
+constructed together with a nonzero equilibrium of the loop it closes.
 """
 
 from .errors import (

@@ -57,10 +57,8 @@ class Inconclusive:
     """The dual solution did not yield a certificate; reason says why.
 
     reason is one of "rank" (numerical rank above one), "sign" (the proof's
-    dichotomy resolved to the branch with no conclusion), "state_equation"
-    (the factor passes the sign test but A h1 + B h2 misses h1 by more than
-    dyn_tol ||h1||, so h1 is no equilibrium), or "degenerate" (h1 vanished
-    on a loop where the nonvanishing argument does not apply).
+    dichotomy resolved to the branch with no conclusion), or "degenerate"
+    (h1 vanished on a loop where the nonvanishing argument does not apply).
     """
 
     reason: str
@@ -73,9 +71,8 @@ def extract_certificate(
     nl_class: NonlinearityClass,
     rank_rel_tol: float = 1.0e-6,
     sign_tol: float = 1.0e-9,
-    dyn_tol: float = 1.0e-6,
 ):
-    """Apply the rank, sign, and dynamics gates to a feasible dual solution.
+    """Apply the rank and sign gates to a feasible dual solution.
 
     Returns a DualCertificate, or Inconclusive when one of the theorem's
     hypotheses fails numerically.  A vanishing h1 raises an internal
@@ -124,13 +121,6 @@ def extract_certificate(
             "sign",
             f"diagonal sign condition fails by {sign_min:.3e}; "
             "the dichotomy resolves to the branch with no conclusion",
-        )
-    dyn_residual = float(np.linalg.norm(v - h1))
-    if dyn_residual > dyn_tol * norm_h1:
-        return Inconclusive(
-            "state_equation",
-            f"state equation residual {dyn_residual:.3e} exceeds tolerance; "
-            "the factor is not an equilibrium within tolerance",
         )
 
     z_star = sys.C @ h1 + sys.D @ h2

@@ -13,7 +13,8 @@ import pytest
 import lurestab
 from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze
 from lurestab.errors import AssumptionViolatedError
-from lurestab.report import canonical_json
+from lurestab.pwl import PiecewiseLinearMap
+from lurestab.report import _equilibrium_check, canonical_json
 
 
 def test_canonical_json_floats_are_16e():
@@ -70,8 +71,50 @@ def test_slope_example_verdict(slope_report):
     assert rep.phi is not None and not rep.phi.odd
     pipe = rep.diagnostics["pipeline"]
     assert pipe["slope_check"]["ok"]
-    assert pipe["equilibrium_checked"]
-    assert pipe["equilibrium_deviation"] <= 1.0e-8
+    eq = pipe["equilibrium_check"]
+    assert eq["ok"]
+    assert eq["state_residual"] <= eq["state_bound"]
+    assert eq["loop_residual"] <= eq["loop_bound"]
+    assert rep.diagnostics["tolerances"]["equilibrium_check_tol"] == 1.0e-9
+
+
+def test_equilibrium_check_rejects_a_state_equation_miss():
+    # h = (h1, h2) along (1, 1, 1): A h1 + B h2 = 2 h1, so every entry of
+    # (A h1 + B h2) * h1 is positive and the proof's sign test passes, and
+    # phi interpolates (z*, w*), but h1 is no equilibrium
+    sysm = StateSpaceSystem(
+        0.5 * np.eye(2), np.array([[1.5], [1.5]]), np.array([[0.1, 0.1]]), np.zeros((1, 1))
+    )
+    h1, w = np.ones(2) / np.sqrt(3.0), np.ones(1) / np.sqrt(3.0)
+    z = sysm.C @ h1 + sysm.D @ w
+    phi = PiecewiseLinearMap(np.array([[0.0, 0.0], [z[0], w[0]]]))
+    eq = _equilibrium_check(sysm, phi, h1, w, sysm.A @ h1 + sysm.B @ w)
+    assert not eq["ok"]
+    assert eq["state_residual"] > eq["state_bound"]
+    assert eq["loop_residual"] <= eq["loop_bound"]
+
+
+def test_equilibrium_check_rejects_a_loop_equation_miss(slope_example, slope_report):
+    # the reported witness with phi moved off w*_0 at the node of z*_0
+    h1 = np.asarray(slope_report.dual["h1"])
+    w = np.asarray(slope_report.dual["w_star"])
+    z = slope_example.C @ h1 + slope_example.D @ w
+    bp = slope_report.phi.breakpoints.copy()
+    bp[np.argmin(np.abs(bp[:, 0] - z[0])), 1] += 1.0e-6 * np.max(np.abs(w))
+    phi = PiecewiseLinearMap(bp)
+    eq = _equilibrium_check(slope_example, phi, h1, w, slope_example.A @ h1 + slope_example.B @ w)
+    assert not eq["ok"]
+    assert eq["state_residual"] <= eq["state_bound"]
+    assert eq["loop_residual"] > eq["loop_bound"]
+
+
+def test_analyze_runs_no_simulation(monkeypatch, slope_example, odd_example):
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze simulated the loop")
+
+    monkeypatch.setattr(lurestab.report, "simulate", refuse)
+    for system in (slope_example, odd_example):
+        assert analyze(system).verdict == "not_absolutely_stable"
 
 
 def test_odd_example_verdict(odd_report):
