@@ -9,24 +9,21 @@ max b.y s.t. c - A^T y in K with A = -F^T / d, c = F0 and y = d z, so the
 Schur complement is indexed by the decision coordinates.  The solve stops
 at the first iterate that certifies (its margin t, the raw constraints and
 the achieved -lambda_max of the strict LMI all clear the threshold); an
-infeasible primal runs to its optimum, whose multipliers x, the standard
-form's primal side, come with the result.
+infeasible primal runs to its optimum.
 
 The dual LMI is not read from callables: it is the adjoint of the
 primal's homogeneous rows (F0 = 0).  build_dual restricts F to them and
 transposes it, giving A x = b, x in K, with A = -F_h^T, b = e_t and rows
 equilibrated.  Its rows are the primal's decision coordinates (full row
 rank, never empty), its coordinates the multipliers of those rows, read
-as the blocks H, f, g, X (and Z) through lmi.DUAL_SCALE.  At the optimum t* = 0 of an infeasible
-primal the multipliers of the box and the cap vanish, so the primal's
-multipliers on the homogeneous rows are a dual point; solve tries them
-first.  Only when they do not verify, or there are none, does one
-homogeneous self-dual solve with zero objective return a point or a
-Farkas certificate y.  Read in the primal's
-coordinates, that certificate is (P, M, t = 1) with F_h z in K, a strict
-primal solution; infeasibility is only declared once it passes an
-independent check.  Either way the verdict rests on verifying the raw
-constraints, never on solver status alone.
+as the blocks H, f, g, X (and Z) through lmi.DUAL_SCALE.  It is solved
+once, however the primal ended: one homogeneous self-dual solve over its
+feasible set, whose objective steers toward the branch the proof concludes
+on, returns a point or a Farkas certificate y.  Read in the primal's coordinates, that
+certificate is (P, M, t = 1) with F_h z in K, a strict primal solution;
+infeasibility is only declared once it passes an independent check.
+Either way the verdict rests on verifying the raw constraints, never on
+solver status alone.  reduce_rank then deflates that point toward rank one.
 """
 
 from dataclasses import dataclass, field
@@ -66,9 +63,8 @@ class SolverSettings:
     max_ipm_iters: int = 200
 
 
-# IPM stopping tolerance (feasibility and gap) of the dual and rank-reduction
-# solves, and of the margin and steer solves, whose points are read off
-# directly.
+# IPM stopping tolerance (feasibility and gap) of the deflation rounds, and
+# of the margin and dual solves, whose points are read off directly.
 _IPM_TOL = 1.0e-10
 _MARGIN_IPM_TOL = 1.0e-11
 # Absolute bound on cone violations of returned assignments.
@@ -92,15 +88,13 @@ class Residuals:
 @dataclass
 class SolveResult:
     """canonical is the problem's dense form: build_dual reads the primal's,
-    reduce_rank reuses the dual's.  multipliers are those of every primal
-    constraint at the optimum of an infeasible primal, else None."""
+    reduce_rank reuses the dual's."""
 
     status: str  # "feasible" | "infeasible" | "numerical_limit"
     assignment: dict
     residuals: Residuals
     diagnostics: dict = field(default_factory=dict)
     canonical: Optional[Union["DualForm", "_Inequality"]] = field(default=None, repr=False)
-    multipliers: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 # how the entries of a constraint expression are scalarized, per cone; the
@@ -273,11 +267,10 @@ class DualForm:
     slice, dimension) for each.  Rows are the primal's decision
     coordinates: A_raw x = b_raw with A_raw = -F_h^T and b_raw = e_t, the
     primal objective.  A and b are the rows equilibrated by d, which the
-    IPM sees; verify measures residuals in the raw units.  start is the
-    part of the primal's multipliers on these blocks, if they were given.
+    IPM sees; verify measures residuals in the raw units.
     """
 
-    def __init__(self, primal: _Inequality, multipliers: Optional[np.ndarray] = None):
+    def __init__(self, primal: _Inequality):
         self.primal = primal
         self.system: StateSpaceSystem = primal.problem.meta["system"]
         self.blocks, rows, at = [], [], 0
@@ -299,7 +292,6 @@ class DualForm:
         self.d = np.maximum(d, 1.0e-12)
         self.A = self.A_raw / self.d[:, None]
         self.b = self.b_raw / self.d
-        self.start = None if multipliers is None else multipliers[np.concatenate(rows)]
 
     def reconstruct(self, x: np.ndarray) -> dict:
         """The dual blocks H, f, g, X (Z) from multiplier coordinates."""
@@ -326,11 +318,10 @@ class DualForm:
 
 
 def build_dual(primal: SolveResult) -> DualForm:
-    """The dual LMI of a solved primal, transposed from its dense form,
-    with the primal's multipliers on its blocks as the point to try first."""
+    """The dual LMI of a solved primal, transposed from its dense form."""
     if not isinstance(primal.canonical, _Inequality):
         raise StructuralError("build_dual needs the result of a primal solve")
-    return DualForm(primal.canonical, primal.multipliers)
+    return DualForm(primal.canonical)
 
 
 def _farkas_quality(dual: DualForm, y: np.ndarray):
@@ -363,8 +354,7 @@ def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> S
     iterate.  The reported margin of a feasible result is therefore the
     achieved -lambda_max(L) of the returned certificate, a lower bound on
     the optimum min(t*, 1), not the optimum itself.  No iterate of an
-    infeasible primal passes the test on t, so it runs to its optimum
-    t* = 0 and its multipliers go with the result.
+    infeasible primal passes the test on t, so it runs to its optimum t* = 0.
     """
     threshold = settings.primal_margin
     accepted = []  # (assignment, verify's result, achieved margin) of the iterate accepted
@@ -405,14 +395,12 @@ def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> S
         "verified": ok,
     }
 
-    multipliers = None
     if t_hat >= threshold and ok and true_margin >= threshold:
         status = "feasible"
         margin = true_margin
     elif res.status == "optimal" and ok:
         status = "infeasible"
         margin = t_hat
-        multipliers = res.x
     else:
         status = "numerical_limit"
         margin = true_margin
@@ -421,7 +409,6 @@ def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> S
         assignment=assignment,
         residuals=Residuals(max_eq, max_cone, margin=float(margin)),
         diagnostics=diagnostics,
-        multipliers=multipliers,
     )
 
 
@@ -429,29 +416,43 @@ def _ipm(settings: SolverSettings, tol: float) -> IpmSettings:
     return IpmSettings(max_iters=settings.max_ipm_iters, tol_feas=tol, tol_gap=tol)
 
 
-def _solve_dual(dual: DualForm, settings: SolverSettings) -> SolveResult:
-    """The primal's multipliers if they verify, else one solve with zero
-    objective: a verified point, else a certificate.
+def _steer_matrix(sys: StateSpaceSystem) -> np.ndarray:
+    """Linear functional whose value on rank-1 H is h1^T (A h1 + B h2).
 
-    A certificate that passes _farkas_quality is returned in the
-    diagnostics, read in the primal's coordinates: (P, M, t = 1).
+    trace(S H) with S = sym([I 0]^T [A B]) equals the proof's branch
+    discriminant on rank-1 iterates.  On the trace-normalized rank-1 face
+    it is also the squared state weight of the factor, so maximizing it
+    both forces the branch where the factor reproduces the system dynamics
+    and picks the extremal point with dominant state part; the deflation
+    rounds keep it as a small tie-break.
     """
-    diagnostics = {"dual_source": "primal_multipliers"}
-    ok = False
-    if dual.start is not None:
-        assignment = dual.reconstruct(dual.start)
-        ok, max_eq, max_cone = dual.verify(assignment, settings)
-    if not ok:
-        res = solve_conic(
-            dual.A, dual.b, np.zeros(dual.ncone), dual.cone, _ipm(settings, _IPM_TOL)
-        )
-        diagnostics = {
-            "dual_source": "dual_solve",
-            "ipm_status": res.status,
-            "ipm_iterations": res.iterations,
-        }
-        assignment = dual.reconstruct(res.x)
-        ok, max_eq, max_cone = dual.verify(assignment, settings)
+    n, m = sys.n, sys.m
+    AB = np.hstack([sys.A, sys.B])
+    I0 = np.hstack([np.eye(n), np.zeros((n, m))])
+    S = I0.T @ AB
+    return 0.5 * (S + S.T)
+
+
+def _solve_dual(dual: DualForm, settings: SolverSettings) -> SolveResult:
+    """One solve over the dual's feasible set, maximizing the steer
+    functional on H (zero objective if it vanishes): a verified point,
+    else a certificate.
+
+    The point is solved at the high-accuracy tolerance: breakpoint data for
+    the destabilizing map is read straight off it, and leftover solver
+    noise shows up as spurious slope defects.  A certificate that passes
+    _farkas_quality is returned in the diagnostics, read in the primal's
+    coordinates: (P, M, t = 1).
+    """
+    c = np.zeros(dual.ncone)
+    steer = _steer_matrix(dual.system)
+    sn = float(np.linalg.norm(steer, "fro"))
+    if sn > 0:
+        c[dual.h_slice] = svec(-steer / sn)
+    res = solve_conic(dual.A, dual.b, c, dual.cone, _ipm(settings, _MARGIN_IPM_TOL))
+    diagnostics = {"ipm_status": res.status, "ipm_iterations": res.iterations}
+    assignment = dual.reconstruct(res.x)
+    ok, max_eq, max_cone = dual.verify(assignment, settings)
     status = "feasible"
     if not ok:
         # no verified point: the Farkas certificate is checked independently
@@ -479,9 +480,9 @@ def solve(
     The primal is the max-margin problem: the verdict is "feasible" when
     the returned assignment itself achieves the margin threshold,
     "infeasible" when a converged optimum stays below it.  The dual is
-    the primal's multipliers when they verify, else one solve with zero
-    objective; "infeasible" requires a Farkas certificate that passes
-    _farkas_quality.  Anything undecided comes back "numerical_limit".
+    one steer solve over its feasible set; "infeasible" requires a
+    Farkas certificate that passes _farkas_quality.  Anything undecided
+    comes back "numerical_limit".
     """
     settings = settings or SolverSettings()
     if isinstance(problem, DualForm):
@@ -492,20 +493,6 @@ def solve(
         result = _solve_inequality(problem, form, settings)
         result.canonical = form
     return result
-
-
-def _steer_matrix(sys: StateSpaceSystem) -> np.ndarray:
-    """Linear functional whose value on rank-1 H is h1^T (A h1 + B h2).
-
-    trace(S H) with S = sym([I 0]^T [A B]) equals the proof's branch
-    discriminant on rank-1 iterates; reduce_rank uses it as a small
-    tie-break toward the branch where a certificate can be concluded.
-    """
-    n, m = sys.n, sys.m
-    AB = np.hstack([sys.A, sys.B])
-    I0 = np.hstack([np.eye(n), np.zeros((n, m))])
-    S = I0.T @ AB
-    return 0.5 * (S + S.T)
 
 
 def _rank_ratio(H: np.ndarray):
@@ -520,17 +507,16 @@ def reduce_rank(
     warm: SolveResult,
     settings: Optional[SolverSettings] = None,
 ) -> SolveResult:
-    """Drive H, the PSD block of a feasible dual, toward rank one.
+    """Drive H, the PSD block of a feasible dual point, toward rank one.
 
-    First re-solves the feasibility set maximizing the pairing functional,
-    which selects the extremal point whose dominant factor has the largest
-    state weight (and in particular the branch where the factor reproduces
-    the system dynamics).  If that point is not yet rank one, repeatedly
-    re-solves minimizing the weight on the non-dominant eigenspace of the
-    current iterate.  Every point is verified against the raw constraints
-    and kept as the solver returned it.  A warm start that already meets
-    the rank tolerance comes back with its assignment unchanged, with zero
-    rounds run.
+    warm is the point of the steer solve.  While the current point is
+    not rank one, re-solves minimizing the weight on its non-dominant
+    eigenspace, less a small steer term, and keeps a round's point only
+    if it lowers the rank ratio.  Every point is verified against the raw
+    constraints and kept as the solver returned it.  rank_trail starts at
+    the ratio of the warm point; a warm point that already meets the rank
+    tolerance comes back with its assignment unchanged, with zero rounds
+    run.
     """
     settings = settings or SolverSettings()
     if warm.status != "feasible":
@@ -543,29 +529,7 @@ def reduce_rank(
     best_eq, best_cone = warm.residuals.max_equality, warm.residuals.max_cone_violation
     best_ratio, _ = _rank_ratio(best_assign["H"])
     trail = [best_ratio]
-    hsl = dual.h_slice
     ipm = _ipm(settings, _IPM_TOL)
-
-    # On the trace-normalized rank-1 face the pairing functional equals the
-    # squared state weight of the factor, so maximizing it both forces the
-    # branch where the factor reproduces the system dynamics and picks the
-    # extremal certificate with dominant state part.  Solving for that point
-    # first typically lands (near) rank one before any deflation runs.
-    steered = False
-    if best_ratio > settings.tol_rank and steer_term is not None:
-        c = np.zeros(dual.ncone)
-        c[hsl] = svec(-steer / sn)
-        # solved at the high-accuracy tolerances: breakpoint data for the
-        # destabilizing map is read straight off this point, and leftover
-        # solver noise shows up as spurious slope defects
-        res = solve_conic(dual.A, dual.b, c, dual.cone, _ipm(settings, _MARGIN_IPM_TOL))
-        assignment = dual.reconstruct(res.x)
-        ok, max_eq, max_cone = dual.verify(assignment, settings)
-        if ok:
-            best_assign, best_eq, best_cone = assignment, max_eq, max_cone
-            best_ratio, _ = _rank_ratio(assignment["H"])
-            trail.append(best_ratio)
-            steered = True
 
     rounds = 0
     for _ in range(_MAX_RANK_ROUNDS):
@@ -578,7 +542,7 @@ def reduce_rank(
         if steer_term is not None:
             W = W - steer_term
         c = np.zeros(dual.ncone)
-        c[hsl] = svec(0.5 * (W + W.T))
+        c[dual.h_slice] = svec(0.5 * (W + W.T))
         res = solve_conic(dual.A, dual.b, c, dual.cone, ipm)
         rounds += 1
 
@@ -598,7 +562,6 @@ def reduce_rank(
         {
             "rank_trail": trail,
             "rounds": rounds,
-            "steered": steered,
             "rank_ratio": best_ratio,
         }
     )

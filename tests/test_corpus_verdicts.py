@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, simulate
+from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, engine, simulate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TABLE = pathlib.Path(__file__).parent / "data" / "corpus_verdicts.json"
@@ -38,15 +38,31 @@ def test_the_table_names_every_corpus_input(corpus):
     assert [case.name for case in corpus] == list(json.loads(TABLE.read_text()))
 
 
-def test_every_corpus_input_keeps_its_verdict_and_reason(corpus):
+def test_every_corpus_input_keeps_its_verdict_and_reason(corpus, monkeypatch):
     table = json.loads(TABLE.read_text())
-    moved = {}
+    calls = []
+    real = engine.solve_conic
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_conic", counting)
+    moved, over_budget = {}, {}
     for case in corpus:
+        calls.clear()
         report = json.loads(analyze(_system(case)).to_json())
-        got = [report["verdict"], report["diagnostics"]["pipeline"].get("inconclusive_reason")]
+        pipe = report["diagnostics"]["pipeline"]
+        got = [report["verdict"], pipe.get("inconclusive_reason")]
         if got != table[case.name]:
             moved[case.name] = (table[case.name], got)
+        # the primal alone decides a stable report; any other report adds
+        # one dual solve and its deflation rounds
+        budget = 1 if report["verdict"] == "absolutely_stable" else 2 + pipe.get("rank_rounds", 0)
+        if len(calls) != budget:
+            over_budget[case.name] = (budget, len(calls))
     assert not moved
+    assert not over_budget
 
 
 def test_every_inconclusive_reason_seen_is_documented(slope_report, odd_report, decoupled_example):

@@ -1,6 +1,8 @@
 """Engine-level solves on the example systems plus small synthetic plants."""
 
 import dataclasses
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,10 +16,22 @@ from lurestab.report import analyze
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
 from oracles import output_coupling_block, state_equality_block
 
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
 
 def _dual(sysm):
     """The dual LMI of a plant, transposed from its solved primal."""
     return build_dual(solve(build_primal(sysm)))
+
+
+def _corpus_system(index):
+    """System i of the benchmark's fixed 120-system corpus."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    case = module.roadmap_corpus()[index]
+    cls = NonlinearityClass.SLOPE_ODD if case.odd else NonlinearityClass.SLOPE
+    return StateSpaceSystem(case.A, case.B, case.C, case.D, SlopeBand(case.mu, case.nu), cls)
 
 
 def test_margin_primal_infeasible_on_slope_example(slope_example):
@@ -65,13 +79,18 @@ def test_dual_feasible_on_odd_example(odd_example):
     assert abs(np.trace(res.assignment["H"]) - 1.0) <= 1.0e-7
 
 
-def test_reduce_rank_reaches_rank_one(slope_example):
-    problem = _dual(slope_example)
+def test_reduce_rank_reaches_rank_one():
+    # the steered dual point of corpus input 74 has rank ratio 0.40; a
+    # deflation round takes it to rank one
+    problem = _dual(_corpus_system(74))
     warm = solve(problem)
     red = reduce_rank(problem, warm)
     assert red.status == "feasible"
-    assert red.diagnostics["rank_ratio"] <= 1.0e-6
-    assert red.diagnostics["rank_trail"][0] > red.diagnostics["rank_ratio"]
+    trail = red.diagnostics["rank_trail"]
+    # the trail starts at the steered point
+    assert trail[0] == engine._rank_ratio(warm.assignment["H"])[0] > 1.0e-6
+    assert red.diagnostics["rounds"] >= 1
+    assert trail[-1] == red.diagnostics["rank_ratio"] <= 1.0e-6
     w = np.linalg.eigvalsh(red.assignment["H"])[::-1]
     assert w[1] <= 1.0e-6 * w[0]
 
@@ -116,22 +135,21 @@ def test_feasible_primal_measures_its_certificate_once(decoupled_example, monkey
 
 
 def test_reduce_rank_keeps_rank_one_warm_start(slope_example):
+    # the steered dual point of the slope example is rank one already
     problem = _dual(slope_example)
     warm = solve(problem)
-    red = reduce_rank(problem, warm)
     # re-wrap without diagnostics: they are filled in with zero rounds run
     clean = SolveResult(
         status="feasible",
-        assignment=dict(red.assignment),
-        residuals=red.residuals,
+        assignment=dict(warm.assignment),
+        residuals=warm.residuals,
     )
-    again = reduce_rank(problem, clean)
-    assert again.assignment is clean.assignment
-    assert again.residuals == clean.residuals
-    assert again.diagnostics["rounds"] == 0
-    assert not again.diagnostics["steered"]
-    assert len(again.diagnostics["rank_trail"]) == 1
-    assert np.array_equal(again.assignment["H"], red.assignment["H"])
+    red = reduce_rank(problem, clean)
+    assert red.assignment is clean.assignment
+    assert red.residuals == clean.residuals
+    assert red.diagnostics["rounds"] == 0
+    assert red.diagnostics["rank_trail"] == [red.diagnostics["rank_ratio"]]
+    assert red.diagnostics["rank_ratio"] <= 1.0e-6
 
 
 def test_reduce_rank_rejects_infeasible_warm_start(slope_example):
@@ -209,7 +227,6 @@ def test_equality_solve_feasible_toy():
 
 def test_steer_solve_stops_at_its_accuracy_floor(odd_example, monkeypatch):
     problem = _dual(odd_example)
-    warm = solve(problem)
     results = []
     real = engine.solve_conic
 
@@ -218,22 +235,23 @@ def test_steer_solve_stops_at_its_accuracy_floor(odd_example, monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(engine, "solve_conic", capturing)
-    red = reduce_rank(problem, warm)
-    steer = results[0]
-    # the steer solve asks for 1e-11, below what its rounding allows; it
-    # gets within 1e-9 and then stops instead of iterating at the floor
-    assert red.diagnostics["steered"]
-    assert steer.status in ("optimal", "stalled")
+    warm = solve(problem)
+    [steer] = results
+    # the steered dual solve asks for 1e-11, at the edge of what its
+    # rounding allows; it gets within 1e-9 and then stops instead of
+    # iterating at the floor
+    assert warm.status == "feasible"
+    assert warm.diagnostics["ipm_status"] == steer.status in ("optimal", "stalled")
     assert steer.iterations <= 30
     assert max(steer.rp_rel, steer.rd_rel, steer.gap_rel) <= 1.0e-9
+    reduce_rank(problem, warm)
     assert all(res.status != "max_iters" for res in results)
 
 
 @pytest.mark.parametrize("fixture", ["slope_example", "odd_example"])
 def test_witness_is_a_verified_solver_point_as_returned(monkeypatch, request, fixture):
     problem = _dual(request.getfixturevalue(fixture))
-    warm = solve(problem)
-    points = [problem.start]
+    points = []
     real = engine.solve_conic
 
     def recording(*args, **kwargs):
@@ -242,7 +260,7 @@ def test_witness_is_a_verified_solver_point_as_returned(monkeypatch, request, fi
         return res
 
     monkeypatch.setattr(engine, "solve_conic", recording)
-    red = reduce_rank(problem, warm)
+    red = reduce_rank(problem, solve(problem))
     # nothing rewrites the point a solve returned before it is read
     H = red.assignment["H"]
     assert any(np.array_equal(H, problem.reconstruct(x)["H"]) for x in points)
@@ -352,7 +370,7 @@ def test_primal_output_holds_from_definitions(slope_example, odd_example, decoup
 
 
 @pytest.mark.parametrize("fixture", ["slope_example", "odd_example"])
-def test_dual_point_is_read_off_the_primal_multipliers(monkeypatch, request, fixture):
+def test_dual_point_is_the_one_steered_solve(monkeypatch, request, fixture):
     sysm = request.getfixturevalue(fixture)
     solves = _capture_primal_rows(monkeypatch)
     warm_starts = []
@@ -365,31 +383,28 @@ def test_dual_point_is_read_off_the_primal_multipliers(monkeypatch, request, fix
     monkeypatch.setattr(report, "reduce_rank", reducing)
     rep = analyze(sysm)
     assert rep.verdict == "not_absolutely_stable"
-    # the primal is the only IPM solve before rank reduction
+    # the primal and one dual solve run before rank reduction
     [(before, dual, warm)] = warm_starts
-    assert before == 1
+    assert before == 2
     assert warm.status == "feasible"
-    assert warm.diagnostics["dual_source"] == "primal_multipliers"
     assert dual.verify(warm.assignment, SolverSettings())[0]
     pipe = rep.diagnostics["pipeline"]
-    assert pipe["dual_source"] == "primal_multipliers"
+    assert "dual_source" not in pipe
+    assert pipe["rank_trail"][0] == engine._rank_ratio(warm.assignment["H"])[0]
     assert pipe["primal_ipm_status"] == "optimal"
     assert pipe["primal_ipm_iterations"] >= 1
 
 
-def test_numerical_limit_primal_falls_back_to_the_dual_solve(monkeypatch, slope_example):
-    solves = _capture_primal_rows(monkeypatch)
-    primal = solve(build_primal(slope_example), SolverSettings(max_ipm_iters=3))
-    assert primal.status == "numerical_limit"
-    assert primal.diagnostics["ipm_status"] == "max_iters"
-    assert primal.multipliers is None
-    dual = build_dual(primal)
-    assert dual.start is None
-    res = solve(dual)
-    assert len(solves) == 2
-    assert res.status == "feasible"
-    assert res.diagnostics["dual_source"] == "dual_solve"
-    assert dual.verify(res.assignment, SolverSettings())[0]
+def test_dual_point_does_not_depend_on_how_the_primal_ended(slope_example):
+    problem = build_primal(slope_example)
+    capped = solve(problem, SolverSettings(max_ipm_iters=3))
+    assert capped.status == "numerical_limit"
+    assert capped.diagnostics["ipm_status"] == "max_iters"
+    converged = solve(problem)
+    assert converged.status == "infeasible"
+    capped_dual, dual = (solve(build_dual(primal)) for primal in (capped, converged))
+    assert capped_dual.status == dual.status == "feasible"
+    assert np.array_equal(capped_dual.assignment["H"], dual.assignment["H"])
 
 
 def test_stable_analyze_stops_the_primal_at_its_first_certificate(monkeypatch):
@@ -402,4 +417,4 @@ def test_stable_analyze_stops_the_primal_at_its_first_certificate(monkeypatch):
     # run to its optimum, this primal takes 15 iterations; its first
     # certificate comes at iteration 6
     assert pipe["primal_ipm_iterations"] <= 6
-    assert "dual_source" not in pipe
+    assert "dual_status" not in pipe
