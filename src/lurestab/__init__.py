@@ -30,7 +30,7 @@ from .system import (
 )
 from .multipliers import Multiplier, build_multiplier
 from .lmi import build_primal
-from .engine import Residuals, SolveResult, SolverSettings, reduce_rank, solve
+from .engine import Residuals, SolveResult, reduce_rank, solve
 from .pwl import PiecewiseLinearMap, SlopeReport, eval_pwl, verify_slope
 from .detector import DualCertificate, Inconclusive, build_pwl, extract_certificate
 from .simulate import Trajectory, simulate, solve_loop, vector_field
@@ -55,7 +55,6 @@ __all__ = [
     "SlopeBand",
     "SlopeReport",
     "SolveResult",
-    "SolverSettings",
     "StateSpaceSystem",
     "StructuralError",
     "Trajectory",

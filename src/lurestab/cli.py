@@ -2,7 +2,7 @@
 
 JSON in, canonical JSON report or CSV data out.  Exit codes are part of the
 contract: 0 absolutely stable, 10 not absolutely stable, 20 inconclusive,
-1 input error, 2 numeric failure.
+1 input or command-line usage error, 2 numeric failure.
 """
 
 import argparse
@@ -11,7 +11,6 @@ import sys as _sys
 
 import numpy as np
 
-from .engine import SolverSettings
 from .errors import (
     AssumptionViolatedError,
     CertificateInconsistentError,
@@ -102,13 +101,7 @@ def _write_text(text: str, out_path):
 
 def _cmd_analyze(args) -> int:
     sys_ = _load_system(args.input)
-    settings = SolverSettings(
-        tol_rank=args.tol_rank,
-        tol_eq=args.tol_eq,
-        primal_margin=args.primal_margin,
-        max_ipm_iters=args.max_ipm_iters,
-    )
-    report = analyze(sys_, settings, seed=args.seed)
+    report = analyze(sys_)
     _write_text(report.to_json(), args.out)
     if args.phi_out and report.phi is not None:
         phi_doc = {
@@ -180,11 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("input", help="system JSON (A, B, C, D, mu, nu, class)")
     pa.add_argument("--out", default=None, help="report path (default stdout)")
     pa.add_argument("--phi-out", default=None, help="write constructed phi as JSON")
-    pa.add_argument("--tol-rank", type=float, default=1.0e-6)
-    pa.add_argument("--tol-eq", type=float, default=1.0e-8)
-    pa.add_argument("--primal-margin", type=float, default=1.0e-7)
-    pa.add_argument("--max-ipm-iters", type=int, default=200)
-    pa.add_argument("--seed", type=int, default=None, help="echoed in diagnostics")
     pa.set_defaults(func=_cmd_analyze)
 
     ps = sub.add_parser("simulate", help="closed-loop trajectory CSV")
@@ -212,8 +200,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or usage and the error
+        return 0 if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
     except _NUMERIC_ERRORS as exc:

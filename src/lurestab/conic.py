@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["ConeSpec", "ConicResult", "IpmSettings", "smat", "solve_conic", "svec", "svec_dim"]
+__all__ = ["ConeSpec", "ConicResult", "MAX_ITERS", "smat", "solve_conic", "svec", "svec_dim"]
 
 _SQRT2 = math.sqrt(2.0)
 # Rows per diagonal block of the substitutions in _cho_solve.
@@ -41,6 +41,8 @@ _TRSV_BLOCK = 64
 _REFINE_STEPS = 2
 # Fraction of the distance to the cone boundary each step covers.
 _STEP_FRAC = 0.99
+# Iterations after which a run ends "max_iters".
+MAX_ITERS = 200
 
 
 def svec_dim(d: int) -> int:
@@ -113,13 +115,6 @@ class ConeSpec:
             out.append((tag, size, slice(at, at + ln)))
             at += ln
         return out
-
-
-@dataclass(frozen=True)
-class IpmSettings:
-    max_iters: int = 200
-    tol_feas: float = 1.0e-10
-    tol_gap: float = 1.0e-10
 
 
 @dataclass
@@ -482,17 +477,17 @@ def solve_conic(
     b: np.ndarray,
     c: np.ndarray,
     cone: ConeSpec,
-    settings: Optional[IpmSettings] = None,
+    tol: float = 1.0e-10,
     accept: Optional[Callable[[np.ndarray], bool]] = None,
 ) -> ConicResult:
     """Run the predictor-corrector loop on the embedding, from x = s = e,
     y = 0, tau = kappa = 1.  It ends in one of five ways:
 
-    - "optimal": the tau-normalized iterate has rp_rel and rd_rel within
-      tol_feas and gap_rel within tol_gap; x, y and s are divided by tau.
+    - "optimal": the tau-normalized iterate has rp_rel, rd_rel and gap_rel
+      all within tol; x, y and s are divided by tau.
     - "infeasible": kappa dominates tau and y is a Farkas certificate,
-      b.y > 0 with ||A^T y + s|| <= tol_feas b.y, so -A^T y lies within
-      tol_feas of K; x, y and s are divided by b.y.
+      b.y > 0 with ||A^T y + s|| <= tol b.y, so -A^T y lies within tol of
+      K; x, y and s are divided by b.y.
     - "accepted": accept(y / tau) holds, tested on every iterate that is
       neither optimal nor infeasible; x, y and s are divided by tau.
     - "stalled": an iteration failed to improve the progress score, the
@@ -505,12 +500,11 @@ def solve_conic(
       a step length, or a non-finite iterate, is such a failure.  (The
       tau-normalized measures are no score: a sound step that lowers tau
       can raise them.)
-    - "max_iters": the last iterate, divided by tau.
+    - "max_iters": the last of MAX_ITERS iterates, divided by tau.
 
     rp_rel, rd_rel and gap_rel are those of the returned iterate, normalized
     by tau.  Floating-point warnings are suppressed throughout.
     """
-    st = settings or IpmSettings()
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
@@ -528,7 +522,7 @@ def solve_conic(
     history = []
 
     with np.errstate(all="ignore"):
-        for it in range(1, st.max_iters + 1):
+        for it in range(1, MAX_ITERS + 1):
             aty = A.T @ y
             rp = tau * b - A @ x
             rd = tau * c - aty - s
@@ -542,10 +536,10 @@ def solve_conic(
             history.append((rp_rel, rd_rel, gap_rel))
             point = (x, y, s, tau, kappa, rp_rel, rd_rel, gap_rel)
 
-            if rp_rel <= st.tol_feas and rd_rel <= st.tol_feas and gap_rel <= st.tol_gap:
+            if rp_rel <= tol and rd_rel <= tol and gap_rel <= tol:
                 status = "optimal"
                 break
-            if kappa > tau and farkas <= st.tol_feas:
+            if kappa > tau and farkas <= tol:
                 status = "infeasible"
                 break
             if accept is not None and accept(y / tau):
@@ -555,7 +549,7 @@ def solve_conic(
             if not score < prev_score:
                 status, point = "stalled", prev or point
                 break
-            if it == st.max_iters:
+            if it == MAX_ITERS:
                 break
             prev, prev_score = point, score
 

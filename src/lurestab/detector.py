@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .engine import TOL_RANK
 from .errors import (
     CertificateInconsistentError,
     InternalContradictionError,
@@ -26,6 +27,8 @@ __all__ = ["DualCertificate", "Inconclusive", "build_pwl", "extract_certificate"
 # Segments whose slope lies this close to mu or nu are taken to sit on that
 # band edge exactly when a witness is snapped (snap_to_band).
 SNAP_WINDOW = 1.0e-5
+# The sign gate tolerates min (A h1 + B h2) * h1 down to -_SIGN_TOL ||h1||^2.
+_SIGN_TOL = 1.0e-9
 
 
 @dataclass(frozen=True)
@@ -65,13 +68,7 @@ class Inconclusive:
     detail: str = ""
 
 
-def extract_certificate(
-    sys: StateSpaceSystem,
-    solve_result,
-    nl_class: NonlinearityClass,
-    rank_rel_tol: float = 1.0e-6,
-    sign_tol: float = 1.0e-9,
-):
+def extract_certificate(sys: StateSpaceSystem, solve_result, nl_class: NonlinearityClass):
     """Apply the rank and sign gates to a feasible dual solution.
 
     Returns a DualCertificate, or Inconclusive when one of the theorem's
@@ -89,7 +86,7 @@ def extract_certificate(
         raise StructuralError("dual kind does not match the nonlinearity class")
 
     H = np.asarray(assignment["H"], dtype=float)
-    rank, V = numerical_rank_and_factor(H, rel_tol=rank_rel_tol)
+    rank, V = numerical_rank_and_factor(H, rel_tol=TOL_RANK)
     if rank != 1:
         return Inconclusive("rank", f"numerical rank {rank}")
     h = V[:, 0]
@@ -116,7 +113,7 @@ def extract_certificate(
 
     v = sys.A @ h1 + sys.B @ h2
     sign_min = float(np.min(v * h1))
-    if sign_min < -sign_tol * norm_h1 ** 2:
+    if sign_min < -_SIGN_TOL * norm_h1 ** 2:
         return Inconclusive(
             "sign",
             f"diagonal sign condition fails by {sign_min:.3e}; "

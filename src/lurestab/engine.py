@@ -24,6 +24,11 @@ certificate is (P, M, t = 1) with F_h z in K, a strict primal solution;
 infeasibility is only declared once it passes an independent check.
 Either way the verdict rests on verifying the raw constraints, never on
 solver status alone.  reduce_rank then deflates that point toward rank one.
+
+Every threshold is a module constant: TOL_RANK decides "rank one" here
+and in the detector, TOL_EQ bounds the dual's raw residual, PRIMAL_MARGIN
+is the margin a certifying primal iterate must reach and CONE_TOL the cone
+violation any returned assignment may carry.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +37,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .conic import ConeSpec, IpmSettings, smat, solve_conic, svec, svec_dim
+from .conic import ConeSpec, smat, solve_conic, svec, svec_dim
 from .errors import StructuralError
 from .lmi import DUAL_SCALE, SdpFeasibilityProblem
 from .system import StateSpaceSystem
@@ -41,28 +46,19 @@ __all__ = [
     "DualForm",
     "Residuals",
     "SolveResult",
-    "SolverSettings",
     "build_dual",
     "reduce_rank",
     "solve",
 ]
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Tolerances and iteration limits for the engine.
-
-    tol_eq bounds the largest entry of the dual's residual A x - b, in raw
-    (unequilibrated) units, relative to 1 + max|b|.  The margin threshold
-    decides when a max-margin primal counts as strictly feasible.
-    """
-
-    tol_rank: float = 1.0e-6
-    tol_eq: float = 1.0e-8
-    primal_margin: float = 1.0e-7
-    max_ipm_iters: int = 200
-
-
+# Largest ratio of H's second eigenvalue to its first that counts as rank one.
+TOL_RANK = 1.0e-6
+# Bound on the largest entry of the dual's residual A x - b, in raw
+# (unequilibrated) units, relative to 1 + max|b|.
+TOL_EQ = 1.0e-8
+# Margin from which a max-margin primal iterate counts as strictly feasible.
+PRIMAL_MARGIN = 1.0e-7
 # IPM stopping tolerance (feasibility and gap) of the deflation rounds, and
 # of the margin and dual solves, whose points are read off directly.
 _IPM_TOL = 1.0e-10
@@ -249,7 +245,7 @@ class _Inequality:
         coordinates (hollow at dimension 1) is zero."""
         return {v.name: _from_coords(v.kind, z[sl], v.dim) for v, sl in self.var_slices}
 
-    def verify(self, assignment: dict, settings: SolverSettings):
+    def verify(self, assignment: dict):
         """Worst cone violation of the constraint expressions at this
         assignment; there are no equality rows, so that residual is 0."""
         max_cone = max(
@@ -300,7 +296,7 @@ class DualForm:
             for con, sl, dim in self.blocks
         }
 
-    def verify(self, assignment: dict, settings: SolverSettings):
+    def verify(self, assignment: dict):
         """Raw adjoint residual and cone violation of the dual blocks.
 
         The cone violation is measured on H, f, g, -X and -Z, in the units
@@ -313,7 +309,7 @@ class DualForm:
             parts.append(_scalarize(multiplier, _CONSTRAINT_STRUCTURE[con.cone]))
             max_cone = max(max_cone, _cone_violation(con.cone, abs(scale) * multiplier))
         max_eq = float(np.max(np.abs(self.A_raw @ np.concatenate(parts) - self.b_raw)))
-        tol_eq = settings.tol_eq * (1.0 + float(np.max(np.abs(self.b_raw))))
+        tol_eq = TOL_EQ * (1.0 + float(np.max(np.abs(self.b_raw))))
         return max_eq <= tol_eq and max_cone <= CONE_TOL, max_eq, max_cone
 
 
@@ -344,7 +340,7 @@ def _primal_true_margin(problem: SdpFeasibilityProblem, assignment: dict) -> flo
     return -float(w[-1])
 
 
-def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> SolveResult:
+def _solve_inequality(problem, form: _Inequality) -> SolveResult:
     """Maximize the margin t of the primal LMI until an iterate certifies.
 
     An iterate z certifies when t = objective.z, the worst raw cone
@@ -356,26 +352,23 @@ def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> S
     the optimum min(t*, 1), not the optimum itself.  No iterate of an
     infeasible primal passes the test on t, so it runs to its optimum t* = 0.
     """
-    threshold = settings.primal_margin
     accepted = []  # (assignment, verify's result, achieved margin) of the iterate accepted
 
     def certifies(y: np.ndarray) -> bool:
         z = y / form.d
-        if form.objective @ z < threshold:
+        if form.objective @ z < PRIMAL_MARGIN:
             return False
         assignment = form.reconstruct(z)
-        checked = form.verify(assignment, settings)
+        checked = form.verify(assignment)
         if not checked[0]:
             return False
         true_margin = _primal_true_margin(problem, assignment)
-        if true_margin < threshold:
+        if true_margin < PRIMAL_MARGIN:
             return False
         accepted.append((assignment, checked, true_margin))
         return True
 
-    res = solve_conic(
-        form.A, form.b, form.F0, form.cone, _ipm(settings, _MARGIN_IPM_TOL), accept=certifies
-    )
+    res = solve_conic(form.A, form.b, form.F0, form.cone, _MARGIN_IPM_TOL, accept=certifies)
     z = res.y / form.d
     t_hat = float(form.objective @ z)
     if res.status == "accepted":
@@ -383,19 +376,10 @@ def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> S
         assignment, (ok, max_eq, max_cone), true_margin = accepted[-1]
     else:
         assignment = form.reconstruct(z)
-        ok, max_eq, max_cone = form.verify(assignment, settings)
+        ok, max_eq, max_cone = form.verify(assignment)
         true_margin = _primal_true_margin(problem, assignment)
 
-    diagnostics = {
-        "ipm_status": res.status,
-        "ipm_iterations": res.iterations,
-        "objective_value": res.obj,
-        "margin_optimum": t_hat,
-        "margin_achieved": true_margin,
-        "verified": ok,
-    }
-
-    if t_hat >= threshold and ok and true_margin >= threshold:
+    if t_hat >= PRIMAL_MARGIN and ok and true_margin >= PRIMAL_MARGIN:
         status = "feasible"
         margin = true_margin
     elif res.status == "optimal" and ok:
@@ -408,12 +392,8 @@ def _solve_inequality(problem, form: _Inequality, settings: SolverSettings) -> S
         status=status,
         assignment=assignment,
         residuals=Residuals(max_eq, max_cone, margin=float(margin)),
-        diagnostics=diagnostics,
+        diagnostics={"ipm_status": res.status, "ipm_iterations": res.iterations},
     )
-
-
-def _ipm(settings: SolverSettings, tol: float) -> IpmSettings:
-    return IpmSettings(max_iters=settings.max_ipm_iters, tol_feas=tol, tol_gap=tol)
 
 
 def _steer_matrix(sys: StateSpaceSystem) -> np.ndarray:
@@ -433,7 +413,7 @@ def _steer_matrix(sys: StateSpaceSystem) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _solve_dual(dual: DualForm, settings: SolverSettings) -> SolveResult:
+def _solve_dual(dual: DualForm) -> SolveResult:
     """One solve over the dual's feasible set, maximizing the steer
     functional on H (zero objective if it vanishes): a verified point,
     else a certificate.
@@ -449,10 +429,10 @@ def _solve_dual(dual: DualForm, settings: SolverSettings) -> SolveResult:
     sn = float(np.linalg.norm(steer, "fro"))
     if sn > 0:
         c[dual.h_slice] = svec(-steer / sn)
-    res = solve_conic(dual.A, dual.b, c, dual.cone, _ipm(settings, _MARGIN_IPM_TOL))
+    res = solve_conic(dual.A, dual.b, c, dual.cone, _MARGIN_IPM_TOL)
     diagnostics = {"ipm_status": res.status, "ipm_iterations": res.iterations}
     assignment = dual.reconstruct(res.x)
-    ok, max_eq, max_cone = dual.verify(assignment, settings)
+    ok, max_eq, max_cone = dual.verify(assignment)
     status = "feasible"
     if not ok:
         # no verified point: the Farkas certificate is checked independently
@@ -472,9 +452,7 @@ def _solve_dual(dual: DualForm, settings: SolverSettings) -> SolveResult:
     )
 
 
-def solve(
-    problem: Union[SdpFeasibilityProblem, DualForm], settings: Optional[SolverSettings] = None
-) -> SolveResult:
+def solve(problem: Union[SdpFeasibilityProblem, DualForm]) -> SolveResult:
     """Decide the problem and return a verified assignment or certificate.
 
     The primal is the max-margin problem: the verdict is "feasible" when
@@ -484,13 +462,12 @@ def solve(
     Farkas certificate that passes _farkas_quality.  Anything undecided
     comes back "numerical_limit".
     """
-    settings = settings or SolverSettings()
     if isinstance(problem, DualForm):
-        result = _solve_dual(problem, settings)
+        result = _solve_dual(problem)
         result.canonical = problem
     else:
         form = _Inequality(problem)
-        result = _solve_inequality(problem, form, settings)
+        result = _solve_inequality(problem, form)
         result.canonical = form
     return result
 
@@ -502,11 +479,7 @@ def _rank_ratio(H: np.ndarray):
     return max(ratio, 0.0), w
 
 
-def reduce_rank(
-    dual: DualForm,
-    warm: SolveResult,
-    settings: Optional[SolverSettings] = None,
-) -> SolveResult:
+def reduce_rank(dual: DualForm, warm: SolveResult) -> SolveResult:
     """Drive H, the PSD block of a feasible dual point, toward rank one.
 
     warm is the point of the steer solve.  While the current point is
@@ -518,7 +491,6 @@ def reduce_rank(
     tolerance comes back with its assignment unchanged, with zero rounds
     run.
     """
-    settings = settings or SolverSettings()
     if warm.status != "feasible":
         raise StructuralError("rank reduction needs a feasible warm start")
     steer = _steer_matrix(dual.system)
@@ -529,11 +501,10 @@ def reduce_rank(
     best_eq, best_cone = warm.residuals.max_equality, warm.residuals.max_cone_violation
     best_ratio, _ = _rank_ratio(best_assign["H"])
     trail = [best_ratio]
-    ipm = _ipm(settings, _IPM_TOL)
 
     rounds = 0
     for _ in range(_MAX_RANK_ROUNDS):
-        if best_ratio <= settings.tol_rank:
+        if best_ratio <= TOL_RANK:
             break
         Hc = best_assign["H"]
         _, V = np.linalg.eigh(0.5 * (Hc + Hc.T))
@@ -543,18 +514,18 @@ def reduce_rank(
             W = W - steer_term
         c = np.zeros(dual.ncone)
         c[dual.h_slice] = svec(0.5 * (W + W.T))
-        res = solve_conic(dual.A, dual.b, c, dual.cone, ipm)
+        res = solve_conic(dual.A, dual.b, c, dual.cone, _IPM_TOL)
         rounds += 1
 
         assignment = dual.reconstruct(res.x)
-        ok, max_eq, max_cone = dual.verify(assignment, settings)
+        ok, max_eq, max_cone = dual.verify(assignment)
         ratio = _rank_ratio(assignment["H"])[0] if ok else best_ratio
         improved = ratio < best_ratio
         if improved:
             best_assign, best_eq, best_cone = assignment, max_eq, max_cone
             best_ratio = ratio
         trail.append(best_ratio)
-        if best_ratio <= settings.tol_rank or not improved:
+        if best_ratio <= TOL_RANK or not improved:
             break
 
     diagnostics = dict(warm.diagnostics)

@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .detector import Inconclusive, build_pwl, extract_certificate
-from .engine import CONE_TOL, SolverSettings, build_dual, reduce_rank, solve
+from .conic import MAX_ITERS
+from .engine import CONE_TOL, PRIMAL_MARGIN, TOL_EQ, TOL_RANK, build_dual, reduce_rank, solve
 from .errors import AssumptionViolatedError
 from .linalg import spectral_norm
 from .lmi import build_primal
@@ -151,23 +152,18 @@ def _equilibrium_check(sys: StateSpaceSystem, phi, h1, w_star, v) -> dict:
                    "loop_residual": loop, "loop_bound": loop_bound})
 
 
-def analyze(
-    sys: StateSpaceSystem,
-    settings: Optional[SolverSettings] = None,
-    seed: Optional[int] = None,
-) -> AnalysisReport:
+def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     """Decide absolute stability or produce instability evidence.
 
     The LMIs are solved for normalize_band(sys).  The margin and the dual
     blocks H, f, g, X, Z stay in those normalized coordinates; P, M, h1,
     h2 = w*, z* and phi are reported for the original system and band.
-    The seed is echoed into the diagnostics for provenance only; the whole
-    pipeline is deterministic.
+    The tolerances are fixed module constants, echoed in
+    diagnostics["tolerances"].
 
     diagnostics["pipeline"]["inconclusive_reason"] is one of band_normalization,
     dual_not_feasible, rank, sign, degenerate, slope_check, equilibrium_check.
     """
-    settings = settings or SolverSettings()
     vrep = validate(sys)  # raises on a non-Schur A
 
     diagnostics = {
@@ -183,15 +179,14 @@ def analyze(
             "nonlinearity_class": sys.nl_class.value,
         },
         "tolerances": {
-            "tol_rank": settings.tol_rank,
-            "tol_eq": settings.tol_eq,
-            "primal_margin": settings.primal_margin,
+            "tol_rank": TOL_RANK,
+            "tol_eq": TOL_EQ,
+            "primal_margin": PRIMAL_MARGIN,
             "cone_tol": CONE_TOL,
-            "max_ipm_iters": settings.max_ipm_iters,
+            "max_ipm_iters": MAX_ITERS,
             "equilibrium_check_tol": _EQ_CHECK_TOL,
         },
         "pipeline": {},
-        "seed": seed,
     }
     pipe = diagnostics["pipeline"]
     is_odd = sys.nl_class is NonlinearityClass.SLOPE_ODD
@@ -208,7 +203,7 @@ def analyze(
         return report("inconclusive")
 
     primal_problem = build_primal(unit)
-    primal_res = solve(primal_problem, settings)
+    primal_res = solve(primal_problem)
     pipe["primal_status"] = primal_res.status
     pipe["primal_ipm_status"] = primal_res.diagnostics["ipm_status"]
     pipe["primal_ipm_iterations"] = primal_res.diagnostics["ipm_iterations"]
@@ -227,7 +222,7 @@ def analyze(
         return report("absolutely_stable")
 
     dual_problem = build_dual(primal_res)
-    dual_res = solve(dual_problem, settings)
+    dual_res = solve(dual_problem)
     pipe["dual_status"] = dual_res.status
     if dual_res.status != "feasible":
         pipe["inconclusive_reason"] = "dual_not_feasible"
@@ -238,7 +233,7 @@ def analyze(
         }
         return report("inconclusive")
 
-    reduced = reduce_rank(dual_problem, dual_res, settings)
+    reduced = reduce_rank(dual_problem, dual_res)
     pipe["rank_trail"] = list(reduced.diagnostics["rank_trail"])
     pipe["rank_rounds"] = reduced.diagnostics["rounds"]
 
@@ -249,9 +244,7 @@ def analyze(
         "H": reduced.assignment["H"],
     }
 
-    outcome = extract_certificate(
-        unit, reduced, sys.nl_class, rank_rel_tol=settings.tol_rank
-    )
+    outcome = extract_certificate(unit, reduced, sys.nl_class)
     if isinstance(outcome, Inconclusive):
         pipe["inconclusive_reason"] = outcome.reason
         pipe["inconclusive_detail"] = outcome.detail

@@ -86,6 +86,25 @@ def test_analyze_missing_file_is_input_error(capsys):
     assert main(["analyze", "/nonexistent/system.json"]) == 1
 
 
+def test_removed_tuning_flag_is_a_usage_error(tmp_path, capsys, data_dir):
+    # a margin of 0 would let the primal accept P = M = 0 on this unstable loop
+    out = tmp_path / "report.json"
+    args = ["analyze", str(data_dir / "sys_slope.json"), "--out", str(out)]
+    assert main(args + ["--primal-margin", "0"]) == 1
+    assert not out.exists()
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_missing_input_argument_is_a_usage_error(capsys):
+    assert main(["analyze"]) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["analyze", "--help"]) == 0
+    assert "--phi-out" in capsys.readouterr().out
+
+
 def test_simulate_csv_contract(tmp_path, data_dir, slope_artifacts):
     _, _, phi = slope_artifacts
     out = tmp_path / "traj.csv"

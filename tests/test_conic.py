@@ -7,7 +7,6 @@ from lurestab import conic
 from lurestab.conic import (
     _TRSV_BLOCK,
     ConeSpec,
-    IpmSettings,
     _cho_solve,
     _inverse_blocks,
     _NormalFactor,
@@ -87,7 +86,7 @@ def _infeasible_toy():
 
 def test_lp_solve():
     # x = (0, 1)
-    res = solve_conic(*_lp_toy(), IpmSettings())
+    res = solve_conic(*_lp_toy())
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(0.0, abs=1e-8)
     assert res.x[1] == pytest.approx(1.0, abs=1e-8)
@@ -95,7 +94,7 @@ def test_lp_solve():
 
 def test_sdp_min_eigenvalue():
     A, b, c, cone = _sdp_toy()
-    res = solve_conic(A, b, c, cone, IpmSettings())
+    res = solve_conic(A, b, c, cone)
     assert res.status == "optimal"
     lam_min = np.linalg.eigvalsh(smat(c, 3))[0]
     assert res.obj == pytest.approx(lam_min, abs=1e-7)
@@ -105,7 +104,7 @@ def test_sdp_min_eigenvalue():
 
 def test_mixed_cone_problem():
     # one PSD block and one orthant block tied by a shared budget
-    res = solve_conic(*_mixed_toy(), IpmSettings())
+    res = solve_conic(*_mixed_toy())
     assert res.status == "optimal"
     X = smat(res.x[:3], 2)
     # weight concentrates on the cheap eigendirection
@@ -120,7 +119,7 @@ def test_dual_certificates_at_optimum():
     x_feas = rng.uniform(0.5, 1.5, size=3)
     b = A @ x_feas
     c = rng.uniform(0.5, 1.5, size=3)
-    res = solve_conic(A, b, c, cone, IpmSettings())
+    res = solve_conic(A, b, c, cone)
     assert res.status == "optimal"
     # primal and dual feasibility plus complementarity at the reported point
     assert np.linalg.norm(A @ res.x - b) <= 1e-7 * (1 + np.linalg.norm(b))
@@ -130,7 +129,7 @@ def test_dual_certificates_at_optimum():
 
 
 def test_history_and_iterations_reported():
-    res = solve_conic(*_lp_toy(), IpmSettings())
+    res = solve_conic(*_lp_toy())
     assert res.iterations >= 1
     assert len(res.history) == res.iterations
     assert res.gap_rel <= 1e-8
@@ -357,7 +356,7 @@ def test_schur_complement_factored_once_per_step(monkeypatch):
             super().__init__(M)
 
     monkeypatch.setattr(conic, "_NormalFactor", Counting)
-    res = solve_conic(*_mixed_toy(), IpmSettings())
+    res = solve_conic(*_mixed_toy())
     assert res.status == "optimal"
     # every iteration but the converged last one takes exactly one step
     assert len(factored) == res.iterations - 1
@@ -374,7 +373,7 @@ def test_orthant_pairs_built_once_per_solve(monkeypatch):
 
     monkeypatch.setattr(conic, "_orthant_pairs", counting)
     A, b, c, cone = _mixed_toy()
-    res = solve_conic(A, b, c, cone, IpmSettings())
+    res = solve_conic(A, b, c, cone)
     assert res.status == "optimal" and res.iterations > 2
     # once for the one orthant block, not once per step
     assert len(built) == 1
@@ -394,7 +393,7 @@ def test_breakdown_ends_as_stalled(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(conic, "_step", failing)
-    res = solve_conic(*_lp_toy(), IpmSettings())
+    res = solve_conic(*_lp_toy())
     assert res.status == "stalled"
     assert res.iterations == 3
     # the iterate whose step broke down is the one returned
@@ -412,7 +411,7 @@ def test_non_improving_step_ends_as_stalled_with_the_previous_iterate(monkeypatc
         return (*direction, -alpha if len(steps) == 2 else alpha)
 
     monkeypatch.setattr(conic, "_step", backwards)
-    res = solve_conic(*_lp_toy(), IpmSettings())
+    res = solve_conic(*_lp_toy())
     assert res.status == "stalled"
     assert res.iterations == 3
     assert (res.rp_rel, res.rd_rel, res.gap_rel) == res.history[1]
@@ -420,7 +419,7 @@ def test_non_improving_step_ends_as_stalled_with_the_previous_iterate(monkeypatc
 
 def test_infeasible_psd_problem_returns_a_farkas_certificate():
     A, b, c, cone = _infeasible_toy()
-    res = solve_conic(A, b, c, cone, IpmSettings())
+    res = solve_conic(A, b, c, cone)
     assert res.status == "infeasible"
     assert b @ res.y == pytest.approx(1.0)
     # -A^T y is PSD to within the tolerance, which no x with A x = b allows
@@ -437,17 +436,17 @@ def test_infeasible_psd_problem_returns_a_farkas_certificate():
     ],
 )
 def test_without_a_predicate_the_toys_keep_their_ending(toy, status, iterations):
-    res = solve_conic(*toy(), IpmSettings())
+    res = solve_conic(*toy())
     assert (res.status, res.iterations) == (status, iterations)
     # a predicate that never holds leaves the run as it is
-    never = solve_conic(*toy(), IpmSettings(), accept=lambda y: False)
+    never = solve_conic(*toy(), accept=lambda y: False)
     assert (never.status, never.iterations) == (status, iterations)
     assert np.array_equal(never.x, res.x) and np.array_equal(never.y, res.y)
 
 
 def test_accept_ends_the_run_at_the_first_iterate_that_has_it():
     A, b, c, cone = _sdp_toy()
-    full = solve_conic(A, b, c, cone, IpmSettings())
+    full = solve_conic(A, b, c, cone)
     lam_min = float(np.linalg.eigvalsh(smat(c, 3))[0])
     seen = []
 
@@ -455,7 +454,7 @@ def test_accept_ends_the_run_at_the_first_iterate_that_has_it():
         seen.append(y.copy())
         return abs(float(b @ y) - lam_min) <= 1.0e-3
 
-    res = solve_conic(A, b, c, cone, IpmSettings(), accept=close)
+    res = solve_conic(A, b, c, cone, accept=close)
     assert res.status == "accepted"
     assert res.iterations == len(seen) < full.iterations
     assert not any(abs(float(b @ y) - lam_min) <= 1.0e-3 for y in seen[:-1])
@@ -463,6 +462,6 @@ def test_accept_ends_the_run_at_the_first_iterate_that_has_it():
     assert np.array_equal(res.y, seen[-1])
     assert res.history == full.history[: res.iterations]
     # the starting point y = 0 is the first iterate a predicate sees
-    first = solve_conic(A, b, c, cone, IpmSettings(), accept=lambda y: True)
+    first = solve_conic(A, b, c, cone, accept=lambda y: True)
     assert (first.status, first.iterations) == ("accepted", 1)
     assert np.array_equal(first.y, np.zeros(1))

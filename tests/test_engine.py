@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from cones import ConeTag, is_member
-from lurestab import engine, report
-from lurestab.engine import SolveResult, SolverSettings, build_dual, reduce_rank, solve
+from lurestab import conic, engine, report
+from lurestab.engine import SolveResult, build_dual, reduce_rank, solve
 from lurestab.errors import StructuralError
 from lurestab.lmi import BOX_BOUND, build_primal, primal_lmi_matrix
 from lurestab.report import analyze
@@ -264,13 +264,7 @@ def test_witness_is_a_verified_solver_point_as_returned(monkeypatch, request, fi
     # nothing rewrites the point a solve returned before it is read
     H = red.assignment["H"]
     assert any(np.array_equal(H, problem.reconstruct(x)["H"]) for x in points)
-    assert problem.verify(red.assignment, SolverSettings())[0]
-
-
-def test_settings_are_frozen():
-    s = SolverSettings()
-    with pytest.raises(Exception):
-        s.tol_rank = 1.0
+    assert problem.verify(red.assignment)[0]
 
 
 def _capture_primal_rows(monkeypatch):
@@ -376,9 +370,9 @@ def test_dual_point_is_the_one_steered_solve(monkeypatch, request, fixture):
     warm_starts = []
     real = report.reduce_rank
 
-    def reducing(dual, warm, settings=None):
+    def reducing(dual, warm):
         warm_starts.append((len(solves), dual, warm))
-        return real(dual, warm, settings)
+        return real(dual, warm)
 
     monkeypatch.setattr(report, "reduce_rank", reducing)
     rep = analyze(sysm)
@@ -387,7 +381,7 @@ def test_dual_point_is_the_one_steered_solve(monkeypatch, request, fixture):
     [(before, dual, warm)] = warm_starts
     assert before == 2
     assert warm.status == "feasible"
-    assert dual.verify(warm.assignment, SolverSettings())[0]
+    assert dual.verify(warm.assignment)[0]
     pipe = rep.diagnostics["pipeline"]
     assert "dual_source" not in pipe
     assert pipe["rank_trail"][0] == engine._rank_ratio(warm.assignment["H"])[0]
@@ -395,9 +389,11 @@ def test_dual_point_is_the_one_steered_solve(monkeypatch, request, fixture):
     assert pipe["primal_ipm_iterations"] >= 1
 
 
-def test_dual_point_does_not_depend_on_how_the_primal_ended(slope_example):
+def test_dual_point_does_not_depend_on_how_the_primal_ended(monkeypatch, slope_example):
     problem = build_primal(slope_example)
-    capped = solve(problem, SolverSettings(max_ipm_iters=3))
+    with monkeypatch.context() as m:
+        m.setattr(conic, "MAX_ITERS", 3)
+        capped = solve(problem)
     assert capped.status == "numerical_limit"
     assert capped.diagnostics["ipm_status"] == "max_iters"
     converged = solve(problem)

@@ -76,6 +76,18 @@ def test_slope_example_verdict(slope_report):
     assert eq["state_residual"] <= eq["state_bound"]
     assert eq["loop_residual"] <= eq["loop_bound"]
     assert rep.diagnostics["tolerances"]["equilibrium_check_tol"] == 1.0e-9
+    # the report echoes the constants the gates read, and nothing settable
+    engine = lurestab.engine
+    assert rep.diagnostics["tolerances"] == {
+        "tol_rank": engine.TOL_RANK,
+        "tol_eq": engine.TOL_EQ,
+        "primal_margin": engine.PRIMAL_MARGIN,
+        "cone_tol": engine.CONE_TOL,
+        "max_ipm_iters": lurestab.conic.MAX_ITERS,
+        "equilibrium_check_tol": lurestab.report._EQ_CHECK_TOL,
+    }
+    assert lurestab.detector.TOL_RANK is engine.TOL_RANK
+    assert "seed" not in rep.diagnostics
 
 
 def test_equilibrium_check_rejects_a_state_equation_miss():
