@@ -14,15 +14,19 @@ first tau-normalized iterate that has it.  Nesterov-Todd scaling with a
 Mehrotra predictor-corrector step, aimed at problems with up to about a
 thousand rows.  Each step works in the scaled coordinates u = W^{-T} dx,
 v = W ds of CVXOPT's conelp (Vandenberghe 2010), where x and s both map
-to one point lam that is diagonal on every PSD block.  B = A W^T and the
-Schur complement B B^T are formed cone block by cone block, as SDP codes
-do (Fujisawa, Kojima & Nakata 1997): a PSD block adds the product of its
-own columns of B, the orthant adds its diagonal scaling over the nonzero
-pairs of its rows only.  B B^T is factored once and the diagonal blocks
-of its Cholesky factor inverted once, so every Newton solve is matrix
-products with B, B^T and that factor; step lengths are read off
-lam + alpha u and lam + alpha v.  The linear algebra is numpy, dense
-except for the orthant's pairs.
+to one point lam that is diagonal on every PSD block.  The Schur
+complement B B^T, B = A W^T, is formed cone block by cone block, as SDP
+codes do (Fujisawa, Kojima & Nakata 1997): the orthant adds its diagonal
+scaling over the nonzero pairs of its rows only, and a PSD block adds the
+product of its own columns of B.  A caller that knows the structure of
+the PSD block's rows may supply that block's term instead (psd_schur, as
+Benson, Ye & Zhang 2000 do for low-rank constraint matrices); B is then
+never formed, and B u = A (W^T u) and B^T y = W (A^T y) are taken through
+A and the scaling.  B B^T is factored once and the diagonal blocks of its
+Cholesky factor inverted once, so every Newton solve is matrix products
+with B, B^T and that factor; step lengths are read off lam + alpha u and
+lam + alpha v.  The linear algebra is numpy, dense except for the
+orthant's pairs.
 """
 
 import math
@@ -146,17 +150,6 @@ def _identity_point(cone: ConeSpec) -> np.ndarray:
     return x
 
 
-def _chol_psd(X: np.ndarray) -> np.ndarray:
-    """Cholesky with an eigenvalue floor fallback for nearly singular input."""
-    try:
-        return np.linalg.cholesky(X)
-    except np.linalg.LinAlgError:
-        lam, Q = np.linalg.eigh(0.5 * (X + X.T))
-        floor = max(np.max(lam), 1.0) * 1.0e-14
-        lam = np.clip(lam, floor, None)
-        return np.linalg.cholesky((Q * lam) @ Q.T)
-
-
 class _Scaling:
     """Per-block NT scaling W of one iteration, and the scaled point lam.
 
@@ -169,7 +162,8 @@ class _Scaling:
 
     The step works in the scaled coordinates u = W^{-T} dx and v = W ds,
     where lam is diagonal on every PSD block: x + alpha dx stays in the
-    cone exactly when lam + alpha u does (see max_step).
+    cone exactly when lam + alpha u does (see max_step).  A PSD block of x
+    or s that is not numerically positive definite raises LinAlgError.
     """
 
     def __init__(self, cone: ConeSpec, x: np.ndarray, s: np.ndarray):
@@ -177,11 +171,7 @@ class _Scaling:
         self.lam = np.empty(cone.total_len)
         for tag, size, sl in cone.slices():
             if tag == "s":
-                XS = smat(np.stack([x[sl], s[sl]]), size)
-                try:
-                    Lx, Ls = np.linalg.cholesky(XS)
-                except np.linalg.LinAlgError:
-                    Lx, Ls = _chol_psd(XS[0]), _chol_psd(XS[1])
+                Lx, Ls = np.linalg.cholesky(smat(np.stack([x[sl], s[sl]]), size))
                 _, sig, Vt = np.linalg.svd(Ls.T @ Lx)
                 sig = np.clip(sig, 1.0e-150, None)
                 self.blocks.append((sl, size, (Lx @ Vt.T) * sig ** -0.5, sig))
@@ -194,24 +184,30 @@ class _Scaling:
             raise np.linalg.LinAlgError("non-finite NT scaling")
 
     def schur(self, A: np.ndarray, row_data: list):
-        """B = A W^T and the Schur complement S = A W^T W A^T = B B^T, both
-        cone block by cone block (row_data as made by _row_data).
+        """The Schur complement S = A W^T W A^T, cone block by cone block
+        (row_data as made by _row_data), and B = A W^T as an operator.
 
         Row i of B is W a_i.  On a PSD block that is svec(R^T A_i R), and
-        the block adds B_p B_p^T over its own columns.  On the orthant it is
-        a_i * w, and the block adds A_l diag(w^2) A_l^T, summed over the
-        nonzero pairs of A_l only.  S is exactly symmetric.
+        the block adds B_p B_p^T over its own columns, unless the caller
+        builds the block's term from its structure (row_data holds that
+        callable): then B is never formed (_UnformedB).  On the orthant row
+        i of B is a_i * w, and the block adds A_l diag(w^2) A_l^T, summed
+        over the nonzero pairs of A_l only.  S is exactly symmetric.
         """
         nrows = A.shape[0]
-        B = np.empty_like(A)
+        formed = not any(callable(data) for data in row_data)
+        B = np.empty_like(A) if formed else None
         S = None
         for (sl, size, R, _), data in zip(self.blocks, row_data):
             if size is None:
-                np.multiply(A[:, sl], R, out=B[:, sl])
+                if formed:
+                    np.multiply(A[:, sl], R, out=B[:, sl])
                 flat, col, prod = data
                 term = np.bincount(flat, prod * (R * R)[col], nrows * nrows)
                 # (integer zeros when the block has no nonzero pair)
                 term = term.astype(float, copy=False).reshape(nrows, nrows)
+            elif callable(data):
+                term = data(R)
             else:
                 # R^T A_i R for every row i: T_i = A_i R as one GEMM, then
                 # R^T T_i batched over the rows
@@ -223,7 +219,7 @@ class _Scaling:
                 S = term
             else:
                 S += term
-        return B, S
+        return (_FormedB(B) if formed else _UnformedB(A, self)), S
 
     def scale_s(self, ds: np.ndarray) -> np.ndarray:
         """W ds: maps s-space directions (batched over leading axes) into
@@ -237,13 +233,14 @@ class _Scaling:
         return out
 
     def unscale_to_x(self, u: np.ndarray) -> np.ndarray:
-        """W^T u: maps a scaled-space vector back to an x-space direction."""
+        """W^T u: maps scaled-space vectors (batched over leading axes) back
+        to x-space directions."""
         out = np.empty_like(u)
         for sl, size, R, _ in self.blocks:
             if size is None:
-                out[sl] = u[sl] * R
+                out[..., sl] = u[..., sl] * R
             else:
-                out[sl] = svec(R @ smat(u[sl], size) @ R.T)
+                out[..., sl] = svec(R @ smat(u[..., sl], size) @ R.T)
         return out
 
     def jordan_prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -287,18 +284,47 @@ class _Scaling:
         return -1.0 / least if least < 0 else np.inf
 
 
+class _FormedB:
+    """B = A W^T as a matrix.  apply and adjoint act along the last axis of
+    a vector or of a stack of them."""
+
+    def __init__(self, B: np.ndarray):
+        self.B = B
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """B u."""
+        return u @ self.B.T
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """B^T y."""
+        return y @ self.B
+
+
+class _UnformedB:
+    """B = A W^T without forming it: B u = A (W^T u) and B^T y = W (A^T y),
+    along the last axis like _FormedB."""
+
+    def __init__(self, A: np.ndarray, sc: _Scaling):
+        self.A = A
+        self.sc = sc
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        return self.sc.unscale_to_x(u) @ self.A.T
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return self.sc.scale_s(y @ self.A)
+
+
 class _NormalFactor:
     """Cholesky factor L of the Schur complement and the inverses of its
     diagonal blocks (_inverse_blocks), both computed once per step, so that
     every solve of the step is matrix products (_cho_solve).
 
     The factorization retries with an escalating diagonal regularization;
-    after eight failures every solve falls back to least squares.
+    after eight failures it raises LinAlgError, which ends the run.
     """
 
     def __init__(self, M: np.ndarray):
-        self.M = M
-        self.L = None
         n = M.shape[0]
         scale = max(float(np.trace(M)) / max(n, 1), 1.0e-300)
         reg = 0.0
@@ -308,12 +334,12 @@ class _NormalFactor:
                 break
             except np.linalg.LinAlgError:
                 reg = scale * 1.0e-14 if reg == 0.0 else reg * 100.0
-        self.inv = None if self.L is None else _inverse_blocks(self.L)
+        else:
+            raise np.linalg.LinAlgError("Schur complement not positive definite")
+        self.inv = _inverse_blocks(self.L)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^{-1} rhs, for one right-hand side or a stack of them (k, n)."""
-        if self.L is None:
-            return np.linalg.lstsq(self.M, rhs.T, rcond=None)[0].T
         return _cho_solve(self.L, self.inv, rhs.T).T
 
 
@@ -368,12 +394,15 @@ def _orthant_pairs(A_l: np.ndarray):
     return i * nrows + j, k, A_l[i, k] * A_l[j, k]
 
 
-def _row_data(A: np.ndarray, cone: ConeSpec) -> list:
+def _row_data(A: np.ndarray, cone: ConeSpec, psd_schur=None) -> list:
     """What _Scaling.schur needs of the rows of A, per cone block: on a PSD
-    block the rows restricted to it as (nrows, d, d), on an orthant block
-    its nonzero pairs (_orthant_pairs)."""
+    block psd_schur if given, else the rows restricted to it as
+    (nrows, d, d); on an orthant block its nonzero pairs (_orthant_pairs)."""
+    if psd_schur is not None and [tag for tag, _ in cone.blocks].count("s") != 1:
+        raise ValueError("psd_schur needs a cone with exactly one PSD block")
     return [
-        smat(A[:, sl], size) if tag == "s" else _orthant_pairs(A[:, sl])
+        (psd_schur if psd_schur is not None else smat(A[:, sl], size))
+        if tag == "s" else _orthant_pairs(A[:, sl])
         for tag, size, sl in cone.slices()
     ]
 
@@ -382,17 +411,18 @@ def _scaled_newton(B, normal, r1, wr2, q):
     """Solve A dx = r1, A^T dy + ds = r2, dx + W^T W ds = W^T q in the scaled
     coordinates u = W^{-T} dx, v = W ds, where they read B u = r1,
     B^T dy + v = W r2 and u + v = q; returns (u, dy), and v = q - u.
-    wr2 is W r2.  Batched over a leading axis of r1, wr2 and q.
+    B is the operator of _Scaling.schur and wr2 is W r2.  Batched over a
+    leading axis of r1, wr2 and q.
     """
-    dy = normal.solve(r1 + (wr2 - q) @ B.T)
-    return q - wr2 + dy @ B, dy
+    dy = normal.solve(r1 + B.apply(wr2 - q))
+    return q - wr2 + B.adjoint(dy), dy
 
 
 def _step(A, b, c, row_data, cone, point, rp, rd, rg):
     """Mehrotra predictor-corrector direction of the embedding and its step.
 
-    B = A W^T and the Schur complement B B^T are formed (_Scaling.schur),
-    and B B^T is factored once.  The direction per unit of d tau,
+    B = A W^T, as a matrix or an operator, and the Schur complement B B^T
+    are formed (_Scaling.schur), and B B^T is factored once.  The direction per unit of d tau,
     B u = b, B^T dy + v = W c, u + v = 0, is solved together with the
     predictor and shared with the corrector; the last row of the
     embedding and kappa d tau + tau d kappa = rk then fix d tau and d kappa.
@@ -457,12 +487,12 @@ def _step(A, b, c, row_data, cone, point, rp, rd, rg):
     # residual, win the lost accuracy back with the same factor.  Every
     # round keeps u + v and B^T dy + v as they are.
     r1 = eta * rp + dtau * b
-    r = r1 - B @ u
+    r = r1 - B.apply(u)
     rn = r @ r
     for _ in range(_REFINE_STEPS):
         ddy = normal.solve(r)
-        u_new = u + B.T @ ddy
-        r_new = r1 - B @ u_new
+        u_new = u + B.adjoint(ddy)
+        r_new = r1 - B.apply(u_new)
         rn_new = r_new @ r_new
         if not rn_new < rn:
             break
@@ -479,6 +509,7 @@ def solve_conic(
     cone: ConeSpec,
     tol: float = 1.0e-10,
     accept: Optional[Callable[[np.ndarray], bool]] = None,
+    psd_schur: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> ConicResult:
     """Run the predictor-corrector loop on the embedding, from x = s = e,
     y = 0, tau = kappa = 1.  It ends in one of five ways:
@@ -504,6 +535,11 @@ def solve_conic(
 
     rp_rel, rd_rel and gap_rel are those of the returned iterate, normalized
     by tau.  Floating-point warnings are suppressed throughout.
+
+    psd_schur, for a cone with one PSD block, maps that block's scaling
+    factor R (G = R R^T, see _Scaling) to the block's Schur term
+    A_p W_p^T W_p A_p^T, built by the caller from the structure of A's rows;
+    B = A W^T is then never formed.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -516,7 +552,7 @@ def solve_conic(
         return ConicResult("optimal", x, y, s, 0, 0.0, 0.0, 0.0, float(x @ s) / nu, float(c @ x))
     bnorm = 1.0 + float(np.linalg.norm(b))
     cnorm = 1.0 + float(np.linalg.norm(c))
-    row_data = _row_data(A, cone)
+    row_data = _row_data(A, cone, psd_schur)
     tau = kappa = 1.0
     status, it, prev, prev_score = "max_iters", 0, None, np.inf
     history = []

@@ -6,7 +6,10 @@ the zero assignment, F from one batched evaluation of each constraint per
 variable, on that variable's coordinate basis stacked.  It goes to the
 interior-point core as the dual side of its standard form,
 max b.y s.t. c - A^T y in K with A = -F^T / d, c = F0 and y = d z, so the
-Schur complement is indexed by the decision coordinates.  The solve stops
+Schur complement is indexed by the decision coordinates; from LMI
+dimension n + m = _STRUCTURED_MIN_DIM on, its LMI term is built from the
+congruence factors build_primal supplies (_LmiGram), for the primal and
+the dual alike, and B = A W^T is never formed.  The solve stops
 at the first iterate that certifies (its margin t, the raw constraints and
 the achieved -lambda_max of the strict LMI all clear the threshold); an
 infeasible primal runs to its optimum.
@@ -33,7 +36,7 @@ violation any returned assignment may carry.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -70,6 +73,10 @@ _FARKAS_TOL = 1.0e-7
 _MAX_RANK_ROUNDS = 10
 # Weight of the steering term in each deflation objective.
 _STEER_WEIGHT = 1.0e-3
+# Smallest LMI dimension n + m at which the Schur complement's LMI term is
+# built from the congruence structure (_LmiGram) rather than from B = A W^T;
+# the measured crossover.
+_STRUCTURED_MIN_DIM = 20
 
 
 @dataclass(frozen=True)
@@ -184,6 +191,153 @@ def _layout(variables) -> tuple:
     return slices, at
 
 
+def _matrix_entries(v):
+    """Where each coordinate of a variable sits in its value read as a
+    matrix (a vector as the diagonal of one): (rows, cols, weights), so
+    that coordinate k is weights[k] times the unit matrix at
+    (rows[k], cols[k]) -- for "sym" together with its mirror entry, which
+    a symmetric term maps to the same matrix.  The conventions of
+    _from_coords."""
+    if v.kind == "sym":
+        rows, cols = np.triu_indices(v.dim)
+        return rows, cols, np.where(rows == cols, 1.0, np.sqrt(2.0))
+    if v.kind == "hollow":
+        rows, cols = _offdiag_pairs(v.dim)
+    else:
+        rows = cols = np.arange(v.dim)
+    return rows, cols, np.ones(rows.size)
+
+
+class _LmiGram:
+    """The LMI block's term of the Schur complement, from the congruence
+    factors of lmi.lmi_congruence, without forming B = A W^T.
+
+    Row i of the IPM's A holds, on the LMI block, svec(X_i) / d_i up to a
+    sign shared by all rows, X_i being the LMI's coefficient of decision
+    coordinate i.  At the block's NT scaling G = R R^T the term is
+    S[i, j] = tr(G X_i G X_j) / (d_i d_j).  A coordinate of a variable with
+    terms is X_i = w_i sum_k s_k (U_l^T E U_r + U_r^T E^T U_l), E the unit
+    matrix at (a, b) (_matrix_entries), so with H = U G U^T and H_xy its
+    block at the rows of U_x and the columns of U_y^T
+
+        tr(G X_i G X_j) = 2 w_i w_j sum_kl s_k s_l
+                          (H_ll'[a, c] H_rr'[b, d] + H_lr'[a, d] H_rl'[b, c])
+
+    for coordinate j at (c, d) with terms (l', r', s_l).  Variables with
+    the same terms form a family; for each pair of families the two sums
+    are Kronecker products of blocks of H, one small GEMM each into a
+    buffer that precomputed flat indices read.  The identity variable's
+    coefficient is I: tr(G X_i G) = 2 w_i sum_k s_k (U G^2 U^T)[r + b, l + a]
+    and tr(G G) = ||G||_F^2.  Coordinates of other variables have zero rows.
+    """
+
+    def __init__(self, congruence: dict, var_slices, nrows: int):
+        self.U = congruence["U"]
+        self.identity = next(sl.start for v, sl in var_slices if v.name == congruence["identity"])
+        # families: [terms, dim, coordinates, a, b, w]
+        families, by_terms = [], {}
+        for v, sl in var_slices:
+            terms = congruence["terms"].get(v.name)
+            if terms is None or sl.stop == sl.start:
+                continue
+            entries = (np.arange(sl.start, sl.stop),) + _matrix_entries(v)
+            if terms in by_terms:
+                fam = by_terms[terms]
+                fam[2:] = [np.concatenate(pair) for pair in zip(fam[2:], entries)]
+            else:
+                by_terms[terms] = [terms, v.dim, *entries]
+                families.append(by_terms[terms])
+        self.families = families
+
+        # for each pair of families f <= g, the direct and the crossed
+        # product, each as the H blocks of its left and its right factors
+        self.products, at = [], 0
+        parts = [[], []]
+        for f, (tf, df, cf, af, bf, _) in enumerate(families):
+            for g, (tg, dg, cg, ag, bg, _) in enumerate(families[f:], f):
+                size = df * dg
+                for crossed in (False, True):
+                    left, right = [], []
+                    for l, r, s in tf:
+                        for l2, r2, s2 in tg:
+                            c, d = (r2, l2) if crossed else (l2, r2)
+                            left.append((s * s2, slice(l, l + df), slice(c, c + dg)))
+                            right.append((1.0, slice(r, r + df), slice(d, d + dg)))
+                    self.products.append((at, size, left, right))
+                    at += size * size
+                # direct [(a, c), (b, d)] and crossed [(a, d), (b, c)]
+                row = ((af * size + bf) * dg)[:, None]
+                flats = (row + ag * size + bg, row + bg * size + ag + size * size)
+                for part, flat in zip(parts, flats):
+                    flat += at - 2 * size * size
+                    if f == g:
+                        # (i, j) and (j, i) read one slot: exactly symmetric
+                        part.append((cf, cf, np.minimum(flat, flat.T)))
+                    else:
+                        part += [(cf, cg, flat), (cg, cf, flat.T)]
+        # the last slot of the buffer is the zero of rows without terms
+        self.index = []
+        for part in parts:
+            idx = np.full((nrows, nrows), at, dtype=np.intp)
+            for rows, cols, flat in part:
+                idx[np.ix_(rows, cols)] = flat
+            self.index.append(idx)
+        self.buffer = np.zeros(at + 1)
+        self.weight = np.zeros(nrows)
+        for fam in families:
+            self.weight[fam[2]] = fam[5]
+
+    def for_rows(self, d: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The term as a function of the scaling factor R, for rows
+        equilibrated by d."""
+        v = self.weight / d
+        scale = 2.0 * np.outer(v, v)
+        return lambda R: self._term(R, d, scale)
+
+    def _term(self, R: np.ndarray, d: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        UR = self.U @ R
+        H = UR @ UR.T
+        buf = self.buffer
+        for at, size, left, right in self.products:
+            X, Y = _factor(H, left, size), _factor(H, right, size)
+            np.matmul(X.T, Y, out=buf[at:at + size * size].reshape(size, size))
+        S = np.take(buf, self.index[0])
+        S += np.take(buf, self.index[1])
+        S *= scale
+        t = self.identity
+        UG = UR @ R.T
+        H2 = UG @ UG.T
+        col = np.zeros(d.size)
+        for terms, _, coords, a, b, w in self.families:
+            col[coords] = 2.0 * w * sum(s * H2[r + b, l + a] for l, r, s in terms)
+        col /= d * d[t]
+        S[t, :] = col
+        S[:, t] = col
+        S[t, t] = np.sum((R.T @ R) ** 2) / d[t] ** 2
+        return S
+
+
+def _factor(H: np.ndarray, blocks: list, size: int) -> np.ndarray:
+    """The weighted blocks s H[rows, cols] of a Kronecker sum flattened into
+    the rows of one factor, padded with a zero row to at least two: numpy's
+    product with an inner dimension of one is several times slower."""
+    out = np.zeros((max(len(blocks), 2), size))
+    for k, (s, rows, cols) in enumerate(blocks):
+        block = H[rows, cols]
+        np.multiply(block, s, out=out[k].reshape(block.shape))
+    return out
+
+
+def _lmi_gram(problem: SdpFeasibilityProblem, var_slices, nrows: int) -> Optional[_LmiGram]:
+    """The one place the Schur complement's path is chosen: the structured
+    LMI term for a problem with congruence factors whose LMI dimension
+    n + m reaches _STRUCTURED_MIN_DIM, else None (B = A W^T is formed)."""
+    congruence = problem.meta.get("congruence")
+    if congruence is None or congruence["U"].shape[1] < _STRUCTURED_MIN_DIM:
+        return None
+    return _LmiGram(congruence, var_slices, nrows)
+
+
 def _cone_spec(psd_dims: list, total: int) -> ConeSpec:
     """PSD blocks of the given dimensions, then one orthant block for the rest."""
     lin_total = total - sum(svec_dim(k) for k in psd_dims)
@@ -227,6 +381,8 @@ class _Inequality:
         self.d = np.maximum(d, 1.0e-12)
         self.A = -self.F.T / self.d[:, None]
         self.b = self.objective / self.d
+        self.gram = _lmi_gram(problem, self.var_slices, nz)
+        self.psd_schur = None if self.gram is None else self.gram.for_rows(self.d)
 
     def _evaluate(self, assign: dict, k: int) -> np.ndarray:
         """Scalarized constraints at a stacked assignment, one row per item
@@ -288,6 +444,7 @@ class DualForm:
         self.d = np.maximum(d, 1.0e-12)
         self.A = self.A_raw / self.d[:, None]
         self.b = self.b_raw / self.d
+        self.psd_schur = None if primal.gram is None else primal.gram.for_rows(self.d)
 
     def reconstruct(self, x: np.ndarray) -> dict:
         """The dual blocks H, f, g, X (Z) from multiplier coordinates."""
@@ -368,7 +525,10 @@ def _solve_inequality(problem, form: _Inequality) -> SolveResult:
         accepted.append((assignment, checked, true_margin))
         return True
 
-    res = solve_conic(form.A, form.b, form.F0, form.cone, _MARGIN_IPM_TOL, accept=certifies)
+    res = solve_conic(
+        form.A, form.b, form.F0, form.cone, _MARGIN_IPM_TOL,
+        accept=certifies, psd_schur=form.psd_schur,
+    )
     z = res.y / form.d
     t_hat = float(form.objective @ z)
     if res.status == "accepted":
@@ -429,7 +589,7 @@ def _solve_dual(dual: DualForm) -> SolveResult:
     sn = float(np.linalg.norm(steer, "fro"))
     if sn > 0:
         c[dual.h_slice] = svec(-steer / sn)
-    res = solve_conic(dual.A, dual.b, c, dual.cone, _MARGIN_IPM_TOL)
+    res = solve_conic(dual.A, dual.b, c, dual.cone, _MARGIN_IPM_TOL, psd_schur=dual.psd_schur)
     diagnostics = {"ipm_status": res.status, "ipm_iterations": res.iterations}
     assignment = dual.reconstruct(res.x)
     ok, max_eq, max_cone = dual.verify(assignment)
@@ -514,7 +674,7 @@ def reduce_rank(dual: DualForm, warm: SolveResult) -> SolveResult:
             W = W - steer_term
         c = np.zeros(dual.ncone)
         c[dual.h_slice] = svec(0.5 * (W + W.T))
-        res = solve_conic(dual.A, dual.b, c, dual.cone, _IPM_TOL)
+        res = solve_conic(dual.A, dual.b, c, dual.cone, _IPM_TOL, psd_schur=dual.psd_schur)
         rounds += 1
 
         assignment = dual.reconstruct(res.x)

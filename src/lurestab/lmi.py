@@ -141,6 +141,38 @@ def primal_lmi_matrix(sys: StateSpaceSystem, P: np.ndarray, M: np.ndarray) -> np
     return lyap + outer.T @ pi @ outer
 
 
+def lmi_congruence(sys: StateSpaceSystem) -> dict:
+    """L(P, M) as congruences of one factor, for a Schur complement built
+    from the LMI's structure.
+
+    With U = [[A B]; [I 0]; G_z; G_w], where G_z = [nu C, nu D - I] and
+    G_w = [-mu C, I - mu D] are the rows of V [C D; 0 I] in build_multiplier,
+
+        L(P, M) = [A B]^T P [A B] - [I 0]^T P [I 0] + G_z^T M G_w + G_w^T M^T G_z.
+
+    Returns {"U": U, "terms": terms, "identity": "t"}.  terms maps each
+    variable of L to its terms (l, r, s): the variable's value V, read as
+    a matrix (a vector as the diagonal of one), enters L as the sum over
+    its terms of s (U_l^T V U_r + U_r^T V^T U_l), where U_l and U_r are the
+    dim(V) rows of U from row l and from row r.  A symmetric variable's
+    terms have l = r.  lmi_margin is -L - t I: it holds these terms with
+    the sign flipped, -I for the "identity" variable t, and nothing of any
+    other variable.
+    """
+    n, m = sys.n, sys.m
+    mu, nu = sys.band.mu, sys.band.nu
+    U = np.vstack([
+        np.hstack([sys.A, sys.B]),
+        np.hstack([np.eye(n), np.zeros((n, m))]),
+        np.hstack([nu * sys.C, nu * sys.D - np.eye(m)]),
+        np.hstack([-mu * sys.C, np.eye(m) - mu * sys.D]),
+    ])
+    p_terms = ((0, 0, 0.5), (n, n, -0.5))
+    m_terms = ((2 * n, 2 * n + m, 1.0),)
+    terms = {"P": p_terms, "M_diag": m_terms, "M_offdiag": m_terms}
+    return {"U": U, "terms": terms, "identity": "t"}
+
+
 @lru_cache(maxsize=None)
 def _triu_index(d: int):
     rows, cols = np.triu_indices(d)
@@ -244,6 +276,7 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
         "system": sys,
         "strict_lmi": strict_lmi,
         "multiplier_from": the_m,
+        "congruence": lmi_congruence(sys),
     }
     return SdpFeasibilityProblem(
         variables=tuple(variables),

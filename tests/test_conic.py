@@ -9,12 +9,13 @@ from lurestab.conic import (
     ConeSpec,
     _cho_solve,
     _inverse_blocks,
+    _FormedB,
     _NormalFactor,
-    _chol_psd,
     _orthant_pairs,
     _row_data,
     _scaled_newton,
     _Scaling,
+    _UnformedB,
     smat,
     solve_conic,
     svec,
@@ -171,7 +172,8 @@ def test_blockwise_wsq_matches_dense_operator():
     sc = _Scaling(cone, x, s)
     W = _dense_w(sc, cone)
     A = rng.normal(size=(4, cone.total_len))
-    B, S = sc.schur(A, _row_data(A, cone))
+    op, S = sc.schur(A, _row_data(A, cone))
+    B = op.B
     assert np.max(np.abs(B - A @ W.T)) <= 1e-12 * np.max(np.abs(A @ W.T))
     # the Schur complement is A W^T W A^T, and exactly symmetric
     ref = A @ W.T @ W @ A.T
@@ -218,11 +220,41 @@ def test_schur_complement_matches_the_dense_product(cone):
     sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
     W = _dense_w(sc, cone)
     A = _sparse_orthant_rows(cone, 5, rng)
-    B, S = sc.schur(A, _row_data(A, cone))
+    op, S = sc.schur(A, _row_data(A, cone))
     ref = A @ W.T @ W @ A.T
-    assert _rel(B - A @ W.T, A @ W.T) <= 1e-12
+    assert isinstance(op, _FormedB)
+    assert _rel(op.B - A @ W.T, A @ W.T) <= 1e-12
     assert _rel(S - ref, ref) <= 1e-12
     assert np.array_equal(S, S.T)
+
+
+def test_a_structured_psd_term_replaces_forming_b():
+    cone = ConeSpec((("s", 3), ("l", 4)))
+    rng = np.random.default_rng(13)
+    sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
+    W = _dense_w(sc, cone)
+    A = _sparse_orthant_rows(cone, 5, rng)
+    seen = []
+
+    def psd_term(R):
+        # the caller's term, here the PSD block's product taken densely
+        seen.append(R)
+        Bp = A[:, :6] @ W[:6, :6].T
+        return Bp @ Bp.T
+
+    op, S = sc.schur(A, _row_data(A, cone, psd_term))
+    assert isinstance(op, _UnformedB)
+    assert len(seen) == 1 and seen[0] is sc.blocks[0][2]
+    ref = A @ W.T @ W @ A.T
+    assert _rel(S - ref, ref) <= 1e-12
+    # B u and B^T y without B, for one vector or a stack
+    U, Y = rng.normal(size=(2, cone.total_len)), rng.normal(size=(2, 5))
+    assert _rel(op.apply(U) - U @ (A @ W.T).T, U @ (A @ W.T).T) <= 1e-12
+    assert _rel(op.adjoint(Y[0]) - Y[0] @ (A @ W.T), Y[0] @ (A @ W.T)) <= 1e-12
+    assert _rel(op.adjoint(Y)[1] - op.adjoint(Y[1]), op.adjoint(Y[1])) <= 1e-14
+    # the structured term is for a cone with one PSD block
+    with pytest.raises(ValueError):
+        _row_data(A, ConeSpec((("s", 2), ("s", 2))), psd_term)
 
 
 def test_orthant_pairs_cover_every_nonzero_pair():
@@ -245,14 +277,20 @@ def _rel(err, ref):
     return np.max(np.abs(err)) / np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_scaled_direction_meets_the_unscaled_newton_equations(seed):
+@pytest.mark.parametrize(
+    "seed, formed",
+    [pytest.param(seed, True, id=str(seed)) for seed in range(4)]
+    + [pytest.param(seed, False, id=f"unformed-{seed}") for seed in range(4)],
+)
+def test_scaled_direction_meets_the_unscaled_newton_equations(seed, formed):
     cone = _MIXED
     rng = np.random.default_rng(seed)
     sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
     W = _dense_w(sc, cone)
     A = rng.normal(size=(4, cone.total_len))
     B, S = sc.schur(A, _row_data(A, cone))
+    if not formed:
+        B = _UnformedB(A, sc)
     normal = _NormalFactor(S)
     r1 = rng.normal(size=(2, 4))
     r2, q = rng.normal(size=(2, 2, cone.total_len))
@@ -293,12 +331,15 @@ def test_stacked_cholesky_matches_factoring_each_block_alone(singular):
     rng = np.random.default_rng(7)
     x, s = _interior_point(cone, rng), _interior_point(cone, rng)
     if singular:
-        # the 3 x 3 block of x is numerically singular: a plain Cholesky
-        # fails, and the stacked one falls back on factoring block by block
+        # the 3 x 3 block of x is numerically singular: its Cholesky fails,
+        # and so does the scaling, which ends the run as "stalled"
         Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         x[:6] = svec((Q * np.array([2.0, 1.0, -1.0e-13])) @ Q.T)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(smat(x[:6], 3))
+        with pytest.raises(np.linalg.LinAlgError):
+            _Scaling(cone, x, s)
+        return
     sc = _Scaling(cone, x, s)
     for (tag, size, sl), (_, _, R, lam) in zip(cone.slices(), sc.blocks):
         if tag != "s":
@@ -306,13 +347,19 @@ def test_stacked_cholesky_matches_factoring_each_block_alone(singular):
             assert np.array_equal(lam, np.sqrt(x[sl] * s[sl]))
             continue
         # the NT scaling of this block factored on its own
-        Lx, Ls = _chol_psd(smat(x[sl], size)), _chol_psd(smat(s[sl], size))
+        Lx, Ls = np.linalg.cholesky(smat(x[sl], size)), np.linalg.cholesky(smat(s[sl], size))
         _, sig, Vt = np.linalg.svd(Ls.T @ Lx)
         ref = (Lx @ Vt.T) * np.clip(sig, 1.0e-150, None) ** -0.5
         assert np.array_equal(R, ref)
         assert np.array_equal(R @ R.T, ref @ ref.T)
         assert np.array_equal(lam, sig)
         assert np.array_equal(sc.lam[sl], svec(np.diag(sig)))
+
+
+def test_a_schur_complement_that_stays_indefinite_raises():
+    # every regularization fails on a negative definite matrix
+    with pytest.raises(np.linalg.LinAlgError):
+        _NormalFactor(-np.eye(3))
 
 
 @pytest.mark.parametrize(

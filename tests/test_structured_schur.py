@@ -1,0 +1,149 @@
+"""The LMI block's Schur term built from the LMI's congruence structure
+(engine._LmiGram) against the dense product B_p B_p^T, the one place the
+path is chosen, and the dual path above the crossover end to end."""
+
+import importlib.util
+import json
+import pathlib
+
+import numpy as np
+import pytest
+
+from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, conic, engine
+from lurestab.conic import _row_data, _Scaling, svec
+from lurestab.engine import DualForm, _Inequality
+from lurestab.lmi import build_primal
+from lurestab.system import normalize_band
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _system(case):
+    cls = NonlinearityClass.SLOPE_ODD if case.odd else NonlinearityClass.SLOPE
+    return StateSpaceSystem(case.A, case.B, case.C, case.D, SlopeBand(case.mu, case.nu), cls)
+
+
+def _random_system(seed, n, m, odd, band=(0.0, 1.0)):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A *= 0.8 / max(abs(np.linalg.eigvals(A)))
+    cls = NonlinearityClass.SLOPE_ODD if odd else NonlinearityClass.SLOPE
+    return StateSpaceSystem(
+        A, 0.3 * rng.normal(size=(n, m)), 0.3 * rng.normal(size=(m, n)),
+        0.1 * rng.normal(size=(m, m)), SlopeBand(*band), cls,
+    )
+
+
+def _interior_point(cone, rng):
+    x = np.zeros(cone.total_len)
+    for tag, size, sl in cone.slices():
+        if tag == "s":
+            F = rng.normal(size=(size, size))
+            x[sl] = svec(F @ F.T + 0.1 * np.eye(size))
+        else:
+            x[sl] = rng.uniform(0.1, 3.0, size=size)
+    return x
+
+
+@pytest.mark.parametrize(
+    "n, m, odd, band",
+    [
+        (3, 2, False, (0.0, 1.0)),
+        (2, 3, True, (0.0, 1.0)),
+        (3, 1, False, (0.0, 1.0)),  # m = 1: no off-diagonal coordinates
+        (2, 1, True, (0.0, 1.0)),
+        (1, 3, False, (0.0, 1.0)),  # n = 1
+        (1, 2, True, (0.0, 1.0)),
+        (2, 2, False, (-0.4, 1.7)),  # normalized to [0, 1] first
+        (2, 3, True, (-0.4, 1.7)),
+    ],
+)
+def test_structured_gram_matches_the_dense_product(monkeypatch, n, m, odd, band):
+    monkeypatch.setattr(engine, "_STRUCTURED_MIN_DIM", 0)
+    sysm = normalize_band(_random_system(10 * n + m, n, m, odd, band))
+    primal = _Inequality(build_primal(sysm))
+    dual = DualForm(primal)
+    rng = np.random.default_rng(n + 7 * m)
+    for form in (primal, dual):
+        assert form.psd_schur is not None
+        for _ in range(3):
+            # a random NT scaling of the form's cone
+            cone = form.cone
+            sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
+            (_, size, sl), R = cone.slices()[0], sc.blocks[0][2]
+            assert size == n + m
+            op, _ = sc.schur(form.A, _row_data(form.A, cone))
+            Bp = op.B[:, sl]
+            ref = Bp @ Bp.T
+            got = form.psd_schur(R)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.array_equal(got, got.T)
+
+
+def _takes_structured_path(case) -> bool:
+    return _Inequality(build_primal(normalize_band(_system(case)))).psd_schur is not None
+
+
+def test_the_path_is_chosen_by_the_lmi_dimension():
+    bench = _workloads()
+    for case in bench.paper() + bench.corpus():
+        assert not _takes_structured_path(case), case.name
+    ladder = {case.name: case for case in bench.ladder()}
+    for name in ("ladder-2", "ladder-4", "ladder-8"):
+        assert not _takes_structured_path(ladder[name])
+    for name in ("ladder-12", "ladder-16", "ladder-20"):
+        assert _takes_structured_path(ladder[name])
+
+
+def _destabilized_loop(n, seed):
+    """n = m loop drawn like the benchmark's ladder, with B and D scaled by
+    1.5 k*, k* the least linear gain at which A + k B (I - k D)^{-1} C
+    stops being Schur: the linear gain k* / 1.5 of the band makes it
+    unstable."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A *= 0.8 / max(abs(np.linalg.eigvals(A)))
+    B, C, D = 0.1 * rng.normal(size=(n, n)), 0.1 * rng.normal(size=(n, n)), 0.02 * rng.normal(size=(n, n))
+
+    def rho(k):
+        return max(abs(np.linalg.eigvals(A + k * B @ np.linalg.solve(np.eye(n) - k * D, C))))
+
+    grid = np.geomspace(1e-3, 1e3, 600)
+    hi = next(k for k in grid if rho(k) >= 1.0)
+    lo = grid[np.searchsorted(grid, hi) - 1]
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if rho(mid) < 1.0 else (lo, mid)
+    c = 1.5 * hi
+    return StateSpaceSystem(A, c * B, C, c * D, SlopeBand(0.0, 1.0), NonlinearityClass.SLOPE)
+
+
+def test_the_dual_path_above_the_crossover_finds_a_checked_equilibrium(monkeypatch):
+    sysm = _destabilized_loop(10, 13)
+    assert sysm.n + sysm.m >= engine._STRUCTURED_MIN_DIM
+    calls = []
+    real = conic.solve_conic
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("psd_schur") is not None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_conic", spy)
+    reports = [analyze(sysm)]
+    # every solve, primal and dual, took the structured path
+    assert len(calls) >= 2 and all(calls)
+    monkeypatch.setattr(engine, "_STRUCTURED_MIN_DIM", 10**9)
+    structured = len(calls)
+    reports.append(analyze(sysm))
+    assert len(calls) > structured and not any(calls[structured:])
+    for rep in reports:
+        body = json.loads(rep.to_json())
+        assert body["verdict"] == "not_absolutely_stable"
+        assert body["diagnostics"]["pipeline"]["equilibrium_check"]["ok"] is True
