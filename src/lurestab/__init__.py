@@ -18,7 +18,7 @@ from .errors import (
     StructuralError,
     UnsupportedModeError,
 )
-from .linalg import numerical_rank_and_factor, spectral_norm, symmetrize
+from .linalg import spectral_norm, symmetrize
 from .system import (
     NonlinearityClass,
     SlopeBand,
@@ -67,7 +67,6 @@ __all__ = [
     "eval_pwl",
     "extract_certificate",
     "normalize_band",
-    "numerical_rank_and_factor",
     "reduce_rank",
     "simulate",
     "solve",

@@ -18,7 +18,7 @@ from .errors import (
     InternalContradictionError,
     StructuralError,
 )
-from .linalg import numerical_rank_and_factor, spectral_norm
+from .linalg import spectral_norm
 from .pwl import PiecewiseLinearMap
 from .system import NonlinearityClass, SlopeBand, StateSpaceSystem
 
@@ -86,10 +86,13 @@ def extract_certificate(sys: StateSpaceSystem, solve_result, nl_class: Nonlinear
         raise StructuralError("dual kind does not match the nonlinearity class")
 
     H = np.asarray(assignment["H"], dtype=float)
-    rank, V = numerical_rank_and_factor(H, rel_tol=TOL_RANK)
+    # the rank counts eigenvalues above TOL_RANK times the largest, the rule
+    # reduce_rank stops on; at rank one h is the dominant eigenvector scaled
+    lam, Q = np.linalg.eigh(0.5 * (H + H.T))
+    rank = int(np.count_nonzero(lam > TOL_RANK * lam[-1]))
     if rank != 1:
         return Inconclusive("rank", f"numerical rank {rank}")
-    h = V[:, 0]
+    h = Q[:, -1] * np.sqrt(lam[-1])
     n = sys.n
     h1, h2 = h[:n], h[n:]
     norm_h = float(np.linalg.norm(h))

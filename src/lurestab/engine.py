@@ -557,7 +557,8 @@ def _solve_inequality(problem, form: _Inequality) -> SolveResult:
 
 
 def _steer_matrix(sys: StateSpaceSystem) -> np.ndarray:
-    """Linear functional whose value on rank-1 H is h1^T (A h1 + B h2).
+    """Linear functional whose value on rank-1 H is h1^T (A h1 + B h2),
+    normalized to unit Frobenius norm (zero if it vanishes).
 
     trace(S H) with S = sym([I 0]^T [A B]) equals the proof's branch
     discriminant on rank-1 iterates.  On the trace-normalized rank-1 face
@@ -570,7 +571,9 @@ def _steer_matrix(sys: StateSpaceSystem) -> np.ndarray:
     AB = np.hstack([sys.A, sys.B])
     I0 = np.hstack([np.eye(n), np.zeros((n, m))])
     S = I0.T @ AB
-    return 0.5 * (S + S.T)
+    S = 0.5 * (S + S.T)
+    norm = float(np.linalg.norm(S, "fro"))
+    return S / norm if norm > 0 else S
 
 
 def _solve_dual(dual: DualForm) -> SolveResult:
@@ -585,10 +588,7 @@ def _solve_dual(dual: DualForm) -> SolveResult:
     coordinates: (P, M, t = 1).
     """
     c = np.zeros(dual.ncone)
-    steer = _steer_matrix(dual.system)
-    sn = float(np.linalg.norm(steer, "fro"))
-    if sn > 0:
-        c[dual.h_slice] = svec(-steer / sn)
+    c[dual.h_slice] = svec(-_steer_matrix(dual.system))
     res = solve_conic(dual.A, dual.b, c, dual.cone, _MARGIN_IPM_TOL, psd_schur=dual.psd_schur)
     diagnostics = {"ipm_status": res.status, "ipm_iterations": res.iterations}
     assignment = dual.reconstruct(res.x)
@@ -653,9 +653,7 @@ def reduce_rank(dual: DualForm, warm: SolveResult) -> SolveResult:
     """
     if warm.status != "feasible":
         raise StructuralError("rank reduction needs a feasible warm start")
-    steer = _steer_matrix(dual.system)
-    sn = float(np.linalg.norm(steer, "fro"))
-    steer_term = _STEER_WEIGHT * steer / sn if sn > 0 else None
+    steer_term = _STEER_WEIGHT * _steer_matrix(dual.system)
 
     best_assign = warm.assignment
     best_eq, best_cone = warm.residuals.max_equality, warm.residuals.max_cone_violation
@@ -669,9 +667,7 @@ def reduce_rank(dual: DualForm, warm: SolveResult) -> SolveResult:
         Hc = best_assign["H"]
         _, V = np.linalg.eigh(0.5 * (Hc + Hc.T))
         V2 = V[:, :-1]  # all but the dominant eigenvector
-        W = V2 @ V2.T
-        if steer_term is not None:
-            W = W - steer_term
+        W = V2 @ V2.T - steer_term
         c = np.zeros(dual.ncone)
         c[dual.h_slice] = svec(0.5 * (W + W.T))
         res = solve_conic(dual.A, dual.b, c, dual.cone, _IPM_TOL, psd_schur=dual.psd_schur)

@@ -6,15 +6,20 @@ there by system.normalize_band before it reaches this module.
 Primal (per nonlinearity class): find P and a multiplier matrix M in the
 DHD cone (DD for odd nonlinearities) such that
 
-    L(P, M) = [A B; I 0]-type quadratic Lyapunov difference
-            + [C D; 0 I]^T Pi(M, band) [C D; 0 I]  <  0.
+    L(P, M) = [A B]^T P [A B] - [I 0]^T P [I 0]
+            + [C D; 0 I]^T Pi(M, band) [C D; 0 I]  <  0,
+
+with Pi the paper's multiplier (multipliers.py).  L is stated once, in
+lmi_congruence, as congruences of one factor U: primal_lmi_matrix, the
+constraint callables and the engine's structured Schur complement all read
+it from there, and the Pi form is only the reference it is tested against.
 
 P is a free symmetric variable: Schur stability of A makes P > 0 follow
 from the inequality.  The problem is declarative: free decision variables
 (P, M, t) and affine constraint expressions, given as callables, that must
-lie in cones.  The callables accept leading batch axes on any variable, so
-the engine reads their coefficients F0 + F z with one evaluation per
-variable, on that variable's whole coordinate basis stacked.
+lie in cones.  The callables accept leading batch axes on any variable:
+the engine's probe reads their coefficients F0 + F z with one evaluation
+per variable, on that variable's whole coordinate basis stacked.
 
 Dual: it is not written here.  The primal's constraints that vanish at
 zero (F0 = 0) form a homogeneous system in z, and by the theorem of
@@ -38,7 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import StructuralError
-from .multipliers import build_multiplier
+from .multipliers import build_multiplier  # noqa: F401  bench/spans.py counts its calls here
 from .system import NonlinearityClass, StateSpaceSystem
 
 __all__ = [
@@ -93,8 +98,9 @@ class ConeConstraint:
 
     fn must be affine in the assignment and accept leading batch axes on
     any of its variables (a stack of values), broadcasting the others and
-    returning the stack of its values; the engine reads its coefficients
-    from one stacked evaluation per variable.
+    returning the stack of its values: the engine's probe, the only caller
+    that stacks, reads its coefficients from one stacked evaluation per
+    variable.
 
     cone: "psd" (symmetric matrix, positive semidefinite), "nonneg"
     (entrywise nonnegative vector), "hollow_nonneg" (square matrix with
@@ -127,26 +133,16 @@ class SdpFeasibilityProblem:
 
 
 def primal_lmi_matrix(sys: StateSpaceSystem, P: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """The (n+m) x (n+m) matrix required negative definite by the primal,
-    batched over the leading axes of P and M."""
-    A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    n, m = sys.n, sys.m
-    AB = np.hstack([A, B])
-    I0 = np.hstack([np.eye(n), np.zeros((n, m))])
-    lyap = AB.T @ P @ AB - I0.T @ P @ I0
-    CD = np.hstack([C, D])
-    OI = np.hstack([np.zeros((m, n)), np.eye(m)])
-    outer = np.vstack([CD, OI])
-    pi = build_multiplier(M, sys.band).pi
-    return lyap + outer.T @ pi @ outer
+    """The (n+m) x (n+m) matrix L(P, M) required negative definite by the
+    primal, batched over the leading axes of P and M."""
+    return _lmi_matrix(lmi_congruence(sys), P, M)
 
 
 def lmi_congruence(sys: StateSpaceSystem) -> dict:
-    """L(P, M) as congruences of one factor, for a Schur complement built
-    from the LMI's structure.
+    """L(P, M) as congruences of one factor: the package's one statement of L.
 
     With U = [[A B]; [I 0]; G_z; G_w], where G_z = [nu C, nu D - I] and
-    G_w = [-mu C, I - mu D] are the rows of V [C D; 0 I] in build_multiplier,
+    G_w = [-mu C, I - mu D] are the rows of V [C D; 0 I] in multipliers.py,
 
         L(P, M) = [A B]^T P [A B] - [I 0]^T P [I 0] + G_z^T M G_w + G_w^T M^T G_z.
 
@@ -155,9 +151,9 @@ def lmi_congruence(sys: StateSpaceSystem) -> dict:
     a matrix (a vector as the diagonal of one), enters L as the sum over
     its terms of s (U_l^T V U_r + U_r^T V^T U_l), where U_l and U_r are the
     dim(V) rows of U from row l and from row r.  A symmetric variable's
-    terms have l = r.  lmi_margin is -L - t I: it holds these terms with
-    the sign flipped, -I for the "identity" variable t, and nothing of any
-    other variable.
+    terms have l = r; M_diag and M_offdiag share the terms of M.
+    lmi_margin is -L - t I: it holds these terms with the sign flipped, -I
+    for the "identity" variable t, and nothing of any other variable.
     """
     n, m = sys.n, sys.m
     mu, nu = sys.band.mu, sys.band.nu
@@ -171,6 +167,19 @@ def lmi_congruence(sys: StateSpaceSystem) -> dict:
     m_terms = ((2 * n, 2 * n + m, 1.0),)
     terms = {"P": p_terms, "M_diag": m_terms, "M_offdiag": m_terms}
     return {"U": U, "terms": terms, "identity": "t"}
+
+
+def _lmi_matrix(congruence: dict, P: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """L(P, M) read off the congruence, batched over the leading axes of P
+    and M; exactly symmetric."""
+    U, terms = congruence["U"], congruence["terms"]
+    L = 0.0
+    for V, var_terms in ((P, terms["P"]), (M, terms["M_offdiag"])):
+        d = V.shape[-1]
+        for l, r, s in var_terms:
+            T = U[l:l + d].T @ V @ U[r:r + d]
+            L = L + s * (T + np.swapaxes(T, -1, -2))
+    return L
 
 
 @lru_cache(maxsize=None)
@@ -216,8 +225,10 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
     def the_m(v: dict) -> np.ndarray:
         return v["M_diag"][..., :, None] * eye_m + v["M_offdiag"]
 
+    congruence = lmi_congruence(sys)
+
     def strict_lmi(v: dict) -> np.ndarray:
-        return primal_lmi_matrix(sys, v["P"], the_m(v))
+        return _lmi_matrix(congruence, v["P"], the_m(v))
 
     # box constraints are stated in units of the bound, which keeps every
     # constraint constant at O(1)
@@ -276,7 +287,7 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
         "system": sys,
         "strict_lmi": strict_lmi,
         "multiplier_from": the_m,
-        "congruence": lmi_congruence(sys),
+        "congruence": congruence,
     }
     return SdpFeasibilityProblem(
         variables=tuple(variables),

@@ -7,6 +7,10 @@ the multiplier is the congruence
 
 and every input/output pair (zeta, Phi(zeta)) of the class satisfies
 [zeta; w]^T Pi [zeta; w] >= 0.
+
+This is the paper's form of the multiplier, for one M: the public API and
+the reference the tests hold lmi.lmi_congruence to.  The analysis does not
+build it; it reads L(P, M) off lmi.lmi_congruence.
 """
 
 from dataclasses import dataclass
@@ -21,8 +25,7 @@ __all__ = ["Multiplier", "build_multiplier"]
 
 @dataclass(frozen=True)
 class Multiplier:
-    """The 2m x 2m multiplier plus the data it was built from; both carry
-    the leading batch axes of a stack of M."""
+    """The 2m x 2m multiplier plus the data it was built from."""
 
     pi: np.ndarray
     source_m: np.ndarray
@@ -30,26 +33,22 @@ class Multiplier:
 
     @property
     def m(self) -> int:
-        return self.source_m.shape[-1]
+        return self.source_m.shape[0]
 
 
 def build_multiplier(M: np.ndarray, band: SlopeBand) -> Multiplier:
-    """Assemble the multiplier for matrix M, or a stack (..., m, m) of them,
-    on the given slope band."""
+    """Assemble the multiplier for matrix M on the given slope band."""
     M = np.asarray(M, dtype=float)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got {M.shape}")
-    m = M.shape[-1]
+    m = M.shape[0]
     eye = np.eye(m)
-    zero = np.zeros_like(M)
     V = np.block([[band.nu * eye, -eye], [-band.mu * eye, eye]])
-    K = np.block([[zero, M], [np.swapaxes(M, -1, -2), zero]])
+    K = np.block([[np.zeros((m, m)), M], [M.T, np.zeros((m, m))]])
     pi_raw = V.T @ K @ V
     pi = symmetrize(pi_raw)
-    scale = np.linalg.norm(pi, axis=(-2, -1))
-    asym = np.linalg.norm(pi_raw - np.swapaxes(pi_raw, -1, -2), axis=(-2, -1))
-    over = (scale > 0) & (asym > 1e-14 * scale)
-    if np.any(over):
-        worst = float(np.max(asym[over]))
-        raise AssertionError(f"multiplier asymmetry {worst:.3e} exceeds roundoff budget")
+    scale = np.linalg.norm(pi, "fro")
+    asym = np.linalg.norm(pi_raw - pi_raw.T, "fro")
+    if scale > 0 and asym > 1e-14 * scale:
+        raise AssertionError(f"multiplier asymmetry {asym:.3e} exceeds roundoff budget")
     return Multiplier(pi=pi, source_m=M, band=band)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from lurestab import engine
 from lurestab.lmi import SdpFeasibilityProblem, build_primal
-from lurestab.multipliers import build_multiplier
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
 from oracles import probe_per_coordinate
 
@@ -85,43 +84,6 @@ def test_batched_probe_is_exact_on_a_normalized_general_band():
 )
 def test_batched_probe_is_exact_property(seed, n, m, odd):
     _assert_exact(_random_system(seed, n, m, odd))
-
-
-def test_build_multiplier_on_a_stack_equals_the_stack_of_items():
-    rng = np.random.default_rng(7)
-    band = SlopeBand(-0.5, 2.0)
-    Ms = rng.normal(size=(4, 3, 3))
-    stacked = build_multiplier(Ms, band)
-    assert stacked.pi.shape == (4, 6, 6)
-    assert stacked.m == 3
-    assert np.array_equal(stacked.pi, np.stack([build_multiplier(M, band).pi for M in Ms]))
-    assert np.array_equal(stacked.pi, np.swapaxes(stacked.pi, -1, -2))
-
-
-def test_build_multiplier_rejects_a_nonsquare_stack():
-    with pytest.raises(ValueError):
-        build_multiplier(np.ones((2, 2, 3)), SlopeBand(0.0, 1.0))
-    with pytest.raises(ValueError):
-        build_multiplier(np.ones(3), SlopeBand(0.0, 1.0))
-
-
-def test_build_multiplier_guards_each_item_of_a_stack(monkeypatch):
-    # the congruence is symmetric up to rounding for every real input, so
-    # corrupt one item of the block matrix K it is formed from; the other
-    # items are a million times larger, and a guard on the whole stack's
-    # norm would miss the defect
-    Ms = np.stack([1.0e6 * np.eye(2), np.eye(2), 1.0e6 * np.eye(2)])
-    real_block = np.block
-
-    def corrupting_block(blocks):
-        out = real_block(blocks)
-        if out.ndim == 3:
-            out[1, 0, -1] += 1.0e-12
-        return out
-
-    monkeypatch.setattr(np, "block", corrupting_block)
-    with pytest.raises(AssertionError, match="asymmetry"):
-        build_multiplier(Ms, SlopeBand(0.0, 1.0))
 
 
 def _random_assignment(problem, rng):

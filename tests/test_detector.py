@@ -12,7 +12,7 @@ from lurestab.detector import (
     extract_certificate,
     snap_to_band,
 )
-from lurestab.engine import SolveResult
+from lurestab.engine import TOL_RANK, SolveResult
 from lurestab.errors import CertificateInconsistentError, StructuralError
 from lurestab.pwl import eval_pwl, verify_slope
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
@@ -61,6 +61,33 @@ def test_extract_rejects_high_rank(slope_example, slope_dual_reduced):
     out = extract_certificate(slope_example, res, NonlinearityClass.SLOPE)
     assert isinstance(out, Inconclusive)
     assert out.reason == "rank"
+
+
+def test_extract_counts_rank_at_tol_rank(slope_example, slope_dual_reduced):
+    # the rank counts eigenvalues of H above TOL_RANK times the largest; at
+    # rank one the factor is the dominant eigenvector, scaled
+    cert = extract_certificate(slope_example, slope_dual_reduced, NonlinearityClass.SLOPE)
+    lam, Q = np.linalg.eigh(slope_dual_reduced.assignment["H"])
+    rest = Q[:, :-1]  # orthogonal to the dominant eigenvector
+    d = len(lam)
+    cases = [
+        (np.zeros(d - 1), 1),
+        (np.full(d - 1, 0.5 * TOL_RANK), 1),
+        (np.r_[2.0 * TOL_RANK, np.zeros(d - 2)], 2),
+        (np.full(d - 1, 0.5), d),
+    ]
+    for tail, rank in cases:
+        H = lam[-1] * (np.outer(Q[:, -1], Q[:, -1]) + (rest * tail) @ rest.T)
+        res = replace(slope_dual_reduced, assignment=dict(slope_dual_reduced.assignment, H=H))
+        out = extract_certificate(slope_example, res, NonlinearityClass.SLOPE)
+        if rank == 1:
+            assert np.allclose(out.h, cert.h, atol=1.0e-9)
+        else:
+            assert out == Inconclusive("rank", f"numerical rank {rank}")
+    H = np.zeros((d, d))
+    res = replace(slope_dual_reduced, assignment=dict(slope_dual_reduced.assignment, H=H))
+    out = extract_certificate(slope_example, res, NonlinearityClass.SLOPE)
+    assert out == Inconclusive("rank", "numerical rank 0")
 
 
 def test_extract_checks_class_against_blocks(slope_example, slope_dual_reduced):

@@ -16,7 +16,7 @@ from lurestab.multipliers import build_multiplier
 from oracles import output_coupling_block, state_equality_block
 
 
-def _random_system(seed, n=2, m=3, odd=False):
+def _random_system(seed, n=2, m=3, odd=False, band=SlopeBand(0.0, 1.0)):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, n))
     A *= 0.8 / max(abs(np.linalg.eigvals(A)).max(), 1e-9)
@@ -25,7 +25,7 @@ def _random_system(seed, n=2, m=3, odd=False):
         rng.normal(size=(n, m)),
         rng.normal(size=(m, n)),
         rng.normal(size=(m, m)),
-        SlopeBand(0.0, 1.0),
+        band,
         NonlinearityClass.SLOPE_ODD if odd else NonlinearityClass.SLOPE,
     )
 
@@ -84,20 +84,27 @@ def test_box_constraint_is_zero_at_the_bound():
 
 
 def test_primal_lmi_matrix_matches_congruence():
-    sys = _random_system(2)
-    rng = np.random.default_rng(3)
-    P = rng.normal(size=(2, 2))
-    P = P + P.T
-    M = rng.normal(size=(3, 3))
-    L = primal_lmi_matrix(sys, P, M)
-    AB = np.hstack([sys.A, sys.B])
-    I0 = np.hstack([np.eye(2), np.zeros((2, 3))])
-    CD = np.hstack([sys.C, sys.D])
-    OI = np.hstack([np.zeros((3, 2)), np.eye(3)])
-    pi = build_multiplier(M, sys.band).pi
-    expect = (AB.T @ P @ AB - I0.T @ P @ I0
-              + np.vstack([CD, OI]).T @ pi @ np.vstack([CD, OI]))
-    assert np.allclose(L, expect, atol=1e-12)
+    # L read off lmi_congruence against the paper's form with
+    # build_multiplier's Pi, on [0, 1] and on a general band
+    worst = 0.0
+    for band in (SlopeBand(0.0, 1.0), SlopeBand(-0.4, 1.7)):
+        for seed in range(25):
+            sys = _random_system(seed, band=band)
+            rng = np.random.default_rng(100 + seed)
+            P = rng.normal(size=(2, 2))
+            P = P + P.T
+            M = rng.normal(size=(3, 3))
+            L = primal_lmi_matrix(sys, P, M)
+            AB = np.hstack([sys.A, sys.B])
+            I0 = np.hstack([np.eye(2), np.zeros((2, 3))])
+            CD = np.hstack([sys.C, sys.D])
+            OI = np.hstack([np.zeros((3, 2)), np.eye(3)])
+            pi = build_multiplier(M, band).pi
+            expect = (AB.T @ P @ AB - I0.T @ P @ I0
+                      + np.vstack([CD, OI]).T @ pi @ np.vstack([CD, OI]))
+            assert np.array_equal(L, L.T)
+            worst = max(worst, np.linalg.norm(L - expect) / np.linalg.norm(expect))
+    assert worst <= 1.0e-14
 
 
 def test_reduced_dual_holds_from_its_definition(

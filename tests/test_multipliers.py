@@ -54,8 +54,26 @@ def test_quad_form_detects_class_violation():
 
 
 def test_build_multiplier_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        build_multiplier(np.ones((2, 3)), SlopeBand(0.0, 1.0))
+    # one square matrix M only: a stack of them is rejected too
+    for shape in [(2, 3), (3,), (2, 2, 3), (2, 2, 2)]:
+        with pytest.raises(ValueError):
+            build_multiplier(np.ones(shape), SlopeBand(0.0, 1.0))
+
+
+def test_build_multiplier_guards_its_asymmetry(monkeypatch):
+    # the congruence is symmetric up to rounding for every real input, so
+    # corrupt the block matrix K it is formed from
+    real_block = np.block
+
+    def corrupting_block(blocks):
+        out = real_block(blocks)
+        if not blocks[0][0].any():  # K = [[0, M], [M^T, 0]], not V
+            out[0, -1] += 1.0e-6
+        return out
+
+    monkeypatch.setattr(np, "block", corrupting_block)
+    with pytest.raises(AssertionError, match="asymmetry"):
+        build_multiplier(np.eye(2), SlopeBand(0.0, 1.0))
 
 
 def test_quad_form_rejects_bad_lengths():

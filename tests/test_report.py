@@ -1,5 +1,6 @@
 """Canonical serialization and the analysis verdicts on the examples."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -127,6 +128,27 @@ def test_analyze_runs_no_simulation(monkeypatch, slope_example, odd_example):
     monkeypatch.setattr(lurestab.report, "simulate", refuse)
     for system in (slope_example, odd_example):
         assert analyze(system).verdict == "not_absolutely_stable"
+
+
+def test_analyze_never_builds_the_multiplier(
+    monkeypatch, slope_example, odd_example, decoupled_example
+):
+    # L(P, M) is read off lmi.lmi_congruence; build_multiplier's Pi is only
+    # the reference form
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze built the multiplier Pi")
+
+    for owner in (lurestab, lurestab.multipliers, lurestab.lmi):
+        monkeypatch.setattr(owner, "build_multiplier", refuse)
+    general = dataclasses.replace(slope_example, band=SlopeBand(-0.4, 1.7))
+    expect = [
+        (slope_example, "not_absolutely_stable"),
+        (odd_example, "not_absolutely_stable"),
+        (decoupled_example, "absolutely_stable"),
+        (general, "not_absolutely_stable"),
+    ]
+    for system, verdict in expect:
+        assert analyze(system).verdict == verdict
 
 
 def test_odd_example_verdict(odd_report):
