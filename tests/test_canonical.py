@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from lurestab import engine
 from lurestab.lmi import SdpFeasibilityProblem, build_primal
+from lurestab.multipliers import build_multiplier
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
 from oracles import probe_per_coordinate
 
@@ -84,6 +85,17 @@ def test_batched_probe_is_exact_on_a_normalized_general_band():
 )
 def test_batched_probe_is_exact_property(seed, n, m, odd):
     _assert_exact(_random_system(seed, n, m, odd))
+
+
+def test_build_multiplier_rejects_a_nonsquare_stack():
+    # build_multiplier takes one square M; the probe reads L(P, M) off
+    # lmi_congruence, so a stack of M is rejected, square or not
+    with pytest.raises(ValueError):
+        build_multiplier(np.ones((2, 2, 3)), SlopeBand(0.0, 1.0))
+    with pytest.raises(ValueError):
+        build_multiplier(np.ones((2, 2, 2)), SlopeBand(0.0, 1.0))
+    with pytest.raises(ValueError):
+        build_multiplier(np.ones(3), SlopeBand(0.0, 1.0))
 
 
 def _random_assignment(problem, rng):

@@ -63,7 +63,7 @@ def test_extract_rejects_high_rank(slope_example, slope_dual_reduced):
     assert out.reason == "rank"
 
 
-def test_extract_counts_rank_at_tol_rank(slope_example, slope_dual_reduced):
+def test_extract_rank_tolerance_splits_clusters(slope_example, slope_dual_reduced):
     # the rank counts eigenvalues of H above TOL_RANK times the largest; at
     # rank one the factor is the dominant eigenvector, scaled
     cert = extract_certificate(slope_example, slope_dual_reduced, NonlinearityClass.SLOPE)
@@ -84,6 +84,10 @@ def test_extract_counts_rank_at_tol_rank(slope_example, slope_dual_reduced):
             assert np.allclose(out.h, cert.h, atol=1.0e-9)
         else:
             assert out == Inconclusive("rank", f"numerical rank {rank}")
+
+
+def test_extract_rank_zero_matrix(slope_example, slope_dual_reduced):
+    d = slope_dual_reduced.assignment["H"].shape[0]
     H = np.zeros((d, d))
     res = replace(slope_dual_reduced, assignment=dict(slope_dual_reduced.assignment, H=H))
     out = extract_certificate(slope_example, res, NonlinearityClass.SLOPE)
