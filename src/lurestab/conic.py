@@ -67,7 +67,7 @@ def _svec_index(d: int):
 
 
 def _flat(X: np.ndarray) -> np.ndarray:
-    return X.reshape(X.shape[:-2] + (-1,))
+    return X.reshape(X.shape[:-2] + (X.shape[-2] * X.shape[-1],))
 
 
 def svec(X: np.ndarray) -> np.ndarray:

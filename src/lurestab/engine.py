@@ -1,9 +1,7 @@
 """Feasibility engine: dense forms, verdicts, and rank reduction of the dual.
 
-The primal LMI (lmi.build_primal: free decision variables z, constraint
-expressions F0 + F z in cones) is read into that dense form once: F0 from
-the zero assignment, F from one batched evaluation of each constraint per
-variable, on that variable's coordinate basis stacked.  It goes to the
+The primal LMI comes as its dense form (lmi.build_primal: decision
+coordinates z, constraint rows F0 + F z in cones).  It goes to the
 interior-point core as the dual side of its standard form,
 max b.y s.t. c - A^T y in K with A = -F^T / d, c = F0 and y = d z, so the
 Schur complement is indexed by the decision coordinates; from LMI
@@ -14,10 +12,9 @@ at the first iterate that certifies (its margin t, the raw constraints and
 the achieved -lambda_max of the strict LMI all clear the threshold); an
 infeasible primal runs to its optimum.
 
-The dual LMI is not read from callables: it is the adjoint of the
-primal's homogeneous rows (F0 = 0).  build_dual restricts F to them and
-transposes it, giving A x = b, x in K, with A = -F_h^T, b = e_t and rows
-equilibrated.  Its rows are the primal's decision coordinates (full row
+The dual LMI is the adjoint of the primal's homogeneous rows (F0 = 0).
+build_dual restricts F to them and transposes it, giving A x = b, x in K,
+with A = -F_h^T, b = e_t and rows equilibrated.  Its rows are the primal's decision coordinates (full row
 rank, never empty), its coordinates the multipliers of those rows, read
 as the blocks H, f, g, X (and Z) through lmi.DUAL_SCALE.  It is solved
 once, however the primal ended: one homogeneous self-dual solve over its
@@ -35,14 +32,20 @@ violation any returned assignment may carry.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .conic import ConeSpec, smat, solve_conic, svec, svec_dim
 from .errors import StructuralError
-from .lmi import DUAL_SCALE, SdpFeasibilityProblem
+from .lmi import (
+    DUAL_SCALE,
+    SdpFeasibilityProblem,
+    _lmi_matrix,
+    _matrix_entries,
+    _offdiag_pairs,
+    multiplier_matrix,
+)
 from .system import StateSpaceSystem
 
 __all__ = [
@@ -100,31 +103,9 @@ class SolveResult:
     canonical: Optional[Union["DualForm", "_Inequality"]] = field(default=None, repr=False)
 
 
-# how the entries of a constraint expression are scalarized, per cone; the
-# values are the variable kinds with the same coordinates
-_CONSTRAINT_STRUCTURE = {"psd": "sym", "nonneg": "vector", "hollow_nonneg": "hollow"}
-
-
-@lru_cache(maxsize=None)
-def _offdiag_pairs(d: int):
-    """Row-major (row, col) indices of the off-diagonal entries of d x d."""
-    rows, cols = np.nonzero(~np.eye(d, dtype=bool))
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
-def _var_ncoords(v) -> int:
-    if v.kind == "sym":
-        return svec_dim(v.dim)
-    if v.kind == "vector":
-        return v.dim
-    return v.dim * v.dim - v.dim  # hollow
-
-
 def _from_coords(kind: str, coords: np.ndarray, dim: int) -> np.ndarray:
-    """Value of a variable kind (or constraint structure) from its
-    coordinates, batched over their leading axes."""
+    """Value of a variable kind from its coordinates, batched over their
+    leading axes."""
     if kind == "sym":
         return smat(coords, dim)
     if kind == "vector":
@@ -135,77 +116,24 @@ def _from_coords(kind: str, coords: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _scalarize(value, structure: str) -> np.ndarray:
+def _scalarize(value, kind: str) -> np.ndarray:
     """Coordinates of a value, batched over its leading axes; the inverse
     of _from_coords."""
     value = np.asarray(value, dtype=float)
-    if structure == "sym":
+    if kind == "sym":
         return svec(0.5 * (value + np.swapaxes(value, -1, -2)))
-    if structure == "hollow":
+    if kind == "hollow":
         rows, cols = _offdiag_pairs(value.shape[-1])
         return value[..., rows, cols]
     return np.atleast_1d(value)
 
 
-def _constraint_value(con, coords: np.ndarray, dim: int) -> np.ndarray:
-    """Value of a constraint expression, or of its multiplier, from coordinates."""
-    return _from_coords(_CONSTRAINT_STRUCTURE[con.cone], coords, dim)
-
-
-def _cone_violation(cone: str, value) -> float:
-    """Worst violation of a constraint's cone, >= 0; "hollow_nonneg"
-    ignores the diagonal."""
-    value = np.asarray(value, dtype=float)
-    if cone == "psd":
-        w = np.linalg.eigvalsh(0.5 * (value + value.T))
-        return float(max(0.0, -w[0]))
-    if cone == "hollow_nonneg":
-        value = _scalarize(value, "hollow")
-    return float(max(0.0, -np.min(value))) if value.size else 0.0
-
-
-def _probe(var_slices, ncols: int, evaluate, zero: dict, base: np.ndarray) -> np.ndarray:
-    """Columns evaluate(e_k) - base over the coordinate basis e_k.
-
-    One evaluation per variable: its basis is stacked on a leading axis,
-    every other variable stays at zero, and evaluate(assign, k) returns
-    one row per item of a stack of k.
-    """
-    out = np.zeros((base.size, ncols))
-    for v, sl in var_slices:
-        nc = sl.stop - sl.start
-        if nc:
-            assign = dict(zero)
-            assign[v.name] = _from_coords(v.kind, np.eye(nc), v.dim)
-            out[:, sl] = (evaluate(assign, nc) - base).T
-    return out
-
-
-def _layout(variables) -> tuple:
-    """Contiguous coordinate slices of the variables, in order, and their total."""
-    slices, at = [], 0
-    for v in variables:
-        nc = _var_ncoords(v)
-        slices.append((v, slice(at, at + nc)))
-        at += nc
-    return slices, at
-
-
-def _matrix_entries(v):
-    """Where each coordinate of a variable sits in its value read as a
-    matrix (a vector as the diagonal of one): (rows, cols, weights), so
-    that coordinate k is weights[k] times the unit matrix at
-    (rows[k], cols[k]) -- for "sym" together with its mirror entry, which
-    a symmetric term maps to the same matrix.  The conventions of
-    _from_coords."""
-    if v.kind == "sym":
-        rows, cols = np.triu_indices(v.dim)
-        return rows, cols, np.where(rows == cols, 1.0, np.sqrt(2.0))
-    if v.kind == "hollow":
-        rows, cols = _offdiag_pairs(v.dim)
-    else:
-        rows = cols = np.arange(v.dim)
-    return rows, cols, np.ones(rows.size)
+def _cone_violation(con, coords: np.ndarray) -> float:
+    """Worst violation of a constraint's cone by its rows, or by its
+    multiplier, given in coordinates; >= 0."""
+    if con.cone == "psd":
+        return float(max(0.0, -np.linalg.eigvalsh(smat(coords, con.dim))[0]))
+    return float(max(0.0, -np.min(coords))) if coords.size else 0.0
 
 
 class _LmiGram:
@@ -330,10 +258,10 @@ def _factor(H: np.ndarray, blocks: list, size: int) -> np.ndarray:
 
 def _lmi_gram(problem: SdpFeasibilityProblem, var_slices, nrows: int) -> Optional[_LmiGram]:
     """The one place the Schur complement's path is chosen: the structured
-    LMI term for a problem with congruence factors whose LMI dimension
-    n + m reaches _STRUCTURED_MIN_DIM, else None (B = A W^T is formed)."""
-    congruence = problem.meta.get("congruence")
-    if congruence is None or congruence["U"].shape[1] < _STRUCTURED_MIN_DIM:
+    LMI term once the LMI dimension n + m reaches _STRUCTURED_MIN_DIM, else
+    None (B = A W^T is formed)."""
+    congruence = problem.meta["congruence"]
+    if congruence["U"].shape[1] < _STRUCTURED_MIN_DIM:
         return None
     return _LmiGram(congruence, var_slices, nrows)
 
@@ -346,66 +274,39 @@ def _cone_spec(psd_dims: list, total: int) -> ConeSpec:
 
 
 class _Inequality:
-    """Dense form of the primal, over decision coordinates z.
+    """The primal's dense form as the IPM sees it.
 
-    The constraint expressions, PSD ones first, scalarize to F0 + F z;
-    blocks holds (constraint, coordinate slice, dimension) for each.  The
-    IPM solves max b.y s.t. F0 - A^T y in K with A = -F^T / d and the
-    objective b = b_obj / d, where d equilibrates the rows of A; z = y / d.
+    The IPM solves max b.y s.t. F0 - A^T y in K with A = -F^T / d and the
+    objective b = objective / d, where d equilibrates the rows of A;
+    z = y / d.  blocks holds (constraint, row slice) for each constraint,
+    PSD ones first.
     """
 
     def __init__(self, problem: SdpFeasibilityProblem):
         self.problem = problem
-        self.var_slices, nz = _layout(problem.variables)
-        psd = [con for con in problem.constraints if con.cone == "psd"]
-        constraints = psd + [con for con in problem.constraints if con.cone != "psd"]
-
-        zero = problem.zero_assignment()
-        self.blocks, parts, at = [], [], 0
-        for con in constraints:
-            value = con.fn(zero)
-            part = _scalarize(value, _CONSTRAINT_STRUCTURE[con.cone])
-            self.blocks.append((con, slice(at, at + part.size), np.shape(value)[0]))
-            parts.append(part)
-            at += part.size
-        self.F0 = np.concatenate(parts)
-        self.F = _probe(self.var_slices, nz, self._evaluate, zero, self.F0)
-        self.cone = _cone_spec([dim for con, _, dim in self.blocks if con.cone == "psd"], at)
-
-        self.objective = np.zeros(nz)
-        named = {v.name: sl for v, sl in self.var_slices}
-        for name, coeff in problem.objective.items():
-            self.objective[named[name]] = np.ravel(coeff)
+        self.var_slices, self.blocks = problem.variables, problem.constraints
+        self.F0, self.F, self.objective = problem.F0, problem.F, problem.objective
+        psd_dims = [con.dim for con, _ in self.blocks if con.cone == "psd"]
+        self.cone = _cone_spec(psd_dims, self.F0.size)
 
         d = np.maximum(np.linalg.norm(self.F, axis=0), np.abs(self.objective))
         self.d = np.maximum(d, 1.0e-12)
         self.A = -self.F.T / self.d[:, None]
         self.b = self.objective / self.d
-        self.gram = _lmi_gram(problem, self.var_slices, nz)
+        self.gram = _lmi_gram(problem, self.var_slices, self.objective.size)
         self.psd_schur = None if self.gram is None else self.gram.for_rows(self.d)
-
-    def _evaluate(self, assign: dict, k: int) -> np.ndarray:
-        """Scalarized constraints at a stacked assignment, one row per item
-        of the stack of k; a constraint that does not read the stacked
-        variable broadcasts."""
-        return np.concatenate([
-            np.broadcast_to(
-                _scalarize(con.fn(assign), _CONSTRAINT_STRUCTURE[con.cone]),
-                (k, sl.stop - sl.start),
-            )
-            for con, sl, _ in self.blocks
-        ], axis=1)
 
     def reconstruct(self, z: np.ndarray) -> dict:
         """Assignment from decision coordinates; a variable without
         coordinates (hollow at dimension 1) is zero."""
         return {v.name: _from_coords(v.kind, z[sl], v.dim) for v, sl in self.var_slices}
 
-    def verify(self, assignment: dict):
-        """Worst cone violation of the constraint expressions at this
-        assignment; there are no equality rows, so that residual is 0."""
+    def verify(self, z: np.ndarray):
+        """Worst cone violation of the constraint rows F0 + F z; there are
+        no equality rows, so that residual is 0."""
+        rows = self.F0 + self.F @ z
         max_cone = max(
-            (_cone_violation(con.cone, con.fn(assignment)) for con, _, _ in self.blocks),
+            (_cone_violation(con, rows[sl]) for con, sl in self.blocks),
             default=0.0,
         )
         return max_cone <= CONE_TOL, 0.0, max_cone
@@ -416,9 +317,9 @@ class DualForm:
 
     Coordinates x are the multipliers of the primal's constraints with
     F0 = 0, in the primal's order (PSD first); blocks holds (constraint,
-    slice, dimension) for each.  Rows are the primal's decision
-    coordinates: A_raw x = b_raw with A_raw = -F_h^T and b_raw = e_t, the
-    primal objective.  A and b are the rows equilibrated by d, which the
+    slice) for each.  Rows are the primal's decision coordinates:
+    A_raw x = b_raw with A_raw = -F_h^T and b_raw = e_t, the primal
+    objective.  A and b are the rows equilibrated by d, which the
     IPM sees; verify measures residuals in the raw units.
     """
 
@@ -426,17 +327,17 @@ class DualForm:
         self.primal = primal
         self.system: StateSpaceSystem = primal.problem.meta["system"]
         self.blocks, rows, at = [], [], 0
-        for con, sl, dim in primal.blocks:
+        for con, sl in primal.blocks:
             if np.any(primal.F0[sl]):
                 continue
             if con.dual is None:
                 raise StructuralError(f"homogeneous constraint {con.name!r} names no dual block")
-            self.blocks.append((con, slice(at, at + sl.stop - sl.start), dim))
+            self.blocks.append((con, slice(at, at + sl.stop - sl.start)))
             rows.append(np.arange(sl.start, sl.stop))
             at += sl.stop - sl.start
         self.ncone = at
-        self.cone = _cone_spec([dim for con, _, dim in self.blocks if con.cone == "psd"], at)
-        self.h_slice = next(sl for con, sl, _ in self.blocks if con.dual == "H")
+        self.cone = _cone_spec([con.dim for con, _ in self.blocks if con.cone == "psd"], at)
+        self.h_slice = next(sl for con, sl in self.blocks if con.dual == "H")
 
         self.A_raw = -primal.F[np.concatenate(rows)].T
         self.b_raw = primal.objective
@@ -449,8 +350,8 @@ class DualForm:
     def reconstruct(self, x: np.ndarray) -> dict:
         """The dual blocks H, f, g, X (Z) from multiplier coordinates."""
         return {
-            con.dual: DUAL_SCALE[con.cone] * _constraint_value(con, x[sl], dim).T
-            for con, sl, dim in self.blocks
+            con.dual: DUAL_SCALE[con.cone] * _from_coords(con.kind, x[sl], con.dim).T
+            for con, sl in self.blocks
         }
 
     def verify(self, assignment: dict):
@@ -460,11 +361,11 @@ class DualForm:
         of the blocks, not of the multipliers.
         """
         parts, max_cone = [], 0.0
-        for con, _, _ in self.blocks:
+        for con, _ in self.blocks:
             scale = DUAL_SCALE[con.cone]
             multiplier = np.asarray(assignment[con.dual], dtype=float).T / scale
-            parts.append(_scalarize(multiplier, _CONSTRAINT_STRUCTURE[con.cone]))
-            max_cone = max(max_cone, _cone_violation(con.cone, abs(scale) * multiplier))
+            parts.append(_scalarize(multiplier, con.kind))
+            max_cone = max(max_cone, _cone_violation(con, abs(scale) * parts[-1]))
         max_eq = float(np.max(np.abs(self.A_raw @ np.concatenate(parts) - self.b_raw)))
         tol_eq = TOL_EQ * (1.0 + float(np.max(np.abs(self.b_raw))))
         return max_eq <= tol_eq and max_cone <= CONE_TOL, max_eq, max_cone
@@ -484,15 +385,16 @@ def _farkas_quality(dual: DualForm, y: np.ndarray):
         return None
     xi = -(dual.A.T @ (y / by))
     return max(
-        (_cone_violation(con.cone, _constraint_value(con, xi[sl], dim))
-         for con, sl, dim in dual.blocks),
+        (_cone_violation(con, xi[sl]) for con, sl in dual.blocks),
         default=0.0,
     )
 
 
 def _primal_true_margin(problem: SdpFeasibilityProblem, assignment: dict) -> float:
-    """Achieved margin -lambda_max of the strict LMI at this assignment."""
-    core = np.asarray(problem.meta["strict_lmi"](assignment), dtype=float)
+    """Achieved margin -lambda_max of the strict LMI at this assignment,
+    from L(P, M) read off the congruence, not from F."""
+    P, M = assignment["P"], multiplier_matrix(assignment)
+    core = _lmi_matrix(problem.meta["congruence"], P, M)
     w = np.linalg.eigvalsh(0.5 * (core + core.T))
     return -float(w[-1])
 
@@ -515,10 +417,10 @@ def _solve_inequality(problem, form: _Inequality) -> SolveResult:
         z = y / form.d
         if form.objective @ z < PRIMAL_MARGIN:
             return False
-        assignment = form.reconstruct(z)
-        checked = form.verify(assignment)
+        checked = form.verify(z)
         if not checked[0]:
             return False
+        assignment = form.reconstruct(z)
         true_margin = _primal_true_margin(problem, assignment)
         if true_margin < PRIMAL_MARGIN:
             return False
@@ -536,7 +438,7 @@ def _solve_inequality(problem, form: _Inequality) -> SolveResult:
         assignment, (ok, max_eq, max_cone), true_margin = accepted[-1]
     else:
         assignment = form.reconstruct(z)
-        ok, max_eq, max_cone = form.verify(assignment)
+        ok, max_eq, max_cone = form.verify(z)
         true_margin = _primal_true_margin(problem, assignment)
 
     if t_hat >= PRIMAL_MARGIN and ok and true_margin >= PRIMAL_MARGIN:
@@ -633,10 +535,12 @@ def solve(problem: Union[SdpFeasibilityProblem, DualForm]) -> SolveResult:
 
 
 def _rank_ratio(H: np.ndarray):
-    w = np.linalg.eigvalsh(0.5 * (H + H.T))[::-1]
-    lead = max(float(w[0]), 1.0e-300)
-    ratio = float(w[1]) / lead if w.size > 1 else 0.0
-    return max(ratio, 0.0), w
+    """H's second eigenvalue over its first (at least 0), and its
+    eigenvectors in ascending order of eigenvalue, from one eigh."""
+    w, V = np.linalg.eigh(0.5 * (H + H.T))
+    lead = max(float(w[-1]), 1.0e-300)
+    ratio = float(w[-2]) / lead if w.size > 1 else 0.0
+    return max(ratio, 0.0), V
 
 
 def reduce_rank(dual: DualForm, warm: SolveResult) -> SolveResult:
@@ -657,16 +561,14 @@ def reduce_rank(dual: DualForm, warm: SolveResult) -> SolveResult:
 
     best_assign = warm.assignment
     best_eq, best_cone = warm.residuals.max_equality, warm.residuals.max_cone_violation
-    best_ratio, _ = _rank_ratio(best_assign["H"])
+    best_ratio, best_V = _rank_ratio(best_assign["H"])
     trail = [best_ratio]
 
     rounds = 0
     for _ in range(_MAX_RANK_ROUNDS):
         if best_ratio <= TOL_RANK:
             break
-        Hc = best_assign["H"]
-        _, V = np.linalg.eigh(0.5 * (Hc + Hc.T))
-        V2 = V[:, :-1]  # all but the dominant eigenvector
+        V2 = best_V[:, :-1]  # all but the dominant eigenvector
         W = V2 @ V2.T - steer_term
         c = np.zeros(dual.ncone)
         c[dual.h_slice] = svec(0.5 * (W + W.T))
@@ -675,11 +577,11 @@ def reduce_rank(dual: DualForm, warm: SolveResult) -> SolveResult:
 
         assignment = dual.reconstruct(res.x)
         ok, max_eq, max_cone = dual.verify(assignment)
-        ratio = _rank_ratio(assignment["H"])[0] if ok else best_ratio
+        ratio, V = _rank_ratio(assignment["H"]) if ok else (best_ratio, None)
         improved = ratio < best_ratio
         if improved:
             best_assign, best_eq, best_cone = assignment, max_eq, max_cone
-            best_ratio = ratio
+            best_ratio, best_V = ratio, V
         trail.append(best_ratio)
         if best_ratio <= TOL_RANK or not improved:
             break

@@ -11,15 +11,16 @@ DHD cone (DD for odd nonlinearities) such that
 
 with Pi the paper's multiplier (multipliers.py).  L is stated once, in
 lmi_congruence, as congruences of one factor U: primal_lmi_matrix, the
-constraint callables and the engine's structured Schur complement all read
+primal's LMI rows and the engine's structured Schur complement all read
 it from there, and the Pi form is only the reference it is tested against.
 
 P is a free symmetric variable: Schur stability of A makes P > 0 follow
-from the inequality.  The problem is declarative: free decision variables
-(P, M, t) and affine constraint expressions, given as callables, that must
-lie in cones.  The callables accept leading batch axes on any variable:
-the engine's probe reads their coefficients F0 + F z with one evaluation
-per variable, on that variable's whole coordinate basis stacked.
+from the inequality.  build_primal returns the primal's dense form: the
+decision coordinates z of the free variables (P, M, t), and constraint
+rows F0 + F z that must lie in cones.  This module owns those
+coordinates, and writes every coefficient from the structure: the LMI's
+from the congruence terms, every other row as an incidence of the
+coordinates.
 
 Dual: it is not written here.  The primal's constraints that vanish at
 zero (F0 = 0) form a homogeneous system in z, and by the theorem of
@@ -38,10 +39,11 @@ with f, g >= 0 and X, Z zero-diagonal with nonpositive entries.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
+from .conic import svec, svec_dim
 from .errors import StructuralError
 from .multipliers import build_multiplier  # noqa: F401  bench/spans.py counts its calls here
 from .system import NonlinearityClass, StateSpaceSystem
@@ -52,13 +54,15 @@ __all__ = [
     "SdpFeasibilityProblem",
     "VarSpec",
     "build_primal",
+    "multiplier_matrix",
     "primal_lmi_matrix",
 ]
 
 BOX_BOUND = 1.0e4
 
-_VAR_KINDS = ("sym", "vector", "hollow")
-_CONES = ("psd", "nonneg", "hollow_nonneg")
+# how a constraint's rows are read, per cone: as the coordinates of the
+# variable kind named
+_CONE_KINDS = {"psd": "sym", "nonneg": "vector", "hollow_nonneg": "hollow"}
 
 # A dual block is DUAL_SCALE[cone] * y^T for the multiplier y of the
 # constraint that names it: the multiplier of lmi_margin is H itself, of
@@ -81,55 +85,45 @@ class VarSpec:
     kind: str
     dim: int
 
-    def __post_init__(self):
-        if self.kind not in _VAR_KINDS:
-            raise StructuralError(f"unknown variable kind {self.kind!r}")
-        if self.dim < 1:
-            raise StructuralError(f"variable {self.name!r} needs dim >= 1")
-
-    @property
-    def shape(self) -> tuple:
-        return (self.dim,) if self.kind == "vector" else (self.dim, self.dim)
-
 
 @dataclass(frozen=True)
 class ConeConstraint:
-    """Affine constraint expression: fn(assignment) must lie in the cone.
-
-    fn must be affine in the assignment and accept leading batch axes on
-    any of its variables (a stack of values), broadcasting the others and
-    returning the stack of its values: the engine's probe, the only caller
-    that stacks, reads its coefficients from one stacked evaluation per
-    variable.
+    """One block of constraint rows, which must lie in the cone.
 
     cone: "psd" (symmetric matrix, positive semidefinite), "nonneg"
     (entrywise nonnegative vector), "hollow_nonneg" (square matrix with
-    nonnegative off-diagonal entries; the diagonal is ignored).  dual names
-    the dual block carried by the multiplier of a homogeneous constraint.
+    nonnegative off-diagonal entries; the diagonal has no rows).  dim is
+    the matrix dimension, or the length of a vector; the rows are the
+    coordinates of the variable kind the cone is read as (kind).  dual
+    names the dual block carried by the multiplier of a homogeneous
+    constraint.
     """
 
     name: str
-    fn: Callable[[dict], np.ndarray]
     cone: str
+    dim: int
     dual: Optional[str] = None
 
-    def __post_init__(self):
-        if self.cone not in _CONES:
-            raise StructuralError(f"unknown constraint cone {self.cone!r}")
+    @property
+    def kind(self) -> str:
+        return _CONE_KINDS[self.cone]
 
 
 @dataclass(frozen=True, eq=False)
 class SdpFeasibilityProblem:
-    """Free variables and cone constraints, with objective {variable name:
-    coefficients} maximized over them."""
+    """The primal's dense form: rows F0 + F z over the decision coordinates
+    z, each constraint's rows in its cone, with objective.z maximized.
+
+    variables holds (VarSpec, coordinate slice) and constraints
+    (ConeConstraint, row slice), in order, PSD constraints first.
+    """
 
     variables: tuple
     constraints: tuple
-    objective: dict
+    F0: np.ndarray
+    F: np.ndarray
+    objective: np.ndarray
     meta: dict = field(default_factory=dict)
-
-    def zero_assignment(self) -> dict:
-        return {v.name: np.zeros(v.shape) for v in self.variables}
 
 
 def primal_lmi_matrix(sys: StateSpaceSystem, P: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -182,17 +176,69 @@ def _lmi_matrix(congruence: dict, P: np.ndarray, M: np.ndarray) -> np.ndarray:
     return L
 
 
+def multiplier_matrix(assignment: dict) -> np.ndarray:
+    """The multiplier M of a primal assignment: M_diag on the diagonal,
+    M_offdiag off it."""
+    return np.diag(assignment["M_diag"]) + assignment["M_offdiag"]
+
+
 @lru_cache(maxsize=None)
-def _triu_index(d: int):
-    rows, cols = np.triu_indices(d)
+def _offdiag_pairs(d: int):
+    """Row-major (row, col) indices of the off-diagonal entries of d x d."""
+    rows, cols = np.nonzero(~np.eye(d, dtype=bool))
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
 
 
-def _triu_entries(P: np.ndarray) -> np.ndarray:
-    rows, cols = _triu_index(P.shape[-1])
-    return P[..., rows, cols]
+def _var_ncoords(v) -> int:
+    """Coordinates of a variable, or of a constraint's rows."""
+    if v.kind == "sym":
+        return svec_dim(v.dim)
+    if v.kind == "vector":
+        return v.dim
+    return v.dim * v.dim - v.dim  # hollow
+
+
+def _layout(items) -> tuple:
+    """Contiguous coordinate slices of variables (or of constraints' rows),
+    in order, and their total."""
+    slices, at = [], 0
+    for v in items:
+        nc = _var_ncoords(v)
+        slices.append((v, slice(at, at + nc)))
+        at += nc
+    return slices, at
+
+
+def _matrix_entries(v):
+    """Where each coordinate of a variable sits in its value read as a
+    matrix (a vector as the diagonal of one): (rows, cols, weights), so
+    that coordinate k is weights[k] times the unit matrix at
+    (rows[k], cols[k]) -- for "sym" together with its mirror entry, which
+    a symmetric term maps to the same matrix.  The conventions of
+    engine._from_coords."""
+    if v.kind == "sym":
+        rows, cols = np.triu_indices(v.dim)
+        return rows, cols, np.where(rows == cols, 1.0, np.sqrt(2.0))
+    if v.kind == "hollow":
+        rows, cols = _offdiag_pairs(v.dim)
+    else:
+        rows = cols = np.arange(v.dim)
+    return rows, cols, np.ones(rows.size)
+
+
+def _lmi_coefficients(congruence: dict, v) -> np.ndarray:
+    """svec of L's coefficient of each coordinate of a variable with terms,
+    one row per coordinate: w sum_k s_k (U_l^T E U_r + U_r^T E^T U_l), E
+    the unit matrix at the coordinate's entry (_matrix_entries)."""
+    U = congruence["U"]
+    a, b, w = _matrix_entries(v)
+    X = 0.0
+    for l, r, s in congruence["terms"][v.name]:
+        T = s * U[l + a][:, :, None] * U[r + b][:, None, :]
+        X = X + T + np.swapaxes(T, -1, -2)
+    return svec(w[:, None, None] * X)
 
 
 def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
@@ -204,14 +250,16 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
     feasible when the reported margin t* clears its threshold.  The cone of
     M is DHD for the slope class and DD for the odd one; M_ii >= 0 (and
     M_abs >= 0 for DD) is implied by the constraints below and not stated.
+
+    Every coefficient is written from the structure: the LMI's columns from
+    the congruence terms, every other row as an incidence of the
+    coordinates.  The boxes are stated in units of the bound, which keeps
+    every constant of F0 at O(1).
     """
     if not sys.band.is_reduced:
         raise StructuralError("the primal LMI is defined on the band [0, 1] only")
     odd = sys.nl_class is NonlinearityClass.SLOPE_ODD
     n, m = sys.n, sys.m
-    L = n + m
-    ones_m = np.ones(m)
-    eye_m, eye_L = np.eye(m), np.eye(L)
 
     variables = [
         VarSpec("P", "sym", n),
@@ -221,77 +269,62 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
     if odd:
         variables.append(VarSpec("M_abs", "hollow", m))
     variables.append(VarSpec("t", "vector", 1))
+    var_slices, nz = _layout(variables)
 
-    def the_m(v: dict) -> np.ndarray:
-        return v["M_diag"][..., :, None] * eye_m + v["M_offdiag"]
-
+    # lmi_margin is -L - t I
     congruence = lmi_congruence(sys)
+    lmi = {"t": -svec(np.eye(n + m))[:, None]}
+    for v in variables:
+        if v.name in congruence["terms"]:
+            lmi[v.name] = -_lmi_coefficients(congruence, v).T
+    # P_ij is z_k / w_k, with w_k the svec weight of its coordinate
+    p_box = np.diag(1.0 / (_matrix_entries(variables[0])[2] * BOX_BOUND))
+    rows, cols = _offdiag_pairs(m)
+    row_sums = (rows == np.arange(m)[:, None]).astype(float)
+    col_sums = (cols == np.arange(m)[:, None]).astype(float)
+    eye_m, eye_h = np.eye(m), np.eye(rows.size)
 
-    def strict_lmi(v: dict) -> np.ndarray:
-        return _lmi_matrix(congruence, v["P"], the_m(v))
-
-    # box constraints are stated in units of the bound, which keeps every
-    # constraint constant at O(1)
-    constraints = [
-        ConeConstraint(
-            "lmi_margin",
-            lambda v: -strict_lmi(v) - v["t"][..., 0, None, None] * eye_L,
-            "psd",
-            dual="H",
-        ),
-        ConeConstraint("margin_cap", lambda v: 1.0 - v["t"], "nonneg"),
-        ConeConstraint(
-            "p_box_hi", lambda v: 1.0 - _triu_entries(v["P"]) / BOX_BOUND, "nonneg"
-        ),
-        ConeConstraint(
-            "p_box_lo", lambda v: 1.0 + _triu_entries(v["P"]) / BOX_BOUND, "nonneg"
-        ),
-        ConeConstraint("m_diag_box", lambda v: 1.0 - v["M_diag"] / BOX_BOUND, "nonneg"),
+    # (constraint, its F0, {variable: its block of F}), PSD first
+    spec = [
+        (ConeConstraint("lmi_margin", "psd", n + m, dual="H"), 0.0, lmi),
+        (ConeConstraint("margin_cap", "nonneg", 1), 1.0, {"t": -np.eye(1)}),
+        (ConeConstraint("p_box_hi", "nonneg", svec_dim(n)), 1.0, {"P": -p_box}),
+        (ConeConstraint("p_box_lo", "nonneg", svec_dim(n)), 1.0, {"P": p_box}),
+        (ConeConstraint("m_diag_box", "nonneg", m), 1.0, {"M_diag": -eye_m / BOX_BOUND}),
     ]
-
+    # the sums run over M_abs (DD) or M_offdiag (DHD)
+    summed, sign = ("M_abs", -1.0) if odd else ("M_offdiag", 1.0)
+    spec += [
+        (ConeConstraint("row_sums", "nonneg", m, dual="f"), 0.0,
+         {"M_diag": eye_m, summed: sign * row_sums}),
+        (ConeConstraint("col_sums", "nonneg", m, dual="g"), 0.0,
+         {"M_diag": eye_m, summed: sign * col_sums}),
+    ]
     if odd:
-        constraints += [
-            ConeConstraint(
-                "row_sums", lambda v: v["M_diag"] - v["M_abs"] @ ones_m, "nonneg", dual="f"
-            ),
-            ConeConstraint(
-                "col_sums",
-                lambda v: v["M_diag"] - np.swapaxes(v["M_abs"], -1, -2) @ ones_m,
-                "nonneg",
-                dual="g",
-            ),
-            ConeConstraint(
-                "dom_hi", lambda v: v["M_abs"] - v["M_offdiag"], "hollow_nonneg", dual="X"
-            ),
-            ConeConstraint(
-                "dom_lo", lambda v: v["M_abs"] + v["M_offdiag"], "hollow_nonneg", dual="Z"
-            ),
+        spec += [
+            (ConeConstraint("dom_hi", "hollow_nonneg", m, dual="X"), 0.0,
+             {"M_abs": eye_h, "M_offdiag": -eye_h}),
+            (ConeConstraint("dom_lo", "hollow_nonneg", m, dual="Z"), 0.0,
+             {"M_abs": eye_h, "M_offdiag": eye_h}),
         ]
     else:
-        constraints += [
-            ConeConstraint(
-                "row_sums", lambda v: v["M_diag"] + v["M_offdiag"] @ ones_m, "nonneg", dual="f"
-            ),
-            ConeConstraint(
-                "col_sums",
-                lambda v: v["M_diag"] + np.swapaxes(v["M_offdiag"], -1, -2) @ ones_m,
-                "nonneg",
-                dual="g",
-            ),
-            ConeConstraint(
-                "m_offdiag_nonpos", lambda v: -v["M_offdiag"], "hollow_nonneg", dual="X"
-            ),
-        ]
+        spec.append((ConeConstraint("m_offdiag_nonpos", "hollow_nonneg", m, dual="X"), 0.0,
+                     {"M_offdiag": -eye_h}))
 
-    meta = {
-        "system": sys,
-        "strict_lmi": strict_lmi,
-        "multiplier_from": the_m,
-        "congruence": congruence,
-    }
+    blocks, nrows = _layout([con for con, _, _ in spec])
+    at = {v.name: sl for v, sl in var_slices}
+    F0, F = np.zeros(nrows), np.zeros((nrows, nz))
+    for (_, sl), (_, f0, coefficients) in zip(blocks, spec):
+        F0[sl] = f0
+        for name, block in coefficients.items():
+            F[sl, at[name]] = block
+    objective = np.zeros(nz)
+    objective[at["t"]] = 1.0
     return SdpFeasibilityProblem(
-        variables=tuple(variables),
-        constraints=tuple(constraints),
-        objective={"t": np.ones(1)},
-        meta=meta,
+        variables=tuple(var_slices),
+        constraints=tuple(blocks),
+        F0=F0,
+        F=F,
+        objective=objective,
+        meta={"system": sys, "congruence": congruence},
     )

@@ -16,6 +16,11 @@ from .system import SlopeBand
 
 __all__ = ["PiecewiseLinearMap", "SlopeReport", "eval_pwl", "verify_slope"]
 
+# Absolute slack of the segment slopes on the band [mu, nu].
+SLOPE_TOL = 1.0e-9
+# Bound on |phi(0)| and, for an odd map, on its antisymmetry defect.
+SYM_TOL = 1.0e-12
+
 
 @dataclass(frozen=True)
 class PiecewiseLinearMap:
@@ -78,17 +83,13 @@ class SlopeReport:
     band: SlopeBand = field(repr=False, default=None)
 
 
-def verify_slope(
-    phi: PiecewiseLinearMap,
-    band: SlopeBand,
-    slope_tol: float = 1.0e-9,
-    sym_tol: float = 1.0e-12,
-) -> SlopeReport:
+def verify_slope(phi: PiecewiseLinearMap, band: SlopeBand) -> SlopeReport:
     """Check segment slopes against [mu, nu], the origin, and oddness.
 
     The plateau tails count as slope-0 segments (the band always contains 0,
     so saturation never violates the restriction by itself).  Odd maps are
-    checked for antisymmetry at their breakpoints.
+    checked for antisymmetry at their breakpoints.  The slopes may leave the
+    band by SLOPE_TOL, phi(0) and the odd defect reach SYM_TOL.
     """
     slopes = phi.segment_slopes()
     all_slopes = np.concatenate([slopes, [0.0]])
@@ -100,10 +101,10 @@ def verify_slope(
         mirrored = np.asarray(eval_pwl(phi, -phi.z_nodes))
         odd_defect = float(np.max(np.abs(mirrored + phi.w_nodes)))
     ok = (
-        min_slope >= band.mu - slope_tol
-        and max_slope <= band.nu + slope_tol
-        and origin_defect <= sym_tol
-        and (not phi.odd or odd_defect <= sym_tol)
+        min_slope >= band.mu - SLOPE_TOL
+        and max_slope <= band.nu + SLOPE_TOL
+        and origin_defect <= SYM_TOL
+        and (not phi.odd or odd_defect <= SYM_TOL)
     )
     return SlopeReport(
         ok=bool(ok),

@@ -23,7 +23,7 @@ from .conic import MAX_ITERS
 from .engine import CONE_TOL, PRIMAL_MARGIN, TOL_EQ, TOL_RANK, build_dual, reduce_rank, solve
 from .errors import AssumptionViolatedError
 from .linalg import spectral_norm
-from .lmi import build_primal
+from .lmi import build_primal, multiplier_matrix
 from .pwl import PiecewiseLinearMap, eval_pwl, verify_slope
 from .simulate import simulate  # noqa: F401  bench/spans.py patches lurestab.report.simulate
 from .system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band, validate
@@ -202,8 +202,7 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         pipe["inconclusive_detail"] = str(exc)
         return report("inconclusive")
 
-    primal_problem = build_primal(unit)
-    primal_res = solve(primal_problem)
+    primal_res = solve(build_primal(unit))
     pipe["primal_status"] = primal_res.status
     pipe["primal_ipm_status"] = primal_res.diagnostics["ipm_status"]
     pipe["primal_ipm_iterations"] = primal_res.diagnostics["ipm_iterations"]
@@ -216,7 +215,7 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     if primal_res.status == "feasible":
         # the normalized LMI at (P, M (nu - mu)^2) is a congruence of the
         # original one at (P, M)
-        M = primal_problem.meta["multiplier_from"](primal_res.assignment)
+        M = multiplier_matrix(primal_res.assignment)
         primal_dict["P"] = primal_res.assignment["P"]
         primal_dict["M"] = M / (sys.band.nu - sys.band.mu) ** 2
         return report("absolutely_stable")

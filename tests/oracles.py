@@ -4,9 +4,10 @@ These helpers recompute everything from raw definitions (difference
 quotients, explicit congruence products, the dual's dynamics and coupling
 blocks, entrywise cone arithmetic) so the
 test suite can cross-examine the production modules.  They intentionally do
-not call into the multiplier or LMI assembly code, except probe_per_coordinate,
-which reads a primal's constraint callables the slow way, one unbatched
-evaluation per decision coordinate, as the reference for the batched read.
+not call into the LMI assembly code; primal_constraints writes every
+constraint of the primal from the paper's definitions, with the multiplier
+in its Pi form (multipliers.build_multiplier), as the reference for the
+dense form build_primal writes from the structure.
 unscaled_max_step is the interior-point step length in the original
 coordinates, the reference for the step length taken in scaled ones.
 """
@@ -16,9 +17,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from lurestab.conic import ConeSpec, smat
-from lurestab.engine import _CONSTRAINT_STRUCTURE, _from_coords, _scalarize, build_dual, solve
-from lurestab.lmi import build_primal
-from lurestab.system import SlopeBand, StateSpaceSystem
+from lurestab.engine import build_dual, solve
+from lurestab.lmi import BOX_BOUND, build_primal
+from lurestab.multipliers import build_multiplier
+from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
 
 __all__ = [
     "DualityAuditReport",
@@ -27,7 +29,7 @@ __all__ = [
     "audit_duality",
     "audit_multiplier_inequality",
     "output_coupling_block",
-    "probe_per_coordinate",
+    "primal_constraints",
     "sample_slope_fn",
     "state_equality_block",
     "unscaled_max_step",
@@ -188,31 +190,45 @@ def audit_duality(sys: StateSpaceSystem, seed: int = 0) -> DualityAuditReport:
     )
 
 
-def probe_per_coordinate(form) -> np.ndarray:
-    """F of a primal's dense form (engine._Inequality), column by column.
+def primal_constraints(sys: StateSpaceSystem, v: dict) -> dict:
+    """Every constraint of the max-margin primal at the assignment v, by name.
 
-    Each column is the scalarized constraints at one coordinate basis
-    vector e_k of the decision variables, minus their value at zero, from
-    unbatched evaluations only.
+    lmi_margin is -L(P, M) - t I with L in the paper's form
+    [A B]^T P [A B] - [I 0]^T P [I 0] + [C D; 0 I]^T Pi [C D; 0 I] and
+    M = diag(M_diag) + M_offdiag; the boxes are 1 -+ P_ij / BOX_BOUND on the
+    upper triangle and 1 - M_ii / BOX_BOUND; then the row and column sums
+    and the sign conditions of the DHD cone, or of the DD cone through
+    M_abs.  The hollow constraints are matrices, read off the diagonal.
     """
-    zero = form.problem.zero_assignment()
-
-    def evaluate(assign):
-        return np.concatenate([
-            _scalarize(con.fn(assign), _CONSTRAINT_STRUCTURE[con.cone])
-            for con, _, _ in form.blocks
-        ])
-
-    base = evaluate(zero)
-    out = np.zeros((base.size, form.F.shape[1]))
-    for v, sl in form.var_slices:
-        nc = sl.stop - sl.start
-        for k in range(nc):
-            coords = np.zeros(nc)
-            coords[k] = 1.0
-            assign = dict(zero)
-            assign[v.name] = _from_coords(v.kind, coords, v.dim)
-            out[:, sl.start + k] = evaluate(assign) - base
+    n, m = sys.n, sys.m
+    P, d, off, t = v["P"], v["M_diag"], v["M_offdiag"], v["t"][0]
+    AB = np.hstack([sys.A, sys.B])
+    I0 = np.hstack([np.eye(n), np.zeros((n, m))])
+    W = np.vstack([np.hstack([sys.C, sys.D]), np.hstack([np.zeros((m, n)), np.eye(m)])])
+    pi = build_multiplier(np.diag(d) + off, sys.band).pi
+    L = AB.T @ P @ AB - I0.T @ P @ I0 + W.T @ pi @ W
+    upper = P[np.triu_indices(n)]
+    out = {
+        "lmi_margin": -L - t * np.eye(n + m),
+        "margin_cap": np.array([1.0 - t]),
+        "p_box_hi": 1.0 - upper / BOX_BOUND,
+        "p_box_lo": 1.0 + upper / BOX_BOUND,
+        "m_diag_box": 1.0 - d / BOX_BOUND,
+    }
+    if sys.nl_class is NonlinearityClass.SLOPE_ODD:
+        M_abs = v["M_abs"]
+        out.update({
+            "row_sums": d - M_abs.sum(axis=1),
+            "col_sums": d - M_abs.sum(axis=0),
+            "dom_hi": M_abs - off,
+            "dom_lo": M_abs + off,
+        })
+    else:
+        out.update({
+            "row_sums": d + off.sum(axis=1),
+            "col_sums": d + off.sum(axis=0),
+            "m_offdiag_nonpos": -off,
+        })
     return out
 
 

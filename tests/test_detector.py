@@ -207,11 +207,12 @@ def _flat_segment_case(slope):
 
 def test_snap_puts_near_flat_segment_on_band_edge():
     sysm, cert = _flat_segment_case(-3.0e-9)
-    assert verify_slope(build_pwl(cert, odd=False), sysm.band, slope_tol=0.0).ok is False
+    assert verify_slope(build_pwl(cert, odd=False), sysm.band).min_slope < sysm.band.mu
     snapped = snap_to_band(sysm, cert, odd=False)
     assert snapped.snapped == 1
-    rep = verify_slope(build_pwl(snapped, odd=False), sysm.band, slope_tol=0.0)
+    rep = verify_slope(build_pwl(snapped, odd=False), sysm.band)
     assert rep.ok, rep
+    assert sysm.band.mu <= rep.min_slope and rep.max_slope <= sysm.band.nu
     h1, w = snapped.h1, snapped.w_star
     assert np.max(np.abs(sysm.A @ h1 + sysm.B @ w - h1)) <= 1.0e-14
     assert np.array_equal(snapped.z_star, sysm.C @ h1 + sysm.D @ w)

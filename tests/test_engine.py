@@ -11,10 +11,10 @@ from cones import ConeTag, is_member
 from lurestab import conic, engine, report
 from lurestab.engine import SolveResult, build_dual, reduce_rank, solve
 from lurestab.errors import StructuralError
-from lurestab.lmi import BOX_BOUND, build_primal, primal_lmi_matrix
+from lurestab.lmi import BOX_BOUND, build_primal, multiplier_matrix, primal_lmi_matrix
 from lurestab.report import analyze
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
-from oracles import output_coupling_block, state_equality_block
+from oracles import output_coupling_block, primal_constraints, state_equality_block
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -54,7 +54,7 @@ def test_decoupled_primal_feasible_with_margin(decoupled_example):
     assert res.residuals.margin >= 1.0e-7
 
     P = res.assignment["P"]
-    M = problem.meta["multiplier_from"](res.assignment)
+    M = multiplier_matrix(res.assignment)
     L = primal_lmi_matrix(decoupled_example, P, M)
     # the verdict is certified by the assignment itself, not the solver
     assert np.max(np.linalg.eigvalsh(L)) <= -1.0e-7
@@ -95,26 +95,56 @@ def test_reduce_rank_reaches_rank_one():
     assert w[1] <= 1.0e-6 * w[0]
 
 
+def test_reduce_rank_decomposes_each_point_once(monkeypatch):
+    # one eigh per kept point gives its rank ratio and the next round's
+    # deflation directions; dual.verify adds one eigvalsh per round's point
+    # (the IPM's step lengths decompose stacks, which are not counted)
+    problem = _dual(_corpus_system(74))
+    warm = solve(problem)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counting(a, *args, _real=real, _name=name, **kwargs):
+            if np.ndim(a) == 2:
+                calls.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    red = reduce_rank(problem, warm)
+    rounds = red.diagnostics["rounds"]
+    assert rounds >= 1
+    assert calls.count("eigh") == 1 + rounds
+    assert calls.count("eigvalsh") == rounds
+
+
+def test_primal_verify_reads_the_constraint_rows(slope_example, odd_example, decoupled_example):
+    # the worst cone violation of F0 + F z at the returned point equals the
+    # one of the constraints written from their definitions
+    for sysm in (slope_example, odd_example, decoupled_example):
+        res = solve(build_primal(sysm))
+        form = res.canonical
+        z = np.concatenate([
+            engine._scalarize(res.assignment[v.name], v.kind) for v, _ in form.var_slices
+        ])
+        expect, violation = primal_constraints(sysm, res.assignment), 0.0
+        for con, _ in form.blocks:
+            value = expect[con.name]
+            if con.cone == "psd":
+                violation = max(violation, -np.linalg.eigvalsh(value)[0])
+            elif value.size:
+                value = engine._scalarize(value, con.kind)
+                violation = max(violation, -np.min(value, initial=np.inf))
+        _, _, max_cone = form.verify(z)
+        assert abs(max_cone - max(violation, 0.0)) <= 1.0e-12
+
+
 def test_reduce_rank_reuses_the_canonical_form_of_solve(slope_example):
     problem = _dual(slope_example)
     warm = solve(problem)
     assert warm.canonical is problem
     red = reduce_rank(problem, warm)
     assert red.canonical is problem
-
-
-def test_analyze_probes_the_primal_once(slope_example, monkeypatch):
-    # the dual is transposed from the primal's probed matrix, not probed
-    calls = []
-    real = engine._probe
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(engine, "_probe", counting)
-    assert analyze(slope_example).verdict == "not_absolutely_stable"
-    assert len(calls) == 1
 
 
 def test_feasible_primal_measures_its_certificate_once(decoupled_example, monkeypatch):

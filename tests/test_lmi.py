@@ -32,19 +32,21 @@ def _random_system(seed, n=2, m=3, odd=False, band=SlopeBand(0.0, 1.0)):
 
 def test_primal_decision_variables_and_kinds():
     prob = build_primal(_random_system(0))
-    kinds = {v.name: (v.kind, v.dim) for v in prob.variables}
+    kinds = {v.name: (v.kind, v.dim) for v, _ in prob.variables}
     assert kinds == {
         "P": ("sym", 2),
         "M_diag": ("vector", 3),
         "M_offdiag": ("hollow", 3),
         "t": ("vector", 1),
     }
-    assert set(prob.objective) == {"t"}
-    zero = prob.zero_assignment()
-    assert zero["P"].shape == (2, 2) and zero["t"].shape == (1,)
+    # contiguous coordinates, and the objective is the margin t
+    slices = {v.name: (sl.start, sl.stop) for v, sl in prob.variables}
+    assert slices == {"P": (0, 3), "M_diag": (3, 6), "M_offdiag": (6, 12), "t": (12, 13)}
+    assert np.array_equal(prob.objective, np.eye(13)[12])
+    assert prob.F.shape == (prob.F0.size, 13)
 
     prob_dd = build_primal(_random_system(1, odd=True))
-    kinds_dd = {v.name: v.kind for v in prob_dd.variables}
+    kinds_dd = {v.name: v.kind for v, _ in prob_dd.variables}
     assert kinds_dd == {
         "P": "sym", "M_diag": "vector", "M_offdiag": "hollow", "M_abs": "hollow", "t": "vector",
     }
@@ -63,11 +65,11 @@ def test_primal_constraint_names_and_cones():
         ("col_sums", "nonneg", "g"),
     ]
     prob = build_primal(_random_system(0))
-    assert [(c.name, c.cone, c.dual) for c in prob.constraints] == common + [
+    assert [(c.name, c.cone, c.dual) for c, _ in prob.constraints] == common + [
         ("m_offdiag_nonpos", "hollow_nonneg", "X"),
     ]
     prob_dd = build_primal(_random_system(1, odd=True))
-    assert [(c.name, c.cone, c.dual) for c in prob_dd.constraints] == common + [
+    assert [(c.name, c.cone, c.dual) for c, _ in prob_dd.constraints] == common + [
         ("dom_hi", "hollow_nonneg", "X"),
         ("dom_lo", "hollow_nonneg", "Z"),
     ]
@@ -75,12 +77,14 @@ def test_primal_constraint_names_and_cones():
 
 def test_box_constraint_is_zero_at_the_bound():
     prob = build_primal(_random_system(4))
-    cons = {c.name: c for c in prob.constraints}
-    assign = prob.zero_assignment()
-    assert np.array_equal(cons["p_box_hi"].fn(assign), np.ones(3))
-    assign["P"][0, 0] = BOX_BOUND
-    assert cons["p_box_hi"].fn(assign)[0] == 0.0
-    assert cons["p_box_lo"].fn(assign)[0] == 2.0
+    rows = {c.name: sl for c, sl in prob.constraints}
+    assert np.array_equal(prob.F0[rows["p_box_hi"]], np.ones(3))
+    # P_00 is the first coordinate, with weight 1
+    z = np.zeros(prob.objective.size)
+    z[0] = BOX_BOUND
+    value = prob.F0 + prob.F @ z
+    assert np.array_equal(value[rows["p_box_hi"]], [0.0, 1.0, 1.0])
+    assert value[rows["p_box_lo"]][0] == 2.0
 
 
 def test_primal_lmi_matrix_matches_congruence():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lurestab.errors import StructuralError
-from lurestab.pwl import PiecewiseLinearMap, eval_pwl, verify_slope
+from lurestab.pwl import SLOPE_TOL, SYM_TOL, PiecewiseLinearMap, eval_pwl, verify_slope
 from lurestab.system import SlopeBand
 
 
@@ -66,6 +66,16 @@ def test_verify_slope_accepts_identity_boundary():
     assert rep.ok
     assert rep.max_slope == 1.0
     assert rep.min_slope == 0.0
+
+
+def test_verify_slope_slack_is_the_module_tolerances():
+    band = SlopeBand(0.0, 1.0)
+    inside = ramp([[0.0, 0.0], [1.0, 1.0 + 0.5 * SLOPE_TOL]])
+    outside = ramp([[0.0, 0.0], [1.0, 1.0 + 2.0 * SLOPE_TOL]])
+    assert verify_slope(inside, band).ok
+    assert not verify_slope(outside, band).ok
+    assert verify_slope(ramp([[-1.0, -1.0], [1.0, 1.0 + SYM_TOL]]), band).ok
+    assert not verify_slope(ramp([[-1.0, -1.0], [1.0, 1.0 + 4.0 * SYM_TOL]]), band).ok
 
 
 def test_verify_slope_rejects_excess_slope():
@@ -133,5 +143,6 @@ def test_interpolant_slopes_stay_in_band(zs, rng):
     if not (z[0] <= 0.0 <= z[-1]):
         return
     phi = PiecewiseLinearMap(np.column_stack([z, w]))
-    rep = verify_slope(phi, band, slope_tol=1.0e-7)
-    assert rep.ok
+    rep = verify_slope(phi, band)
+    # the slopes are rounded through the node values
+    assert band.mu - 1.0e-7 <= rep.min_slope and rep.max_slope <= band.nu + 1.0e-7
