@@ -11,7 +11,6 @@ constructed together with a nonzero equilibrium of the loop it closes.
 from .errors import (
     AssumptionViolatedError,
     CertificateInconsistentError,
-    ConeViolationError,
     InternalContradictionError,
     LurestabError,
     NumericFailureError,
@@ -42,7 +41,6 @@ __all__ = [
     "AnalysisReport",
     "AssumptionViolatedError",
     "CertificateInconsistentError",
-    "ConeViolationError",
     "DualCertificate",
     "Inconclusive",
     "InternalContradictionError",

@@ -14,7 +14,6 @@ import numpy as np
 from .errors import (
     AssumptionViolatedError,
     CertificateInconsistentError,
-    ConeViolationError,
     InternalContradictionError,
     NumericFailureError,
     StructuralError,
@@ -53,7 +52,6 @@ _NUMERIC_ERRORS = (
     NumericFailureError,
     InternalContradictionError,
     CertificateInconsistentError,
-    ConeViolationError,
     np.linalg.LinAlgError,
 )
 

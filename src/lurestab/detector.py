@@ -5,6 +5,11 @@ the factor h of H = h h^T splits into a nonzero equilibrium candidate h1 and
 the input w* = h2, the output is z* = C h1 + D h2, and a piecewise-linear
 map interpolating (z*_i, w*_i) (plus mirrored points in the odd case) is
 slope-restricted on [0, 1] and keeps h1 fixed under the closed loop.
+
+In the order of z*, each pair of consecutive map nodes gives two rows,
+linear in w, that hold exactly when their segment's slope lies in the band.
+Where solver rounding leaves a segment a hair outside it, w* is projected
+onto the rows it violates (snap_to_band); no solve is involved.
 """
 
 from dataclasses import dataclass, replace
@@ -20,13 +25,10 @@ from .errors import (
 )
 from .linalg import spectral_norm
 from .pwl import PiecewiseLinearMap
-from .system import NonlinearityClass, SlopeBand, StateSpaceSystem
+from .system import NonlinearityClass, StateSpaceSystem
 
 __all__ = ["DualCertificate", "Inconclusive", "build_pwl", "extract_certificate", "snap_to_band"]
 
-# Segments whose slope lies this close to mu or nu are taken to sit on that
-# band edge exactly when a witness is snapped (snap_to_band).
-SNAP_WINDOW = 1.0e-5
 # The sign gate tolerates min (A h1 + B h2) * h1 down to -_SIGN_TOL ||h1||^2.
 _SIGN_TOL = 1.0e-9
 
@@ -35,7 +37,8 @@ _SIGN_TOL = 1.0e-9
 class DualCertificate:
     """Instability evidence assembled from a rank-1 dual solution.
 
-    snapped counts the map segments snap_to_band put on a band edge.
+    snapped counts the order rows snap_to_band projected w* onto, each of
+    which puts one map segment on a band edge.
     """
 
     H: np.ndarray
@@ -75,8 +78,9 @@ def extract_certificate(sys: StateSpaceSystem, solve_result, nl_class: Nonlinear
     hypotheses fails numerically.  A vanishing h1 raises an internal
     contradiction when ||D|| < 1 (the nonvanishing proof applies there, so
     it can only mean a solver or assembly defect); otherwise it is reported
-    as inconclusive.  A certificate that passes every gate is snapped onto
-    the band edges its map nearly touches (snap_to_band).
+    as inconclusive.  A certificate that passes every gate has w* projected
+    onto the order rows its map violates, which puts those segments on their
+    band edge (snap_to_band); a map inside the band is left as it is.
     """
     assignment = solve_result.assignment
     if "H" not in assignment:
@@ -140,41 +144,29 @@ def extract_certificate(sys: StateSpaceSystem, solve_result, nl_class: Nonlinear
 
 
 def _merge_pairs(pairs, tol):
-    """Deduplicate (z, w, label) pairs; w must agree within groups.
+    """Deduplicate (z, w) pairs in the order of z; w must agree within groups.
 
-    label names the witness entry behind a node, None for the origin.  A
-    group keeps its first node, or the exact origin when it holds one.
+    A group keeps its first node, or the exact origin when it holds one.
     """
-    pairs = sorted(pairs, key=lambda p: (p[0], p[2] is not None))
     merged = []
-    for z, w, label in pairs:
+    for z, w in sorted(pairs, key=lambda p: p[0]):
         if merged and abs(z - merged[-1][0]) <= tol:
-            zr, wr, label_r = merged[-1]
+            zr, wr = merged[-1]
             if abs(w - wr) > tol:
                 raise CertificateInconsistentError(
                     f"duplicate output value z = {zr:.6g} maps to both "
                     f"{wr:.6g} and {w:.6g}; no map interpolates both"
                 )
-            if label is None:
-                merged[-1] = (z, w, label)  # prefer the exact origin node
+            if z == 0.0 and w == 0.0:
+                merged[-1] = (z, w)  # prefer the exact origin node
             continue
-        merged.append((z, w, label))
+        merged.append((z, w))
     return merged
 
 
-def _nodes(z: np.ndarray, w: np.ndarray, odd: bool):
-    """Merged (z, w, label) nodes of the map, sorted by z, origin included.
-
-    label is (channel, sign) with (z, w) = sign * (z*_i, w*_i), or None for
-    the origin.  For the odd class these are the nodes folded onto z >= 0;
-    the mirrored half repeats their slopes.
-    """
-    tol = 1.0e-7 * max(1.0, float(np.linalg.norm(z)))
-    pairs = [(0.0, 0.0, None)]
-    for i, (zi, wi) in enumerate(zip(z, w)):
-        sign = -1.0 if odd and zi < 0 else 1.0
-        pairs.append((sign * float(zi), sign * float(wi), (i, sign)))
-    return _merge_pairs(pairs, tol)
+def _folds(z: np.ndarray, odd: bool) -> np.ndarray:
+    """Signs s_i that fold the odd class's points s_i (z*_i, w*_i) onto z >= 0."""
+    return np.where(odd & (z < 0), -1.0, 1.0)
 
 
 def build_pwl(cert: DualCertificate, odd: bool) -> PiecewiseLinearMap:
@@ -187,88 +179,56 @@ def build_pwl(cert: DualCertificate, odd: bool) -> PiecewiseLinearMap:
     1e-7 * max(1, ||z*||) must carry matching w values, otherwise
     CertificateInconsistentError is raised.
     """
-    pts = [(zi, wi) for zi, wi, _ in _nodes(cert.z_star, cert.w_star, odd)]
+    s = _folds(cert.z_star, odd)
+    tol = 1.0e-7 * max(1.0, float(np.linalg.norm(cert.z_star)))
+    pts = _merge_pairs([(0.0, 0.0)] + list(zip(s * cert.z_star, s * cert.w_star)), tol)
     if odd:
         pos = [(zi, wi) for zi, wi in pts if zi > 0.0]
         pts = [(-zi, -wi) for zi, wi in reversed(pos)] + [(0.0, 0.0)] + pos
     return PiecewiseLinearMap(breakpoints=np.asarray(pts, dtype=float), odd=odd)
 
 
-def _band_excess(phi: PiecewiseLinearMap, band: SlopeBand) -> float:
-    """How far the map's steepest and flattest segments leave [mu, nu]."""
-    slopes = phi.segment_slopes()
-    if not slopes.size:
-        return 0.0
-    return max(band.mu - float(np.min(slopes)), float(np.max(slopes)) - band.nu, 0.0)
-
-
 def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate, odd: bool) -> DualCertificate:
-    """Put segments that nearly touch a band edge exactly on it.
+    """Project w* onto the order rows it violates.
 
-    Solver rounding leaves a segment that truly lies on mu or nu (such as
-    a flat segment between two channels with w*_i = -w*_j) a hair outside
-    the band.  Every equilibrium has h1 = (I - A)^{-1} B w* and z* = C h1 +
-    D w*, so fixing a consecutive pair of nodes (origin included) to slope
-    mu or nu is a homogeneous linear equation in w*.  w* is projected onto
-    the null space of these equations, h1 and z* are recomputed, and the
-    snapped certificate is kept only when its map lies closer to the band.
-    A map already inside the band at zero tolerance is returned unchanged.
+    Keep the map's nodes -- the origin and the folded points s_i (z*_i,
+    w*_i) -- in the order of z*.  Every segment slope then lies in [mu, nu]
+    exactly when each consecutive difference has dw - mu dz >= 0 and
+    nu dz - dw >= 0, and with h1 = (I - A)^{-1} B w and z = G w,
+    G = C (I - A)^{-1} B + D, these rows are linear in w.  Solver rounding
+    leaves a segment that truly lies on a band edge (such as a flat segment
+    between two channels with w*_i = -w*_j) a hair outside the band, so
+    rows negative at the witness's own (z*, w*) are violated.  w* is
+    projected onto the null space of the violated rows, a row the
+    projection violates is added until none is, and h1 and z* are
+    recomputed.  A witness that violates no row is returned unchanged, and
+    so is one whose projection loses h1.
     """
-    band = sys.band
-    excess = _band_excess(build_pwl(cert, odd), band)
-    if excess == 0.0:
+    s = _folds(cert.z_star, odd)
+    # the rows as forms Kw w + Kz z, from the differences of the sorted
+    # nodes; node 0 is the origin
+    nodes = np.vstack([np.zeros_like(s), np.diag(s)])
+    diff = np.diff(nodes[np.argsort(np.r_[0.0, s * cert.z_star], kind="stable")], axis=0)
+    Kw, Kz = np.vstack([diff, -diff]), np.vstack([-sys.band.mu * diff, sys.band.nu * diff])
+    rows = Kw @ cert.w_star + Kz @ cert.z_star < 0.0
+    if not rows.any():
         return cert
-
-    n, m = sys.n, sys.m
-    F = np.linalg.solve(np.eye(n) - sys.A, sys.B)  # h1 = F w*
-    G1 = sys.C @ F + sys.D  # z* = G1 w*
-
-    def node_rows(label):
-        """Coefficient rows of the node's (z, w) as linear forms in w*."""
-        if label is None:
-            return np.zeros(m), np.zeros(m)
-        i, sign = label
-        e = np.zeros(m)
-        e[i] = sign
-        return sign * G1[i], e
-
-    nodes = _nodes(cert.z_star, cert.w_star, odd)
-    snaps, rows = [], []
-    for (za, wa, la), (zb, wb, lb) in zip(nodes, nodes[1:]):
-        slope = (wb - wa) / (zb - za)
-        edge = next((e for e in (band.mu, band.nu) if abs(slope - e) <= SNAP_WINDOW), None)
-        if edge is None:
-            continue
-        gz_a, ew_a = node_rows(la)
-        gz_b, ew_b = node_rows(lb)
-        rows.append((ew_b - ew_a) - edge * (gz_b - gz_a))
-        snaps.append((la, lb, edge))
-    if not snaps:
-        return cert
-
-    E = np.asarray(rows)
-    _, sig, Vt = np.linalg.svd(E)
-    rank = int(np.sum(sig > max(E.shape) * np.finfo(float).eps * sig[0]))
-    N = Vt[rank:].T
-    w_new = N @ (N.T @ cert.w_star)
-    # a flat segment says two nodes carry the same w; copy it so the slope
-    # is exactly zero rather than zero up to the projection's rounding
-    for la, lb, edge in snaps:
-        if edge == 0.0:
-            src, dst = (la, lb) if lb is not None else (lb, la)
-            value = 0.0 if src is None else src[1] * w_new[src[0]]
-            w_new[dst[0]] = dst[1] * value
-    h1 = F @ w_new
+    F = np.linalg.solve(np.eye(sys.n) - sys.A, sys.B)  # h1 = F w
+    R = Kw + Kz @ (sys.C @ F + sys.D)
+    new = rows
+    while new.any():
+        E = R[rows]
+        _, sig, Vt = np.linalg.svd(E)
+        N = Vt[int(np.sum(sig > max(E.shape) * np.finfo(float).eps * sig[0])):].T
+        w = N @ (N.T @ cert.w_star)
+        h1 = F @ w
+        new = (Kw @ w + Kz @ (sys.C @ h1 + sys.D @ w) < 0.0) & ~rows
+        rows |= new
     if float(np.linalg.norm(h1)) <= 1.0e-9 * float(np.linalg.norm(cert.h)):
         return cert
     if h1[int(np.argmax(np.abs(h1)))] < 0:
-        h1, w_new = -h1, -w_new
-    snapped = replace(
-        cert, h1=h1, h2=w_new, z_star=sys.C @ h1 + sys.D @ w_new,
-        w_star=w_new.copy(), snapped=len(snaps),
+        h1, w = -h1, -w
+    return replace(
+        cert, h1=h1, h2=w, z_star=sys.C @ h1 + sys.D @ w, w_star=w.copy(),
+        snapped=int(rows.sum()),
     )
-    try:
-        closer = _band_excess(build_pwl(snapped, odd), band) < excess
-    except CertificateInconsistentError:
-        closer = False
-    return snapped if closer else cert

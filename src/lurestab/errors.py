@@ -17,10 +17,6 @@ class UnsupportedModeError(LurestabError):
     """Requested operation outside its supported regime."""
 
 
-class ConeViolationError(LurestabError):
-    """A matrix claimed to lie in a cone does not (e.g. indefinite PSD input)."""
-
-
 class NumericFailureError(LurestabError):
     """Iteration cap or divergence in a numerical routine."""
 

@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conic import svec, svec_dim
+from .conic import _svec_index, svec, svec_dim
 from .errors import StructuralError
 from .multipliers import build_multiplier  # noqa: F401  bench/spans.py counts its calls here
 from .system import NonlinearityClass, StateSpaceSystem
@@ -231,14 +231,17 @@ def _matrix_entries(v):
 def _lmi_coefficients(congruence: dict, v) -> np.ndarray:
     """svec of L's coefficient of each coordinate of a variable with terms,
     one row per coordinate: w sum_k s_k (U_l^T E U_r + U_r^T E^T U_l), E
-    the unit matrix at the coordinate's entry (_matrix_entries)."""
+    the unit matrix at the coordinate's entry (_matrix_entries).  Only the
+    entries (p, q) of svec's upper triangle are formed."""
     U = congruence["U"]
     a, b, w = _matrix_entries(v)
+    upper, _, weight = _svec_index(U.shape[1])
+    p, q = np.divmod(upper, U.shape[1])
     X = 0.0
     for l, r, s in congruence["terms"][v.name]:
-        T = s * U[l + a][:, :, None] * U[r + b][:, None, :]
-        X = X + T + np.swapaxes(T, -1, -2)
-    return svec(w[:, None, None] * X)
+        L, R = s * U[l + a], U[r + b]
+        X = X + L[:, p] * R[:, q] + L[:, q] * R[:, p]
+    return w[:, None] * X * weight
 
 
 def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:

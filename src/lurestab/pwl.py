@@ -7,7 +7,7 @@ serves as a general slope-restriction test subject, so construction is
 permissive and verify_slope carries the actual checks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class SlopeReport:
     max_slope: float
     origin_defect: float
     odd_defect: float
-    band: SlopeBand = field(repr=False, default=None)
 
 
 def verify_slope(phi: PiecewiseLinearMap, band: SlopeBand) -> SlopeReport:
@@ -112,5 +111,4 @@ def verify_slope(phi: PiecewiseLinearMap, band: SlopeBand) -> SlopeReport:
         max_slope=max_slope,
         origin_defect=float(origin_defect),
         odd_defect=odd_defect,
-        band=band,
     )

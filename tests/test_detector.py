@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lurestab.detector import (
     DualCertificate,
@@ -189,20 +191,47 @@ def test_example_maps_pass_slope_audit(
         assert rep.ok, (cls, rep)
 
 
+def _diagonal_system(c, odd=False):
+    """A = I / 2, B = I, C = diag(c), D = 0: h1 = 2 w and z_i = 2 c_i w_i."""
+    m = len(c)
+    cls = NonlinearityClass.SLOPE_ODD if odd else NonlinearityClass.SLOPE
+    return StateSpaceSystem(
+        0.5 * np.eye(m), np.eye(m), np.diag(np.asarray(c, dtype=float)), np.zeros((m, m)),
+        SlopeBand(0.0, 1.0), cls,
+    )
+
+
+def _equilibrium_cert(sysm, w):
+    """The toy certificate of the exact equilibrium driven by w."""
+    w = np.asarray(w, dtype=float)
+    h1 = np.linalg.solve(np.eye(sysm.n) - sysm.A, sysm.B @ w)
+    return replace(_toy_cert(sysm.C @ h1 + sysm.D @ w, w), h1=h1)
+
+
 def _flat_segment_case(slope):
     """h1 = 2 w and z = (4 w1, 2 w2): nodes (2 w2, w2) and (4 w1, w1).
 
-    With w1 = w2 the segment between them is flat, exactly on mu = 0; w1 is
-    set so that the segment has the given slope instead.
+    With w1 = w2 the segment between them is flat, exactly on mu = 0, and
+    with w1 = w2 / 3 it lies on nu = 1; w1 is set so that the segment has
+    the given slope instead.
     """
-    sysm = StateSpaceSystem(
-        0.5 * np.eye(2), np.eye(2), np.diag([2.0, 1.0]), np.zeros((2, 2)),
-        SlopeBand(0.0, 1.0), NonlinearityClass.SLOPE,
-    )
+    sysm = _diagonal_system([2.0, 1.0])
     w1 = 1.0 + 2.0 * slope / (1.0 - 4.0 * slope)
-    w = np.array([w1, 1.0])
-    h1 = np.linalg.solve(np.eye(2) - sysm.A, sysm.B @ w)
-    return sysm, replace(_toy_cert(sysm.C @ h1 + sysm.D @ w, w), h1=h1)
+    return sysm, _equilibrium_cert(sysm, [w1, 1.0])
+
+
+def _assert_snapped_equilibrium(sysm, cert, snapped, odd=False):
+    """The repaired witness is an exact equilibrium with recomputed z*,
+    and its map passes the audit; returns the audit."""
+    h1, w = snapped.h1, snapped.w_star
+    assert snapped is not cert
+    assert np.max(np.abs(sysm.A @ h1 + sysm.B @ w - h1)) <= 1.0e-14 * max(1.0, np.max(np.abs(h1)))
+    assert np.array_equal(snapped.z_star, sysm.C @ h1 + sysm.D @ w)
+    assert np.array_equal(snapped.h2, w)
+    assert h1[np.argmax(np.abs(h1))] > 0
+    rep = verify_slope(build_pwl(snapped, odd=odd), sysm.band)
+    assert rep.ok, rep
+    return rep
 
 
 def test_snap_puts_near_flat_segment_on_band_edge():
@@ -210,13 +239,89 @@ def test_snap_puts_near_flat_segment_on_band_edge():
     assert verify_slope(build_pwl(cert, odd=False), sysm.band).min_slope < sysm.band.mu
     snapped = snap_to_band(sysm, cert, odd=False)
     assert snapped.snapped == 1
-    rep = verify_slope(build_pwl(snapped, odd=False), sysm.band)
-    assert rep.ok, rep
-    assert sysm.band.mu <= rep.min_slope and rep.max_slope <= sysm.band.nu
+    rep = _assert_snapped_equilibrium(sysm, cert, snapped)
+    assert abs(rep.min_slope - sysm.band.mu) <= 1.0e-15
+
+
+def test_snap_puts_steep_segment_on_upper_edge():
+    sysm, cert = _flat_segment_case(1.0 + 3.0e-9)
+    assert verify_slope(build_pwl(cert, odd=False), sysm.band).max_slope > sysm.band.nu
+    snapped = snap_to_band(sysm, cert, odd=False)
+    assert snapped.snapped == 1
+    rep = _assert_snapped_equilibrium(sysm, cert, snapped)
+    assert abs(rep.max_slope - sysm.band.nu) <= 1.0e-15
+
+
+def test_snap_repairs_a_folded_odd_point():
+    # w1 < 0 puts channel 1 at z < 0; unfolded, every slope is in the band,
+    # folded onto z >= 0 its node and channel 2's make a segment below mu
+    sysm, flat = _flat_segment_case(-3.0e-9)
+    sysm = replace(sysm, nl_class=NonlinearityClass.SLOPE_ODD)
+    cert = _equilibrium_cert(sysm, flat.w_star * [-1.0, 1.0])
+    assert snap_to_band(sysm, cert, odd=False) is cert
+    assert verify_slope(build_pwl(cert, odd=True), sysm.band).min_slope < sysm.band.mu
+    snapped = snap_to_band(sysm, cert, odd=True)
+    assert snapped.snapped == 1
+    rep = _assert_snapped_equilibrium(sysm, cert, snapped, odd=True)
+    assert abs(rep.min_slope - sysm.band.mu) <= 1.0e-15
+
+
+def test_snap_adds_a_row_its_projection_violates():
+    # nodes near z = 2, 4, 6 with w = 1, 1 + 1e-9, 1 - 3e-9: only the last
+    # segment falls below mu, but levelling it lowers the middle node past
+    # the first one, so a second round levels that segment too
+    sysm = _diagonal_system([1.0, 2.0, 3.0])
+    cert = _equilibrium_cert(sysm, [1.0, 1.0 + 1.0e-9, 1.0 - 3.0e-9])
+    slopes = build_pwl(cert, odd=False).segment_slopes()
+    assert np.count_nonzero(slopes < sysm.band.mu) == 1
+    snapped = snap_to_band(sysm, cert, odd=False)
+    assert snapped.snapped == 2
+    rep = _assert_snapped_equilibrium(sysm, cert, snapped)
+    assert abs(rep.min_slope - sysm.band.mu) <= 1.0e-15
+
+
+def test_snap_keeps_the_certificate_when_projection_loses_h1():
+    # one channel with G = 1/2: the only node has slope 2, and the only map
+    # of the band through it is w = 0, so h1 would vanish
+    sysm = StateSpaceSystem(
+        np.array([[0.5]]), np.array([[1.0]]), np.array([[0.25]]), np.zeros((1, 1)),
+        SlopeBand(0.0, 1.0), NonlinearityClass.SLOPE,
+    )
+    cert = _equilibrium_cert(sysm, [1.0])
+    assert verify_slope(build_pwl(cert, odd=False), sysm.band).max_slope == 2.0
+    assert snap_to_band(sysm, cert, odd=False) is cert
+
+
+@st.composite
+def _on_edge_witnesses(draw):
+    """An exact equilibrium of a diagonal loop whose map runs through
+    segments on mu, on nu and inside the band, in a random channel order
+    (and, for the odd class, with random channel signs), with w perturbed by
+    at most 1e-8."""
+    m = draw(st.integers(min_value=2, max_value=4))
+    odd = draw(st.booleans())
+    unit = st.floats(min_value=0.1, max_value=0.9)
+    slopes = [draw(st.sampled_from([1.0, 0.5]) | unit)]
+    slopes += draw(st.lists(st.sampled_from([0.0, 1.0]) | unit, min_size=m - 1, max_size=m - 1))
+    dz = draw(st.lists(st.floats(min_value=0.1, max_value=2.0), min_size=m, max_size=m))
+    z, w = np.cumsum(dz), np.cumsum(np.multiply(slopes, dz))
+    order = draw(st.permutations(range(m)))
+    z, w = z[order], w[order]
+    sysm = _diagonal_system(z / (2.0 * w), odd)
+    if odd:  # a channel of the other sign has the same folded node
+        w = w * draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))
+    noise = draw(st.lists(st.floats(min_value=-1.0e-8, max_value=1.0e-8), min_size=m, max_size=m))
+    return sysm, _equilibrium_cert(sysm, w + noise), odd
+
+
+@settings(max_examples=200, deadline=None)
+@given(_on_edge_witnesses())
+def test_snap_returns_a_passing_equilibrium_near_the_band_edges(case):
+    sysm, cert, odd = case
+    snapped = snap_to_band(sysm, cert, odd)
     h1, w = snapped.h1, snapped.w_star
-    assert np.max(np.abs(sysm.A @ h1 + sysm.B @ w - h1)) <= 1.0e-14
-    assert np.array_equal(snapped.z_star, sysm.C @ h1 + sysm.D @ w)
-    assert np.array_equal(snapped.h2, w)
+    assert np.max(np.abs(sysm.A @ h1 + sysm.B @ w - h1)) <= 1.0e-14 * np.max(np.abs(h1))
+    assert verify_slope(build_pwl(snapped, odd), sysm.band).ok
 
 
 def test_snap_leaves_in_band_certificate_alone():

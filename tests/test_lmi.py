@@ -11,7 +11,15 @@ from lurestab import (
     solve,
 )
 from lurestab.engine import build_dual
-from lurestab.lmi import BOX_BOUND, primal_lmi_matrix
+from lurestab.conic import svec
+from lurestab.lmi import (
+    BOX_BOUND,
+    VarSpec,
+    _lmi_coefficients,
+    _matrix_entries,
+    lmi_congruence,
+    primal_lmi_matrix,
+)
 from lurestab.multipliers import build_multiplier
 from oracles import output_coupling_block, state_equality_block
 
@@ -109,6 +117,23 @@ def test_primal_lmi_matrix_matches_congruence():
             assert np.array_equal(L, L.T)
             worst = max(worst, np.linalg.norm(L - expect) / np.linalg.norm(expect))
     assert worst <= 1.0e-14
+
+
+def test_lmi_coefficients_match_the_full_matrix_form():
+    # svec's upper triangle written entry by entry is svec of the full
+    # coefficient matrices, bit for bit: the same products, added in the
+    # same order
+    for seed, (n, m) in enumerate(((3, 4), (2, 1), (4, 3))):
+        congruence = lmi_congruence(_random_system(seed, n=n, m=m))
+        U = congruence["U"]
+        for v in (VarSpec("P", "sym", n), VarSpec("M_diag", "vector", m),
+                  VarSpec("M_offdiag", "hollow", m)):
+            a, b, w = _matrix_entries(v)
+            X = 0.0
+            for l, r, s in congruence["terms"][v.name]:
+                T = s * U[l + a][:, :, None] * U[r + b][:, None, :]
+                X = X + T + np.swapaxes(T, -1, -2)
+            assert np.array_equal(_lmi_coefficients(congruence, v), svec(w[:, None, None] * X))
 
 
 def test_reduced_dual_holds_from_its_definition(
