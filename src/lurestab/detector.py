@@ -164,6 +164,11 @@ def _merge_pairs(pairs, tol):
     return merged
 
 
+def _merge_tol(z: np.ndarray) -> float:
+    """Nodes whose z values agree within this are one node of the map."""
+    return 1.0e-7 * max(1.0, float(np.linalg.norm(z)))
+
+
 def _folds(z: np.ndarray, odd: bool) -> np.ndarray:
     """Signs s_i that fold the odd class's points s_i (z*_i, w*_i) onto z >= 0."""
     return np.where(odd & (z < 0), -1.0, 1.0)
@@ -180,8 +185,9 @@ def build_pwl(cert: DualCertificate, odd: bool) -> PiecewiseLinearMap:
     CertificateInconsistentError is raised.
     """
     s = _folds(cert.z_star, odd)
-    tol = 1.0e-7 * max(1.0, float(np.linalg.norm(cert.z_star)))
-    pts = _merge_pairs([(0.0, 0.0)] + list(zip(s * cert.z_star, s * cert.w_star)), tol)
+    pts = _merge_pairs(
+        [(0.0, 0.0)] + list(zip(s * cert.z_star, s * cert.w_star)), _merge_tol(cert.z_star)
+    )
     if odd:
         pos = [(zi, wi) for zi, wi in pts if zi > 0.0]
         pts = [(-zi, -wi) for zi, wi in reversed(pos)] + [(0.0, 0.0)] + pos
@@ -198,7 +204,8 @@ def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate, odd: bool) -> Dua
     G = C (I - A)^{-1} B + D, these rows are linear in w.  Solver rounding
     leaves a segment that truly lies on a band edge (such as a flat segment
     between two channels with w*_i = -w*_j) a hair outside the band, so
-    rows negative at the witness's own (z*, w*) are violated.  w* is
+    rows negative at the witness's own (z*, w*) are violated; a pair that
+    build_pwl merges into one node has no segment and gives no row.  w* is
     projected onto the null space of the violated rows, a row the
     projection violates is added until none is, and h1 and z* are
     recomputed.  A witness that violates no row is returned unchanged, and
@@ -207,10 +214,15 @@ def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate, odd: bool) -> Dua
     s = _folds(cert.z_star, odd)
     # the rows as forms Kw w + Kz z, from the differences of the sorted
     # nodes; node 0 is the origin
+    z = np.r_[0.0, s * cert.z_star]
+    order = np.argsort(z, kind="stable")
     nodes = np.vstack([np.zeros_like(s), np.diag(s)])
-    diff = np.diff(nodes[np.argsort(np.r_[0.0, s * cert.z_star], kind="stable")], axis=0)
+    diff = np.diff(nodes[order], axis=0)
     Kw, Kz = np.vstack([diff, -diff]), np.vstack([-sys.band.mu * diff, sys.band.nu * diff])
-    rows = Kw @ cert.w_star + Kz @ cert.z_star < 0.0
+    # build_pwl merges a pair within its tolerance into one node, so the
+    # pair's slope is rounding noise with no segment behind it
+    live = np.tile(np.diff(z[order]) > _merge_tol(cert.z_star), 2)
+    rows = (Kw @ cert.w_star + Kz @ cert.z_star < 0.0) & live
     if not rows.any():
         return cert
     F = np.linalg.solve(np.eye(sys.n) - sys.A, sys.B)  # h1 = F w
@@ -222,7 +234,7 @@ def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate, odd: bool) -> Dua
         N = Vt[int(np.sum(sig > max(E.shape) * np.finfo(float).eps * sig[0])):].T
         w = N @ (N.T @ cert.w_star)
         h1 = F @ w
-        new = (Kw @ w + Kz @ (sys.C @ h1 + sys.D @ w) < 0.0) & ~rows
+        new = (Kw @ w + Kz @ (sys.C @ h1 + sys.D @ w) < 0.0) & live & ~rows
         rows |= new
     if float(np.linalg.norm(h1)) <= 1.0e-9 * float(np.linalg.norm(cert.h)):
         return cert

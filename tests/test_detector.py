@@ -225,7 +225,7 @@ def _assert_snapped_equilibrium(sysm, cert, snapped, odd=False):
     and its map passes the audit; returns the audit."""
     h1, w = snapped.h1, snapped.w_star
     assert snapped is not cert
-    assert np.max(np.abs(sysm.A @ h1 + sysm.B @ w - h1)) <= 1.0e-14 * max(1.0, np.max(np.abs(h1)))
+    assert np.max(np.abs(sysm.A @ h1 + sysm.B @ w - h1)) <= 1.0e-14
     assert np.array_equal(snapped.z_star, sysm.C @ h1 + sysm.D @ w)
     assert np.array_equal(snapped.h2, w)
     assert h1[np.argmax(np.abs(h1))] > 0
@@ -289,6 +289,18 @@ def test_snap_keeps_the_certificate_when_projection_loses_h1():
     )
     cert = _equilibrium_cert(sysm, [1.0])
     assert verify_slope(build_pwl(cert, odd=False), sysm.band).max_slope == 2.0
+    assert snap_to_band(sysm, cert, odd=False) is cert
+
+
+def test_snap_leaves_a_pair_the_map_merges_alone():
+    # two identical channels whose (z*, w*) differ in the last bit, as the
+    # dual's rounding leaves them: their slope of -1/2 is noise, and
+    # build_pwl merges the pair into one node inside the band
+    sysm = _diagonal_system([1.0, 1.0])
+    w = np.array([1.0, np.nextafter(1.0, 2.0)])
+    cert = replace(_toy_cert([2.0, np.nextafter(2.0, 0.0)], w), h1=2.0 * w)
+    assert verify_slope(build_pwl(cert, odd=False), sysm.band).ok
+    assert build_pwl(cert, odd=False).breakpoints.shape == (2, 2)
     assert snap_to_band(sysm, cert, odd=False) is cert
 
 
