@@ -8,6 +8,7 @@ contract: 0 absolutely stable, 10 not absolutely stable, 20 inconclusive,
 import argparse
 import json
 import sys as _sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -160,7 +161,10 @@ def _cmd_field(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it as
+    it was, and every call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="lurestab",
         description="Absolute stability analysis of discrete-time Lur'e systems",

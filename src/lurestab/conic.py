@@ -24,15 +24,21 @@ Benson, Ye & Zhang 2000 do for low-rank constraint matrices); B is then
 never formed, and B u = A (W^T u) and B^T y = W (A^T y) are taken through
 A and the scaling.  B B^T is factored once and the diagonal blocks of its
 Cholesky factor inverted once, so every Newton solve is matrix products
-with B, B^T and that factor; step lengths are read off lam + alpha u and
-lam + alpha v.  The linear algebra is numpy, dense except for the
-orthant's pairs.
+with B, B^T and that factor; up to _TRSV_BLOCK rows the factor is one
+block, and a solve is two products with its inverse.  Step lengths are
+read off lam + alpha u and lam + alpha v.  smat is one take through index
+maps made once per block size (_svec_index).  The per-step kernels are
+written on those maps, but each floating-point operation has the operands,
+the order and the memory layout of the plain smat/svec round trip, since
+BLAS sums differently by layout; tests/test_conic.py compares the two bit
+for bit.  The linear algebra is numpy, dense except for the orthant's
+pairs.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,17 +59,29 @@ def svec_dim(d: int) -> int:
     return d * (d + 1) // 2
 
 
+class _SvecMaps(NamedTuple):
+    """The index maps between a d x d symmetric matrix, flattened by rows,
+    and its svec."""
+
+    upper: np.ndarray  # the flat position of every svec entry
+    weight: np.ndarray  # every svec entry's weight: 1 on the diagonal, sqrt 2 off it
+    full: np.ndarray  # the svec position of every flat entry
+    full_weight: np.ndarray  # weight[full]
+    diag: np.ndarray  # the svec positions of the diagonal
+
+
 @lru_cache(maxsize=None)
-def _svec_index(d: int):
-    """Flat positions of the upper triangle of a d x d matrix, of its
-    transpose, and the svec weights (1 on the diagonal, sqrt 2 off it)."""
+def _svec_index(d: int) -> _SvecMaps:
+    """The maps for size d, made once, on first use."""
     rows, cols = np.triu_indices(d)
     upper = rows * d + cols
-    lower = cols * d + rows
     weight = np.where(rows == cols, 1.0, _SQRT2)
-    for arr in (upper, lower, weight):
+    full = np.empty(d * d, dtype=np.intp)
+    full[upper] = full[cols * d + rows] = np.arange(upper.size)
+    maps = _SvecMaps(upper, weight, full, weight[full], full[:: d + 1].copy())
+    for arr in maps:
         arr.setflags(write=False)
-    return upper, lower, weight
+    return maps
 
 
 def _flat(X: np.ndarray) -> np.ndarray:
@@ -76,21 +94,19 @@ def svec(X: np.ndarray) -> np.ndarray:
     Batched over leading axes: (..., d, d) -> (..., d(d+1)/2).
     """
     X = np.asarray(X, dtype=float)
-    upper, _, weight = _svec_index(X.shape[-1])
-    out = np.take(_flat(X), upper, axis=-1)
-    out *= weight
+    maps = _svec_index(X.shape[-1])
+    out = _flat(X).take(maps.upper, axis=-1)
+    out *= maps.weight
     return out
 
 
 def smat(x: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of svec, batched over leading axes."""
-    x = np.asarray(x, dtype=float)
-    upper, lower, weight = _svec_index(d)
-    vals = x / weight
-    X = np.empty(x.shape[:-1] + (d * d,))
-    X[..., upper] = vals
-    X[..., lower] = vals
-    return X.reshape(x.shape[:-1] + (d, d))
+    """Inverse of svec, batched over leading axes: one take through the
+    svec position of every entry."""
+    maps = _svec_index(d)
+    X = np.asarray(x, dtype=float).take(maps.full, axis=-1)
+    X /= maps.full_weight
+    return X.reshape(X.shape[:-1] + (d, d))
 
 
 @dataclass(frozen=True)
@@ -112,13 +128,19 @@ class ConeSpec:
     def barrier_degree(self) -> int:
         return sum(s for _, s in self.blocks)
 
-    def slices(self):
-        out, at = [], 0
-        for tag, size in self.blocks:
-            ln = svec_dim(size) if tag == "s" else size
-            out.append((tag, size, slice(at, at + ln)))
-            at += ln
-        return out
+    def slices(self) -> tuple:
+        """(tag, size, slice) of every block in order, made once per cone."""
+        return _slices(self.blocks)
+
+
+@lru_cache(maxsize=None)
+def _slices(blocks: tuple) -> tuple:
+    out, at = [], 0
+    for tag, size in blocks:
+        ln = svec_dim(size) if tag == "s" else size
+        out.append((tag, size, slice(at, at + ln)))
+        at += ln
+    return tuple(out)
 
 
 @dataclass
@@ -137,17 +159,17 @@ class ConicResult:
 
 
 @lru_cache(maxsize=None)
-def _svec_eye(d: int) -> np.ndarray:
-    e = svec(np.eye(d))
+def _identity_point(cone: ConeSpec) -> np.ndarray:
+    """e: the identity on every PSD block and ones on the orthant, made once
+    per cone and read-only."""
+    e = np.zeros(cone.total_len)
+    for tag, size, sl in cone.slices():
+        if tag == "s":
+            e[sl.start + _svec_index(size).diag] = 1.0
+        else:
+            e[sl] = 1.0
     e.setflags(write=False)
     return e
-
-
-def _identity_point(cone: ConeSpec) -> np.ndarray:
-    x = np.zeros(cone.total_len)
-    for tag, size, sl in cone.slices():
-        x[sl] = _svec_eye(size) if tag == "s" else 1.0
-    return x
 
 
 class _Scaling:
@@ -168,17 +190,23 @@ class _Scaling:
 
     def __init__(self, cone: ConeSpec, x: np.ndarray, s: np.ndarray):
         self.blocks = []
-        self.lam = np.empty(cone.total_len)
+        # per PSD block r r^T, r = sig^{-1/2}, which max_step scales by
+        self.rr = []
+        self.lam = np.zeros(cone.total_len)
+        xs = np.array((x, s))
         for tag, size, sl in cone.slices():
             if tag == "s":
-                Lx, Ls = np.linalg.cholesky(smat(np.stack([x[sl], s[sl]]), size))
+                Lx, Ls = np.linalg.cholesky(smat(xs[:, sl], size))
                 _, sig, Vt = np.linalg.svd(Ls.T @ Lx)
-                sig = np.clip(sig, 1.0e-150, None)
-                self.blocks.append((sl, size, (Lx @ Vt.T) * sig ** -0.5, sig))
-                self.lam[sl] = svec(np.diag(sig))
+                sig = np.maximum(sig, 1.0e-150)
+                r = sig ** -0.5
+                self.blocks.append((sl, size, (Lx @ Vt.T) * r, sig))
+                self.rr.append(r[:, None] * r[None, :])
+                self.lam[sl.start + _svec_index(size).diag] = sig
             else:
                 lam = np.sqrt(x[sl] * s[sl])
                 self.blocks.append((sl, None, np.sqrt(x[sl] / s[sl]), lam))
+                self.rr.append(None)
                 self.lam[sl] = lam
         if not (np.isfinite(self.lam).all() and all(np.isfinite(b[2]).all() for b in self.blocks)):
             raise np.linalg.LinAlgError("non-finite NT scaling")
@@ -245,24 +273,27 @@ class _Scaling:
 
     def jordan_prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(u)
+        uv = np.array((u, v))
         for sl, size, _, _ in self.blocks:
             if size is None:
                 out[sl] = u[sl] * v[sl]
             else:
-                U = smat(u[sl], size)
-                V = smat(v[sl], size)
+                U, V = smat(uv[:, sl], size)
                 out[sl] = svec(0.5 * (U @ V + V @ U))
         return out
 
     def jordan_solve_lam(self, k: np.ndarray) -> np.ndarray:
-        """Solve L(lam) z = k where lam is the scaling's spectral point."""
+        """Solve L(lam) z = k where lam is the scaling's spectral point.  On
+        a PSD block that divides entry (i, j) by (sig_i + sig_j) / 2, in
+        svec coordinates."""
         out = np.empty_like(k)
         for sl, size, _, lam in self.blocks:
             if size is None:
                 out[sl] = k[sl] / lam
             else:
+                maps = _svec_index(size)
                 denom = 0.5 * (lam[:, None] + lam[None, :])
-                out[sl] = svec(smat(k[sl], size) / denom)
+                out[sl] = k[sl] / maps.weight / denom.reshape(-1)[maps.upper] * maps.weight
         return out
 
     def max_step(self, u: np.ndarray, v: np.ndarray) -> float:
@@ -273,14 +304,13 @@ class _Scaling:
         eigenvalue of sig^{-1/2} smat(u) sig^{-1/2}, the same for v; the two
         share one eigvalsh.
         """
+        uv = np.array((u, v))
         least = 0.0
-        for sl, size, _, lam in self.blocks:
+        for (sl, size, _, lam), rr in zip(self.blocks, self.rr):
             if size is None:
-                least = min(least, float(np.min(u[sl] / lam)), float(np.min(v[sl] / lam)))
+                least = min(least, float((uv[:, sl] / lam).min()))
             else:
-                r = lam ** -0.5
-                UV = smat(np.stack([u[sl], v[sl]]), size) * (r[:, None] * r[None, :])
-                least = min(least, float(np.min(np.linalg.eigvalsh(UV)[:, 0])))
+                least = min(least, float(np.linalg.eigvalsh(smat(uv[:, sl], size) * rr)[:, 0].min()))
         return -1.0 / least if least < 0 else np.inf
 
 
@@ -326,14 +356,16 @@ class _NormalFactor:
 
     def __init__(self, M: np.ndarray):
         n = M.shape[0]
-        scale = max(float(np.trace(M)) / max(n, 1), 1.0e-300)
         reg = 0.0
         for _ in range(8):
             try:
                 self.L = np.linalg.cholesky(M + reg * np.eye(n) if reg else M)
                 break
             except np.linalg.LinAlgError:
-                reg = scale * 1.0e-14 if reg == 0.0 else reg * 100.0
+                if reg == 0.0:
+                    reg = max(float(np.trace(M)) / max(n, 1), 1.0e-300) * 1.0e-14
+                else:
+                    reg *= 100.0
         else:
             raise np.linalg.LinAlgError("Schur complement not positive definite")
         self.inv = _inverse_blocks(self.L)
@@ -360,6 +392,13 @@ def _cho_solve(L: np.ndarray, inv: list, rhs: np.ndarray) -> np.ndarray:
     it is matrix products; a factor of up to _TRSV_BLOCK rows is a single
     block.  rhs may be (n,) or (n, k).
     """
+    if len(inv) == 1:
+        # one block and no coupling.  As on the blocked path, both products
+        # read C-ordered operands and the result has rhs's layout: BLAS
+        # sums differently by layout, and later products read this one
+        x = np.empty_like(rhs)
+        x[...] = inv[0].T @ (inv[0] @ np.ascontiguousarray(rhs))
+        return x
     blocks = list(zip(range(0, L.shape[0], _TRSV_BLOCK), inv))
     z = np.empty_like(rhs)
     for k, Li in blocks:
@@ -437,11 +476,11 @@ def _step(A, b, c, row_data, cone, point, rp, rd, rg):
     lam = sc.lam
     B, S = sc.schur(A, row_data)
     normal = _NormalFactor(S)
-    w_crd = sc.scale_s(np.stack([c, rd]))
+    w_crd = sc.scale_s(np.array((c, rd)))
     wc, wrd = w_crd
     # the direction per unit of d tau (q = 0) and the predictor (q = -lam)
     (u_t, u), (dy_t, dy) = _scaled_newton(
-        B, normal, np.stack([b, rp]), w_crd, np.stack([np.zeros_like(lam), -lam])
+        B, normal, np.array((b, rp)), w_crd, np.array((np.zeros_like(lam), -lam))
     )
     # b.dy_t - c.dx_t = ||u_t||^2 since v_t = -u_t
     denom = kappa / tau + u_t @ u_t
@@ -547,11 +586,14 @@ def solve_conic(
     nrows = A.shape[0]
     nu = cone.barrier_degree
 
-    x, s, y = _identity_point(cone), _identity_point(cone), np.zeros(nrows)
+    # the cached identity point is read-only; every iterate is a new array
+    x = s = _identity_point(cone)
+    y = np.zeros(nrows)
     if nrows == 0:
+        x, s = x.copy(), s.copy()
         return ConicResult("optimal", x, y, s, 0, 0.0, 0.0, 0.0, float(x @ s) / nu, float(c @ x))
-    bnorm = 1.0 + float(np.linalg.norm(b))
-    cnorm = 1.0 + float(np.linalg.norm(c))
+    bnorm = 1.0 + math.sqrt(b @ b)
+    cnorm = 1.0 + math.sqrt(c @ c)
     row_data = _row_data(A, cone, psd_schur)
     tau = kappa = 1.0
     status, it, prev, prev_score = "max_iters", 0, None, np.inf
@@ -562,26 +604,25 @@ def solve_conic(
             aty = A.T @ y
             rp = tau * b - A @ x
             rd = tau * c - aty - s
-            by = float(b @ y)
-            rg = kappa - by + float(c @ x)
-            rp_n = float(np.linalg.norm(rp)) / bnorm
-            rd_n = float(np.linalg.norm(rd)) / cnorm
+            by, cx, xs = float(b @ y), float(c @ x), float(x @ s)
+            rg = kappa - by + cx
+            rp_n = math.sqrt(rp @ rp) / bnorm
+            rd_n = math.sqrt(rd @ rd) / cnorm
             rp_rel, rd_rel = rp_n / tau, rd_n / tau
-            gap_rel = float(x @ s) / (tau * (tau + abs(float(c @ x)) + abs(by)))
-            farkas = float(np.linalg.norm(aty + s)) / by if by > 0 else np.inf
+            gap_rel = xs / (tau * (tau + abs(cx) + abs(by)))
             history.append((rp_rel, rd_rel, gap_rel))
             point = (x, y, s, tau, kappa, rp_rel, rd_rel, gap_rel)
 
             if rp_rel <= tol and rd_rel <= tol and gap_rel <= tol:
                 status = "optimal"
                 break
-            if kappa > tau and farkas <= tol:
+            if kappa > tau and by > 0 and math.sqrt((aty + s) @ (aty + s)) / by <= tol:
                 status = "infeasible"
                 break
             if accept is not None and accept(y / tau):
                 status = "accepted"
                 break
-            score = max(rp_n, rd_n, (float(x @ s) + tau * kappa) / (nu + 1))
+            score = max(rp_n, rd_n, (xs + tau * kappa) / (nu + 1))
             if not score < prev_score:
                 status, point = "stalled", prev or point
                 break

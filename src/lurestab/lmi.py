@@ -235,13 +235,13 @@ def _lmi_coefficients(congruence: dict, v) -> np.ndarray:
     entries (p, q) of svec's upper triangle are formed."""
     U = congruence["U"]
     a, b, w = _matrix_entries(v)
-    upper, _, weight = _svec_index(U.shape[1])
-    p, q = np.divmod(upper, U.shape[1])
+    maps = _svec_index(U.shape[1])
+    p, q = np.divmod(maps.upper, U.shape[1])
     X = 0.0
     for l, r, s in congruence["terms"][v.name]:
         L, R = s * U[l + a], U[r + b]
         X = X + L[:, p] * R[:, q] + L[:, q] * R[:, p]
-    return w[:, None] * X * weight
+    return w[:, None] * X * maps.weight
 
 
 def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:

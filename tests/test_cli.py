@@ -215,3 +215,35 @@ def test_phi_file_missing_breakpoints(tmp_path, data_dir, capsys):
         ]
     )
     assert code == 1
+
+
+def test_consecutive_calls_parse_fresh_with_one_parser(tmp_path, data_dir, capsys):
+    from lurestab.cli import _build_parser
+
+    system = str(data_dir / "sys_decoupled.json")
+    phi = tmp_path / "sat.json"
+    phi.write_text(json.dumps({"odd": False, "breakpoints": [[-1.0, -1.0], [1.0, 1.0]]}))
+    field, report = tmp_path / "field.csv", tmp_path / "report.json"
+    base = ["--phi", str(phi)]
+    # options given to one call do not carry into the next
+    assert main(["field", system, *base, "--nx", "5", "--ny", "3", "--out", str(field)]) == 0
+    assert len(field.read_text().splitlines()) == 1 + 5 * 3
+    assert main(["field", system, *base]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 21 * 21
+    assert main(["simulate", system, *base, "--x0=0.5,0.5", "--steps", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+    assert main(["analyze", system, "--out", str(report)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["analyze", system]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(report.read_text())
+    assert main(["simulate", system, *base, "--x0=0.5,0.5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 1001
+    # a usage error and --help between calls keep their exit codes
+    assert main(["field", system]) == 1
+    assert "--phi" in capsys.readouterr().err
+    assert main(["simulate", "--help"]) == 0
+    assert "--steps" in capsys.readouterr().out
+    assert main(["field", system, *base, "--nx", "2", "--ny", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 2
+    # all of it through the one parser, built once
+    assert _build_parser() is _build_parser()

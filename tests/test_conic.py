@@ -409,6 +409,47 @@ def test_schur_complement_factored_once_per_step(monkeypatch):
     assert len(factored) == res.iterations - 1
 
 
+def test_lapack_calls_per_step_are_pinned(monkeypatch):
+    # the per-step LAPACK budget on a cone with one PSD block and an orthant
+    calls = []
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.ndim(a)))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapped)
+
+    for name in ("cholesky", "svd", "eigvalsh", "solve", "eigh", "inv", "qr"):
+        counting(name)
+    steps = []
+    real_max_step = _Scaling.max_step
+
+    def max_step(self, u, v):
+        steps.append(len(calls))
+        out = real_max_step(self, u, v)
+        # one eigvalsh per PSD block, nothing else
+        assert calls[steps[-1]:] == [("eigvalsh", 3)]
+        return out
+
+    monkeypatch.setattr(_Scaling, "max_step", max_step)
+    res = solve_conic(*_mixed_toy())
+    assert res.status == "optimal"
+    n_steps = res.iterations - 1
+    per_step = [
+        ("cholesky", 3),  # x and s of the PSD block, stacked
+        ("svd", 2),
+        ("cholesky", 2),  # the Schur complement
+        ("solve", 2),  # the inverse of its factor, one block
+        ("eigvalsh", 3),  # the predictor's max_step
+        ("eigvalsh", 3),  # the corrector's max_step
+    ]
+    assert calls == per_step * n_steps
+    assert len(steps) == 2 * n_steps
+
+
 def test_orthant_pairs_built_once_per_solve(monkeypatch):
     built = []
     real = conic._orthant_pairs
@@ -512,3 +553,135 @@ def test_accept_ends_the_run_at_the_first_iterate_that_has_it():
     first = solve_conic(A, b, c, cone, accept=lambda y: True)
     assert (first.status, first.iterations) == ("accepted", 1)
     assert np.array_equal(first.y, np.zeros(1))
+
+
+def test_no_rows_returns_the_identity_point_as_new_arrays():
+    _, _, c, cone = _mixed_toy()
+    res = solve_conic(np.zeros((0, cone.total_len)), np.zeros(0), c, cone)
+    assert (res.status, res.iterations) == ("optimal", 0)
+    e = conic._identity_point(cone)
+    assert np.array_equal(res.x, e) and np.array_equal(res.s, e)
+    # writable arrays of their own, not the cached read-only point
+    for arr in (res.x, res.s):
+        assert arr.flags.writeable and not np.shares_memory(arr, e)
+    assert not np.shares_memory(res.x, res.s)
+    res.x[:] = 5.0
+    assert np.array_equal(conic._identity_point(cone), e) and e[0] == 1.0
+    assert res.y.shape == (0,) and res.obj == float(c @ e)
+
+
+# The kernels of _Scaling and _cho_solve written as plain smat/svec round
+# trips, block by block: the fused kernels must equal them bit for bit.
+
+
+def _scatter_smat(x, d):
+    rows, cols = np.triu_indices(d)
+    vals = np.asarray(x, dtype=float) / np.where(rows == cols, 1.0, np.sqrt(2.0))
+    X = np.empty(vals.shape[:-1] + (d * d,))
+    X[..., rows * d + cols] = vals
+    X[..., cols * d + rows] = vals
+    return X.reshape(vals.shape[:-1] + (d, d))
+
+
+def _gather_svec(X):
+    d = X.shape[-1]
+    rows, cols = np.triu_indices(d)
+    flat = X.reshape(X.shape[:-2] + (d * d,))
+    return flat[..., rows * d + cols] * np.where(rows == cols, 1.0, np.sqrt(2.0))
+
+
+def _round_trip_kernels(sc, cone):
+    """lam, and the kernels as functions, by smat/svec round trips."""
+    lam = np.empty(cone.total_len)
+    for (sl, size, _, sig) in sc.blocks:
+        lam[sl] = sig if size is None else _gather_svec(np.diag(sig))
+
+    def blockwise(orthant, psd):
+        def kernel(*args):
+            out = np.empty_like(args[0])
+            for sl, size, R, sig in sc.blocks:
+                parts = [a[..., sl] for a in args]
+                if size is None:
+                    out[..., sl] = orthant(R, sig, *parts)
+                else:
+                    out[..., sl] = _gather_svec(psd(R, sig, *[_scatter_smat(p, size) for p in parts]))
+            return out
+
+        return kernel
+
+    def max_step(u, v):
+        least = 0.0
+        for sl, size, _, sig in sc.blocks:
+            if size is None:
+                least = min(least, float(np.min(u[sl] / sig)), float(np.min(v[sl] / sig)))
+            else:
+                r = sig ** -0.5
+                UV = _scatter_smat(np.stack([u[sl], v[sl]]), size) * (r[:, None] * r[None, :])
+                least = min(least, float(np.min(np.linalg.eigvalsh(UV)[:, 0])))
+        return -1.0 / least if least < 0 else np.inf
+
+    return lam, {
+        "scale_s": blockwise(lambda R, sig, d: d * R, lambda R, sig, D: R.T @ D @ R),
+        "unscale_to_x": blockwise(lambda R, sig, u: u * R, lambda R, sig, U: R @ U @ R.T),
+        "jordan_prod": blockwise(
+            lambda R, sig, u, v: u * v, lambda R, sig, U, V: 0.5 * (U @ V + V @ U)
+        ),
+        "jordan_solve_lam": blockwise(
+            lambda R, sig, k: k / sig,
+            lambda R, sig, K: K / (0.5 * (sig[:, None] + sig[None, :])),
+        ),
+        "max_step": max_step,
+    }
+
+
+@pytest.mark.parametrize("cone", [_MIXED, ConeSpec((("l", 5),))], ids=["mixed", "orthant"])
+@pytest.mark.parametrize("seed", range(5))
+def test_fused_kernels_equal_the_round_trips_bit_for_bit(cone, seed):
+    rng = np.random.default_rng(200 + seed)
+    x, s = _interior_point(cone, rng), _interior_point(cone, rng)
+    sc = _Scaling(cone, x, s)
+    lam, ref = _round_trip_kernels(sc, cone)
+    assert np.array_equal(sc.lam, lam)
+    pairs = rng.normal(size=(20, 2, cone.total_len))
+    assert [sc.max_step(u, v) for u, v in pairs] == [ref["max_step"](u, v) for u, v in pairs]
+    (u, v), V = pairs[0], pairs[1]
+    assert sc.max_step(sc.lam, sc.lam) == ref["max_step"](lam, lam) == np.inf
+    assert np.array_equal(sc.jordan_prod(u, v), ref["jordan_prod"](u, v))
+    assert np.array_equal(sc.jordan_solve_lam(u), ref["jordan_solve_lam"](u))
+    for name in ("scale_s", "unscale_to_x"):
+        # one vector, and a stack of them as the step passes
+        assert np.array_equal(getattr(sc, name)(u), ref[name](u))
+        assert np.array_equal(getattr(sc, name)(V), ref[name](V))
+
+
+def _blocked_cho_solve(L, inv, rhs):
+    """_cho_solve's blocked substitutions, the path of factors over
+    _TRSV_BLOCK rows, for any number of blocks."""
+    blocks = list(zip(range(0, L.shape[0], _TRSV_BLOCK), inv))
+    z = np.empty_like(rhs)
+    for k, Li in blocks:
+        e = k + Li.shape[0]
+        z[k:e] = Li @ (rhs[k:e] - L[k:e, :k] @ z[:k])
+    x = np.empty_like(rhs)
+    for k, Li in reversed(blocks):
+        e = k + Li.shape[0]
+        x[k:e] = Li.T @ (z[k:e] - L[e:, k:e].T @ x[e:])
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 7, 16, 20, 35, _TRSV_BLOCK])
+def test_single_block_cho_solve_equals_the_blocked_path_and_its_layout(n):
+    rng = np.random.default_rng(300 + n)
+    F = rng.normal(size=(n, n))
+    L = np.linalg.cholesky(F @ F.T + n * np.eye(n))
+    inv = _inverse_blocks(L)
+    assert len(inv) == 1
+    # one vector; a stack as _NormalFactor passes it (F-ordered); C-ordered
+    for rhs in (rng.normal(size=n), rng.normal(size=(3, n)).T, rng.normal(size=(n, 3))):
+        x = _cho_solve(L, inv, rhs)
+        assert np.array_equal(x, _blocked_cho_solve(L, inv, rhs))
+        # the layout np.empty_like(rhs) gives, which later products read
+        assert x.strides == np.empty_like(rhs).strides
+    stack = rng.normal(size=(2, n))
+    y = _NormalFactor(F @ F.T + n * np.eye(n)).solve(stack)
+    assert np.array_equal(y, _blocked_cho_solve(L, inv, stack.T).T) and y.flags.c_contiguous
