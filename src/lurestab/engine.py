@@ -392,8 +392,8 @@ def _farkas_quality(dual: DualForm, y: np.ndarray):
 
 def _primal_true_margin(problem: SdpFeasibilityProblem, assignment: dict) -> float:
     """Achieved margin -lambda_max of the strict LMI at this assignment,
-    from L(P, M) read off the congruence, not from F."""
-    P, M = assignment["P"], multiplier_matrix(assignment)
+    from L(P, M) read off the congruence, not from F, with M on its cone."""
+    P, M = assignment["P"], multiplier_matrix(assignment, problem.meta["system"].nl_class)
     core = _lmi_matrix(problem.meta["congruence"], P, M)
     w = np.linalg.eigvalsh(0.5 * (core + core.T))
     return -float(w[-1])
@@ -549,11 +549,12 @@ def reduce_rank(dual: DualForm, warm: SolveResult) -> SolveResult:
     warm is the point of the steer solve.  While the current point is
     not rank one, re-solves minimizing the weight on its non-dominant
     eigenspace, less a small steer term, and keeps a round's point only
-    if it lowers the rank ratio.  Every point is verified against the raw
-    constraints and kept as the solver returned it.  rank_trail starts at
-    the ratio of the warm point; a warm point that already meets the rank
-    tolerance comes back with its assignment unchanged, with zero rounds
-    run.
+    if it lowers the rank ratio.  The rounds stop at rank one, once a round
+    turns H's dominant eigenvector by sin < sqrt(TOL_RANK) (a round not
+    kept turns it by 0), or after _MAX_RANK_ROUNDS; rank_stop says which.
+    Every point is verified against the raw constraints and kept as the
+    solver returned it.  rank_trail starts at the ratio of the warm point;
+    a warm point already rank one comes back unchanged, with zero rounds run.
     """
     if warm.status != "feasible":
         raise StructuralError("rank reduction needs a feasible warm start")
@@ -564,10 +565,8 @@ def reduce_rank(dual: DualForm, warm: SolveResult) -> SolveResult:
     best_ratio, best_V = _rank_ratio(best_assign["H"])
     trail = [best_ratio]
 
-    rounds = 0
-    for _ in range(_MAX_RANK_ROUNDS):
-        if best_ratio <= TOL_RANK:
-            break
+    rounds, turn, settled = 0, 1.0, np.sqrt(TOL_RANK)
+    while best_ratio > TOL_RANK and turn >= settled and rounds < _MAX_RANK_ROUNDS:
         V2 = best_V[:, :-1]  # all but the dominant eigenvector
         W = V2 @ V2.T - steer_term
         c = np.zeros(dual.ncone)
@@ -579,12 +578,12 @@ def reduce_rank(dual: DualForm, warm: SolveResult) -> SolveResult:
         ok, max_eq, max_cone = dual.verify(assignment)
         ratio, V = _rank_ratio(assignment["H"]) if ok else (best_ratio, None)
         improved = ratio < best_ratio
+        # sin of the dominant eigenvector's turn; 0 for a round not kept
+        turn = float(np.linalg.norm(V2.T @ V[:, -1])) if improved else 0.0
         if improved:
             best_assign, best_eq, best_cone = assignment, max_eq, max_cone
             best_ratio, best_V = ratio, V
         trail.append(best_ratio)
-        if best_ratio <= TOL_RANK or not improved:
-            break
 
     diagnostics = dict(warm.diagnostics)
     diagnostics.update(
@@ -592,6 +591,8 @@ def reduce_rank(dual: DualForm, warm: SolveResult) -> SolveResult:
             "rank_trail": trail,
             "rounds": rounds,
             "rank_ratio": best_ratio,
+            "rank_stop": "rank_one" if best_ratio <= TOL_RANK
+            else "settled" if turn < settled else "max_rounds",
         }
     )
     return SolveResult(

@@ -176,10 +176,20 @@ def _lmi_matrix(congruence: dict, P: np.ndarray, M: np.ndarray) -> np.ndarray:
     return L
 
 
-def multiplier_matrix(assignment: dict) -> np.ndarray:
-    """The multiplier M of a primal assignment: M_diag on the diagonal,
-    M_offdiag off it."""
-    return np.diag(assignment["M_diag"]) + assignment["M_offdiag"]
+def multiplier_matrix(assignment: dict, nl_class: NonlinearityClass) -> np.ndarray:
+    """The multiplier M of a primal assignment, M_diag on the diagonal and
+    M_offdiag off it, moved onto its cone as bench/checker.py does: DHD
+    clears positive off-diagonal entries, then each diagonal entry grows by
+    the deficit of its row or column (sums for DHD, dominance for DD).  The
+    IPM's rows may leave the cone by up to engine.CONE_TOL; an M inside it
+    comes back as assembled."""
+    diag, off = np.asarray(assignment["M_diag"], dtype=float), assignment["M_offdiag"]
+    if nl_class is NonlinearityClass.SLOPE_ODD:
+        rows, cols = diag - np.abs(off).sum(axis=1), diag - np.abs(off).sum(axis=0)
+    else:
+        off = np.minimum(off, 0.0)
+        rows, cols = diag + off.sum(axis=1), diag + off.sum(axis=0)
+    return np.diag(diag + np.maximum(0.0, -np.minimum(rows, cols))) + off
 
 
 @lru_cache(maxsize=None)

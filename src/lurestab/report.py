@@ -215,7 +215,7 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     if primal_res.status == "feasible":
         # the normalized LMI at (P, M (nu - mu)^2) is a congruence of the
         # original one at (P, M)
-        M = multiplier_matrix(primal_res.assignment)
+        M = multiplier_matrix(primal_res.assignment, sys.nl_class)
         primal_dict["P"] = primal_res.assignment["P"]
         primal_dict["M"] = M / (sys.band.nu - sys.band.mu) ** 2
         return report("absolutely_stable")
@@ -235,6 +235,7 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     reduced = reduce_rank(dual_problem, dual_res)
     pipe["rank_trail"] = list(reduced.diagnostics["rank_trail"])
     pipe["rank_rounds"] = reduced.diagnostics["rounds"]
+    pipe["rank_stop"] = reduced.diagnostics["rank_stop"]
 
     dual_dict = {
         "status": "feasible",

@@ -40,6 +40,7 @@ def test_the_table_names_every_corpus_input(corpus):
 
 def test_every_corpus_input_keeps_its_verdict_and_reason(corpus, monkeypatch):
     table = json.loads(TABLE.read_text())
+    checker = _load_bench("checker")
     calls = []
     real = engine.solve_conic
 
@@ -48,7 +49,7 @@ def test_every_corpus_input_keeps_its_verdict_and_reason(corpus, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(engine, "solve_conic", counting)
-    moved, over_budget = {}, {}
+    moved, over_budget, rejected = {}, {}, {}
     for case in corpus:
         calls.clear()
         report = json.loads(analyze(_system(case)).to_json())
@@ -56,6 +57,10 @@ def test_every_corpus_input_keeps_its_verdict_and_reason(corpus, monkeypatch):
         got = [report["verdict"], pipe.get("inconclusive_reason")]
         if got != table[case.name]:
             moved[case.name] = (table[case.name], got)
+        # every decided verdict holds by the independent checker
+        problems = [] if report["verdict"] == "inconclusive" else checker.check(case, report)
+        if problems:
+            rejected[case.name] = problems
         # the primal alone decides a stable report; any other report adds
         # one dual solve and its deflation rounds
         budget = 1 if report["verdict"] == "absolutely_stable" else 2 + pipe.get("rank_rounds", 0)
@@ -63,6 +68,7 @@ def test_every_corpus_input_keeps_its_verdict_and_reason(corpus, monkeypatch):
             over_budget[case.name] = (budget, len(calls))
     assert not moved
     assert not over_budget
+    assert not rejected
 
 
 def test_every_inconclusive_reason_seen_is_documented(slope_report, odd_report, decoupled_example):

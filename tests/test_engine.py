@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def test_decoupled_primal_feasible_with_margin(decoupled_example):
     assert res.residuals.margin >= 1.0e-7
 
     P = res.assignment["P"]
-    M = multiplier_matrix(res.assignment)
+    M = multiplier_matrix(res.assignment, decoupled_example.nl_class)
     L = primal_lmi_matrix(decoupled_example, P, M)
     # the verdict is certified by the assignment itself, not the solver
     assert np.max(np.linalg.eigvalsh(L)) <= -1.0e-7
@@ -116,6 +117,97 @@ def test_reduce_rank_decomposes_each_point_once(monkeypatch):
     assert rounds >= 1
     assert calls.count("eigh") == 1 + rounds
     assert calls.count("eigvalsh") == rounds
+
+
+@pytest.fixture(scope="module")
+def segment_74():
+    """(dual, point) of corpus input 74, where point(s) is the feasible dual
+    point (1 - s) x1 + s x0 between its steered point x0 (rank ratio 0.40)
+    and the rank-one point x1 of its one deflation round."""
+    problem = _dual(_corpus_system(74))
+    xs, real = [], engine.solve_conic
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        xs.append(res.x)
+        return res
+
+    engine.solve_conic = recording
+    try:
+        reduce_rank(problem, solve(problem))
+    finally:
+        engine.solve_conic = real
+    x0, x1 = xs
+
+    def point(s):
+        x = (1.0 - s) * x1 + s * x0
+        assignment = problem.reconstruct(x)
+        ok, max_eq, max_cone = problem.verify(assignment)
+        assert ok
+        return x, SolveResult("feasible", assignment, engine.Residuals(max_eq, max_cone))
+
+    return problem, point
+
+
+def _rounds_returning(monkeypatch, xs):
+    """Make each deflation round's solve return the next of xs."""
+    rounds = iter(xs)
+    monkeypatch.setattr(engine, "solve_conic", lambda *args, **kwargs: SimpleNamespace(x=next(rounds)))
+
+
+def test_reduce_rank_stops_once_the_dominant_eigenvector_settles(segment_74, monkeypatch):
+    # the round lowers the rank ratio (0.171006 -> 0.171002) while its
+    # dominant eigenvector turns by about 1e-6 < sqrt(TOL_RANK)
+    problem, point = segment_74
+    _, warm = point(0.5)
+    x, _ = point(0.5 - 1.0e-5)
+    _rounds_returning(monkeypatch, [x, x])
+    red = reduce_rank(problem, warm)
+    assert red.diagnostics["rounds"] == 1
+    assert red.diagnostics["rank_stop"] == "settled"
+    trail = red.diagnostics["rank_trail"]
+    assert trail[1] < trail[0] and trail[1] > engine.TOL_RANK
+    assert np.array_equal(red.assignment["H"], problem.reconstruct(x)["H"])
+
+
+def test_reduce_rank_counts_rank_one_before_the_turn(segment_74, monkeypatch):
+    # from rank ratio 2.9e-5 the round reaches rank one while its dominant
+    # eigenvector turns by less than sqrt(TOL_RANK): decided, not settled
+    problem, point = segment_74
+    _, warm = point(1.0e-4)
+    x, _ = point(0.0)
+    _, V_warm = engine._rank_ratio(warm.assignment["H"])
+    _, V = engine._rank_ratio(problem.reconstruct(x)["H"])
+    assert np.linalg.norm(V_warm[:, :-1].T @ V[:, -1]) < np.sqrt(engine.TOL_RANK)
+    _rounds_returning(monkeypatch, [x])
+    red = reduce_rank(problem, warm)
+    assert red.diagnostics["rounds"] == 1
+    assert red.diagnostics["rank_stop"] == "rank_one"
+    assert red.diagnostics["rank_ratio"] <= engine.TOL_RANK
+
+
+def test_reduce_rank_stops_at_the_round_limit_while_it_turns(segment_74, monkeypatch):
+    # every round lowers the ratio and turns the eigenvector past the
+    # threshold without reaching rank one
+    problem, point = segment_74
+    _, warm = point(1.0)
+    xs = [point(1.0 - 0.09 * k)[0] for k in range(1, engine._MAX_RANK_ROUNDS + 2)]
+    _rounds_returning(monkeypatch, xs)
+    red = reduce_rank(problem, warm)
+    assert red.diagnostics["rounds"] == engine._MAX_RANK_ROUNDS
+    assert red.diagnostics["rank_stop"] == "max_rounds"
+
+
+def test_reduce_rank_stops_after_a_round_it_does_not_keep(segment_74, monkeypatch):
+    # a round that does not lower the ratio leaves the direction where it
+    # was, and the next round would repeat the same solve
+    problem, point = segment_74
+    x_warm, warm = point(0.5)
+    _rounds_returning(monkeypatch, [point(0.6)[0], x_warm])
+    red = reduce_rank(problem, warm)
+    assert red.diagnostics["rounds"] == 1
+    assert red.diagnostics["rank_stop"] == "settled"
+    assert red.assignment is warm.assignment
 
 
 def test_primal_verify_reads_the_constraint_rows(slope_example, odd_example, decoupled_example):

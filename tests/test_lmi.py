@@ -18,9 +18,12 @@ from lurestab.lmi import (
     _lmi_coefficients,
     _matrix_entries,
     lmi_congruence,
+    multiplier_matrix,
     primal_lmi_matrix,
 )
 from lurestab.multipliers import build_multiplier
+from cones import ConeTag, is_member
+from helpers import random_member
 from oracles import output_coupling_block, state_equality_block
 
 
@@ -220,3 +223,31 @@ def test_rank_one_coupling_specialization():
     Y = output_coupling_block(sys, H)
     expect = np.outer(h2, sys.C @ h1 + sys.D @ h2 - h2)
     assert np.allclose(Y, expect, atol=1e-12)
+
+
+def _assignment(M):
+    M = np.asarray(M, dtype=float)
+    return {"M_diag": np.diag(M).copy(), "M_offdiag": M - np.diag(np.diag(M))}
+
+
+@pytest.mark.parametrize("cone", [ConeTag.DHD, ConeTag.DD])
+def test_multiplier_matrix_returns_m_inside_its_cone_as_assembled(cone):
+    nl_class = NonlinearityClass.SLOPE_ODD if cone is ConeTag.DD else NonlinearityClass.SLOPE
+    for seed in range(20):
+        M = random_member(cone, 3, seed)
+        assert np.array_equal(multiplier_matrix(_assignment(M), nl_class), M)
+
+
+def test_multiplier_matrix_moves_m_onto_its_cone():
+    # the IPM's rows may leave the cone by rounding: M = -4.5e-11 at m = 1
+    slope, odd = NonlinearityClass.SLOPE, NonlinearityClass.SLOPE_ODD
+    assert multiplier_matrix(_assignment([[-4.5e-11]]), slope).tolist() == [[0.0]]
+    assert multiplier_matrix(_assignment([[-4.5e-11]]), odd).tolist() == [[0.0]]
+    # DHD clears a positive off-diagonal entry, then adds no deficit here
+    M = multiplier_matrix(_assignment([[1.0, 1.0e-12], [-1.0, 1.0]]), slope)
+    assert M.tolist() == [[1.0, 0.0], [-1.0, 1.0]]
+    # DD keeps the off-diagonal signs and adds only row 0's deficit
+    M = multiplier_matrix(_assignment([[1.0, -1.0000001], [0.5, 2.0]]), odd)
+    assert M[0, 1] == -1.0000001 and M[1, 0] == 0.5 and M[1, 1] == 2.0
+    assert M[0, 0] == pytest.approx(1.0000001, abs=1.0e-15)
+    assert is_member(M, ConeTag.DD, tol=0.0).member
