@@ -13,7 +13,6 @@ onto the rows it violates (snap_to_band); no solve is involved.
 """
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -35,22 +34,17 @@ _SIGN_TOL = 1.0e-9
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Instability evidence assembled from a rank-1 dual solution.
+    """Instability evidence read off a rank-1 dual solution.
 
-    snapped counts the order rows snap_to_band projected w* onto, each of
-    which puts one map segment on a band edge.
+    h = (h1, h2) is the factor of H: h1 the equilibrium candidate, h2 the
+    loop input w* there and z_star = C h1 + D h2 the output.  snapped counts
+    the order rows snap_to_band projected w* onto, each of which puts one
+    map segment on a band edge.
     """
 
-    H: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    X: np.ndarray
-    Z: Optional[np.ndarray]
-    rank: int
     h1: np.ndarray
     h2: np.ndarray
     z_star: np.ndarray
-    w_star: np.ndarray
     snapped: int = 0
 
     @property
@@ -128,18 +122,7 @@ def extract_certificate(sys: StateSpaceSystem, solve_result, nl_class: Nonlinear
         )
 
     z_star = sys.C @ h1 + sys.D @ h2
-    cert = DualCertificate(
-        H=H,
-        f=np.asarray(assignment["f"], dtype=float),
-        g=np.asarray(assignment["g"], dtype=float),
-        X=np.asarray(assignment["X"], dtype=float),
-        Z=np.asarray(assignment["Z"], dtype=float) if "Z" in assignment else None,
-        rank=1,
-        h1=h1,
-        h2=h2,
-        z_star=z_star,
-        w_star=h2.copy(),
-    )
+    cert = DualCertificate(h1=h1, h2=h2, z_star=z_star)
     return snap_to_band(sys, cert, nl_class is NonlinearityClass.SLOPE_ODD)
 
 
@@ -186,7 +169,7 @@ def build_pwl(cert: DualCertificate, odd: bool) -> PiecewiseLinearMap:
     """
     s = _folds(cert.z_star, odd)
     pts = _merge_pairs(
-        [(0.0, 0.0)] + list(zip(s * cert.z_star, s * cert.w_star)), _merge_tol(cert.z_star)
+        [(0.0, 0.0)] + list(zip(s * cert.z_star, s * cert.h2)), _merge_tol(cert.z_star)
     )
     if odd:
         pos = [(zi, wi) for zi, wi in pts if zi > 0.0]
@@ -222,7 +205,7 @@ def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate, odd: bool) -> Dua
     # build_pwl merges a pair within its tolerance into one node, so the
     # pair's slope is rounding noise with no segment behind it
     live = np.tile(np.diff(z[order]) > _merge_tol(cert.z_star), 2)
-    rows = (Kw @ cert.w_star + Kz @ cert.z_star < 0.0) & live
+    rows = (Kw @ cert.h2 + Kz @ cert.z_star < 0.0) & live
     if not rows.any():
         return cert
     F = np.linalg.solve(np.eye(sys.n) - sys.A, sys.B)  # h1 = F w
@@ -232,7 +215,7 @@ def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate, odd: bool) -> Dua
         E = R[rows]
         _, sig, Vt = np.linalg.svd(E)
         N = Vt[int(np.sum(sig > max(E.shape) * np.finfo(float).eps * sig[0])):].T
-        w = N @ (N.T @ cert.w_star)
+        w = N @ (N.T @ cert.h2)
         h1 = F @ w
         new = (Kw @ w + Kz @ (sys.C @ h1 + sys.D @ w) < 0.0) & live & ~rows
         rows |= new
@@ -240,7 +223,4 @@ def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate, odd: bool) -> Dua
         return cert
     if h1[int(np.argmax(np.abs(h1)))] < 0:
         h1, w = -h1, -w
-    return replace(
-        cert, h1=h1, h2=w, z_star=sys.C @ h1 + sys.D @ w, w_star=w.copy(),
-        snapped=int(rows.sum()),
-    )
+    return replace(cert, h1=h1, h2=w, z_star=sys.C @ h1 + sys.D @ w, snapped=int(rows.sum()))

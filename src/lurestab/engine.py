@@ -1,4 +1,4 @@
-"""Feasibility engine: dense forms, verdicts, and rank reduction of the dual.
+"""Feasibility engine: dense forms, verdicts, and the one pass over the dual.
 
 The primal LMI comes as its dense form (lmi.build_primal: decision
 coordinates z, constraint rows F0 + F z in cones).  It goes to the
@@ -7,23 +7,24 @@ max b.y s.t. c - A^T y in K with A = -F^T / d, c = F0 and y = d z, so the
 Schur complement is indexed by the decision coordinates; from LMI
 dimension n + m = _STRUCTURED_MIN_DIM on, its LMI term is built from the
 congruence factors build_primal supplies (_LmiGram), for the primal and
-the dual alike, and B = A W^T is never formed.  The solve stops
-at the first iterate that certifies (its margin t, the raw constraints and
-the achieved -lambda_max of the strict LMI all clear the threshold); an
+the dual alike, and B = A W^T is never formed.  solve stops at the first
+iterate that certifies (its margin t, the raw constraints and the
+achieved -lambda_max of the strict LMI all clear the threshold); an
 infeasible primal runs to its optimum.
 
-The dual LMI is the adjoint of the primal's homogeneous rows (F0 = 0).
-build_dual restricts F to them and transposes it, giving A x = b, x in K,
-with A = -F_h^T, b = e_t and rows equilibrated.  Its rows are the primal's decision coordinates (full row
-rank, never empty), its coordinates the multipliers of those rows, read
-as the blocks H, f, g, X (and Z) through lmi.DUAL_SCALE.  It is solved
-once, however the primal ended: one homogeneous self-dual solve over its
-feasible set, whose objective steers toward the branch the proof concludes
-on, returns a point or a Farkas certificate y.  Read in the primal's coordinates, that
-certificate is (P, M, t = 1) with F_h z in K, a strict primal solution;
-infeasibility is only declared once it passes an independent check.
-Either way the verdict rests on verifying the raw constraints, never on
-solver status alone.  reduce_rank then deflates that point toward rank one.
+The dual LMI is the adjoint of the primal's homogeneous rows (F0 = 0):
+build_dual restricts the same dense form to them and transposes it,
+giving A x = b, x in K, with A = -F_h^T, b = e_t and rows equilibrated.
+Its rows are the primal's decision coordinates (full row rank, never
+empty), its coordinates the multipliers of those rows, read as the blocks
+H, f, g, X (and Z) through lmi.DUAL_SCALE.  reduce_rank makes the one pass
+over it: a steer solve over its feasible set, whose objective steers
+toward the branch the proof concludes on, returns a point or a Farkas
+certificate y.  Read in the primal's coordinates, that certificate is
+(P, M, t = 1) with F_h z in K, a strict primal solution; infeasibility is
+only declared once it passes an independent check.  A verified point is
+then deflated toward rank one.  Either way the verdict rests on verifying
+the raw constraints, never on solver status alone.
 
 Every threshold is a module constant: TOL_RANK decides "rank one" here
 and in the detector, TOL_EQ bounds the dual's raw residual, PRIMAL_MARGIN
@@ -32,7 +33,7 @@ violation any returned assignment may carry.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -66,7 +67,7 @@ TOL_EQ = 1.0e-8
 # Margin from which a max-margin primal iterate counts as strictly feasible.
 PRIMAL_MARGIN = 1.0e-7
 # IPM stopping tolerance (feasibility and gap) of the deflation rounds, and
-# of the margin and dual solves, whose points are read off directly.
+# of the margin and steer solves, whose points are read off directly.
 _IPM_TOL = 1.0e-10
 _MARGIN_IPM_TOL = 1.0e-11
 # Absolute bound on cone violations of returned assignments.
@@ -93,14 +94,13 @@ class Residuals:
 
 @dataclass
 class SolveResult:
-    """canonical is the problem's dense form: build_dual reads the primal's,
-    reduce_rank reuses the dual's."""
+    """The verdict of solve on the primal or of reduce_rank on the dual, the
+    assignment it rests on and that assignment's raw residuals."""
 
     status: str  # "feasible" | "infeasible" | "numerical_limit"
     assignment: dict
     residuals: Residuals
     diagnostics: dict = field(default_factory=dict)
-    canonical: Optional[Union["DualForm", "_Inequality"]] = field(default=None, repr=False)
 
 
 def _from_coords(kind: str, coords: np.ndarray, dim: int) -> np.ndarray:
@@ -114,6 +114,12 @@ def _from_coords(kind: str, coords: np.ndarray, dim: int) -> np.ndarray:
     out = np.zeros(np.shape(coords)[:-1] + (dim, dim))
     out[..., rows, cols] = coords
     return out
+
+
+def _reconstruct(var_slices, z: np.ndarray) -> dict:
+    """Assignment from decision coordinates; a variable without
+    coordinates (hollow at dimension 1) is zero."""
+    return {v.name: _from_coords(v.kind, z[sl], v.dim) for v, sl in var_slices}
 
 
 def _scalarize(value, kind: str) -> np.ndarray:
@@ -256,14 +262,14 @@ def _factor(H: np.ndarray, blocks: list, size: int) -> np.ndarray:
     return out
 
 
-def _lmi_gram(problem: SdpFeasibilityProblem, var_slices, nrows: int) -> Optional[_LmiGram]:
+def _lmi_gram(problem: SdpFeasibilityProblem) -> Optional[_LmiGram]:
     """The one place the Schur complement's path is chosen: the structured
     LMI term once the LMI dimension n + m reaches _STRUCTURED_MIN_DIM, else
     None (B = A W^T is formed)."""
     congruence = problem.meta["congruence"]
     if congruence["U"].shape[1] < _STRUCTURED_MIN_DIM:
         return None
-    return _LmiGram(congruence, var_slices, nrows)
+    return _LmiGram(congruence, problem.variables, problem.objective.size)
 
 
 def _cone_spec(psd_dims: list, total: int) -> ConeSpec:
@@ -283,7 +289,6 @@ class _Inequality:
     """
 
     def __init__(self, problem: SdpFeasibilityProblem):
-        self.problem = problem
         self.var_slices, self.blocks = problem.variables, problem.constraints
         self.F0, self.F, self.objective = problem.F0, problem.F, problem.objective
         psd_dims = [con.dim for con, _ in self.blocks if con.cone == "psd"]
@@ -293,13 +298,8 @@ class _Inequality:
         self.d = np.maximum(d, 1.0e-12)
         self.A = -self.F.T / self.d[:, None]
         self.b = self.objective / self.d
-        self.gram = _lmi_gram(problem, self.var_slices, self.objective.size)
-        self.psd_schur = None if self.gram is None else self.gram.for_rows(self.d)
-
-    def reconstruct(self, z: np.ndarray) -> dict:
-        """Assignment from decision coordinates; a variable without
-        coordinates (hollow at dimension 1) is zero."""
-        return {v.name: _from_coords(v.kind, z[sl], v.dim) for v, sl in self.var_slices}
+        gram = _lmi_gram(problem)
+        self.psd_schur = None if gram is None else gram.for_rows(self.d)
 
     def verify(self, z: np.ndarray):
         """Worst cone violation of the constraint rows F0 + F z; there are
@@ -317,17 +317,17 @@ class DualForm:
 
     Coordinates x are the multipliers of the primal's constraints with
     F0 = 0, in the primal's order (PSD first); blocks holds (constraint,
-    slice) for each.  Rows are the primal's decision coordinates:
-    A_raw x = b_raw with A_raw = -F_h^T and b_raw = e_t, the primal
-    objective.  A and b are the rows equilibrated by d, which the
+    slice) for each.  Rows are the primal's decision coordinates
+    (var_slices): A_raw x = b_raw with A_raw = -F_h^T and b_raw = e_t, the
+    primal objective.  A and b are the rows equilibrated by d, which the
     IPM sees; verify measures residuals in the raw units.
     """
 
-    def __init__(self, primal: _Inequality):
-        self.primal = primal
-        self.system: StateSpaceSystem = primal.problem.meta["system"]
+    def __init__(self, primal: SdpFeasibilityProblem):
+        self.system: StateSpaceSystem = primal.meta["system"]
+        self.var_slices = primal.variables
         self.blocks, rows, at = [], [], 0
-        for con, sl in primal.blocks:
+        for con, sl in primal.constraints:
             if np.any(primal.F0[sl]):
                 continue
             if con.dual is None:
@@ -345,7 +345,8 @@ class DualForm:
         self.d = np.maximum(d, 1.0e-12)
         self.A = self.A_raw / self.d[:, None]
         self.b = self.b_raw / self.d
-        self.psd_schur = None if primal.gram is None else primal.gram.for_rows(self.d)
+        gram = _lmi_gram(primal)
+        self.psd_schur = None if gram is None else gram.for_rows(self.d)
 
     def reconstruct(self, x: np.ndarray) -> dict:
         """The dual blocks H, f, g, X (Z) from multiplier coordinates."""
@@ -371,11 +372,9 @@ class DualForm:
         return max_eq <= tol_eq and max_cone <= CONE_TOL, max_eq, max_cone
 
 
-def build_dual(primal: SolveResult) -> DualForm:
-    """The dual LMI of a solved primal, transposed from its dense form."""
-    if not isinstance(primal.canonical, _Inequality):
-        raise StructuralError("build_dual needs the result of a primal solve")
-    return DualForm(primal.canonical)
+def build_dual(problem: SdpFeasibilityProblem) -> DualForm:
+    """The dual LMI of the primal, transposed from its dense form."""
+    return DualForm(problem)
 
 
 def _farkas_quality(dual: DualForm, y: np.ndarray):
@@ -399,7 +398,7 @@ def _primal_true_margin(problem: SdpFeasibilityProblem, assignment: dict) -> flo
     return -float(w[-1])
 
 
-def _solve_inequality(problem, form: _Inequality) -> SolveResult:
+def solve(problem: SdpFeasibilityProblem) -> SolveResult:
     """Maximize the margin t of the primal LMI until an iterate certifies.
 
     An iterate z certifies when t = objective.z, the worst raw cone
@@ -409,8 +408,11 @@ def _solve_inequality(problem, form: _Inequality) -> SolveResult:
     iterate.  The reported margin of a feasible result is therefore the
     achieved -lambda_max(L) of the returned certificate, a lower bound on
     the optimum min(t*, 1), not the optimum itself.  No iterate of an
-    infeasible primal passes the test on t, so it runs to its optimum t* = 0.
+    infeasible primal passes the test on t, so it runs to its optimum t* = 0,
+    and a converged optimum below the threshold is "infeasible".  Anything
+    undecided comes back "numerical_limit".
     """
+    form = _Inequality(problem)
     accepted = []  # (assignment, verify's result, achieved margin) of the iterate accepted
 
     def certifies(y: np.ndarray) -> bool:
@@ -420,7 +422,7 @@ def _solve_inequality(problem, form: _Inequality) -> SolveResult:
         checked = form.verify(z)
         if not checked[0]:
             return False
-        assignment = form.reconstruct(z)
+        assignment = _reconstruct(form.var_slices, z)
         true_margin = _primal_true_margin(problem, assignment)
         if true_margin < PRIMAL_MARGIN:
             return False
@@ -437,7 +439,7 @@ def _solve_inequality(problem, form: _Inequality) -> SolveResult:
         # res.y is the iterate certifies passed, bit for bit
         assignment, (ok, max_eq, max_cone), true_margin = accepted[-1]
     else:
-        assignment = form.reconstruct(z)
+        assignment = _reconstruct(form.var_slices, z)
         ok, max_eq, max_cone = form.verify(z)
         true_margin = _primal_true_margin(problem, assignment)
 
@@ -478,60 +480,14 @@ def _steer_matrix(sys: StateSpaceSystem) -> np.ndarray:
     return S / norm if norm > 0 else S
 
 
-def _solve_dual(dual: DualForm) -> SolveResult:
-    """One solve over the dual's feasible set, maximizing the steer
-    functional on H (zero objective if it vanishes): a verified point,
-    else a certificate.
-
-    The point is solved at the high-accuracy tolerance: breakpoint data for
-    the destabilizing map is read straight off it, and leftover solver
-    noise shows up as spurious slope defects.  A certificate that passes
-    _farkas_quality is returned in the diagnostics, read in the primal's
-    coordinates: (P, M, t = 1).
-    """
+def _solve_point(dual: DualForm, W: np.ndarray, tol: float):
+    """One solve over the dual's feasible set minimizing trace(W H): the
+    solver's result, the blocks of its point and their verification."""
     c = np.zeros(dual.ncone)
-    c[dual.h_slice] = svec(-_steer_matrix(dual.system))
-    res = solve_conic(dual.A, dual.b, c, dual.cone, _MARGIN_IPM_TOL, psd_schur=dual.psd_schur)
-    diagnostics = {"ipm_status": res.status, "ipm_iterations": res.iterations}
+    c[dual.h_slice] = svec(W)
+    res = solve_conic(dual.A, dual.b, c, dual.cone, tol, psd_schur=dual.psd_schur)
     assignment = dual.reconstruct(res.x)
-    ok, max_eq, max_cone = dual.verify(assignment)
-    status = "feasible"
-    if not ok:
-        # no verified point: the Farkas certificate is checked independently
-        q = _farkas_quality(dual, res.y)
-        diagnostics["farkas_quality"] = q
-        status = "numerical_limit"
-        if q is not None and q <= _FARKAS_TOL:
-            status = "infeasible"
-            diagnostics["certificate"] = dual.primal.reconstruct(
-                res.y / float(dual.b @ res.y) / dual.d
-            )
-    return SolveResult(
-        status=status,
-        assignment=assignment,
-        residuals=Residuals(max_eq, max_cone),
-        diagnostics=diagnostics,
-    )
-
-
-def solve(problem: Union[SdpFeasibilityProblem, DualForm]) -> SolveResult:
-    """Decide the problem and return a verified assignment or certificate.
-
-    The primal is the max-margin problem: the verdict is "feasible" when
-    the returned assignment itself achieves the margin threshold,
-    "infeasible" when a converged optimum stays below it.  The dual is
-    one steer solve over its feasible set; "infeasible" requires a
-    Farkas certificate that passes _farkas_quality.  Anything undecided
-    comes back "numerical_limit".
-    """
-    if isinstance(problem, DualForm):
-        result = _solve_dual(problem)
-        result.canonical = problem
-    else:
-        form = _Inequality(problem)
-        result = _solve_inequality(problem, form)
-        result.canonical = form
-    return result
+    return res, assignment, dual.verify(assignment)
 
 
 def _rank_ratio(H: np.ndarray):
@@ -539,29 +495,46 @@ def _rank_ratio(H: np.ndarray):
     eigenvectors in ascending order of eigenvalue, from one eigh."""
     w, V = np.linalg.eigh(0.5 * (H + H.T))
     lead = max(float(w[-1]), 1.0e-300)
-    ratio = float(w[-2]) / lead if w.size > 1 else 0.0
-    return max(ratio, 0.0), V
+    return max(float(w[-2]) / lead, 0.0), V
 
 
-def reduce_rank(dual: DualForm, warm: SolveResult) -> SolveResult:
-    """Drive H, the PSD block of a feasible dual point, toward rank one.
+def reduce_rank(dual: DualForm) -> SolveResult:
+    """Solve the dual and drive H, the PSD block of its point, toward rank one.
 
-    warm is the point of the steer solve.  While the current point is
-    not rank one, re-solves minimizing the weight on its non-dominant
-    eigenspace, less a small steer term, and keeps a round's point only
-    if it lowers the rank ratio.  The rounds stop at rank one, once a round
-    turns H's dominant eigenvector by sin < sqrt(TOL_RANK) (a round not
-    kept turns it by 0), or after _MAX_RANK_ROUNDS; rank_stop says which.
-    Every point is verified against the raw constraints and kept as the
-    solver returned it.  rank_trail starts at the ratio of the warm point;
-    a warm point already rank one comes back unchanged, with zero rounds run.
+    The steer solve maximizes the steer functional on H over the dual's
+    feasible set, at the high-accuracy tolerance: breakpoint data for the
+    destabilizing map is read straight off the point, and leftover solver
+    noise shows up as spurious slope defects.  A steer point that fails
+    verification ends the pass: its Farkas certificate is checked
+    independently (_farkas_quality), and one that passes makes the result
+    "infeasible", with the certificate in the diagnostics read in the
+    primal's coordinates (P, M, t = 1); otherwise "numerical_limit".
+
+    From a verified steer point, while the current point is not rank one,
+    re-solves minimizing the weight on its non-dominant eigenspace, less a
+    small steer term, and keeps a round's point only if it lowers the rank
+    ratio.  The rounds stop at rank one, once a round turns H's dominant
+    eigenvector by sin < sqrt(TOL_RANK) (a round not kept turns it by 0), or
+    after _MAX_RANK_ROUNDS; rank_stop says which.  Every point is verified
+    against the raw constraints and kept as the solver returned it.
+    rank_trail starts at the ratio of the steer point; a steer point already
+    rank one comes back with zero rounds run.
     """
-    if warm.status != "feasible":
-        raise StructuralError("rank reduction needs a feasible warm start")
-    steer_term = _STEER_WEIGHT * _steer_matrix(dual.system)
+    steer = _steer_matrix(dual.system)
+    res, best_assign, (ok, best_eq, best_cone) = _solve_point(dual, -steer, _MARGIN_IPM_TOL)
+    diagnostics = {"ipm_status": res.status, "ipm_iterations": res.iterations}
+    if not ok:
+        q = _farkas_quality(dual, res.y)
+        diagnostics["farkas_quality"] = q
+        status = "numerical_limit"
+        if q is not None and q <= _FARKAS_TOL:
+            status = "infeasible"
+            diagnostics["certificate"] = _reconstruct(
+                dual.var_slices, res.y / float(dual.b @ res.y) / dual.d
+            )
+        return SolveResult(status, best_assign, Residuals(best_eq, best_cone), diagnostics)
 
-    best_assign = warm.assignment
-    best_eq, best_cone = warm.residuals.max_equality, warm.residuals.max_cone_violation
+    steer_term = _STEER_WEIGHT * steer
     best_ratio, best_V = _rank_ratio(best_assign["H"])
     trail = [best_ratio]
 
@@ -569,13 +542,9 @@ def reduce_rank(dual: DualForm, warm: SolveResult) -> SolveResult:
     while best_ratio > TOL_RANK and turn >= settled and rounds < _MAX_RANK_ROUNDS:
         V2 = best_V[:, :-1]  # all but the dominant eigenvector
         W = V2 @ V2.T - steer_term
-        c = np.zeros(dual.ncone)
-        c[dual.h_slice] = svec(0.5 * (W + W.T))
-        res = solve_conic(dual.A, dual.b, c, dual.cone, _IPM_TOL, psd_schur=dual.psd_schur)
+        _, assignment, (ok, max_eq, max_cone) = _solve_point(dual, 0.5 * (W + W.T), _IPM_TOL)
         rounds += 1
 
-        assignment = dual.reconstruct(res.x)
-        ok, max_eq, max_cone = dual.verify(assignment)
         ratio, V = _rank_ratio(assignment["H"]) if ok else (best_ratio, None)
         improved = ratio < best_ratio
         # sin of the dominant eigenvector's turn; 0 for a round not kept
@@ -585,7 +554,6 @@ def reduce_rank(dual: DualForm, warm: SolveResult) -> SolveResult:
             best_ratio, best_V = ratio, V
         trail.append(best_ratio)
 
-    diagnostics = dict(warm.diagnostics)
     diagnostics.update(
         {
             "rank_trail": trail,
@@ -595,10 +563,4 @@ def reduce_rank(dual: DualForm, warm: SolveResult) -> SolveResult:
             else "settled" if turn < settled else "max_rounds",
         }
     )
-    return SolveResult(
-        status="feasible",
-        assignment=best_assign,
-        residuals=Residuals(best_eq, best_cone),
-        diagnostics=diagnostics,
-        canonical=dual,
-    )
+    return SolveResult("feasible", best_assign, Residuals(best_eq, best_cone), diagnostics)

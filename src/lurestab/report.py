@@ -2,14 +2,14 @@
 
 analyze() brings the loop to the slope band [0, 1] (system.normalize_band)
 and runs the primal there first; a strict-margin win means absolute
-stability.  Otherwise the dual is solved once, steering toward the branch
-the proof concludes on, rank-reduced, and pushed through certificate
-extraction and nonlinearity construction.  The certificate or the witness
-is then mapped back to the original band, where the slope audit and a
-one-step algebraic equilibrium check run.  Every verdict carries
-the residuals and tolerances that produced it, and reports serialize to
-byte-stable canonical JSON (sorted keys, fixed 17-significant-digit
-floats, no timestamps).
+stability.  Otherwise one pass over the dual (engine.reduce_rank) solves
+it, steering toward the branch the proof concludes on, and rank-reduces
+its point, which certificate extraction and nonlinearity construction then
+read.  The certificate or the witness is then mapped back to the original
+band, where the slope audit and a one-step algebraic equilibrium check
+run.  Every verdict carries the residuals and tolerances that produced it,
+and reports serialize to byte-stable canonical JSON (sorted keys, fixed
+17-significant-digit floats, no timestamps).
 """
 
 import json
@@ -202,7 +202,8 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         pipe["inconclusive_detail"] = str(exc)
         return report("inconclusive")
 
-    primal_res = solve(build_primal(unit))
+    primal = build_primal(unit)
+    primal_res = solve(primal)
     pipe["primal_status"] = primal_res.status
     pipe["primal_ipm_status"] = primal_res.diagnostics["ipm_status"]
     pipe["primal_ipm_iterations"] = primal_res.diagnostics["ipm_iterations"]
@@ -220,29 +221,22 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         primal_dict["M"] = M / (sys.band.nu - sys.band.mu) ** 2
         return report("absolutely_stable")
 
-    dual_problem = build_dual(primal_res)
-    dual_res = solve(dual_problem)
-    pipe["dual_status"] = dual_res.status
-    if dual_res.status != "feasible":
+    reduced = reduce_rank(build_dual(primal))
+    pipe["dual_status"] = reduced.status
+    dual_dict = {
+        "status": reduced.status,
+        "max_equality_residual": reduced.residuals.max_equality,
+        "max_cone_violation": reduced.residuals.max_cone_violation,
+    }
+    if reduced.status != "feasible":
         pipe["inconclusive_reason"] = "dual_not_feasible"
-        dual_dict = {
-            "status": dual_res.status,
-            "max_equality_residual": dual_res.residuals.max_equality,
-            "max_cone_violation": dual_res.residuals.max_cone_violation,
-        }
         return report("inconclusive")
 
-    reduced = reduce_rank(dual_problem, dual_res)
     pipe["rank_trail"] = list(reduced.diagnostics["rank_trail"])
     pipe["rank_rounds"] = reduced.diagnostics["rounds"]
     pipe["rank_stop"] = reduced.diagnostics["rank_stop"]
-
-    dual_dict = {
-        "status": "feasible",
-        "max_equality_residual": reduced.residuals.max_equality,
-        "max_cone_violation": reduced.residuals.max_cone_violation,
-        "H": reduced.assignment["H"],
-    }
+    blocks = reduced.assignment
+    dual_dict["H"] = blocks["H"]
 
     outcome = extract_certificate(unit, reduced, sys.nl_class)
     if isinstance(outcome, Inconclusive):
@@ -252,19 +246,19 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     cert = outcome
     pipe["snapped_segments"] = cert.snapped
     # h1 and z* are shared by both loops; only the input changes
-    w_star = _band_input(sys.band, cert.z_star, cert.w_star)
+    w_star = _band_input(sys.band, cert.z_star, cert.h2)
     v = sys.A @ cert.h1 + sys.B @ w_star
     dual_dict.update(
         {
-            "rank": cert.rank,
+            "rank": 1,
             "h1": cert.h1,
             "h2": w_star,
             "z_star": cert.z_star,
             "w_star": w_star,
-            "f": cert.f,
-            "g": cert.g,
-            "X": cert.X,
-            "Z": cert.Z,
+            "f": blocks["f"],
+            "g": blocks["g"],
+            "X": blocks["X"],
+            "Z": blocks.get("Z"),
             "sign_min": float(np.min(v * cert.h1)),
         }
     )

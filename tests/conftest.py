@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze
-from lurestab.engine import build_dual, reduce_rank, solve
+from lurestab.engine import build_dual, reduce_rank
 from lurestab.lmi import build_primal
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -49,14 +49,12 @@ def decoupled_example():
 @pytest.fixture(scope="session")
 def slope_dual_reduced(slope_example):
     """Rank-reduced feasible dual for the slope example."""
-    dual = build_dual(solve(build_primal(slope_example)))
-    return reduce_rank(dual, solve(dual))
+    return reduce_rank(build_dual(build_primal(slope_example)))
 
 
 @pytest.fixture(scope="session")
 def odd_dual_reduced(odd_example):
-    dual = build_dual(solve(build_primal(odd_example)))
-    return reduce_rank(dual, solve(dual))
+    return reduce_rank(build_dual(build_primal(odd_example)))
 
 
 @pytest.fixture(scope="session")

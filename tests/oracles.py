@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from lurestab.conic import ConeSpec, smat
-from lurestab.engine import build_dual, solve
+from lurestab.engine import build_dual, reduce_rank, solve
 from lurestab.lmi import BOX_BOUND, build_primal
 from lurestab.multipliers import build_multiplier
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
@@ -176,8 +176,9 @@ def audit_duality(sys: StateSpaceSystem, seed: int = 0) -> DualityAuditReport:
     primal margin clears its threshold AND the dual is decisively feasible.
     Borderline numerical_limit outcomes count as non-decisive.
     """
-    primal = solve(build_primal(sys))
-    dual = solve(build_dual(primal))
+    problem = build_primal(sys)
+    primal = solve(problem)
+    dual = reduce_rank(build_dual(problem))
     margin = primal.residuals.margin if primal.residuals.margin is not None else -np.inf
     primal_decisive = primal.status == "feasible" and margin >= 1e-7
     dual_decisive = dual.status == "feasible"

@@ -1,13 +1,16 @@
 """The benchmark's span tracer patches the package by name; every name it
-patches must exist, or `bench/run.py --trace 1` fails with an AttributeError."""
+patches must exist, or `bench/run.py --trace 1` fails with an AttributeError,
+and every layer it traces must be called, or a per-layer metric reads 0."""
 
 import importlib
 import importlib.util
 import pathlib
 
 import lurestab
+import lurestab.cli
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _load_spans():
@@ -25,3 +28,21 @@ def test_span_targets_resolve_on_the_package():
         assert callable(getattr(owner, attr, None)), f"lurestab.{mod}.{attr}"
     assert callable(lurestab.lmi.build_multiplier)
     assert callable(lurestab.report.AnalysisReport.to_json)
+
+
+def test_every_span_target_is_called_on_the_dual_path(capsys):
+    # the slope example runs the whole dual pass through the CLI; only the
+    # simulation is no longer part of analyze
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with tracer.patched(lurestab):
+        code = lurestab.cli.main(["analyze", str(ROOT / "tests" / "data" / "sys_slope.json")])
+    assert code == 10
+    assert capsys.readouterr().out
+    seen = {layer for *_, layer, _, _, _ in tracer.spans}
+    expected = {layer for _, _, layer in spans.TARGETS} - {"simulate.simulate"}
+    assert expected <= seen, expected - seen
+    # the steer solve runs inside reduce_rank, which counts rounds only
+    metrics = tracer.layer_metrics()
+    assert metrics["engine.reduce_rank.calls"] == 1
+    assert metrics["conic.solve_conic.calls"] == 2 + metrics["engine.reduce_rank.rounds"]

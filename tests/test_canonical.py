@@ -49,12 +49,11 @@ def _assert_rows_from_definitions(sysm, seed=0):
     """F0 + F z at random z equals each constraint at the assignment the
     engine reads off z."""
     problem = build_primal(sysm)
-    form = engine._Inequality(problem)
     rng = np.random.default_rng(seed)
     for _ in range(3):
         z = rng.normal(size=problem.objective.size)
         rows = problem.F0 + problem.F @ z
-        expect = primal_constraints(sysm, form.reconstruct(z))
+        expect = primal_constraints(sysm, engine._reconstruct(problem.variables, z))
         assert [con.name for con, _ in problem.constraints] == list(expect)
         for con, sl in problem.constraints:
             got, want = engine._from_coords(con.kind, rows[sl], con.dim), expect[con.name]

@@ -10,6 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import lurestab.report
 from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, engine, simulate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -34,25 +35,43 @@ def corpus():
     return _load_bench("workloads").corpus()
 
 
+@pytest.fixture(scope="module")
+def corpus_runs(corpus):
+    """(case, report, solve_conic calls, [(calls, result) of each
+    reduce_rank]) for every corpus input, in one pass."""
+    calls, passes, runs = [], [], []
+    real_solve, real_reduce = engine.solve_conic, lurestab.report.reduce_rank
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real_solve(*args, **kwargs)
+
+    def reducing(dual):
+        before = len(calls)
+        red = real_reduce(dual)
+        passes.append((len(calls) - before, red))
+        return red
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "solve_conic", counting)
+        m.setattr(lurestab.report, "reduce_rank", reducing)
+        for case in corpus:
+            calls.clear()
+            passes.clear()
+            report = json.loads(analyze(_system(case)).to_json())
+            runs.append((case, report, len(calls), list(passes)))
+    return runs
+
+
 def test_the_table_names_every_corpus_input(corpus):
     assert [case.name for case in corpus] == list(json.loads(TABLE.read_text()))
 
 
-def test_every_corpus_input_keeps_its_verdict_and_reason(corpus, monkeypatch):
+def test_every_corpus_input_keeps_its_verdict_and_reason(corpus_runs):
     table = json.loads(TABLE.read_text())
     checker = _load_bench("checker")
-    calls = []
-    real = engine.solve_conic
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "solve_conic", counting)
     moved, over_budget, rejected = {}, {}, {}
-    for case in corpus:
-        calls.clear()
-        report = json.loads(analyze(_system(case)).to_json())
+    for case, report, calls, _ in corpus_runs:
         pipe = report["diagnostics"]["pipeline"]
         got = [report["verdict"], pipe.get("inconclusive_reason")]
         if got != table[case.name]:
@@ -64,11 +83,30 @@ def test_every_corpus_input_keeps_its_verdict_and_reason(corpus, monkeypatch):
         # the primal alone decides a stable report; any other report adds
         # one dual solve and its deflation rounds
         budget = 1 if report["verdict"] == "absolutely_stable" else 2 + pipe.get("rank_rounds", 0)
-        if len(calls) != budget:
-            over_budget[case.name] = (budget, len(calls))
+        if calls != budget:
+            over_budget[case.name] = (budget, calls)
     assert not moved
     assert not over_budget
     assert not rejected
+
+
+def test_each_dual_pass_is_one_steer_solve_and_its_rounds(corpus_runs):
+    # the steer solve runs inside reduce_rank, whose result counts the
+    # deflation rounds only (the benchmark's engine.reduce_rank.rounds);
+    # and its stop rule reads rank one exactly when the detector's rank
+    # gate passes
+    stops = set()
+    for case, report, _, passes in corpus_runs:
+        pipe = report["diagnostics"]["pipeline"]
+        assert len(passes) == ("dual_status" in pipe), case.name
+        for calls, red in passes:
+            assert calls == 1 + red.diagnostics.get("rounds", 0), case.name
+            if red.status == "feasible":
+                stop = red.diagnostics["rank_stop"]
+                stops.add(stop)
+                gate = pipe.get("inconclusive_reason") != "rank"
+                assert (stop == "rank_one") == gate, (case.name, stop)
+    assert "rank_one" in stops and len(stops) > 1
 
 
 def test_every_inconclusive_reason_seen_is_documented(slope_report, odd_report, decoupled_example):

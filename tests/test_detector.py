@@ -25,13 +25,10 @@ def test_extract_slope_certificate(slope_example, slope_dual_reduced):
         slope_example, slope_dual_reduced, NonlinearityClass.SLOPE
     )
     assert isinstance(cert, DualCertificate)
-    assert cert.rank == 1
-    assert cert.Z is None
 
     # the factor reproduces H and the pieces are consistent
     h = cert.h
-    assert np.linalg.norm(np.outer(h, h) - cert.H) <= 1.0e-6
-    assert np.array_equal(cert.w_star, cert.h2)
+    assert np.linalg.norm(np.outer(h, h) - slope_dual_reduced.assignment["H"]) <= 1.0e-6
     z = slope_example.C @ cert.h1 + slope_example.D @ cert.h2
     assert np.array_equal(cert.z_star, z)
 
@@ -45,12 +42,15 @@ def test_extract_slope_certificate(slope_example, slope_dual_reduced):
 
 
 def test_extract_odd_certificate_carries_z(odd_example, odd_dual_reduced):
+    # the odd class's dual carries Z, and the certificate is read off its H
+    Z = odd_dual_reduced.assignment["Z"]
+    assert Z.shape == (odd_example.m, odd_example.m)
     cert = extract_certificate(
         odd_example, odd_dual_reduced, NonlinearityClass.SLOPE_ODD
     )
     assert isinstance(cert, DualCertificate)
-    assert cert.Z is not None
-    assert cert.Z.shape == (odd_example.m, odd_example.m)
+    h = cert.h
+    assert np.linalg.norm(np.outer(h, h) - odd_dual_reduced.assignment["H"]) <= 1.0e-6
 
 
 def test_extract_rejects_high_rank(slope_example, slope_dual_reduced):
@@ -119,21 +119,9 @@ def test_extract_is_sign_invariant(slope_example, slope_dual_reduced):
     assert np.allclose(cert2.h2, cert.h2, atol=1.0e-9)
 
 
-def _toy_cert(z, w, odd_partner=False):
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    m = z.size
+def _toy_cert(z, w):
     return DualCertificate(
-        H=np.eye(2 + m),
-        f=np.zeros(m),
-        g=np.zeros(m),
-        X=np.zeros((m, m)),
-        Z=np.zeros((m, m)) if odd_partner else None,
-        rank=1,
-        h1=np.ones(2),
-        h2=w,
-        z_star=z,
-        w_star=w,
+        h1=np.ones(2), h2=np.asarray(w, dtype=float), z_star=np.asarray(z, dtype=float)
     )
 
 
@@ -142,7 +130,7 @@ def test_build_pwl_interpolates_certificate_pairs():
     phi = build_pwl(cert, odd=False)
     # origin inserted, pairs preserved exactly
     assert np.any(np.all(phi.breakpoints == [0.0, 0.0], axis=1))
-    for zi, wi in zip(cert.z_star, cert.w_star):
+    for zi, wi in zip(cert.z_star, cert.h2):
         assert eval_pwl(phi, zi) == wi
 
 
@@ -159,7 +147,7 @@ def test_build_pwl_flags_inconsistent_duplicates():
 
 
 def test_build_pwl_odd_mirror_is_exact():
-    cert = _toy_cert([-1.5, 0.4, 2.0], [-0.7, 0.1, 0.9], odd_partner=True)
+    cert = _toy_cert([-1.5, 0.4, 2.0], [-0.7, 0.1, 0.9])
     phi = build_pwl(cert, odd=True)
     assert phi.odd
     z = phi.z_nodes
@@ -167,13 +155,13 @@ def test_build_pwl_odd_mirror_is_exact():
     # mirrored node set and exact antisymmetry, bit for bit
     assert np.array_equal(z, -z[::-1])
     assert np.array_equal(w, -w[::-1])
-    for zi, wi in zip(cert.z_star, cert.w_star):
+    for zi, wi in zip(cert.z_star, cert.h2):
         assert eval_pwl(phi, zi) == wi
 
 
 def test_build_pwl_odd_folds_conflicts():
     # (1, 0.3) and (-1, 0.3) fold to (1, 0.3) vs (1, -0.3): inconsistent
-    cert = _toy_cert([1.0, -1.0], [0.3, 0.3], odd_partner=True)
+    cert = _toy_cert([1.0, -1.0], [0.3, 0.3])
     with pytest.raises(CertificateInconsistentError):
         build_pwl(cert, odd=True)
 
@@ -223,11 +211,10 @@ def _flat_segment_case(slope):
 def _assert_snapped_equilibrium(sysm, cert, snapped, odd=False):
     """The repaired witness is an exact equilibrium with recomputed z*,
     and its map passes the audit; returns the audit."""
-    h1, w = snapped.h1, snapped.w_star
+    h1, w = snapped.h1, snapped.h2
     assert snapped is not cert
     assert np.max(np.abs(sysm.A @ h1 + sysm.B @ w - h1)) <= 1.0e-14
     assert np.array_equal(snapped.z_star, sysm.C @ h1 + sysm.D @ w)
-    assert np.array_equal(snapped.h2, w)
     assert h1[np.argmax(np.abs(h1))] > 0
     rep = verify_slope(build_pwl(snapped, odd=odd), sysm.band)
     assert rep.ok, rep
@@ -257,7 +244,7 @@ def test_snap_repairs_a_folded_odd_point():
     # folded onto z >= 0 its node and channel 2's make a segment below mu
     sysm, flat = _flat_segment_case(-3.0e-9)
     sysm = replace(sysm, nl_class=NonlinearityClass.SLOPE_ODD)
-    cert = _equilibrium_cert(sysm, flat.w_star * [-1.0, 1.0])
+    cert = _equilibrium_cert(sysm, flat.h2 * [-1.0, 1.0])
     assert snap_to_band(sysm, cert, odd=False) is cert
     assert verify_slope(build_pwl(cert, odd=True), sysm.band).min_slope < sysm.band.mu
     snapped = snap_to_band(sysm, cert, odd=True)
@@ -331,7 +318,7 @@ def _on_edge_witnesses(draw):
 def test_snap_returns_a_passing_equilibrium_near_the_band_edges(case):
     sysm, cert, odd = case
     snapped = snap_to_band(sysm, cert, odd)
-    h1, w = snapped.h1, snapped.w_star
+    h1, w = snapped.h1, snapped.h2
     assert np.max(np.abs(sysm.A @ h1 + sysm.B @ w - h1)) <= 1.0e-14 * np.max(np.abs(h1))
     assert verify_slope(build_pwl(snapped, odd), sysm.band).ok
 

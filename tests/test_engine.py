@@ -10,8 +10,7 @@ import pytest
 
 from cones import ConeTag, is_member
 from lurestab import conic, engine, report
-from lurestab.engine import SolveResult, build_dual, reduce_rank, solve
-from lurestab.errors import StructuralError
+from lurestab.engine import build_dual, reduce_rank, solve
 from lurestab.lmi import BOX_BOUND, build_primal, multiplier_matrix, primal_lmi_matrix
 from lurestab.report import analyze
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
@@ -21,8 +20,21 @@ WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.p
 
 
 def _dual(sysm):
-    """The dual LMI of a plant, transposed from its solved primal."""
-    return build_dual(solve(build_primal(sysm)))
+    """The dual LMI of a plant, transposed from its primal."""
+    return build_dual(build_primal(sysm))
+
+
+def _recording(monkeypatch):
+    """Every result engine.solve_conic returns, in order."""
+    results = []
+    real = engine.solve_conic
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(engine, "solve_conic", recording)
+    return results
 
 
 def _corpus_system(index):
@@ -65,7 +77,7 @@ def test_decoupled_primal_feasible_with_margin(decoupled_example):
 def test_dual_feasible_on_slope_example(slope_example, kind_tag):
     odd = kind_tag == "dual_dd"
     cls = NonlinearityClass.SLOPE_ODD if odd else NonlinearityClass.SLOPE
-    res = solve(_dual(dataclasses.replace(slope_example, nl_class=cls)))
+    res = reduce_rank(_dual(dataclasses.replace(slope_example, nl_class=cls)))
     assert ("Z" in res.assignment) == odd
     assert res.status == "feasible"
     H = res.assignment["H"]
@@ -75,21 +87,22 @@ def test_dual_feasible_on_slope_example(slope_example, kind_tag):
 
 
 def test_dual_feasible_on_odd_example(odd_example):
-    res = solve(_dual(odd_example))
+    res = reduce_rank(_dual(odd_example))
     assert res.status == "feasible"
     assert abs(np.trace(res.assignment["H"]) - 1.0) <= 1.0e-7
 
 
-def test_reduce_rank_reaches_rank_one():
+def test_reduce_rank_reaches_rank_one(monkeypatch):
     # the steered dual point of corpus input 74 has rank ratio 0.40; a
     # deflation round takes it to rank one
     problem = _dual(_corpus_system(74))
-    warm = solve(problem)
-    red = reduce_rank(problem, warm)
+    results = _recording(monkeypatch)
+    red = reduce_rank(problem)
     assert red.status == "feasible"
     trail = red.diagnostics["rank_trail"]
-    # the trail starts at the steered point
-    assert trail[0] == engine._rank_ratio(warm.assignment["H"])[0] > 1.0e-6
+    # the trail starts at the steered point, the pass's first solve
+    steer_H = problem.reconstruct(results[0].x)["H"]
+    assert trail[0] == engine._rank_ratio(steer_H)[0] > 1.0e-6
     assert red.diagnostics["rounds"] >= 1
     assert trail[-1] == red.diagnostics["rank_ratio"] <= 1.0e-6
     w = np.linalg.eigvalsh(red.assignment["H"])[::-1]
@@ -98,10 +111,10 @@ def test_reduce_rank_reaches_rank_one():
 
 def test_reduce_rank_decomposes_each_point_once(monkeypatch):
     # one eigh per kept point gives its rank ratio and the next round's
-    # deflation directions; dual.verify adds one eigvalsh per round's point
-    # (the IPM's step lengths decompose stacks, which are not counted)
+    # deflation directions; dual.verify adds one eigvalsh per solved point,
+    # the steer point's included (the IPM's step lengths decompose stacks,
+    # which are not counted)
     problem = _dual(_corpus_system(74))
-    warm = solve(problem)
     calls = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -112,11 +125,11 @@ def test_reduce_rank_decomposes_each_point_once(monkeypatch):
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    red = reduce_rank(problem, warm)
+    red = reduce_rank(problem)
     rounds = red.diagnostics["rounds"]
     assert rounds >= 1
     assert calls.count("eigh") == 1 + rounds
-    assert calls.count("eigvalsh") == rounds
+    assert calls.count("eigvalsh") == 1 + rounds
 
 
 @pytest.fixture(scope="module")
@@ -125,44 +138,36 @@ def segment_74():
     point (1 - s) x1 + s x0 between its steered point x0 (rank ratio 0.40)
     and the rank-one point x1 of its one deflation round."""
     problem = _dual(_corpus_system(74))
-    xs, real = [], engine.solve_conic
-
-    def recording(*args, **kwargs):
-        res = real(*args, **kwargs)
-        xs.append(res.x)
-        return res
-
-    engine.solve_conic = recording
-    try:
-        reduce_rank(problem, solve(problem))
-    finally:
-        engine.solve_conic = real
-    x0, x1 = xs
+    with pytest.MonkeyPatch.context() as m:
+        results = _recording(m)
+        reduce_rank(problem)
+    x0, x1 = (res.x for res in results)
 
     def point(s):
         x = (1.0 - s) * x1 + s * x0
-        assignment = problem.reconstruct(x)
-        ok, max_eq, max_cone = problem.verify(assignment)
-        assert ok
-        return x, SolveResult("feasible", assignment, engine.Residuals(max_eq, max_cone))
+        assert problem.verify(problem.reconstruct(x))[0]
+        return x
 
     return problem, point
 
 
-def _rounds_returning(monkeypatch, xs):
-    """Make each deflation round's solve return the next of xs."""
-    rounds = iter(xs)
-    monkeypatch.setattr(engine, "solve_conic", lambda *args, **kwargs: SimpleNamespace(x=next(rounds)))
+def _solves_returning(monkeypatch, xs):
+    """Make the steer solve and each deflation round's solve return the
+    next of xs."""
+    points = iter(xs)
+    monkeypatch.setattr(
+        engine, "solve_conic",
+        lambda *args, **kwargs: SimpleNamespace(x=next(points), status="optimal", iterations=0),
+    )
 
 
 def test_reduce_rank_stops_once_the_dominant_eigenvector_settles(segment_74, monkeypatch):
     # the round lowers the rank ratio (0.171006 -> 0.171002) while its
     # dominant eigenvector turns by about 1e-6 < sqrt(TOL_RANK)
     problem, point = segment_74
-    _, warm = point(0.5)
-    x, _ = point(0.5 - 1.0e-5)
-    _rounds_returning(monkeypatch, [x, x])
-    red = reduce_rank(problem, warm)
+    x = point(0.5 - 1.0e-5)
+    _solves_returning(monkeypatch, [point(0.5), x, x])
+    red = reduce_rank(problem)
     assert red.diagnostics["rounds"] == 1
     assert red.diagnostics["rank_stop"] == "settled"
     trail = red.diagnostics["rank_trail"]
@@ -174,13 +179,12 @@ def test_reduce_rank_counts_rank_one_before_the_turn(segment_74, monkeypatch):
     # from rank ratio 2.9e-5 the round reaches rank one while its dominant
     # eigenvector turns by less than sqrt(TOL_RANK): decided, not settled
     problem, point = segment_74
-    _, warm = point(1.0e-4)
-    x, _ = point(0.0)
-    _, V_warm = engine._rank_ratio(warm.assignment["H"])
+    x_steer, x = point(1.0e-4), point(0.0)
+    _, V_steer = engine._rank_ratio(problem.reconstruct(x_steer)["H"])
     _, V = engine._rank_ratio(problem.reconstruct(x)["H"])
-    assert np.linalg.norm(V_warm[:, :-1].T @ V[:, -1]) < np.sqrt(engine.TOL_RANK)
-    _rounds_returning(monkeypatch, [x])
-    red = reduce_rank(problem, warm)
+    assert np.linalg.norm(V_steer[:, :-1].T @ V[:, -1]) < np.sqrt(engine.TOL_RANK)
+    _solves_returning(monkeypatch, [x_steer, x])
+    red = reduce_rank(problem)
     assert red.diagnostics["rounds"] == 1
     assert red.diagnostics["rank_stop"] == "rank_one"
     assert red.diagnostics["rank_ratio"] <= engine.TOL_RANK
@@ -190,10 +194,9 @@ def test_reduce_rank_stops_at_the_round_limit_while_it_turns(segment_74, monkeyp
     # every round lowers the ratio and turns the eigenvector past the
     # threshold without reaching rank one
     problem, point = segment_74
-    _, warm = point(1.0)
-    xs = [point(1.0 - 0.09 * k)[0] for k in range(1, engine._MAX_RANK_ROUNDS + 2)]
-    _rounds_returning(monkeypatch, xs)
-    red = reduce_rank(problem, warm)
+    xs = [point(1.0 - 0.09 * k) for k in range(engine._MAX_RANK_ROUNDS + 2)]
+    _solves_returning(monkeypatch, xs)
+    red = reduce_rank(problem)
     assert red.diagnostics["rounds"] == engine._MAX_RANK_ROUNDS
     assert red.diagnostics["rank_stop"] == "max_rounds"
 
@@ -202,20 +205,20 @@ def test_reduce_rank_stops_after_a_round_it_does_not_keep(segment_74, monkeypatc
     # a round that does not lower the ratio leaves the direction where it
     # was, and the next round would repeat the same solve
     problem, point = segment_74
-    x_warm, warm = point(0.5)
-    _rounds_returning(monkeypatch, [point(0.6)[0], x_warm])
-    red = reduce_rank(problem, warm)
+    x_steer = point(0.5)
+    _solves_returning(monkeypatch, [x_steer, point(0.6), x_steer])
+    red = reduce_rank(problem)
     assert red.diagnostics["rounds"] == 1
     assert red.diagnostics["rank_stop"] == "settled"
-    assert red.assignment is warm.assignment
+    assert np.array_equal(red.assignment["H"], problem.reconstruct(x_steer)["H"])
 
 
 def test_primal_verify_reads_the_constraint_rows(slope_example, odd_example, decoupled_example):
     # the worst cone violation of F0 + F z at the returned point equals the
     # one of the constraints written from their definitions
     for sysm in (slope_example, odd_example, decoupled_example):
-        res = solve(build_primal(sysm))
-        form = res.canonical
+        problem = build_primal(sysm)
+        res, form = solve(problem), engine._Inequality(problem)
         z = np.concatenate([
             engine._scalarize(res.assignment[v.name], v.kind) for v, _ in form.var_slices
         ])
@@ -229,14 +232,6 @@ def test_primal_verify_reads_the_constraint_rows(slope_example, odd_example, dec
                 violation = max(violation, -np.min(value, initial=np.inf))
         _, _, max_cone = form.verify(z)
         assert abs(max_cone - max(violation, 0.0)) <= 1.0e-12
-
-
-def test_reduce_rank_reuses_the_canonical_form_of_solve(slope_example):
-    problem = _dual(slope_example)
-    warm = solve(problem)
-    assert warm.canonical is problem
-    red = reduce_rank(problem, warm)
-    assert red.canonical is problem
 
 
 def test_feasible_primal_measures_its_certificate_once(decoupled_example, monkeypatch):
@@ -256,29 +251,20 @@ def test_feasible_primal_measures_its_certificate_once(decoupled_example, monkey
     assert sum(np.array_equal(P, res.assignment["P"]) for P in seen) == 1
 
 
-def test_reduce_rank_keeps_rank_one_warm_start(slope_example):
-    # the steered dual point of the slope example is rank one already
+def test_reduce_rank_keeps_rank_one_warm_start(slope_example, monkeypatch):
+    # the steered dual point of the slope example is rank one already: it
+    # comes back as the steer solve returned it, with zero rounds run
     problem = _dual(slope_example)
-    warm = solve(problem)
-    # re-wrap without diagnostics: they are filled in with zero rounds run
-    clean = SolveResult(
-        status="feasible",
-        assignment=dict(warm.assignment),
-        residuals=warm.residuals,
-    )
-    red = reduce_rank(problem, clean)
-    assert red.assignment is clean.assignment
-    assert red.residuals == clean.residuals
+    results = _recording(monkeypatch)
+    red = reduce_rank(problem)
+    [steer] = results
+    assert np.array_equal(red.assignment["H"], problem.reconstruct(steer.x)["H"])
+    ok, max_eq, max_cone = problem.verify(red.assignment)
+    assert ok and red.residuals == engine.Residuals(max_eq, max_cone)
     assert red.diagnostics["rounds"] == 0
+    assert red.diagnostics["rank_stop"] == "rank_one"
     assert red.diagnostics["rank_trail"] == [red.diagnostics["rank_ratio"]]
     assert red.diagnostics["rank_ratio"] <= 1.0e-6
-
-
-def test_reduce_rank_rejects_infeasible_warm_start(slope_example):
-    problem = _dual(slope_example)
-    bad = SolveResult(status="infeasible", assignment={}, residuals=None)
-    with pytest.raises(StructuralError):
-        reduce_rank(problem, bad)
 
 
 def _check_primal_certificate(sysm, res):
@@ -298,7 +284,7 @@ def _check_primal_certificate(sysm, res):
 
 def test_equality_solve_farkas_certifies_infeasible(decoupled_example):
     # the decoupled loop is stable by small gain, so its dual is infeasible
-    res = solve(_dual(decoupled_example))
+    res = reduce_rank(_dual(decoupled_example))
     assert res.status == "infeasible"
     assert res.diagnostics["ipm_status"] == "infeasible"
     assert res.diagnostics["farkas_quality"] <= 1.0e-7
@@ -311,7 +297,7 @@ def test_psd_block_infeasible_toy_ends_with_a_checked_certificate():
     sysm = StateSpaceSystem(
         np.array([[0.5]]), np.array([[0.1]]), np.array([[0.1]]), np.array([[0.0]])
     )
-    res = solve(_dual(sysm))
+    res = reduce_rank(_dual(sysm))
     assert res.status == "infeasible"
     assert res.diagnostics["farkas_quality"] <= engine._FARKAS_TOL
     _check_primal_certificate(sysm, res)
@@ -322,7 +308,7 @@ def test_dual_farkas_certificate_is_a_primal_certificate():
     # scalar toy above are the other cases
     for seed, (n, m) in enumerate([(2, 3), (3, 2), (2, 2), (3, 4)]):
         sysm = _seeded_system(60 + seed, n, m, odd=bool(seed % 2), gain=0.5)
-        res = solve(_dual(sysm))
+        res = reduce_rank(_dual(sysm))
         assert res.status == "infeasible"
         assert res.diagnostics["farkas_quality"] <= engine._FARKAS_TOL
         _check_primal_certificate(sysm, res)
@@ -334,58 +320,40 @@ def test_equality_solve_feasible_toy():
     sysm = StateSpaceSystem(
         np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]])
     )
-    dual = _dual(sysm)
-    res = solve(dual)
-    assert res.status == "feasible"
-    H = res.assignment["H"]
+    red = reduce_rank(_dual(sysm))
+    assert red.status == "feasible"
+    H = red.assignment["H"]
     assert abs(np.trace(H) - 1.0) <= 1.0e-8
     assert np.abs(state_equality_block(sysm, H)).max() <= 1.0e-8
     Y = output_coupling_block(sysm, H)
-    assert abs(Y[0, 0] - res.assignment["f"][0] - res.assignment["g"][0]) <= 1.0e-8
-    red = reduce_rank(dual, res)
-    h = np.linalg.eigh(red.assignment["H"])[1][:, -1]
+    assert abs(Y[0, 0] - red.assignment["f"][0] - red.assignment["g"][0]) <= 1.0e-8
+    h = np.linalg.eigh(H)[1][:, -1]
     assert h[1] / h[0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_steer_solve_stops_at_its_accuracy_floor(odd_example, monkeypatch):
     problem = _dual(odd_example)
-    results = []
-    real = engine.solve_conic
-
-    def capturing(*args, **kwargs):
-        results.append(real(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(engine, "solve_conic", capturing)
-    warm = solve(problem)
-    [steer] = results
+    results = _recording(monkeypatch)
+    red = reduce_rank(problem)
+    steer = results[0]
     # the steered dual solve asks for 1e-11, at the edge of what its
     # rounding allows; it gets within 1e-9 and then stops instead of
     # iterating at the floor
-    assert warm.status == "feasible"
-    assert warm.diagnostics["ipm_status"] == steer.status in ("optimal", "stalled")
-    assert steer.iterations <= 30
+    assert red.status == "feasible"
+    assert red.diagnostics["ipm_status"] == steer.status in ("optimal", "stalled")
+    assert red.diagnostics["ipm_iterations"] == steer.iterations <= 30
     assert max(steer.rp_rel, steer.rd_rel, steer.gap_rel) <= 1.0e-9
-    reduce_rank(problem, warm)
     assert all(res.status != "max_iters" for res in results)
 
 
 @pytest.mark.parametrize("fixture", ["slope_example", "odd_example"])
 def test_witness_is_a_verified_solver_point_as_returned(monkeypatch, request, fixture):
     problem = _dual(request.getfixturevalue(fixture))
-    points = []
-    real = engine.solve_conic
-
-    def recording(*args, **kwargs):
-        res = real(*args, **kwargs)
-        points.append(res.x)
-        return res
-
-    monkeypatch.setattr(engine, "solve_conic", recording)
-    red = reduce_rank(problem, solve(problem))
+    results = _recording(monkeypatch)
+    red = reduce_rank(problem)
     # nothing rewrites the point a solve returned before it is read
     H = red.assignment["H"]
-    assert any(np.array_equal(H, problem.reconstruct(x)["H"]) for x in points)
+    assert any(np.array_equal(H, problem.reconstruct(res.x)["H"]) for res in results)
     assert problem.verify(red.assignment)[0]
 
 
@@ -488,41 +456,47 @@ def test_primal_output_holds_from_definitions(slope_example, odd_example, decoup
 @pytest.mark.parametrize("fixture", ["slope_example", "odd_example"])
 def test_dual_point_is_the_one_steered_solve(monkeypatch, request, fixture):
     sysm = request.getfixturevalue(fixture)
-    solves = _capture_primal_rows(monkeypatch)
-    warm_starts = []
+    results = _recording(monkeypatch)
+    passes = []
     real = report.reduce_rank
 
-    def reducing(dual, warm):
-        warm_starts.append((len(solves), dual, warm))
-        return real(dual, warm)
+    def reducing(dual):
+        before = len(results)
+        red = real(dual)
+        passes.append((before, len(results), dual, red))
+        return red
 
     monkeypatch.setattr(report, "reduce_rank", reducing)
     rep = analyze(sysm)
     assert rep.verdict == "not_absolutely_stable"
-    # the primal and one dual solve run before rank reduction
-    [(before, dual, warm)] = warm_starts
-    assert before == 2
-    assert warm.status == "feasible"
-    assert dual.verify(warm.assignment)[0]
+    # only the primal runs before the dual's pass, which is the steer solve
+    # and its deflation rounds
+    [(before, after, dual, red)] = passes
+    assert before == 1
+    assert after - before == 1 + red.diagnostics["rounds"]
+    steer = dual.reconstruct(results[before].x)
+    assert dual.verify(steer)[0]
     pipe = rep.diagnostics["pipeline"]
     assert "dual_source" not in pipe
-    assert pipe["rank_trail"][0] == engine._rank_ratio(warm.assignment["H"])[0]
+    assert pipe["rank_trail"][0] == engine._rank_ratio(steer["H"])[0]
     assert pipe["primal_ipm_status"] == "optimal"
     assert pipe["primal_ipm_iterations"] >= 1
 
 
 def test_dual_point_does_not_depend_on_how_the_primal_ended(monkeypatch, slope_example):
+    # the dual is transposed from the primal's dense form alone: neither a
+    # capped nor a converged primal solve moves its point
     problem = build_primal(slope_example)
+    before = reduce_rank(build_dual(problem))
     with monkeypatch.context() as m:
         m.setattr(conic, "MAX_ITERS", 3)
         capped = solve(problem)
     assert capped.status == "numerical_limit"
     assert capped.diagnostics["ipm_status"] == "max_iters"
-    converged = solve(problem)
-    assert converged.status == "infeasible"
-    capped_dual, dual = (solve(build_dual(primal)) for primal in (capped, converged))
-    assert capped_dual.status == dual.status == "feasible"
-    assert np.array_equal(capped_dual.assignment["H"], dual.assignment["H"])
+    assert solve(problem).status == "infeasible"
+    after = reduce_rank(build_dual(problem))
+    assert before.status == after.status == "feasible"
+    assert np.array_equal(before.assignment["H"], after.assignment["H"])
 
 
 def test_stable_analyze_stops_the_primal_at_its_first_certificate(monkeypatch):

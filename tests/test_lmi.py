@@ -8,7 +8,6 @@ from lurestab import (
     StructuralError,
     build_primal,
     reduce_rank,
-    solve,
 )
 from lurestab.engine import build_dual
 from lurestab.conic import svec
@@ -147,8 +146,7 @@ def test_reduced_dual_holds_from_its_definition(
     cases = [(slope_example, slope_dual_reduced), (odd_example, odd_dual_reduced)]
     for seed in range(40, 46):
         sysm = _random_system(seed, n=2 + seed % 2, m=2 + seed % 3, odd=bool(seed % 2))
-        dual = build_dual(solve(build_primal(sysm)))
-        cases.append((sysm, reduce_rank(dual, solve(dual))))
+        cases.append((sysm, reduce_rank(build_dual(build_primal(sysm)))))
     for sysm, red in cases:
         assert red.status == "feasible"
         blocks = red.assignment
@@ -184,12 +182,6 @@ def test_dual_requires_reduced_band():
                            rng.normal(size=(2, 2)), SlopeBand(-1.0, 1.0))
     with pytest.raises(StructuralError):
         build_primal(sys)
-
-
-def test_build_dual_needs_a_primal_result():
-    dual = build_dual(solve(build_primal(_random_system(8))))
-    with pytest.raises(StructuralError):
-        build_dual(solve(dual))
 
 
 def test_round_trip_identity_spot():

@@ -11,7 +11,7 @@ import pytest
 
 from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, conic, engine
 from lurestab.conic import _row_data, _Scaling, svec
-from lurestab.engine import DualForm, _Inequality
+from lurestab.engine import _Inequality, build_dual
 from lurestab.lmi import build_primal
 from lurestab.system import normalize_band
 
@@ -68,8 +68,8 @@ def _interior_point(cone, rng):
 def test_structured_gram_matches_the_dense_product(monkeypatch, n, m, odd, band):
     monkeypatch.setattr(engine, "_STRUCTURED_MIN_DIM", 0)
     sysm = normalize_band(_random_system(10 * n + m, n, m, odd, band))
-    primal = _Inequality(build_primal(sysm))
-    dual = DualForm(primal)
+    problem = build_primal(sysm)
+    primal, dual = _Inequality(problem), build_dual(problem)
     rng = np.random.default_rng(n + 7 * m)
     for form in (primal, dual):
         assert form.psd_schur is not None
