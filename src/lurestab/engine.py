@@ -23,7 +23,9 @@ toward the branch the proof concludes on, returns a point or a Farkas
 certificate y.  Read in the primal's coordinates, that certificate is
 (P, M, t = 1) with F_h z in K, a strict primal solution; infeasibility is
 only declared once it passes an independent check.  A verified point is
-then deflated toward rank one.  Either way the verdict rests on verifying
+then deflated toward rank one, unless no map of the class gives the loop a
+nonzero equilibrium (equilibria.no_equilibrium), in which case no round
+could end in a witness.  Either way the verdict rests on verifying
 the raw constraints, never on solver status alone.
 
 Every threshold is a module constant: TOL_RANK decides "rank one" here
@@ -38,6 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conic import ConeSpec, smat, solve_conic, svec, svec_dim
+from .equilibria import no_equilibrium
 from .errors import StructuralError
 from .lmi import (
     DUAL_SCALE,
@@ -265,11 +268,16 @@ def _factor(H: np.ndarray, blocks: list, size: int) -> np.ndarray:
 def _lmi_gram(problem: SdpFeasibilityProblem) -> Optional[_LmiGram]:
     """The one place the Schur complement's path is chosen: the structured
     LMI term once the LMI dimension n + m reaches _STRUCTURED_MIN_DIM, else
-    None (B = A W^T is formed)."""
-    congruence = problem.meta["congruence"]
-    if congruence["U"].shape[1] < _STRUCTURED_MIN_DIM:
-        return None
-    return _LmiGram(congruence, problem.variables, problem.objective.size)
+    None (B = A W^T is formed).  Built once per problem, in its meta, and
+    shared by the primal and the dual."""
+    meta = problem.meta
+    if "lmi_gram" not in meta:
+        congruence = meta["congruence"]
+        small = congruence["U"].shape[1] < _STRUCTURED_MIN_DIM
+        meta["lmi_gram"] = None if small else _LmiGram(
+            congruence, problem.variables, problem.objective.size
+        )
+    return meta["lmi_gram"]
 
 
 def _cone_spec(psd_dims: list, total: int) -> ConeSpec:
@@ -510,7 +518,12 @@ def reduce_rank(dual: DualForm) -> SolveResult:
     "infeasible", with the certificate in the diagnostics read in the
     primal's coordinates (P, M, t = 1); otherwise "numerical_limit".
 
-    From a verified steer point, while the current point is not rank one,
+    A verified steer point that is not rank one first goes to
+    equilibria.no_equilibrium: the detector can only return a class map
+    with a nonzero equilibrium, so when the loop has none under any map of
+    the class (m <= 4) the steer point comes back with zero rounds,
+    rank_stop "no_equilibrium" and the search's record in
+    equilibrium_search.  Otherwise, while the current point is not rank one,
     re-solves minimizing the weight on its non-dominant eigenspace, less a
     small steer term, and keeps a round's point only if it lowers the rank
     ratio.  The rounds stop at rank one, once a round turns H's dominant
@@ -537,9 +550,11 @@ def reduce_rank(dual: DualForm) -> SolveResult:
     steer_term = _STEER_WEIGHT * steer
     best_ratio, best_V = _rank_ratio(best_assign["H"])
     trail = [best_ratio]
+    missing = None if best_ratio <= TOL_RANK else no_equilibrium(dual.system)
 
     rounds, turn, settled = 0, 1.0, np.sqrt(TOL_RANK)
-    while best_ratio > TOL_RANK and turn >= settled and rounds < _MAX_RANK_ROUNDS:
+    while (missing is None and best_ratio > TOL_RANK and turn >= settled
+           and rounds < _MAX_RANK_ROUNDS):
         V2 = best_V[:, :-1]  # all but the dominant eigenvector
         W = V2 @ V2.T - steer_term
         _, assignment, (ok, max_eq, max_cone) = _solve_point(dual, 0.5 * (W + W.T), _IPM_TOL)
@@ -560,7 +575,10 @@ def reduce_rank(dual: DualForm) -> SolveResult:
             "rounds": rounds,
             "rank_ratio": best_ratio,
             "rank_stop": "rank_one" if best_ratio <= TOL_RANK
+            else "no_equilibrium" if missing
             else "settled" if turn < settled else "max_rounds",
         }
     )
+    if missing:
+        diagnostics["equilibrium_search"] = missing
     return SolveResult("feasible", best_assign, Residuals(best_eq, best_cone), diagnostics)

@@ -1,0 +1,127 @@
+"""Whether any map of the class gives the normalized loop a nonzero equilibrium.
+
+On the band [0, 1] an equilibrium of the loop closed with psi has
+x = (I - A)^{-1} B w, w = psi(z) and z = G w, with
+G = C (I - A)^{-1} B + D.  A slope-[0, 1] map through the origin and the
+nodes (z_i, w_i) exists exactly when, taken in the order of z, every
+consecutive pair of nodes has dw >= 0 and dz - dw >= 0; for the odd class
+the nodes are first folded onto z >= 0, (s_i z_i, s_i w_i) with s_i the
+sign of z_i (Taylor, Hendrickx & Glineur 2017, the 1-D interpolation
+conditions).  For one order of the nodes these rows cut a cone of w.  The
+cone is pointed, since its dw rows alone have full rank, and dz = 0 forces
+dw = 0, so its nonzero points are exactly nonzero equilibria.  A pointed
+cone is nonzero exactly when one of its extreme rays is, and each extreme
+ray is the null vector of m - 1 of its rows.
+
+Up to sign, every order's rows come from one set: for each pair of nodes
+its dw row d (e_j - e_i, or e_j -+ e_i for the odd class, with e_0 = 0 the
+origin) and its dz - dw row d (G - I).  So the search cuts one candidate ray
+from each (m - 1)-subset of that set, as signed maximal minors built up
+from explicit 2 x 2 minors, and checks each candidate directly: sort its
+nodes by z and read the two rows of every consecutive pair.  A candidate
+and its negative give the same differences (the slope class reverses the
+order, the odd class folds onto the same nodes), so one sign is checked.
+The tables are built once per (m, class), on first use.
+"""
+
+import itertools
+from functools import lru_cache
+from typing import Optional
+
+import numpy as np
+
+from .system import NonlinearityClass, StateSpaceSystem
+
+__all__ = ["MAX_CHANNELS", "TOL_EQUILIBRIUM", "no_equilibrium"]
+
+# Largest channel count searched: the candidates grow as C(2 p, m - 1) in
+# the p node pairs (1 140 for the slope class and 4 960 for the odd one at m = 4).
+MAX_CHANNELS = 4
+# Largest row violation of a unit candidate, each row scaled to unit norm,
+# that still counts as an equilibrium.  Erring high only runs the rounds.
+TOL_EQUILIBRIUM = 1.0e-8
+
+
+@lru_cache(maxsize=None)
+def _tables(m: int, odd: bool):
+    """The dw row d of every node pair, up to sign; every (m - 1)-subset of
+    the 2 p rows [d; d (G - I)], as indices; and, for each ordered pair of
+    nodes (0 the origin, i + 1 channel i) and their fold signs (0 for +,
+    1 for -), the index in d of the pair's row s_b e_b - s_a e_a and its
+    sign there."""
+    e = np.vstack([np.zeros(m), np.eye(m)])
+    index = np.zeros((m + 1, m + 1, 2, 2), dtype=np.intp)
+    sign = np.zeros((m + 1, m + 1, 2, 2))
+    d = []
+    for i, j in itertools.combinations(range(m + 1), 2):
+        for s in (1, -1) if odd and i else (1,):
+            # s_j e_j - s_i e_i = s_j (e_j - s e_i) wherever s_i s_j = s;
+            # the origin's fold sign is +
+            for sj in (1, -1):
+                bi, bj = int(i and s * sj < 0), int(sj < 0)
+                index[i, j, bi, bj] = index[j, i, bj, bi] = len(d)
+                sign[i, j, bi, bj], sign[j, i, bj, bi] = sj, -sj
+            d.append(e[j] - s * e[i])
+    subsets = np.array(list(itertools.combinations(range(2 * len(d)), m - 1)), dtype=np.intp)
+    return np.array(d), subsets, index, sign
+
+
+def _null_vectors(X: np.ndarray) -> np.ndarray:
+    """v with X v = 0 for each (m - 1) x m matrix X: its signed maximal
+    minors, by Laplace expansion along each row from the last, so the first
+    products are 2 x 2 minors.  v vanishes, up to rounding, where X's rows
+    are dependent."""
+    k, r, m = X.shape
+    minors = {(): np.ones(k)}
+    for row in range(r - 1, -1, -1):
+        minors = {
+            cols: sum(
+                (-1) ** a * X[:, row, c] * minors[cols[:a] + cols[a + 1:]]
+                for a, c in enumerate(cols)
+            )
+            for cols in itertools.combinations(range(m), r - row)
+        }
+    return np.stack(
+        [(-1) ** j * minors[tuple(c for c in range(m) if c != j)] for j in range(m)], axis=1
+    )
+
+
+def no_equilibrium(sys: StateSpaceSystem) -> Optional[dict]:
+    """The search's record when no slope-[0, 1] map of sys's class gives the
+    normalized loop sys a nonzero equilibrium, else None; None too when
+    m > MAX_CHANNELS, where no search runs.
+
+    The record holds the rows the candidates were cut from, the candidate
+    rays and closest, the least over candidates of the largest violation
+    of a unit candidate's order rows, each row scaled to unit norm.  A
+    candidate within TOL_EQUILIBRIUM counts as an equilibrium.
+    """
+    m = sys.m
+    if m > MAX_CHANNELS:
+        return None
+    odd = sys.nl_class is NonlinearityClass.SLOPE_ODD
+    d, subsets, index, sign = _tables(m, odd)
+    G = sys.C @ np.linalg.solve(np.eye(sys.n) - sys.A, sys.B) + sys.D
+
+    rows = np.vstack([d, d @ (G - np.eye(m))])
+    rows /= np.maximum(np.linalg.norm(rows, axis=1), np.finfo(float).tiny)[:, None]
+    v = _null_vectors(rows[subsets])
+    norm = np.linalg.norm(v, axis=1)
+    v = v[norm > 0] / norm[norm > 0, None]
+
+    # the nodes in the order of z, folded for the odd class, origin first
+    z = v @ G.T
+    fold = np.hstack([np.zeros((len(v), 1), dtype=bool), odd & (z < 0)])
+    order = np.argsort(np.hstack([np.zeros((len(v), 1)), np.abs(z) if odd else z]),
+                       axis=1, kind="stable")
+    bit = np.take_along_axis(fold, order, axis=1).astype(np.intp)
+    # each consecutive pair's rows dw and dz - dw, read off every row's
+    # value at every candidate
+    pair = np.ravel_multi_index((order[:, :-1], order[:, 1:], bit[:, :-1], bit[:, 1:]), index.shape)
+    at, sg = index.take(pair), sign.take(pair)
+    values = v @ rows.T
+    slack = np.hstack([sg * np.take_along_axis(values, at + k, axis=1) for k in (0, len(d))])
+    closest = float(np.min(np.maximum(-np.min(slack, axis=1), 0.0)))
+    if closest <= TOL_EQUILIBRIUM:
+        return None
+    return {"rows": len(rows), "rays": len(v), "closest": closest}

@@ -162,7 +162,8 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     diagnostics["tolerances"].
 
     diagnostics["pipeline"]["inconclusive_reason"] is one of band_normalization,
-    dual_not_feasible, rank, sign, degenerate, slope_check, equilibrium_check.
+    dual_not_feasible, no_equilibrium, rank, sign, degenerate, slope_check,
+    equilibrium_check.
     """
     vrep = validate(sys)  # raises on a non-Schur A
 
@@ -237,6 +238,10 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     pipe["rank_stop"] = reduced.diagnostics["rank_stop"]
     blocks = reduced.assignment
     dual_dict["H"] = blocks["H"]
+    if "equilibrium_search" in reduced.diagnostics:
+        pipe["equilibrium_search"] = reduced.diagnostics["equilibrium_search"]
+        pipe["inconclusive_reason"] = "no_equilibrium"
+        return report("inconclusive")
 
     outcome = extract_certificate(unit, reduced, sys.nl_class)
     if isinstance(outcome, Inconclusive):

@@ -10,8 +10,13 @@ in its Pi form (multipliers.build_multiplier), as the reference for the
 dense form build_primal writes from the structure.
 unscaled_max_step is the interior-point step length in the original
 coordinates, the reference for the step length taken in scaled ones.
+has_equilibrium_exactly decides, in integer arithmetic and order by order,
+whether some map of the class gives a loop a nonzero equilibrium.
 """
 
+import itertools
+import math
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,6 +33,7 @@ __all__ = [
     "SlopeSample",
     "audit_duality",
     "audit_multiplier_inequality",
+    "has_equilibrium_exactly",
     "output_coupling_block",
     "primal_constraints",
     "sample_slope_fn",
@@ -253,3 +259,93 @@ def unscaled_max_step(cone: ConeSpec, x: np.ndarray, dx: np.ndarray) -> float:
             if np.any(neg):
                 alpha = min(alpha, float(np.min(-x[sl][neg] / dx[sl][neg])))
     return alpha
+
+
+def _exact_transfer(sys: StateSpaceSystem) -> list:
+    """G = C (I - A)^{-1} B + D in Fractions, exact from the plant's floats,
+    by Gauss-Jordan elimination of [I - A | B]."""
+    n, m = sys.n, sys.m
+    A, B, C, D = ([[Fraction(float(x)) for x in row] for row in M] for M in (sys.A, sys.B, sys.C, sys.D))
+    aug = [[int(i == j) - A[i][j] for j in range(n)] + B[i] for i in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+    X = [row[n:] for row in aug]
+    return [[sum((C[i][k] * X[k][j] for k in range(n)), D[i][j]) for j in range(m)]
+            for i in range(m)]
+
+
+def _null_vector(rows: list, m: int) -> tuple:
+    """v with r . v = 0 for each of the m - 1 rows: the signed maximal
+    minors, expanded along the rows from the last."""
+    minors = {(): 1}
+    for k, row in enumerate(reversed(rows), 1):
+        minors = {
+            cols: sum((-1) ** a * row[c] * minors[cols[:a] + cols[a + 1:]] for a, c in enumerate(cols))
+            for cols in itertools.combinations(range(m), k)
+        }
+    return tuple((-1) ** j * minors[cols] for j, cols in
+                 enumerate(reversed(list(itertools.combinations(range(m), m - 1)))))
+
+
+def _up_to_sign(row: tuple) -> tuple:
+    return row if next((x for x in row if x), 0) >= 0 else tuple(-x for x in row)
+
+
+def has_equilibrium_exactly(sys: StateSpaceSystem) -> bool:
+    """Whether some slope-[0, 1] map of sys's class gives the loop sys a
+    nonzero equilibrium, decided exactly.
+
+    An equilibrium input w has outputs z = G w.  Fix an order of the map's
+    nodes: the origin and the (z_i, w_i), or for the odd class the origin
+    first and then the channels folded by signs s_i, (s_i z_i, s_i w_i).  A
+    map through them exists exactly when every consecutive pair has
+    dw >= 0 and dz - dw >= 0, a cone K w >= 0 whose nonzero points are the
+    equilibria of that order.  Its dw rows have full rank, so the cone is
+    pointed, and it is nonzero exactly when some extreme ray is: the null
+    vector of m - 1 of its rows.  Every order is tried, one of each order
+    and its reverse (or its sign flip) with both signs of each ray, in
+    integers: the rows are scaled by the common denominator of G.
+    """
+    m = sys.m
+    odd = sys.nl_class is NonlinearityClass.SLOPE_ODD
+    G = _exact_transfer(sys)
+    den = math.lcm(*(g.denominator for row in G for g in row))
+    # node rows as functionals of w: w_i and den (z_i - w_i); node -1 is the origin
+    zero = (0,) * m
+    w_row = {-1: zero, **{i: tuple(int(i == j) for j in range(m)) for i in range(m)}}
+    q_row = {-1: zero, **{i: tuple(int(G[i][j] * den) - den * (i == j) for j in range(m))
+                          for i in range(m)}}
+    if odd:
+        orders = [
+            ((-1, *p), (1, *s))
+            for p in itertools.permutations(range(m))
+            for s in itertools.product((1, -1), repeat=m) if s[p.index(0)] == 1
+        ]
+    else:
+        orders = [(p, (1,) * (m + 1)) for p in itertools.permutations(range(-1, m)) if p[0] < p[-1]]
+    rays = {}
+    for nodes, signs in orders:
+        K = []
+        for table in (w_row, q_row):
+            at = [tuple(s * x for x in table[i]) for i, s in zip(nodes, signs)]
+            K += [tuple(y - x for x, y in zip(a, b)) for a, b in zip(at, at[1:])]
+        for sub in itertools.combinations(map(_up_to_sign, K), m - 1):
+            key = tuple(sorted(sub))
+            if key not in rays:
+                rays[key] = _null_vector(key, m)
+            v = rays[key]
+            seen = set()
+            for r in K:
+                dot = sum(x * y for x, y in zip(r, v))
+                seen.add((dot > 0) - (dot < 0))
+                if {1, -1} <= seen:
+                    break
+            else:
+                if seen != {0}:
+                    return True
+    return False

@@ -3,6 +3,7 @@ inconclusive reason.  The table in data/corpus_verdicts.json is the recorded
 outcome; a change that moves an entry updates the table and says in
 CHANGES.md which input moved and why."""
 
+import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -12,6 +13,9 @@ import pytest
 
 import lurestab.report
 from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, engine, simulate
+from lurestab.equilibria import TOL_EQUILIBRIUM, no_equilibrium
+from lurestab.system import normalize_band
+from oracles import has_equilibrium_exactly
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TABLE = pathlib.Path(__file__).parent / "data" / "corpus_verdicts.json"
@@ -93,8 +97,8 @@ def test_every_corpus_input_keeps_its_verdict_and_reason(corpus_runs):
 def test_each_dual_pass_is_one_steer_solve_and_its_rounds(corpus_runs):
     # the steer solve runs inside reduce_rank, whose result counts the
     # deflation rounds only (the benchmark's engine.reduce_rank.rounds);
-    # and its stop rule reads rank one exactly when the detector's rank
-    # gate passes
+    # its stop rule reads rank one exactly when the detector's rank gate
+    # passes, and a pass stopped for want of an equilibrium runs no round
     stops = set()
     for case, report, _, passes in corpus_runs:
         pipe = report["diagnostics"]["pipeline"]
@@ -104,9 +108,21 @@ def test_each_dual_pass_is_one_steer_solve_and_its_rounds(corpus_runs):
             if red.status == "feasible":
                 stop = red.diagnostics["rank_stop"]
                 stops.add(stop)
-                gate = pipe.get("inconclusive_reason") != "rank"
+                reason = pipe.get("inconclusive_reason")
+                gate = reason not in ("rank", "no_equilibrium")
                 assert (stop == "rank_one") == gate, (case.name, stop)
-    assert "rank_one" in stops and len(stops) > 1
+                assert (stop == "no_equilibrium") == (reason == "no_equilibrium"), case.name
+                if stop == "no_equilibrium":
+                    assert red.diagnostics["rounds"] == 0, case.name
+    assert {"rank_one", "no_equilibrium"} <= stops
+
+
+def test_the_pass_makes_88_solves_and_15_rounds(corpus_runs):
+    # counts, not seconds: the ten loops without an equilibrium under any
+    # class map run no deflation round
+    assert sum(calls for _, _, calls, _ in corpus_runs) == 88
+    rounds = [report["diagnostics"]["pipeline"].get("rank_rounds", 0) for _, report, _, _ in corpus_runs]
+    assert sum(rounds) == 15
 
 
 def test_every_inconclusive_reason_seen_is_documented(slope_report, odd_report, decoupled_example):
@@ -114,8 +130,8 @@ def test_every_inconclusive_reason_seen_is_documented(slope_report, odd_report, 
     doc = " ".join(analyze.__doc__.split())
     listed = {r.strip() for r in doc.split("is one of ", 1)[1].split(".", 1)[0].split(",")}
     assert listed == {
-        "band_normalization", "dual_not_feasible", "rank", "sign", "degenerate",
-        "slope_check", "equilibrium_check",
+        "band_normalization", "dual_not_feasible", "no_equilibrium", "rank", "sign",
+        "degenerate", "slope_check", "equilibrium_check",
     }
     readme = README.read_text()
     assert all(f"`{reason}`" in readme for reason in listed)
@@ -123,6 +139,59 @@ def test_every_inconclusive_reason_seen_is_documented(slope_report, odd_report, 
     seen = {rep.diagnostics["pipeline"].get("inconclusive_reason") for rep in paper}
     seen |= {reason for _, reason in json.loads(TABLE.read_text()).values()}
     assert seen - {None} <= listed
+
+
+def _unit(case):
+    return normalize_band(_system(case))
+
+
+def _scaled(case, t):
+    """The same loop under the exact state scaling x = t x~."""
+    return dataclasses.replace(case, B=case.B / t, C=case.C * t)
+
+
+def _reversed(case):
+    """The same loop with its channels in reverse order."""
+    return dataclasses.replace(case, B=case.B[:, ::-1], C=case.C[::-1], D=case.D[::-1, ::-1])
+
+
+def test_no_stable_loop_has_an_equilibrium_and_every_witness_is_one(corpus_runs):
+    decided = 0
+    for case, report, _, _ in corpus_runs:
+        if report["verdict"] != "inconclusive":
+            has_one = no_equilibrium(_unit(case)) is None
+            assert has_one == (report["verdict"] == "not_absolutely_stable"), case.name
+            decided += 1
+    assert decided == 37
+
+
+def test_every_no_equilibrium_report_is_proved_exactly(corpus_runs):
+    stopped = []
+    for case, report, _, _ in corpus_runs:
+        pipe = report["diagnostics"]["pipeline"]
+        if pipe.get("inconclusive_reason") == "no_equilibrium":
+            assert pipe["equilibrium_search"]["closest"] > TOL_EQUILIBRIUM
+            assert not has_equilibrium_exactly(_unit(case)), case.name
+            stopped.append(int(case.name.split("-")[1]))
+    assert stopped == [25, 31, 40, 58, 67, 70, 76, 85, 94, 103]
+
+
+def test_the_equilibrium_search_is_invariant_on_the_full_corpus():
+    for case in _load_bench("workloads").roadmap_corpus():
+        changed = (case, _scaled(case, 0.25), _scaled(case, 4.0), _reversed(case))
+        assert len({no_equilibrium(_unit(c)) is None for c in changed}) == 1, case.name
+
+
+def test_no_corpus_loop_is_decided_both_ways_under_exact_changes(corpus_runs):
+    checker = _load_bench("checker")
+    for case, report, _, _ in corpus_runs:
+        verdicts = {report["verdict"]}
+        for changed in (_scaled(case, 0.25), _scaled(case, 4.0), _reversed(case)):
+            body = json.loads(analyze(_system(changed)).to_json())
+            verdicts.add(body["verdict"])
+            if body["verdict"] != "inconclusive":
+                assert checker.check(changed, body) == [], changed.name
+        assert not {"absolutely_stable", "not_absolutely_stable"} <= verdicts, case.name
 
 
 def test_a_witness_without_a_contracting_loop_carries_both_residuals(corpus):

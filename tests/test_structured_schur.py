@@ -102,6 +102,26 @@ def test_the_path_is_chosen_by_the_lmi_dimension():
         assert _takes_structured_path(ladder[name])
 
 
+def test_the_lmi_gram_is_built_once_per_problem(monkeypatch):
+    # the primal solve and the dual transposed from the same problem share
+    # one structured term, each with its own row equilibration
+    built = []
+
+    class Counting(engine._LmiGram):
+        def __init__(self, *args):
+            built.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "_LmiGram", Counting)
+    case = next(c for c in _workloads().ladder() if c.name == "ladder-12")
+    problem = build_primal(normalize_band(_system(case)))
+    assert problem.meta["congruence"]["U"].shape[1] >= engine._STRUCTURED_MIN_DIM
+    engine.solve(problem)
+    dual = build_dual(problem)
+    assert dual.psd_schur is not None
+    assert len(built) == 1
+
+
 def _destabilized_loop(n, seed):
     """n = m loop drawn like the benchmark's ladder, with B and D scaled by
     1.5 k*, k* the least linear gain at which A + k B (I - k D)^{-1} C
