@@ -22,11 +22,11 @@ over it: a steer solve over its feasible set, whose objective steers
 toward the branch the proof concludes on, returns a point or a Farkas
 certificate y.  Read in the primal's coordinates, that certificate is
 (P, M, t = 1) with F_h z in K, a strict primal solution; infeasibility is
-only declared once it passes an independent check.  A verified point is
-then deflated toward rank one, unless no map of the class gives the loop a
-nonzero equilibrium (equilibria.no_equilibrium), in which case no round
-could end in a witness.  Either way the verdict rests on verifying
-the raw constraints, never on solver status alone.
+only declared once it passes an independent check.  A verified point that
+is not rank one goes to the equilibrium search (equilibria.search), whose
+ray or proof of none ends the pass; only loops the search cannot take
+deflate the point toward rank one.  Either way the verdict rests on
+verifying the raw constraints, never on solver status alone.
 
 Every threshold is a module constant: TOL_RANK decides "rank one" here
 and in the detector, TOL_EQ bounds the dual's raw residual, PRIMAL_MARGIN
@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conic import ConeSpec, smat, solve_conic, svec, svec_dim
-from .equilibria import no_equilibrium
+from .equilibria import search
 from .errors import StructuralError
 from .lmi import (
     DUAL_SCALE,
@@ -78,8 +78,6 @@ CONE_TOL = 1.0e-9
 # Largest cone violation of a b.y-normalized Farkas certificate.
 _FARKAS_TOL = 1.0e-7
 _MAX_RANK_ROUNDS = 10
-# Weight of the steering term in each deflation objective.
-_STEER_WEIGHT = 1.0e-3
 # Smallest LMI dimension n + m at which the Schur complement's LMI term is
 # built from the congruence structure (_LmiGram) rather than from B = A W^T;
 # the measured crossover.
@@ -476,8 +474,7 @@ def _steer_matrix(sys: StateSpaceSystem) -> np.ndarray:
     discriminant on rank-1 iterates.  On the trace-normalized rank-1 face
     it is also the squared state weight of the factor, so maximizing it
     both forces the branch where the factor reproduces the system dynamics
-    and picks the extremal point with dominant state part; the deflation
-    rounds keep it as a small tie-break.
+    and picks the extremal point with dominant state part.
     """
     n, m = sys.n, sys.m
     AB = np.hstack([sys.A, sys.B])
@@ -507,7 +504,8 @@ def _rank_ratio(H: np.ndarray):
 
 
 def reduce_rank(dual: DualForm) -> SolveResult:
-    """Solve the dual and drive H, the PSD block of its point, toward rank one.
+    """Solve the dual; unless H, the PSD block of its point, is rank one,
+    search for an equilibrium (m <= 4) or drive H toward rank one.
 
     The steer solve maximizes the steer functional on H over the dual's
     feasible set, at the high-accuracy tolerance: breakpoint data for the
@@ -518,20 +516,19 @@ def reduce_rank(dual: DualForm) -> SolveResult:
     "infeasible", with the certificate in the diagnostics read in the
     primal's coordinates (P, M, t = 1); otherwise "numerical_limit".
 
-    A verified steer point that is not rank one first goes to
-    equilibria.no_equilibrium: the detector can only return a class map
-    with a nonzero equilibrium, so when the loop has none under any map of
-    the class (m <= 4) the steer point comes back with zero rounds,
-    rank_stop "no_equilibrium" and the search's record in
-    equilibrium_search.  Otherwise, while the current point is not rank one,
-    re-solves minimizing the weight on its non-dominant eigenspace, less a
-    small steer term, and keeps a round's point only if it lowers the rank
-    ratio.  The rounds stop at rank one, once a round turns H's dominant
-    eigenvector by sin < sqrt(TOL_RANK) (a round not kept turns it by 0), or
-    after _MAX_RANK_ROUNDS; rank_stop says which.  Every point is verified
-    against the raw constraints and kept as the solver returned it.
-    rank_trail starts at the ratio of the steer point; a steer point already
-    rank one comes back with zero rounds run.
+    A verified steer point that is not rank one goes to equilibria.search
+    (m <= 4) and comes back with zero rounds: a witness is a class map with
+    a nonzero equilibrium, and the search finds one exactly when there is
+    one.  rank_stop is then "equilibrium", with the search's ray in "ray",
+    or "no_equilibrium"; the search's record is in "equilibrium_search".
+    For m > 4, while the current point is not rank one, re-solves minimizing
+    the weight on its non-dominant eigenspace and keeps a round's point only
+    if it lowers the rank ratio.  The rounds stop at rank one, once a round
+    turns H's dominant eigenvector by sin < sqrt(TOL_RANK) (a round not kept
+    turns it by 0), or after _MAX_RANK_ROUNDS; rank_stop says which.  Every
+    point is verified against the raw constraints and kept as the solver
+    returned it.  rank_trail starts at the ratio of the steer point; a steer
+    point already rank one comes back with zero rounds run.
     """
     steer = _steer_matrix(dual.system)
     res, best_assign, (ok, best_eq, best_cone) = _solve_point(dual, -steer, _MARGIN_IPM_TOL)
@@ -547,17 +544,15 @@ def reduce_rank(dual: DualForm) -> SolveResult:
             )
         return SolveResult(status, best_assign, Residuals(best_eq, best_cone), diagnostics)
 
-    steer_term = _STEER_WEIGHT * steer
     best_ratio, best_V = _rank_ratio(best_assign["H"])
     trail = [best_ratio]
-    missing = None if best_ratio <= TOL_RANK else no_equilibrium(dual.system)
+    searched = None if best_ratio <= TOL_RANK else search(dual.system)
 
     rounds, turn, settled = 0, 1.0, np.sqrt(TOL_RANK)
-    while (missing is None and best_ratio > TOL_RANK and turn >= settled
+    while (searched is None and best_ratio > TOL_RANK and turn >= settled
            and rounds < _MAX_RANK_ROUNDS):
         V2 = best_V[:, :-1]  # all but the dominant eigenvector
-        W = V2 @ V2.T - steer_term
-        _, assignment, (ok, max_eq, max_cone) = _solve_point(dual, 0.5 * (W + W.T), _IPM_TOL)
+        _, assignment, (ok, max_eq, max_cone) = _solve_point(dual, V2 @ V2.T, _IPM_TOL)
         rounds += 1
 
         ratio, V = _rank_ratio(assignment["H"]) if ok else (best_ratio, None)
@@ -569,16 +564,11 @@ def reduce_rank(dual: DualForm) -> SolveResult:
             best_ratio, best_V = ratio, V
         trail.append(best_ratio)
 
-    diagnostics.update(
-        {
-            "rank_trail": trail,
-            "rounds": rounds,
-            "rank_ratio": best_ratio,
-            "rank_stop": "rank_one" if best_ratio <= TOL_RANK
-            else "no_equilibrium" if missing
-            else "settled" if turn < settled else "max_rounds",
-        }
-    )
-    if missing:
-        diagnostics["equilibrium_search"] = missing
+    diagnostics.update({"rank_trail": trail, "rounds": rounds})
+    if searched:
+        diagnostics["equilibrium_search"], diagnostics["ray"] = searched
+        diagnostics["rank_stop"] = "no_equilibrium" if searched[1] is None else "equilibrium"
+    else:
+        diagnostics["rank_stop"] = ("rank_one" if best_ratio <= TOL_RANK
+                                    else "settled" if turn < settled else "max_rounds")
     return SolveResult("feasible", best_assign, Residuals(best_eq, best_cone), diagnostics)

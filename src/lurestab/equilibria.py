@@ -32,13 +32,13 @@ import numpy as np
 
 from .system import NonlinearityClass, StateSpaceSystem
 
-__all__ = ["MAX_CHANNELS", "TOL_EQUILIBRIUM", "no_equilibrium"]
+__all__ = ["MAX_CHANNELS", "TOL_EQUILIBRIUM", "search"]
 
 # Largest channel count searched: the candidates grow as C(2 p, m - 1) in
 # the p node pairs (1 140 for the slope class and 4 960 for the odd one at m = 4).
 MAX_CHANNELS = 4
 # Largest row violation of a unit candidate, each row scaled to unit norm,
-# that still counts as an equilibrium.  Erring high only runs the rounds.
+# that still counts as an equilibrium; the witness's checks have the last word.
 TOL_EQUILIBRIUM = 1.0e-8
 
 
@@ -86,15 +86,16 @@ def _null_vectors(X: np.ndarray) -> np.ndarray:
     )
 
 
-def no_equilibrium(sys: StateSpaceSystem) -> Optional[dict]:
-    """The search's record when no slope-[0, 1] map of sys's class gives the
-    normalized loop sys a nonzero equilibrium, else None; None too when
+def search(sys: StateSpaceSystem) -> Optional[tuple]:
+    """(record, ray) of the search for a slope-[0, 1] map of sys's class
+    that gives the normalized loop sys a nonzero equilibrium; None when
     m > MAX_CHANNELS, where no search runs.
 
     The record holds the rows the candidates were cut from, the candidate
     rays and closest, the least over candidates of the largest violation
-    of a unit candidate's order rows, each row scaled to unit norm.  A
-    candidate within TOL_EQUILIBRIUM counts as an equilibrium.
+    of a unit candidate's order rows, each row scaled to unit norm.  ray is
+    the unit candidate that attains closest, when closest is within
+    TOL_EQUILIBRIUM, else None: no map of the class has an equilibrium.
     """
     m = sys.m
     if m > MAX_CHANNELS:
@@ -121,7 +122,7 @@ def no_equilibrium(sys: StateSpaceSystem) -> Optional[dict]:
     at, sg = index.take(pair), sign.take(pair)
     values = v @ rows.T
     slack = np.hstack([sg * np.take_along_axis(values, at + k, axis=1) for k in (0, len(d))])
-    closest = float(np.min(np.maximum(-np.min(slack, axis=1), 0.0)))
-    if closest <= TOL_EQUILIBRIUM:
-        return None
-    return {"rows": len(rows), "rays": len(v), "closest": closest}
+    violation = np.maximum(-np.min(slack, axis=1), 0.0)
+    best = int(np.argmin(violation))
+    record = {"rows": len(rows), "rays": len(v), "closest": float(violation[best])}
+    return record, v[best] if violation[best] <= TOL_EQUILIBRIUM else None

@@ -3,9 +3,10 @@
 analyze() brings the loop to the slope band [0, 1] (system.normalize_band)
 and runs the primal there first; a strict-margin win means absolute
 stability.  Otherwise one pass over the dual (engine.reduce_rank) solves
-it, steering toward the branch the proof concludes on, and rank-reduces
-its point, which certificate extraction and nonlinearity construction then
-read.  The certificate or the witness is then mapped back to the original
+it, steering toward the branch the proof concludes on.  Certificate
+extraction reads a rank-one point as the paper does; for any other point
+the witness is the equilibrium search's ray, or for m > 4 the point's
+deflation to rank one.  The witness is then mapped back to the original
 band, where the slope audit and a one-step algebraic equilibrium check
 run.  Every verdict carries the residuals and tolerances that produced it,
 and reports serialize to byte-stable canonical JSON (sorted keys, fixed
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .detector import Inconclusive, build_pwl, extract_certificate
+from .detector import DualCertificate, Inconclusive, build_pwl, extract_certificate, snap_to_band
 from .conic import MAX_ITERS
 from .engine import CONE_TOL, PRIMAL_MARGIN, TOL_EQ, TOL_RANK, build_dual, reduce_rank, solve
 from .errors import AssumptionViolatedError
@@ -147,7 +148,7 @@ def _equilibrium_check(sys: StateSpaceSystem, phi, h1, w_star, v) -> dict:
         np.max(np.abs(phi.w_nodes)) + np.max(np.abs(w_star))
         + (spectral_norm(sys.C) * nh1 + spectral_norm(sys.D) * nw)
     )
-    ok = state <= state_bound and loop <= loop_bound
+    ok = state <= state_bound and loop <= loop_bound and nh1 > 1.0e-9 * nw
     return _plain({"ok": ok, "state_residual": state, "state_bound": state_bound,
                    "loop_residual": loop, "loop_bound": loop_bound})
 
@@ -159,7 +160,9 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     blocks H, f, g, X, Z stay in those normalized coordinates; P, M, h1,
     h2 = w*, z* and phi are reported for the original system and band.
     The tolerances are fixed module constants, echoed in
-    diagnostics["tolerances"].
+    diagnostics["tolerances"].  For a steered dual point that is not rank
+    one, diagnostics["pipeline"]["witness_source"] is "search" (the search's
+    ray w, with h1 = (I - A)^{-1} B w) or "dual" (the deflated point).
 
     diagnostics["pipeline"]["inconclusive_reason"] is one of band_normalization,
     dual_not_feasible, no_equilibrium, rank, sign, degenerate, slope_check,
@@ -238,24 +241,31 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     pipe["rank_stop"] = reduced.diagnostics["rank_stop"]
     blocks = reduced.assignment
     dual_dict["H"] = blocks["H"]
+    ray = reduced.diagnostics.get("ray")
     if "equilibrium_search" in reduced.diagnostics:
         pipe["equilibrium_search"] = reduced.diagnostics["equilibrium_search"]
-        pipe["inconclusive_reason"] = "no_equilibrium"
-        return report("inconclusive")
-
-    outcome = extract_certificate(unit, reduced, sys.nl_class)
+        if ray is None:
+            pipe["inconclusive_reason"] = "no_equilibrium"
+            return report("inconclusive")
+        h1 = np.linalg.solve(np.eye(unit.n) - unit.A, unit.B @ ray)
+        if h1[np.argmax(np.abs(h1))] < 0:
+            h1, ray = -h1, -ray
+        outcome = snap_to_band(unit, DualCertificate(h1, ray, unit.C @ h1 + unit.D @ ray), is_odd)
+    else:
+        outcome = extract_certificate(unit, reduced, sys.nl_class)
     if isinstance(outcome, Inconclusive):
         pipe["inconclusive_reason"] = outcome.reason
         pipe["inconclusive_detail"] = outcome.detail
         return report("inconclusive")
     cert = outcome
     pipe["snapped_segments"] = cert.snapped
+    if pipe["rank_trail"][0] > TOL_RANK:
+        pipe["witness_source"] = "dual" if ray is None else "search"
     # h1 and z* are shared by both loops; only the input changes
     w_star = _band_input(sys.band, cert.z_star, cert.h2)
     v = sys.A @ cert.h1 + sys.B @ w_star
     dual_dict.update(
         {
-            "rank": 1,
             "h1": cert.h1,
             "h2": w_star,
             "z_star": cert.z_star,
@@ -267,6 +277,8 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
             "sign_min": float(np.min(v * cert.h1)),
         }
     )
+    if ray is None:
+        dual_dict["rank"] = 1  # the witness is H's rank-one factor
 
     unit_phi = build_pwl(cert, odd=is_odd)
     z_nodes = unit_phi.z_nodes

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import json
 import pathlib
 from types import SimpleNamespace
 
@@ -11,12 +12,13 @@ import pytest
 from cones import ConeTag, is_member
 from lurestab import conic, engine, report
 from lurestab.engine import build_dual, reduce_rank, solve
+from lurestab.equilibria import MAX_CHANNELS
 from lurestab.lmi import BOX_BOUND, build_primal, multiplier_matrix, primal_lmi_matrix
 from lurestab.report import analyze
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
 from oracles import output_coupling_block, primal_constraints, state_equality_block
 
-WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+CHECKER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "checker.py"
 
 
 def _dual(sysm):
@@ -37,14 +39,12 @@ def _recording(monkeypatch):
     return results
 
 
-def _corpus_system(index):
-    """System i of the benchmark's fixed 120-system corpus."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+def _checker():
+    """The benchmark's independent verdict checker, bench/checker.py."""
+    spec = importlib.util.spec_from_file_location("bench_checker", CHECKER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    case = module.roadmap_corpus()[index]
-    cls = NonlinearityClass.SLOPE_ODD if case.odd else NonlinearityClass.SLOPE
-    return StateSpaceSystem(case.A, case.B, case.C, case.D, SlopeBand(case.mu, case.nu), cls)
+    return module
 
 
 def test_margin_primal_infeasible_on_slope_example(slope_example):
@@ -92,10 +92,36 @@ def test_dual_feasible_on_odd_example(odd_example):
     assert abs(np.trace(res.assignment["H"]) - 1.0) <= 1.0e-7
 
 
+def _five_channel_loop():
+    """A loop past the equilibrium search's channel count, where the
+    deflation rounds are the only path: the ladder recipe at n = m = 5 with
+    rng seed 12, on the band [0, 1.5 k*] with k* = 11.14 the first gain at
+    which A + k B (I - k D)^{-1} C stops being Schur."""
+    rng = np.random.default_rng(12)
+    A = rng.normal(size=(5, 5))
+    A *= 0.8 / max(abs(np.linalg.eigvals(A)))
+    B, C = 0.1 * rng.normal(size=(5, 5)), 0.1 * rng.normal(size=(5, 5))
+    D = 0.02 * rng.normal(size=(5, 5))
+    return StateSpaceSystem(A, B, C, D, SlopeBand(0.0, 16.7))
+
+
+def test_the_rounds_decide_a_loop_the_search_cannot_take():
+    sysm = _five_channel_loop()
+    assert sysm.m > MAX_CHANNELS
+    rep = analyze(sysm)
+    assert rep.verdict == "not_absolutely_stable"
+    pipe = rep.diagnostics["pipeline"]
+    assert pipe["rank_rounds"] == 1 and pipe["rank_stop"] == "rank_one"
+    assert pipe["witness_source"] == "dual" and "equilibrium_search" not in pipe
+    case = SimpleNamespace(A=sysm.A, B=sysm.B, C=sysm.C, D=sysm.D, mu=0.0, nu=16.7, odd=False,
+                           expect_verdict=None)
+    assert _checker().check(case, json.loads(rep.to_json())) == []
+
+
 def test_reduce_rank_reaches_rank_one(monkeypatch):
-    # the steered dual point of corpus input 74 has rank ratio 0.40; a
-    # deflation round takes it to rank one
-    problem = _dual(_corpus_system(74))
+    # the steered dual point of the five-channel loop has rank ratio 8.3e-3;
+    # a deflation round takes it to rank one
+    problem = _dual(normalize_band(_five_channel_loop()))
     results = _recording(monkeypatch)
     red = reduce_rank(problem)
     assert red.status == "feasible"
@@ -104,7 +130,7 @@ def test_reduce_rank_reaches_rank_one(monkeypatch):
     steer_H = problem.reconstruct(results[0].x)["H"]
     assert trail[0] == engine._rank_ratio(steer_H)[0] > 1.0e-6
     assert red.diagnostics["rounds"] >= 1
-    assert trail[-1] == red.diagnostics["rank_ratio"] <= 1.0e-6
+    assert trail[-1] <= 1.0e-6
     w = np.linalg.eigvalsh(red.assignment["H"])[::-1]
     assert w[1] <= 1.0e-6 * w[0]
 
@@ -114,7 +140,7 @@ def test_reduce_rank_decomposes_each_point_once(monkeypatch):
     # deflation directions; dual.verify adds one eigvalsh per solved point,
     # the steer point's included (the IPM's step lengths decompose stacks,
     # which are not counted)
-    problem = _dual(_corpus_system(74))
+    problem = _dual(normalize_band(_five_channel_loop()))
     calls = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -133,11 +159,11 @@ def test_reduce_rank_decomposes_each_point_once(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def segment_74():
-    """(dual, point) of corpus input 74, where point(s) is the feasible dual
-    point (1 - s) x1 + s x0 between its steered point x0 (rank ratio 0.40)
-    and the rank-one point x1 of its one deflation round."""
-    problem = _dual(_corpus_system(74))
+def segment():
+    """(dual, point) of the five-channel loop, where point(s) is the feasible
+    dual point (1 - s) x1 + s x0 between its steered point x0 (rank ratio
+    8.3e-3) and the rank-one point x1 of its one deflation round."""
+    problem = _dual(normalize_band(_five_channel_loop()))
     with pytest.MonkeyPatch.context() as m:
         results = _recording(m)
         reduce_rank(problem)
@@ -161,10 +187,10 @@ def _solves_returning(monkeypatch, xs):
     )
 
 
-def test_reduce_rank_stops_once_the_dominant_eigenvector_settles(segment_74, monkeypatch):
-    # the round lowers the rank ratio (0.171006 -> 0.171002) while its
-    # dominant eigenvector turns by about 1e-6 < sqrt(TOL_RANK)
-    problem, point = segment_74
+def test_reduce_rank_stops_once_the_dominant_eigenvector_settles(segment, monkeypatch):
+    # the round lowers the rank ratio (4.11714e-3 -> 4.11706e-3) while its
+    # dominant eigenvector turns by about 3e-7 < sqrt(TOL_RANK)
+    problem, point = segment
     x = point(0.5 - 1.0e-5)
     _solves_returning(monkeypatch, [point(0.5), x, x])
     red = reduce_rank(problem)
@@ -175,11 +201,11 @@ def test_reduce_rank_stops_once_the_dominant_eigenvector_settles(segment_74, mon
     assert np.array_equal(red.assignment["H"], problem.reconstruct(x)["H"])
 
 
-def test_reduce_rank_counts_rank_one_before_the_turn(segment_74, monkeypatch):
-    # from rank ratio 2.9e-5 the round reaches rank one while its dominant
+def test_reduce_rank_counts_rank_one_before_the_turn(segment, monkeypatch):
+    # from rank ratio 2.5e-5 the round reaches rank one while its dominant
     # eigenvector turns by less than sqrt(TOL_RANK): decided, not settled
-    problem, point = segment_74
-    x_steer, x = point(1.0e-4), point(0.0)
+    problem, point = segment
+    x_steer, x = point(3.0e-3), point(0.0)
     _, V_steer = engine._rank_ratio(problem.reconstruct(x_steer)["H"])
     _, V = engine._rank_ratio(problem.reconstruct(x)["H"])
     assert np.linalg.norm(V_steer[:, :-1].T @ V[:, -1]) < np.sqrt(engine.TOL_RANK)
@@ -187,13 +213,13 @@ def test_reduce_rank_counts_rank_one_before_the_turn(segment_74, monkeypatch):
     red = reduce_rank(problem)
     assert red.diagnostics["rounds"] == 1
     assert red.diagnostics["rank_stop"] == "rank_one"
-    assert red.diagnostics["rank_ratio"] <= engine.TOL_RANK
+    assert red.diagnostics["rank_trail"][-1] <= engine.TOL_RANK
 
 
-def test_reduce_rank_stops_at_the_round_limit_while_it_turns(segment_74, monkeypatch):
+def test_reduce_rank_stops_at_the_round_limit_while_it_turns(segment, monkeypatch):
     # every round lowers the ratio and turns the eigenvector past the
     # threshold without reaching rank one
-    problem, point = segment_74
+    problem, point = segment
     xs = [point(1.0 - 0.09 * k) for k in range(engine._MAX_RANK_ROUNDS + 2)]
     _solves_returning(monkeypatch, xs)
     red = reduce_rank(problem)
@@ -201,10 +227,10 @@ def test_reduce_rank_stops_at_the_round_limit_while_it_turns(segment_74, monkeyp
     assert red.diagnostics["rank_stop"] == "max_rounds"
 
 
-def test_reduce_rank_stops_after_a_round_it_does_not_keep(segment_74, monkeypatch):
+def test_reduce_rank_stops_after_a_round_it_does_not_keep(segment, monkeypatch):
     # a round that does not lower the ratio leaves the direction where it
     # was, and the next round would repeat the same solve
-    problem, point = segment_74
+    problem, point = segment
     x_steer = point(0.5)
     _solves_returning(monkeypatch, [x_steer, point(0.6), x_steer])
     red = reduce_rank(problem)
@@ -263,8 +289,8 @@ def test_reduce_rank_keeps_rank_one_warm_start(slope_example, monkeypatch):
     assert ok and red.residuals == engine.Residuals(max_eq, max_cone)
     assert red.diagnostics["rounds"] == 0
     assert red.diagnostics["rank_stop"] == "rank_one"
-    assert red.diagnostics["rank_trail"] == [red.diagnostics["rank_ratio"]]
-    assert red.diagnostics["rank_ratio"] <= 1.0e-6
+    [ratio] = red.diagnostics["rank_trail"]
+    assert ratio <= 1.0e-6
 
 
 def _check_primal_certificate(sysm, res):

@@ -1,13 +1,13 @@
 """The search for a class map that gives the normalized loop a nonzero
-equilibrium (equilibria.no_equilibrium), on loops whose answer is known in
-closed form, and its null vectors."""
+equilibrium (equilibria.search), on loops whose answer is known in closed
+form, and its null vectors."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from lurestab.equilibria import MAX_CHANNELS, _null_vectors, no_equilibrium
+from lurestab.equilibria import MAX_CHANNELS, TOL_EQUILIBRIUM, _null_vectors, search
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
 from oracles import has_equilibrium_exactly
 
@@ -22,15 +22,28 @@ def _loop(G, odd=False):
     )
 
 
+def _is_equilibrium_input(G, w, odd):
+    """Whether a class map through the origin and the nodes (G w, w), folded
+    onto z >= 0 for the odd class, has every slope in [0, 1], to rounding."""
+    z = G @ w
+    s = np.where(odd & (z < 0), -1.0, 1.0)
+    zs, ws = np.r_[0.0, s * z], np.r_[0.0, s * w]
+    order = np.argsort(zs)
+    dz, dw = np.diff(zs[order]), np.diff(ws[order])
+    return min(dw.min(), (dz - dw).min()) >= -1e-12
+
+
 @pytest.mark.parametrize("odd", [False, True])
 @pytest.mark.parametrize("gain, has_one", [(1.5, True), (1.0, True), (0.75, False), (-2.0, False)])
 def test_a_scalar_loop_has_an_equilibrium_exactly_when_its_gain_reaches_one(odd, gain, has_one):
     # psi(z) = z / G is a class map (odd, slope in [0, 1]) exactly when G >= 1
-    record = no_equilibrium(_loop(gain, odd))
-    assert (record is None) == has_one
+    record, ray = search(_loop(gain, odd))
+    assert (ray is not None) == has_one
     assert has_equilibrium_exactly(_loop(gain, odd)) == has_one
-    if record is not None:
-        assert record["rays"] == 1
+    assert record["rays"] == 1
+    assert (record["closest"] <= TOL_EQUILIBRIUM) == has_one
+    if has_one:
+        assert abs(ray[0]) == 1.0
 
 
 @pytest.mark.parametrize("odd", [False, True])
@@ -38,13 +51,17 @@ def test_an_equilibrium_that_needs_a_map_which_is_not_odd(odd):
     # z = (-w2, w1 + w2): psi(z) = max(z, 0) has the equilibrium w = (0, 1),
     # z = (-1, 1); an odd map has none
     G = [[0.0, -1.0], [1.0, 1.0]]
-    assert (no_equilibrium(_loop(G, odd)) is None) == (not odd)
+    _, ray = search(_loop(G, odd))
+    assert (ray is not None) == (not odd)
     assert has_equilibrium_exactly(_loop(G, odd)) == (not odd)
+    if ray is not None:
+        assert np.allclose(np.abs(ray), [0.0, 1.0], atol=1e-15)
+        assert _is_equilibrium_input(np.array(G), ray, odd)
 
 
 def test_more_channels_than_the_search_takes_are_not_searched():
-    assert no_equilibrium(_loop(0.5 * np.eye(MAX_CHANNELS + 1))) is None
-    assert no_equilibrium(_loop(0.5 * np.eye(MAX_CHANNELS))) is not None
+    assert search(_loop(0.5 * np.eye(MAX_CHANNELS + 1))) is None
+    assert search(_loop(0.5 * np.eye(MAX_CHANNELS)))[1] is None
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -61,13 +78,17 @@ def test_null_vectors_annihilate_their_rows(m):
 
 
 def test_the_search_and_the_exact_oracle_agree_on_random_loops():
-    # an odd map is a slope map, so an odd equilibrium is a slope one too
+    # an odd map is a slope map, so an odd equilibrium is a slope one too;
+    # every ray the search returns is an equilibrium input
     rng = np.random.default_rng(5)
     seen = set()
     for m, _ in itertools.product((2, 3), range(12)):
         G = rng.normal(size=(m, m)) * 1.5
-        found = [no_equilibrium(_loop(G, odd)) is None for odd in (False, True)]
+        rays = [search(_loop(G, odd))[1] for odd in (False, True)]
+        found = [ray is not None for ray in rays]
         assert found == [has_equilibrium_exactly(_loop(G, odd)) for odd in (False, True)], G
         assert found[0] or not found[1], G
+        for odd, ray in zip((False, True), rays):
+            assert ray is None or _is_equilibrium_input(G, ray, odd), G
         seen.add(tuple(found))
     assert seen == {(False, False), (True, False), (True, True)}

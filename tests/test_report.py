@@ -121,6 +121,20 @@ def test_equilibrium_check_rejects_a_loop_equation_miss(slope_example, slope_rep
     assert eq["loop_residual"] > eq["loop_bound"]
 
 
+def test_equilibrium_check_rejects_a_zero_state():
+    # B w* = 0 holds h1 = 0 fixed and phi(z) = z / 2 meets the loop equation
+    # at z* = D w* = 2, but the origin is no witness of instability
+    sysm = StateSpaceSystem(
+        0.5 * np.eye(2), np.zeros((2, 1)), np.array([[0.1, 0.1]]), np.array([[2.0]])
+    )
+    h1, w = np.zeros(2), np.ones(1)
+    phi = PiecewiseLinearMap(np.array([[0.0, 0.0], [2.0, 1.0]]))
+    eq = _equilibrium_check(sysm, phi, h1, w, sysm.A @ h1 + sysm.B @ w)
+    assert not eq["ok"]
+    assert eq["state_residual"] <= eq["state_bound"]
+    assert eq["loop_residual"] <= eq["loop_bound"]
+
+
 def test_analyze_runs_no_simulation(monkeypatch, slope_example, odd_example):
     def refuse(*args, **kwargs):
         raise AssertionError("analyze simulated the loop")
