@@ -23,10 +23,13 @@ toward the branch the proof concludes on, returns a point or a Farkas
 certificate y.  Read in the primal's coordinates, that certificate is
 (P, M, t = 1) with F_h z in K, a strict primal solution; infeasibility is
 only declared once it passes an independent check.  A verified point that
-is not rank one goes to the equilibrium search (equilibria.search), whose
-ray or proof of none ends the pass; only loops the search cannot take
-deflate the point toward rank one.  Either way the verdict rests on
-verifying the raw constraints, never on solver status alone.
+is not rank one takes the answer of the equilibrium search
+(equilibria.search), which the caller runs before the dual pass unless a
+linear gain already shows an equilibrium, and passes in; only loops the
+search cannot take deflate the point toward rank one.  A loop the search
+proves to have no equilibrium never reaches the dual pass.  Either way the
+verdict rests on verifying the raw constraints, never on solver status
+alone.
 
 Every threshold is a module constant: TOL_RANK decides "rank one" here
 and in the detector, TOL_EQ bounds the dual's raw residual, PRIMAL_MARGIN
@@ -40,7 +43,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conic import ConeSpec, smat, solve_conic, svec, svec_dim
-from .equilibria import search
 from .errors import StructuralError
 from .lmi import (
     DUAL_SCALE,
@@ -503,9 +505,9 @@ def _rank_ratio(H: np.ndarray):
     return max(float(w[-2]) / lead, 0.0), V
 
 
-def reduce_rank(dual: DualForm) -> SolveResult:
+def reduce_rank(dual: DualForm, search: Optional[Callable[[], tuple]] = None) -> SolveResult:
     """Solve the dual; unless H, the PSD block of its point, is rank one,
-    search for an equilibrium (m <= 4) or drive H toward rank one.
+    take the equilibrium search's answer (m <= 4) or drive H toward rank one.
 
     The steer solve maximizes the steer functional on H over the dual's
     feasible set, at the high-accuracy tolerance: breakpoint data for the
@@ -516,19 +518,23 @@ def reduce_rank(dual: DualForm) -> SolveResult:
     "infeasible", with the certificate in the diagnostics read in the
     primal's coordinates (P, M, t = 1); otherwise "numerical_limit".
 
-    A verified steer point that is not rank one goes to equilibria.search
-    (m <= 4) and comes back with zero rounds: a witness is a class map with
-    a nonzero equilibrium, and the search finds one exactly when there is
-    one.  rank_stop is then "equilibrium", with the search's ray in "ray",
-    or "no_equilibrium"; the search's record is in "equilibrium_search".
-    For m > 4, while the current point is not rank one, re-solves minimizing
-    the weight on its non-dominant eigenspace and keeps a round's point only
-    if it lowers the rank ratio.  The rounds stop at rank one, once a round
-    turns H's dominant eigenvector by sin < sqrt(TOL_RANK) (a round not kept
-    turns it by 0), or after _MAX_RANK_ROUNDS; rank_stop says which.  Every
-    point is verified against the raw constraints and kept as the solver
-    returned it.  rank_trail starts at the ratio of the steer point; a steer
-    point already rank one comes back with zero rounds run.
+    search, given for loops equilibria.search takes (m <= 4), returns that
+    search's (record, ray); analyze runs it before the dual pass unless a
+    linear gain shows an equilibrium, and a loop with none never gets here.
+    A verified steer point that is not rank one calls it and comes back with
+    zero rounds: a witness is a class map with a nonzero equilibrium, and
+    the search finds one exactly when there is one.  rank_stop is then
+    "equilibrium", with the search's ray in "ray", or "no_equilibrium"; the
+    search's record is in "equilibrium_search".
+    Without search (m > 4), while the current point is not rank one,
+    re-solves minimizing the weight on its non-dominant eigenspace and keeps
+    a round's point only if it lowers the rank ratio.  The rounds stop at
+    rank one, once a round turns H's dominant eigenvector by
+    sin < sqrt(TOL_RANK) (a round not kept turns it by 0), or after
+    _MAX_RANK_ROUNDS; rank_stop says which.  Every point is verified
+    against the raw constraints and kept as the solver returned it.
+    rank_trail starts at the ratio of the steer point; a steer point already
+    rank one comes back with zero rounds run.
     """
     steer = _steer_matrix(dual.system)
     res, best_assign, (ok, best_eq, best_cone) = _solve_point(dual, -steer, _MARGIN_IPM_TOL)
@@ -546,7 +552,7 @@ def reduce_rank(dual: DualForm) -> SolveResult:
 
     best_ratio, best_V = _rank_ratio(best_assign["H"])
     trail = [best_ratio]
-    searched = None if best_ratio <= TOL_RANK else search(dual.system)
+    searched = None if best_ratio <= TOL_RANK or search is None else search()
 
     rounds, turn, settled = 0, 1.0, np.sqrt(TOL_RANK)
     while (searched is None and best_ratio > TOL_RANK and turn >= settled

@@ -22,6 +22,10 @@ nodes by z and read the two rows of every consecutive pair.  A candidate
 and its negative give the same differences (the slope class reverses the
 order, the odd class folds onto the same nodes), so one sign is checked.
 The tables are built once per (m, class), on first use.
+
+A linear map shows an equilibrium without a search: where G has a real
+eigenvalue lambda >= 1, psi(z) = z / lambda has slope 1 / lambda in (0, 1],
+is odd, and closes the loop with the equilibrium input w, the eigenvector.
 """
 
 import itertools
@@ -32,7 +36,7 @@ import numpy as np
 
 from .system import NonlinearityClass, StateSpaceSystem
 
-__all__ = ["MAX_CHANNELS", "TOL_EQUILIBRIUM", "search"]
+__all__ = ["MAX_CHANNELS", "TOL_EQUILIBRIUM", "has_linear_equilibrium", "search"]
 
 # Largest channel count searched: the candidates grow as C(2 p, m - 1) in
 # the p node pairs (1 140 for the slope class and 4 960 for the odd one at m = 4).
@@ -86,6 +90,20 @@ def _null_vectors(X: np.ndarray) -> np.ndarray:
     )
 
 
+def _gain(sys: StateSpaceSystem) -> np.ndarray:
+    """G = C (I - A)^{-1} B + D: the loop's output z = G w at the
+    equilibrium with input w."""
+    return sys.C @ np.linalg.solve(np.eye(sys.n) - sys.A, sys.B) + sys.D
+
+
+def has_linear_equilibrium(sys: StateSpaceSystem) -> bool:
+    """Whether a linear map of both classes gives the normalized loop sys a
+    nonzero equilibrium: G has a real eigenvalue lambda >= 1 (LAPACK
+    returns a real eigenvalue with imaginary part exactly 0)."""
+    lam = np.linalg.eigvals(_gain(sys))
+    return bool(np.any((lam.imag == 0.0) & (lam.real >= 1.0)))
+
+
 def search(sys: StateSpaceSystem) -> Optional[tuple]:
     """(record, ray) of the search for a slope-[0, 1] map of sys's class
     that gives the normalized loop sys a nonzero equilibrium; None when
@@ -102,7 +120,7 @@ def search(sys: StateSpaceSystem) -> Optional[tuple]:
         return None
     odd = sys.nl_class is NonlinearityClass.SLOPE_ODD
     d, subsets, index, sign = _tables(m, odd)
-    G = sys.C @ np.linalg.solve(np.eye(sys.n) - sys.A, sys.B) + sys.D
+    G = _gain(sys)
 
     rows = np.vstack([d, d @ (G - np.eye(m))])
     rows /= np.maximum(np.linalg.norm(rows, axis=1), np.finfo(float).tiny)[:, None]

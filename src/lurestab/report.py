@@ -2,11 +2,15 @@
 
 analyze() brings the loop to the slope band [0, 1] (system.normalize_band)
 and runs the primal there first; a strict-margin win means absolute
-stability.  Otherwise one pass over the dual (engine.reduce_rank) solves
-it, steering toward the branch the proof concludes on.  Certificate
-extraction reads a rank-one point as the paper does; for any other point
-the witness is the equilibrium search's ray, or for m > 4 the point's
-deflation to rank one.  The witness is then mapped back to the original
+stability.  Otherwise, for m <= 4, the equilibrium search runs next unless
+a linear gain already shows an equilibrium, and a loop with none ends
+inconclusive without a dual solve.  One pass over the dual
+(engine.reduce_rank) then solves it, steering toward the branch the proof
+concludes on.  Certificate extraction reads a rank-one point as the paper
+does; for any other point the witness is the equilibrium search's ray, or
+for m > 4 the point's deflation to rank one.  The ray also replaces a
+rank-one witness that fails the equilibrium check.  The search runs at
+most once.  The witness is then mapped back to the original
 band, where the slope audit and a one-step algebraic equilibrium check
 run.  Every verdict carries the residuals and tolerances that produced it,
 and reports serialize to byte-stable canonical JSON (sorted keys, fixed
@@ -15,6 +19,7 @@ and reports serialize to byte-stable canonical JSON (sorted keys, fixed
 
 import json
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -22,6 +27,7 @@ import numpy as np
 from .detector import DualCertificate, Inconclusive, build_pwl, extract_certificate, snap_to_band
 from .conic import MAX_ITERS
 from .engine import CONE_TOL, PRIMAL_MARGIN, TOL_EQ, TOL_RANK, build_dual, reduce_rank, solve
+from .equilibria import MAX_CHANNELS, has_linear_equilibrium, search
 from .errors import AssumptionViolatedError
 from .linalg import spectral_norm
 from .lmi import build_primal, multiplier_matrix
@@ -153,6 +159,59 @@ def _equilibrium_check(sys: StateSpaceSystem, phi, h1, w_star, v) -> dict:
                    "loop_residual": loop, "loop_bound": loop_bound})
 
 
+def _ray_certificate(unit: StateSpaceSystem, ray, odd: bool) -> DualCertificate:
+    """The equilibrium search's ray w as a certificate of the normalized loop:
+    h1 = (I - A)^{-1} B w, signed so its largest entry is positive, with w
+    snapped to the band."""
+    h1 = np.linalg.solve(np.eye(unit.n) - unit.A, unit.B @ ray)
+    if h1[np.argmax(np.abs(h1))] < 0:
+        h1, ray = -h1, -ray
+    return snap_to_band(unit, DualCertificate(h1, ray, unit.C @ h1 + unit.D @ ray), odd)
+
+
+def _witness(sys: StateSpaceSystem, cert: DualCertificate):
+    """The destabilizing map of a certificate of the normalized loop, mapped
+    back to sys's band, and its audits.
+
+    Returns (phi, reason, checks, evidence): reason is None when the slope
+    audit and the equilibrium check both pass, else the name of the one
+    that failed; checks are the audits' pipeline entries and evidence the
+    witness's entries of the dual block.
+    """
+    odd = sys.nl_class is NonlinearityClass.SLOPE_ODD
+    # h1 and z* are shared by both loops; only the input changes
+    w_star = _band_input(sys.band, cert.z_star, cert.h2)
+    v = sys.A @ cert.h1 + sys.B @ w_star
+    evidence = {
+        "h1": cert.h1,
+        "h2": w_star,
+        "z_star": cert.z_star,
+        "w_star": w_star,
+        "sign_min": float(np.min(v * cert.h1)),
+    }
+    unit_phi = build_pwl(cert, odd=odd)
+    z_nodes = unit_phi.z_nodes
+    phi = PiecewiseLinearMap(
+        np.column_stack([z_nodes, _band_input(sys.band, z_nodes, unit_phi.w_nodes)]),
+        odd=odd,
+    )
+    srep = verify_slope(phi, sys.band)
+    checks = {
+        "snapped_segments": cert.snapped,
+        "slope_check": {
+            "ok": srep.ok,
+            "min_slope": srep.min_slope,
+            "max_slope": srep.max_slope,
+            "origin_defect": srep.origin_defect,
+            "odd_defect": srep.odd_defect,
+        },
+    }
+    if not srep.ok:
+        return phi, "slope_check", checks, evidence
+    checks["equilibrium_check"] = eq = _equilibrium_check(sys, phi, cert.h1, w_star, v)
+    return phi, None if eq["ok"] else "equilibrium_check", checks, evidence
+
+
 def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     """Decide absolute stability or produce instability evidence.
 
@@ -160,9 +219,21 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     blocks H, f, g, X, Z stay in those normalized coordinates; P, M, h1,
     h2 = w*, z* and phi are reported for the original system and band.
     The tolerances are fixed module constants, echoed in
-    diagnostics["tolerances"].  For a steered dual point that is not rank
-    one, diagnostics["pipeline"]["witness_source"] is "search" (the search's
-    ray w, with h1 = (I - A)^{-1} B w) or "dual" (the deflated point).
+    diagnostics["tolerances"].
+
+    After a primal that does not certify, a loop with m <= MAX_CHANNELS
+    goes to the equilibrium search before the dual pass, unless a linear
+    gain shows an equilibrium (equilibria.has_linear_equilibrium), where
+    the search cannot come back empty.  A search that finds no equilibrium
+    ends the report inconclusive with reason no_equilibrium after one solve,
+    the primal's: report.dual is None and the pipeline has no dual_status or
+    rank_* keys.  Otherwise the dual pass runs and reuses the search's
+    answer, running it only if it has not run, so the search runs at most
+    once.  For a steered dual point that is not rank one,
+    diagnostics["pipeline"]["witness_source"] is "search" (the search's ray
+    w, with h1 = (I - A)^{-1} B w) or "dual" (the deflated point); a
+    rank-one dual witness that fails the equilibrium check on m <= 4 gives
+    way to the search's ray, with witness_source "search".
 
     diagnostics["pipeline"]["inconclusive_reason"] is one of band_normalization,
     dual_not_feasible, no_equilibrium, rank, sign, degenerate, slope_check,
@@ -225,7 +296,17 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         primal_dict["M"] = M / (sys.band.nu - sys.band.mu) ** 2
         return report("absolutely_stable")
 
-    reduced = reduce_rank(build_dual(primal))
+    # where a linear gain shows an equilibrium the search cannot come back
+    # empty, so it waits for a steer point that is not rank one
+    searched = cache(partial(search, unit)) if unit.m <= MAX_CHANNELS else None
+    if searched is not None and not has_linear_equilibrium(unit):
+        record, ray = searched()
+        if ray is None:
+            pipe["equilibrium_search"] = record
+            pipe["inconclusive_reason"] = "no_equilibrium"
+            return report("inconclusive")
+
+    reduced = reduce_rank(build_dual(primal), searched)
     pipe["dual_status"] = reduced.status
     dual_dict = {
         "status": reduced.status,
@@ -247,61 +328,29 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         if ray is None:
             pipe["inconclusive_reason"] = "no_equilibrium"
             return report("inconclusive")
-        h1 = np.linalg.solve(np.eye(unit.n) - unit.A, unit.B @ ray)
-        if h1[np.argmax(np.abs(h1))] < 0:
-            h1, ray = -h1, -ray
-        outcome = snap_to_band(unit, DualCertificate(h1, ray, unit.C @ h1 + unit.D @ ray), is_odd)
+        outcome = _ray_certificate(unit, ray, is_odd)
     else:
         outcome = extract_certificate(unit, reduced, sys.nl_class)
     if isinstance(outcome, Inconclusive):
         pipe["inconclusive_reason"] = outcome.reason
         pipe["inconclusive_detail"] = outcome.detail
         return report("inconclusive")
-    cert = outcome
-    pipe["snapped_segments"] = cert.snapped
-    if pipe["rank_trail"][0] > TOL_RANK:
+
+    phi, reason, checks, evidence = _witness(sys, outcome)
+    if reason == "equilibrium_check" and ray is None and searched is not None:
+        # a rank-one dual witness whose h1 holds the state equation only to
+        # the dual's tolerance gives way to the search's ray
+        record, ray = searched()
+        if ray is not None:
+            pipe["equilibrium_search"] = record
+            phi, reason, checks, evidence = _witness(sys, _ray_certificate(unit, ray, is_odd))
+    pipe.update(checks)
+    if ray is not None or pipe["rank_trail"][0] > TOL_RANK:
         pipe["witness_source"] = "dual" if ray is None else "search"
-    # h1 and z* are shared by both loops; only the input changes
-    w_star = _band_input(sys.band, cert.z_star, cert.h2)
-    v = sys.A @ cert.h1 + sys.B @ w_star
-    dual_dict.update(
-        {
-            "h1": cert.h1,
-            "h2": w_star,
-            "z_star": cert.z_star,
-            "w_star": w_star,
-            "f": blocks["f"],
-            "g": blocks["g"],
-            "X": blocks["X"],
-            "Z": blocks.get("Z"),
-            "sign_min": float(np.min(v * cert.h1)),
-        }
-    )
+    dual_dict.update(evidence, f=blocks["f"], g=blocks["g"], X=blocks["X"], Z=blocks.get("Z"))
     if ray is None:
         dual_dict["rank"] = 1  # the witness is H's rank-one factor
-
-    unit_phi = build_pwl(cert, odd=is_odd)
-    z_nodes = unit_phi.z_nodes
-    phi = PiecewiseLinearMap(
-        np.column_stack([z_nodes, _band_input(sys.band, z_nodes, unit_phi.w_nodes)]),
-        odd=is_odd,
-    )
-    srep = verify_slope(phi, sys.band)
-    pipe["slope_check"] = {
-        "ok": srep.ok,
-        "min_slope": srep.min_slope,
-        "max_slope": srep.max_slope,
-        "origin_defect": srep.origin_defect,
-        "odd_defect": srep.odd_defect,
-    }
-    if not srep.ok:
-        pipe["inconclusive_reason"] = "slope_check"
+    if reason is not None:
+        pipe["inconclusive_reason"] = reason
         return report("inconclusive")
-
-    eq = _equilibrium_check(sys, phi, cert.h1, w_star, v)
-    pipe["equilibrium_check"] = eq
-    if not eq["ok"]:
-        pipe["inconclusive_reason"] = "equilibrium_check"
-        return report("inconclusive")
-
     return report("not_absolutely_stable")

@@ -20,7 +20,8 @@ They are draws 42, 56, 361, 416 and 565 (named seed7-draw<k>) of
         band = [0, 10 ** rng.uniform(-1, 1)], slope class
 
 the draws that bench/checker.py rejected as stable before M was moved onto
-its cone.
+its cone.  Each is decided not absolutely stable, and the checker accepts
+the witness.
 """
 
 import importlib.util
@@ -34,6 +35,7 @@ from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PLANTS = json.loads((pathlib.Path(__file__).parent / "data" / "cone_edge_plants.json").read_text())
+FALLBACK = {"seed7-draw42", "seed7-draw56", "seed7-draw565"}
 
 
 def _load_bench(name):
@@ -51,7 +53,12 @@ def test_a_cone_edge_plant_gets_no_false_stable_verdict(name):
         A, B, C, D, SlopeBand(raw["mu"], raw["nu"]), NonlinearityClass(raw["class"])
     )
     report = json.loads(analyze(system).to_json())
-    assert report["verdict"] != "absolutely_stable"
+    assert report["verdict"] == "not_absolutely_stable"
+    # the rank-one dual witnesses of three of them miss the state equation
+    # (residuals 2.4e-9, 2.1e-9 and 1.1e-6) and give way to the search's ray
+    pipe = report["diagnostics"]["pipeline"]
+    fallback = pipe["rank_stop"] == "rank_one" and pipe.get("witness_source") == "search"
+    assert fallback == (name in FALLBACK)
     case = _load_bench("workloads")._case(
         name, A, B, C, D, raw["mu"], raw["nu"], raw["class"] == "slope_odd"
     )

@@ -13,7 +13,7 @@ import pytest
 
 import lurestab.report
 from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, engine, simulate
-from lurestab.equilibria import TOL_EQUILIBRIUM, search
+from lurestab.equilibria import TOL_EQUILIBRIUM, has_linear_equilibrium, search
 from lurestab.system import normalize_band
 from oracles import has_equilibrium_exactly
 
@@ -39,32 +39,50 @@ def corpus():
     return _load_bench("workloads").corpus()
 
 
+class _Counting:
+    """analyze with its solve_conic calls, reduce_rank passes and equilibrium
+    searches counted."""
+
+    def __init__(self, m):
+        self.calls, self.passes, self.searches = [], [], 0
+        real_solve, real_reduce = engine.solve_conic, lurestab.report.reduce_rank
+        real_search = lurestab.report.search
+
+        def counting(*args, **kwargs):
+            self.calls.append(None)
+            return real_solve(*args, **kwargs)
+
+        def reducing(dual, *args):
+            before = len(self.calls)
+            red = real_reduce(dual, *args)
+            self.passes.append((len(self.calls) - before, red))
+            return red
+
+        def searching(sys):
+            self.searches += 1
+            return real_search(sys)
+
+        m.setattr(engine, "solve_conic", counting)
+        m.setattr(lurestab.report, "reduce_rank", reducing)
+        m.setattr(lurestab.report, "search", searching)
+
+    def analyze(self, system):
+        """(report, solve_conic calls, [(calls, result) of each reduce_rank],
+        equilibrium searches) of one analysis."""
+        self.calls.clear()
+        self.passes.clear()
+        self.searches = 0
+        report = json.loads(analyze(system).to_json())
+        return report, len(self.calls), list(self.passes), self.searches
+
+
 @pytest.fixture(scope="module")
 def corpus_runs(corpus):
     """(case, report, solve_conic calls, [(calls, result) of each
-    reduce_rank]) for every corpus input, in one pass."""
-    calls, passes, runs = [], [], []
-    real_solve, real_reduce = engine.solve_conic, lurestab.report.reduce_rank
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return real_solve(*args, **kwargs)
-
-    def reducing(dual):
-        before = len(calls)
-        red = real_reduce(dual)
-        passes.append((len(calls) - before, red))
-        return red
-
+    reduce_rank], equilibrium searches) for every corpus input, in one pass."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(engine, "solve_conic", counting)
-        m.setattr(lurestab.report, "reduce_rank", reducing)
-        for case in corpus:
-            calls.clear()
-            passes.clear()
-            report = json.loads(analyze(_system(case)).to_json())
-            runs.append((case, report, len(calls), list(passes)))
-    return runs
+        counted = _Counting(m)
+        return [(case, *counted.analyze(_system(case))) for case in corpus]
 
 
 def test_the_table_names_every_corpus_input(corpus):
@@ -75,7 +93,7 @@ def test_every_corpus_input_keeps_its_verdict_and_reason(corpus_runs):
     table = json.loads(TABLE.read_text())
     checker = _load_bench("checker")
     moved, over_budget, rejected = {}, {}, {}
-    for case, report, calls, _ in corpus_runs:
+    for case, report, calls, _, _ in corpus_runs:
         pipe = report["diagnostics"]["pipeline"]
         got = [report["verdict"], pipe.get("inconclusive_reason")]
         if got != table[case.name]:
@@ -84,9 +102,11 @@ def test_every_corpus_input_keeps_its_verdict_and_reason(corpus_runs):
         problems = [] if report["verdict"] == "inconclusive" else checker.check(case, report)
         if problems:
             rejected[case.name] = problems
-        # the primal alone decides a stable report; any other report adds
-        # one dual solve and its deflation rounds
-        budget = 1 if report["verdict"] == "absolutely_stable" else 2 + pipe.get("rank_rounds", 0)
+        # the primal alone decides a stable report, and the equilibrium
+        # search after it a no_equilibrium one; any other report adds one
+        # dual solve and its deflation rounds
+        primal_only = report["verdict"] == "absolutely_stable" or got[1] == "no_equilibrium"
+        budget = 1 if primal_only else 2 + pipe.get("rank_rounds", 0)
         if calls != budget:
             over_budget[case.name] = (budget, calls)
     assert not moved
@@ -98,12 +118,14 @@ def test_each_dual_pass_is_one_steer_solve_and_its_rounds(corpus_runs):
     # the steer solve runs inside reduce_rank, whose result counts the
     # deflation rounds only (the benchmark's engine.reduce_rank.rounds).
     # Every corpus loop has m <= 4, so a steer point that is not rank one
-    # goes to the equilibrium search and no round runs: the search's ray is
-    # the witness, or there is none
+    # takes the equilibrium search's ray as the witness and no round runs;
+    # a loop the search proves to have no equilibrium runs no dual pass
     stops = set()
-    for case, report, _, passes in corpus_runs:
+    for case, report, _, passes, _ in corpus_runs:
         pipe = report["diagnostics"]["pipeline"]
         assert len(passes) == ("dual_status" in pipe), case.name
+        if pipe.get("inconclusive_reason") == "no_equilibrium":
+            assert not passes, case.name
         for calls, red in passes:
             assert calls == 1 + red.diagnostics.get("rounds", 0), case.name
             if red.status == "feasible":
@@ -112,22 +134,38 @@ def test_each_dual_pass_is_one_steer_solve_and_its_rounds(corpus_runs):
                 assert red.diagnostics["rounds"] == 0, case.name
                 searched = red.diagnostics["rank_trail"][0] > engine.TOL_RANK
                 assert (stop != "rank_one") == searched == ("equilibrium_search" in pipe), case.name
-                reason = pipe.get("inconclusive_reason")
-                assert (stop == "no_equilibrium") == (reason == "no_equilibrium"), case.name
-                assert reason != "rank", case.name
+                assert pipe.get("inconclusive_reason") not in ("rank", "no_equilibrium"), case.name
                 if stop == "equilibrium" and report["verdict"] != "inconclusive":
                     assert pipe["witness_source"] == "search", case.name
                 if stop == "rank_one":
                     assert "witness_source" not in pipe, case.name
-    assert stops == {"rank_one", "equilibrium", "no_equilibrium"}
+    assert stops == {"rank_one", "equilibrium"}
 
 
-def test_the_pass_makes_73_solves_and_no_round(corpus_runs):
+def test_the_pass_makes_63_solves_and_no_round(corpus_runs):
     # counts, not seconds: the equilibrium search answers every steer point
-    # that is not rank one, so no corpus loop runs a deflation round
-    assert sum(calls for _, _, calls, _ in corpus_runs) == 73
-    rounds = [report["diagnostics"]["pipeline"].get("rank_rounds", 0) for _, report, _, _ in corpus_runs]
+    # that is not rank one, so no corpus loop runs a deflation round, and
+    # the 10 loops it proves to have no equilibrium run no dual solve
+    assert sum(calls for _, _, calls, _, _ in corpus_runs) == 63
+    rounds = [report["diagnostics"]["pipeline"].get("rank_rounds", 0) for _, report, *_ in corpus_runs]
     assert sum(rounds) == 0
+
+
+def test_the_search_runs_at_most_once_per_analyze(corpus_runs, slope_example, odd_example,
+                                                  decoupled_example):
+    # before the dual pass unless a linear gain shows an equilibrium, and
+    # reused by the witness; the paper's examples hold such a gain and
+    # rank-one steer points, so they never search.  On corpus 17 reports
+    # carry the search, and corpus-106, which holds no such gain, searches
+    # before its rank-one steer point
+    for case, report, _, _, searches in corpus_runs:
+        assert searches <= 1, case.name
+        assert searches or "equilibrium_search" not in report["diagnostics"]["pipeline"], case.name
+    assert sum(searches for *_, searches in corpus_runs) == 18
+    with pytest.MonkeyPatch.context() as m:
+        counted = _Counting(m)
+        for system in (slope_example, odd_example, decoupled_example):
+            assert counted.analyze(system)[3] == 0
 
 
 def test_every_inconclusive_reason_seen_is_documented(slope_report, odd_report, decoupled_example):
@@ -162,7 +200,7 @@ def _reversed(case):
 
 def test_no_stable_loop_has_an_equilibrium_and_every_witness_is_one(corpus_runs):
     decided = 0
-    for case, report, _, _ in corpus_runs:
+    for case, report, *_ in corpus_runs:
         if report["verdict"] != "inconclusive":
             has_one = search(_unit(case))[1] is not None
             assert has_one == (report["verdict"] == "not_absolutely_stable"), case.name
@@ -172,24 +210,35 @@ def test_no_stable_loop_has_an_equilibrium_and_every_witness_is_one(corpus_runs)
 
 def test_every_no_equilibrium_report_is_proved_exactly(corpus_runs):
     stopped = []
-    for case, report, _, _ in corpus_runs:
+    for case, report, *_ in corpus_runs:
         pipe = report["diagnostics"]["pipeline"]
         if pipe.get("inconclusive_reason") == "no_equilibrium":
             assert pipe["equilibrium_search"]["closest"] > TOL_EQUILIBRIUM
             assert not has_equilibrium_exactly(_unit(case)), case.name
+            # the search ran before the dual pass, which never started
+            assert report["dual"] is None, case.name
+            assert not {"dual_status", "rank_trail", "rank_rounds", "rank_stop"} & set(pipe), case.name
             stopped.append(int(case.name.split("-")[1]))
     assert stopped == [25, 31, 40, 58, 67, 70, 76, 85, 94, 103]
 
 
 def test_the_equilibrium_search_is_invariant_on_the_full_corpus():
+    # and it finds a ray wherever a linear gain shows an equilibrium, the
+    # test that lets analyze put the search after the dual pass
+    linear = 0
     for case in _load_bench("workloads").roadmap_corpus():
         changed = (case, _scaled(case, 0.25), _scaled(case, 4.0), _scaled(case, 64.0), _reversed(case))
-        assert len({search(_unit(c))[1] is None for c in changed}) == 1, case.name
+        found = {search(_unit(c))[1] is not None for c in changed}
+        assert len(found) == 1, case.name
+        if has_linear_equilibrium(_unit(case)):
+            assert found == {True}, case.name
+            linear += 1
+    assert linear > 0
 
 
 def test_no_corpus_loop_is_decided_both_ways_under_exact_changes(corpus_runs):
     checker = _load_bench("checker")
-    for case, report, _, _ in corpus_runs:
+    for case, report, *_ in corpus_runs:
         verdicts = {report["verdict"]}
         for changed in (_scaled(case, 0.25), _scaled(case, 4.0), _scaled(case, 64.0), _reversed(case)):
             body = json.loads(analyze(_system(changed)).to_json())

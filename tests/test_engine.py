@@ -486,9 +486,9 @@ def test_dual_point_is_the_one_steered_solve(monkeypatch, request, fixture):
     passes = []
     real = report.reduce_rank
 
-    def reducing(dual):
+    def reducing(dual, *args):
         before = len(results)
-        red = real(dual)
+        red = real(dual, *args)
         passes.append((before, len(results), dual, red))
         return red
 

@@ -7,7 +7,13 @@ import itertools
 import numpy as np
 import pytest
 
-from lurestab.equilibria import MAX_CHANNELS, TOL_EQUILIBRIUM, _null_vectors, search
+from lurestab.equilibria import (
+    MAX_CHANNELS,
+    TOL_EQUILIBRIUM,
+    _null_vectors,
+    has_linear_equilibrium,
+    search,
+)
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
 from oracles import has_equilibrium_exactly
 
@@ -40,6 +46,7 @@ def test_a_scalar_loop_has_an_equilibrium_exactly_when_its_gain_reaches_one(odd,
     record, ray = search(_loop(gain, odd))
     assert (ray is not None) == has_one
     assert has_equilibrium_exactly(_loop(gain, odd)) == has_one
+    assert has_linear_equilibrium(_loop(gain, odd)) == has_one
     assert record["rays"] == 1
     assert (record["closest"] <= TOL_EQUILIBRIUM) == has_one
     if has_one:
@@ -54,6 +61,8 @@ def test_an_equilibrium_that_needs_a_map_which_is_not_odd(odd):
     _, ray = search(_loop(G, odd))
     assert (ray is not None) == (not odd)
     assert has_equilibrium_exactly(_loop(G, odd)) == (not odd)
+    # G's eigenvalues (1 +- i sqrt(3)) / 2 are complex: no linear map shows it
+    assert not has_linear_equilibrium(_loop(G, odd))
     if ray is not None:
         assert np.allclose(np.abs(ray), [0.0, 1.0], atol=1e-15)
         assert _is_equilibrium_input(np.array(G), ray, odd)
@@ -81,14 +90,18 @@ def test_the_search_and_the_exact_oracle_agree_on_random_loops():
     # an odd map is a slope map, so an odd equilibrium is a slope one too;
     # every ray the search returns is an equilibrium input
     rng = np.random.default_rng(5)
-    seen = set()
+    seen, seen_linear = set(), 0
     for m, _ in itertools.product((2, 3), range(12)):
         G = rng.normal(size=(m, m)) * 1.5
         rays = [search(_loop(G, odd))[1] for odd in (False, True)]
         found = [ray is not None for ray in rays]
         assert found == [has_equilibrium_exactly(_loop(G, odd)) for odd in (False, True)], G
         assert found[0] or not found[1], G
+        # a linear map is odd, so an equilibrium it shows is one of both classes
+        assert found[1] or not has_linear_equilibrium(_loop(G)), G
+        seen_linear += has_linear_equilibrium(_loop(G))
         for odd, ray in zip((False, True), rays):
             assert ray is None or _is_equilibrium_input(G, ray, odd), G
         seen.add(tuple(found))
     assert seen == {(False, False), (True, False), (True, True)}
+    assert seen_linear > 0
