@@ -505,7 +505,7 @@ def _rank_ratio(H: np.ndarray):
     return max(float(w[-2]) / lead, 0.0), V
 
 
-def reduce_rank(dual: DualForm, search: Optional[Callable[[], tuple]] = None) -> SolveResult:
+def reduce_rank(dual: DualForm, search: Callable[[], Optional[tuple]]) -> SolveResult:
     """Solve the dual; unless H, the PSD block of its point, is rank one,
     take the equilibrium search's answer (m <= 4) or drive H toward rank one.
 
@@ -518,18 +518,17 @@ def reduce_rank(dual: DualForm, search: Optional[Callable[[], tuple]] = None) ->
     "infeasible", with the certificate in the diagnostics read in the
     primal's coordinates (P, M, t = 1); otherwise "numerical_limit".
 
-    search, given for loops equilibria.search takes (m <= 4), returns that
-    search's (record, ray); analyze runs it before the dual pass unless a
-    linear gain shows an equilibrium, and a loop with none never gets here.
-    A verified steer point that is not rank one calls it and comes back with
-    zero rounds: a witness is a class map with a nonzero equilibrium, and
-    the search finds one exactly when there is one.  rank_stop is then
-    "equilibrium", with the search's ray in "ray", or "no_equilibrium"; the
-    search's record is in "equilibrium_search".
-    Without search (m > 4), while the current point is not rank one,
-    re-solves minimizing the weight on its non-dominant eigenspace and keeps
-    a round's point only if it lowers the rank ratio.  The rounds stop at
-    rank one, once a round turns H's dominant eigenvector by
+    search() returns equilibria.search on dual.system, None for m > 4;
+    analyze passes it cached, having run it before the dual pass unless a
+    linear gain shows an equilibrium.  A verified steer point that is not
+    rank one calls it, and on m <= 4 comes back with zero rounds: a witness
+    is a class map with a nonzero equilibrium, and the search finds one
+    exactly when there is one.  rank_stop is then "equilibrium", with the
+    search's ray in "ray", or "no_equilibrium"; the search's record is in
+    "equilibrium_search".  For m > 4, while the current point is not rank
+    one, re-solves minimizing the weight on its non-dominant eigenspace and
+    keeps a round's point only if it lowers the rank ratio.  The rounds stop
+    at rank one, once a round turns H's dominant eigenvector by
     sin < sqrt(TOL_RANK) (a round not kept turns it by 0), or after
     _MAX_RANK_ROUNDS; rank_stop says which.  Every point is verified
     against the raw constraints and kept as the solver returned it.
@@ -552,7 +551,7 @@ def reduce_rank(dual: DualForm, search: Optional[Callable[[], tuple]] = None) ->
 
     best_ratio, best_V = _rank_ratio(best_assign["H"])
     trail = [best_ratio]
-    searched = None if best_ratio <= TOL_RANK or search is None else search()
+    searched = None if best_ratio <= TOL_RANK else search()
 
     rounds, turn, settled = 0, 1.0, np.sqrt(TOL_RANK)
     while (searched is None and best_ratio > TOL_RANK and turn >= settled

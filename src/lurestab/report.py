@@ -227,9 +227,8 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     the search cannot come back empty.  A search that finds no equilibrium
     ends the report inconclusive with reason no_equilibrium after one solve,
     the primal's: report.dual is None and the pipeline has no dual_status or
-    rank_* keys.  Otherwise the dual pass runs and reuses the search's
-    answer, running it only if it has not run, so the search runs at most
-    once.  For a steered dual point that is not rank one,
+    rank_* keys.  The search runs at most once: the dual pass and the
+    witness reuse its answer.  For a steered dual point that is not rank one,
     diagnostics["pipeline"]["witness_source"] is "search" (the search's ray
     w, with h1 = (I - A)^{-1} B w) or "dual" (the deflated point); a
     rank-one dual witness that fails the equilibrium check on m <= 4 gives
@@ -298,8 +297,8 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
 
     # where a linear gain shows an equilibrium the search cannot come back
     # empty, so it waits for a steer point that is not rank one
-    searched = cache(partial(search, unit)) if unit.m <= MAX_CHANNELS else None
-    if searched is not None and not has_linear_equilibrium(unit):
+    searched = cache(partial(search, unit))
+    if unit.m <= MAX_CHANNELS and not has_linear_equilibrium(unit):
         record, ray = searched()
         if ray is None:
             pipe["equilibrium_search"] = record
@@ -337,10 +336,10 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         return report("inconclusive")
 
     phi, reason, checks, evidence = _witness(sys, outcome)
-    if reason == "equilibrium_check" and ray is None and searched is not None:
+    if reason == "equilibrium_check" and ray is None:
         # a rank-one dual witness whose h1 holds the state equation only to
         # the dual's tolerance gives way to the search's ray
-        record, ray = searched()
+        record, ray = searched() or (None, None)
         if ray is not None:
             pipe["equilibrium_search"] = record
             phi, reason, checks, evidence = _witness(sys, _ray_certificate(unit, ray, is_odd))

@@ -24,7 +24,7 @@ import numpy as np
 
 from lurestab.conic import ConeSpec, smat
 from lurestab.engine import build_dual, reduce_rank, solve
-from lurestab.equilibria import MAX_CHANNELS, search
+from lurestab.equilibria import search
 from lurestab.lmi import BOX_BOUND, build_primal
 from lurestab.multipliers import build_multiplier
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
@@ -186,9 +186,7 @@ def audit_duality(sys: StateSpaceSystem, seed: int = 0) -> DualityAuditReport:
     """
     problem = build_primal(sys)
     primal = solve(problem)
-    # the status is the steer solve's; as in analyze, the equilibrium
-    # search stands in for the deflation rounds on m <= MAX_CHANNELS
-    dual = reduce_rank(build_dual(problem), partial(search, sys) if sys.m <= MAX_CHANNELS else None)
+    dual = reduce_rank(build_dual(problem), partial(search, sys))
     margin = primal.residuals.margin if primal.residuals.margin is not None else -np.inf
     primal_decisive = primal.status == "feasible" and margin >= 1e-7
     dual_decisive = dual.status == "feasible"

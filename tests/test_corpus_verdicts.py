@@ -52,9 +52,9 @@ class _Counting:
             self.calls.append(None)
             return real_solve(*args, **kwargs)
 
-        def reducing(dual, *args):
+        def reducing(dual, search):
             before = len(self.calls)
-            red = real_reduce(dual, *args)
+            red = real_reduce(dual, search)
             self.passes.append((len(self.calls) - before, red))
             return red
 

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import pathlib
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from cones import ConeTag, is_member
 from lurestab import conic, engine, report
 from lurestab.engine import build_dual, reduce_rank, solve
-from lurestab.equilibria import MAX_CHANNELS
+from lurestab.equilibria import MAX_CHANNELS, search
 from lurestab.lmi import BOX_BOUND, build_primal, multiplier_matrix, primal_lmi_matrix
 from lurestab.report import analyze
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
@@ -24,6 +25,11 @@ CHECKER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "checker.py"
 def _dual(sysm):
     """The dual LMI of a plant, transposed from its primal."""
     return build_dual(build_primal(sysm))
+
+
+def _reduce(dual):
+    """reduce_rank with the equilibrium search on the dual's loop."""
+    return reduce_rank(dual, partial(search, dual.system))
 
 
 def _recording(monkeypatch):
@@ -77,7 +83,7 @@ def test_decoupled_primal_feasible_with_margin(decoupled_example):
 def test_dual_feasible_on_slope_example(slope_example, kind_tag):
     odd = kind_tag == "dual_dd"
     cls = NonlinearityClass.SLOPE_ODD if odd else NonlinearityClass.SLOPE
-    res = reduce_rank(_dual(dataclasses.replace(slope_example, nl_class=cls)))
+    res = _reduce(_dual(dataclasses.replace(slope_example, nl_class=cls)))
     assert ("Z" in res.assignment) == odd
     assert res.status == "feasible"
     H = res.assignment["H"]
@@ -87,7 +93,7 @@ def test_dual_feasible_on_slope_example(slope_example, kind_tag):
 
 
 def test_dual_feasible_on_odd_example(odd_example):
-    res = reduce_rank(_dual(odd_example))
+    res = _reduce(_dual(odd_example))
     assert res.status == "feasible"
     assert abs(np.trace(res.assignment["H"]) - 1.0) <= 1.0e-7
 
@@ -123,7 +129,7 @@ def test_reduce_rank_reaches_rank_one(monkeypatch):
     # a deflation round takes it to rank one
     problem = _dual(normalize_band(_five_channel_loop()))
     results = _recording(monkeypatch)
-    red = reduce_rank(problem)
+    red = _reduce(problem)
     assert red.status == "feasible"
     trail = red.diagnostics["rank_trail"]
     # the trail starts at the steered point, the pass's first solve
@@ -151,7 +157,7 @@ def test_reduce_rank_decomposes_each_point_once(monkeypatch):
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    red = reduce_rank(problem)
+    red = _reduce(problem)
     rounds = red.diagnostics["rounds"]
     assert rounds >= 1
     assert calls.count("eigh") == 1 + rounds
@@ -166,7 +172,7 @@ def segment():
     problem = _dual(normalize_band(_five_channel_loop()))
     with pytest.MonkeyPatch.context() as m:
         results = _recording(m)
-        reduce_rank(problem)
+        _reduce(problem)
     x0, x1 = (res.x for res in results)
 
     def point(s):
@@ -193,7 +199,7 @@ def test_reduce_rank_stops_once_the_dominant_eigenvector_settles(segment, monkey
     problem, point = segment
     x = point(0.5 - 1.0e-5)
     _solves_returning(monkeypatch, [point(0.5), x, x])
-    red = reduce_rank(problem)
+    red = _reduce(problem)
     assert red.diagnostics["rounds"] == 1
     assert red.diagnostics["rank_stop"] == "settled"
     trail = red.diagnostics["rank_trail"]
@@ -210,7 +216,7 @@ def test_reduce_rank_counts_rank_one_before_the_turn(segment, monkeypatch):
     _, V = engine._rank_ratio(problem.reconstruct(x)["H"])
     assert np.linalg.norm(V_steer[:, :-1].T @ V[:, -1]) < np.sqrt(engine.TOL_RANK)
     _solves_returning(monkeypatch, [x_steer, x])
-    red = reduce_rank(problem)
+    red = _reduce(problem)
     assert red.diagnostics["rounds"] == 1
     assert red.diagnostics["rank_stop"] == "rank_one"
     assert red.diagnostics["rank_trail"][-1] <= engine.TOL_RANK
@@ -222,7 +228,7 @@ def test_reduce_rank_stops_at_the_round_limit_while_it_turns(segment, monkeypatc
     problem, point = segment
     xs = [point(1.0 - 0.09 * k) for k in range(engine._MAX_RANK_ROUNDS + 2)]
     _solves_returning(monkeypatch, xs)
-    red = reduce_rank(problem)
+    red = _reduce(problem)
     assert red.diagnostics["rounds"] == engine._MAX_RANK_ROUNDS
     assert red.diagnostics["rank_stop"] == "max_rounds"
 
@@ -233,7 +239,7 @@ def test_reduce_rank_stops_after_a_round_it_does_not_keep(segment, monkeypatch):
     problem, point = segment
     x_steer = point(0.5)
     _solves_returning(monkeypatch, [x_steer, point(0.6), x_steer])
-    red = reduce_rank(problem)
+    red = _reduce(problem)
     assert red.diagnostics["rounds"] == 1
     assert red.diagnostics["rank_stop"] == "settled"
     assert np.array_equal(red.assignment["H"], problem.reconstruct(x_steer)["H"])
@@ -282,7 +288,7 @@ def test_reduce_rank_keeps_rank_one_warm_start(slope_example, monkeypatch):
     # comes back as the steer solve returned it, with zero rounds run
     problem = _dual(slope_example)
     results = _recording(monkeypatch)
-    red = reduce_rank(problem)
+    red = _reduce(problem)
     [steer] = results
     assert np.array_equal(red.assignment["H"], problem.reconstruct(steer.x)["H"])
     ok, max_eq, max_cone = problem.verify(red.assignment)
@@ -310,7 +316,7 @@ def _check_primal_certificate(sysm, res):
 
 def test_equality_solve_farkas_certifies_infeasible(decoupled_example):
     # the decoupled loop is stable by small gain, so its dual is infeasible
-    res = reduce_rank(_dual(decoupled_example))
+    res = _reduce(_dual(decoupled_example))
     assert res.status == "infeasible"
     assert res.diagnostics["ipm_status"] == "infeasible"
     assert res.diagnostics["farkas_quality"] <= 1.0e-7
@@ -323,7 +329,7 @@ def test_psd_block_infeasible_toy_ends_with_a_checked_certificate():
     sysm = StateSpaceSystem(
         np.array([[0.5]]), np.array([[0.1]]), np.array([[0.1]]), np.array([[0.0]])
     )
-    res = reduce_rank(_dual(sysm))
+    res = _reduce(_dual(sysm))
     assert res.status == "infeasible"
     assert res.diagnostics["farkas_quality"] <= engine._FARKAS_TOL
     _check_primal_certificate(sysm, res)
@@ -334,7 +340,7 @@ def test_dual_farkas_certificate_is_a_primal_certificate():
     # scalar toy above are the other cases
     for seed, (n, m) in enumerate([(2, 3), (3, 2), (2, 2), (3, 4)]):
         sysm = _seeded_system(60 + seed, n, m, odd=bool(seed % 2), gain=0.5)
-        res = reduce_rank(_dual(sysm))
+        res = _reduce(_dual(sysm))
         assert res.status == "infeasible"
         assert res.diagnostics["farkas_quality"] <= engine._FARKAS_TOL
         _check_primal_certificate(sysm, res)
@@ -346,7 +352,7 @@ def test_equality_solve_feasible_toy():
     sysm = StateSpaceSystem(
         np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]])
     )
-    red = reduce_rank(_dual(sysm))
+    red = _reduce(_dual(sysm))
     assert red.status == "feasible"
     H = red.assignment["H"]
     assert abs(np.trace(H) - 1.0) <= 1.0e-8
@@ -360,7 +366,7 @@ def test_equality_solve_feasible_toy():
 def test_steer_solve_stops_at_its_accuracy_floor(odd_example, monkeypatch):
     problem = _dual(odd_example)
     results = _recording(monkeypatch)
-    red = reduce_rank(problem)
+    red = _reduce(problem)
     steer = results[0]
     # the steered dual solve asks for 1e-11, at the edge of what its
     # rounding allows; it gets within 1e-9 and then stops instead of
@@ -376,7 +382,7 @@ def test_steer_solve_stops_at_its_accuracy_floor(odd_example, monkeypatch):
 def test_witness_is_a_verified_solver_point_as_returned(monkeypatch, request, fixture):
     problem = _dual(request.getfixturevalue(fixture))
     results = _recording(monkeypatch)
-    red = reduce_rank(problem)
+    red = _reduce(problem)
     # nothing rewrites the point a solve returned before it is read
     H = red.assignment["H"]
     assert any(np.array_equal(H, problem.reconstruct(res.x)["H"]) for res in results)
@@ -486,9 +492,9 @@ def test_dual_point_is_the_one_steered_solve(monkeypatch, request, fixture):
     passes = []
     real = report.reduce_rank
 
-    def reducing(dual, *args):
+    def reducing(dual, search):
         before = len(results)
-        red = real(dual, *args)
+        red = real(dual, search)
         passes.append((before, len(results), dual, red))
         return red
 
@@ -513,14 +519,14 @@ def test_dual_point_does_not_depend_on_how_the_primal_ended(monkeypatch, slope_e
     # the dual is transposed from the primal's dense form alone: neither a
     # capped nor a converged primal solve moves its point
     problem = build_primal(slope_example)
-    before = reduce_rank(build_dual(problem))
+    before = _reduce(build_dual(problem))
     with monkeypatch.context() as m:
         m.setattr(conic, "MAX_ITERS", 3)
         capped = solve(problem)
     assert capped.status == "numerical_limit"
     assert capped.diagnostics["ipm_status"] == "max_iters"
     assert solve(problem).status == "infeasible"
-    after = reduce_rank(build_dual(problem))
+    after = _reduce(build_dual(problem))
     assert before.status == after.status == "feasible"
     assert np.array_equal(before.assignment["H"], after.assignment["H"])
 
