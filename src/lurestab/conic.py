@@ -153,7 +153,6 @@ class ConicResult:
     rp_rel: float
     rd_rel: float
     gap_rel: float
-    obj: float
     history: list = field(default_factory=list)
 
 
@@ -590,7 +589,7 @@ def solve_conic(
     y = np.zeros(nrows)
     if nrows == 0:
         x, s = x.copy(), s.copy()
-        return ConicResult("optimal", x, y, s, 0, 0.0, 0.0, 0.0, float(c @ x))
+        return ConicResult("optimal", x, y, s, 0, 0.0, 0.0, 0.0)
     bnorm = 1.0 + math.sqrt(b @ b)
     cnorm = 1.0 + math.sqrt(c @ c)
     row_data = _row_data(A, cone, psd_schur)
@@ -642,4 +641,4 @@ def solve_conic(
         scale = float(b @ y) if status == "infeasible" else tau
         x, y, s = x / scale, y / scale, s / scale
 
-    return ConicResult(status, x, y, s, it, rp_rel, rd_rel, gap_rel, float(c @ x), history)
+    return ConicResult(status, x, y, s, it, rp_rel, rd_rel, gap_rel, history)

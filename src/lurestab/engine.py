@@ -23,13 +23,10 @@ toward the branch the proof concludes on, returns a point or a Farkas
 certificate y.  Read in the primal's coordinates, that certificate is
 (P, M, t = 1) with F_h z in K, a strict primal solution; infeasibility is
 only declared once it passes an independent check.  A verified point that
-is not rank one takes the answer of the equilibrium search
-(equilibria.search), which the caller runs before the dual pass unless a
-linear gain already shows an equilibrium, and passes in; only loops the
-search cannot take deflate the point toward rank one.  A loop the search
-proves to have no equilibrium never reaches the dual pass.  Either way the
-verdict rests on verifying the raw constraints, never on solver status
-alone.
+is not rank one is left to the equilibrium search (equilibria.search),
+which analyze runs; only loops the search cannot take (m > MAX_CHANNELS)
+deflate the point toward rank one.  Either way the verdict rests on
+verifying the raw constraints, never on solver status alone.
 
 Every threshold is a module constant: TOL_RANK decides "rank one" here
 and in the detector, TOL_EQ bounds the dual's raw residual, PRIMAL_MARGIN
@@ -43,6 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conic import ConeSpec, smat, solve_conic, svec, svec_dim
+from .equilibria import MAX_CHANNELS
 from .errors import StructuralError
 from .lmi import (
     DUAL_SCALE,
@@ -505,9 +503,10 @@ def _rank_ratio(H: np.ndarray):
     return max(float(w[-2]) / lead, 0.0), V
 
 
-def reduce_rank(dual: DualForm, search: Callable[[], Optional[tuple]]) -> SolveResult:
+def reduce_rank(dual: DualForm) -> SolveResult:
     """Solve the dual; unless H, the PSD block of its point, is rank one,
-    take the equilibrium search's answer (m <= 4) or drive H toward rank one.
+    leave the point to the equilibrium search (m <= MAX_CHANNELS) or drive
+    H toward rank one.
 
     The steer solve maximizes the steer functional on H over the dual's
     feasible set, at the high-accuracy tolerance: breakpoint data for the
@@ -518,17 +517,13 @@ def reduce_rank(dual: DualForm, search: Callable[[], Optional[tuple]]) -> SolveR
     "infeasible", with the certificate in the diagnostics read in the
     primal's coordinates (P, M, t = 1); otherwise "numerical_limit".
 
-    search() returns equilibria.search on dual.system, None for m > 4;
-    analyze passes it cached, having run it before the dual pass unless a
-    linear gain shows an equilibrium.  A verified steer point that is not
-    rank one calls it, and on m <= 4 comes back with zero rounds: a witness
-    is a class map with a nonzero equilibrium, and the search finds one
-    exactly when there is one.  rank_stop is then "equilibrium", with the
-    search's ray in "ray", or "no_equilibrium"; the search's record is in
-    "equilibrium_search".  For m > 4, while the current point is not rank
-    one, re-solves minimizing the weight on its non-dominant eigenspace and
-    keeps a round's point only if it lowers the rank ratio.  The rounds stop
-    at rank one, once a round turns H's dominant eigenvector by
+    On m <= MAX_CHANNELS a verified steer point that is not rank one comes
+    back with zero rounds and rank_stop "equilibrium": the equilibrium
+    search, which analyze runs, finds a witness exactly when there is one.
+    For m > MAX_CHANNELS, while the current point is not rank one,
+    re-solves minimizing the weight on its non-dominant eigenspace and
+    keeps a round's point only if it lowers the rank ratio.  The rounds
+    stop at rank one, once a round turns H's dominant eigenvector by
     sin < sqrt(TOL_RANK) (a round not kept turns it by 0), or after
     _MAX_RANK_ROUNDS; rank_stop says which.  Every point is verified
     against the raw constraints and kept as the solver returned it.
@@ -551,11 +546,10 @@ def reduce_rank(dual: DualForm, search: Callable[[], Optional[tuple]]) -> SolveR
 
     best_ratio, best_V = _rank_ratio(best_assign["H"])
     trail = [best_ratio]
-    searched = None if best_ratio <= TOL_RANK else search()
+    deflate = dual.system.m > MAX_CHANNELS
 
     rounds, turn, settled = 0, 1.0, np.sqrt(TOL_RANK)
-    while (searched is None and best_ratio > TOL_RANK and turn >= settled
-           and rounds < _MAX_RANK_ROUNDS):
+    while deflate and best_ratio > TOL_RANK and turn >= settled and rounds < _MAX_RANK_ROUNDS:
         V2 = best_V[:, :-1]  # all but the dominant eigenvector
         _, assignment, (ok, max_eq, max_cone) = _solve_point(dual, V2 @ V2.T, _IPM_TOL)
         rounds += 1
@@ -569,11 +563,7 @@ def reduce_rank(dual: DualForm, search: Callable[[], Optional[tuple]]) -> SolveR
             best_ratio, best_V = ratio, V
         trail.append(best_ratio)
 
-    diagnostics.update({"rank_trail": trail, "rounds": rounds})
-    if searched:
-        diagnostics["equilibrium_search"], diagnostics["ray"] = searched
-        diagnostics["rank_stop"] = "no_equilibrium" if searched[1] is None else "equilibrium"
-    else:
-        diagnostics["rank_stop"] = ("rank_one" if best_ratio <= TOL_RANK
-                                    else "settled" if turn < settled else "max_rounds")
+    diagnostics.update(rank_trail=trail, rounds=rounds, rank_stop=(
+        "rank_one" if best_ratio <= TOL_RANK else "equilibrium" if not deflate
+        else "settled" if turn < settled else "max_rounds"))
     return SolveResult("feasible", best_assign, Residuals(best_eq, best_cone), diagnostics)

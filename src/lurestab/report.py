@@ -6,13 +6,13 @@ stability.  Otherwise, for m <= 4, the equilibrium search runs next unless
 a linear gain already shows an equilibrium, and a loop with none ends
 inconclusive without a dual solve.  One pass over the dual
 (engine.reduce_rank) then solves it, steering toward the branch the proof
-concludes on.  Certificate extraction reads a rank-one point as the paper
-does; for any other point the witness is the equilibrium search's ray, or
-for m > 4 the point's deflation to rank one.  The ray also replaces a
-rank-one witness that fails the equilibrium check.  The search runs at
-most once.  The witness is then mapped back to the original
-band, where the slope audit and a one-step algebraic equilibrium check
-run.  Every verdict carries the residuals and tolerances that produced it,
+concludes on, and for m > 4 deflates a point that is not rank one.
+Certificate extraction reads a rank-one point as the paper does, and the
+witness is mapped back to the original band, where the slope audit and a
+one-step algebraic equilibrium check run.  For m <= 4 a dual witness that
+fails extraction or either check gives way to the equilibrium search's
+ray; the search runs at most once.  Every verdict carries the residuals
+and tolerances that produced it,
 and reports serialize to byte-stable canonical JSON (sorted keys, fixed
 17-significant-digit floats, no timestamps).
 """
@@ -227,12 +227,14 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     the search cannot come back empty.  A search that finds no equilibrium
     ends the report inconclusive with reason no_equilibrium after one solve,
     the primal's: report.dual is None and the pipeline has no dual_status or
-    rank_* keys.  The search runs at most once: the dual pass and the
-    witness reuse its answer.  For a steered dual point that is not rank one,
-    diagnostics["pipeline"]["witness_source"] is "search" (the search's ray
-    w, with h1 = (I - A)^{-1} B w) or "dual" (the deflated point); a
-    rank-one dual witness that fails the equilibrium check on m <= 4 gives
-    way to the search's ray, with witness_source "search".
+    rank_* keys.  After the dual pass one fallback rule holds on
+    m <= MAX_CHANNELS: a dual witness that fails (extract_certificate is
+    Inconclusive, or the slope audit or the equilibrium check fails) is
+    replaced by the search's ray w, with h1 = (I - A)^{-1} B w, and
+    diagnostics["pipeline"]["witness_source"] is "search"; a search with no
+    ray there ends the report with reason no_equilibrium.  The search runs
+    at most once.  A witness read off a deflated point (m > 4) has
+    witness_source "dual".
 
     diagnostics["pipeline"]["inconclusive_reason"] is one of band_normalization,
     dual_not_feasible, no_equilibrium, rank, sign, degenerate, slope_check,
@@ -296,7 +298,7 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         return report("absolutely_stable")
 
     # where a linear gain shows an equilibrium the search cannot come back
-    # empty, so it waits for a steer point that is not rank one
+    # empty, so it waits for a dual witness that fails
     searched = cache(partial(search, unit))
     if unit.m <= MAX_CHANNELS and not has_linear_equilibrium(unit):
         record, ray = searched()
@@ -305,7 +307,7 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
             pipe["inconclusive_reason"] = "no_equilibrium"
             return report("inconclusive")
 
-    reduced = reduce_rank(build_dual(primal), searched)
+    reduced = reduce_rank(build_dual(primal))
     pipe["dual_status"] = reduced.status
     dual_dict = {
         "status": reduced.status,
@@ -321,28 +323,23 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     pipe["rank_stop"] = reduced.diagnostics["rank_stop"]
     blocks = reduced.assignment
     dual_dict["H"] = blocks["H"]
-    ray = reduced.diagnostics.get("ray")
-    if "equilibrium_search" in reduced.diagnostics:
-        pipe["equilibrium_search"] = reduced.diagnostics["equilibrium_search"]
+    outcome = extract_certificate(unit, reduced, sys.nl_class)
+    witness = None if isinstance(outcome, Inconclusive) else _witness(sys, outcome)
+    ray = None
+    if unit.m <= MAX_CHANNELS and (witness is None or witness[1] is not None):
+        # a dual witness that fails a gate or an audit gives way to the
+        # search's ray
+        pipe["equilibrium_search"], ray = searched()
         if ray is None:
             pipe["inconclusive_reason"] = "no_equilibrium"
             return report("inconclusive")
-        outcome = _ray_certificate(unit, ray, is_odd)
-    else:
-        outcome = extract_certificate(unit, reduced, sys.nl_class)
-    if isinstance(outcome, Inconclusive):
+        witness = _witness(sys, _ray_certificate(unit, ray, is_odd))
+    if witness is None:
         pipe["inconclusive_reason"] = outcome.reason
         pipe["inconclusive_detail"] = outcome.detail
         return report("inconclusive")
 
-    phi, reason, checks, evidence = _witness(sys, outcome)
-    if reason == "equilibrium_check" and ray is None:
-        # a rank-one dual witness whose h1 holds the state equation only to
-        # the dual's tolerance gives way to the search's ray
-        record, ray = searched() or (None, None)
-        if ray is not None:
-            pipe["equilibrium_search"] = record
-            phi, reason, checks, evidence = _witness(sys, _ray_certificate(unit, ray, is_odd))
+    phi, reason, checks, evidence = witness
     pipe.update(checks)
     if ray is not None or pipe["rank_trail"][0] > TOL_RANK:
         pipe["witness_source"] = "dual" if ray is None else "search"

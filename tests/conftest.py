@@ -1,13 +1,10 @@
 import json
 import pathlib
-from functools import partial
-
 import numpy as np
 import pytest
 
 from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze
 from lurestab.engine import build_dual, reduce_rank
-from lurestab.equilibria import search
 from lurestab.lmi import build_primal
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -51,12 +48,12 @@ def decoupled_example():
 @pytest.fixture(scope="session")
 def slope_dual_reduced(slope_example):
     """Rank-reduced feasible dual for the slope example."""
-    return reduce_rank(build_dual(build_primal(slope_example)), partial(search, slope_example))
+    return reduce_rank(build_dual(build_primal(slope_example)))
 
 
 @pytest.fixture(scope="session")
 def odd_dual_reduced(odd_example):
-    return reduce_rank(build_dual(build_primal(odd_example)), partial(search, odd_example))
+    return reduce_rank(build_dual(build_primal(odd_example)))
 
 
 @pytest.fixture(scope="session")

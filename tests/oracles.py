@@ -17,14 +17,12 @@ whether some map of the class gives a loop a nonzero equilibrium.
 import itertools
 import math
 from fractions import Fraction
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from lurestab.conic import ConeSpec, smat
 from lurestab.engine import build_dual, reduce_rank, solve
-from lurestab.equilibria import search
 from lurestab.lmi import BOX_BOUND, build_primal
 from lurestab.multipliers import build_multiplier
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
@@ -186,7 +184,7 @@ def audit_duality(sys: StateSpaceSystem, seed: int = 0) -> DualityAuditReport:
     """
     problem = build_primal(sys)
     primal = solve(problem)
-    dual = reduce_rank(build_dual(problem), partial(search, sys))
+    dual = reduce_rank(build_dual(problem))
     margin = primal.residuals.margin if primal.residuals.margin is not None else -np.inf
     primal_decisive = primal.status == "feasible" and margin >= 1e-7
     dual_decisive = dual.status == "feasible"

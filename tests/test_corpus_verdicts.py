@@ -7,6 +7,7 @@ import dataclasses
 import importlib.util
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -52,9 +53,9 @@ class _Counting:
             self.calls.append(None)
             return real_solve(*args, **kwargs)
 
-        def reducing(dual, search):
+        def reducing(dual):
             before = len(self.calls)
-            red = real_reduce(dual, search)
+            red = real_reduce(dual)
             self.passes.append((len(self.calls) - before, red))
             return red
 
@@ -140,6 +141,17 @@ def test_each_dual_pass_is_one_steer_solve_and_its_rounds(corpus_runs):
                 if stop == "rank_one":
                     assert "witness_source" not in pipe, case.name
     assert stops == {"rank_one", "equilibrium"}
+
+
+def test_every_rank_stop_seen_is_documented(corpus_runs):
+    # README.md lists the one set of values a dual pass stops with
+    stops = {"rank_one", "equilibrium", "settled", "max_rounds"}
+    readme = " ".join(README.read_text().split())
+    listed = readme.split("`rank_stop` is one of ", 1)[1].split(".", 1)[0]
+    assert set(re.findall(r"`(\w+)`", listed)) == stops
+    seen = {report["diagnostics"]["pipeline"].get("rank_stop") for _, report, *_ in corpus_runs}
+    seen |= {red.diagnostics.get("rank_stop") for *_, passes, _ in corpus_runs for _, red in passes}
+    assert seen - {None} <= stops
 
 
 def test_the_pass_makes_63_solves_and_no_round(corpus_runs):

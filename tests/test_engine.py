@@ -4,7 +4,6 @@ import dataclasses
 import importlib.util
 import json
 import pathlib
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,23 +12,18 @@ import pytest
 from cones import ConeTag, is_member
 from lurestab import conic, engine, report
 from lurestab.engine import build_dual, reduce_rank, solve
-from lurestab.equilibria import MAX_CHANNELS, search
+from lurestab.equilibria import MAX_CHANNELS
 from lurestab.lmi import BOX_BOUND, build_primal, multiplier_matrix, primal_lmi_matrix
 from lurestab.report import analyze
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
 from oracles import output_coupling_block, primal_constraints, state_equality_block
 
-CHECKER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "checker.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def _dual(sysm):
     """The dual LMI of a plant, transposed from its primal."""
     return build_dual(build_primal(sysm))
-
-
-def _reduce(dual):
-    """reduce_rank with the equilibrium search on the dual's loop."""
-    return reduce_rank(dual, partial(search, dual.system))
 
 
 def _recording(monkeypatch):
@@ -45,9 +39,10 @@ def _recording(monkeypatch):
     return results
 
 
-def _checker():
-    """The benchmark's independent verdict checker, bench/checker.py."""
-    spec = importlib.util.spec_from_file_location("bench_checker", CHECKER)
+def _bench(name):
+    """A module of the benchmark: checker, its independent verdict checker,
+    or workloads, its inputs."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -83,7 +78,7 @@ def test_decoupled_primal_feasible_with_margin(decoupled_example):
 def test_dual_feasible_on_slope_example(slope_example, kind_tag):
     odd = kind_tag == "dual_dd"
     cls = NonlinearityClass.SLOPE_ODD if odd else NonlinearityClass.SLOPE
-    res = _reduce(_dual(dataclasses.replace(slope_example, nl_class=cls)))
+    res = reduce_rank(_dual(dataclasses.replace(slope_example, nl_class=cls)))
     assert ("Z" in res.assignment) == odd
     assert res.status == "feasible"
     H = res.assignment["H"]
@@ -93,7 +88,7 @@ def test_dual_feasible_on_slope_example(slope_example, kind_tag):
 
 
 def test_dual_feasible_on_odd_example(odd_example):
-    res = _reduce(_dual(odd_example))
+    res = reduce_rank(_dual(odd_example))
     assert res.status == "feasible"
     assert abs(np.trace(res.assignment["H"]) - 1.0) <= 1.0e-7
 
@@ -119,9 +114,36 @@ def test_the_rounds_decide_a_loop_the_search_cannot_take():
     pipe = rep.diagnostics["pipeline"]
     assert pipe["rank_rounds"] == 1 and pipe["rank_stop"] == "rank_one"
     assert pipe["witness_source"] == "dual" and "equilibrium_search" not in pipe
-    case = SimpleNamespace(A=sysm.A, B=sysm.B, C=sysm.C, D=sysm.D, mu=0.0, nu=16.7, odd=False,
+    assert _bench("checker").check(_case(sysm), json.loads(rep.to_json())) == []
+
+
+def _system(case):
+    """The loop of a benchmark input."""
+    cls = NonlinearityClass.SLOPE_ODD if case.odd else NonlinearityClass.SLOPE
+    return StateSpaceSystem(case.A, case.B, case.C, case.D, SlopeBand(case.mu, case.nu), cls)
+
+
+def _case(sysm):
+    """A loop as an input of the benchmark's checker."""
+    return SimpleNamespace(A=sysm.A, B=sysm.B, C=sysm.C, D=sysm.D, mu=sysm.band.mu,
+                           nu=sysm.band.nu, odd=sysm.nl_class is NonlinearityClass.SLOPE_ODD,
                            expect_verdict=None)
-    assert _checker().check(case, json.loads(rep.to_json())) == []
+
+
+@pytest.mark.parametrize("fixture", ["slope_example", "odd_example"])
+def test_a_dual_witness_failing_any_gate_gives_way_to_the_search(monkeypatch, request, fixture):
+    # the paper's examples have rank-one steered points whose witnesses
+    # pass; one made to fail the sign gate takes the equilibrium search's
+    # ray, as one failing the equilibrium check does
+    sysm = request.getfixturevalue(fixture)
+    monkeypatch.setattr(report, "extract_certificate",
+                        lambda *args: report.Inconclusive("sign", "forced"))
+    rep = analyze(sysm)
+    assert rep.verdict == "not_absolutely_stable"
+    pipe = rep.diagnostics["pipeline"]
+    assert pipe["witness_source"] == "search" and pipe["rank_stop"] == "rank_one"
+    assert "inconclusive_detail" not in pipe
+    assert _bench("checker").check(_case(sysm), json.loads(rep.to_json())) == []
 
 
 def test_reduce_rank_reaches_rank_one(monkeypatch):
@@ -129,7 +151,7 @@ def test_reduce_rank_reaches_rank_one(monkeypatch):
     # a deflation round takes it to rank one
     problem = _dual(normalize_band(_five_channel_loop()))
     results = _recording(monkeypatch)
-    red = _reduce(problem)
+    red = reduce_rank(problem)
     assert red.status == "feasible"
     trail = red.diagnostics["rank_trail"]
     # the trail starts at the steered point, the pass's first solve
@@ -145,23 +167,32 @@ def test_reduce_rank_decomposes_each_point_once(monkeypatch):
     # one eigh per kept point gives its rank ratio and the next round's
     # deflation directions; dual.verify adds one eigvalsh per solved point,
     # the steer point's included (the IPM's step lengths decompose stacks,
-    # which are not counted)
-    problem = _dual(normalize_band(_five_channel_loop()))
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
+    # which are not counted).  The five-channel loop takes its round;
+    # corpus-7 (m = 4), whose steered point is not rank one either, is left
+    # to the equilibrium search after the steer solve alone
+    corpus_7 = next(c for c in _bench("workloads").corpus() if c.name == "corpus-7")
+    loops = [(_five_channel_loop(), 1, "rank_one"), (_system(corpus_7), 0, "equilibrium")]
+    for sysm, rounds, stop in loops:
+        problem = _dual(normalize_band(sysm))
+        calls = []
+        with monkeypatch.context() as m:
+            solves = _recording(m)
+            for name in ("eigh", "eigvalsh"):
+                real = getattr(np.linalg, name)
 
-        def counting(a, *args, _real=real, _name=name, **kwargs):
-            if np.ndim(a) == 2:
-                calls.append(_name)
-            return _real(a, *args, **kwargs)
+                def counting(a, *args, _real=real, _name=name, **kwargs):
+                    if np.ndim(a) == 2:
+                        calls.append(_name)
+                    return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
-    red = _reduce(problem)
-    rounds = red.diagnostics["rounds"]
-    assert rounds >= 1
-    assert calls.count("eigh") == 1 + rounds
-    assert calls.count("eigvalsh") == 1 + rounds
+                m.setattr(np.linalg, name, counting)
+            red = reduce_rank(problem)
+        assert red.diagnostics["rounds"] == rounds and red.diagnostics["rank_stop"] == stop
+        assert red.diagnostics["rank_trail"][0] > engine.TOL_RANK
+        assert len(solves) == 1 + rounds
+        assert calls.count("eigh") == 1 + rounds
+        assert calls.count("eigvalsh") == 1 + rounds
+        assert not {"ray", "equilibrium_search"} & set(red.diagnostics)
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +203,7 @@ def segment():
     problem = _dual(normalize_band(_five_channel_loop()))
     with pytest.MonkeyPatch.context() as m:
         results = _recording(m)
-        _reduce(problem)
+        reduce_rank(problem)
     x0, x1 = (res.x for res in results)
 
     def point(s):
@@ -199,7 +230,7 @@ def test_reduce_rank_stops_once_the_dominant_eigenvector_settles(segment, monkey
     problem, point = segment
     x = point(0.5 - 1.0e-5)
     _solves_returning(monkeypatch, [point(0.5), x, x])
-    red = _reduce(problem)
+    red = reduce_rank(problem)
     assert red.diagnostics["rounds"] == 1
     assert red.diagnostics["rank_stop"] == "settled"
     trail = red.diagnostics["rank_trail"]
@@ -216,7 +247,7 @@ def test_reduce_rank_counts_rank_one_before_the_turn(segment, monkeypatch):
     _, V = engine._rank_ratio(problem.reconstruct(x)["H"])
     assert np.linalg.norm(V_steer[:, :-1].T @ V[:, -1]) < np.sqrt(engine.TOL_RANK)
     _solves_returning(monkeypatch, [x_steer, x])
-    red = _reduce(problem)
+    red = reduce_rank(problem)
     assert red.diagnostics["rounds"] == 1
     assert red.diagnostics["rank_stop"] == "rank_one"
     assert red.diagnostics["rank_trail"][-1] <= engine.TOL_RANK
@@ -228,7 +259,7 @@ def test_reduce_rank_stops_at_the_round_limit_while_it_turns(segment, monkeypatc
     problem, point = segment
     xs = [point(1.0 - 0.09 * k) for k in range(engine._MAX_RANK_ROUNDS + 2)]
     _solves_returning(monkeypatch, xs)
-    red = _reduce(problem)
+    red = reduce_rank(problem)
     assert red.diagnostics["rounds"] == engine._MAX_RANK_ROUNDS
     assert red.diagnostics["rank_stop"] == "max_rounds"
 
@@ -239,7 +270,7 @@ def test_reduce_rank_stops_after_a_round_it_does_not_keep(segment, monkeypatch):
     problem, point = segment
     x_steer = point(0.5)
     _solves_returning(monkeypatch, [x_steer, point(0.6), x_steer])
-    red = _reduce(problem)
+    red = reduce_rank(problem)
     assert red.diagnostics["rounds"] == 1
     assert red.diagnostics["rank_stop"] == "settled"
     assert np.array_equal(red.assignment["H"], problem.reconstruct(x_steer)["H"])
@@ -288,7 +319,7 @@ def test_reduce_rank_keeps_rank_one_warm_start(slope_example, monkeypatch):
     # comes back as the steer solve returned it, with zero rounds run
     problem = _dual(slope_example)
     results = _recording(monkeypatch)
-    red = _reduce(problem)
+    red = reduce_rank(problem)
     [steer] = results
     assert np.array_equal(red.assignment["H"], problem.reconstruct(steer.x)["H"])
     ok, max_eq, max_cone = problem.verify(red.assignment)
@@ -316,7 +347,7 @@ def _check_primal_certificate(sysm, res):
 
 def test_equality_solve_farkas_certifies_infeasible(decoupled_example):
     # the decoupled loop is stable by small gain, so its dual is infeasible
-    res = _reduce(_dual(decoupled_example))
+    res = reduce_rank(_dual(decoupled_example))
     assert res.status == "infeasible"
     assert res.diagnostics["ipm_status"] == "infeasible"
     assert res.diagnostics["farkas_quality"] <= 1.0e-7
@@ -329,7 +360,7 @@ def test_psd_block_infeasible_toy_ends_with_a_checked_certificate():
     sysm = StateSpaceSystem(
         np.array([[0.5]]), np.array([[0.1]]), np.array([[0.1]]), np.array([[0.0]])
     )
-    res = _reduce(_dual(sysm))
+    res = reduce_rank(_dual(sysm))
     assert res.status == "infeasible"
     assert res.diagnostics["farkas_quality"] <= engine._FARKAS_TOL
     _check_primal_certificate(sysm, res)
@@ -340,7 +371,7 @@ def test_dual_farkas_certificate_is_a_primal_certificate():
     # scalar toy above are the other cases
     for seed, (n, m) in enumerate([(2, 3), (3, 2), (2, 2), (3, 4)]):
         sysm = _seeded_system(60 + seed, n, m, odd=bool(seed % 2), gain=0.5)
-        res = _reduce(_dual(sysm))
+        res = reduce_rank(_dual(sysm))
         assert res.status == "infeasible"
         assert res.diagnostics["farkas_quality"] <= engine._FARKAS_TOL
         _check_primal_certificate(sysm, res)
@@ -352,7 +383,7 @@ def test_equality_solve_feasible_toy():
     sysm = StateSpaceSystem(
         np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]])
     )
-    red = _reduce(_dual(sysm))
+    red = reduce_rank(_dual(sysm))
     assert red.status == "feasible"
     H = red.assignment["H"]
     assert abs(np.trace(H) - 1.0) <= 1.0e-8
@@ -366,7 +397,7 @@ def test_equality_solve_feasible_toy():
 def test_steer_solve_stops_at_its_accuracy_floor(odd_example, monkeypatch):
     problem = _dual(odd_example)
     results = _recording(monkeypatch)
-    red = _reduce(problem)
+    red = reduce_rank(problem)
     steer = results[0]
     # the steered dual solve asks for 1e-11, at the edge of what its
     # rounding allows; it gets within 1e-9 and then stops instead of
@@ -382,7 +413,7 @@ def test_steer_solve_stops_at_its_accuracy_floor(odd_example, monkeypatch):
 def test_witness_is_a_verified_solver_point_as_returned(monkeypatch, request, fixture):
     problem = _dual(request.getfixturevalue(fixture))
     results = _recording(monkeypatch)
-    red = _reduce(problem)
+    red = reduce_rank(problem)
     # nothing rewrites the point a solve returned before it is read
     H = red.assignment["H"]
     assert any(np.array_equal(H, problem.reconstruct(res.x)["H"]) for res in results)
@@ -492,9 +523,9 @@ def test_dual_point_is_the_one_steered_solve(monkeypatch, request, fixture):
     passes = []
     real = report.reduce_rank
 
-    def reducing(dual, search):
+    def reducing(dual):
         before = len(results)
-        red = real(dual, search)
+        red = real(dual)
         passes.append((before, len(results), dual, red))
         return red
 
@@ -519,14 +550,14 @@ def test_dual_point_does_not_depend_on_how_the_primal_ended(monkeypatch, slope_e
     # the dual is transposed from the primal's dense form alone: neither a
     # capped nor a converged primal solve moves its point
     problem = build_primal(slope_example)
-    before = _reduce(build_dual(problem))
+    before = reduce_rank(build_dual(problem))
     with monkeypatch.context() as m:
         m.setattr(conic, "MAX_ITERS", 3)
         capped = solve(problem)
     assert capped.status == "numerical_limit"
     assert capped.diagnostics["ipm_status"] == "max_iters"
     assert solve(problem).status == "infeasible"
-    after = _reduce(build_dual(problem))
+    after = reduce_rank(build_dual(problem))
     assert before.status == after.status == "feasible"
     assert np.array_equal(before.assignment["H"], after.assignment["H"])
 
