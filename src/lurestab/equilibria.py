@@ -26,6 +26,9 @@ The tables are built once per (m, class), on first use.
 A linear map shows an equilibrium without a search: where G has a real
 eigenvalue lambda >= 1, psi(z) = z / lambda has slope 1 / lambda in (0, 1],
 is odd, and closes the loop with the equilibrium input w, the eigenvector.
+Such a loop is not absolutely stable, so the LMI, a sufficient condition,
+has no strict solution: analyze reads lambda (linear_equilibrium) before
+the primal and skips that solve.
 """
 
 import itertools
@@ -36,7 +39,7 @@ import numpy as np
 
 from .system import NonlinearityClass, StateSpaceSystem
 
-__all__ = ["MAX_CHANNELS", "TOL_EQUILIBRIUM", "has_linear_equilibrium", "search"]
+__all__ = ["MAX_CHANNELS", "TOL_EQUILIBRIUM", "linear_equilibrium", "search"]
 
 # Largest channel count searched: the candidates grow as C(2 p, m - 1) in
 # the p node pairs (1 140 for the slope class and 4 960 for the odd one at m = 4).
@@ -96,12 +99,14 @@ def _gain(sys: StateSpaceSystem) -> np.ndarray:
     return sys.C @ np.linalg.solve(np.eye(sys.n) - sys.A, sys.B) + sys.D
 
 
-def has_linear_equilibrium(sys: StateSpaceSystem) -> bool:
-    """Whether a linear map of both classes gives the normalized loop sys a
-    nonzero equilibrium: G has a real eigenvalue lambda >= 1 (LAPACK
-    returns a real eigenvalue with imaginary part exactly 0)."""
+def linear_equilibrium(sys: StateSpaceSystem) -> Optional[float]:
+    """The largest real eigenvalue lambda >= 1 of G, where the linear map
+    z / lambda of both classes gives the normalized loop sys a nonzero
+    equilibrium; None when G has none (LAPACK returns a real eigenvalue
+    with imaginary part exactly 0)."""
     lam = np.linalg.eigvals(_gain(sys))
-    return bool(np.any((lam.imag == 0.0) & (lam.real >= 1.0)))
+    real = lam.real[(lam.imag == 0.0) & (lam.real >= 1.0)]
+    return float(real.max()) if real.size else None
 
 
 def search(sys: StateSpaceSystem) -> Optional[tuple]:

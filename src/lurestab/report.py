@@ -1,12 +1,13 @@
 """Analysis pipeline and canonical report serialization.
 
 analyze() brings the loop to the slope band [0, 1] (system.normalize_band)
-and runs the primal there first; a strict-margin win means absolute
-stability.  Otherwise, for m <= 4, the equilibrium search runs next unless
-a linear gain already shows an equilibrium, and a loop with none ends
-inconclusive without a dual solve.  One pass over the dual
-(engine.reduce_rank) then solves it, steering toward the branch the proof
-concludes on, and for m > 4 deflates a point that is not rank one.
+and first asks whether a linear gain shows an equilibrium; such a loop
+cannot satisfy the LMI, so its primal is not solved.  Otherwise the primal
+runs there; a strict-margin win means absolute stability.  If it fails,
+for m <= 4, the equilibrium search runs next, and a loop with no
+equilibrium ends inconclusive without a dual solve.  One pass over the
+dual (engine.reduce_rank) then solves it, steering toward the branch the
+proof concludes on, and for m > 4 deflates a point that is not rank one.
 Certificate extraction reads a rank-one point as the paper does, and the
 witness is mapped back to the original band, where the slope audit and a
 one-step algebraic equilibrium check run.  For m <= 4 a dual witness that
@@ -27,7 +28,7 @@ import numpy as np
 from .detector import DualCertificate, Inconclusive, build_pwl, extract_certificate, snap_to_band
 from .conic import MAX_ITERS
 from .engine import CONE_TOL, PRIMAL_MARGIN, TOL_EQ, TOL_RANK, build_dual, reduce_rank, solve
-from .equilibria import MAX_CHANNELS, has_linear_equilibrium, search
+from .equilibria import MAX_CHANNELS, linear_equilibrium, search
 from .errors import AssumptionViolatedError
 from .linalg import spectral_norm
 from .lmi import build_primal, multiplier_matrix
@@ -221,20 +222,26 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     The tolerances are fixed module constants, echoed in
     diagnostics["tolerances"].
 
-    After a primal that does not certify, a loop with m <= MAX_CHANNELS
-    goes to the equilibrium search before the dual pass, unless a linear
-    gain shows an equilibrium (equilibria.has_linear_equilibrium), where
-    the search cannot come back empty.  A search that finds no equilibrium
-    ends the report inconclusive with reason no_equilibrium after one solve,
-    the primal's: report.dual is None and the pipeline has no dual_status or
-    rank_* keys.  After the dual pass one fallback rule holds on
-    m <= MAX_CHANNELS: a dual witness that fails (extract_certificate is
-    Inconclusive, or the slope audit or the equilibrium check fails) is
-    replaced by the search's ray w, with h1 = (I - A)^{-1} B w, and
-    diagnostics["pipeline"]["witness_source"] is "search"; a search with no
-    ray there ends the report with reason no_equilibrium.  The search runs
-    at most once.  A witness read off a deflated point (m > 4) has
-    witness_source "dual".
+    Where a linear gain shows an equilibrium (equilibria.linear_equilibrium
+    returns lambda, a real eigenvalue >= 1 of G, so z / lambda is a class
+    map with a nonzero equilibrium) the strict LMI has no solution, and the
+    primal is built for the dual but not solved: report.primal is None, the
+    pipeline has no primal_* keys, and diagnostics["pipeline"]
+    ["linear_equilibrium"] holds lambda.  The dual pass comes next, and the
+    search, which cannot come back empty there, waits for a dual witness
+    that fails.  The linear gain decides no verdict itself.  After a primal
+    that does not certify, a loop with m <= MAX_CHANNELS goes to the
+    equilibrium search before the dual pass.  A search that finds no
+    equilibrium ends the report inconclusive with reason no_equilibrium
+    after one solve, the primal's: report.dual is None and the pipeline has
+    no dual_status or rank_* keys.  After the dual pass one fallback rule
+    holds on m <= MAX_CHANNELS: a dual witness that fails
+    (extract_certificate is Inconclusive, or the slope audit or the
+    equilibrium check fails) is replaced by the search's ray w, with
+    h1 = (I - A)^{-1} B w, and diagnostics["pipeline"]["witness_source"] is
+    "search"; a search with no ray there ends the report with reason
+    no_equilibrium.  The search runs at most once.  A witness read off a
+    deflated point (m > 4) has witness_source "dual".
 
     diagnostics["pipeline"]["inconclusive_reason"] is one of band_normalization,
     dual_not_feasible, no_equilibrium, rank, sign, degenerate, slope_check,
@@ -278,34 +285,38 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         pipe["inconclusive_detail"] = str(exc)
         return report("inconclusive")
 
+    # a linear gain with an equilibrium rules out a strict LMI solution, so
+    # the primal is built for the dual but not solved; nor can the search
+    # come back empty there, so it waits for a dual witness that fails
+    lam = linear_equilibrium(unit)
     primal = build_primal(unit)
-    primal_res = solve(primal)
-    pipe["primal_status"] = primal_res.status
-    pipe["primal_ipm_status"] = primal_res.diagnostics["ipm_status"]
-    pipe["primal_ipm_iterations"] = primal_res.diagnostics["ipm_iterations"]
-    primal_dict = {
-        "status": primal_res.status,
-        "margin": primal_res.residuals.margin,
-        "max_equality_residual": primal_res.residuals.max_equality,
-        "max_cone_violation": primal_res.residuals.max_cone_violation,
-    }
-    if primal_res.status == "feasible":
-        # the normalized LMI at (P, M (nu - mu)^2) is a congruence of the
-        # original one at (P, M)
-        M = multiplier_matrix(primal_res.assignment, sys.nl_class)
-        primal_dict["P"] = primal_res.assignment["P"]
-        primal_dict["M"] = M / (sys.band.nu - sys.band.mu) ** 2
-        return report("absolutely_stable")
-
-    # where a linear gain shows an equilibrium the search cannot come back
-    # empty, so it waits for a dual witness that fails
     searched = cache(partial(search, unit))
-    if unit.m <= MAX_CHANNELS and not has_linear_equilibrium(unit):
-        record, ray = searched()
-        if ray is None:
-            pipe["equilibrium_search"] = record
-            pipe["inconclusive_reason"] = "no_equilibrium"
-            return report("inconclusive")
+    if lam is not None:
+        pipe["linear_equilibrium"] = lam
+    else:
+        primal_res = solve(primal)
+        pipe["primal_status"] = primal_res.status
+        pipe["primal_ipm_status"] = primal_res.diagnostics["ipm_status"]
+        pipe["primal_ipm_iterations"] = primal_res.diagnostics["ipm_iterations"]
+        primal_dict = {
+            "status": primal_res.status,
+            "margin": primal_res.residuals.margin,
+            "max_equality_residual": primal_res.residuals.max_equality,
+            "max_cone_violation": primal_res.residuals.max_cone_violation,
+        }
+        if primal_res.status == "feasible":
+            # the normalized LMI at (P, M (nu - mu)^2) is a congruence of the
+            # original one at (P, M)
+            M = multiplier_matrix(primal_res.assignment, sys.nl_class)
+            primal_dict["P"] = primal_res.assignment["P"]
+            primal_dict["M"] = M / (sys.band.nu - sys.band.mu) ** 2
+            return report("absolutely_stable")
+        if unit.m <= MAX_CHANNELS:
+            record, ray = searched()
+            if ray is None:
+                pipe["equilibrium_search"] = record
+                pipe["inconclusive_reason"] = "no_equilibrium"
+                return report("inconclusive")
 
     reduced = reduce_rank(build_dual(primal))
     pipe["dual_status"] = reduced.status

@@ -31,18 +31,24 @@ def test_span_targets_resolve_on_the_package():
 
 
 def test_every_span_target_is_called_on_the_dual_path(capsys):
-    # the slope example runs the whole dual pass through the CLI; only the
-    # simulation is no longer part of analyze
+    # the stable example solves the primal, and the slope example, whose
+    # linear equilibrium skips the primal, runs the whole dual pass through
+    # the CLI; only the simulation is no longer part of analyze
     spans = _load_spans()
     tracer = spans.Tracer()
     with tracer.patched(lurestab):
-        code = lurestab.cli.main(["analyze", str(ROOT / "tests" / "data" / "sys_slope.json")])
-    assert code == 10
-    assert capsys.readouterr().out
+        for stem, expected_code in (("sys_decoupled", 0), ("sys_slope", 10)):
+            tracer.op = stem
+            code = lurestab.cli.main(["analyze", str(ROOT / "tests" / "data" / f"{stem}.json")])
+            assert code == expected_code
+            assert capsys.readouterr().out
     seen = {layer for *_, layer, _, _, _ in tracer.spans}
     expected = {layer for _, _, layer in spans.TARGETS} - {"simulate.simulate"}
     assert expected <= seen, expected - seen
     # the steer solve runs inside reduce_rank, which counts rounds only
     metrics = tracer.layer_metrics()
     assert metrics["engine.reduce_rank.calls"] == 1
-    assert metrics["conic.solve_conic.calls"] == 2 + metrics["engine.reduce_rank.rounds"]
+    solves = {stem: sum(1 for _, _, op, layer, *_ in tracer.spans
+                        if op == stem and layer == "conic.solve_conic")
+              for stem in ("sys_decoupled", "sys_slope")}
+    assert solves == {"sys_decoupled": 1, "sys_slope": 1 + metrics["engine.reduce_rank.rounds"]}

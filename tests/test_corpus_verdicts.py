@@ -14,7 +14,8 @@ import pytest
 
 import lurestab.report
 from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, engine, simulate
-from lurestab.equilibria import TOL_EQUILIBRIUM, has_linear_equilibrium, search
+from lurestab.equilibria import TOL_EQUILIBRIUM, linear_equilibrium, search
+from lurestab.lmi import build_primal
 from lurestab.system import normalize_band
 from oracles import has_equilibrium_exactly
 
@@ -105,9 +106,13 @@ def test_every_corpus_input_keeps_its_verdict_and_reason(corpus_runs):
             rejected[case.name] = problems
         # the primal alone decides a stable report, and the equilibrium
         # search after it a no_equilibrium one; any other report adds one
-        # dual solve and its deflation rounds
+        # dual solve and its deflation rounds, and one with a linear
+        # equilibrium skips the primal
         primal_only = report["verdict"] == "absolutely_stable" or got[1] == "no_equilibrium"
-        budget = 1 if primal_only else 2 + pipe.get("rank_rounds", 0)
+        if "linear_equilibrium" in pipe:
+            budget = 1 + pipe["rank_rounds"]
+        else:
+            budget = 1 if primal_only else 2 + pipe.get("rank_rounds", 0)
         if calls != budget:
             over_budget[case.name] = (budget, calls)
     assert not moved
@@ -143,6 +148,51 @@ def test_each_dual_pass_is_one_steer_solve_and_its_rounds(corpus_runs):
     assert stops == {"rank_one", "equilibrium"}
 
 
+def test_a_linear_equilibrium_skips_the_primal_and_only_on_unstable_loops(
+        corpus_runs, slope_report, odd_report, decoupled_example):
+    # z / lambda is a class map with a nonzero equilibrium, so the LMI has
+    # no strict solution: the pre-test fires on no stable loop, each report
+    # it fires on is unstable and has no primal block, and the primal,
+    # forced, never certifies those loops
+    workloads = _load_bench("workloads")
+    for case in workloads.ladder():  # all stable by small gain
+        assert linear_equilibrium(_unit(case)) is None, case.name
+    assert linear_equilibrium(normalize_band(decoupled_example)) is None
+    fired = []
+    runs = [(case.name, report) for case, report, *_ in corpus_runs]
+    runs += [(name, json.loads(rep.to_json()))
+             for name, rep in (("sys_slope", slope_report), ("sys_slope_odd", odd_report))]
+    for name, report in runs:
+        pipe = report["diagnostics"]["pipeline"]
+        if "linear_equilibrium" not in pipe:
+            assert report["primal"] is not None, name
+            continue
+        assert pipe["linear_equilibrium"] >= 1.0, name
+        assert report["verdict"] == "not_absolutely_stable", name
+        assert report["primal"] is None, name
+        assert not {k for k in pipe if k.startswith("primal_")}, name
+        fired.append(name)
+    assert len(fired) == 13 and {"sys_slope", "sys_slope_odd"} <= set(fired)
+    for case, *_ in corpus_runs:
+        if case.name in fired:
+            assert engine.solve(build_primal(_unit(case))).status != "feasible", case.name
+
+
+def test_a_search_witness_after_the_primal_and_the_dual(corpus_runs):
+    # corpus-43 holds no linear equilibrium: the primal fails, the search
+    # finds a ray, and the steer point, which is not rank one, gives way to it
+    [(report, calls, passes)] = [
+        (report, calls, passes) for case, report, calls, passes, _ in corpus_runs
+        if case.name == "corpus-43"
+    ]
+    pipe = report["diagnostics"]["pipeline"]
+    assert "linear_equilibrium" not in pipe
+    assert report["primal"]["status"] == "infeasible"
+    assert calls == 2 and len(passes) == 1 and passes[0][0] == 1
+    assert pipe["witness_source"] == "search"
+    assert report["verdict"] == "not_absolutely_stable"
+
+
 def test_every_rank_stop_seen_is_documented(corpus_runs):
     # README.md lists the one set of values a dual pass stops with
     stops = {"rank_one", "equilibrium", "settled", "max_rounds"}
@@ -154,11 +204,12 @@ def test_every_rank_stop_seen_is_documented(corpus_runs):
     assert seen - {None} <= stops
 
 
-def test_the_pass_makes_63_solves_and_no_round(corpus_runs):
+def test_the_pass_makes_52_solves_and_no_round(corpus_runs):
     # counts, not seconds: the equilibrium search answers every steer point
-    # that is not rank one, so no corpus loop runs a deflation round, and
-    # the 10 loops it proves to have no equilibrium run no dual solve
-    assert sum(calls for _, _, calls, _, _ in corpus_runs) == 63
+    # that is not rank one, so no corpus loop runs a deflation round, the
+    # 10 loops it proves to have no equilibrium run no dual solve, and the
+    # 11 with a linear equilibrium no primal solve
+    assert sum(calls for _, _, calls, _, _ in corpus_runs) == 52
     rounds = [report["diagnostics"]["pipeline"].get("rank_rounds", 0) for _, report, *_ in corpus_runs]
     assert sum(rounds) == 0
 
@@ -242,7 +293,7 @@ def test_the_equilibrium_search_is_invariant_on_the_full_corpus():
         changed = (case, _scaled(case, 0.25), _scaled(case, 4.0), _scaled(case, 64.0), _reversed(case))
         found = {search(_unit(c))[1] is not None for c in changed}
         assert len(found) == 1, case.name
-        if has_linear_equilibrium(_unit(case)):
+        if linear_equilibrium(_unit(case)) is not None:
             assert found == {True}, case.name
             linear += 1
     assert linear > 0

@@ -532,18 +532,19 @@ def test_dual_point_is_the_one_steered_solve(monkeypatch, request, fixture):
     monkeypatch.setattr(report, "reduce_rank", reducing)
     rep = analyze(sysm)
     assert rep.verdict == "not_absolutely_stable"
-    # only the primal runs before the dual's pass, which is the steer solve
-    # and its deflation rounds
+    # a linear equilibrium rules the primal out, so nothing runs before the
+    # dual's pass, which is the steer solve and its deflation rounds
     [(before, after, dual, red)] = passes
-    assert before == 1
+    assert before == 0
     assert after - before == 1 + red.diagnostics["rounds"]
     steer = dual.reconstruct(results[before].x)
     assert dual.verify(steer)[0]
     pipe = rep.diagnostics["pipeline"]
     assert "dual_source" not in pipe
     assert pipe["rank_trail"][0] == engine._rank_ratio(steer["H"])[0]
-    assert pipe["primal_ipm_status"] == "optimal"
-    assert pipe["primal_ipm_iterations"] >= 1
+    assert rep.primal is None
+    assert pipe["linear_equilibrium"] >= 1.0
+    assert not {key for key in pipe if key.startswith("primal_")}
 
 
 def test_dual_point_does_not_depend_on_how_the_primal_ended(monkeypatch, slope_example):

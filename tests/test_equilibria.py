@@ -11,7 +11,7 @@ from lurestab.equilibria import (
     MAX_CHANNELS,
     TOL_EQUILIBRIUM,
     _null_vectors,
-    has_linear_equilibrium,
+    linear_equilibrium,
     search,
 )
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
@@ -46,7 +46,7 @@ def test_a_scalar_loop_has_an_equilibrium_exactly_when_its_gain_reaches_one(odd,
     record, ray = search(_loop(gain, odd))
     assert (ray is not None) == has_one
     assert has_equilibrium_exactly(_loop(gain, odd)) == has_one
-    assert has_linear_equilibrium(_loop(gain, odd)) == has_one
+    assert linear_equilibrium(_loop(gain, odd)) == (gain if has_one else None)
     assert record["rays"] == 1
     assert (record["closest"] <= TOL_EQUILIBRIUM) == has_one
     if has_one:
@@ -62,10 +62,15 @@ def test_an_equilibrium_that_needs_a_map_which_is_not_odd(odd):
     assert (ray is not None) == (not odd)
     assert has_equilibrium_exactly(_loop(G, odd)) == (not odd)
     # G's eigenvalues (1 +- i sqrt(3)) / 2 are complex: no linear map shows it
-    assert not has_linear_equilibrium(_loop(G, odd))
+    assert linear_equilibrium(_loop(G, odd)) is None
     if ray is not None:
         assert np.allclose(np.abs(ray), [0.0, 1.0], atol=1e-15)
         assert _is_equilibrium_input(np.array(G), ray, odd)
+
+
+def test_the_linear_equilibrium_is_the_largest_real_eigenvalue_past_one():
+    assert linear_equilibrium(_loop(np.diag([1.5, 3.0, 0.5]))) == 3.0
+    assert linear_equilibrium(_loop(np.diag([0.5, -3.0]))) is None
 
 
 def test_more_channels_than_the_search_takes_are_not_searched():
@@ -97,9 +102,15 @@ def test_the_search_and_the_exact_oracle_agree_on_random_loops():
         found = [ray is not None for ray in rays]
         assert found == [has_equilibrium_exactly(_loop(G, odd)) for odd in (False, True)], G
         assert found[0] or not found[1], G
-        # a linear map is odd, so an equilibrium it shows is one of both classes
-        assert found[1] or not has_linear_equilibrium(_loop(G)), G
-        seen_linear += has_linear_equilibrium(_loop(G))
+        # a linear map is odd, so an equilibrium it shows is one of both
+        # classes: z / lambda closes the loop at lambda's eigenvector
+        lam = linear_equilibrium(_loop(G))
+        if lam is not None:
+            assert found[1], G
+            eig, vec = np.linalg.eig(G)
+            w = vec[:, np.argmin(np.abs(eig - lam))].real
+            assert lam >= 1.0 and _is_equilibrium_input(G, w, True), G
+            seen_linear += 1
         for odd, ray in zip((False, True), rays):
             assert ray is None or _is_equilibrium_input(G, ray, odd), G
         seen.add(tuple(found))

@@ -66,7 +66,10 @@ def test_canonical_json_rejects_unknown_types():
 def test_slope_example_verdict(slope_report):
     rep = slope_report
     assert rep.verdict == "not_absolutely_stable"
-    assert rep.primal["status"] == "infeasible"
+    # G has the real eigenvalue 17.3: the primal is not solved
+    assert rep.primal is None
+    assert rep.diagnostics["pipeline"]["linear_equilibrium"] > 1.0
+    assert "primal_status" not in rep.diagnostics["pipeline"]
     assert rep.dual["status"] == "feasible"
     assert rep.dual["rank"] == 1
     assert rep.phi is not None and not rep.phi.odd
@@ -170,6 +173,31 @@ def test_odd_example_verdict(odd_report):
     assert rep.verdict == "not_absolutely_stable"
     assert rep.phi is not None and rep.phi.odd
     assert rep.diagnostics["pipeline"]["slope_check"]["odd_defect"] == 0.0
+
+
+@pytest.mark.parametrize("example", ["slope", "odd"])
+def test_skipping_the_primal_leaves_the_witness_byte_identical(monkeypatch, request, example):
+    # the dual is transposed from the primal's dense form alone, so the
+    # skipped primal solve changes only the primal block and its keys
+    system = request.getfixturevalue(f"{example}_example")
+    default = json.loads(request.getfixturevalue(f"{example}_report").to_json())
+    monkeypatch.setattr(lurestab.report, "linear_equilibrium", lambda unit: None)
+    solved = json.loads(analyze(system).to_json())
+    assert default["primal"] is None
+    assert solved["primal"]["status"] == "infeasible"
+    assert solved["verdict"] == default["verdict"]
+    assert solved["dual"] == default["dual"]
+    assert solved["phi"] == default["phi"]
+
+    def witness_keys(report):
+        pipe = report["diagnostics"]["pipeline"]
+        return {k: v for k, v in pipe.items()
+                if not k.startswith("primal_") and k != "linear_equilibrium"}
+
+    assert witness_keys(solved) == witness_keys(default)
+    assert "linear_equilibrium" in default["diagnostics"]["pipeline"]
+    # forced, the primal runs to its optimum t* = 0
+    assert solved["diagnostics"]["pipeline"]["primal_ipm_status"] == "optimal"
 
 
 def test_decoupled_example_verdict(decoupled_example):

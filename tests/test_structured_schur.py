@@ -156,12 +156,18 @@ def test_the_dual_path_above_the_crossover_finds_a_checked_equilibrium(monkeypat
         return real(*args, **kwargs)
 
     monkeypatch.setattr(engine, "solve_conic", spy)
+    unit = normalize_band(sysm)
     reports = [analyze(sysm)]
-    # every solve, primal and dual, took the structured path
+    # analyze skips this loop's primal, which a linear equilibrium rules
+    # out; solved directly, it fails, and it and every dual solve took the
+    # structured path
+    assert reports[0].primal is None
+    assert engine.solve(build_primal(unit)).status == "infeasible"
     assert len(calls) >= 2 and all(calls)
     monkeypatch.setattr(engine, "_STRUCTURED_MIN_DIM", 10**9)
     structured = len(calls)
     reports.append(analyze(sysm))
+    assert engine.solve(build_primal(unit)).status == "infeasible"
     assert len(calls) > structured and not any(calls[structured:])
     for rep in reports:
         body = json.loads(rep.to_json())
