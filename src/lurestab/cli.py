@@ -103,11 +103,7 @@ def _cmd_analyze(args) -> int:
     report = analyze(sys_)
     _write_text(report.to_json(), args.out)
     if args.phi_out and report.phi is not None:
-        phi_doc = {
-            "odd": bool(report.phi.odd),
-            "breakpoints": report.phi.breakpoints.tolist(),
-        }
-        _write_text(canonical_json(phi_doc), args.phi_out)
+        _write_text(canonical_json(report.to_dict()["phi"]), args.phi_out)
     return _VERDICT_EXIT[report.verdict]
 
 

@@ -2,7 +2,8 @@
 
 Turns a feasible rank-reduced dual solution into explicit instability data:
 the factor h of H = h h^T splits into a nonzero equilibrium candidate h1 and
-the input w* = h2, the output is z* = C h1 + D h2, and a piecewise-linear
+the input w* = h2 (fit takes any such pair, a known equilibrium input's
+too), the output is z* = C h1 + D h2, and a piecewise-linear
 map interpolating (z*_i, w*_i) (plus mirrored points in the odd case) is
 slope-restricted on [0, 1] and keeps h1 fixed under the closed loop.
 
@@ -26,7 +27,8 @@ from .linalg import spectral_norm
 from .pwl import PiecewiseLinearMap
 from .system import NonlinearityClass, StateSpaceSystem
 
-__all__ = ["DualCertificate", "Inconclusive", "build_pwl", "extract_certificate", "snap_to_band"]
+__all__ = ["DualCertificate", "Inconclusive", "build_pwl", "extract_certificate", "fit",
+           "snap_to_band"]
 
 # The sign gate tolerates min (A h1 + B h2) * h1 down to -_SIGN_TOL ||h1||^2.
 _SIGN_TOL = 1.0e-9
@@ -72,15 +74,14 @@ def extract_certificate(sys: StateSpaceSystem, solve_result, nl_class: Nonlinear
     hypotheses fails numerically.  A vanishing h1 raises an internal
     contradiction when ||D|| < 1 (the nonvanishing proof applies there, so
     it can only mean a solver or assembly defect); otherwise it is reported
-    as inconclusive.  A certificate that passes every gate has w* projected
-    onto the order rows its map violates, which puts those segments on their
-    band edge (snap_to_band); a map inside the band is left as it is.
+    as inconclusive.  A factor that passes every gate becomes the
+    certificate through fit.
     """
     assignment = solve_result.assignment
     if "H" not in assignment:
         raise StructuralError("solve result carries no H block")
-    want_z = nl_class is NonlinearityClass.SLOPE_ODD
-    if want_z != ("Z" in assignment):
+    odd = nl_class is NonlinearityClass.SLOPE_ODD
+    if odd != ("Z" in assignment):
         raise StructuralError("dual kind does not match the nonlinearity class")
 
     H = np.asarray(assignment["H"], dtype=float)
@@ -105,25 +106,31 @@ def extract_certificate(sys: StateSpaceSystem, solve_result, nl_class: Nonlinear
             "degenerate", "state part of the factor vanishes; no equilibrium argument"
         )
 
-    # sign canonicalization: make the dominant state entry positive so both
-    # factor signs produce the same certificate
-    pick = int(np.argmax(np.abs(h1)))
-    if h1[pick] < 0:
-        h = -h
-        h1, h2 = h[:n], h[n:]
-
-    v = sys.A @ h1 + sys.B @ h2
-    sign_min = float(np.min(v * h1))
+    # the same for both signs of the factor
+    sign_min = float(np.min((sys.A @ h1 + sys.B @ h2) * h1))
     if sign_min < -_SIGN_TOL * norm_h1 ** 2:
         return Inconclusive(
             "sign",
             f"diagonal sign condition fails by {sign_min:.3e}; "
             "the dichotomy resolves to the branch with no conclusion",
         )
+    return fit(sys, h1, h2, odd)
 
-    z_star = sys.C @ h1 + sys.D @ h2
-    cert = DualCertificate(h1=h1, h2=h2, z_star=z_star)
-    return snap_to_band(sys, cert, nl_class is NonlinearityClass.SLOPE_ODD)
+
+def _signed(h1: np.ndarray, w: np.ndarray):
+    """(h1, w), both negated where h1's entry of largest magnitude is
+    negative, so that both signs of a witness give one certificate."""
+    if h1[int(np.argmax(np.abs(h1)))] < 0:
+        return -h1, -w
+    return h1, w
+
+
+def fit(sys: StateSpaceSystem, h1: np.ndarray, w: np.ndarray, odd: bool) -> DualCertificate:
+    """The certificate of state h1 and input w of the normalized loop sys:
+    signed (_signed), with z* = C h1 + D w, and w fitted to the band
+    (snap_to_band)."""
+    h1, w = _signed(h1, w)
+    return snap_to_band(sys, DualCertificate(h1, w, sys.C @ h1 + sys.D @ w), odd)
 
 
 def _merge_pairs(pairs, tol):
@@ -221,6 +228,5 @@ def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate, odd: bool) -> Dua
         rows |= new
     if float(np.linalg.norm(h1)) <= 1.0e-9 * float(np.linalg.norm(cert.h)):
         return cert
-    if h1[int(np.argmax(np.abs(h1)))] < 0:
-        h1, w = -h1, -w
+    h1, w = _signed(h1, w)
     return replace(cert, h1=h1, h2=w, z_star=sys.C @ h1 + sys.D @ w, snapped=int(rows.sum()))

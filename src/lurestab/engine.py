@@ -23,9 +23,9 @@ toward the branch the proof concludes on, returns a point or a Farkas
 certificate y.  Read in the primal's coordinates, that certificate is
 (P, M, t = 1) with F_h z in K, a strict primal solution; infeasibility is
 only declared once it passes an independent check.  A verified point that
-is not rank one is left to the equilibrium search (equilibria.search),
-which analyze runs; only loops the search cannot take (m > MAX_CHANNELS)
-deflate the point toward rank one.  Either way the verdict rests on
+is not rank one is left to analyze's known equilibrium input (a linear
+gain's eigenvector or equilibria.search's ray); only loops the search
+cannot take (m > MAX_CHANNELS) deflate the point toward rank one.  Either way the verdict rests on
 verifying the raw constraints, never on solver status alone.
 
 Every threshold is a module constant: TOL_RANK decides "rank one" here
@@ -285,6 +285,16 @@ def _cone_spec(psd_dims: list, total: int) -> ConeSpec:
     return ConeSpec(blocks=tuple(blocks))
 
 
+def _equilibrated(problem: SdpFeasibilityProblem, A_raw: np.ndarray):
+    """(d, A, b, psd_schur): A_raw and the problem's objective b_raw with
+    row i scaled by 1 / d_i, d_i = max(||row i||, |b_raw_i|, 1e-12), and the
+    Schur complement's LMI term for those rows (_lmi_gram) or None."""
+    b_raw = problem.objective
+    d = np.maximum(np.maximum(np.linalg.norm(A_raw, axis=1), np.abs(b_raw)), 1.0e-12)
+    gram = _lmi_gram(problem)
+    return d, A_raw / d[:, None], b_raw / d, None if gram is None else gram.for_rows(d)
+
+
 class _Inequality:
     """The primal's dense form as the IPM sees it.
 
@@ -299,13 +309,7 @@ class _Inequality:
         self.F0, self.F, self.objective = problem.F0, problem.F, problem.objective
         psd_dims = [con.dim for con, _ in self.blocks if con.cone == "psd"]
         self.cone = _cone_spec(psd_dims, self.F0.size)
-
-        d = np.maximum(np.linalg.norm(self.F, axis=0), np.abs(self.objective))
-        self.d = np.maximum(d, 1.0e-12)
-        self.A = -self.F.T / self.d[:, None]
-        self.b = self.objective / self.d
-        gram = _lmi_gram(problem)
-        self.psd_schur = None if gram is None else gram.for_rows(self.d)
+        self.d, self.A, self.b, self.psd_schur = _equilibrated(problem, -self.F.T)
 
     def verify(self, z: np.ndarray):
         """Worst cone violation of the constraint rows F0 + F z; there are
@@ -347,12 +351,7 @@ class DualForm:
 
         self.A_raw = -primal.F[np.concatenate(rows)].T
         self.b_raw = primal.objective
-        d = np.maximum(np.linalg.norm(self.A_raw, axis=1), np.abs(self.b_raw))
-        self.d = np.maximum(d, 1.0e-12)
-        self.A = self.A_raw / self.d[:, None]
-        self.b = self.b_raw / self.d
-        gram = _lmi_gram(primal)
-        self.psd_schur = None if gram is None else gram.for_rows(self.d)
+        self.d, self.A, self.b, self.psd_schur = _equilibrated(primal, self.A_raw)
 
     def reconstruct(self, x: np.ndarray) -> dict:
         """The dual blocks H, f, g, X (Z) from multiplier coordinates."""

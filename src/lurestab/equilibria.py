@@ -27,8 +27,9 @@ A linear map shows an equilibrium without a search: where G has a real
 eigenvalue lambda >= 1, psi(z) = z / lambda has slope 1 / lambda in (0, 1],
 is odd, and closes the loop with the equilibrium input w, the eigenvector.
 Such a loop is not absolutely stable, so the LMI, a sufficient condition,
-has no strict solution: analyze reads lambda (linear_equilibrium) before
-the primal and skips that solve.
+has no strict solution: analyze reads (lambda, w) (linear_equilibrium)
+before the primal, skips that solve and the search, and falls back on w
+where the dual's witness fails, as it falls back on the search's ray.
 """
 
 import itertools
@@ -99,14 +100,18 @@ def _gain(sys: StateSpaceSystem) -> np.ndarray:
     return sys.C @ np.linalg.solve(np.eye(sys.n) - sys.A, sys.B) + sys.D
 
 
-def linear_equilibrium(sys: StateSpaceSystem) -> Optional[float]:
-    """The largest real eigenvalue lambda >= 1 of G, where the linear map
-    z / lambda of both classes gives the normalized loop sys a nonzero
-    equilibrium; None when G has none (LAPACK returns a real eigenvalue
-    with imaginary part exactly 0)."""
-    lam = np.linalg.eigvals(_gain(sys))
-    real = lam.real[(lam.imag == 0.0) & (lam.real >= 1.0)]
-    return float(real.max()) if real.size else None
+def linear_equilibrium(sys: StateSpaceSystem) -> Optional[tuple]:
+    """(lambda, w): the largest real eigenvalue lambda >= 1 of G and its unit
+    eigenvector w, the equilibrium input at which the linear map z / lambda
+    of both classes gives the normalized loop sys a nonzero equilibrium;
+    None when G has none (LAPACK returns a real eigenvalue with imaginary
+    part exactly 0, and a real eigenvector for it)."""
+    lam, V = np.linalg.eig(_gain(sys))
+    real = np.flatnonzero((lam.imag == 0.0) & (lam.real >= 1.0))
+    if not real.size:
+        return None
+    k = real[np.argmax(lam.real[real])]
+    return float(lam.real[k]), V[:, k].real
 
 
 def search(sys: StateSpaceSystem) -> Optional[tuple]:

@@ -5,27 +5,27 @@ and first asks whether a linear gain shows an equilibrium; such a loop
 cannot satisfy the LMI, so its primal is not solved.  Otherwise the primal
 runs there; a strict-margin win means absolute stability.  If it fails,
 for m <= 4, the equilibrium search runs next, and a loop with no
-equilibrium ends inconclusive without a dual solve.  One pass over the
-dual (engine.reduce_rank) then solves it, steering toward the branch the
-proof concludes on, and for m > 4 deflates a point that is not rank one.
-Certificate extraction reads a rank-one point as the paper does, and the
-witness is mapped back to the original band, where the slope audit and a
-one-step algebraic equilibrium check run.  For m <= 4 a dual witness that
-fails extraction or either check gives way to the equilibrium search's
-ray; the search runs at most once.  Every verdict carries the residuals
-and tolerances that produced it,
-and reports serialize to byte-stable canonical JSON (sorted keys, fixed
-17-significant-digit floats, no timestamps).
+equilibrium ends inconclusive without a dual solve.  Either way the
+loop's equilibrium input is known before the dual pass, where one of the
+two applies.  One pass over the dual (engine.reduce_rank) then solves it,
+steering toward the branch the proof concludes on, and for m > 4 deflates
+a point that is not rank one.  Certificate extraction reads a rank-one
+point as the paper does, and the witness is mapped back to the original
+band, where the slope audit and a one-step algebraic equilibrium check
+run.  On every m a dual witness that fails extraction or either check
+gives way to the known equilibrium input.  Every verdict carries the
+residuals and tolerances that produced it, and reports serialize to
+byte-stable canonical JSON (sorted keys, fixed 17-significant-digit
+floats, no timestamps).
 """
 
 import json
 from dataclasses import dataclass
-from functools import cache, partial
 from typing import Optional
 
 import numpy as np
 
-from .detector import DualCertificate, Inconclusive, build_pwl, extract_certificate, snap_to_band
+from .detector import DualCertificate, Inconclusive, build_pwl, extract_certificate, fit
 from .conic import MAX_ITERS
 from .engine import CONE_TOL, PRIMAL_MARGIN, TOL_EQ, TOL_RANK, build_dual, reduce_rank, solve
 from .equilibria import MAX_CHANNELS, linear_equilibrium, search
@@ -160,16 +160,6 @@ def _equilibrium_check(sys: StateSpaceSystem, phi, h1, w_star, v) -> dict:
                    "loop_residual": loop, "loop_bound": loop_bound})
 
 
-def _ray_certificate(unit: StateSpaceSystem, ray, odd: bool) -> DualCertificate:
-    """The equilibrium search's ray w as a certificate of the normalized loop:
-    h1 = (I - A)^{-1} B w, signed so its largest entry is positive, with w
-    snapped to the band."""
-    h1 = np.linalg.solve(np.eye(unit.n) - unit.A, unit.B @ ray)
-    if h1[np.argmax(np.abs(h1))] < 0:
-        h1, ray = -h1, -ray
-    return snap_to_band(unit, DualCertificate(h1, ray, unit.C @ h1 + unit.D @ ray), odd)
-
-
 def _witness(sys: StateSpaceSystem, cert: DualCertificate):
     """The destabilizing map of a certificate of the normalized loop, mapped
     back to sys's band, and its audits.
@@ -223,25 +213,23 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     diagnostics["tolerances"].
 
     Where a linear gain shows an equilibrium (equilibria.linear_equilibrium
-    returns lambda, a real eigenvalue >= 1 of G, so z / lambda is a class
-    map with a nonzero equilibrium) the strict LMI has no solution, and the
-    primal is built for the dual but not solved: report.primal is None, the
-    pipeline has no primal_* keys, and diagnostics["pipeline"]
-    ["linear_equilibrium"] holds lambda.  The dual pass comes next, and the
-    search, which cannot come back empty there, waits for a dual witness
-    that fails.  The linear gain decides no verdict itself.  After a primal
-    that does not certify, a loop with m <= MAX_CHANNELS goes to the
-    equilibrium search before the dual pass.  A search that finds no
-    equilibrium ends the report inconclusive with reason no_equilibrium
-    after one solve, the primal's: report.dual is None and the pipeline has
-    no dual_status or rank_* keys.  After the dual pass one fallback rule
-    holds on m <= MAX_CHANNELS: a dual witness that fails
-    (extract_certificate is Inconclusive, or the slope audit or the
-    equilibrium check fails) is replaced by the search's ray w, with
-    h1 = (I - A)^{-1} B w, and diagnostics["pipeline"]["witness_source"] is
-    "search"; a search with no ray there ends the report with reason
-    no_equilibrium.  The search runs at most once.  A witness read off a
-    deflated point (m > 4) has witness_source "dual".
+    returns lambda, a real eigenvalue >= 1 of G, and its eigenvector w, so
+    z / lambda is a class map with a nonzero equilibrium at input w) the
+    strict LMI has no solution, and the primal is built for the dual but
+    not solved: report.primal is None, the pipeline has no primal_* keys,
+    and diagnostics["pipeline"]["linear_equilibrium"] holds lambda.  The
+    linear gain decides no verdict itself.  Otherwise a primal that does
+    not certify sends a loop with m <= MAX_CHANNELS to the equilibrium
+    search, whose record is diagnostics["pipeline"]["equilibrium_search"]
+    exactly when it runs.  A search with no ray ends the report
+    inconclusive with reason no_equilibrium after one solve, the primal's:
+    report.dual is None and the pipeline has no dual_status or rank_* keys.
+    After the dual pass one fallback rule holds on every m: a dual witness
+    that fails (extract_certificate is Inconclusive, or the slope audit or
+    the equilibrium check fails) gives way to the known equilibrium input
+    w, the eigenvector or the search's ray, with h1 = (I - A)^{-1} B w, and
+    diagnostics["pipeline"]["witness_source"] is "linear" or "search".  A
+    witness read off a deflated point (m > 4) has witness_source "dual".
 
     diagnostics["pipeline"]["inconclusive_reason"] is one of band_normalization,
     dual_not_feasible, no_equilibrium, rank, sign, degenerate, slope_check,
@@ -286,13 +274,14 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         return report("inconclusive")
 
     # a linear gain with an equilibrium rules out a strict LMI solution, so
-    # the primal is built for the dual but not solved; nor can the search
-    # come back empty there, so it waits for a dual witness that fails
-    lam = linear_equilibrium(unit)
+    # the primal is built for the dual but not solved; its eigenvector is
+    # the known equilibrium input, and the search does not run
+    linear = linear_equilibrium(unit)
     primal = build_primal(unit)
-    searched = cache(partial(search, unit))
-    if lam is not None:
-        pipe["linear_equilibrium"] = lam
+    known = source = None
+    if linear is not None:
+        pipe["linear_equilibrium"], known = linear
+        source = "linear"
     else:
         primal_res = solve(primal)
         pipe["primal_status"] = primal_res.status
@@ -312,11 +301,11 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
             primal_dict["M"] = M / (sys.band.nu - sys.band.mu) ** 2
             return report("absolutely_stable")
         if unit.m <= MAX_CHANNELS:
-            record, ray = searched()
-            if ray is None:
-                pipe["equilibrium_search"] = record
+            pipe["equilibrium_search"], known = search(unit)
+            if known is None:
                 pipe["inconclusive_reason"] = "no_equilibrium"
                 return report("inconclusive")
+            source = "search"
 
     reduced = reduce_rank(build_dual(primal))
     pipe["dual_status"] = reduced.status
@@ -336,15 +325,12 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     dual_dict["H"] = blocks["H"]
     outcome = extract_certificate(unit, reduced, sys.nl_class)
     witness = None if isinstance(outcome, Inconclusive) else _witness(sys, outcome)
-    ray = None
-    if unit.m <= MAX_CHANNELS and (witness is None or witness[1] is not None):
+    fallback = known is not None and (witness is None or witness[1] is not None)
+    if fallback:
         # a dual witness that fails a gate or an audit gives way to the
-        # search's ray
-        pipe["equilibrium_search"], ray = searched()
-        if ray is None:
-            pipe["inconclusive_reason"] = "no_equilibrium"
-            return report("inconclusive")
-        witness = _witness(sys, _ray_certificate(unit, ray, is_odd))
+        # known equilibrium input w, at h1 = (I - A)^{-1} B w
+        h1 = np.linalg.solve(np.eye(unit.n) - unit.A, unit.B @ known)
+        witness = _witness(sys, fit(unit, h1, known, is_odd))
     if witness is None:
         pipe["inconclusive_reason"] = outcome.reason
         pipe["inconclusive_detail"] = outcome.detail
@@ -352,11 +338,13 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
 
     phi, reason, checks, evidence = witness
     pipe.update(checks)
-    if ray is not None or pipe["rank_trail"][0] > TOL_RANK:
-        pipe["witness_source"] = "dual" if ray is None else "search"
     dual_dict.update(evidence, f=blocks["f"], g=blocks["g"], X=blocks["X"], Z=blocks.get("Z"))
-    if ray is None:
+    if fallback:
+        pipe["witness_source"] = source
+    else:
         dual_dict["rank"] = 1  # the witness is H's rank-one factor
+        if pipe["rank_trail"][0] > TOL_RANK:
+            pipe["witness_source"] = "dual"  # read off a deflated point
     if reason is not None:
         pipe["inconclusive_reason"] = reason
         return report("inconclusive")

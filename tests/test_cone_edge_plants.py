@@ -55,9 +55,11 @@ def test_a_cone_edge_plant_gets_no_false_stable_verdict(name):
     report = json.loads(analyze(system).to_json())
     assert report["verdict"] == "not_absolutely_stable"
     # the rank-one dual witnesses of three of them miss the state equation
-    # (residuals 2.4e-9, 2.1e-9 and 1.1e-6) and give way to the search's ray
+    # (residuals 2.4e-9, 2.1e-9 and 1.1e-6) and give way to the linear
+    # gain's eigenvector; every one of them has a linear equilibrium
     pipe = report["diagnostics"]["pipeline"]
-    fallback = pipe["rank_stop"] == "rank_one" and pipe.get("witness_source") == "search"
+    assert pipe["linear_equilibrium"] >= 1.0
+    fallback = pipe["rank_stop"] == "rank_one" and pipe.get("witness_source") == "linear"
     assert fallback == (name in FALLBACK)
     case = _load_bench("workloads")._case(
         name, A, B, C, D, raw["mu"], raw["nu"], raw["class"] == "slope_odd"

@@ -124,8 +124,9 @@ def test_each_dual_pass_is_one_steer_solve_and_its_rounds(corpus_runs):
     # the steer solve runs inside reduce_rank, whose result counts the
     # deflation rounds only (the benchmark's engine.reduce_rank.rounds).
     # Every corpus loop has m <= 4, so a steer point that is not rank one
-    # takes the equilibrium search's ray as the witness and no round runs;
-    # a loop the search proves to have no equilibrium runs no dual pass
+    # takes the known equilibrium input as the witness and no round runs:
+    # the linear gain's eigenvector where there is one, else the search's
+    # ray.  A loop the search proves to have no equilibrium runs no dual pass
     stops = set()
     for case, report, _, passes, _ in corpus_runs:
         pipe = report["diagnostics"]["pipeline"]
@@ -138,11 +139,15 @@ def test_each_dual_pass_is_one_steer_solve_and_its_rounds(corpus_runs):
                 stop = red.diagnostics["rank_stop"]
                 stops.add(stop)
                 assert red.diagnostics["rounds"] == 0, case.name
-                searched = red.diagnostics["rank_trail"][0] > engine.TOL_RANK
-                assert (stop != "rank_one") == searched == ("equilibrium_search" in pipe), case.name
+                linear = "linear_equilibrium" in pipe
+                ratio = red.diagnostics["rank_trail"][0]
+                assert (stop != "rank_one") == (ratio > engine.TOL_RANK), case.name
+                # the search runs before the dual pass exactly where no
+                # linear gain shows an equilibrium
+                assert ("equilibrium_search" in pipe) != linear, case.name
                 assert pipe.get("inconclusive_reason") not in ("rank", "no_equilibrium"), case.name
                 if stop == "equilibrium" and report["verdict"] != "inconclusive":
-                    assert pipe["witness_source"] == "search", case.name
+                    assert pipe["witness_source"] == ("linear" if linear else "search"), case.name
                 if stop == "rank_one":
                     assert "witness_source" not in pipe, case.name
     assert stops == {"rank_one", "equilibrium"}
@@ -216,15 +221,15 @@ def test_the_pass_makes_52_solves_and_no_round(corpus_runs):
 
 def test_the_search_runs_at_most_once_per_analyze(corpus_runs, slope_example, odd_example,
                                                   decoupled_example):
-    # before the dual pass unless a linear gain shows an equilibrium, and
-    # reused by the witness; the paper's examples hold such a gain and
-    # rank-one steer points, so they never search.  On corpus 17 reports
-    # carry the search, and corpus-106, which holds no such gain, searches
-    # before its rank-one steer point
+    # before the dual pass unless a linear gain shows an equilibrium, whose
+    # eigenvector is then the fallback witness; the paper's examples hold
+    # such a gain, so they never search.  On corpus the search runs on 13
+    # loops, corpus-106 among them, whose steer point is rank one, and a
+    # report carries the search exactly when it ran
     for case, report, _, _, searches in corpus_runs:
         assert searches <= 1, case.name
-        assert searches or "equilibrium_search" not in report["diagnostics"]["pipeline"], case.name
-    assert sum(searches for *_, searches in corpus_runs) == 18
+        assert bool(searches) == ("equilibrium_search" in report["diagnostics"]["pipeline"])
+    assert sum(searches for *_, searches in corpus_runs) == 13
     with pytest.MonkeyPatch.context() as m:
         counted = _Counting(m)
         for system in (slope_example, odd_example, decoupled_example):
@@ -327,15 +332,17 @@ def test_a_witness_without_a_contracting_loop_carries_both_residuals(corpus):
 def test_equilibrium_of_a_full_corpus_input_holds(index):
     # each witness is an exact equilibrium; those of 12, 32, 39, 41, 74 and
     # 119 are unstable, so a trajectory started at h1 drifts off by up to 3.9.
-    # 20, 23, 29, 54, 48 and 74 take their witness from the equilibrium
-    # search; the first four ended `rank` while the deflation rounds ran
+    # 20, 23 and 48 take their witness from the equilibrium search and 29,
+    # 54 and 74 from the linear gain's eigenvector; 20, 23, 29 and 54 ended
+    # `rank` while the deflation rounds ran
     case = _load_bench("workloads").roadmap_corpus()[index]
     system = _system(case)
     report = analyze(system)
     assert report.verdict == "not_absolutely_stable"
     assert _load_bench("checker").check(case, json.loads(report.to_json())) == []
     source = report.diagnostics["pipeline"].get("witness_source")
-    assert source == ("search" if index in (20, 23, 29, 48, 54, 74) else None)
+    assert source == ("search" if index in (20, 23, 48) else
+                      "linear" if index in (29, 54, 74) else None)
     if index in (48, 65):
         # the dual point as the solver returned it holds these equilibria to
         # rounding; a rank-one rebuild of it drifts by 2.3 and 0.087

@@ -130,19 +130,23 @@ def _case(sysm):
                            expect_verdict=None)
 
 
-@pytest.mark.parametrize("fixture", ["slope_example", "odd_example"])
-def test_a_dual_witness_failing_any_gate_gives_way_to_the_search(monkeypatch, request, fixture):
+@pytest.mark.parametrize("loop", ["slope_example", "odd_example", "five_channel"])
+def test_a_dual_witness_failing_any_gate_gives_way_to_the_known_input(monkeypatch, request, loop):
     # the paper's examples have rank-one steered points whose witnesses
-    # pass; one made to fail the sign gate takes the equilibrium search's
-    # ray, as one failing the equilibrium check does
-    sysm = request.getfixturevalue(fixture)
+    # pass, and the five-channel loop, past the search's reach, reaches
+    # rank one after a round.  Each holds a linear equilibrium (lambda =
+    # 1.499 on the five-channel loop), so a witness made to fail the sign
+    # gate takes that gain's eigenvector on every m, as one failing the
+    # equilibrium check does, and the search never runs
+    sysm = _five_channel_loop() if loop == "five_channel" else request.getfixturevalue(loop)
     monkeypatch.setattr(report, "extract_certificate",
                         lambda *args: report.Inconclusive("sign", "forced"))
     rep = analyze(sysm)
     assert rep.verdict == "not_absolutely_stable"
     pipe = rep.diagnostics["pipeline"]
-    assert pipe["witness_source"] == "search" and pipe["rank_stop"] == "rank_one"
-    assert "inconclusive_detail" not in pipe
+    assert pipe["witness_source"] == "linear" and pipe["rank_stop"] == "rank_one"
+    assert pipe["linear_equilibrium"] >= 1.0
+    assert "inconclusive_detail" not in pipe and "equilibrium_search" not in pipe
     assert _bench("checker").check(_case(sysm), json.loads(rep.to_json())) == []
 
 

@@ -46,11 +46,13 @@ def test_a_scalar_loop_has_an_equilibrium_exactly_when_its_gain_reaches_one(odd,
     record, ray = search(_loop(gain, odd))
     assert (ray is not None) == has_one
     assert has_equilibrium_exactly(_loop(gain, odd)) == has_one
-    assert linear_equilibrium(_loop(gain, odd)) == (gain if has_one else None)
+    linear = linear_equilibrium(_loop(gain, odd))
+    assert (linear is not None) == has_one
     assert record["rays"] == 1
     assert (record["closest"] <= TOL_EQUILIBRIUM) == has_one
     if has_one:
         assert abs(ray[0]) == 1.0
+        assert linear[0] == gain and abs(linear[1][0]) == 1.0
 
 
 @pytest.mark.parametrize("odd", [False, True])
@@ -69,7 +71,8 @@ def test_an_equilibrium_that_needs_a_map_which_is_not_odd(odd):
 
 
 def test_the_linear_equilibrium_is_the_largest_real_eigenvalue_past_one():
-    assert linear_equilibrium(_loop(np.diag([1.5, 3.0, 0.5]))) == 3.0
+    lam, w = linear_equilibrium(_loop(np.diag([1.5, 3.0, 0.5])))
+    assert lam == 3.0 and np.array_equal(np.abs(w), [0.0, 1.0, 0.0])
     assert linear_equilibrium(_loop(np.diag([0.5, -3.0]))) is None
 
 
@@ -104,12 +107,13 @@ def test_the_search_and_the_exact_oracle_agree_on_random_loops():
         assert found[0] or not found[1], G
         # a linear map is odd, so an equilibrium it shows is one of both
         # classes: z / lambda closes the loop at lambda's eigenvector
-        lam = linear_equilibrium(_loop(G))
-        if lam is not None:
+        linear = linear_equilibrium(_loop(G))
+        if linear is not None:
             assert found[1], G
-            eig, vec = np.linalg.eig(G)
-            w = vec[:, np.argmin(np.abs(eig - lam))].real
-            assert lam >= 1.0 and _is_equilibrium_input(G, w, True), G
+            lam, w = linear
+            assert lam >= 1.0 and abs(np.linalg.norm(w) - 1.0) <= 1e-15, G
+            assert np.allclose(G @ w, lam * w, atol=1e-14), G
+            assert _is_equilibrium_input(G, w, True), G
             seen_linear += 1
         for odd, ray in zip((False, True), rays):
             assert ray is None or _is_equilibrium_input(G, ray, odd), G

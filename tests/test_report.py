@@ -178,7 +178,8 @@ def test_odd_example_verdict(odd_report):
 @pytest.mark.parametrize("example", ["slope", "odd"])
 def test_skipping_the_primal_leaves_the_witness_byte_identical(monkeypatch, request, example):
     # the dual is transposed from the primal's dense form alone, so the
-    # skipped primal solve changes only the primal block and its keys
+    # skipped primal solve changes only the primal block and its keys; with
+    # the linear gain patched off, the equilibrium search runs in its place
     system = request.getfixturevalue(f"{example}_example")
     default = json.loads(request.getfixturevalue(f"{example}_report").to_json())
     monkeypatch.setattr(lurestab.report, "linear_equilibrium", lambda unit: None)
@@ -191,11 +192,12 @@ def test_skipping_the_primal_leaves_the_witness_byte_identical(monkeypatch, requ
 
     def witness_keys(report):
         pipe = report["diagnostics"]["pipeline"]
-        return {k: v for k, v in pipe.items()
-                if not k.startswith("primal_") and k != "linear_equilibrium"}
+        return {k: v for k, v in pipe.items() if not k.startswith("primal_")
+                and k not in ("linear_equilibrium", "equilibrium_search")}
 
     assert witness_keys(solved) == witness_keys(default)
     assert "linear_equilibrium" in default["diagnostics"]["pipeline"]
+    assert "equilibrium_search" in solved["diagnostics"]["pipeline"]
     # forced, the primal runs to its optimum t* = 0
     assert solved["diagnostics"]["pipeline"]["primal_ipm_status"] == "optimal"
 
