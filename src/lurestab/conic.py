@@ -554,13 +554,13 @@ def solve_conic(
     """Run the predictor-corrector loop on the embedding, from x = s = e,
     y = 0, tau = kappa = 1.  It ends in one of five ways:
 
+    - "accepted": accept(y / tau) holds, tested on every iterate before
+      the two tests below; x, y and s are divided by tau.
     - "optimal": the tau-normalized iterate has rp_rel, rd_rel and gap_rel
       all within tol; x, y and s are divided by tau.
     - "infeasible": kappa dominates tau and y is a Farkas certificate,
       b.y > 0 with ||A^T y + s|| <= tol b.y, so -A^T y lies within tol of
       K; x, y and s are divided by b.y.
-    - "accepted": accept(y / tau) holds, tested on every iterate that is
-      neither optimal nor infeasible; x, y and s are divided by tau.
     - "stalled": an iteration failed to improve the progress score, the
       largest of the embedding's own residuals ||tau b - A x|| / (1 + ||b||)
       and ||tau c - A^T y - s|| / (1 + ||c||) and of its complementarity
@@ -614,14 +614,14 @@ def solve_conic(
             history.append((rp_rel, rd_rel, gap_rel))
             point = (x, y, s, tau, kappa, rp_rel, rd_rel, gap_rel)
 
+            if accept is not None and accept(y / tau):
+                status = "accepted"
+                break
             if rp_rel <= tol and rd_rel <= tol and gap_rel <= tol:
                 status = "optimal"
                 break
             if kappa > tau and by > 0 and math.sqrt((aty + s) @ (aty + s)) / by <= tol:
                 status = "infeasible"
-                break
-            if accept is not None and accept(y / tau):
-                status = "accepted"
                 break
             score = max(rp_n, rd_n, (xs + tau * kappa) / (nu + 1))
             if not score < prev_score:

@@ -1,11 +1,13 @@
 """Certificate extraction and destabilizing nonlinearity construction.
 
-Turns a feasible rank-reduced dual solution into explicit instability data:
-the factor h of H = h h^T splits into a nonzero equilibrium candidate h1 and
-the input w* = h2 (fit takes any such pair, a known equilibrium input's
-too), the output is z* = C h1 + D h2, and a piecewise-linear
-map interpolating (z*_i, w*_i) (plus mirrored points in the odd case) is
-slope-restricted on [0, 1] and keeps h1 fixed under the closed loop.
+Turns the rank-one factor h of a feasible dual point's H = h h^T, which
+engine.reduce_rank decides and returns, into explicit instability data:
+h splits into a nonzero equilibrium candidate h1 and the input w* = h2
+(fit takes any such pair, a known equilibrium input's too), the output is
+z* = C h1 + D h2, and a piecewise-linear map interpolating (z*_i, w*_i)
+(plus mirrored points in the odd case) is slope-restricted on [0, 1] and
+keeps h1 fixed under the closed loop.  The class, odd or not, is read off
+the loop.
 
 In the order of z*, each pair of consecutive map nodes gives two rows,
 linear in w, that hold exactly when their segment's slope lies in the band.
@@ -14,15 +16,11 @@ onto the rows it violates (snap_to_band); no solve is involved.
 """
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
-from .engine import TOL_RANK
-from .errors import (
-    CertificateInconsistentError,
-    InternalContradictionError,
-    StructuralError,
-)
+from .errors import CertificateInconsistentError, InternalContradictionError
 from .linalg import spectral_norm
 from .pwl import PiecewiseLinearMap
 from .system import NonlinearityClass, StateSpaceSystem
@@ -58,7 +56,7 @@ class DualCertificate:
 class Inconclusive:
     """The dual solution did not yield a certificate; reason says why.
 
-    reason is one of "rank" (numerical rank above one), "sign" (the proof's
+    reason is one of "rank" (H is not rank one), "sign" (the proof's
     dichotomy resolved to the branch with no conclusion), or "degenerate"
     (h1 vanished on a loop where the nonvanishing argument does not apply).
     """
@@ -67,8 +65,10 @@ class Inconclusive:
     detail: str = ""
 
 
-def extract_certificate(sys: StateSpaceSystem, solve_result, nl_class: NonlinearityClass):
-    """Apply the rank and sign gates to a feasible dual solution.
+def extract_certificate(sys: StateSpaceSystem, h: Optional[np.ndarray]):
+    """Apply the degenerate and sign gates to h, the rank-one factor of a
+    feasible dual point's H (engine.reduce_rank's SolveResult.factor), or
+    None where H is not rank one, which is Inconclusive "rank".
 
     Returns a DualCertificate, or Inconclusive when one of the theorem's
     hypotheses fails numerically.  A vanishing h1 raises an internal
@@ -77,21 +77,8 @@ def extract_certificate(sys: StateSpaceSystem, solve_result, nl_class: Nonlinear
     as inconclusive.  A factor that passes every gate becomes the
     certificate through fit.
     """
-    assignment = solve_result.assignment
-    if "H" not in assignment:
-        raise StructuralError("solve result carries no H block")
-    odd = nl_class is NonlinearityClass.SLOPE_ODD
-    if odd != ("Z" in assignment):
-        raise StructuralError("dual kind does not match the nonlinearity class")
-
-    H = np.asarray(assignment["H"], dtype=float)
-    # the rank counts eigenvalues above TOL_RANK times the largest, the rule
-    # reduce_rank stops on; at rank one h is the dominant eigenvector scaled
-    lam, Q = np.linalg.eigh(0.5 * (H + H.T))
-    rank = int(np.count_nonzero(lam > TOL_RANK * lam[-1]))
-    if rank != 1:
-        return Inconclusive("rank", f"numerical rank {rank}")
-    h = Q[:, -1] * np.sqrt(lam[-1])
+    if h is None:
+        return Inconclusive("rank", "the dual point's H is not rank one")
     n = sys.n
     h1, h2 = h[:n], h[n:]
     norm_h = float(np.linalg.norm(h))
@@ -114,7 +101,7 @@ def extract_certificate(sys: StateSpaceSystem, solve_result, nl_class: Nonlinear
             f"diagonal sign condition fails by {sign_min:.3e}; "
             "the dichotomy resolves to the branch with no conclusion",
         )
-    return fit(sys, h1, h2, odd)
+    return fit(sys, h1, h2)
 
 
 def _signed(h1: np.ndarray, w: np.ndarray):
@@ -125,12 +112,12 @@ def _signed(h1: np.ndarray, w: np.ndarray):
     return h1, w
 
 
-def fit(sys: StateSpaceSystem, h1: np.ndarray, w: np.ndarray, odd: bool) -> DualCertificate:
+def fit(sys: StateSpaceSystem, h1: np.ndarray, w: np.ndarray) -> DualCertificate:
     """The certificate of state h1 and input w of the normalized loop sys:
-    signed (_signed), with z* = C h1 + D w, and w fitted to the band
-    (snap_to_band)."""
+    signed (_signed), with z* = C h1 + D w, and w fitted to the band of
+    sys's class (snap_to_band)."""
     h1, w = _signed(h1, w)
-    return snap_to_band(sys, DualCertificate(h1, w, sys.C @ h1 + sys.D @ w), odd)
+    return snap_to_band(sys, DualCertificate(h1, w, sys.C @ h1 + sys.D @ w))
 
 
 def _merge_pairs(pairs, tol):
@@ -184,24 +171,24 @@ def build_pwl(cert: DualCertificate, odd: bool) -> PiecewiseLinearMap:
     return PiecewiseLinearMap(breakpoints=np.asarray(pts, dtype=float), odd=odd)
 
 
-def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate, odd: bool) -> DualCertificate:
+def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate) -> DualCertificate:
     """Project w* onto the order rows it violates.
 
-    Keep the map's nodes -- the origin and the folded points s_i (z*_i,
-    w*_i) -- in the order of z*.  Every segment slope then lies in [mu, nu]
-    exactly when each consecutive difference has dw - mu dz >= 0 and
-    nu dz - dw >= 0, and with h1 = (I - A)^{-1} B w and z = G w,
-    G = C (I - A)^{-1} B + D, these rows are linear in w.  Solver rounding
-    leaves a segment that truly lies on a band edge (such as a flat segment
-    between two channels with w*_i = -w*_j) a hair outside the band, so
-    rows negative at the witness's own (z*, w*) are violated; a pair that
-    build_pwl merges into one node has no segment and gives no row.  w* is
-    projected onto the null space of the violated rows, a row the
-    projection violates is added until none is, and h1 and z* are
-    recomputed.  A witness that violates no row is returned unchanged, and
-    so is one whose projection loses h1.
+    Keep the map's nodes -- the origin and the points (z*_i, w*_i), folded
+    as s_i (z*_i, w*_i) where sys's class is odd -- in the order of z*.
+    Every segment slope then lies in [mu, nu] exactly when each consecutive
+    difference has dw - mu dz >= 0 and nu dz - dw >= 0, and with
+    h1 = (I - A)^{-1} B w and z = G w, G = C (I - A)^{-1} B + D, these rows
+    are linear in w.  Solver rounding leaves a segment that truly lies on a
+    band edge (such as a flat segment between two channels with
+    w*_i = -w*_j) a hair outside the band, so rows negative at the
+    witness's own (z*, w*) are violated; a pair that build_pwl merges into
+    one node has no segment and gives no row.  w* is projected onto the
+    null space of the violated rows, a row the projection violates is added
+    until none is, and h1 and z* are recomputed.  A witness that violates
+    no row is returned unchanged, and so is one whose projection loses h1.
     """
-    s = _folds(cert.z_star, odd)
+    s = _folds(cert.z_star, sys.nl_class is NonlinearityClass.SLOPE_ODD)
     # the rows as forms Kw w + Kz z, from the differences of the sorted
     # nodes; node 0 is the origin
     z = np.r_[0.0, s * cert.z_star]

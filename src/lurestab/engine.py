@@ -9,8 +9,9 @@ dimension n + m = _STRUCTURED_MIN_DIM on, its LMI term is built from the
 congruence factors build_primal supplies (_LmiGram), for the primal and
 the dual alike, and B = A W^T is never formed.  solve stops at the first
 iterate that certifies (its margin t, the raw constraints and the
-achieved -lambda_max of the strict LMI all clear the threshold); an
-infeasible primal runs to its optimum.
+achieved -lambda_max of the strict LMI all clear the threshold), and only
+such an iterate makes it "feasible"; an infeasible primal runs to its
+optimum.
 
 The dual LMI is the adjoint of the primal's homogeneous rows (F0 = 0):
 build_dual restricts the same dense form to them and transposes it,
@@ -22,16 +23,17 @@ over it: a steer solve over its feasible set, whose objective steers
 toward the branch the proof concludes on, returns a point or a Farkas
 certificate y.  Read in the primal's coordinates, that certificate is
 (P, M, t = 1) with F_h z in K, a strict primal solution; infeasibility is
-only declared once it passes an independent check.  A verified point that
-is not rank one is left to analyze's known equilibrium input (a linear
-gain's eigenvector or equilibria.search's ray); only loops the search
-cannot take (m > MAX_CHANNELS) deflate the point toward rank one.  Either way the verdict rests on
+only declared once it passes an independent check.  The caller says
+whether a verified point that is not rank one is deflated toward rank one
+(analyze does so only where it knows no equilibrium input), and the pass
+returns H's rank-one factor, or None where H is not rank one: this is the
+one place "rank one" is decided.  Either way the verdict rests on
 verifying the raw constraints, never on solver status alone.
 
-Every threshold is a module constant: TOL_RANK decides "rank one" here
-and in the detector, TOL_EQ bounds the dual's raw residual, PRIMAL_MARGIN
-is the margin a certifying primal iterate must reach and CONE_TOL the cone
-violation any returned assignment may carry.
+Every threshold is a module constant: TOL_RANK decides "rank one", TOL_EQ
+bounds the dual's raw residual, PRIMAL_MARGIN is the margin a certifying
+primal iterate must reach and CONE_TOL the cone violation any returned
+assignment may carry.
 """
 
 from dataclasses import dataclass, field
@@ -40,7 +42,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conic import ConeSpec, smat, solve_conic, svec, svec_dim
-from .equilibria import MAX_CHANNELS
 from .errors import StructuralError
 from .lmi import (
     DUAL_SCALE,
@@ -96,12 +97,14 @@ class Residuals:
 @dataclass
 class SolveResult:
     """The verdict of solve on the primal or of reduce_rank on the dual, the
-    assignment it rests on and that assignment's raw residuals."""
+    assignment it rests on and that assignment's raw residuals; for
+    reduce_rank, factor is h with H = h h^T where H is rank one, else None."""
 
     status: str  # "feasible" | "infeasible" | "numerical_limit"
     assignment: dict
     residuals: Residuals
     diagnostics: dict = field(default_factory=dict)
+    factor: Optional[np.ndarray] = None
 
 
 def _from_coords(kind: str, coords: np.ndarray, dim: int) -> np.ndarray:
@@ -408,9 +411,9 @@ def solve(problem: SdpFeasibilityProblem) -> SolveResult:
 
     An iterate z certifies when t = objective.z, the worst raw cone
     violation and the achieved margin -lambda_max(L(P, M)) all pass; the
-    IPM stops at the first one ("accepted") and the same test decides
-    "feasible" afterwards, from the values computed once for the returned
-    iterate.  The reported margin of a feasible result is therefore the
+    IPM tests this before anything else and stops at the first iterate that
+    passes ("accepted"), which is then "feasible", with the values computed
+    once for it.  The reported margin of a feasible result is therefore the
     achieved -lambda_max(L) of the returned certificate, a lower bound on
     the optimum min(t*, 1), not the optimum itself.  No iterate of an
     infeasible primal passes the test on t, so it runs to its optimum t* = 0,
@@ -438,25 +441,18 @@ def solve(problem: SdpFeasibilityProblem) -> SolveResult:
         form.A, form.b, form.F0, form.cone, _MARGIN_IPM_TOL,
         accept=certifies, psd_schur=form.psd_schur,
     )
-    z = res.y / form.d
-    t_hat = float(form.objective @ z)
     if res.status == "accepted":
         # res.y is the iterate certifies passed, bit for bit
-        assignment, (ok, max_eq, max_cone), true_margin = accepted[-1]
+        status = "feasible"
+        assignment, (_, max_eq, max_cone), margin = accepted[-1]
     else:
+        z = res.y / form.d
         assignment = _reconstruct(form.var_slices, z)
         ok, max_eq, max_cone = form.verify(z)
-        true_margin = _primal_true_margin(problem, assignment)
-
-    if t_hat >= PRIMAL_MARGIN and ok and true_margin >= PRIMAL_MARGIN:
-        status = "feasible"
-        margin = true_margin
-    elif res.status == "optimal" and ok:
-        status = "infeasible"
-        margin = t_hat
-    else:
-        status = "numerical_limit"
-        margin = true_margin
+        if res.status == "optimal" and ok:
+            status, margin = "infeasible", form.objective @ z
+        else:
+            status, margin = "numerical_limit", _primal_true_margin(problem, assignment)
     return SolveResult(
         status=status,
         assignment=assignment,
@@ -495,17 +491,20 @@ def _solve_point(dual: DualForm, W: np.ndarray, tol: float):
 
 
 def _rank_ratio(H: np.ndarray):
-    """H's second eigenvalue over its first (at least 0), and its
-    eigenvectors in ascending order of eigenvalue, from one eigh."""
+    """(ratio, V, h) from one eigh: H's second eigenvalue over its first
+    (at least 0), its eigenvectors in ascending order of eigenvalue, and,
+    where the ratio is within TOL_RANK, H's rank-one factor h, the dominant
+    eigenvector scaled by the root of its eigenvalue (else None)."""
     w, V = np.linalg.eigh(0.5 * (H + H.T))
     lead = max(float(w[-1]), 1.0e-300)
-    return max(float(w[-2]) / lead, 0.0), V
+    ratio = max(float(w[-2]) / lead, 0.0)
+    return ratio, V, V[:, -1] * np.sqrt(lead) if ratio <= TOL_RANK else None
 
 
-def reduce_rank(dual: DualForm) -> SolveResult:
-    """Solve the dual; unless H, the PSD block of its point, is rank one,
-    leave the point to the equilibrium search (m <= MAX_CHANNELS) or drive
-    H toward rank one.
+def reduce_rank(dual: DualForm, deflate: bool) -> SolveResult:
+    """Solve the dual; where H, the PSD block of its point, is not rank
+    one, drive it toward rank one if deflate is set.  A feasible result
+    carries H's rank-one factor (SolveResult.factor), or None.
 
     The steer solve maximizes the steer functional on H over the dual's
     feasible set, at the high-accuracy tolerance: breakpoint data for the
@@ -516,18 +515,19 @@ def reduce_rank(dual: DualForm) -> SolveResult:
     "infeasible", with the certificate in the diagnostics read in the
     primal's coordinates (P, M, t = 1); otherwise "numerical_limit".
 
-    On m <= MAX_CHANNELS a verified steer point that is not rank one comes
-    back with zero rounds and rank_stop "equilibrium": the equilibrium
-    search, which analyze runs, finds a witness exactly when there is one.
-    For m > MAX_CHANNELS, while the current point is not rank one,
-    re-solves minimizing the weight on its non-dominant eigenspace and
-    keeps a round's point only if it lowers the rank ratio.  The rounds
-    stop at rank one, once a round turns H's dominant eigenvector by
-    sin < sqrt(TOL_RANK) (a round not kept turns it by 0), or after
-    _MAX_RANK_ROUNDS; rank_stop says which.  Every point is verified
-    against the raw constraints and kept as the solver returned it.
-    rank_trail starts at the ratio of the steer point; a steer point already
-    rank one comes back with zero rounds run.
+    H is rank one when its second eigenvalue over its first, the rank
+    ratio, is within TOL_RANK.  Without deflate a verified steer point that
+    is not rank one comes back with zero rounds and rank_stop
+    "equilibrium": analyze deflates only where it knows no equilibrium
+    input, so it has a witness there already.  With deflate, while the
+    current point is not rank one, re-solves minimizing the weight on its
+    non-dominant eigenspace and keeps a round's point only if it lowers the
+    rank ratio.  The rounds stop at rank one, once a round turns H's
+    dominant eigenvector by sin < sqrt(TOL_RANK) (a round not kept turns it
+    by 0), or after _MAX_RANK_ROUNDS; rank_stop says which.  Every point is
+    verified against the raw constraints and kept as the solver returned
+    it.  rank_trail starts at the ratio of the steer point; a steer point
+    already rank one comes back with zero rounds run.
     """
     steer = _steer_matrix(dual.system)
     res, best_assign, (ok, best_eq, best_cone) = _solve_point(dual, -steer, _MARGIN_IPM_TOL)
@@ -543,26 +543,26 @@ def reduce_rank(dual: DualForm) -> SolveResult:
             )
         return SolveResult(status, best_assign, Residuals(best_eq, best_cone), diagnostics)
 
-    best_ratio, best_V = _rank_ratio(best_assign["H"])
+    best_ratio, best_V, best_h = _rank_ratio(best_assign["H"])
     trail = [best_ratio]
-    deflate = dual.system.m > MAX_CHANNELS
 
     rounds, turn, settled = 0, 1.0, np.sqrt(TOL_RANK)
-    while deflate and best_ratio > TOL_RANK and turn >= settled and rounds < _MAX_RANK_ROUNDS:
+    while deflate and best_h is None and turn >= settled and rounds < _MAX_RANK_ROUNDS:
         V2 = best_V[:, :-1]  # all but the dominant eigenvector
         _, assignment, (ok, max_eq, max_cone) = _solve_point(dual, V2 @ V2.T, _IPM_TOL)
         rounds += 1
 
-        ratio, V = _rank_ratio(assignment["H"]) if ok else (best_ratio, None)
+        ratio, V, h = _rank_ratio(assignment["H"]) if ok else (best_ratio, None, None)
         improved = ratio < best_ratio
         # sin of the dominant eigenvector's turn; 0 for a round not kept
         turn = float(np.linalg.norm(V2.T @ V[:, -1])) if improved else 0.0
         if improved:
             best_assign, best_eq, best_cone = assignment, max_eq, max_cone
-            best_ratio, best_V = ratio, V
+            best_ratio, best_V, best_h = ratio, V, h
         trail.append(best_ratio)
 
     diagnostics.update(rank_trail=trail, rounds=rounds, rank_stop=(
-        "rank_one" if best_ratio <= TOL_RANK else "equilibrium" if not deflate
+        "rank_one" if best_h is not None else "equilibrium" if not deflate
         else "settled" if turn < settled else "max_rounds"))
-    return SolveResult("feasible", best_assign, Residuals(best_eq, best_cone), diagnostics)
+    return SolveResult("feasible", best_assign, Residuals(best_eq, best_cone), diagnostics,
+                       best_h)

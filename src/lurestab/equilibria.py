@@ -30,6 +30,8 @@ Such a loop is not absolutely stable, so the LMI, a sufficient condition,
 has no strict solution: analyze reads (lambda, w) (linear_equilibrium)
 before the primal, skips that solve and the search, and falls back on w
 where the dual's witness fails, as it falls back on the search's ray.
+The search takes loops of up to MAX_CHANNELS channels; analyze, its one
+caller, holds it to that.
 """
 
 import itertools
@@ -114,10 +116,10 @@ def linear_equilibrium(sys: StateSpaceSystem) -> Optional[tuple]:
     return float(lam.real[k]), V[:, k].real
 
 
-def search(sys: StateSpaceSystem) -> Optional[tuple]:
+def search(sys: StateSpaceSystem) -> tuple:
     """(record, ray) of the search for a slope-[0, 1] map of sys's class
-    that gives the normalized loop sys a nonzero equilibrium; None when
-    m > MAX_CHANNELS, where no search runs.
+    that gives the normalized loop sys a nonzero equilibrium, for
+    m <= MAX_CHANNELS.
 
     The record holds the rows the candidates were cut from, the candidate
     rays and closest, the least over candidates of the largest violation
@@ -125,14 +127,11 @@ def search(sys: StateSpaceSystem) -> Optional[tuple]:
     the unit candidate that attains closest, when closest is within
     TOL_EQUILIBRIUM, else None: no map of the class has an equilibrium.
     """
-    m = sys.m
-    if m > MAX_CHANNELS:
-        return None
     odd = sys.nl_class is NonlinearityClass.SLOPE_ODD
-    d, subsets, index, sign = _tables(m, odd)
+    d, subsets, index, sign = _tables(sys.m, odd)
     G = _gain(sys)
 
-    rows = np.vstack([d, d @ (G - np.eye(m))])
+    rows = np.vstack([d, d @ (G - np.eye(sys.m))])
     rows /= np.maximum(np.linalg.norm(rows, axis=1), np.finfo(float).tiny)[:, None]
     v = _null_vectors(rows[subsets])
     norm = np.linalg.norm(v, axis=1)

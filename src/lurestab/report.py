@@ -8,12 +8,13 @@ for m <= 4, the equilibrium search runs next, and a loop with no
 equilibrium ends inconclusive without a dual solve.  Either way the
 loop's equilibrium input is known before the dual pass, where one of the
 two applies.  One pass over the dual (engine.reduce_rank) then solves it,
-steering toward the branch the proof concludes on, and for m > 4 deflates
-a point that is not rank one.  Certificate extraction reads a rank-one
-point as the paper does, and the witness is mapped back to the original
-band, where the slope audit and a one-step algebraic equilibrium check
-run.  On every m a dual witness that fails extraction or either check
-gives way to the known equilibrium input.  Every verdict carries the
+steering toward the branch the proof concludes on, and deflates a point
+that is not rank one only where no equilibrium input is known.
+Certificate extraction reads the rank-one factor the pass returns as the
+paper does, and the witness is mapped back to the original band, where
+the slope audit and a one-step algebraic equilibrium check run.  On every
+m a dual witness that fails extraction or either check gives way to the
+known equilibrium input.  Every verdict carries the
 residuals and tolerances that produced it, and reports serialize to
 byte-stable canonical JSON (sorted keys, fixed 17-significant-digit
 floats, no timestamps).
@@ -228,8 +229,12 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     that fails (extract_certificate is Inconclusive, or the slope audit or
     the equilibrium check fails) gives way to the known equilibrium input
     w, the eigenvector or the search's ray, with h1 = (I - A)^{-1} B w, and
-    diagnostics["pipeline"]["witness_source"] is "linear" or "search".  A
-    witness read off a deflated point (m > 4) has witness_source "dual".
+    diagnostics["pipeline"]["witness_source"] is "linear" or "search".  The
+    dual pass deflates a point that is not rank one only where no input is
+    known (m > MAX_CHANNELS with no linear equilibrium), so rank_stop
+    "equilibrium" means an input is known, the reasons rank, sign and
+    degenerate occur only where none is, and a witness read off a deflated
+    point (rank_rounds > 0) has witness_source "dual".
 
     diagnostics["pipeline"]["inconclusive_reason"] is one of band_normalization,
     dual_not_feasible, no_equilibrium, rank, sign, degenerate, slope_check,
@@ -260,7 +265,6 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         "pipeline": {},
     }
     pipe = diagnostics["pipeline"]
-    is_odd = sys.nl_class is NonlinearityClass.SLOPE_ODD
     primal_dict = dual_dict = phi = None
 
     def report(verdict: str) -> AnalysisReport:
@@ -307,7 +311,7 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
                 return report("inconclusive")
             source = "search"
 
-    reduced = reduce_rank(build_dual(primal))
+    reduced = reduce_rank(build_dual(primal), deflate=known is None)
     pipe["dual_status"] = reduced.status
     dual_dict = {
         "status": reduced.status,
@@ -323,14 +327,14 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     pipe["rank_stop"] = reduced.diagnostics["rank_stop"]
     blocks = reduced.assignment
     dual_dict["H"] = blocks["H"]
-    outcome = extract_certificate(unit, reduced, sys.nl_class)
+    outcome = extract_certificate(unit, reduced.factor)
     witness = None if isinstance(outcome, Inconclusive) else _witness(sys, outcome)
     fallback = known is not None and (witness is None or witness[1] is not None)
     if fallback:
         # a dual witness that fails a gate or an audit gives way to the
         # known equilibrium input w, at h1 = (I - A)^{-1} B w
         h1 = np.linalg.solve(np.eye(unit.n) - unit.A, unit.B @ known)
-        witness = _witness(sys, fit(unit, h1, known, is_odd))
+        witness = _witness(sys, fit(unit, h1, known))
     if witness is None:
         pipe["inconclusive_reason"] = outcome.reason
         pipe["inconclusive_detail"] = outcome.detail
@@ -343,7 +347,7 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         pipe["witness_source"] = source
     else:
         dual_dict["rank"] = 1  # the witness is H's rank-one factor
-        if pipe["rank_trail"][0] > TOL_RANK:
+        if pipe["rank_rounds"] > 0:
             pipe["witness_source"] = "dual"  # read off a deflated point
     if reason is not None:
         pipe["inconclusive_reason"] = reason

@@ -47,13 +47,14 @@ def decoupled_example():
 
 @pytest.fixture(scope="session")
 def slope_dual_reduced(slope_example):
-    """Rank-reduced feasible dual for the slope example."""
-    return reduce_rank(build_dual(build_primal(slope_example)))
+    """The dual pass's feasible result for the slope example, whose steered
+    point is rank one."""
+    return reduce_rank(build_dual(build_primal(slope_example)), deflate=False)
 
 
 @pytest.fixture(scope="session")
 def odd_dual_reduced(odd_example):
-    return reduce_rank(build_dual(build_primal(odd_example)))
+    return reduce_rank(build_dual(build_primal(odd_example)), deflate=False)
 
 
 @pytest.fixture(scope="session")

@@ -184,7 +184,7 @@ def audit_duality(sys: StateSpaceSystem, seed: int = 0) -> DualityAuditReport:
     """
     problem = build_primal(sys)
     primal = solve(problem)
-    dual = reduce_rank(build_dual(problem))
+    dual = reduce_rank(build_dual(problem), deflate=False)  # its status is read
     margin = primal.residuals.margin if primal.residuals.margin is not None else -np.inf
     primal_decisive = primal.status == "feasible" and margin >= 1e-7
     dual_decisive = dual.status == "feasible"

@@ -54,9 +54,9 @@ class _Counting:
             self.calls.append(None)
             return real_solve(*args, **kwargs)
 
-        def reducing(dual):
+        def reducing(dual, deflate):
             before = len(self.calls)
-            red = real_reduce(dual)
+            red = real_reduce(dual, deflate)
             self.passes.append((len(self.calls) - before, red))
             return red
 

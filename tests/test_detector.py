@@ -14,16 +14,14 @@ from lurestab.detector import (
     extract_certificate,
     snap_to_band,
 )
-from lurestab.engine import TOL_RANK, SolveResult
-from lurestab.errors import CertificateInconsistentError, StructuralError
+from lurestab import engine
+from lurestab.errors import CertificateInconsistentError
 from lurestab.pwl import eval_pwl, verify_slope
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
 
 
 def test_extract_slope_certificate(slope_example, slope_dual_reduced):
-    cert = extract_certificate(
-        slope_example, slope_dual_reduced, NonlinearityClass.SLOPE
-    )
+    cert = extract_certificate(slope_example, slope_dual_reduced.factor)
     assert isinstance(cert, DualCertificate)
 
     # the factor reproduces H and the pieces are consistent
@@ -45,75 +43,25 @@ def test_extract_odd_certificate_carries_z(odd_example, odd_dual_reduced):
     # the odd class's dual carries Z, and the certificate is read off its H
     Z = odd_dual_reduced.assignment["Z"]
     assert Z.shape == (odd_example.m, odd_example.m)
-    cert = extract_certificate(
-        odd_example, odd_dual_reduced, NonlinearityClass.SLOPE_ODD
-    )
+    cert = extract_certificate(odd_example, odd_dual_reduced.factor)
     assert isinstance(cert, DualCertificate)
     h = cert.h
     assert np.linalg.norm(np.outer(h, h) - odd_dual_reduced.assignment["H"]) <= 1.0e-6
 
 
 def test_extract_rejects_high_rank(slope_example, slope_dual_reduced):
-    spread = dict(slope_dual_reduced.assignment)
-    d = spread["H"].shape[0]
-    spread["H"] = np.eye(d) / d
-    res = SolveResult(
-        status="feasible", assignment=spread, residuals=slope_dual_reduced.residuals
-    )
-    out = extract_certificate(slope_example, res, NonlinearityClass.SLOPE)
+    # the dual pass gives no factor where H is not rank one
+    d = slope_dual_reduced.assignment["H"].shape[0]
+    assert engine._rank_ratio(np.eye(d) / d)[2] is None
+    out = extract_certificate(slope_example, None)
     assert isinstance(out, Inconclusive)
     assert out.reason == "rank"
 
 
-def test_extract_rank_tolerance_splits_clusters(slope_example, slope_dual_reduced):
-    # the rank counts eigenvalues of H above TOL_RANK times the largest; at
-    # rank one the factor is the dominant eigenvector, scaled
-    cert = extract_certificate(slope_example, slope_dual_reduced, NonlinearityClass.SLOPE)
-    lam, Q = np.linalg.eigh(slope_dual_reduced.assignment["H"])
-    rest = Q[:, :-1]  # orthogonal to the dominant eigenvector
-    d = len(lam)
-    cases = [
-        (np.zeros(d - 1), 1),
-        (np.full(d - 1, 0.5 * TOL_RANK), 1),
-        (np.r_[2.0 * TOL_RANK, np.zeros(d - 2)], 2),
-        (np.full(d - 1, 0.5), d),
-    ]
-    for tail, rank in cases:
-        H = lam[-1] * (np.outer(Q[:, -1], Q[:, -1]) + (rest * tail) @ rest.T)
-        res = replace(slope_dual_reduced, assignment=dict(slope_dual_reduced.assignment, H=H))
-        out = extract_certificate(slope_example, res, NonlinearityClass.SLOPE)
-        if rank == 1:
-            assert np.allclose(out.h, cert.h, atol=1.0e-9)
-        else:
-            assert out == Inconclusive("rank", f"numerical rank {rank}")
-
-
-def test_extract_rank_zero_matrix(slope_example, slope_dual_reduced):
-    d = slope_dual_reduced.assignment["H"].shape[0]
-    H = np.zeros((d, d))
-    res = replace(slope_dual_reduced, assignment=dict(slope_dual_reduced.assignment, H=H))
-    out = extract_certificate(slope_example, res, NonlinearityClass.SLOPE)
-    assert out == Inconclusive("rank", "numerical rank 0")
-
-
-def test_extract_checks_class_against_blocks(slope_example, slope_dual_reduced):
-    with pytest.raises(StructuralError):
-        extract_certificate(
-            slope_example, slope_dual_reduced, NonlinearityClass.SLOPE_ODD
-        )
-
-
 def test_extract_is_sign_invariant(slope_example, slope_dual_reduced):
-    cert = extract_certificate(
-        slope_example, slope_dual_reduced, NonlinearityClass.SLOPE
-    )
-    flipped = dict(slope_dual_reduced.assignment)
-    h = -cert.h  # same H, opposite factor sign
-    flipped["H"] = np.outer(h, h)
-    res = SolveResult(
-        status="feasible", assignment=flipped, residuals=slope_dual_reduced.residuals
-    )
-    cert2 = extract_certificate(slope_example, res, NonlinearityClass.SLOPE)
+    h = slope_dual_reduced.factor
+    cert = extract_certificate(slope_example, h)
+    cert2 = extract_certificate(slope_example, -h)  # same H, opposite factor sign
     assert isinstance(cert2, DualCertificate)
     assert np.allclose(cert2.h1, cert.h1, atol=1.0e-9)
     assert np.allclose(cert2.h2, cert.h2, atol=1.0e-9)
@@ -169,12 +117,9 @@ def test_build_pwl_odd_folds_conflicts():
 def test_example_maps_pass_slope_audit(
     slope_example, slope_dual_reduced, odd_example, odd_dual_reduced
 ):
-    for sysm, res, cls in (
-        (slope_example, slope_dual_reduced, NonlinearityClass.SLOPE),
-        (odd_example, odd_dual_reduced, NonlinearityClass.SLOPE_ODD),
-    ):
-        cert = extract_certificate(sysm, res, cls)
-        phi = build_pwl(cert, odd=cls is NonlinearityClass.SLOPE_ODD)
+    for sysm, res in ((slope_example, slope_dual_reduced), (odd_example, odd_dual_reduced)):
+        cert = extract_certificate(sysm, res.factor)
+        phi = build_pwl(cert, odd=sysm.nl_class is NonlinearityClass.SLOPE_ODD)
         rep = verify_slope(phi, sysm.band)
         assert rep.ok, (cls, rep)
 
@@ -224,7 +169,7 @@ def _assert_snapped_equilibrium(sysm, cert, snapped, odd=False):
 def test_snap_puts_near_flat_segment_on_band_edge():
     sysm, cert = _flat_segment_case(-3.0e-9)
     assert verify_slope(build_pwl(cert, odd=False), sysm.band).min_slope < sysm.band.mu
-    snapped = snap_to_band(sysm, cert, odd=False)
+    snapped = snap_to_band(sysm, cert)
     assert snapped.snapped == 1
     rep = _assert_snapped_equilibrium(sysm, cert, snapped)
     assert abs(rep.min_slope - sysm.band.mu) <= 1.0e-15
@@ -233,7 +178,7 @@ def test_snap_puts_near_flat_segment_on_band_edge():
 def test_snap_puts_steep_segment_on_upper_edge():
     sysm, cert = _flat_segment_case(1.0 + 3.0e-9)
     assert verify_slope(build_pwl(cert, odd=False), sysm.band).max_slope > sysm.band.nu
-    snapped = snap_to_band(sysm, cert, odd=False)
+    snapped = snap_to_band(sysm, cert)
     assert snapped.snapped == 1
     rep = _assert_snapped_equilibrium(sysm, cert, snapped)
     assert abs(rep.max_slope - sysm.band.nu) <= 1.0e-15
@@ -245,9 +190,9 @@ def test_snap_repairs_a_folded_odd_point():
     sysm, flat = _flat_segment_case(-3.0e-9)
     sysm = replace(sysm, nl_class=NonlinearityClass.SLOPE_ODD)
     cert = _equilibrium_cert(sysm, flat.h2 * [-1.0, 1.0])
-    assert snap_to_band(sysm, cert, odd=False) is cert
+    assert snap_to_band(replace(sysm, nl_class=NonlinearityClass.SLOPE), cert) is cert
     assert verify_slope(build_pwl(cert, odd=True), sysm.band).min_slope < sysm.band.mu
-    snapped = snap_to_band(sysm, cert, odd=True)
+    snapped = snap_to_band(sysm, cert)
     assert snapped.snapped == 1
     rep = _assert_snapped_equilibrium(sysm, cert, snapped, odd=True)
     assert abs(rep.min_slope - sysm.band.mu) <= 1.0e-15
@@ -261,7 +206,7 @@ def test_snap_adds_a_row_its_projection_violates():
     cert = _equilibrium_cert(sysm, [1.0, 1.0 + 1.0e-9, 1.0 - 3.0e-9])
     slopes = build_pwl(cert, odd=False).segment_slopes()
     assert np.count_nonzero(slopes < sysm.band.mu) == 1
-    snapped = snap_to_band(sysm, cert, odd=False)
+    snapped = snap_to_band(sysm, cert)
     assert snapped.snapped == 2
     rep = _assert_snapped_equilibrium(sysm, cert, snapped)
     assert abs(rep.min_slope - sysm.band.mu) <= 1.0e-15
@@ -276,7 +221,7 @@ def test_snap_keeps_the_certificate_when_projection_loses_h1():
     )
     cert = _equilibrium_cert(sysm, [1.0])
     assert verify_slope(build_pwl(cert, odd=False), sysm.band).max_slope == 2.0
-    assert snap_to_band(sysm, cert, odd=False) is cert
+    assert snap_to_band(sysm, cert) is cert
 
 
 def test_snap_leaves_a_pair_the_map_merges_alone():
@@ -288,7 +233,7 @@ def test_snap_leaves_a_pair_the_map_merges_alone():
     cert = replace(_toy_cert([2.0, np.nextafter(2.0, 0.0)], w), h1=2.0 * w)
     assert verify_slope(build_pwl(cert, odd=False), sysm.band).ok
     assert build_pwl(cert, odd=False).breakpoints.shape == (2, 2)
-    assert snap_to_band(sysm, cert, odd=False) is cert
+    assert snap_to_band(sysm, cert) is cert
 
 
 @st.composite
@@ -317,7 +262,7 @@ def _on_edge_witnesses(draw):
 @given(_on_edge_witnesses())
 def test_snap_returns_a_passing_equilibrium_near_the_band_edges(case):
     sysm, cert, odd = case
-    snapped = snap_to_band(sysm, cert, odd)
+    snapped = snap_to_band(sysm, cert)
     h1, w = snapped.h1, snapped.h2
     assert np.max(np.abs(sysm.A @ h1 + sysm.B @ w - h1)) <= 1.0e-14 * np.max(np.abs(h1))
     assert verify_slope(build_pwl(snapped, odd), sysm.band).ok
@@ -325,4 +270,4 @@ def test_snap_returns_a_passing_equilibrium_near_the_band_edges(case):
 
 def test_snap_leaves_in_band_certificate_alone():
     sysm, cert = _flat_segment_case(3.0e-9)
-    assert snap_to_band(sysm, cert, odd=False) is cert
+    assert snap_to_band(sysm, cert) is cert

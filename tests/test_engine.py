@@ -78,7 +78,7 @@ def test_decoupled_primal_feasible_with_margin(decoupled_example):
 def test_dual_feasible_on_slope_example(slope_example, kind_tag):
     odd = kind_tag == "dual_dd"
     cls = NonlinearityClass.SLOPE_ODD if odd else NonlinearityClass.SLOPE
-    res = reduce_rank(_dual(dataclasses.replace(slope_example, nl_class=cls)))
+    res = reduce_rank(_dual(dataclasses.replace(slope_example, nl_class=cls)), deflate=False)
     assert ("Z" in res.assignment) == odd
     assert res.status == "feasible"
     H = res.assignment["H"]
@@ -88,32 +88,61 @@ def test_dual_feasible_on_slope_example(slope_example, kind_tag):
 
 
 def test_dual_feasible_on_odd_example(odd_example):
-    res = reduce_rank(_dual(odd_example))
+    res = reduce_rank(_dual(odd_example), deflate=False)
     assert res.status == "feasible"
     assert abs(np.trace(res.assignment["H"]) - 1.0) <= 1.0e-7
 
 
-def _five_channel_loop():
-    """A loop past the equilibrium search's channel count, where the
-    deflation rounds are the only path: the ladder recipe at n = m = 5 with
-    rng seed 12, on the band [0, 1.5 k*] with k* = 11.14 the first gain at
-    which A + k B (I - k D)^{-1} C stops being Schur."""
-    rng = np.random.default_rng(12)
-    A = rng.normal(size=(5, 5))
+def _ladder_loop(seed, n, nu, cls=NonlinearityClass.SLOPE):
+    """The ladder recipe at n = m with the given rng seed, on the band
+    [0, nu]."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
     A *= 0.8 / max(abs(np.linalg.eigvals(A)))
-    B, C = 0.1 * rng.normal(size=(5, 5)), 0.1 * rng.normal(size=(5, 5))
-    D = 0.02 * rng.normal(size=(5, 5))
-    return StateSpaceSystem(A, B, C, D, SlopeBand(0.0, 16.7))
+    B, C = 0.1 * rng.normal(size=(n, n)), 0.1 * rng.normal(size=(n, n))
+    D = 0.02 * rng.normal(size=(n, n))
+    return StateSpaceSystem(A, B, C, D, SlopeBand(0.0, nu), cls)
+
+
+def _five_channel_loop():
+    """A loop past the equilibrium search's channel count with a linear
+    equilibrium (lambda = 1.499): rng seed 12 at n = 5, on the band
+    [0, 1.5 k*] with k* = 11.14 the first gain at which
+    A + k B (I - k D)^{-1} C stops being Schur.  Its steered dual point is
+    not rank one (ratio 8.3e-3), and one deflation round takes it there."""
+    return _ladder_loop(12, 5, 16.7)
+
+
+def _eight_channel_loop():
+    """A loop past the search's channel count with no linear equilibrium,
+    where the deflation rounds are the only path: rng seed 3 at n = 8, odd
+    class, on the band [0, 1.5 k*] with k* = 9.478."""
+    return _ladder_loop(3, 8, 14.217, NonlinearityClass.SLOPE_ODD)
 
 
 def test_the_rounds_decide_a_loop_the_search_cannot_take():
-    sysm = _five_channel_loop()
+    sysm = _eight_channel_loop()
     assert sysm.m > MAX_CHANNELS
     rep = analyze(sysm)
     assert rep.verdict == "not_absolutely_stable"
     pipe = rep.diagnostics["pipeline"]
-    assert pipe["rank_rounds"] == 1 and pipe["rank_stop"] == "rank_one"
-    assert pipe["witness_source"] == "dual" and "equilibrium_search" not in pipe
+    assert "linear_equilibrium" not in pipe and "equilibrium_search" not in pipe
+    assert pipe["rank_rounds"] == 2 and pipe["rank_stop"] == "rank_one"
+    assert pipe["witness_source"] == "dual"
+    assert _bench("checker").check(_case(sysm), json.loads(rep.to_json())) == []
+
+
+def test_a_known_input_spares_the_rounds(monkeypatch):
+    # the five-channel loop's steered point is not rank one, but its linear
+    # gain already gives the witness, so the dual pass is its one solve
+    sysm = _five_channel_loop()
+    solves = _recording(monkeypatch)
+    rep = analyze(sysm)
+    assert rep.verdict == "not_absolutely_stable"
+    pipe = rep.diagnostics["pipeline"]
+    assert len(solves) == 1 and pipe["rank_rounds"] == 0
+    assert pipe["rank_stop"] == "equilibrium" and pipe["witness_source"] == "linear"
+    assert pipe["linear_equilibrium"] == pytest.approx(1.499, abs=1e-3)
     assert _bench("checker").check(_case(sysm), json.loads(rep.to_json())) == []
 
 
@@ -133,18 +162,19 @@ def _case(sysm):
 @pytest.mark.parametrize("loop", ["slope_example", "odd_example", "five_channel"])
 def test_a_dual_witness_failing_any_gate_gives_way_to_the_known_input(monkeypatch, request, loop):
     # the paper's examples have rank-one steered points whose witnesses
-    # pass, and the five-channel loop, past the search's reach, reaches
-    # rank one after a round.  Each holds a linear equilibrium (lambda =
-    # 1.499 on the five-channel loop), so a witness made to fail the sign
-    # gate takes that gain's eigenvector on every m, as one failing the
-    # equilibrium check does, and the search never runs
+    # pass; the five-channel loop, past the search's reach, has a steered
+    # point that is not rank one and is not deflated.  Each holds a linear
+    # equilibrium, so a witness made to fail the sign gate takes that
+    # gain's eigenvector on every m, as one failing the equilibrium check
+    # does, and the search never runs
     sysm = _five_channel_loop() if loop == "five_channel" else request.getfixturevalue(loop)
     monkeypatch.setattr(report, "extract_certificate",
                         lambda *args: report.Inconclusive("sign", "forced"))
     rep = analyze(sysm)
     assert rep.verdict == "not_absolutely_stable"
     pipe = rep.diagnostics["pipeline"]
-    assert pipe["witness_source"] == "linear" and pipe["rank_stop"] == "rank_one"
+    assert pipe["witness_source"] == "linear" and pipe["rank_rounds"] == 0
+    assert pipe["rank_stop"] == ("equilibrium" if loop == "five_channel" else "rank_one")
     assert pipe["linear_equilibrium"] >= 1.0
     assert "inconclusive_detail" not in pipe and "equilibrium_search" not in pipe
     assert _bench("checker").check(_case(sysm), json.loads(rep.to_json())) == []
@@ -155,7 +185,7 @@ def test_reduce_rank_reaches_rank_one(monkeypatch):
     # a deflation round takes it to rank one
     problem = _dual(normalize_band(_five_channel_loop()))
     results = _recording(monkeypatch)
-    red = reduce_rank(problem)
+    red = reduce_rank(problem, deflate=True)
     assert red.status == "feasible"
     trail = red.diagnostics["rank_trail"]
     # the trail starts at the steered point, the pass's first solve
@@ -165,18 +195,44 @@ def test_reduce_rank_reaches_rank_one(monkeypatch):
     assert trail[-1] <= 1.0e-6
     w = np.linalg.eigvalsh(red.assignment["H"])[::-1]
     assert w[1] <= 1.0e-6 * w[0]
+    # the factor comes from the eigh the last ratio was read from
+    assert np.array_equal(red.factor, engine._rank_ratio(red.assignment["H"])[2])
+
+
+def test_the_rank_one_factor_splits_clusters_at_tol_rank(slope_dual_reduced):
+    # H is rank one when its second eigenvalue is within TOL_RANK times its
+    # first; its factor is then the dominant eigenvector, scaled
+    ref = slope_dual_reduced.factor
+    lam, Q = np.linalg.eigh(slope_dual_reduced.assignment["H"])
+    rest = Q[:, :-1]  # orthogonal to the dominant eigenvector
+    d = len(lam)
+    cases = [
+        (np.zeros(d - 1), True),
+        (np.full(d - 1, 0.5 * engine.TOL_RANK), True),
+        (np.r_[2.0 * engine.TOL_RANK, np.zeros(d - 2)], False),
+        (np.full(d - 1, 0.5), False),
+    ]
+    for tail, rank_one in cases:
+        H = lam[-1] * (np.outer(Q[:, -1], Q[:, -1]) + (rest * tail) @ rest.T)
+        h = engine._rank_ratio(H)[2]
+        if rank_one:
+            assert min(np.linalg.norm(h - ref), np.linalg.norm(h + ref)) <= 1.0e-9
+        else:
+            assert h is None
 
 
 def test_reduce_rank_decomposes_each_point_once(monkeypatch):
     # one eigh per kept point gives its rank ratio and the next round's
     # deflation directions; dual.verify adds one eigvalsh per solved point,
     # the steer point's included (the IPM's step lengths decompose stacks,
-    # which are not counted).  The five-channel loop takes its round;
-    # corpus-7 (m = 4), whose steered point is not rank one either, is left
-    # to the equilibrium search after the steer solve alone
+    # which are not counted).  Deflated, the five-channel loop takes its
+    # round; corpus-7 (m = 4), whose steered point is not rank one either,
+    # is not deflated, as analyze leaves it to its known input, and ends
+    # after the steer solve alone
     corpus_7 = next(c for c in _bench("workloads").corpus() if c.name == "corpus-7")
-    loops = [(_five_channel_loop(), 1, "rank_one"), (_system(corpus_7), 0, "equilibrium")]
-    for sysm, rounds, stop in loops:
+    loops = [(_five_channel_loop(), True, 1, "rank_one"),
+             (_system(corpus_7), False, 0, "equilibrium")]
+    for sysm, deflate, rounds, stop in loops:
         problem = _dual(normalize_band(sysm))
         calls = []
         with monkeypatch.context() as m:
@@ -190,7 +246,7 @@ def test_reduce_rank_decomposes_each_point_once(monkeypatch):
                     return _real(a, *args, **kwargs)
 
                 m.setattr(np.linalg, name, counting)
-            red = reduce_rank(problem)
+            red = reduce_rank(problem, deflate)
         assert red.diagnostics["rounds"] == rounds and red.diagnostics["rank_stop"] == stop
         assert red.diagnostics["rank_trail"][0] > engine.TOL_RANK
         assert len(solves) == 1 + rounds
@@ -207,7 +263,7 @@ def segment():
     problem = _dual(normalize_band(_five_channel_loop()))
     with pytest.MonkeyPatch.context() as m:
         results = _recording(m)
-        reduce_rank(problem)
+        reduce_rank(problem, deflate=True)
     x0, x1 = (res.x for res in results)
 
     def point(s):
@@ -234,7 +290,7 @@ def test_reduce_rank_stops_once_the_dominant_eigenvector_settles(segment, monkey
     problem, point = segment
     x = point(0.5 - 1.0e-5)
     _solves_returning(monkeypatch, [point(0.5), x, x])
-    red = reduce_rank(problem)
+    red = reduce_rank(problem, deflate=True)
     assert red.diagnostics["rounds"] == 1
     assert red.diagnostics["rank_stop"] == "settled"
     trail = red.diagnostics["rank_trail"]
@@ -247,11 +303,11 @@ def test_reduce_rank_counts_rank_one_before_the_turn(segment, monkeypatch):
     # eigenvector turns by less than sqrt(TOL_RANK): decided, not settled
     problem, point = segment
     x_steer, x = point(3.0e-3), point(0.0)
-    _, V_steer = engine._rank_ratio(problem.reconstruct(x_steer)["H"])
-    _, V = engine._rank_ratio(problem.reconstruct(x)["H"])
+    V_steer = engine._rank_ratio(problem.reconstruct(x_steer)["H"])[1]
+    V = engine._rank_ratio(problem.reconstruct(x)["H"])[1]
     assert np.linalg.norm(V_steer[:, :-1].T @ V[:, -1]) < np.sqrt(engine.TOL_RANK)
     _solves_returning(monkeypatch, [x_steer, x])
-    red = reduce_rank(problem)
+    red = reduce_rank(problem, deflate=True)
     assert red.diagnostics["rounds"] == 1
     assert red.diagnostics["rank_stop"] == "rank_one"
     assert red.diagnostics["rank_trail"][-1] <= engine.TOL_RANK
@@ -263,7 +319,7 @@ def test_reduce_rank_stops_at_the_round_limit_while_it_turns(segment, monkeypatc
     problem, point = segment
     xs = [point(1.0 - 0.09 * k) for k in range(engine._MAX_RANK_ROUNDS + 2)]
     _solves_returning(monkeypatch, xs)
-    red = reduce_rank(problem)
+    red = reduce_rank(problem, deflate=True)
     assert red.diagnostics["rounds"] == engine._MAX_RANK_ROUNDS
     assert red.diagnostics["rank_stop"] == "max_rounds"
 
@@ -274,7 +330,7 @@ def test_reduce_rank_stops_after_a_round_it_does_not_keep(segment, monkeypatch):
     problem, point = segment
     x_steer = point(0.5)
     _solves_returning(monkeypatch, [x_steer, point(0.6), x_steer])
-    red = reduce_rank(problem)
+    red = reduce_rank(problem, deflate=True)
     assert red.diagnostics["rounds"] == 1
     assert red.diagnostics["rank_stop"] == "settled"
     assert np.array_equal(red.assignment["H"], problem.reconstruct(x_steer)["H"])
@@ -323,7 +379,7 @@ def test_reduce_rank_keeps_rank_one_warm_start(slope_example, monkeypatch):
     # comes back as the steer solve returned it, with zero rounds run
     problem = _dual(slope_example)
     results = _recording(monkeypatch)
-    red = reduce_rank(problem)
+    red = reduce_rank(problem, deflate=True)
     [steer] = results
     assert np.array_equal(red.assignment["H"], problem.reconstruct(steer.x)["H"])
     ok, max_eq, max_cone = problem.verify(red.assignment)
@@ -351,7 +407,7 @@ def _check_primal_certificate(sysm, res):
 
 def test_equality_solve_farkas_certifies_infeasible(decoupled_example):
     # the decoupled loop is stable by small gain, so its dual is infeasible
-    res = reduce_rank(_dual(decoupled_example))
+    res = reduce_rank(_dual(decoupled_example), deflate=False)
     assert res.status == "infeasible"
     assert res.diagnostics["ipm_status"] == "infeasible"
     assert res.diagnostics["farkas_quality"] <= 1.0e-7
@@ -364,7 +420,7 @@ def test_psd_block_infeasible_toy_ends_with_a_checked_certificate():
     sysm = StateSpaceSystem(
         np.array([[0.5]]), np.array([[0.1]]), np.array([[0.1]]), np.array([[0.0]])
     )
-    res = reduce_rank(_dual(sysm))
+    res = reduce_rank(_dual(sysm), deflate=False)
     assert res.status == "infeasible"
     assert res.diagnostics["farkas_quality"] <= engine._FARKAS_TOL
     _check_primal_certificate(sysm, res)
@@ -375,7 +431,7 @@ def test_dual_farkas_certificate_is_a_primal_certificate():
     # scalar toy above are the other cases
     for seed, (n, m) in enumerate([(2, 3), (3, 2), (2, 2), (3, 4)]):
         sysm = _seeded_system(60 + seed, n, m, odd=bool(seed % 2), gain=0.5)
-        res = reduce_rank(_dual(sysm))
+        res = reduce_rank(_dual(sysm), deflate=False)
         assert res.status == "infeasible"
         assert res.diagnostics["farkas_quality"] <= engine._FARKAS_TOL
         _check_primal_certificate(sysm, res)
@@ -387,7 +443,7 @@ def test_equality_solve_feasible_toy():
     sysm = StateSpaceSystem(
         np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]])
     )
-    red = reduce_rank(_dual(sysm))
+    red = reduce_rank(_dual(sysm), deflate=False)
     assert red.status == "feasible"
     H = red.assignment["H"]
     assert abs(np.trace(H) - 1.0) <= 1.0e-8
@@ -401,7 +457,7 @@ def test_equality_solve_feasible_toy():
 def test_steer_solve_stops_at_its_accuracy_floor(odd_example, monkeypatch):
     problem = _dual(odd_example)
     results = _recording(monkeypatch)
-    red = reduce_rank(problem)
+    red = reduce_rank(problem, deflate=False)
     steer = results[0]
     # the steered dual solve asks for 1e-11, at the edge of what its
     # rounding allows; it gets within 1e-9 and then stops instead of
@@ -417,7 +473,7 @@ def test_steer_solve_stops_at_its_accuracy_floor(odd_example, monkeypatch):
 def test_witness_is_a_verified_solver_point_as_returned(monkeypatch, request, fixture):
     problem = _dual(request.getfixturevalue(fixture))
     results = _recording(monkeypatch)
-    red = reduce_rank(problem)
+    red = reduce_rank(problem, deflate=False)
     # nothing rewrites the point a solve returned before it is read
     H = red.assignment["H"]
     assert any(np.array_equal(H, problem.reconstruct(res.x)["H"]) for res in results)
@@ -527,9 +583,9 @@ def test_dual_point_is_the_one_steered_solve(monkeypatch, request, fixture):
     passes = []
     real = report.reduce_rank
 
-    def reducing(dual):
+    def reducing(dual, deflate):
         before = len(results)
-        red = real(dual)
+        red = real(dual, deflate)
         passes.append((before, len(results), dual, red))
         return red
 
@@ -555,14 +611,14 @@ def test_dual_point_does_not_depend_on_how_the_primal_ended(monkeypatch, slope_e
     # the dual is transposed from the primal's dense form alone: neither a
     # capped nor a converged primal solve moves its point
     problem = build_primal(slope_example)
-    before = reduce_rank(build_dual(problem))
+    before = reduce_rank(build_dual(problem), deflate=False)
     with monkeypatch.context() as m:
         m.setattr(conic, "MAX_ITERS", 3)
         capped = solve(problem)
     assert capped.status == "numerical_limit"
     assert capped.diagnostics["ipm_status"] == "max_iters"
     assert solve(problem).status == "infeasible"
-    after = reduce_rank(build_dual(problem))
+    after = reduce_rank(build_dual(problem), deflate=False)
     assert before.status == after.status == "feasible"
     assert np.array_equal(before.assignment["H"], after.assignment["H"])
 

@@ -1,6 +1,6 @@
 """The search for a class map that gives the normalized loop a nonzero
 equilibrium (equilibria.search), on loops whose answer is known in closed
-form, and its null vectors."""
+form, its null vectors, and the channel count analyze runs it on."""
 
 import itertools
 
@@ -14,6 +14,7 @@ from lurestab.equilibria import (
     linear_equilibrium,
     search,
 )
+from lurestab.report import analyze
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
 from oracles import has_equilibrium_exactly
 
@@ -77,8 +78,18 @@ def test_the_linear_equilibrium_is_the_largest_real_eigenvalue_past_one():
 
 
 def test_more_channels_than_the_search_takes_are_not_searched():
-    assert search(_loop(0.5 * np.eye(MAX_CHANNELS + 1))) is None
-    assert search(_loop(0.5 * np.eye(MAX_CHANNELS)))[1] is None
+    # two copies of the loop above whose equilibrium needs a map that is
+    # not odd, and one decoupled channel more: G has no real eigenvalue
+    # >= 1.  Closed through x+ = x / 2 + w, z = G x / 2, analyze searches it
+    # at m = MAX_CHANNELS and not past it, where the dual pass deflates
+    for m in (MAX_CHANNELS, MAX_CHANNELS + 1):
+        G = 0.5 * np.eye(m)
+        G[:2, :2] = G[2:4, 2:4] = [[0.0, -1.0], [1.0, 1.0]]
+        rep = analyze(StateSpaceSystem(0.5 * np.eye(m), np.eye(m), 0.5 * G, np.zeros((m, m))))
+        pipe = rep.diagnostics["pipeline"]
+        assert rep.verdict == "not_absolutely_stable" and "linear_equilibrium" not in pipe
+        assert ("equilibrium_search" in pipe) == (m <= MAX_CHANNELS)
+        assert pipe["witness_source"] == ("search" if m <= MAX_CHANNELS else "dual")
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

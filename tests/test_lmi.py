@@ -146,7 +146,7 @@ def test_reduced_dual_holds_from_its_definition(
     cases = [(slope_example, slope_dual_reduced), (odd_example, odd_dual_reduced)]
     for seed in range(40, 46):
         sysm = _random_system(seed, n=2 + seed % 2, m=2 + seed % 3, odd=bool(seed % 2))
-        cases.append((sysm, reduce_rank(build_dual(build_primal(sysm)))))
+        cases.append((sysm, reduce_rank(build_dual(build_primal(sysm)), deflate=False)))
     for sysm, red in cases:
         assert red.status == "feasible"
         blocks = red.assignment

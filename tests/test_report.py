@@ -1,5 +1,6 @@
 """Canonical serialization and the analysis verdicts on the examples."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -90,7 +91,6 @@ def test_slope_example_verdict(slope_report):
         "max_ipm_iters": lurestab.conic.MAX_ITERS,
         "equilibrium_check_tol": lurestab.report._EQ_CHECK_TOL,
     }
-    assert lurestab.detector.TOL_RANK is engine.TOL_RANK
     assert "seed" not in rep.diagnostics
 
 
@@ -258,3 +258,31 @@ def test_import_does_not_load_scipy():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def _package_imports(module: str) -> set:
+    """The modules of the package that one of its modules imports, read
+    from its source."""
+    tree = ast.parse((pathlib.Path(lurestab.__file__).parent / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                found.update([base] if base else [alias.name for alias in node.names])
+            elif base.startswith("lurestab."):
+                found.add(base.split(".")[1])
+            elif base == "lurestab":
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("lurestab."))
+    return found
+
+
+def test_each_dual_pass_rule_has_one_owner_in_the_import_graph():
+    # reduce_rank decides rank one and hands the detector the factor, and
+    # analyze decides when the search runs: neither reaches past its owner
+    assert "engine" not in _package_imports("detector")
+    assert "equilibria" not in _package_imports("engine")
+    assert {"engine", "equilibria", "detector"} <= _package_imports("report")
