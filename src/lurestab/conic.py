@@ -8,9 +8,10 @@ nonnegative orthant, through the homogeneous self-dual embedding
 (Ye, Todd & Mizuno 1994; in conic form Andersen, Roos & Terlaky 2003).
 One run ends either with tau > 0, and (x, y, s) / tau is optimal, or with
 kappa > 0 and b.y > 0, and y is a Farkas certificate that A x = b has no
-solution in K.  A caller that needs some y with a property, not the
-optimum, passes the property as a predicate, and the run ends at the
-first tau-normalized iterate that has it.  Nesterov-Todd scaling with a
+solution in K; both are judged at one fixed tolerance, IPM_TOL.  A caller
+that needs some y with a property, not the optimum, passes the property
+as a predicate, and the run ends at the first tau-normalized iterate that
+has it.  Nesterov-Todd scaling with a
 Mehrotra predictor-corrector step, aimed at problems with up to about a
 thousand rows.  Each step works in the scaled coordinates u = W^{-T} dx,
 v = W ds of CVXOPT's conelp (Vandenberghe 2010), where x and s both map
@@ -42,7 +43,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-__all__ = ["ConeSpec", "ConicResult", "MAX_ITERS", "smat", "solve_conic", "svec", "svec_dim"]
+__all__ = ["ConeSpec", "ConicResult", "IPM_TOL", "MAX_ITERS", "smat", "solve_conic", "svec",
+           "svec_dim"]
 
 _SQRT2 = math.sqrt(2.0)
 # Rows per diagonal block of the substitutions in _cho_solve.
@@ -53,6 +55,10 @@ _REFINE_STEPS = 2
 _STEP_FRAC = 0.99
 # Iterations after which a run ends "max_iters".
 MAX_ITERS = 200
+# Stopping tolerance of every run: the relative residuals and gap of an
+# optimum, and the cone distance of a Farkas certificate.  Tight, because
+# the dual's witness data is read straight off the point a run returns.
+IPM_TOL = 1.0e-11
 
 
 def svec_dim(d: int) -> int:
@@ -547,7 +553,6 @@ def solve_conic(
     b: np.ndarray,
     c: np.ndarray,
     cone: ConeSpec,
-    tol: float = 1.0e-10,
     accept: Optional[Callable[[np.ndarray], bool]] = None,
     psd_schur: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> ConicResult:
@@ -557,10 +562,10 @@ def solve_conic(
     - "accepted": accept(y / tau) holds, tested on every iterate before
       the two tests below; x, y and s are divided by tau.
     - "optimal": the tau-normalized iterate has rp_rel, rd_rel and gap_rel
-      all within tol; x, y and s are divided by tau.
+      all within IPM_TOL; x, y and s are divided by tau.
     - "infeasible": kappa dominates tau and y is a Farkas certificate,
-      b.y > 0 with ||A^T y + s|| <= tol b.y, so -A^T y lies within tol of
-      K; x, y and s are divided by b.y.
+      b.y > 0 with ||A^T y + s|| <= IPM_TOL b.y, so -A^T y lies within
+      IPM_TOL of K; x, y and s are divided by b.y.
     - "stalled": an iteration failed to improve the progress score, the
       largest of the embedding's own residuals ||tau b - A x|| / (1 + ||b||)
       and ||tau c - A^T y - s|| / (1 + ||c||) and of its complementarity
@@ -617,10 +622,10 @@ def solve_conic(
             if accept is not None and accept(y / tau):
                 status = "accepted"
                 break
-            if rp_rel <= tol and rd_rel <= tol and gap_rel <= tol:
+            if rp_rel <= IPM_TOL and rd_rel <= IPM_TOL and gap_rel <= IPM_TOL:
                 status = "optimal"
                 break
-            if kappa > tau and by > 0 and math.sqrt((aty + s) @ (aty + s)) / by <= tol:
+            if kappa > tau and by > 0 and math.sqrt((aty + s) @ (aty + s)) / by <= IPM_TOL:
                 status = "infeasible"
                 break
             score = max(rp_n, rd_n, (xs + tau * kappa) / (nu + 1))

@@ -12,7 +12,9 @@ the loop.
 In the order of z*, each pair of consecutive map nodes gives two rows,
 linear in w, that hold exactly when their segment's slope lies in the band.
 Where solver rounding leaves a segment a hair outside it, w* is projected
-onto the rows it violates (snap_to_band); no solve is involved.
+onto the rows it violates (snap_to_band); no solve is involved.  Whether
+h1 is zero is one test, equilibria.zero_state, at both the degenerate gate
+and the projection.
 """
 
 from dataclasses import dataclass, replace
@@ -20,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .equilibria import equilibrium_maps, zero_state
 from .errors import CertificateInconsistentError, InternalContradictionError
 from .linalg import spectral_norm
 from .pwl import PiecewiseLinearMap
@@ -71,19 +74,16 @@ def extract_certificate(sys: StateSpaceSystem, h: Optional[np.ndarray]):
     None where H is not rank one, which is Inconclusive "rank".
 
     Returns a DualCertificate, or Inconclusive when one of the theorem's
-    hypotheses fails numerically.  A vanishing h1 raises an internal
-    contradiction when ||D|| < 1 (the nonvanishing proof applies there, so
-    it can only mean a solver or assembly defect); otherwise it is reported
-    as inconclusive.  A factor that passes every gate becomes the
-    certificate through fit.
+    hypotheses fails numerically.  A zero state h1 (equilibria.zero_state
+    of h1 and h2) raises an internal contradiction when ||D|| < 1 (the
+    nonvanishing proof applies there, so it can only mean a solver or
+    assembly defect); otherwise it is reported as inconclusive.  A factor
+    that passes every gate becomes the certificate through fit.
     """
     if h is None:
         return Inconclusive("rank", "the dual point's H is not rank one")
-    n = sys.n
-    h1, h2 = h[:n], h[n:]
-    norm_h = float(np.linalg.norm(h))
-    norm_h1 = float(np.linalg.norm(h1))
-    if norm_h1 <= 1.0e-9 * norm_h:
+    h1, h2 = h[:sys.n], h[sys.n:]
+    if zero_state(h1, h2):
         if spectral_norm(sys.D) < 1.0:
             raise InternalContradictionError(
                 "dual factor has vanishing state part although ||D|| < 1 "
@@ -95,7 +95,7 @@ def extract_certificate(sys: StateSpaceSystem, h: Optional[np.ndarray]):
 
     # the same for both signs of the factor
     sign_min = float(np.min((sys.A @ h1 + sys.B @ h2) * h1))
-    if sign_min < -_SIGN_TOL * norm_h1 ** 2:
+    if sign_min < -_SIGN_TOL * float(np.linalg.norm(h1)) ** 2:
         return Inconclusive(
             "sign",
             f"diagonal sign condition fails by {sign_min:.3e}; "
@@ -177,16 +177,17 @@ def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate) -> DualCertificat
     Keep the map's nodes -- the origin and the points (z*_i, w*_i), folded
     as s_i (z*_i, w*_i) where sys's class is odd -- in the order of z*.
     Every segment slope then lies in [mu, nu] exactly when each consecutive
-    difference has dw - mu dz >= 0 and nu dz - dw >= 0, and with
-    h1 = (I - A)^{-1} B w and z = G w, G = C (I - A)^{-1} B + D, these rows
-    are linear in w.  Solver rounding leaves a segment that truly lies on a
-    band edge (such as a flat segment between two channels with
-    w*_i = -w*_j) a hair outside the band, so rows negative at the
-    witness's own (z*, w*) are violated; a pair that build_pwl merges into
-    one node has no segment and gives no row.  w* is projected onto the
+    difference has dw - mu dz >= 0 and nu dz - dw >= 0, and with h1 = F w
+    and z = G w (equilibria.equilibrium_maps), these rows are linear in w.
+    Solver rounding leaves a segment that truly lies on a band edge (such
+    as a flat segment between two channels with w*_i = -w*_j) a hair
+    outside the band, so rows negative at the witness's own (z*, w*) are
+    violated; a pair that build_pwl merges into one node has no segment and
+    gives no row.  w* is projected onto the
     null space of the violated rows, a row the projection violates is added
     until none is, and h1 and z* are recomputed.  A witness that violates
-    no row is returned unchanged, and so is one whose projection loses h1.
+    no row is returned unchanged, and so is one whose projection has a zero
+    state (equilibria.zero_state).
     """
     s = _folds(cert.z_star, sys.nl_class is NonlinearityClass.SLOPE_ODD)
     # the rows as forms Kw w + Kz z, from the differences of the sorted
@@ -202,8 +203,8 @@ def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate) -> DualCertificat
     rows = (Kw @ cert.h2 + Kz @ cert.z_star < 0.0) & live
     if not rows.any():
         return cert
-    F = np.linalg.solve(np.eye(sys.n) - sys.A, sys.B)  # h1 = F w
-    R = Kw + Kz @ (sys.C @ F + sys.D)
+    F, G = equilibrium_maps(sys)
+    R = Kw + Kz @ G
     new = rows
     while new.any():
         E = R[rows]
@@ -213,7 +214,7 @@ def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate) -> DualCertificat
         h1 = F @ w
         new = (Kw @ w + Kz @ (sys.C @ h1 + sys.D @ w) < 0.0) & live & ~rows
         rows |= new
-    if float(np.linalg.norm(h1)) <= 1.0e-9 * float(np.linalg.norm(cert.h)):
+    if zero_state(h1, w):
         return cert
     h1, w = _signed(h1, w)
     return replace(cert, h1=h1, h2=w, z_star=sys.C @ h1 + sys.D @ w, snapped=int(rows.sum()))

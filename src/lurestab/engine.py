@@ -33,7 +33,8 @@ verifying the raw constraints, never on solver status alone.
 Every threshold is a module constant: TOL_RANK decides "rank one", TOL_EQ
 bounds the dual's raw residual, PRIMAL_MARGIN is the margin a certifying
 primal iterate must reach and CONE_TOL the cone violation any returned
-assignment may carry.
+assignment may carry.  Every solve, primal, steer or deflation round, stops
+at the interior-point core's one tolerance, conic.IPM_TOL.
 """
 
 from dataclasses import dataclass, field
@@ -70,10 +71,6 @@ TOL_RANK = 1.0e-6
 TOL_EQ = 1.0e-8
 # Margin from which a max-margin primal iterate counts as strictly feasible.
 PRIMAL_MARGIN = 1.0e-7
-# IPM stopping tolerance (feasibility and gap) of the deflation rounds, and
-# of the margin and steer solves, whose points are read off directly.
-_IPM_TOL = 1.0e-10
-_MARGIN_IPM_TOL = 1.0e-11
 # Absolute bound on cone violations of returned assignments.
 CONE_TOL = 1.0e-9
 # Largest cone violation of a b.y-normalized Farkas certificate.
@@ -437,10 +434,8 @@ def solve(problem: SdpFeasibilityProblem) -> SolveResult:
         accepted.append((assignment, checked, true_margin))
         return True
 
-    res = solve_conic(
-        form.A, form.b, form.F0, form.cone, _MARGIN_IPM_TOL,
-        accept=certifies, psd_schur=form.psd_schur,
-    )
+    res = solve_conic(form.A, form.b, form.F0, form.cone, accept=certifies,
+                      psd_schur=form.psd_schur)
     if res.status == "accepted":
         # res.y is the iterate certifies passed, bit for bit
         status = "feasible"
@@ -480,12 +475,12 @@ def _steer_matrix(sys: StateSpaceSystem) -> np.ndarray:
     return S / norm if norm > 0 else S
 
 
-def _solve_point(dual: DualForm, W: np.ndarray, tol: float):
+def _solve_point(dual: DualForm, W: np.ndarray):
     """One solve over the dual's feasible set minimizing trace(W H): the
     solver's result, the blocks of its point and their verification."""
     c = np.zeros(dual.ncone)
     c[dual.h_slice] = svec(W)
-    res = solve_conic(dual.A, dual.b, c, dual.cone, tol, psd_schur=dual.psd_schur)
+    res = solve_conic(dual.A, dual.b, c, dual.cone, psd_schur=dual.psd_schur)
     assignment = dual.reconstruct(res.x)
     return res, assignment, dual.verify(assignment)
 
@@ -507,13 +502,14 @@ def reduce_rank(dual: DualForm, deflate: bool) -> SolveResult:
     carries H's rank-one factor (SolveResult.factor), or None.
 
     The steer solve maximizes the steer functional on H over the dual's
-    feasible set, at the high-accuracy tolerance: breakpoint data for the
-    destabilizing map is read straight off the point, and leftover solver
-    noise shows up as spurious slope defects.  A steer point that fails
-    verification ends the pass: its Farkas certificate is checked
-    independently (_farkas_quality), and one that passes makes the result
-    "infeasible", with the certificate in the diagnostics read in the
-    primal's coordinates (P, M, t = 1); otherwise "numerical_limit".
+    feasible set.  Breakpoint data for the destabilizing map is read
+    straight off the point, so leftover solver noise would show up as
+    spurious slope defects; conic.IPM_TOL is tight for that reason.  A
+    steer point that fails verification ends the pass: its Farkas
+    certificate is checked independently (_farkas_quality), and one that
+    passes makes the result "infeasible", with the certificate in the
+    diagnostics read in the primal's coordinates (P, M, t = 1); otherwise
+    "numerical_limit".
 
     H is rank one when its second eigenvalue over its first, the rank
     ratio, is within TOL_RANK.  Without deflate a verified steer point that
@@ -530,7 +526,7 @@ def reduce_rank(dual: DualForm, deflate: bool) -> SolveResult:
     already rank one comes back with zero rounds run.
     """
     steer = _steer_matrix(dual.system)
-    res, best_assign, (ok, best_eq, best_cone) = _solve_point(dual, -steer, _MARGIN_IPM_TOL)
+    res, best_assign, (ok, best_eq, best_cone) = _solve_point(dual, -steer)
     diagnostics = {"ipm_status": res.status, "ipm_iterations": res.iterations}
     if not ok:
         q = _farkas_quality(dual, res.y)
@@ -549,7 +545,7 @@ def reduce_rank(dual: DualForm, deflate: bool) -> SolveResult:
     rounds, turn, settled = 0, 1.0, np.sqrt(TOL_RANK)
     while deflate and best_h is None and turn >= settled and rounds < _MAX_RANK_ROUNDS:
         V2 = best_V[:, :-1]  # all but the dominant eigenvector
-        _, assignment, (ok, max_eq, max_cone) = _solve_point(dual, V2 @ V2.T, _IPM_TOL)
+        _, assignment, (ok, max_eq, max_cone) = _solve_point(dual, V2 @ V2.T)
         rounds += 1
 
         ratio, V, h = _rank_ratio(assignment["H"]) if ok else (best_ratio, None, None)

@@ -13,11 +13,11 @@ that is not rank one only where no equilibrium input is known.
 Certificate extraction reads the rank-one factor the pass returns as the
 paper does, and the witness is mapped back to the original band, where
 the slope audit and a one-step algebraic equilibrium check run.  On every
-m a dual witness that fails extraction or either check gives way to the
-known equilibrium input.  Every verdict carries the
-residuals and tolerances that produced it, and reports serialize to
-byte-stable canonical JSON (sorted keys, fixed 17-significant-digit
-floats, no timestamps).
+m a dual pass that ends numerical_limit, or a dual witness that fails
+extraction or either check, gives way to the known equilibrium input.
+Every verdict carries the residuals and tolerances that produced it, and
+reports serialize to byte-stable canonical JSON (sorted keys, fixed
+17-significant-digit floats, no timestamps).
 """
 
 import json
@@ -29,7 +29,7 @@ import numpy as np
 from .detector import DualCertificate, Inconclusive, build_pwl, extract_certificate, fit
 from .conic import MAX_ITERS
 from .engine import CONE_TOL, PRIMAL_MARGIN, TOL_EQ, TOL_RANK, build_dual, reduce_rank, solve
-from .equilibria import MAX_CHANNELS, linear_equilibrium, search
+from .equilibria import MAX_CHANNELS, linear_equilibrium, search, zero_state
 from .errors import AssumptionViolatedError
 from .linalg import spectral_norm
 from .lmi import build_primal, multiplier_matrix
@@ -147,6 +147,8 @@ def _equilibrium_check(sys: StateSpaceSystem, phi, h1, w_star, v) -> dict:
     v is A h1 + B w*.  Each bound is _EQ_CHECK_TOL times the size of the
     terms its residual is summed from, the scale bench/checker.py judges the
     same two equations on, so a witness within both bounds passes there too.
+    A zero state h1 (equilibria.zero_state) fails the check: the
+    equilibrium must be nonzero.
     """
     nh1, nw = np.linalg.norm(h1), np.linalg.norm(w_star)
     state = np.linalg.norm(v - h1)
@@ -156,7 +158,7 @@ def _equilibrium_check(sys: StateSpaceSystem, phi, h1, w_star, v) -> dict:
         np.max(np.abs(phi.w_nodes)) + np.max(np.abs(w_star))
         + (spectral_norm(sys.C) * nh1 + spectral_norm(sys.D) * nw)
     )
-    ok = state <= state_bound and loop <= loop_bound and nh1 > 1.0e-9 * nw
+    ok = state <= state_bound and loop <= loop_bound and not zero_state(h1, w_star)
     return _plain({"ok": ok, "state_residual": state, "state_bound": state_bound,
                    "loop_residual": loop, "loop_bound": loop_bound})
 
@@ -214,22 +216,29 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     diagnostics["tolerances"].
 
     Where a linear gain shows an equilibrium (equilibria.linear_equilibrium
-    returns lambda, a real eigenvalue >= 1 of G, and its eigenvector w, so
-    z / lambda is a class map with a nonzero equilibrium at input w) the
-    strict LMI has no solution, and the primal is built for the dual but
-    not solved: report.primal is None, the pipeline has no primal_* keys,
-    and diagnostics["pipeline"]["linear_equilibrium"] holds lambda.  The
+    returns lambda, a real eigenvalue >= 1 of G, and its eigenvector w of
+    nonzero state, so z / lambda is a class map with a nonzero equilibrium
+    at input w) the strict LMI has no solution, and the primal is built for
+    the dual but not solved: report.primal is None, the pipeline has no
+    primal_* keys, and diagnostics["pipeline"]["linear_equilibrium"] holds
+    lambda.  The
     linear gain decides no verdict itself.  Otherwise a primal that does
     not certify sends a loop with m <= MAX_CHANNELS to the equilibrium
     search, whose record is diagnostics["pipeline"]["equilibrium_search"]
     exactly when it runs.  A search with no ray ends the report
     inconclusive with reason no_equilibrium after one solve, the primal's:
     report.dual is None and the pipeline has no dual_status or rank_* keys.
-    After the dual pass one fallback rule holds on every m: a dual witness
-    that fails (extract_certificate is Inconclusive, or the slope audit or
-    the equilibrium check fails) gives way to the known equilibrium input
-    w, the eigenvector or the search's ray, with h1 = (I - A)^{-1} B w, and
-    diagnostics["pipeline"]["witness_source"] is "linear" or "search".  The
+    After the dual pass one fallback rule holds on every m: a dual pass
+    that ends "numerical_limit", or a dual witness that fails
+    (extract_certificate is Inconclusive, or the slope audit or the
+    equilibrium check fails), gives way to the known equilibrium input w,
+    the eigenvector or the search's ray, with h1 = (I - A)^{-1} B w, and
+    diagnostics["pipeline"]["witness_source"] is "linear" or "search".
+    After a numerical_limit pass the dual block keeps its status and
+    residuals and gains the witness's entries, but no H, f, g, X or Z, and
+    the pipeline has no rank_* keys.  So reason dual_not_feasible means
+    that no input is known and the pass did not end feasible, or that a
+    Farkas certificate of the dual passed its independent check.  The
     dual pass deflates a point that is not rank one only where no input is
     known (m > MAX_CHANNELS with no linear equilibrium), so rank_stop
     "equilibrium" means an input is known, the reasons rank, sign and
@@ -312,27 +321,32 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
             source = "search"
 
     reduced = reduce_rank(build_dual(primal), deflate=known is None)
+    feasible = reduced.status == "feasible"
     pipe["dual_status"] = reduced.status
     dual_dict = {
         "status": reduced.status,
         "max_equality_residual": reduced.residuals.max_equality,
         "max_cone_violation": reduced.residuals.max_cone_violation,
     }
-    if reduced.status != "feasible":
+    if not feasible and (known is None or reduced.status == "infeasible"):
+        # no input to fall back on, or a Farkas certificate that passed
         pipe["inconclusive_reason"] = "dual_not_feasible"
         return report("inconclusive")
 
-    pipe["rank_trail"] = list(reduced.diagnostics["rank_trail"])
-    pipe["rank_rounds"] = reduced.diagnostics["rounds"]
-    pipe["rank_stop"] = reduced.diagnostics["rank_stop"]
-    blocks = reduced.assignment
-    dual_dict["H"] = blocks["H"]
-    outcome = extract_certificate(unit, reduced.factor)
-    witness = None if isinstance(outcome, Inconclusive) else _witness(sys, outcome)
+    witness = None
+    if feasible:
+        pipe["rank_trail"] = list(reduced.diagnostics["rank_trail"])
+        pipe["rank_rounds"] = reduced.diagnostics["rounds"]
+        pipe["rank_stop"] = reduced.diagnostics["rank_stop"]
+        dual_dict["H"] = reduced.assignment["H"]
+        outcome = extract_certificate(unit, reduced.factor)
+        if not isinstance(outcome, Inconclusive):
+            witness = _witness(sys, outcome)
     fallback = known is not None and (witness is None or witness[1] is not None)
     if fallback:
-        # a dual witness that fails a gate or an audit gives way to the
-        # known equilibrium input w, at h1 = (I - A)^{-1} B w
+        # a dual pass that ends numerical_limit, or a dual witness that
+        # fails a gate or an audit, gives way to the known equilibrium
+        # input w, at h1 = (I - A)^{-1} B w
         h1 = np.linalg.solve(np.eye(unit.n) - unit.A, unit.B @ known)
         witness = _witness(sys, fit(unit, h1, known))
     if witness is None:
@@ -342,7 +356,10 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
 
     phi, reason, checks, evidence = witness
     pipe.update(checks)
-    dual_dict.update(evidence, f=blocks["f"], g=blocks["g"], X=blocks["X"], Z=blocks.get("Z"))
+    dual_dict.update(evidence)
+    if feasible:
+        blocks = reduced.assignment
+        dual_dict.update(f=blocks["f"], g=blocks["g"], X=blocks["X"], Z=blocks.get("Z"))
     if fallback:
         pipe["witness_source"] = source
     else:

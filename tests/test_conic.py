@@ -519,7 +519,7 @@ def test_infeasible_psd_problem_returns_a_farkas_certificate():
     [
         (_lp_toy, "optimal", 7),
         (_sdp_toy, "optimal", 8),
-        (_mixed_toy, "optimal", 7),
+        (_mixed_toy, "optimal", 8),
         (_infeasible_toy, "infeasible", 8),
     ],
 )

@@ -180,6 +180,56 @@ def test_a_dual_witness_failing_any_gate_gives_way_to_the_known_input(monkeypatc
     assert _bench("checker").check(_case(sysm), json.loads(rep.to_json())) == []
 
 
+def _dual_pass_ending(monkeypatch, status):
+    """Make analyze's dual pass end with status, as a steer point that
+    misses the dual's tolerances does, with the point's residuals."""
+    real = report.reduce_rank
+
+    def ending(dual, deflate):
+        red = real(dual, deflate)
+        return engine.SolveResult(status, red.assignment, red.residuals, {
+            "ipm_status": red.diagnostics["ipm_status"],
+            "ipm_iterations": red.diagnostics["ipm_iterations"],
+        })
+
+    monkeypatch.setattr(report, "reduce_rank", ending)
+
+
+def test_a_dual_pass_at_its_numerical_limit_gives_way_to_the_known_input(
+    monkeypatch, slope_example
+):
+    # the paper's slope example holds a linear equilibrium, so a dual pass
+    # that ends numerical_limit leaves that gain's eigenvector as the
+    # witness; the dual block reports the pass but none of its blocks
+    _dual_pass_ending(monkeypatch, "numerical_limit")
+    rep = analyze(slope_example)
+    assert rep.verdict == "not_absolutely_stable"
+    pipe = rep.diagnostics["pipeline"]
+    assert pipe["dual_status"] == rep.dual["status"] == "numerical_limit"
+    assert pipe["witness_source"] == "linear"
+    assert not any(key.startswith("rank_") for key in pipe)
+    assert {"h1", "h2", "z_star", "w_star", "sign_min"} <= set(rep.dual)
+    assert not {"H", "f", "g", "X", "Z", "rank"} & set(rep.dual)
+    assert _bench("checker").check(_case(slope_example), json.loads(rep.to_json())) == []
+
+
+@pytest.mark.parametrize("status, loop", [
+    ("infeasible", "slope_example"),
+    ("numerical_limit", "eight_channel"),
+])
+def test_dual_not_feasible_is_left_where_no_input_is_known_or_farkas_passed(
+    monkeypatch, request, status, loop
+):
+    # a Farkas certificate that passed stands against any witness, and the
+    # eight-channel loop has no linear equilibrium and is past the search
+    sysm = _eight_channel_loop() if loop == "eight_channel" else request.getfixturevalue(loop)
+    _dual_pass_ending(monkeypatch, status)
+    rep = analyze(sysm)
+    assert rep.verdict == "inconclusive" and rep.phi is None
+    assert rep.diagnostics["pipeline"]["inconclusive_reason"] == "dual_not_feasible"
+    assert set(rep.dual) == {"status", "max_equality_residual", "max_cone_violation"}
+
+
 def test_reduce_rank_reaches_rank_one(monkeypatch):
     # the steered dual point of the five-channel loop has rank ratio 8.3e-3;
     # a deflation round takes it to rank one

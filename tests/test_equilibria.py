@@ -1,31 +1,43 @@
 """The search for a class map that gives the normalized loop a nonzero
 equilibrium (equilibria.search), on loops whose answer is known in closed
-form, its null vectors, and the channel count analyze runs it on."""
+form, its null vectors, the channel count analyze runs it on, and the
+zero-state test it shares with the detector, the report and the checker."""
 
+import importlib.util
 import itertools
+import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lurestab import engine
 from lurestab.equilibria import (
     MAX_CHANNELS,
     TOL_EQUILIBRIUM,
     _null_vectors,
     linear_equilibrium,
     search,
+    zero_state,
 )
 from lurestab.report import analyze
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
 from oracles import has_equilibrium_exactly
 
+CHECKER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "checker.py"
+
 
 def _loop(G, odd=False):
-    """A one-state loop on [0, 1] whose equilibrium gain C (I - A)^{-1} B + D is G."""
+    """The loop x+ = x / 2 + w, z = G w on [0, 1]: its equilibrium gain
+    C (I - A)^{-1} B + D is G, and the state 2 w of input w is zero only at
+    w = 0."""
     G = np.atleast_2d(np.asarray(G, dtype=float))
     m = G.shape[0]
     cls = NonlinearityClass.SLOPE_ODD if odd else NonlinearityClass.SLOPE
     return StateSpaceSystem(
-        [[0.5]], np.zeros((1, m)), np.zeros((m, 1)), G, SlopeBand(0.0, 1.0), cls
+        0.5 * np.eye(m), np.eye(m), np.zeros((m, m)), G, SlopeBand(0.0, 1.0), cls
     )
 
 
@@ -90,6 +102,72 @@ def test_more_channels_than_the_search_takes_are_not_searched():
         assert rep.verdict == "not_absolutely_stable" and "linear_equilibrium" not in pipe
         assert ("equilibrium_search" in pipe) == (m <= MAX_CHANNELS)
         assert pipe["witness_source"] == ("search" if m <= MAX_CHANNELS else "dual")
+
+
+def test_inputs_that_drive_no_state_give_no_equilibrium(monkeypatch):
+    # x+ = x / 2 with B = 0 leaves the state at zero whatever the input, so
+    # although its gain G = D has slope-class equilibrium inputs (two copies
+    # of the loop above), the loop has no nonzero equilibrium: every
+    # candidate is dropped, and analyze stops after the primal
+    G = np.zeros((4, 4))
+    G[:2, :2] = G[2:, 2:] = [[0.0, -1.0], [1.0, 1.0]]
+    sysm = StateSpaceSystem([[0.5]], np.zeros((1, 4)), np.zeros((4, 1)), G)
+    record, ray = search(sysm)
+    assert ray is None and record["rays"] == 0 and record["closest"] == 1.0
+    solves = []
+    real = engine.solve_conic
+    monkeypatch.setattr(engine, "solve_conic", lambda *a, **k: solves.append(1) or real(*a, **k))
+    rep = analyze(sysm)
+    pipe = rep.diagnostics["pipeline"]
+    assert rep.verdict == "inconclusive" and pipe["inconclusive_reason"] == "no_equilibrium"
+    assert len(solves) == 1 and rep.dual is None and "dual_status" not in pipe
+    assert pipe["equilibrium_search"] == record
+    rep.to_json()  # canonical JSON takes finite numbers only
+
+
+def test_the_linear_equilibrium_skips_an_eigenvector_that_drives_no_state():
+    # G = diag(1.5, 3): lambda = 3's eigenvector e2 has B e2 = 0, so only
+    # lambda = 1.5 shows a nonzero equilibrium
+    sysm = StateSpaceSystem(0.5 * np.eye(2), np.diag([1.0, 0.0]), np.zeros((2, 2)),
+                            np.diag([1.5, 3.0]))
+    lam, w = linear_equilibrium(sysm)
+    assert lam == 1.5 and np.array_equal(np.abs(w), [1.0, 0.0])
+    sysm = StateSpaceSystem(0.5 * np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
+                            np.diag([1.5, 3.0]))
+    assert linear_equilibrium(sysm) is None
+
+
+def _checker():
+    """bench/checker.py, the benchmark's independent verdict checker."""
+    spec = importlib.util.spec_from_file_location("bench_checker", CHECKER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_CHECKER = _checker()
+_entries = st.floats(-1.0e6, 1.0e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    h1=st.lists(_entries, min_size=1, max_size=4),
+    w=st.lists(_entries, min_size=1, max_size=4),
+    shrink=st.floats(0.0, 20.0) | st.floats(0.0, 330.0),
+)
+def test_a_state_the_package_calls_nonzero_the_checker_does_too(h1, w, shrink):
+    # the checker judges "h1 is zero" on its own; wherever zero_state says
+    # the state is not zero, the checker's rule must pass as well
+    h1 = np.asarray(h1) * 10.0 ** -shrink
+    w = np.asarray(w)
+    n, m = h1.size, w.size
+    case = SimpleNamespace(A=np.zeros((n, n)), B=np.zeros((n, m)), C=np.zeros((m, n)),
+                           D=np.zeros((m, m)), mu=0.0, nu=1.0, odd=False)
+    report = {"dual": {"h1": h1.tolist(), "w_star": w.tolist()},
+              "phi": {"breakpoints": [[0.0, 0.0], [1.0, 0.0]]}}
+    problems = _CHECKER.check_unstable(case, report)
+    if not zero_state(h1, w):
+        assert "h1 is zero" not in problems
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
