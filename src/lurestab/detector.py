@@ -6,8 +6,9 @@ h splits into a nonzero equilibrium candidate h1 and the input w* = h2
 (fit takes any such pair, a known equilibrium input's too), the output is
 z* = C h1 + D h2, and a piecewise-linear map interpolating (z*_i, w*_i)
 (plus mirrored points in the odd case) is slope-restricted on [0, 1] and
-keeps h1 fixed under the closed loop.  The class, odd or not, is read off
-the loop.
+keeps h1 fixed under the closed loop.  Every function here takes the
+normalized loop and reads all it needs off it: the matrices, the band
+[0, 1] and the class, odd or not.
 
 In the order of z*, each pair of consecutive map nodes gives two rows,
 linear in w, that hold exactly when their segment's slope lies in the band.
@@ -151,8 +152,9 @@ def _folds(z: np.ndarray, odd: bool) -> np.ndarray:
     return np.where(odd & (z < 0), -1.0, 1.0)
 
 
-def build_pwl(cert: DualCertificate, odd: bool) -> PiecewiseLinearMap:
-    """Interpolate the certificate data into a destabilizing map.
+def build_pwl(sys: StateSpaceSystem, cert: DualCertificate) -> PiecewiseLinearMap:
+    """Interpolate the certificate data into a destabilizing map of sys's
+    class.
 
     Non-odd: breakpoints are the deduplicated (z, w) pairs plus the origin,
     sorted by z.  Odd: pairs are folded onto z >= 0 first (negating both
@@ -161,6 +163,7 @@ def build_pwl(cert: DualCertificate, odd: bool) -> PiecewiseLinearMap:
     1e-7 * max(1, ||z*||) must carry matching w values, otherwise
     CertificateInconsistentError is raised.
     """
+    odd = sys.nl_class is NonlinearityClass.SLOPE_ODD
     s = _folds(cert.z_star, odd)
     pts = _merge_pairs(
         [(0.0, 0.0)] + list(zip(s * cert.z_star, s * cert.h2)), _merge_tol(cert.z_star)
@@ -176,8 +179,8 @@ def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate) -> DualCertificat
 
     Keep the map's nodes -- the origin and the points (z*_i, w*_i), folded
     as s_i (z*_i, w*_i) where sys's class is odd -- in the order of z*.
-    Every segment slope then lies in [mu, nu] exactly when each consecutive
-    difference has dw - mu dz >= 0 and nu dz - dw >= 0, and with h1 = F w
+    Every segment slope then lies in [0, 1] exactly when each consecutive
+    difference has dw >= 0 and dz - dw >= 0, and with h1 = F w
     and z = G w (equilibria.equilibrium_maps), these rows are linear in w.
     Solver rounding leaves a segment that truly lies on a band edge (such
     as a flat segment between two channels with w*_i = -w*_j) a hair
@@ -196,7 +199,7 @@ def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate) -> DualCertificat
     order = np.argsort(z, kind="stable")
     nodes = np.vstack([np.zeros_like(s), np.diag(s)])
     diff = np.diff(nodes[order], axis=0)
-    Kw, Kz = np.vstack([diff, -diff]), np.vstack([-sys.band.mu * diff, sys.band.nu * diff])
+    Kw, Kz = np.vstack([diff, -diff]), np.vstack([np.zeros_like(diff), diff])
     # build_pwl merges a pair within its tolerance into one node, so the
     # pair's slope is rounding noise with no segment behind it
     live = np.tile(np.diff(z[order]) > _merge_tol(cert.z_star), 2)

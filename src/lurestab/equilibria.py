@@ -32,9 +32,11 @@ eigenvalue lambda >= 1 whose eigenvector w has a nonzero state,
 psi(z) = z / lambda has slope 1 / lambda in (0, 1], is odd, and closes the
 loop with the equilibrium input w.  Such a loop is not absolutely stable,
 so the LMI, a sufficient condition, has no strict solution: analyze reads
-(lambda, w) (linear_equilibrium) before the primal, skips that solve and
-the search, and falls back on w where the dual's witness fails, as it
-falls back on the search's ray.
+lambda and the equilibrium (linear_equilibrium) before the primal, skips
+that solve and the search, and falls back on the equilibrium where the
+dual's witness fails, as it falls back on the search's.  Both hand on a
+known equilibrium as the pair (h1, w), with h1 = F w from the F of the
+zero-state test, so the state that test passed is the state reported.
 The search takes loops of up to MAX_CHANNELS channels; analyze, its one
 caller, holds it to that.
 """
@@ -121,10 +123,10 @@ def zero_state(h1: np.ndarray, w: np.ndarray):
 
 
 def linear_equilibrium(sys: StateSpaceSystem) -> Optional[tuple]:
-    """(lambda, w): the largest real eigenvalue lambda >= 1 of G whose unit
-    eigenvector w has a nonzero state, and w, the equilibrium input at
-    which the linear map z / lambda of both classes gives the normalized
-    loop sys a nonzero equilibrium; None when G has none (LAPACK returns a
+    """(lambda, (h1, w)): the largest real eigenvalue lambda >= 1 of G
+    whose unit eigenvector w has a nonzero state h1 = F w, and the
+    equilibrium (h1, w) that the linear map z / lambda of both classes
+    gives the normalized loop sys; None when G has none (LAPACK returns a
     real eigenvalue with imaginary part exactly 0, and a real eigenvector
     for it)."""
     F, G = equilibrium_maps(sys)
@@ -135,12 +137,13 @@ def linear_equilibrium(sys: StateSpaceSystem) -> Optional[tuple]:
     if not real.size:
         return None
     k = real[np.argmax(lam.real[real])]
-    return float(lam.real[k]), V[:, k].real
+    w = V[:, k].real
+    return float(lam.real[k]), (F @ w, w)
 
 
 def search(sys: StateSpaceSystem) -> tuple:
-    """(record, ray) of the search for a slope-[0, 1] map of sys's class
-    that gives the normalized loop sys a nonzero equilibrium, for
+    """(record, equilibrium) of the search for a slope-[0, 1] map of sys's
+    class that gives the normalized loop sys a nonzero equilibrium, for
     m <= MAX_CHANNELS.
 
     The record holds the rows the candidates were cut from, the candidate
@@ -148,9 +151,10 @@ def search(sys: StateSpaceSystem) -> tuple:
     of a unit candidate's order rows, each row scaled to unit norm.  A
     candidate whose state is zero (zero_state) gives no nonzero equilibrium
     and is dropped; with every candidate dropped, closest is 1, the most a
-    unit row can take from a unit candidate.  ray is the unit candidate
-    that attains closest, when closest is within TOL_EQUILIBRIUM, else
-    None: no map of the class has an equilibrium.
+    unit row can take from a unit candidate.  equilibrium is (h1, w), the
+    unit candidate w that attains closest and its state h1 = F w, when
+    closest is within TOL_EQUILIBRIUM, else None: no map of the class has
+    an equilibrium.
     """
     odd = sys.nl_class is NonlinearityClass.SLOPE_ODD
     d, subsets, index, sign = _tables(sys.m, odd)
@@ -179,4 +183,4 @@ def search(sys: StateSpaceSystem) -> tuple:
     violation = np.maximum(-np.min(slack, axis=1), 0.0)
     best = int(np.argmin(violation))
     record = {"rows": len(rows), "rays": len(v), "closest": float(violation[best])}
-    return record, v[best] if violation[best] <= TOL_EQUILIBRIUM else None
+    return record, (F @ v[best], v[best]) if violation[best] <= TOL_EQUILIBRIUM else None

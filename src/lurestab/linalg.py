@@ -5,30 +5,17 @@ input symmetrize defensively (the problems treated by this package have
 dimension n+m of order 20, so the extra work is immaterial).
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 __all__ = ["spectral_norm", "symmetrize"]
 
 
-@lru_cache(maxsize=None)
-def _strict_triu_index(d: int):
-    rows, cols = np.triu_indices(d, k=1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
 def symmetrize(S: np.ndarray) -> np.ndarray:
-    """Return (S + S^T)/2 as a new array with exact symmetry, batched over
-    leading axes."""
+    """Return (S + S^T)/2 as a new array, batched over leading axes.  For
+    finite S it is symmetric to the last bit, since floating-point
+    addition commutes."""
     S = np.asarray(S, dtype=float)
-    out = 0.5 * (S + np.swapaxes(S, -1, -2))
-    # enforce bitwise symmetry, not just up to rounding
-    rows, cols = _strict_triu_index(out.shape[-1])
-    out[..., cols, rows] = out[..., rows, cols]
-    return out
+    return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
 def spectral_norm(M: np.ndarray) -> float:

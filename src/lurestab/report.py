@@ -5,16 +5,17 @@ and first asks whether a linear gain shows an equilibrium; such a loop
 cannot satisfy the LMI, so its primal is not solved.  Otherwise the primal
 runs there; a strict-margin win means absolute stability.  If it fails,
 for m <= 4, the equilibrium search runs next, and a loop with no
-equilibrium ends inconclusive without a dual solve.  Either way the
-loop's equilibrium input is known before the dual pass, where one of the
-two applies.  One pass over the dual (engine.reduce_rank) then solves it,
-steering toward the branch the proof concludes on, and deflates a point
+equilibrium ends inconclusive without a dual solve.  Either way a
+nonzero equilibrium (h1, w) of the loop is known before the dual pass,
+where one of the two applies, as equilibria hands it on; analyze itself
+does no linear algebra on the loop.  One pass over the dual
+(engine.reduce_rank) then solves it, steering toward the branch the proof concludes on, and deflates a point
 that is not rank one only where no equilibrium input is known.
 Certificate extraction reads the rank-one factor the pass returns as the
 paper does, and the witness is mapped back to the original band, where
 the slope audit and a one-step algebraic equilibrium check run.  On every
 m a dual pass that ends numerical_limit, or a dual witness that fails
-extraction or either check, gives way to the known equilibrium input.
+extraction or either check, gives way to the known equilibrium.
 Every verdict carries the residuals and tolerances that produced it, and
 reports serialize to byte-stable canonical JSON (sorted keys, fixed
 17-significant-digit floats, no timestamps).
@@ -35,7 +36,7 @@ from .linalg import spectral_norm
 from .lmi import build_primal, multiplier_matrix
 from .pwl import PiecewiseLinearMap, eval_pwl, verify_slope
 from .simulate import simulate  # noqa: F401  bench/spans.py patches lurestab.report.simulate
-from .system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band, validate
+from .system import SlopeBand, StateSpaceSystem, normalize_band, validate
 
 __all__ = ["AnalysisReport", "analyze", "canonical_json"]
 
@@ -172,7 +173,6 @@ def _witness(sys: StateSpaceSystem, cert: DualCertificate):
     that failed; checks are the audits' pipeline entries and evidence the
     witness's entries of the dual block.
     """
-    odd = sys.nl_class is NonlinearityClass.SLOPE_ODD
     # h1 and z* are shared by both loops; only the input changes
     w_star = _band_input(sys.band, cert.z_star, cert.h2)
     v = sys.A @ cert.h1 + sys.B @ w_star
@@ -183,11 +183,11 @@ def _witness(sys: StateSpaceSystem, cert: DualCertificate):
         "w_star": w_star,
         "sign_min": float(np.min(v * cert.h1)),
     }
-    unit_phi = build_pwl(cert, odd=odd)
+    unit_phi = build_pwl(sys, cert)  # reads only the class, which normalizing keeps
     z_nodes = unit_phi.z_nodes
     phi = PiecewiseLinearMap(
         np.column_stack([z_nodes, _band_input(sys.band, z_nodes, unit_phi.w_nodes)]),
-        odd=odd,
+        odd=unit_phi.odd,
     )
     srep = verify_slope(phi, sys.band)
     checks = {
@@ -216,10 +216,10 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     diagnostics["tolerances"].
 
     Where a linear gain shows an equilibrium (equilibria.linear_equilibrium
-    returns lambda, a real eigenvalue >= 1 of G, and its eigenvector w of
-    nonzero state, so z / lambda is a class map with a nonzero equilibrium
-    at input w) the strict LMI has no solution, and the primal is built for
-    the dual but not solved: report.primal is None, the pipeline has no
+    returns lambda, a real eigenvalue >= 1 of G, and the equilibrium
+    (h1, w) at its eigenvector w, of nonzero state h1, that the class map
+    z / lambda closes) the strict LMI has no solution, and the primal is
+    built for the dual but not solved: report.primal is None, the pipeline has no
     primal_* keys, and diagnostics["pipeline"]["linear_equilibrium"] holds
     lambda.  The
     linear gain decides no verdict itself.  Otherwise a primal that does
@@ -231,9 +231,9 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     After the dual pass one fallback rule holds on every m: a dual pass
     that ends "numerical_limit", or a dual witness that fails
     (extract_certificate is Inconclusive, or the slope audit or the
-    equilibrium check fails), gives way to the known equilibrium input w,
-    the eigenvector or the search's ray, with h1 = (I - A)^{-1} B w, and
-    diagnostics["pipeline"]["witness_source"] is "linear" or "search".
+    equilibrium check fails), gives way to the known equilibrium (h1, w),
+    the eigenvector's or the search's ray's, as equilibria handed it on,
+    and diagnostics["pipeline"]["witness_source"] is "linear" or "search".
     After a numerical_limit pass the dual block keeps its status and
     residuals and gains the witness's entries, but no H, f, g, X or Z, and
     the pipeline has no rank_* keys.  So reason dual_not_feasible means
@@ -287,8 +287,8 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         return report("inconclusive")
 
     # a linear gain with an equilibrium rules out a strict LMI solution, so
-    # the primal is built for the dual but not solved; its eigenvector is
-    # the known equilibrium input, and the search does not run
+    # the primal is built for the dual but not solved; the equilibrium at
+    # its eigenvector is the known one, and the search does not run
     linear = linear_equilibrium(unit)
     primal = build_primal(unit)
     known = source = None
@@ -346,9 +346,7 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     if fallback:
         # a dual pass that ends numerical_limit, or a dual witness that
         # fails a gate or an audit, gives way to the known equilibrium
-        # input w, at h1 = (I - A)^{-1} B w
-        h1 = np.linalg.solve(np.eye(unit.n) - unit.A, unit.B @ known)
-        witness = _witness(sys, fit(unit, h1, known))
+        witness = _witness(sys, fit(unit, *known))
     if witness is None:
         pipe["inconclusive_reason"] = outcome.reason
         pipe["inconclusive_detail"] = outcome.detail

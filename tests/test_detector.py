@@ -15,7 +15,7 @@ from lurestab.detector import (
     snap_to_band,
 )
 from lurestab import engine
-from lurestab.errors import CertificateInconsistentError
+from lurestab.errors import CertificateInconsistentError, InternalContradictionError
 from lurestab.pwl import eval_pwl, verify_slope
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
 
@@ -67,15 +67,35 @@ def test_extract_is_sign_invariant(slope_example, slope_dual_reduced):
     assert np.allclose(cert2.h2, cert.h2, atol=1.0e-9)
 
 
+def test_extract_gates_hand_made_factors():
+    # A = 1/2, B = 1, C = 1, D = 0; the factor is h = (h1, h2)
+    sysm = _diagonal_system([1.0])
+    # A h1 + B h2 = -h1: the dichotomy's branch with no conclusion
+    out = extract_certificate(sysm, np.array([1.0, -1.5]))
+    assert isinstance(out, Inconclusive) and out.reason == "sign"
+    # a zero state contradicts the nonvanishing proof where ||D|| < 1, and
+    # is degenerate where the proof does not apply
+    with pytest.raises(InternalContradictionError):
+        extract_certificate(sysm, np.array([0.0, 1.0]))
+    out = extract_certificate(replace(sysm, D=np.array([[1.0]])), np.array([0.0, 1.0]))
+    assert isinstance(out, Inconclusive) and out.reason == "degenerate"
+
+
 def _toy_cert(z, w):
     return DualCertificate(
         h1=np.ones(2), h2=np.asarray(w, dtype=float), z_star=np.asarray(z, dtype=float)
     )
 
 
+def _toy_loop(odd=False):
+    """A normalized loop of the slope class, or of the odd one; build_pwl
+    reads only its class."""
+    return _diagonal_system([1.0], odd)
+
+
 def test_build_pwl_interpolates_certificate_pairs():
     cert = _toy_cert([-1.0, 0.5, 2.0], [-0.3, 0.2, 0.9])
-    phi = build_pwl(cert, odd=False)
+    phi = build_pwl(_toy_loop(), cert)
     # origin inserted, pairs preserved exactly
     assert np.any(np.all(phi.breakpoints == [0.0, 0.0], axis=1))
     for zi, wi in zip(cert.z_star, cert.h2):
@@ -84,19 +104,19 @@ def test_build_pwl_interpolates_certificate_pairs():
 
 def test_build_pwl_merges_duplicate_outputs():
     cert = _toy_cert([0.5, 0.5 + 1.0e-12, 1.0], [0.2, 0.2, 0.4])
-    phi = build_pwl(cert, odd=False)
+    phi = build_pwl(_toy_loop(), cert)
     assert phi.breakpoints.shape[0] == 3  # origin + merged pair + last
 
 
 def test_build_pwl_flags_inconsistent_duplicates():
     cert = _toy_cert([0.5, 0.5 + 1.0e-12, 1.0], [0.2, -0.2, 0.4])
     with pytest.raises(CertificateInconsistentError):
-        build_pwl(cert, odd=False)
+        build_pwl(_toy_loop(), cert)
 
 
 def test_build_pwl_odd_mirror_is_exact():
     cert = _toy_cert([-1.5, 0.4, 2.0], [-0.7, 0.1, 0.9])
-    phi = build_pwl(cert, odd=True)
+    phi = build_pwl(_toy_loop(odd=True), cert)
     assert phi.odd
     z = phi.z_nodes
     w = phi.w_nodes
@@ -111,7 +131,7 @@ def test_build_pwl_odd_folds_conflicts():
     # (1, 0.3) and (-1, 0.3) fold to (1, 0.3) vs (1, -0.3): inconsistent
     cert = _toy_cert([1.0, -1.0], [0.3, 0.3])
     with pytest.raises(CertificateInconsistentError):
-        build_pwl(cert, odd=True)
+        build_pwl(_toy_loop(odd=True), cert)
 
 
 def test_example_maps_pass_slope_audit(
@@ -119,9 +139,9 @@ def test_example_maps_pass_slope_audit(
 ):
     for sysm, res in ((slope_example, slope_dual_reduced), (odd_example, odd_dual_reduced)):
         cert = extract_certificate(sysm, res.factor)
-        phi = build_pwl(cert, odd=sysm.nl_class is NonlinearityClass.SLOPE_ODD)
+        phi = build_pwl(sysm, cert)
         rep = verify_slope(phi, sysm.band)
-        assert rep.ok, (cls, rep)
+        assert rep.ok, (sysm.nl_class, rep)
 
 
 def _diagonal_system(c, odd=False):
@@ -153,7 +173,7 @@ def _flat_segment_case(slope):
     return sysm, _equilibrium_cert(sysm, [w1, 1.0])
 
 
-def _assert_snapped_equilibrium(sysm, cert, snapped, odd=False):
+def _assert_snapped_equilibrium(sysm, cert, snapped):
     """The repaired witness is an exact equilibrium with recomputed z*,
     and its map passes the audit; returns the audit."""
     h1, w = snapped.h1, snapped.h2
@@ -161,14 +181,14 @@ def _assert_snapped_equilibrium(sysm, cert, snapped, odd=False):
     assert np.max(np.abs(sysm.A @ h1 + sysm.B @ w - h1)) <= 1.0e-14
     assert np.array_equal(snapped.z_star, sysm.C @ h1 + sysm.D @ w)
     assert h1[np.argmax(np.abs(h1))] > 0
-    rep = verify_slope(build_pwl(snapped, odd=odd), sysm.band)
+    rep = verify_slope(build_pwl(sysm, snapped), sysm.band)
     assert rep.ok, rep
     return rep
 
 
 def test_snap_puts_near_flat_segment_on_band_edge():
     sysm, cert = _flat_segment_case(-3.0e-9)
-    assert verify_slope(build_pwl(cert, odd=False), sysm.band).min_slope < sysm.band.mu
+    assert verify_slope(build_pwl(sysm, cert), sysm.band).min_slope < sysm.band.mu
     snapped = snap_to_band(sysm, cert)
     assert snapped.snapped == 1
     rep = _assert_snapped_equilibrium(sysm, cert, snapped)
@@ -177,7 +197,7 @@ def test_snap_puts_near_flat_segment_on_band_edge():
 
 def test_snap_puts_steep_segment_on_upper_edge():
     sysm, cert = _flat_segment_case(1.0 + 3.0e-9)
-    assert verify_slope(build_pwl(cert, odd=False), sysm.band).max_slope > sysm.band.nu
+    assert verify_slope(build_pwl(sysm, cert), sysm.band).max_slope > sysm.band.nu
     snapped = snap_to_band(sysm, cert)
     assert snapped.snapped == 1
     rep = _assert_snapped_equilibrium(sysm, cert, snapped)
@@ -191,10 +211,10 @@ def test_snap_repairs_a_folded_odd_point():
     sysm = replace(sysm, nl_class=NonlinearityClass.SLOPE_ODD)
     cert = _equilibrium_cert(sysm, flat.h2 * [-1.0, 1.0])
     assert snap_to_band(replace(sysm, nl_class=NonlinearityClass.SLOPE), cert) is cert
-    assert verify_slope(build_pwl(cert, odd=True), sysm.band).min_slope < sysm.band.mu
+    assert verify_slope(build_pwl(sysm, cert), sysm.band).min_slope < sysm.band.mu
     snapped = snap_to_band(sysm, cert)
     assert snapped.snapped == 1
-    rep = _assert_snapped_equilibrium(sysm, cert, snapped, odd=True)
+    rep = _assert_snapped_equilibrium(sysm, cert, snapped)
     assert abs(rep.min_slope - sysm.band.mu) <= 1.0e-15
 
 
@@ -204,7 +224,7 @@ def test_snap_adds_a_row_its_projection_violates():
     # the first one, so a second round levels that segment too
     sysm = _diagonal_system([1.0, 2.0, 3.0])
     cert = _equilibrium_cert(sysm, [1.0, 1.0 + 1.0e-9, 1.0 - 3.0e-9])
-    slopes = build_pwl(cert, odd=False).segment_slopes()
+    slopes = build_pwl(sysm, cert).segment_slopes()
     assert np.count_nonzero(slopes < sysm.band.mu) == 1
     snapped = snap_to_band(sysm, cert)
     assert snapped.snapped == 2
@@ -220,7 +240,7 @@ def test_snap_keeps_the_certificate_when_projection_loses_h1():
         SlopeBand(0.0, 1.0), NonlinearityClass.SLOPE,
     )
     cert = _equilibrium_cert(sysm, [1.0])
-    assert verify_slope(build_pwl(cert, odd=False), sysm.band).max_slope == 2.0
+    assert verify_slope(build_pwl(sysm, cert), sysm.band).max_slope == 2.0
     assert snap_to_band(sysm, cert) is cert
 
 
@@ -231,8 +251,8 @@ def test_snap_leaves_a_pair_the_map_merges_alone():
     sysm = _diagonal_system([1.0, 1.0])
     w = np.array([1.0, np.nextafter(1.0, 2.0)])
     cert = replace(_toy_cert([2.0, np.nextafter(2.0, 0.0)], w), h1=2.0 * w)
-    assert verify_slope(build_pwl(cert, odd=False), sysm.band).ok
-    assert build_pwl(cert, odd=False).breakpoints.shape == (2, 2)
+    assert verify_slope(build_pwl(sysm, cert), sysm.band).ok
+    assert build_pwl(sysm, cert).breakpoints.shape == (2, 2)
     assert snap_to_band(sysm, cert) is cert
 
 
@@ -255,17 +275,17 @@ def _on_edge_witnesses(draw):
     if odd:  # a channel of the other sign has the same folded node
         w = w * draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))
     noise = draw(st.lists(st.floats(min_value=-1.0e-8, max_value=1.0e-8), min_size=m, max_size=m))
-    return sysm, _equilibrium_cert(sysm, w + noise), odd
+    return sysm, _equilibrium_cert(sysm, w + noise)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_on_edge_witnesses())
 def test_snap_returns_a_passing_equilibrium_near_the_band_edges(case):
-    sysm, cert, odd = case
+    sysm, cert = case
     snapped = snap_to_band(sysm, cert)
     h1, w = snapped.h1, snapped.h2
     assert np.max(np.abs(sysm.A @ h1 + sysm.B @ w - h1)) <= 1.0e-14 * np.max(np.abs(h1))
-    assert verify_slope(build_pwl(snapped, odd), sysm.band).ok
+    assert verify_slope(build_pwl(sysm, snapped), sysm.band).ok
 
 
 def test_snap_leaves_in_band_certificate_alone():

@@ -230,6 +230,41 @@ def test_dual_not_feasible_is_left_where_no_input_is_known_or_farkas_passed(
     assert set(rep.dual) == {"status", "max_equality_residual", "max_cone_violation"}
 
 
+def test_rounds_that_settle_short_of_rank_one_end_rank():
+    # past the search's reach with no linear equilibrium, on the Aizerman
+    # edge [0, 0.98 k*] (rng seed 5 at n = 5, k* = 16.128): one round turns
+    # H's dominant eigenvector by less than sqrt(tol_rank), so the pass
+    # settles on a point that is not rank one and no witness is read
+    rep = analyze(_ladder_loop(5, 5, 15.805))
+    pipe = rep.diagnostics["pipeline"]
+    assert rep.verdict == "inconclusive" and pipe["inconclusive_reason"] == "rank"
+    assert pipe["rank_rounds"] == 1 and pipe["rank_stop"] == "settled"
+    assert "linear_equilibrium" not in pipe and "witness_source" not in pipe
+    assert set(rep.dual) == {"status", "max_equality_residual", "max_cone_violation", "H"}
+    assert rep.phi is None
+
+
+@pytest.mark.parametrize("audit", ["slope_check", "equilibrium_check"])
+def test_a_failing_audit_ends_the_report_where_no_input_is_known(monkeypatch, audit):
+    # the eight-channel loop's dual witness passes both audits; made to fail
+    # one, it has no known input to give way to, and the audit's name is
+    # the reason
+    if audit == "slope_check":
+        real_slope = report.verify_slope
+        monkeypatch.setattr(report, "verify_slope",
+                            lambda *args: dataclasses.replace(real_slope(*args), ok=False))
+    else:
+        real_check = report._equilibrium_check
+        monkeypatch.setattr(report, "_equilibrium_check",
+                            lambda *args: {**real_check(*args), "ok": False})
+    rep = analyze(_eight_channel_loop())
+    pipe = rep.diagnostics["pipeline"]
+    assert rep.verdict == "inconclusive" and pipe["inconclusive_reason"] == audit
+    assert pipe[audit]["ok"] is False and pipe["witness_source"] == "dual"
+    assert ("equilibrium_check" in pipe) == (audit == "equilibrium_check")
+    assert rep.phi is not None and "h1" in rep.dual  # the rejected witness is reported
+
+
 def test_reduce_rank_reaches_rank_one(monkeypatch):
     # the steered dual point of the five-channel loop has rank ratio 8.3e-3;
     # a deflation round takes it to rank one

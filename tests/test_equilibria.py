@@ -56,16 +56,19 @@ def _is_equilibrium_input(G, w, odd):
 @pytest.mark.parametrize("gain, has_one", [(1.5, True), (1.0, True), (0.75, False), (-2.0, False)])
 def test_a_scalar_loop_has_an_equilibrium_exactly_when_its_gain_reaches_one(odd, gain, has_one):
     # psi(z) = z / G is a class map (odd, slope in [0, 1]) exactly when G >= 1
-    record, ray = search(_loop(gain, odd))
-    assert (ray is not None) == has_one
+    record, found = search(_loop(gain, odd))
+    assert (found is not None) == has_one
     assert has_equilibrium_exactly(_loop(gain, odd)) == has_one
     linear = linear_equilibrium(_loop(gain, odd))
     assert (linear is not None) == has_one
     assert record["rays"] == 1
     assert (record["closest"] <= TOL_EQUILIBRIUM) == has_one
     if has_one:
-        assert abs(ray[0]) == 1.0
-        assert linear[0] == gain and abs(linear[1][0]) == 1.0
+        # the state of input w is F w = 2 w
+        h1, ray = found
+        assert abs(ray[0]) == 1.0 and np.array_equal(h1, 2.0 * ray)
+        lam, (h1, w) = linear
+        assert lam == gain and abs(w[0]) == 1.0 and np.array_equal(h1, 2.0 * w)
 
 
 @pytest.mark.parametrize("odd", [False, True])
@@ -73,19 +76,20 @@ def test_an_equilibrium_that_needs_a_map_which_is_not_odd(odd):
     # z = (-w2, w1 + w2): psi(z) = max(z, 0) has the equilibrium w = (0, 1),
     # z = (-1, 1); an odd map has none
     G = [[0.0, -1.0], [1.0, 1.0]]
-    _, ray = search(_loop(G, odd))
-    assert (ray is not None) == (not odd)
+    _, found = search(_loop(G, odd))
+    assert (found is not None) == (not odd)
     assert has_equilibrium_exactly(_loop(G, odd)) == (not odd)
     # G's eigenvalues (1 +- i sqrt(3)) / 2 are complex: no linear map shows it
     assert linear_equilibrium(_loop(G, odd)) is None
-    if ray is not None:
-        assert np.allclose(np.abs(ray), [0.0, 1.0], atol=1e-15)
-        assert _is_equilibrium_input(np.array(G), ray, odd)
+    if found is not None:
+        assert np.allclose(np.abs(found[1]), [0.0, 1.0], atol=1e-15)
+        assert _is_equilibrium_input(np.array(G), found[1], odd)
 
 
 def test_the_linear_equilibrium_is_the_largest_real_eigenvalue_past_one():
-    lam, w = linear_equilibrium(_loop(np.diag([1.5, 3.0, 0.5])))
+    lam, (h1, w) = linear_equilibrium(_loop(np.diag([1.5, 3.0, 0.5])))
     assert lam == 3.0 and np.array_equal(np.abs(w), [0.0, 1.0, 0.0])
+    assert np.array_equal(h1, 2.0 * w)
     assert linear_equilibrium(_loop(np.diag([0.5, -3.0]))) is None
 
 
@@ -112,8 +116,8 @@ def test_inputs_that_drive_no_state_give_no_equilibrium(monkeypatch):
     G = np.zeros((4, 4))
     G[:2, :2] = G[2:, 2:] = [[0.0, -1.0], [1.0, 1.0]]
     sysm = StateSpaceSystem([[0.5]], np.zeros((1, 4)), np.zeros((4, 1)), G)
-    record, ray = search(sysm)
-    assert ray is None and record["rays"] == 0 and record["closest"] == 1.0
+    record, found = search(sysm)
+    assert found is None and record["rays"] == 0 and record["closest"] == 1.0
     solves = []
     real = engine.solve_conic
     monkeypatch.setattr(engine, "solve_conic", lambda *a, **k: solves.append(1) or real(*a, **k))
@@ -125,13 +129,30 @@ def test_inputs_that_drive_no_state_give_no_equilibrium(monkeypatch):
     rep.to_json()  # canonical JSON takes finite numbers only
 
 
+def test_past_the_search_a_factor_that_drives_no_state_is_degenerate():
+    # the loop above with one decoupled channel more (G gains a 0.5 entry)
+    # is past the search's reach and has no linear equilibrium, so the dual
+    # pass deflates; its rank-one point's state part vanishes, and as
+    # ||D|| > 1 no nonvanishing argument applies
+    G = np.zeros((5, 5))
+    G[:2, :2] = G[2:4, 2:4] = [[0.0, -1.0], [1.0, 1.0]]
+    G[4, 4] = 0.5
+    rep = analyze(StateSpaceSystem([[0.5]], np.zeros((1, 5)), np.zeros((5, 1)), G))
+    pipe = rep.diagnostics["pipeline"]
+    assert rep.verdict == "inconclusive" and pipe["inconclusive_reason"] == "degenerate"
+    assert pipe["rank_rounds"] == 1 and pipe["rank_stop"] == "rank_one"
+    assert "equilibrium_search" not in pipe and "linear_equilibrium" not in pipe
+    assert "witness_source" not in pipe and rep.phi is None
+
+
 def test_the_linear_equilibrium_skips_an_eigenvector_that_drives_no_state():
     # G = diag(1.5, 3): lambda = 3's eigenvector e2 has B e2 = 0, so only
     # lambda = 1.5 shows a nonzero equilibrium
     sysm = StateSpaceSystem(0.5 * np.eye(2), np.diag([1.0, 0.0]), np.zeros((2, 2)),
                             np.diag([1.5, 3.0]))
-    lam, w = linear_equilibrium(sysm)
+    lam, (h1, w) = linear_equilibrium(sysm)
     assert lam == 1.5 and np.array_equal(np.abs(w), [1.0, 0.0])
+    assert np.array_equal(h1, [2.0 * w[0], 0.0])
     sysm = StateSpaceSystem(0.5 * np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
                             np.diag([1.5, 3.0]))
     assert linear_equilibrium(sysm) is None
@@ -190,8 +211,8 @@ def test_the_search_and_the_exact_oracle_agree_on_random_loops():
     seen, seen_linear = set(), 0
     for m, _ in itertools.product((2, 3), range(12)):
         G = rng.normal(size=(m, m)) * 1.5
-        rays = [search(_loop(G, odd))[1] for odd in (False, True)]
-        found = [ray is not None for ray in rays]
+        pairs = [search(_loop(G, odd))[1] for odd in (False, True)]
+        found = [pair is not None for pair in pairs]
         assert found == [has_equilibrium_exactly(_loop(G, odd)) for odd in (False, True)], G
         assert found[0] or not found[1], G
         # a linear map is odd, so an equilibrium it shows is one of both
@@ -199,13 +220,15 @@ def test_the_search_and_the_exact_oracle_agree_on_random_loops():
         linear = linear_equilibrium(_loop(G))
         if linear is not None:
             assert found[1], G
-            lam, w = linear
+            lam, (h1, w) = linear
+            assert np.array_equal(h1, 2.0 * w), G
             assert lam >= 1.0 and abs(np.linalg.norm(w) - 1.0) <= 1e-15, G
             assert np.allclose(G @ w, lam * w, atol=1e-14), G
             assert _is_equilibrium_input(G, w, True), G
             seen_linear += 1
-        for odd, ray in zip((False, True), rays):
-            assert ray is None or _is_equilibrium_input(G, ray, odd), G
+        for odd, pair in zip((False, True), pairs):
+            assert pair is None or _is_equilibrium_input(G, pair[1], odd), G
+            assert pair is None or np.array_equal(pair[0], 2.0 * pair[1]), G
         seen.add(tuple(found))
     assert seen == {(False, False), (True, False), (True, True)}
     assert seen_linear > 0

@@ -30,7 +30,11 @@ WORKLOADS = ("paper", "ladder", "corpus", "corpus_full")
 
 
 def _load(root: Path):
-    """(lurestab, workloads) of the checkout at root."""
+    """(lurestab, workloads) of the checkout at root.  A lurestab imported
+    before, from another checkout, is dropped first, so that one process
+    can load two checkouts in turn."""
+    for name in [n for n in sys.modules if n.split(".")[0] == "lurestab"]:
+        del sys.modules[name]
     sys.path.insert(0, str(root / "src"))
     import lurestab
     import lurestab.cli
@@ -55,19 +59,29 @@ def _report(lurestab, case) -> str:
     return lurestab.report.analyze(system).to_json()
 
 
+def reports(root: Path):
+    """Yield ("workload/input", report text) for every input of the
+    checkout at root; an input whose analysis raises yields the exception's
+    name as its text."""
+    lurestab, workloads = _load(root)
+    for workload in WORKLOADS:
+        for case in workloads.WORKLOADS[workload]():
+            try:
+                text = _report(lurestab, case)
+            except Exception as exc:  # a known fault is part of the fingerprint
+                text = type(exc).__name__
+            yield f"{workload}/{case.name}", text
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
         print("usage: python3 tools/report_bytes.py ROOT", file=sys.stderr)
         return 2
-    lurestab, workloads = _load(Path(argv[0]).resolve())
-    for workload in WORKLOADS:
-        for case in workloads.WORKLOADS[workload]():
-            try:
-                digest = hashlib.sha256(_report(lurestab, case).encode()).hexdigest()
-            except Exception as exc:  # a known fault is part of the fingerprint
-                digest = type(exc).__name__
-            print(f"{workload}/{case.name} {digest}")
+    for key, text in reports(Path(argv[0]).resolve()):
+        if text.startswith("{"):  # a report; an exception's name prints as it is
+            text = hashlib.sha256(text.encode()).hexdigest()
+        print(f"{key} {text}")
     return 0
 
 
