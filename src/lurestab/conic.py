@@ -20,10 +20,12 @@ complement B B^T, B = A W^T, is formed cone block by cone block, as SDP
 codes do (Fujisawa, Kojima & Nakata 1997): the orthant adds its diagonal
 scaling over the nonzero pairs of its rows only, and a PSD block adds the
 product of its own columns of B.  A caller that knows the structure of
-the PSD block's rows may supply that block's term instead (psd_schur, as
-Benson, Ye & Zhang 2000 do for low-rank constraint matrices); B is then
-never formed, and B u = A (W^T u) and B^T y = W (A^T y) are taken through
-A and the scaling.  B B^T is factored once and the diagonal blocks of its
+the PSD block's rows may supply them as an object instead (psd_rows, as
+Benson, Ye & Zhang 2000 do for low-rank constraint matrices), which gives
+the block's term and its products with A: B is then never formed, and
+B u = A (W^T u), B^T y = W (A^T y) and the loop's A x and A^T y go through
+that block's structure and the orthant's nonzeros, never through the
+dense A.  B B^T is factored once and the diagonal blocks of its
 Cholesky factor inverted once, so every Newton solve is matrix products
 with B, B^T and that factor; up to _TRSV_BLOCK rows the factor is one
 block, and a solve is two products with its inverse.  Step lengths are
@@ -33,7 +35,7 @@ written on those maps, but each floating-point operation has the operands,
 the order and the memory layout of the plain smat/svec round trip, since
 BLAS sums differently by layout; tests/test_conic.py compares the two bit
 for bit.  The linear algebra is numpy, dense except for the orthant's
-pairs.
+nonzeros.
 """
 
 import math
@@ -193,6 +195,7 @@ class _Scaling:
     """
 
     def __init__(self, cone: ConeSpec, x: np.ndarray, s: np.ndarray):
+        self.cone = cone
         self.blocks = []
         # per PSD block r r^T, r = sig^{-1/2}, which max_step scales by
         self.rr = []
@@ -221,37 +224,33 @@ class _Scaling:
 
         Row i of B is W a_i.  On a PSD block that is svec(R^T A_i R), and
         the block adds B_p B_p^T over its own columns, unless the caller
-        builds the block's term from its structure (row_data holds that
-        callable): then B is never formed (_UnformedB).  On the orthant row
-        i of B is a_i * w, and the block adds A_l diag(w^2) A_l^T, summed
-        over the nonzero pairs of A_l only.  S is exactly symmetric.
+        gives the block's rows as an object (row_data holds it), which
+        builds the term from their structure: then B is never formed
+        (_UnformedB).  On the orthant row i of B is a_i * w, and the block
+        adds A_l diag(w^2) A_l^T (_OrthantRows.term).  S is exactly
+        symmetric.
         """
         nrows = A.shape[0]
-        formed = not any(callable(data) for data in row_data)
+        formed = all(isinstance(data, (np.ndarray, _OrthantRows)) for data in row_data)
         B = np.empty_like(A) if formed else None
         S = None
         for (sl, size, R, _), data in zip(self.blocks, row_data):
-            if size is None:
-                if formed:
-                    np.multiply(A[:, sl], R, out=B[:, sl])
-                flat, col, prod = data
-                term = np.bincount(flat, prod * (R * R)[col], nrows * nrows)
-                # (integer zeros when the block has no nonzero pair)
-                term = term.astype(float, copy=False).reshape(nrows, nrows)
-            elif callable(data):
-                term = data(R)
-            else:
+            if isinstance(data, np.ndarray):
                 # R^T A_i R for every row i: T_i = A_i R as one GEMM, then
                 # R^T T_i batched over the rows
                 T = (data.reshape(-1, size) @ R).reshape(nrows, size, size)
                 Bp = svec(np.matmul(R.T, T))
                 B[:, sl] = Bp
                 term = Bp @ Bp.T
+            else:
+                if formed:
+                    np.multiply(A[:, sl], R, out=B[:, sl])
+                term = data.term(R)
             if S is None:
                 S = term
             else:
                 S += term
-        return (_FormedB(B) if formed else _UnformedB(A, self)), S
+        return (_FormedB(B) if formed else _UnformedB(nrows, self.cone, row_data, self)), S
 
     def scale_s(self, ds: np.ndarray) -> np.ndarray:
         """W ds: maps s-space directions (batched over leading axes) into
@@ -335,18 +334,54 @@ class _FormedB:
 
 
 class _UnformedB:
-    """B = A W^T without forming it: B u = A (W^T u) and B^T y = W (A^T y),
-    along the last axis like _FormedB."""
+    """B = A W^T at the scaling sc without forming it, or A itself when
+    sc is None, taken cone block by cone block through the structure of
+    each block's rows (row_data, as made by _row_data); apply and adjoint
+    act along the last axis like _FormedB's.
 
-    def __init__(self, A: np.ndarray, sc: _Scaling):
-        self.A = A
-        self.sc = sc
+    Each block's rows take the block's scaling factor (R of a PSD block,
+    w of the orthant, None for A): on a PSD block B u gains
+    rows.apply(smat(u), R) = A_p svec(R smat(u) R^T), and B^T y reads
+    svec(rows.adjoint(y, R)) = W_p (A_p^T y); on the orthant the two are
+    A_l (w u) and w (A_l^T y).
+    """
+
+    def __init__(self, nrows: int, cone: ConeSpec, row_data: list, sc: Optional[_Scaling] = None):
+        self.nrows, self.ncols = nrows, cone.total_len
+        factors = [None] * len(row_data) if sc is None else [blk[2] for blk in sc.blocks]
+        # (slice, size or None on the orthant, factor or None for A, rows)
+        self.blocks = [
+            (sl, size if tag == "s" else None, factor, rows)
+            for (tag, size, sl), factor, rows in zip(cone.slices(), factors, row_data)
+        ]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.sc.unscale_to_x(u) @ self.A.T
+        """B u."""
+        out = np.zeros(u.shape[:-1] + (self.nrows,))
+        for sl, size, factor, rows in self.blocks:
+            out += rows.apply(u[..., sl] if size is None else smat(u[..., sl], size), factor)
+        return out
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self.sc.scale_s(y @ self.A)
+        """B^T y."""
+        out = np.empty(y.shape[:-1] + (self.ncols,))
+        for sl, size, factor, rows in self.blocks:
+            v = rows.adjoint(y, factor)
+            out[..., sl] = v if size is None else svec(v)
+        return out
+
+
+class _DenseA:
+    """A as a matrix, for the loop's products A x and A^T y."""
+
+    def __init__(self, A: np.ndarray):
+        self.A = A
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.A @ x
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return self.A.T @ y
 
 
 class _NormalFactor:
@@ -418,14 +453,55 @@ def _cho_solve(L: np.ndarray, inv: list, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _orthant_pairs(A_l: np.ndarray):
-    """The nonzero pairs of an orthant block A_l (nrows, p): every (i, j, k)
-    with A_l[i, k] and A_l[j, k] both nonzero, sum_k nnz_k^2 of them, in
-    order of k.  Returns the flat position i * nrows + j, the column k and
-    the product A_l[i, k] A_l[j, k], so that A_l diag(d) A_l^T is
-    bincount(flat, prod * d[col]) reshaped; the pairs of (i, j) and (j, i)
-    meet the same products in the same order, so the sum is exactly
-    symmetric.
+class _OrthantRows(NamedTuple):
+    """An orthant block's rows A_l (nrows, p) through their nonzero
+    entries (_orthant_rows)."""
+
+    nrows: int
+    ncols: int
+    row: np.ndarray  # the nonzero entries in order of column: row,
+    col: np.ndarray  # column
+    val: np.ndarray  # and value
+    pair_flat: np.ndarray  # the nonzero pairs (_orthant_rows)
+    pair_col: np.ndarray
+    pair_prod: np.ndarray
+
+    def term(self, w: np.ndarray) -> np.ndarray:
+        """A_l diag(w^2) A_l^T, summed over the nonzero pairs."""
+        n = self.nrows
+        term = np.bincount(self.pair_flat, self.pair_prod * (w * w)[self.pair_col], n * n)
+        # (integer zeros when the block has no nonzero pair)
+        return term.astype(float, copy=False).reshape(n, n)
+
+    def apply(self, x: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
+        """A_l (w x), along the last axis; w = 1 for None."""
+        if w is not None:
+            x = x * w
+        return _sum_at(self.row, x[..., self.col] * self.val, self.nrows)
+
+    def adjoint(self, y: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
+        """w (A_l^T y), along the last axis; w = 1 for None."""
+        out = _sum_at(self.col, y[..., self.row] * self.val, self.ncols)
+        return out if w is None else out * w
+
+
+def _sum_at(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[..., k] = the sum of values[..., e] over the e with index[e] = k,
+    batched over the leading axes of values."""
+    lead, k = values.shape[:-1], math.prod(values.shape[:-1])
+    flat = (np.arange(k)[:, None] * size + index).reshape(-1)
+    out = np.bincount(flat, values.reshape(-1), k * size)
+    return out.astype(float, copy=False).reshape(lead + (size,))
+
+
+def _orthant_rows(A_l: np.ndarray) -> _OrthantRows:
+    """The nonzero entries of an orthant block A_l (nrows, p), and its
+    nonzero pairs: every (i, j, k) with A_l[i, k] and A_l[j, k] both
+    nonzero, sum_k nnz_k^2 of them, in order of k, as the flat position
+    i * nrows + j, the column k and the product A_l[i, k] A_l[j, k], so
+    that A_l diag(d) A_l^T is bincount(flat, prod * d[col]) reshaped; the
+    pairs of (i, j) and (j, i) meet the same products in the same order,
+    so the sum is exactly symmetric.
     """
     nrows = A_l.shape[0]
     # the nonzero entries in order of column, and how many share each one's
@@ -437,18 +513,19 @@ def _orthant_pairs(A_l: np.ndarray):
     offset = np.arange(first.size) - np.repeat(np.cumsum(nnz) - nnz, nnz)
     second = np.repeat(np.searchsorted(col, col), nnz) + offset
     i, j, k = row[first], row[second], col[first]
-    return i * nrows + j, k, A_l[i, k] * A_l[j, k]
+    return _OrthantRows(nrows, A_l.shape[1], row, col, A_l[row, col],
+                        i * nrows + j, k, A_l[i, k] * A_l[j, k])
 
 
-def _row_data(A: np.ndarray, cone: ConeSpec, psd_schur=None) -> list:
-    """What _Scaling.schur needs of the rows of A, per cone block: on a PSD
-    block psd_schur if given, else the rows restricted to it as
-    (nrows, d, d); on an orthant block its nonzero pairs (_orthant_pairs)."""
-    if psd_schur is not None and [tag for tag, _ in cone.blocks].count("s") != 1:
-        raise ValueError("psd_schur needs a cone with exactly one PSD block")
+def _row_data(A: np.ndarray, cone: ConeSpec, psd_rows=None) -> list:
+    """What _Scaling.schur and _UnformedB need of the rows of A, per cone
+    block: on a PSD block psd_rows if given, else the rows restricted to it
+    as (nrows, d, d); on an orthant block its nonzeros (_orthant_rows)."""
+    if psd_rows is not None and [tag for tag, _ in cone.blocks].count("s") != 1:
+        raise ValueError("psd_rows needs a cone with exactly one PSD block")
     return [
-        (psd_schur if psd_schur is not None else smat(A[:, sl], size))
-        if tag == "s" else _orthant_pairs(A[:, sl])
+        (psd_rows if psd_rows is not None else smat(A[:, sl], size))
+        if tag == "s" else _orthant_rows(A[:, sl])
         for tag, size, sl in cone.slices()
     ]
 
@@ -464,11 +541,12 @@ def _scaled_newton(B, normal, r1, wr2, q):
     return q - wr2 + B.adjoint(dy), dy
 
 
-def _step(A, b, c, row_data, cone, point, rp, rd, rg):
+def _step(A, rows, b, c, row_data, cone, point, rp, rd, rg):
     """Mehrotra predictor-corrector direction of the embedding and its step.
 
     B = A W^T, as a matrix or an operator, and the Schur complement B B^T
-    are formed (_Scaling.schur), and B B^T is factored once.  The direction per unit of d tau,
+    are formed (_Scaling.schur), and B B^T is factored once; rows is A as
+    an operator (_DenseA or _UnformedB).  The direction per unit of d tau,
     B u = b, B^T dy + v = W c, u + v = 0, is solved together with the
     predictor and shared with the corrector; the last row of the
     embedding and kappa d tau + tau d kappa = rk then fix d tau and d kappa.
@@ -544,7 +622,7 @@ def _step(A, b, c, row_data, cone, point, rp, rd, rg):
             break
         u, dy, r, rn = u_new, dy + ddy, r_new, rn_new
     alpha = min(1.0, _STEP_FRAC * max_step(u, q - u, dtau, dkappa))
-    ds = eta * rd + dtau * c - A.T @ dy
+    ds = eta * rd + dtau * c - rows.adjoint(dy)
     return sc.unscale_to_x(u), dy, ds, dtau, dkappa, alpha
 
 
@@ -554,7 +632,7 @@ def solve_conic(
     c: np.ndarray,
     cone: ConeSpec,
     accept: Optional[Callable[[np.ndarray], bool]] = None,
-    psd_schur: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    psd_rows=None,
 ) -> ConicResult:
     """Run the predictor-corrector loop on the embedding, from x = s = e,
     y = 0, tau = kappa = 1.  It ends in one of five ways:
@@ -581,10 +659,15 @@ def solve_conic(
     rp_rel, rd_rel and gap_rel are those of the returned iterate, normalized
     by tau.  Floating-point warnings are suppressed throughout.
 
-    psd_schur, for a cone with one PSD block, maps that block's scaling
-    factor R (G = R R^T, see _Scaling) to the block's Schur term
-    A_p W_p^T W_p A_p^T, built by the caller from the structure of A's rows;
-    B = A W^T is then never formed.
+    psd_rows, for a cone with one PSD block of size d, is that block's rows
+    A_p of A as an object the caller builds from their structure:
+    term(R) is the block's Schur term A_p W_p^T W_p A_p^T at the scaling
+    factor R (G = R R^T, see _Scaling), apply(V, R) is A_p svec(R V R^T)
+    for symmetric V (..., d, d), and adjoint(y, R) is R^T smat(A_p^T y) R,
+    both batched over leading axes and with R = I for None.  B = A W^T is
+    then never formed, and A itself is read only for its orthant's
+    nonzeros: every product with A or B goes through the blocks' rows
+    (_UnformedB).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -600,15 +683,16 @@ def solve_conic(
         return ConicResult("optimal", x, y, s, 0, 0.0, 0.0, 0.0)
     bnorm = 1.0 + math.sqrt(b @ b)
     cnorm = 1.0 + math.sqrt(c @ c)
-    row_data = _row_data(A, cone, psd_schur)
+    row_data = _row_data(A, cone, psd_rows)
+    rows = _DenseA(A) if psd_rows is None else _UnformedB(nrows, cone, row_data)
     tau = kappa = 1.0
     status, it, prev, prev_score = "max_iters", 0, None, np.inf
     history = []
 
     with np.errstate(all="ignore"):
         for it in range(1, MAX_ITERS + 1):
-            aty = A.T @ y
-            rp = tau * b - A @ x
+            aty = rows.adjoint(y)
+            rp = tau * b - rows.apply(x)
             rd = tau * c - aty - s
             by, cx, xs = float(b @ y), float(c @ x), float(x @ s)
             rg = kappa - by + cx
@@ -637,7 +721,7 @@ def solve_conic(
             prev, prev_score = point, score
 
             try:
-                step = _step(A, b, c, row_data, cone, point[:5], rp, rd, rg)
+                step = _step(A, rows, b, c, row_data, cone, point[:5], rp, rd, rg)
             except np.linalg.LinAlgError:
                 status = "stalled"
                 break

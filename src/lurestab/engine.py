@@ -5,13 +5,15 @@ coordinates z, constraint rows F0 + F z in cones).  It goes to the
 interior-point core as the dual side of its standard form,
 max b.y s.t. c - A^T y in K with A = -F^T / d, c = F0 and y = d z, so the
 Schur complement is indexed by the decision coordinates; from LMI
-dimension n + m = _STRUCTURED_MIN_DIM on, its LMI term is built from the
-congruence factors build_primal supplies (_LmiGram), for the primal and
-the dual alike, and B = A W^T is never formed.  solve stops at the first
-iterate that certifies (its margin t, the raw constraints and the
-achieved -lambda_max of the strict LMI all clear the threshold), and only
-such an iterate makes it "feasible"; an infeasible primal runs to its
-optimum.
+dimension n + m = _STRUCTURED_MIN_DIM on, the LMI block's rows are taken
+through the congruence factors build_primal supplies (_LmiGram,
+_LmiRows), for the primal and the dual alike: its Schur term and every
+product with A or B = A W^T, which is never formed.  solve stops at the
+first iterate that certifies (its margin t and the achieved -lambda_max
+of the strict LMI, at M moved onto its cone, both clear the threshold;
+the raw constraint rows are measured for the report but gate nothing),
+and only such an iterate makes it "feasible"; an infeasible primal runs
+to its optimum.
 
 The dual LMI is the adjoint of the primal's homogeneous rows (F0 = 0):
 build_dual restricts the same dense form to them and transposes it,
@@ -32,13 +34,14 @@ verifying the raw constraints, never on solver status alone.
 
 Every threshold is a module constant: TOL_RANK decides "rank one", TOL_EQ
 bounds the dual's raw residual, PRIMAL_MARGIN is the margin a certifying
-primal iterate must reach and CONE_TOL the cone violation any returned
-assignment may carry.  Every solve, primal, steer or deflation round, stops
-at the interior-point core's one tolerance, conic.IPM_TOL.
+primal iterate must reach and CONE_TOL the cone violation a dual point
+and an infeasible primal's optimum may carry.  Every solve, primal, steer
+or deflation round, stops at the interior-point core's one tolerance,
+conic.IPM_TOL.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -221,13 +224,18 @@ class _LmiGram:
         self.weight = np.zeros(nrows)
         for fam in families:
             self.weight[fam[2]] = fam[5]
+        # each coordinate's entries of U V U^T and of the matrix the
+        # adjoint's congruence reads, one (coordinates, flat, w s) per term
+        k = self.U.shape[0]
+        self.entries = [
+            (coords, (l + a) * k + r + b, w * s)
+            for terms, _, coords, a, b, w in families
+            for l, r, s in terms
+        ]
 
-    def for_rows(self, d: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """The term as a function of the scaling factor R, for rows
-        equilibrated by d."""
-        v = self.weight / d
-        scale = 2.0 * np.outer(v, v)
-        return lambda R: self._term(R, d, scale)
+    def for_rows(self, d: np.ndarray) -> "_LmiRows":
+        """The LMI block's rows for rows equilibrated by d."""
+        return _LmiRows(self, d)
 
     def _term(self, R: np.ndarray, d: np.ndarray, scale: np.ndarray) -> np.ndarray:
         UR = self.U @ R
@@ -250,6 +258,65 @@ class _LmiGram:
         S[:, t] = col
         S[t, t] = np.sum((R.T @ R) ** 2) / d[t] ** 2
         return S
+
+
+class _LmiRows:
+    """The LMI block's rows of the IPM's A, equilibrated by d, through the
+    congruence (_LmiGram); the rows object conic.solve_conic takes as
+    psd_rows.
+
+    Row i is svec(X_i) / d_i, X_i the LMI's coefficient of coordinate i
+    (_LmiGram).  At a scaling factor R (I for A itself) and for symmetric
+    V, with H = (U R) V (U R)^T,
+
+        <X_i, R V R^T> = 2 w_i sum_k s_k H[l + a, r + b],
+
+    and the identity's coordinate reads <R^T R, V>; the adjoint
+    R^T (sum_i y_i X_i / d_i) R is sum_k s_k (T_lr + T_lr^T) with
+    T_lr = (U_l R)^T Z (U_r R), Z holding w_i y_i / d_i at each
+    coordinate's (a, b), plus y_t / d_t R^T R.
+    """
+
+    def __init__(self, gram: _LmiGram, d: np.ndarray):
+        self.gram, self.d = gram, d
+        v = gram.weight / d
+        self.scale = 2.0 * np.outer(v, v)
+
+    def term(self, R: np.ndarray) -> np.ndarray:
+        """The block's Schur term at the scaling factor R."""
+        return self.gram._term(R, self.d, self.scale)
+
+    def _factors(self, R: Optional[np.ndarray]):
+        """(U R, R^T R), with R = I for None."""
+        U = self.gram.U
+        if R is None:
+            return U, np.eye(U.shape[1])
+        return U @ R, R.T @ R
+
+    def apply(self, V: np.ndarray, R: Optional[np.ndarray] = None) -> np.ndarray:
+        """A_p svec(R V R^T), batched over the leading axes of V."""
+        UR, RtR = self._factors(R)
+        H = np.matmul(UR @ V, UR.T)
+        H = H.reshape(H.shape[:-2] + (-1,))
+        out = np.zeros(H.shape[:-1] + (self.d.size,))
+        for coords, flat, ws in self.gram.entries:
+            out[..., coords] += (2.0 * ws) * H[..., flat]
+        out[..., self.gram.identity] = np.sum(RtR * V, axis=(-2, -1))
+        out /= self.d
+        return out
+
+    def adjoint(self, y: np.ndarray, R: Optional[np.ndarray] = None) -> np.ndarray:
+        """R^T smat(A_p^T y) R, batched over the leading axes of y."""
+        UR, RtR = self._factors(R)
+        c = y / self.d
+        k = UR.shape[0]
+        Z = np.zeros(c.shape[:-1] + (k * k,))
+        for coords, flat, ws in self.gram.entries:
+            Z[..., flat] += ws * c[..., coords]
+        T = np.matmul(UR.T @ Z.reshape(c.shape[:-1] + (k, k)), UR)
+        T += np.swapaxes(T, -1, -2)
+        T += c[..., self.gram.identity, None, None] * RtR
+        return T
 
 
 def _factor(H: np.ndarray, blocks: list, size: int) -> np.ndarray:
@@ -286,9 +353,9 @@ def _cone_spec(psd_dims: list, total: int) -> ConeSpec:
 
 
 def _equilibrated(problem: SdpFeasibilityProblem, A_raw: np.ndarray):
-    """(d, A, b, psd_schur): A_raw and the problem's objective b_raw with
+    """(d, A, b, psd_rows): A_raw and the problem's objective b_raw with
     row i scaled by 1 / d_i, d_i = max(||row i||, |b_raw_i|, 1e-12), and the
-    Schur complement's LMI term for those rows (_lmi_gram) or None."""
+    LMI block's structured rows for those rows (_lmi_gram) or None."""
     b_raw = problem.objective
     d = np.maximum(np.maximum(np.linalg.norm(A_raw, axis=1), np.abs(b_raw)), 1.0e-12)
     gram = _lmi_gram(problem)
@@ -309,7 +376,7 @@ class _Inequality:
         self.F0, self.F, self.objective = problem.F0, problem.F, problem.objective
         psd_dims = [con.dim for con, _ in self.blocks if con.cone == "psd"]
         self.cone = _cone_spec(psd_dims, self.F0.size)
-        self.d, self.A, self.b, self.psd_schur = _equilibrated(problem, -self.F.T)
+        self.d, self.A, self.b, self.psd_rows = _equilibrated(problem, -self.F.T)
 
     def verify(self, z: np.ndarray):
         """Worst cone violation of the constraint rows F0 + F z; there are
@@ -351,7 +418,7 @@ class DualForm:
 
         self.A_raw = -primal.F[np.concatenate(rows)].T
         self.b_raw = primal.objective
-        self.d, self.A, self.b, self.psd_schur = _equilibrated(primal, self.A_raw)
+        self.d, self.A, self.b, self.psd_rows = _equilibrated(primal, self.A_raw)
 
     def reconstruct(self, x: np.ndarray) -> dict:
         """The dual blocks H, f, g, X (Z) from multiplier coordinates."""
@@ -406,44 +473,45 @@ def _primal_true_margin(problem: SdpFeasibilityProblem, assignment: dict) -> flo
 def solve(problem: SdpFeasibilityProblem) -> SolveResult:
     """Maximize the margin t of the primal LMI until an iterate certifies.
 
-    An iterate z certifies when t = objective.z, the worst raw cone
-    violation and the achieved margin -lambda_max(L(P, M)) all pass; the
-    IPM tests this before anything else and stops at the first iterate that
-    passes ("accepted"), which is then "feasible", with the values computed
-    once for it.  The reported margin of a feasible result is therefore the
+    An iterate z certifies when t = objective.z and the achieved margin
+    -lambda_max(L(P, M)), read at M moved onto its cone, both reach
+    PRIMAL_MARGIN: that is the certificate's whole validity, so the IPM's
+    raw rows (the boxes, the cap on t, the t-shifted LMI block and M's
+    cone rows) do not gate it.  The IPM tests this before anything else
+    and stops at the first iterate that passes ("accepted"), which is then
+    "feasible"; its raw rows are measured once, for the residuals
+    reported.  The reported margin of a feasible result is therefore the
     achieved -lambda_max(L) of the returned certificate, a lower bound on
     the optimum min(t*, 1), not the optimum itself.  No iterate of an
     infeasible primal passes the test on t, so it runs to its optimum t* = 0,
-    and a converged optimum below the threshold is "infeasible".  Anything
-    undecided comes back "numerical_limit".
+    and a converged optimum below the threshold, with its raw rows in
+    their cones, is "infeasible".  Anything undecided comes back
+    "numerical_limit".
     """
     form = _Inequality(problem)
-    accepted = []  # (assignment, verify's result, achieved margin) of the iterate accepted
+    accepted = []  # (assignment, achieved margin) of the iterate accepted
 
     def certifies(y: np.ndarray) -> bool:
         z = y / form.d
         if form.objective @ z < PRIMAL_MARGIN:
             return False
-        checked = form.verify(z)
-        if not checked[0]:
-            return False
         assignment = _reconstruct(form.var_slices, z)
         true_margin = _primal_true_margin(problem, assignment)
         if true_margin < PRIMAL_MARGIN:
             return False
-        accepted.append((assignment, checked, true_margin))
+        accepted.append((assignment, true_margin))
         return True
 
     res = solve_conic(form.A, form.b, form.F0, form.cone, accept=certifies,
-                      psd_schur=form.psd_schur)
+                      psd_rows=form.psd_rows)
+    z = res.y / form.d
+    ok, max_eq, max_cone = form.verify(z)
     if res.status == "accepted":
         # res.y is the iterate certifies passed, bit for bit
         status = "feasible"
-        assignment, (_, max_eq, max_cone), margin = accepted[-1]
+        assignment, margin = accepted[-1]
     else:
-        z = res.y / form.d
         assignment = _reconstruct(form.var_slices, z)
-        ok, max_eq, max_cone = form.verify(z)
         if res.status == "optimal" and ok:
             status, margin = "infeasible", form.objective @ z
         else:
@@ -480,7 +548,7 @@ def _solve_point(dual: DualForm, W: np.ndarray):
     solver's result, the blocks of its point and their verification."""
     c = np.zeros(dual.ncone)
     c[dual.h_slice] = svec(W)
-    res = solve_conic(dual.A, dual.b, c, dual.cone, psd_schur=dual.psd_schur)
+    res = solve_conic(dual.A, dual.b, c, dual.cone, psd_rows=dual.psd_rows)
     assignment = dual.reconstruct(res.x)
     return res, assignment, dual.verify(assignment)
 

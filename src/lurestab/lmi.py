@@ -181,8 +181,9 @@ def multiplier_matrix(assignment: dict, nl_class: NonlinearityClass) -> np.ndarr
     M_offdiag off it, moved onto its cone as bench/checker.py does: DHD
     clears positive off-diagonal entries, then each diagonal entry grows by
     the deficit of its row or column (sums for DHD, dominance for DD).  The
-    IPM's rows may leave the cone by up to engine.CONE_TOL; an M inside it
-    comes back as assembled."""
+    IPM's rows may leave the cone, by rounding or at an iterate short of
+    the optimum; the moved M is the one a certificate holds, and an M
+    inside its cone comes back as assembled."""
     diag, off = np.asarray(assignment["M_diag"], dtype=float), assignment["M_offdiag"]
     if nl_class is NonlinearityClass.SLOPE_ODD:
         rows, cols = diag - np.abs(off).sum(axis=1), diag - np.abs(off).sum(axis=0)

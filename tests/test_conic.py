@@ -11,7 +11,7 @@ from lurestab.conic import (
     _inverse_blocks,
     _FormedB,
     _NormalFactor,
-    _orthant_pairs,
+    _orthant_rows,
     _row_data,
     _scaled_newton,
     _Scaling,
@@ -228,23 +228,39 @@ def test_schur_complement_matches_the_dense_product(cone):
     assert np.array_equal(S, S.T)
 
 
+class _DenseRows:
+    """A PSD block's rows A_p (nrows, d(d+1)/2) as the rows object
+    solve_conic's psd_rows takes, every product taken densely; term(R)
+    records the factors it is called with."""
+
+    def __init__(self, A_p, size):
+        self.A_p, self.size, self.seen = A_p, size, []
+
+    def term(self, R):
+        self.seen.append(R)
+        Bp = svec(np.matmul(R.T, smat(self.A_p, self.size) @ R))
+        return Bp @ Bp.T
+
+    def apply(self, V, R=None):
+        return svec(V if R is None else R @ V @ R.T) @ self.A_p.T
+
+    def adjoint(self, y, R=None):
+        Z = smat(y @ self.A_p, self.size)
+        return Z if R is None else R.T @ Z @ R
+
+
 def test_a_structured_psd_term_replaces_forming_b():
     cone = ConeSpec((("s", 3), ("l", 4)))
     rng = np.random.default_rng(13)
     sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
     W = _dense_w(sc, cone)
     A = _sparse_orthant_rows(cone, 5, rng)
-    seen = []
+    # the caller's rows, here the PSD block's taken densely
+    rows = _DenseRows(A[:, :6], 3)
 
-    def psd_term(R):
-        # the caller's term, here the PSD block's product taken densely
-        seen.append(R)
-        Bp = A[:, :6] @ W[:6, :6].T
-        return Bp @ Bp.T
-
-    op, S = sc.schur(A, _row_data(A, cone, psd_term))
+    op, S = sc.schur(A, _row_data(A, cone, rows))
     assert isinstance(op, _UnformedB)
-    assert len(seen) == 1 and seen[0] is sc.blocks[0][2]
+    assert len(rows.seen) == 1 and rows.seen[0] is sc.blocks[0][2]
     ref = A @ W.T @ W @ A.T
     assert _rel(S - ref, ref) <= 1e-12
     # B u and B^T y without B, for one vector or a stack
@@ -252,15 +268,16 @@ def test_a_structured_psd_term_replaces_forming_b():
     assert _rel(op.apply(U) - U @ (A @ W.T).T, U @ (A @ W.T).T) <= 1e-12
     assert _rel(op.adjoint(Y[0]) - Y[0] @ (A @ W.T), Y[0] @ (A @ W.T)) <= 1e-12
     assert _rel(op.adjoint(Y)[1] - op.adjoint(Y[1]), op.adjoint(Y[1])) <= 1e-14
-    # the structured term is for a cone with one PSD block
+    # the structured rows are for a cone with one PSD block
     with pytest.raises(ValueError):
-        _row_data(A, ConeSpec((("s", 2), ("s", 2))), psd_term)
+        _row_data(A, ConeSpec((("s", 2), ("s", 2))), rows)
 
 
 def test_orthant_pairs_cover_every_nonzero_pair():
     rng = np.random.default_rng(12)
     A_l = _sparse_orthant_rows(ConeSpec((("l", 7),)), 4, rng)
-    flat, col, prod = _orthant_pairs(A_l)
+    rows = _orthant_rows(A_l)
+    flat, col, prod = rows.pair_flat, rows.pair_col, rows.pair_prod
     nnz = np.count_nonzero(A_l, axis=0)
     assert flat.size == col.size == prod.size == int(np.sum(nnz ** 2))
     assert np.all(np.diff(col) >= 0)
@@ -269,8 +286,18 @@ def test_orthant_pairs_cover_every_nonzero_pair():
     d = rng.uniform(0.5, 2.0, size=7)
     S = np.bincount(flat, prod * d[col], 16).reshape(4, 4)
     assert _rel(S - (A_l * d) @ A_l.T, (A_l * d) @ A_l.T) <= 1e-12
+    w = np.sqrt(d)
+    assert _rel(rows.term(w) - (A_l * d) @ A_l.T, (A_l * d) @ A_l.T) <= 1e-12
+    # the same nonzeros give A_l x and A_l^T y, for one vector or a stack
+    X, Y = rng.normal(size=(2, 7)), rng.normal(size=(2, 4))
+    assert _rel(rows.apply(X) - X @ A_l.T, X @ A_l.T) <= 1e-14
+    assert _rel(rows.adjoint(Y[0]) - A_l.T @ Y[0], A_l.T @ Y[0]) <= 1e-14
+    assert np.array_equal(rows.adjoint(Y)[1], rows.adjoint(Y[1]))
     # no nonzero pair at all: the orthant adds zeros
-    assert _orthant_pairs(np.zeros((3, 2)))[0].size == 0
+    empty = _orthant_rows(np.zeros((3, 2)))
+    assert empty.pair_flat.size == 0
+    assert np.array_equal(empty.term(np.ones(2)), np.zeros((3, 3)))
+    assert np.array_equal(empty.apply(np.ones((2, 2))), np.zeros((2, 3)))
 
 
 def _rel(err, ref):
@@ -290,7 +317,12 @@ def test_scaled_direction_meets_the_unscaled_newton_equations(seed, formed):
     A = rng.normal(size=(4, cone.total_len))
     B, S = sc.schur(A, _row_data(A, cone))
     if not formed:
-        B = _UnformedB(A, sc)
+        # B through each block's rows, the PSD blocks' taken densely
+        row_data = [
+            _DenseRows(A[:, sl], size) if tag == "s" else _orthant_rows(A[:, sl])
+            for tag, size, sl in cone.slices()
+        ]
+        B = _UnformedB(4, cone, row_data, sc)
     normal = _NormalFactor(S)
     r1 = rng.normal(size=(2, 4))
     r2, q = rng.normal(size=(2, 2, cone.total_len))
@@ -452,20 +484,21 @@ def test_lapack_calls_per_step_are_pinned(monkeypatch):
 
 def test_orthant_pairs_built_once_per_solve(monkeypatch):
     built = []
-    real = conic._orthant_pairs
+    real = conic._orthant_rows
 
     def counting(A_l):
         out = real(A_l)
         built.append((A_l, out))
         return out
 
-    monkeypatch.setattr(conic, "_orthant_pairs", counting)
+    monkeypatch.setattr(conic, "_orthant_rows", counting)
     A, b, c, cone = _mixed_toy()
     res = solve_conic(A, b, c, cone)
     assert res.status == "optimal" and res.iterations > 2
     # once for the one orthant block, not once per step
     assert len(built) == 1
-    A_l, (flat, col, prod) = built[0]
+    A_l, rows = built[0]
+    flat, col, prod = rows.pair_flat, rows.pair_col, rows.pair_prod
     assert flat.size == col.size == prod.size == int(np.sum(np.count_nonzero(A_l, axis=0) ** 2))
 
 

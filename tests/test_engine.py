@@ -719,3 +719,28 @@ def test_stable_analyze_stops_the_primal_at_its_first_certificate(monkeypatch):
     # certificate comes at iteration 6
     assert pipe["primal_ipm_iterations"] <= 6
     assert "dual_status" not in pipe
+
+
+def test_a_certificate_is_accepted_whatever_the_raw_rows():
+    # the raw rows (the boxes, the cap on t, the t-shifted LMI block and
+    # M's cone rows) do not gate a certificate.  ladder-8's first
+    # certificate misses CONE_TOL on them by 0.31; yet its printed M, moved
+    # onto its cone, passes the checker's repair, and L(P, M) clears
+    # PRIMAL_MARGIN.  ladder-20 is left out for the time it takes
+    checker = _bench("checker")
+    iterations = {}
+    for case in _bench("workloads").ladder()[:5]:
+        body = json.loads(analyze(_system(case)).to_json())
+        assert checker.check(case, body) == []
+        pipe, primal = body["diagnostics"]["pipeline"], body["primal"]
+        assert pipe["primal_ipm_status"] == "accepted"
+        assert primal["margin"] >= engine.PRIMAL_MARGIN
+        iterations[case.name] = pipe["primal_ipm_iterations"]
+        if case.name == "ladder-8":
+            assert primal["max_cone_violation"] == pytest.approx(0.31, abs=0.01)
+            _, moved = checker.repair_multiplier(np.array(primal["M"]), case.odd)
+            assert moved <= checker.CONE_TOL
+            L, _ = checker.lmi_matrix(case, np.array(primal["P"]), np.array(primal["M"]))
+            assert np.linalg.eigvalsh(L)[-1] <= -engine.PRIMAL_MARGIN
+    assert iterations == {"ladder-2": 2, "ladder-4": 2, "ladder-8": 2, "ladder-12": 3,
+                          "ladder-16": 2}

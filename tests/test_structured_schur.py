@@ -1,6 +1,8 @@
-"""The LMI block's Schur term built from the LMI's congruence structure
-(engine._LmiGram) against the dense product B_p B_p^T, the one place the
-path is chosen, and the dual path above the crossover end to end."""
+"""The LMI block's rows taken through the LMI's congruence structure
+(engine._LmiRows) against the dense rows: the Schur term against
+B_p B_p^T, and B u, B^T y, A x and A^T y against the products with the
+dense A.  Also the one place the path is chosen, and the dual path above
+the crossover end to end."""
 
 import importlib.util
 import json
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, conic, engine
-from lurestab.conic import _row_data, _Scaling, svec
+from lurestab.conic import _row_data, _Scaling, _UnformedB, svec
 from lurestab.engine import _Inequality, build_dual
 from lurestab.lmi import build_primal
 from lurestab.system import normalize_band
@@ -72,7 +74,7 @@ def test_structured_gram_matches_the_dense_product(monkeypatch, n, m, odd, band)
     primal, dual = _Inequality(problem), build_dual(problem)
     rng = np.random.default_rng(n + 7 * m)
     for form in (primal, dual):
-        assert form.psd_schur is not None
+        assert form.psd_rows is not None
         for _ in range(3):
             # a random NT scaling of the form's cone
             cone = form.cone
@@ -82,13 +84,43 @@ def test_structured_gram_matches_the_dense_product(monkeypatch, n, m, odd, band)
             op, _ = sc.schur(form.A, _row_data(form.A, cone))
             Bp = op.B[:, sl]
             ref = Bp @ Bp.T
-            got = form.psd_schur(R)
+            got = form.psd_rows.term(R)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert np.array_equal(got, got.T)
 
 
+@pytest.mark.parametrize("n, m", [(10, 10), (12, 12)])
+@pytest.mark.parametrize("odd", [False, True], ids=["slope", "odd"])
+def test_structured_products_equal_the_dense_ones(n, m, odd):
+    sysm = normalize_band(_random_system(n + 3 * m, n, m, odd))
+    problem = build_primal(sysm)
+    assert n + m >= engine._STRUCTURED_MIN_DIM
+    rng = np.random.default_rng(n)
+    for form in (_Inequality(problem), build_dual(problem)):
+        A, cone = form.A, form.cone
+        rows = _row_data(A, cone, form.psd_rows)
+        a_op = _UnformedB(A.shape[0], cone, rows)
+        sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
+        b_op, _ = sc.schur(A, rows)
+        B, _ = sc.schur(A, _row_data(A, cone))
+        X = rng.normal(size=(2, A.shape[1]))
+        Y = rng.normal(size=(2, A.shape[0]))
+        for got, ref in [
+            (a_op.apply(X[0]), A @ X[0]),
+            (a_op.apply(X), X @ A.T),
+            (a_op.adjoint(Y[0]), A.T @ Y[0]),
+            (a_op.adjoint(Y), Y @ A),
+            (b_op.apply(X[0]), B.apply(X[0])),
+            (b_op.apply(X), B.apply(X)),
+            (b_op.adjoint(Y[0]), B.adjoint(Y[0])),
+            (b_op.adjoint(Y), B.adjoint(Y)),
+        ]:
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def _takes_structured_path(case) -> bool:
-    return _Inequality(build_primal(normalize_band(_system(case)))).psd_schur is not None
+    return _Inequality(build_primal(normalize_band(_system(case)))).psd_rows is not None
 
 
 def test_the_path_is_chosen_by_the_lmi_dimension():
@@ -118,7 +150,7 @@ def test_the_lmi_gram_is_built_once_per_problem(monkeypatch):
     assert problem.meta["congruence"]["U"].shape[1] >= engine._STRUCTURED_MIN_DIM
     engine.solve(problem)
     dual = build_dual(problem)
-    assert dual.psd_schur is not None
+    assert dual.psd_rows is not None
     assert len(built) == 1
 
 
@@ -152,7 +184,7 @@ def test_the_dual_path_above_the_crossover_finds_a_checked_equilibrium(monkeypat
     real = conic.solve_conic
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("psd_schur") is not None)
+        calls.append(kwargs.get("psd_rows") is not None)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(engine, "solve_conic", spy)
