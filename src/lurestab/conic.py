@@ -318,8 +318,8 @@ class _Scaling:
 
 
 class _FormedB:
-    """B = A W^T as a matrix.  apply and adjoint act along the last axis of
-    a vector or of a stack of them."""
+    """B = A W^T, or A itself, as a matrix.  apply and adjoint act along the
+    last axis of a vector or of a stack of them."""
 
     def __init__(self, B: np.ndarray):
         self.B = B
@@ -369,19 +369,6 @@ class _UnformedB:
             v = rows.adjoint(y, factor)
             out[..., sl] = v if size is None else svec(v)
         return out
-
-
-class _DenseA:
-    """A as a matrix, for the loop's products A x and A^T y."""
-
-    def __init__(self, A: np.ndarray):
-        self.A = A
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self.A.T @ y
 
 
 class _NormalFactor:
@@ -546,8 +533,8 @@ def _step(A, rows, b, c, row_data, cone, point, rp, rd, rg):
 
     B = A W^T, as a matrix or an operator, and the Schur complement B B^T
     are formed (_Scaling.schur), and B B^T is factored once; rows is A as
-    an operator (_DenseA or _UnformedB).  The direction per unit of d tau,
-    B u = b, B^T dy + v = W c, u + v = 0, is solved together with the
+    an operator (_FormedB(A) or _UnformedB).  The direction per unit of
+    d tau, B u = b, B^T dy + v = W c, u + v = 0, is solved together with the
     predictor and shared with the corrector; the last row of the
     embedding and kappa d tau + tau d kappa = rk then fix d tau and d kappa.
     The whole step stays in the scaled coordinates u, v: the predictor's
@@ -684,7 +671,7 @@ def solve_conic(
     bnorm = 1.0 + math.sqrt(b @ b)
     cnorm = 1.0 + math.sqrt(c @ c)
     row_data = _row_data(A, cone, psd_rows)
-    rows = _DenseA(A) if psd_rows is None else _UnformedB(nrows, cone, row_data)
+    rows = _FormedB(A) if psd_rows is None else _UnformedB(nrows, cone, row_data)
     tau = kappa = 1.0
     status, it, prev, prev_score = "max_iters", 0, None, np.inf
     history = []

@@ -1,36 +1,39 @@
-"""Feasibility engine: dense forms, verdicts, and the one pass over the dual.
+"""Feasibility engine: one conic form for both LMIs, verdicts, and the one
+pass over the dual.
 
 The primal LMI comes as its dense form (lmi.build_primal: decision
-coordinates z, constraint rows F0 + F z in cones).  It goes to the
-interior-point core as the dual side of its standard form,
-max b.y s.t. c - A^T y in K with A = -F^T / d, c = F0 and y = d z, so the
-Schur complement is indexed by the decision coordinates; from LMI
-dimension n + m = _STRUCTURED_MIN_DIM on, the LMI block's rows are taken
-through the congruence factors build_primal supplies (_LmiGram,
-_LmiRows), for the primal and the dual alike: its Schur term and every
-product with A or B = A W^T, which is never formed.  solve stops at the
-first iterate that certifies (its margin t and the achieved -lambda_max
-of the strict LMI, at M moved onto its cone, both clear the threshold;
-the raw constraint rows are measured for the report but gate nothing),
-and only such an iterate makes it "feasible"; an infeasible primal runs
-to its optimum.
+coordinates z, homogeneous constraint rows F z in cones).  build_dual
+transposes it once into the interior-point core's standard pair
 
-The dual LMI is the adjoint of the primal's homogeneous rows (F0 = 0):
-build_dual restricts the same dense form to them and transposes it,
-giving A x = b, x in K, with A = -F_h^T, b = e_t and rows equilibrated.
-Its rows are the primal's decision coordinates (full row rank, never
-empty), its coordinates the multipliers of those rows, read as the blocks
-H, f, g, X (and Z) through lmi.DUAL_SCALE.  reduce_rank makes the one pass
-over it: a steer solve over its feasible set, whose objective steers
-toward the branch the proof concludes on, returns a point or a Farkas
-certificate y.  Read in the primal's coordinates, that certificate is
-(P, M, t = 1) with F_h z in K, a strict primal solution; infeasibility is
-only declared once it passes an independent check.  The caller says
-whether a verified point that is not rank one is deflated toward rank one
-(analyze does so only where it knows no equilibrium input), and the pass
-returns H's rank-one factor, or None where H is not rank one: this is the
-one place "rank one" is decided.  Either way the verdict rests on
-verifying the raw constraints, never on solver status alone.
+    min c.x  s.t.  A x = b, x in K     and     max b.y  s.t.  c - A^T y in K,
+
+with A = -F^T / d, b = e_t / d (the primal objective) and d the row
+equilibration (DualForm).  Its y side is the primal at c = 0, with
+y = d z, so the Schur complement is indexed by the decision coordinates;
+its x side is the dual LMI, the Farkas alternative of the primal, whose
+coordinates are the multipliers of the primal's rows, read as the blocks
+H, f, g, X (and Z) through lmi.DUAL_SCALE.  From LMI dimension
+n + m = _STRUCTURED_MIN_DIM on, the LMI block's rows are taken through
+the congruence factors build_primal supplies (_LmiGram): its
+Schur term and every product with A or B = A W^T, which is never formed.
+
+solve reads the primal off the y side and stops at the first iterate that
+certifies (its margin t and the achieved -lambda_max of the strict LMI,
+at M moved onto its cone, both clear the threshold; the raw constraint
+rows are measured for the report but gate nothing), and only such an
+iterate makes it "feasible"; an infeasible primal runs to its optimum
+t* = 0.  reduce_rank makes the one pass over the x side: a steer solve
+over the dual's feasible set, whose objective steers toward the branch the
+proof concludes on, returns a point or a Farkas certificate y.  Read in
+the primal's coordinates, that certificate is (P, M, t = 1) with F z in
+K, a strict primal solution; infeasibility is only declared once it
+passes the same cone check as the primal's rows (DualForm.verify_primal).
+The caller says whether a verified point that is not rank one is deflated
+toward rank one (analyze does so only where it knows no equilibrium
+input), and the pass returns H's rank-one factor, or None where H is not
+rank one: this is the one place "rank one" is decided.  Either way the
+verdict rests on verifying the raw constraints, never on solver status
+alone.
 
 Every threshold is a module constant: TOL_RANK decides "rank one", TOL_EQ
 bounds the dual's raw residual, PRIMAL_MARGIN is the margin a certifying
@@ -46,7 +49,6 @@ from typing import Optional
 import numpy as np
 
 from .conic import ConeSpec, smat, solve_conic, svec, svec_dim
-from .errors import StructuralError
 from .lmi import (
     DUAL_SCALE,
     SdpFeasibilityProblem,
@@ -147,12 +149,13 @@ def _cone_violation(con, coords: np.ndarray) -> float:
 
 
 class _LmiGram:
-    """The LMI block's term of the Schur complement, from the congruence
-    factors of lmi.lmi_congruence, without forming B = A W^T.
+    """The LMI block's rows of the IPM's A, equilibrated by d, through the
+    congruence factors of lmi.lmi_congruence, without forming A or
+    B = A W^T: the rows object conic.solve_conic takes as psd_rows.
 
     Row i of the IPM's A holds, on the LMI block, svec(X_i) / d_i up to a
     sign shared by all rows, X_i being the LMI's coefficient of decision
-    coordinate i.  At the block's NT scaling G = R R^T the term is
+    coordinate i.  At the block's NT scaling G = R R^T the Schur term is
     S[i, j] = tr(G X_i G X_j) / (d_i d_j).  A coordinate of a variable with
     terms is X_i = w_i sum_k s_k (U_l^T E U_r + U_r^T E^T U_l), E the unit
     matrix at (a, b) (_matrix_entries), so with H = U G U^T and H_xy its
@@ -167,9 +170,20 @@ class _LmiGram:
     buffer that precomputed flat indices read.  The identity variable's
     coefficient is I: tr(G X_i G) = 2 w_i sum_k s_k (U G^2 U^T)[r + b, l + a]
     and tr(G G) = ||G||_F^2.  Coordinates of other variables have zero rows.
+
+    The products read the same entries.  At a scaling factor R (I for A
+    itself) and for symmetric V, with H = (U R) V (U R)^T,
+
+        <X_i, R V R^T> = 2 w_i sum_k s_k H[l + a, r + b],
+
+    and the identity's coordinate reads <R^T R, V>; the adjoint
+    R^T (sum_i y_i X_i / d_i) R is sum_k s_k (T_lr + T_lr^T) with
+    T_lr = (U_l R)^T Z (U_r R), Z holding w_i y_i / d_i at each
+    coordinate's (a, b), plus y_t / d_t R^T R.
     """
 
-    def __init__(self, congruence: dict, var_slices, nrows: int):
+    def __init__(self, congruence: dict, var_slices, d: np.ndarray):
+        nrows, self.d = d.size, d
         self.U = congruence["U"]
         self.identity = next(sl.start for v, sl in var_slices if v.name == congruence["identity"])
         # families: [terms, dim, coordinates, a, b, w]
@@ -232,12 +246,12 @@ class _LmiGram:
             for terms, _, coords, a, b, w in families
             for l, r, s in terms
         ]
+        v = self.weight / self.d
+        self.scale = 2.0 * np.outer(v, v)
 
-    def for_rows(self, d: np.ndarray) -> "_LmiRows":
-        """The LMI block's rows for rows equilibrated by d."""
-        return _LmiRows(self, d)
-
-    def _term(self, R: np.ndarray, d: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    def term(self, R: np.ndarray) -> np.ndarray:
+        """The block's Schur term at the scaling factor R."""
+        d = self.d
         UR = self.U @ R
         H = UR @ UR.T
         buf = self.buffer
@@ -246,7 +260,7 @@ class _LmiGram:
             np.matmul(X.T, Y, out=buf[at:at + size * size].reshape(size, size))
         S = np.take(buf, self.index[0])
         S += np.take(buf, self.index[1])
-        S *= scale
+        S *= self.scale
         t = self.identity
         UG = UR @ R.T
         H2 = UG @ UG.T
@@ -259,36 +273,9 @@ class _LmiGram:
         S[t, t] = np.sum((R.T @ R) ** 2) / d[t] ** 2
         return S
 
-
-class _LmiRows:
-    """The LMI block's rows of the IPM's A, equilibrated by d, through the
-    congruence (_LmiGram); the rows object conic.solve_conic takes as
-    psd_rows.
-
-    Row i is svec(X_i) / d_i, X_i the LMI's coefficient of coordinate i
-    (_LmiGram).  At a scaling factor R (I for A itself) and for symmetric
-    V, with H = (U R) V (U R)^T,
-
-        <X_i, R V R^T> = 2 w_i sum_k s_k H[l + a, r + b],
-
-    and the identity's coordinate reads <R^T R, V>; the adjoint
-    R^T (sum_i y_i X_i / d_i) R is sum_k s_k (T_lr + T_lr^T) with
-    T_lr = (U_l R)^T Z (U_r R), Z holding w_i y_i / d_i at each
-    coordinate's (a, b), plus y_t / d_t R^T R.
-    """
-
-    def __init__(self, gram: _LmiGram, d: np.ndarray):
-        self.gram, self.d = gram, d
-        v = gram.weight / d
-        self.scale = 2.0 * np.outer(v, v)
-
-    def term(self, R: np.ndarray) -> np.ndarray:
-        """The block's Schur term at the scaling factor R."""
-        return self.gram._term(R, self.d, self.scale)
-
     def _factors(self, R: Optional[np.ndarray]):
         """(U R, R^T R), with R = I for None."""
-        U = self.gram.U
+        U = self.U
         if R is None:
             return U, np.eye(U.shape[1])
         return U @ R, R.T @ R
@@ -299,9 +286,9 @@ class _LmiRows:
         H = np.matmul(UR @ V, UR.T)
         H = H.reshape(H.shape[:-2] + (-1,))
         out = np.zeros(H.shape[:-1] + (self.d.size,))
-        for coords, flat, ws in self.gram.entries:
+        for coords, flat, ws in self.entries:
             out[..., coords] += (2.0 * ws) * H[..., flat]
-        out[..., self.gram.identity] = np.sum(RtR * V, axis=(-2, -1))
+        out[..., self.identity] = np.sum(RtR * V, axis=(-2, -1))
         out /= self.d
         return out
 
@@ -311,11 +298,11 @@ class _LmiRows:
         c = y / self.d
         k = UR.shape[0]
         Z = np.zeros(c.shape[:-1] + (k * k,))
-        for coords, flat, ws in self.gram.entries:
+        for coords, flat, ws in self.entries:
             Z[..., flat] += ws * c[..., coords]
         T = np.matmul(UR.T @ Z.reshape(c.shape[:-1] + (k, k)), UR)
         T += np.swapaxes(T, -1, -2)
-        T += c[..., self.gram.identity, None, None] * RtR
+        T += c[..., self.identity, None, None] * RtR
         return T
 
 
@@ -330,95 +317,39 @@ def _factor(H: np.ndarray, blocks: list, size: int) -> np.ndarray:
     return out
 
 
-def _lmi_gram(problem: SdpFeasibilityProblem) -> Optional[_LmiGram]:
-    """The one place the Schur complement's path is chosen: the structured
-    LMI term once the LMI dimension n + m reaches _STRUCTURED_MIN_DIM, else
-    None (B = A W^T is formed).  Built once per problem, in its meta, and
-    shared by the primal and the dual."""
-    meta = problem.meta
-    if "lmi_gram" not in meta:
-        congruence = meta["congruence"]
-        small = congruence["U"].shape[1] < _STRUCTURED_MIN_DIM
-        meta["lmi_gram"] = None if small else _LmiGram(
-            congruence, problem.variables, problem.objective.size
-        )
-    return meta["lmi_gram"]
-
-
-def _cone_spec(psd_dims: list, total: int) -> ConeSpec:
-    """PSD blocks of the given dimensions, then one orthant block for the rest."""
-    lin_total = total - sum(svec_dim(k) for k in psd_dims)
-    blocks = [("s", k) for k in psd_dims] + ([("l", lin_total)] if lin_total else [])
-    return ConeSpec(blocks=tuple(blocks))
-
-
-def _equilibrated(problem: SdpFeasibilityProblem, A_raw: np.ndarray):
-    """(d, A, b, psd_rows): A_raw and the problem's objective b_raw with
-    row i scaled by 1 / d_i, d_i = max(||row i||, |b_raw_i|, 1e-12), and the
-    LMI block's structured rows for those rows (_lmi_gram) or None."""
-    b_raw = problem.objective
-    d = np.maximum(np.maximum(np.linalg.norm(A_raw, axis=1), np.abs(b_raw)), 1.0e-12)
-    gram = _lmi_gram(problem)
-    return d, A_raw / d[:, None], b_raw / d, None if gram is None else gram.for_rows(d)
-
-
-class _Inequality:
-    """The primal's dense form as the IPM sees it.
-
-    The IPM solves max b.y s.t. F0 - A^T y in K with A = -F^T / d and the
-    objective b = objective / d, where d equilibrates the rows of A;
-    z = y / d.  blocks holds (constraint, row slice) for each constraint,
-    PSD ones first.
-    """
-
-    def __init__(self, problem: SdpFeasibilityProblem):
-        self.var_slices, self.blocks = problem.variables, problem.constraints
-        self.F0, self.F, self.objective = problem.F0, problem.F, problem.objective
-        psd_dims = [con.dim for con, _ in self.blocks if con.cone == "psd"]
-        self.cone = _cone_spec(psd_dims, self.F0.size)
-        self.d, self.A, self.b, self.psd_rows = _equilibrated(problem, -self.F.T)
-
-    def verify(self, z: np.ndarray):
-        """Worst cone violation of the constraint rows F0 + F z; there are
-        no equality rows, so that residual is 0."""
-        rows = self.F0 + self.F @ z
-        max_cone = max(
-            (_cone_violation(con, rows[sl]) for con, sl in self.blocks),
-            default=0.0,
-        )
-        return max_cone <= CONE_TOL, 0.0, max_cone
-
-
 class DualForm:
-    """The dual LMI in equality form, the adjoint of a primal's dense form.
+    """Both LMIs as the interior-point core's one standard pair, transposed
+    from the primal's dense form.
 
-    Coordinates x are the multipliers of the primal's constraints with
-    F0 = 0, in the primal's order (PSD first); blocks holds (constraint,
-    slice) for each.  Rows are the primal's decision coordinates
-    (var_slices): A_raw x = b_raw with A_raw = -F_h^T and b_raw = e_t, the
-    primal objective.  A and b are the rows equilibrated by d, which the
-    IPM sees; verify measures residuals in the raw units.
+    Rows are the primal's decision coordinates (var_slices), coordinates x
+    the multipliers of its constraints, in its order (PSD first); blocks
+    holds (constraint, slice) for each.  The raw pair is A_raw = -F^T and
+    b_raw = e_t, the primal objective; A and b, which the IPM sees, are its
+    rows scaled by 1 / d, d_i = max(||row i||, |b_raw_i|, 1e-12).  Its y
+    side is the primal, z = y / d (solve); its x side is the dual LMI
+    A_raw x = b_raw, x in K (reduce_rank).  psd_rows is the LMI block's
+    structured rows (_LmiGram) from LMI dimension _STRUCTURED_MIN_DIM on,
+    else None.  verify and verify_primal measure residuals in raw units.
     """
 
     def __init__(self, primal: SdpFeasibilityProblem):
         self.system: StateSpaceSystem = primal.meta["system"]
-        self.var_slices = primal.variables
-        self.blocks, rows, at = [], [], 0
-        for con, sl in primal.constraints:
-            if np.any(primal.F0[sl]):
-                continue
-            if con.dual is None:
-                raise StructuralError(f"homogeneous constraint {con.name!r} names no dual block")
-            self.blocks.append((con, slice(at, at + sl.stop - sl.start)))
-            rows.append(np.arange(sl.start, sl.stop))
-            at += sl.stop - sl.start
-        self.ncone = at
-        self.cone = _cone_spec([con.dim for con, _ in self.blocks if con.cone == "psd"], at)
+        self.congruence = primal.meta["congruence"]
+        self.var_slices, self.blocks = primal.variables, primal.constraints
+        self.ncone = primal.F.shape[0]
+        # the PSD blocks, then one orthant block (m >= 1 row sums) for the rest
+        psd = tuple(("s", con.dim) for con, _ in self.blocks if con.cone == "psd")
+        self.cone = ConeSpec(psd + (("l", self.ncone - sum(svec_dim(k) for _, k in psd)),))
         self.h_slice = next(sl for con, sl in self.blocks if con.dual == "H")
 
-        self.A_raw = -primal.F[np.concatenate(rows)].T
-        self.b_raw = primal.objective
-        self.d, self.A, self.b, self.psd_rows = _equilibrated(primal, self.A_raw)
+        self.A_raw, self.b_raw = -primal.F.T, primal.objective
+        self.d = np.maximum(
+            np.maximum(np.linalg.norm(self.A_raw, axis=1), np.abs(self.b_raw)), 1.0e-12
+        )
+        self.A, self.b = self.A_raw / self.d[:, None], self.b_raw / self.d
+        # the one place the Schur complement's path is chosen
+        structured = self.congruence["U"].shape[1] >= _STRUCTURED_MIN_DIM
+        self.psd_rows = _LmiGram(self.congruence, self.var_slices, self.d) if structured else None
 
     def reconstruct(self, x: np.ndarray) -> dict:
         """The dual blocks H, f, g, X (Z) from multiplier coordinates."""
@@ -443,83 +374,77 @@ class DualForm:
         tol_eq = TOL_EQ * (1.0 + float(np.max(np.abs(self.b_raw))))
         return max_eq <= tol_eq and max_cone <= CONE_TOL, max_eq, max_cone
 
+    def verify_primal(self, z: np.ndarray) -> float:
+        """Worst cone violation of the primal's rows F z."""
+        rows = -(self.A_raw.T @ z)
+        return max((_cone_violation(con, rows[sl]) for con, sl in self.blocks), default=0.0)
+
 
 def build_dual(problem: SdpFeasibilityProblem) -> DualForm:
-    """The dual LMI of the primal, transposed from its dense form."""
+    """The one conic form of the primal and its dual LMI, transposed from
+    the primal's dense form."""
     return DualForm(problem)
 
 
-def _farkas_quality(dual: DualForm, y: np.ndarray):
-    """(b.y-normalized certificate violation, or None if no certificate)."""
-    by = float(dual.b @ y)
-    if by <= 0.0:
-        return None
-    xi = -(dual.A.T @ (y / by))
-    return max(
-        (_cone_violation(con, xi[sl]) for con, sl in dual.blocks),
-        default=0.0,
-    )
-
-
-def _primal_true_margin(problem: SdpFeasibilityProblem, assignment: dict) -> float:
+def _primal_true_margin(form: DualForm, assignment: dict) -> float:
     """Achieved margin -lambda_max of the strict LMI at this assignment,
     from L(P, M) read off the congruence, not from F, with M on its cone."""
-    P, M = assignment["P"], multiplier_matrix(assignment, problem.meta["system"].nl_class)
-    core = _lmi_matrix(problem.meta["congruence"], P, M)
+    P, M = assignment["P"], multiplier_matrix(assignment, form.system.nl_class)
+    core = _lmi_matrix(form.congruence, P, M)
     w = np.linalg.eigvalsh(0.5 * (core + core.T))
     return -float(w[-1])
 
 
-def solve(problem: SdpFeasibilityProblem) -> SolveResult:
-    """Maximize the margin t of the primal LMI until an iterate certifies.
+def solve(form: DualForm) -> SolveResult:
+    """Maximize the margin t of the primal LMI, the y side of the form at
+    c = 0, until an iterate certifies.
 
-    An iterate z certifies when t = objective.z and the achieved margin
+    An iterate z = y / d certifies when t = b_raw.z and the achieved margin
     -lambda_max(L(P, M)), read at M moved onto its cone, both reach
     PRIMAL_MARGIN: that is the certificate's whole validity, so the IPM's
-    raw rows (the boxes, the cap on t, the t-shifted LMI block and M's
-    cone rows) do not gate it.  The IPM tests this before anything else
-    and stops at the first iterate that passes ("accepted"), which is then
-    "feasible"; its raw rows are measured once, for the residuals
-    reported.  The reported margin of a feasible result is therefore the
-    achieved -lambda_max(L) of the returned certificate, a lower bound on
-    the optimum min(t*, 1), not the optimum itself.  No iterate of an
-    infeasible primal passes the test on t, so it runs to its optimum t* = 0,
-    and a converged optimum below the threshold, with its raw rows in
-    their cones, is "infeasible".  Anything undecided comes back
+    raw rows (the t-shifted LMI block and M's cone rows) do not gate it.
+    The IPM tests this before anything else and stops at the first iterate
+    that passes ("accepted"), which is then "feasible"; its raw rows are
+    measured once, for the residuals reported.  The reported margin of a
+    feasible result is therefore the achieved -lambda_max(L) of the
+    returned certificate, not an optimum: the rows are homogeneous, and a
+    feasible primal's margin is unbounded.  No iterate of an infeasible
+    primal passes the test on t, so it runs to its optimum t* = 0, and a
+    converged optimum below the threshold, with its raw rows in their
+    cones, is "infeasible".  Anything undecided comes back
     "numerical_limit".
     """
-    form = _Inequality(problem)
     accepted = []  # (assignment, achieved margin) of the iterate accepted
 
     def certifies(y: np.ndarray) -> bool:
         z = y / form.d
-        if form.objective @ z < PRIMAL_MARGIN:
+        if form.b_raw @ z < PRIMAL_MARGIN:
             return False
         assignment = _reconstruct(form.var_slices, z)
-        true_margin = _primal_true_margin(problem, assignment)
+        true_margin = _primal_true_margin(form, assignment)
         if true_margin < PRIMAL_MARGIN:
             return False
         accepted.append((assignment, true_margin))
         return True
 
-    res = solve_conic(form.A, form.b, form.F0, form.cone, accept=certifies,
+    res = solve_conic(form.A, form.b, np.zeros(form.ncone), form.cone, accept=certifies,
                       psd_rows=form.psd_rows)
     z = res.y / form.d
-    ok, max_eq, max_cone = form.verify(z)
+    max_cone = form.verify_primal(z)
     if res.status == "accepted":
         # res.y is the iterate certifies passed, bit for bit
         status = "feasible"
         assignment, margin = accepted[-1]
     else:
         assignment = _reconstruct(form.var_slices, z)
-        if res.status == "optimal" and ok:
-            status, margin = "infeasible", form.objective @ z
+        if res.status == "optimal" and max_cone <= CONE_TOL:
+            status, margin = "infeasible", form.b_raw @ z
         else:
-            status, margin = "numerical_limit", _primal_true_margin(problem, assignment)
+            status, margin = "numerical_limit", _primal_true_margin(form, assignment)
     return SolveResult(
         status=status,
         assignment=assignment,
-        residuals=Residuals(max_eq, max_cone, margin=float(margin)),
+        residuals=Residuals(0.0, max_cone, margin=float(margin)),
         diagnostics={"ipm_status": res.status, "ipm_iterations": res.iterations},
     )
 
@@ -574,8 +499,8 @@ def reduce_rank(dual: DualForm, deflate: bool) -> SolveResult:
     straight off the point, so leftover solver noise would show up as
     spurious slope defects; conic.IPM_TOL is tight for that reason.  A
     steer point that fails verification ends the pass: its Farkas
-    certificate is checked independently (_farkas_quality), and one that
-    passes makes the result "infeasible", with the certificate in the
+    certificate is checked as a primal point (DualForm.verify_primal), and
+    one that passes makes the result "infeasible", with the certificate in the
     diagnostics read in the primal's coordinates (P, M, t = 1); otherwise
     "numerical_limit".
 
@@ -597,14 +522,16 @@ def reduce_rank(dual: DualForm, deflate: bool) -> SolveResult:
     res, best_assign, (ok, best_eq, best_cone) = _solve_point(dual, -steer)
     diagnostics = {"ipm_status": res.status, "ipm_iterations": res.iterations}
     if not ok:
-        q = _farkas_quality(dual, res.y)
+        # a Farkas certificate y reads as the primal point z with t = 1
+        by, q = float(dual.b @ res.y), None
+        if by > 0.0:
+            z = res.y / by / dual.d
+            q = dual.verify_primal(z)
         diagnostics["farkas_quality"] = q
         status = "numerical_limit"
         if q is not None and q <= _FARKAS_TOL:
             status = "infeasible"
-            diagnostics["certificate"] = _reconstruct(
-                dual.var_slices, res.y / float(dual.b @ res.y) / dual.d
-            )
+            diagnostics["certificate"] = _reconstruct(dual.var_slices, z)
         return SolveResult(status, best_assign, Residuals(best_eq, best_cone), diagnostics)
 
     best_ratio, best_V, best_h = _rank_ratio(best_assign["H"])

@@ -17,18 +17,17 @@ it from there, and the Pi form is only the reference it is tested against.
 P is a free symmetric variable: Schur stability of A makes P > 0 follow
 from the inequality.  build_primal returns the primal's dense form: the
 decision coordinates z of the free variables (P, M, t), and constraint
-rows F0 + F z that must lie in cones.  This module owns those
-coordinates, and writes every coefficient from the structure: the LMI's
-from the congruence terms, every other row as an incidence of the
-coordinates.
+rows F z that must lie in cones.  This module owns those coordinates, and
+writes every coefficient from the structure: the LMI's from the
+congruence terms, every other row as an incidence of the coordinates.
 
-Dual: it is not written here.  The primal's constraints that vanish at
-zero (F0 = 0) form a homogeneous system in z, and by the theorem of
-alternatives (Boyd & Vandenberghe, Convex Optimization, sec. 5.8) it has
-no solution with t > 0 exactly when some y in their cone satisfies
-F_h^T y = -e_t.  The engine builds that adjoint from F.  Each homogeneous
-constraint names the dual block its multiplier carries (ConeConstraint.dual,
-read through DUAL_SCALE), which gives the paper's dual
+Dual: it is not written here.  Every row is homogeneous in z, and by the
+theorem of alternatives (Boyd & Vandenberghe, Convex Optimization,
+sec. 5.8) F z in K has no solution with t > 0 exactly when some y in K
+satisfies F^T y = -e_t.  The engine builds that adjoint from F.  Each
+constraint names the dual block its multiplier carries
+(ConeConstraint.dual, read through DUAL_SCALE), which gives the paper's
+dual
 
     [A B] H [A B]^T = [I 0] H [I 0]^T,   trace(H) = 1,   H PSD,
     Y(H) := [0 I] H ([C D] - [0 I])^T  =  1 f^T + g 1^T + X      (DHD)
@@ -39,7 +38,6 @@ with f, g >= 0 and X, Z zero-diagonal with nonpositive entries.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -58,8 +56,6 @@ __all__ = [
     "primal_lmi_matrix",
 ]
 
-BOX_BOUND = 1.0e4
-
 # how a constraint's rows are read, per cone: as the coordinates of the
 # variable kind named
 _CONE_KINDS = {"psd": "sym", "nonneg": "vector", "hollow_nonneg": "hollow"}
@@ -67,8 +63,7 @@ _CONE_KINDS = {"psd": "sym", "nonneg": "vector", "hollow_nonneg": "hollow"}
 # A dual block is DUAL_SCALE[cone] * y^T for the multiplier y of the
 # constraint that names it: the multiplier of lmi_margin is H itself, of
 # row_sums 2 f, of col_sums 2 g, of m_offdiag_nonpos (DHD) or dom_hi (DD)
-# -2 X^T, and of dom_lo -2 Z^T.  The rows with F0 != 0 (the box and the cap)
-# have no dual block.
+# -2 X^T, and of dom_lo -2 Z^T.
 DUAL_SCALE = {"psd": 1.0, "nonneg": 0.5, "hollow_nonneg": -0.5}
 
 
@@ -95,14 +90,13 @@ class ConeConstraint:
     nonnegative off-diagonal entries; the diagonal has no rows).  dim is
     the matrix dimension, or the length of a vector; the rows are the
     coordinates of the variable kind the cone is read as (kind).  dual
-    names the dual block carried by the multiplier of a homogeneous
-    constraint.
+    names the dual block carried by the constraint's multiplier.
     """
 
     name: str
     cone: str
     dim: int
-    dual: Optional[str] = None
+    dual: str
 
     @property
     def kind(self) -> str:
@@ -111,8 +105,8 @@ class ConeConstraint:
 
 @dataclass(frozen=True, eq=False)
 class SdpFeasibilityProblem:
-    """The primal's dense form: rows F0 + F z over the decision coordinates
-    z, each constraint's rows in its cone, with objective.z maximized.
+    """The primal's dense form: rows F z over the decision coordinates z,
+    each constraint's rows in its cone, with objective.z maximized.
 
     variables holds (VarSpec, coordinate slice) and constraints
     (ConeConstraint, row slice), in order, PSD constraints first.
@@ -120,7 +114,6 @@ class SdpFeasibilityProblem:
 
     variables: tuple
     constraints: tuple
-    F0: np.ndarray
     F: np.ndarray
     objective: np.ndarray
     meta: dict = field(default_factory=dict)
@@ -258,17 +251,16 @@ def _lmi_coefficients(congruence: dict, v) -> np.ndarray:
 def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
     """Assemble the max-margin strict-feasibility problem for the primal.
 
-    Strictness is decided by maximizing t in L <= -t I, with t <= 1, under
-    box bounds on P and on the diagonal of M, which makes the homogeneous
-    problem numerically well-posed.  The caller declares the primal strictly
-    feasible when the reported margin t* clears its threshold.  The cone of
-    M is DHD for the slope class and DD for the odd one; M_ii >= 0 (and
-    M_abs >= 0 for DD) is implied by the constraints below and not stated.
+    Strictness is decided by maximizing t in L <= -t I.  Every row is
+    homogeneous in z, so a solution with t > 0 scales to any margin: the
+    caller stops at the first point whose margin clears its threshold, and
+    an infeasible primal's optimum is t* = 0.  The cone of M is DHD for the
+    slope class and DD for the odd one; M_ii >= 0 (and M_abs >= 0 for DD)
+    is implied by the constraints below and not stated.
 
     Every coefficient is written from the structure: the LMI's columns from
     the congruence terms, every other row as an incidence of the
-    coordinates.  The boxes are stated in units of the bound, which keeps
-    every constant of F0 at O(1).
+    coordinates.
     """
     if not sys.band.is_reduced:
         raise StructuralError("the primal LMI is defined on the band [0, 1] only")
@@ -291,45 +283,36 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
     for v in variables:
         if v.name in congruence["terms"]:
             lmi[v.name] = -_lmi_coefficients(congruence, v).T
-    # P_ij is z_k / w_k, with w_k the svec weight of its coordinate
-    p_box = np.diag(1.0 / (_matrix_entries(variables[0])[2] * BOX_BOUND))
     rows, cols = _offdiag_pairs(m)
     row_sums = (rows == np.arange(m)[:, None]).astype(float)
     col_sums = (cols == np.arange(m)[:, None]).astype(float)
     eye_m, eye_h = np.eye(m), np.eye(rows.size)
 
-    # (constraint, its F0, {variable: its block of F}), PSD first
-    spec = [
-        (ConeConstraint("lmi_margin", "psd", n + m, dual="H"), 0.0, lmi),
-        (ConeConstraint("margin_cap", "nonneg", 1), 1.0, {"t": -np.eye(1)}),
-        (ConeConstraint("p_box_hi", "nonneg", svec_dim(n)), 1.0, {"P": -p_box}),
-        (ConeConstraint("p_box_lo", "nonneg", svec_dim(n)), 1.0, {"P": p_box}),
-        (ConeConstraint("m_diag_box", "nonneg", m), 1.0, {"M_diag": -eye_m / BOX_BOUND}),
-    ]
     # the sums run over M_abs (DD) or M_offdiag (DHD)
     summed, sign = ("M_abs", -1.0) if odd else ("M_offdiag", 1.0)
-    spec += [
-        (ConeConstraint("row_sums", "nonneg", m, dual="f"), 0.0,
+    # (constraint, {variable: its block of F}), PSD first
+    spec = [
+        (ConeConstraint("lmi_margin", "psd", n + m, dual="H"), lmi),
+        (ConeConstraint("row_sums", "nonneg", m, dual="f"),
          {"M_diag": eye_m, summed: sign * row_sums}),
-        (ConeConstraint("col_sums", "nonneg", m, dual="g"), 0.0,
+        (ConeConstraint("col_sums", "nonneg", m, dual="g"),
          {"M_diag": eye_m, summed: sign * col_sums}),
     ]
     if odd:
         spec += [
-            (ConeConstraint("dom_hi", "hollow_nonneg", m, dual="X"), 0.0,
+            (ConeConstraint("dom_hi", "hollow_nonneg", m, dual="X"),
              {"M_abs": eye_h, "M_offdiag": -eye_h}),
-            (ConeConstraint("dom_lo", "hollow_nonneg", m, dual="Z"), 0.0,
+            (ConeConstraint("dom_lo", "hollow_nonneg", m, dual="Z"),
              {"M_abs": eye_h, "M_offdiag": eye_h}),
         ]
     else:
-        spec.append((ConeConstraint("m_offdiag_nonpos", "hollow_nonneg", m, dual="X"), 0.0,
+        spec.append((ConeConstraint("m_offdiag_nonpos", "hollow_nonneg", m, dual="X"),
                      {"M_offdiag": -eye_h}))
 
-    blocks, nrows = _layout([con for con, _, _ in spec])
+    blocks, nrows = _layout([con for con, _ in spec])
     at = {v.name: sl for v, sl in var_slices}
-    F0, F = np.zeros(nrows), np.zeros((nrows, nz))
-    for (_, sl), (_, f0, coefficients) in zip(blocks, spec):
-        F0[sl] = f0
+    F = np.zeros((nrows, nz))
+    for (_, sl), (_, coefficients) in zip(blocks, spec):
         for name, block in coefficients.items():
             F[sl, at[name]] = block
     objective = np.zeros(nz)
@@ -337,7 +320,6 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
     return SdpFeasibilityProblem(
         variables=tuple(var_slices),
         constraints=tuple(blocks),
-        F0=F0,
         F=F,
         objective=objective,
         meta={"system": sys, "congruence": congruence},

@@ -286,17 +286,18 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         pipe["inconclusive_detail"] = str(exc)
         return report("inconclusive")
 
-    # a linear gain with an equilibrium rules out a strict LMI solution, so
-    # the primal is built for the dual but not solved; the equilibrium at
-    # its eigenvector is the known one, and the search does not run
+    # one conic form serves the primal solve and the dual pass.  A linear
+    # gain with an equilibrium rules out a strict LMI solution, so the
+    # primal is not solved; the equilibrium at its eigenvector is the known
+    # one, and the search does not run
     linear = linear_equilibrium(unit)
-    primal = build_primal(unit)
+    form = build_dual(build_primal(unit))
     known = source = None
     if linear is not None:
         pipe["linear_equilibrium"], known = linear
         source = "linear"
     else:
-        primal_res = solve(primal)
+        primal_res = solve(form)
         pipe["primal_status"] = primal_res.status
         pipe["primal_ipm_status"] = primal_res.diagnostics["ipm_status"]
         pipe["primal_ipm_iterations"] = primal_res.diagnostics["ipm_iterations"]
@@ -320,7 +321,7 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
                 return report("inconclusive")
             source = "search"
 
-    reduced = reduce_rank(build_dual(primal), deflate=known is None)
+    reduced = reduce_rank(form, deflate=known is None)
     feasible = reduced.status == "feasible"
     pipe["dual_status"] = reduced.status
     dual_dict = {

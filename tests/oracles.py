@@ -23,7 +23,7 @@ import numpy as np
 
 from lurestab.conic import ConeSpec, smat
 from lurestab.engine import build_dual, reduce_rank, solve
-from lurestab.lmi import BOX_BOUND, build_primal
+from lurestab.lmi import build_primal
 from lurestab.multipliers import build_multiplier
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
 
@@ -182,9 +182,9 @@ def audit_duality(sys: StateSpaceSystem, seed: int = 0) -> DualityAuditReport:
     primal margin clears its threshold AND the dual is decisively feasible.
     Borderline numerical_limit outcomes count as non-decisive.
     """
-    problem = build_primal(sys)
-    primal = solve(problem)
-    dual = reduce_rank(build_dual(problem), deflate=False)  # its status is read
+    form = build_dual(build_primal(sys))
+    primal = solve(form)
+    dual = reduce_rank(form, deflate=False)  # its status is read
     margin = primal.residuals.margin if primal.residuals.margin is not None else -np.inf
     primal_decisive = primal.status == "feasible" and margin >= 1e-7
     dual_decisive = dual.status == "feasible"
@@ -202,10 +202,8 @@ def primal_constraints(sys: StateSpaceSystem, v: dict) -> dict:
 
     lmi_margin is -L(P, M) - t I with L in the paper's form
     [A B]^T P [A B] - [I 0]^T P [I 0] + [C D; 0 I]^T Pi [C D; 0 I] and
-    M = diag(M_diag) + M_offdiag; the boxes are 1 -+ P_ij / BOX_BOUND on the
-    upper triangle and 1 - M_ii / BOX_BOUND; then the row and column sums
-    and the sign conditions of the DHD cone, or of the DD cone through
-    M_abs.  The hollow constraints are matrices, read off the diagonal.
+    M = diag(M_diag) + M_offdiag; then the row and column sums and the sign
+    conditions of the DHD cone, or of the DD cone through M_abs.  The hollow constraints are matrices, read off the diagonal.
     """
     n, m = sys.n, sys.m
     P, d, off, t = v["P"], v["M_diag"], v["M_offdiag"], v["t"][0]
@@ -214,14 +212,7 @@ def primal_constraints(sys: StateSpaceSystem, v: dict) -> dict:
     W = np.vstack([np.hstack([sys.C, sys.D]), np.hstack([np.zeros((m, n)), np.eye(m)])])
     pi = build_multiplier(np.diag(d) + off, sys.band).pi
     L = AB.T @ P @ AB - I0.T @ P @ I0 + W.T @ pi @ W
-    upper = P[np.triu_indices(n)]
-    out = {
-        "lmi_margin": -L - t * np.eye(n + m),
-        "margin_cap": np.array([1.0 - t]),
-        "p_box_hi": 1.0 - upper / BOX_BOUND,
-        "p_box_lo": 1.0 + upper / BOX_BOUND,
-        "m_diag_box": 1.0 - d / BOX_BOUND,
-    }
+    out = {"lmi_margin": -L - t * np.eye(n + m)}
     if sys.nl_class is NonlinearityClass.SLOPE_ODD:
         M_abs = v["M_abs"]
         out.update({

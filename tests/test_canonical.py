@@ -1,4 +1,4 @@
-"""The primal's dense form F0 + F z, written by build_primal from the
+"""The primal's dense form F z, written by build_primal from the
 structure, against every constraint written from the paper's definitions."""
 
 import dataclasses
@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lurestab import engine
-from lurestab.conic import svec
-from lurestab.lmi import BOX_BOUND, build_primal
+from lurestab.lmi import build_primal
 from lurestab.multipliers import build_multiplier
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
 from oracles import primal_constraints
@@ -46,13 +45,13 @@ def _random_system(seed, n, m, odd, band=SlopeBand(0.0, 1.0)):
 
 
 def _assert_rows_from_definitions(sysm, seed=0):
-    """F0 + F z at random z equals each constraint at the assignment the
+    """F z at random z equals each constraint at the assignment the
     engine reads off z."""
     problem = build_primal(sysm)
     rng = np.random.default_rng(seed)
     for _ in range(3):
         z = rng.normal(size=problem.objective.size)
-        rows = problem.F0 + problem.F @ z
+        rows = problem.F @ z
         expect = primal_constraints(sysm, engine._reconstruct(problem.variables, z))
         assert [con.name for con, _ in problem.constraints] == list(expect)
         for con, sl in problem.constraints:
@@ -100,18 +99,6 @@ def test_rows_follow_the_definitions_on_a_normalized_general_band():
 )
 def test_rows_follow_the_definitions_property(seed, n, m, odd):
     _assert_rows_from_definitions(_random_system(seed, n, m, odd), seed)
-
-
-@pytest.mark.parametrize("size", [2, 4, 8, 20])
-def test_p_box_columns_are_exact(size):
-    # -1 / (w BOX_BOUND) bit for bit, not a difference of two evaluations
-    problem = build_primal(_ladder()[size])
-    at = {v.name: sl for v, sl in problem.variables}
-    rows = {con.name: sl for con, sl in problem.constraints}
-    # svec's weights: 1 on the diagonal, sqrt 2 off it
-    column = np.diag(-1.0 / (svec(np.ones((size, size))) * BOX_BOUND))
-    assert np.array_equal(problem.F[rows["p_box_hi"], at["P"]], column)
-    assert np.array_equal(problem.F[rows["p_box_lo"], at["P"]], -column)
 
 
 def test_build_multiplier_rejects_a_nonsquare_stack():

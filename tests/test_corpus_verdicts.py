@@ -180,7 +180,8 @@ def test_a_linear_equilibrium_skips_the_primal_and_only_on_unstable_loops(
     assert len(fired) == 13 and {"sys_slope", "sys_slope_odd"} <= set(fired)
     for case, *_ in corpus_runs:
         if case.name in fired:
-            assert engine.solve(build_primal(_unit(case))).status != "feasible", case.name
+            form = engine.build_dual(build_primal(_unit(case)))
+            assert engine.solve(form).status != "feasible", case.name
 
 
 def test_a_search_witness_after_the_primal_and_the_dual(corpus_runs):
@@ -196,6 +197,23 @@ def test_a_search_witness_after_the_primal_and_the_dual(corpus_runs):
     assert calls == 2 and len(passes) == 1 and passes[0][0] == 1
     assert pipe["witness_source"] == "search"
     assert report["verdict"] == "not_absolutely_stable"
+
+
+def test_one_form_serves_the_primal_solve_and_the_dual_pass(corpus, monkeypatch):
+    # corpus-43 runs both the primal and the dual pass (above): analyze
+    # transposes its primal once and hands that one form to both
+    built, solved, reduced = [], [], []
+    report = lurestab.report
+    build, solve, reduce = report.build_dual, report.solve, report.reduce_rank
+    monkeypatch.setattr(report, "build_dual", lambda p: built.append(build(p)) or built[-1])
+    monkeypatch.setattr(report, "solve", lambda form: solved.append(form) or solve(form))
+    monkeypatch.setattr(report, "reduce_rank",
+                        lambda form, deflate: reduced.append(form) or reduce(form, deflate))
+    [case] = [case for case in corpus if case.name == "corpus-43"]
+    assert analyze(_system(case)).verdict == "not_absolutely_stable"
+    [form] = built
+    assert isinstance(form, engine.DualForm)
+    assert solved == reduced == [form]
 
 
 def test_every_rank_stop_seen_is_documented(corpus_runs):

@@ -13,7 +13,7 @@ from cones import ConeTag, is_member
 from lurestab import conic, engine, report
 from lurestab.engine import build_dual, reduce_rank, solve
 from lurestab.equilibria import MAX_CHANNELS
-from lurestab.lmi import BOX_BOUND, build_primal, multiplier_matrix, primal_lmi_matrix
+from lurestab.lmi import build_primal, multiplier_matrix, primal_lmi_matrix
 from lurestab.report import analyze
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
 from oracles import output_coupling_block, primal_constraints, state_equality_block
@@ -22,7 +22,8 @@ BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def _dual(sysm):
-    """The dual LMI of a plant, transposed from its primal."""
+    """The one conic form of a plant's primal and dual LMIs, transposed
+    from its primal."""
     return build_dual(build_primal(sysm))
 
 
@@ -49,21 +50,20 @@ def _bench(name):
 
 
 def test_margin_primal_infeasible_on_slope_example(slope_example):
-    res = solve(build_primal(slope_example))
+    res = solve(_dual(slope_example))
     assert res.status == "infeasible"
     assert res.residuals.margin is not None
     assert res.residuals.margin < 1.0e-7
 
 
 def test_margin_primal_infeasible_on_odd_example(odd_example):
-    res = solve(build_primal(odd_example))
+    res = solve(_dual(odd_example))
     assert res.status == "infeasible"
     assert res.residuals.margin < 1.0e-7
 
 
 def test_decoupled_primal_feasible_with_margin(decoupled_example):
-    problem = build_primal(decoupled_example)
-    res = solve(problem)
+    res = solve(_dual(decoupled_example))
     assert res.status == "feasible"
     assert res.residuals.margin >= 1.0e-7
 
@@ -422,11 +422,11 @@ def test_reduce_rank_stops_after_a_round_it_does_not_keep(segment, monkeypatch):
 
 
 def test_primal_verify_reads_the_constraint_rows(slope_example, odd_example, decoupled_example):
-    # the worst cone violation of F0 + F z at the returned point equals the
+    # the worst cone violation of F z at the returned point equals the
     # one of the constraints written from their definitions
     for sysm in (slope_example, odd_example, decoupled_example):
-        problem = build_primal(sysm)
-        res, form = solve(problem), engine._Inequality(problem)
+        form = _dual(sysm)
+        res = solve(form)
         z = np.concatenate([
             engine._scalarize(res.assignment[v.name], v.kind) for v, _ in form.var_slices
         ])
@@ -438,8 +438,7 @@ def test_primal_verify_reads_the_constraint_rows(slope_example, odd_example, dec
             elif value.size:
                 value = engine._scalarize(value, con.kind)
                 violation = max(violation, -np.min(value, initial=np.inf))
-        _, _, max_cone = form.verify(z)
-        assert abs(max_cone - max(violation, 0.0)) <= 1.0e-12
+        assert abs(form.verify_primal(z) - max(violation, 0.0)) <= 1.0e-12
 
 
 def test_feasible_primal_measures_its_certificate_once(decoupled_example, monkeypatch):
@@ -453,7 +452,7 @@ def test_feasible_primal_measures_its_certificate_once(decoupled_example, monkey
         return real(problem, assignment)
 
     monkeypatch.setattr(engine, "_primal_true_margin", recording)
-    res = solve(build_primal(decoupled_example))
+    res = solve(_dual(decoupled_example))
     assert res.status == "feasible"
     assert res.diagnostics["ipm_status"] == "accepted"
     assert sum(np.array_equal(P, res.assignment["P"]) for P in seen) == 1
@@ -593,7 +592,7 @@ def _seeded_system(seed, n, m, odd=False, gain=1.0):
 def test_primal_schur_complement_is_indexed_by_decision_coordinates(monkeypatch, odd):
     n = m = 3
     rows = _capture_primal_rows(monkeypatch)
-    solve(build_primal(_seeded_system(20, n, m, odd)))
+    solve(_dual(_seeded_system(20, n, m, odd)))
     # P, M_diag, M_offdiag and t, plus M_abs for DD: no slack rows
     expect = n * (n + 1) // 2 + m + m * (m - 1) + 1 + (m * (m - 1) if odd else 0)
     assert rows == [expect]
@@ -607,7 +606,7 @@ def test_primal_dd_scalar_channel_on_a_general_band(monkeypatch):
         np.array([[0.5]]), np.array([[0.1]]), np.array([[0.1]]), np.array([[0.0]]),
         SlopeBand(-0.3, 1.5), NonlinearityClass.SLOPE_ODD,
     )
-    res = solve(build_primal(normalize_band(sysm)))
+    res = solve(_dual(normalize_band(sysm)))
     # P, M_diag and t; both hollow variables have no coordinates at m = 1
     assert rows == [3]
     assert res.status == "feasible"
@@ -643,14 +642,12 @@ def test_primal_output_holds_from_definitions(slope_example, odd_example, decoup
     statuses = []
     for sysm in _primal_cases(slope_example, odd_example, decoupled_example):
         odd = sysm.nl_class is NonlinearityClass.SLOPE_ODD
-        problem = build_primal(sysm)
-        res = solve(problem)
+        res = solve(_dual(sysm))
         statuses.append(res.status)
         assert res.status in ("feasible", "infeasible")
         P = res.assignment["P"]
         M = np.diag(res.assignment["M_diag"]) + res.assignment["M_offdiag"]
         assert np.array_equal(P, P.T)
-        assert np.max(np.abs(P)) <= BOX_BOUND
         assert is_member(M, ConeTag.DD if odd else ConeTag.DHD).member
         assert res.residuals.max_equality == 0.0
         if res.status == "feasible":
@@ -693,17 +690,17 @@ def test_dual_point_is_the_one_steered_solve(monkeypatch, request, fixture):
 
 
 def test_dual_point_does_not_depend_on_how_the_primal_ended(monkeypatch, slope_example):
-    # the dual is transposed from the primal's dense form alone: neither a
-    # capped nor a converged primal solve moves its point
-    problem = build_primal(slope_example)
-    before = reduce_rank(build_dual(problem), deflate=False)
+    # the dual pass reads the form alone: neither a capped nor a converged
+    # primal solve over the same form moves its point
+    form = _dual(slope_example)
+    before = reduce_rank(form, deflate=False)
     with monkeypatch.context() as m:
         m.setattr(conic, "MAX_ITERS", 3)
-        capped = solve(problem)
+        capped = solve(form)
     assert capped.status == "numerical_limit"
     assert capped.diagnostics["ipm_status"] == "max_iters"
-    assert solve(problem).status == "infeasible"
-    after = reduce_rank(build_dual(problem), deflate=False)
+    assert solve(form).status == "infeasible"
+    after = reduce_rank(form, deflate=False)
     assert before.status == after.status == "feasible"
     assert np.array_equal(before.assignment["H"], after.assignment["H"])
 
@@ -722,9 +719,9 @@ def test_stable_analyze_stops_the_primal_at_its_first_certificate(monkeypatch):
 
 
 def test_a_certificate_is_accepted_whatever_the_raw_rows():
-    # the raw rows (the boxes, the cap on t, the t-shifted LMI block and
-    # M's cone rows) do not gate a certificate.  ladder-8's first
-    # certificate misses CONE_TOL on them by 0.31; yet its printed M, moved
+    # the raw rows (the t-shifted LMI block and M's cone rows) do not gate
+    # a certificate.  ladder-8's first certificate misses CONE_TOL on them
+    # by 0.63; yet its printed M, moved
     # onto its cone, passes the checker's repair, and L(P, M) clears
     # PRIMAL_MARGIN.  ladder-20 is left out for the time it takes
     checker = _bench("checker")
@@ -737,7 +734,7 @@ def test_a_certificate_is_accepted_whatever_the_raw_rows():
         assert primal["margin"] >= engine.PRIMAL_MARGIN
         iterations[case.name] = pipe["primal_ipm_iterations"]
         if case.name == "ladder-8":
-            assert primal["max_cone_violation"] == pytest.approx(0.31, abs=0.01)
+            assert primal["max_cone_violation"] == pytest.approx(0.63, abs=0.01)
             _, moved = checker.repair_multiplier(np.array(primal["M"]), case.odd)
             assert moved <= checker.CONE_TOL
             L, _ = checker.lmi_matrix(case, np.array(primal["P"]), np.array(primal["M"]))

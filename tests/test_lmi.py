@@ -12,7 +12,6 @@ from lurestab import (
 from lurestab.engine import build_dual
 from lurestab.conic import svec
 from lurestab.lmi import (
-    BOX_BOUND,
     VarSpec,
     _lmi_coefficients,
     _matrix_entries,
@@ -53,7 +52,8 @@ def test_primal_decision_variables_and_kinds():
     slices = {v.name: (sl.start, sl.stop) for v, sl in prob.variables}
     assert slices == {"P": (0, 3), "M_diag": (3, 6), "M_offdiag": (6, 12), "t": (12, 13)}
     assert np.array_equal(prob.objective, np.eye(13)[12])
-    assert prob.F.shape == (prob.F0.size, 13)
+    # the LMI block's svec of 5 x 5, the row and column sums, M's off-diagonal
+    assert prob.F.shape == (15 + 3 + 3 + 6, 13)
 
     prob_dd = build_primal(_random_system(1, odd=True))
     kinds_dd = {v.name: v.kind for v, _ in prob_dd.variables}
@@ -64,13 +64,9 @@ def test_primal_decision_variables_and_kinds():
 
 def test_primal_constraint_names_and_cones():
     # M_ii >= 0 and M_abs >= 0 are implied by the rest and not stated; each
-    # constraint that vanishes at zero names the dual block it carries
+    # constraint names the dual block it carries
     common = [
         ("lmi_margin", "psd", "H"),
-        ("margin_cap", "nonneg", None),
-        ("p_box_hi", "nonneg", None),
-        ("p_box_lo", "nonneg", None),
-        ("m_diag_box", "nonneg", None),
         ("row_sums", "nonneg", "f"),
         ("col_sums", "nonneg", "g"),
     ]
@@ -85,16 +81,18 @@ def test_primal_constraint_names_and_cones():
     ]
 
 
-def test_box_constraint_is_zero_at_the_bound():
-    prob = build_primal(_random_system(4))
-    rows = {c.name: sl for c, sl in prob.constraints}
-    assert np.array_equal(prob.F0[rows["p_box_hi"]], np.ones(3))
-    # P_00 is the first coordinate, with weight 1
-    z = np.zeros(prob.objective.size)
-    z[0] = BOX_BOUND
-    value = prob.F0 + prob.F @ z
-    assert np.array_equal(value[rows["p_box_hi"]], [0.0, 1.0, 1.0])
-    assert value[rows["p_box_lo"]][0] == 2.0
+@pytest.mark.parametrize("odd", [False, True], ids=["slope", "odd"])
+def test_every_row_of_the_primal_carries_a_dual_block(odd):
+    # every row of F is homogeneous and its constraint names a dual block,
+    # so the dual is F's whole transpose: one form serves both LMIs
+    prob = build_primal(_random_system(5, n=3, m=3, odd=odd))
+    assert all(con.dual is not None for con, _ in prob.constraints)
+    dual = build_dual(prob)
+    assert dual.blocks == prob.constraints and dual.ncone == prob.F.shape[0]
+    assert np.array_equal(dual.A_raw, -prob.F.T)
+    assert np.array_equal(dual.b_raw, prob.objective)
+    blocks = dual.reconstruct(np.ones(dual.ncone))
+    assert set(blocks) == ({"H", "f", "g", "X", "Z"} if odd else {"H", "f", "g", "X"})
 
 
 def test_primal_lmi_matrix_matches_congruence():

@@ -1,8 +1,9 @@
 """The LMI block's rows taken through the LMI's congruence structure
-(engine._LmiRows) against the dense rows: the Schur term against
+(engine._LmiGram) against the dense rows: the Schur term against
 B_p B_p^T, and B u, B^T y, A x and A^T y against the products with the
 dense A.  Also the one place the path is chosen, and the dual path above
-the crossover end to end."""
+the crossover end to end, with one form and one structured term per
+analysis."""
 
 import importlib.util
 import json
@@ -11,9 +12,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, conic, engine
+from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, conic, engine, report
 from lurestab.conic import _row_data, _Scaling, _UnformedB, svec
-from lurestab.engine import _Inequality, build_dual
+from lurestab.engine import build_dual
 from lurestab.lmi import build_primal
 from lurestab.system import normalize_band
 
@@ -70,57 +71,54 @@ def _interior_point(cone, rng):
 def test_structured_gram_matches_the_dense_product(monkeypatch, n, m, odd, band):
     monkeypatch.setattr(engine, "_STRUCTURED_MIN_DIM", 0)
     sysm = normalize_band(_random_system(10 * n + m, n, m, odd, band))
-    problem = build_primal(sysm)
-    primal, dual = _Inequality(problem), build_dual(problem)
+    form = build_dual(build_primal(sysm))
     rng = np.random.default_rng(n + 7 * m)
-    for form in (primal, dual):
-        assert form.psd_rows is not None
-        for _ in range(3):
-            # a random NT scaling of the form's cone
-            cone = form.cone
-            sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
-            (_, size, sl), R = cone.slices()[0], sc.blocks[0][2]
-            assert size == n + m
-            op, _ = sc.schur(form.A, _row_data(form.A, cone))
-            Bp = op.B[:, sl]
-            ref = Bp @ Bp.T
-            got = form.psd_rows.term(R)
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert np.array_equal(got, got.T)
+    assert form.psd_rows is not None
+    for _ in range(3):
+        # a random NT scaling of the form's cone
+        cone = form.cone
+        sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
+        (_, size, sl), R = cone.slices()[0], sc.blocks[0][2]
+        assert size == n + m
+        op, _ = sc.schur(form.A, _row_data(form.A, cone))
+        Bp = op.B[:, sl]
+        ref = Bp @ Bp.T
+        got = form.psd_rows.term(R)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(got, got.T)
 
 
 @pytest.mark.parametrize("n, m", [(10, 10), (12, 12)])
 @pytest.mark.parametrize("odd", [False, True], ids=["slope", "odd"])
 def test_structured_products_equal_the_dense_ones(n, m, odd):
     sysm = normalize_band(_random_system(n + 3 * m, n, m, odd))
-    problem = build_primal(sysm)
+    form = build_dual(build_primal(sysm))
     assert n + m >= engine._STRUCTURED_MIN_DIM
     rng = np.random.default_rng(n)
-    for form in (_Inequality(problem), build_dual(problem)):
-        A, cone = form.A, form.cone
-        rows = _row_data(A, cone, form.psd_rows)
-        a_op = _UnformedB(A.shape[0], cone, rows)
-        sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
-        b_op, _ = sc.schur(A, rows)
-        B, _ = sc.schur(A, _row_data(A, cone))
-        X = rng.normal(size=(2, A.shape[1]))
-        Y = rng.normal(size=(2, A.shape[0]))
-        for got, ref in [
-            (a_op.apply(X[0]), A @ X[0]),
-            (a_op.apply(X), X @ A.T),
-            (a_op.adjoint(Y[0]), A.T @ Y[0]),
-            (a_op.adjoint(Y), Y @ A),
-            (b_op.apply(X[0]), B.apply(X[0])),
-            (b_op.apply(X), B.apply(X)),
-            (b_op.adjoint(Y[0]), B.adjoint(Y[0])),
-            (b_op.adjoint(Y), B.adjoint(Y)),
-        ]:
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    A, cone = form.A, form.cone
+    rows = _row_data(A, cone, form.psd_rows)
+    a_op = _UnformedB(A.shape[0], cone, rows)
+    sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
+    b_op, _ = sc.schur(A, rows)
+    B, _ = sc.schur(A, _row_data(A, cone))
+    X = rng.normal(size=(2, A.shape[1]))
+    Y = rng.normal(size=(2, A.shape[0]))
+    for got, ref in [
+        (a_op.apply(X[0]), A @ X[0]),
+        (a_op.apply(X), X @ A.T),
+        (a_op.adjoint(Y[0]), A.T @ Y[0]),
+        (a_op.adjoint(Y), Y @ A),
+        (b_op.apply(X[0]), B.apply(X[0])),
+        (b_op.apply(X), B.apply(X)),
+        (b_op.adjoint(Y[0]), B.adjoint(Y[0])),
+        (b_op.adjoint(Y), B.adjoint(Y)),
+    ]:
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _takes_structured_path(case) -> bool:
-    return _Inequality(build_primal(normalize_band(_system(case)))).psd_rows is not None
+    return build_dual(build_primal(normalize_band(_system(case)))).psd_rows is not None
 
 
 def test_the_path_is_chosen_by_the_lmi_dimension():
@@ -135,23 +133,36 @@ def test_the_path_is_chosen_by_the_lmi_dimension():
 
 
 def test_the_lmi_gram_is_built_once_per_problem(monkeypatch):
-    # the primal solve and the dual transposed from the same problem share
-    # one structured term, each with its own row equilibration
-    built = []
+    # the primal solve and the dual pass of one analysis share one form and
+    # so one structured term, and nothing is cached on the problem
+    monkeypatch.setattr(engine, "_STRUCTURED_MIN_DIM", 0)
+    calls, built, problems = [], [], []
+    real = conic.solve_conic
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("psd_rows"))
+        return real(*args, **kwargs)
 
     class Counting(engine._LmiGram):
         def __init__(self, *args):
-            built.append(None)
+            built.append(self)
             super().__init__(*args)
 
+    def building(unit):
+        problems.append(build_primal(unit))
+        return problems[-1]
+
+    monkeypatch.setattr(engine, "solve_conic", spy)
     monkeypatch.setattr(engine, "_LmiGram", Counting)
-    case = next(c for c in _workloads().ladder() if c.name == "ladder-12")
-    problem = build_primal(normalize_band(_system(case)))
-    assert problem.meta["congruence"]["U"].shape[1] >= engine._STRUCTURED_MIN_DIM
-    engine.solve(problem)
-    dual = build_dual(problem)
-    assert dual.psd_rows is not None
-    assert len(built) == 1
+    monkeypatch.setattr(report, "build_primal", building)
+    case = next(c for c in _workloads().corpus() if c.name == "corpus-43")
+    rep = analyze(_system(case))
+    # the primal was solved and failed, and the dual pass ran
+    assert rep.primal is not None and rep.verdict == "not_absolutely_stable"
+    assert len(calls) == 2
+    assert len(problems) == len(built) == 1
+    assert all(rows is built[0] for rows in calls)
+    assert "lmi_gram" not in problems[0].meta
 
 
 def _destabilized_loop(n, seed):
@@ -188,18 +199,35 @@ def test_the_dual_path_above_the_crossover_finds_a_checked_equilibrium(monkeypat
         return real(*args, **kwargs)
 
     monkeypatch.setattr(engine, "solve_conic", spy)
+    built, problems = [], []
+
+    class Counting(engine._LmiGram):
+        def __init__(self, *args):
+            built.append(None)
+            super().__init__(*args)
+
+    def building(unit):
+        problems.append(build_primal(unit))
+        return problems[-1]
+
+    monkeypatch.setattr(engine, "_LmiGram", Counting)
+    monkeypatch.setattr(report, "build_primal", building)
     unit = normalize_band(sysm)
     reports = [analyze(sysm)]
+    # one form and one structured term per analysis, and nothing cached on
+    # the problem
+    assert len(problems) == len(built) == 1
+    assert set(problems[0].meta) == {"system", "congruence"}
     # analyze skips this loop's primal, which a linear equilibrium rules
     # out; solved directly, it fails, and it and every dual solve took the
     # structured path
     assert reports[0].primal is None
-    assert engine.solve(build_primal(unit)).status == "infeasible"
+    assert engine.solve(build_dual(build_primal(unit))).status == "infeasible"
     assert len(calls) >= 2 and all(calls)
     monkeypatch.setattr(engine, "_STRUCTURED_MIN_DIM", 10**9)
     structured = len(calls)
     reports.append(analyze(sysm))
-    assert engine.solve(build_primal(unit)).status == "infeasible"
+    assert engine.solve(build_dual(build_primal(unit))).status == "infeasible"
     assert len(calls) > structured and not any(calls[structured:])
     for rep in reports:
         body = json.loads(rep.to_json())

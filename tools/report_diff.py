@@ -13,11 +13,18 @@ For every input whose report text differs it prints
 with one indented line per JSON path that differs: both values for a
 scalar, a list's two lengths where they differ, and "absent" for a key
 only one side has.  An input whose analysis raises reads as the verdict
-"raised <exception name>", and one that a checkout lacks as "absent".  The last line counts the differing reports.
+"raised <exception name>", and one that a checkout lacks as "absent".
+Then one line counts the differing reports, and the output ends with one
+line per differing path, list indices folded, and the reports it differs
+in:
+
+    primal.P: 66 reports
 """
 
 import json
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 from report_bytes import reports
@@ -70,17 +77,22 @@ def main(argv=None) -> int:
     side_a = dict(reports(Path(argv[0]).resolve()))
     side_b = dict(reports(Path(argv[1]).resolve()))
     keys = {**side_a, **side_b}
-    moved = 0
+    moved, by_path = 0, Counter()
     for key in keys:
         if side_a.get(key) == side_b.get(key):
             continue
         moved += 1
         a, b = _parse(side_a.get(key)), _parse(side_b.get(key))
         print(f"{key}: {a['verdict']} -> {b['verdict']}")
+        paths = set()
         for path, x, y in differences(a, b):
             print(f"  {path}: {'absent' if x is _ABSENT else _show(x)} -> "
                   f"{'absent' if y is _ABSENT else _show(y)}")
+            paths.add(re.sub(r"\[\d+\]", "", path))
+        by_path.update(paths)
     print(f"{moved} of {len(keys)} reports differ")
+    for path, count in sorted(by_path.items()):
+        print(f"{path}: {count} reports")
     return 0
 
 
