@@ -24,8 +24,8 @@ the PSD block's rows may supply them as an object instead (psd_rows, as
 Benson, Ye & Zhang 2000 do for low-rank constraint matrices), which gives
 the block's term and its products with A: B is then never formed, and
 B u = A (W^T u), B^T y = W (A^T y) and the loop's A x and A^T y go through
-that block's structure and the orthant's nonzeros, never through the
-dense A.  B B^T is factored once and the diagonal blocks of its
+that block's structure and the orthant's nonzeros; A is then only the
+orthant's columns.  B B^T is factored once and the diagonal blocks of its
 Cholesky factor inverted once, so every Newton solve is matrix products
 with B, B^T and that factor; up to _TRSV_BLOCK rows the factor is one
 block, and a solve is two products with its inverse.  Step lengths are
@@ -507,14 +507,21 @@ def _orthant_rows(A_l: np.ndarray) -> _OrthantRows:
 def _row_data(A: np.ndarray, cone: ConeSpec, psd_rows=None) -> list:
     """What _Scaling.schur and _UnformedB need of the rows of A, per cone
     block: on a PSD block psd_rows if given, else the rows restricted to it
-    as (nrows, d, d); on an orthant block its nonzeros (_orthant_rows)."""
-    if psd_rows is not None and [tag for tag, _ in cone.blocks].count("s") != 1:
+    as (nrows, d, d); on an orthant block its nonzeros (_orthant_rows).
+    With psd_rows, A holds the orthant's columns only, in order."""
+    if psd_rows is None:
+        return [smat(A[:, sl], size) if tag == "s" else _orthant_rows(A[:, sl])
+                for tag, size, sl in cone.slices()]
+    if [tag for tag, _ in cone.blocks].count("s") != 1:
         raise ValueError("psd_rows needs a cone with exactly one PSD block")
-    return [
-        (psd_rows if psd_rows is not None else smat(A[:, sl], size))
-        if tag == "s" else _orthant_rows(A[:, sl])
-        for tag, size, sl in cone.slices()
-    ]
+    out, at = [], 0
+    for tag, size in cone.blocks:
+        if tag == "s":
+            out.append(psd_rows)
+        else:
+            out.append(_orthant_rows(A[:, at:at + size]))
+            at += size
+    return out
 
 
 def _scaled_newton(B, normal, r1, wr2, q):
@@ -651,10 +658,10 @@ def solve_conic(
     term(R) is the block's Schur term A_p W_p^T W_p A_p^T at the scaling
     factor R (G = R R^T, see _Scaling), apply(V, R) is A_p svec(R V R^T)
     for symmetric V (..., d, d), and adjoint(y, R) is R^T smat(A_p^T y) R,
-    both batched over leading axes and with R = I for None.  B = A W^T is
-    then never formed, and A itself is read only for its orthant's
-    nonzeros: every product with A or B goes through the blocks' rows
-    (_UnformedB).
+    both batched over leading axes and with R = I for None.  A then holds
+    only the orthant's columns, (nrows, the orthant's length), and is read
+    only for its nonzeros; B = A W^T is never formed, and every product
+    with A or B goes through the blocks' rows (_UnformedB).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)

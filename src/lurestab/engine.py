@@ -1,9 +1,10 @@
 """Feasibility engine: one conic form for both LMIs, verdicts, and the one
 pass over the dual.
 
-The primal LMI comes as its dense form (lmi.build_primal: decision
-coordinates z, homogeneous constraint rows F z in cones).  build_dual
-transposes it once into the interior-point core's standard pair
+The primal LMI comes as lmi.build_primal writes it (decision coordinates
+z, homogeneous constraint rows F z in cones, the LMI's given by its
+congruence).  build_dual transposes it once into the interior-point
+core's standard pair
 
     min c.x  s.t.  A x = b, x in K     and     max b.y  s.t.  c - A^T y in K,
 
@@ -14,15 +15,15 @@ its x side is the dual LMI, the Farkas alternative of the primal, whose
 coordinates are the multipliers of the primal's rows, read as the blocks
 H, f, g, X (and Z) through lmi.DUAL_SCALE.  From LMI dimension
 n + m = _STRUCTURED_MIN_DIM on, the LMI block's rows are taken through
-the congruence factors build_primal supplies (_LmiGram): its
-Schur term and every product with A or B = A W^T, which is never formed.
+the congruence factors build_primal supplies (_LmiGram) and never formed:
+their norms, the Schur term and every product with A or B = A W^T.
 
 solve reads the primal off the y side and stops at the first iterate that
-certifies (its margin t and the achieved -lambda_max of the strict LMI,
-at M moved onto its cone, both clear the threshold; the raw constraint
-rows are measured for the report but gate nothing), and only such an
-iterate makes it "feasible"; an infeasible primal runs to its optimum
-t* = 0.  reduce_rank makes the one pass over the x side: a steer solve
+certifies (the achieved -lambda_max of the strict LMI, at M moved onto
+its cone, clears the threshold, whatever the iterate's margin t; the raw
+constraint rows are measured for the report but gate nothing), and only
+such an iterate makes it "feasible"; an infeasible primal runs to its
+optimum t* = 0.  reduce_rank makes the one pass over the x side: a steer solve
 over the dual's feasible set, whose objective steers toward the branch the
 proof concludes on, returns a point or a Farkas certificate y.  Read in
 the primal's coordinates, that certificate is (P, M, t = 1) with F z in
@@ -44,17 +45,18 @@ conic.IPM_TOL.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .conic import ConeSpec, smat, solve_conic, svec, svec_dim
+from .conic import ConeSpec, smat, solve_conic, svec
 from .lmi import (
     DUAL_SCALE,
     SdpFeasibilityProblem,
     _lmi_matrix,
     _matrix_entries,
     _offdiag_pairs,
+    formed_rows,
     multiplier_matrix,
 )
 from .system import StateSpaceSystem
@@ -148,14 +150,50 @@ def _cone_violation(con, coords: np.ndarray) -> float:
     return float(max(0.0, -np.min(coords))) if coords.size else 0.0
 
 
+class _Family(NamedTuple):
+    """Adjacent variables with one set of LMI terms: their coordinates,
+    and each coordinate's entry (a, b) and weight w (_matrix_entries)."""
+
+    terms: tuple
+    dim: int
+    coords: slice
+    a: np.ndarray
+    b: np.ndarray
+    w: np.ndarray
+
+
+def _families(congruence: dict, var_slices) -> list:
+    """The variables with terms and coordinates, in order, each merged into
+    the family before it where that has its terms and ends where it starts
+    (M_diag and M_offdiag share M's)."""
+    families = []
+    for v, sl in var_slices:
+        terms = congruence["terms"].get(v.name)
+        if terms is None or sl.stop == sl.start:
+            continue
+        entries = _matrix_entries(v)
+        if families and families[-1].terms == terms and families[-1].coords.stop == sl.start:
+            last = families.pop()
+            entries = [np.concatenate(pair) for pair in zip(last[3:], entries)]
+            sl = slice(last.coords.start, sl.stop)
+        families.append(_Family(terms, v.dim, sl, *entries))
+    return families
+
+
+def _equilibration(norms: np.ndarray, b_raw: np.ndarray) -> np.ndarray:
+    """d_i = max(||row i||, |b_raw_i|, 1e-12), the row scaling of the IPM's
+    pair."""
+    return np.maximum(np.maximum(norms, np.abs(b_raw)), 1.0e-12)
+
+
 class _LmiGram:
     """The LMI block's rows of the IPM's A, equilibrated by d, through the
     congruence factors of lmi.lmi_congruence, without forming A or
     B = A W^T: the rows object conic.solve_conic takes as psd_rows.
 
-    Row i of the IPM's A holds, on the LMI block, svec(X_i) / d_i up to a
-    sign shared by all rows, X_i being the LMI's coefficient of decision
-    coordinate i.  At the block's NT scaling G = R R^T the Schur term is
+    Row i of the IPM's A holds, on the LMI block, svec(X_i) / d_i, X_i
+    being the LMI's coefficient of decision coordinate i.  At the block's
+    NT scaling G = R R^T the Schur term is
     S[i, j] = tr(G X_i G X_j) / (d_i d_j).  A coordinate of a variable with
     terms is X_i = w_i sum_k s_k (U_l^T E U_r + U_r^T E^T U_l), E the unit
     matrix at (a, b) (_matrix_entries), so with H = U G U^T and H_xy its
@@ -165,11 +203,17 @@ class _LmiGram:
                           (H_ll'[a, c] H_rr'[b, d] + H_lr'[a, d] H_rl'[b, c])
 
     for coordinate j at (c, d) with terms (l', r', s_l).  Variables with
-    the same terms form a family; for each pair of families the two sums
-    are Kronecker products of blocks of H, one small GEMM each into a
-    buffer that precomputed flat indices read.  The identity variable's
-    coefficient is I: tr(G X_i G) = 2 w_i sum_k s_k (U G^2 U^T)[r + b, l + a]
-    and tr(G G) = ||G||_F^2.  Coordinates of other variables have zero rows.
+    the same terms form a family (_families); for each pair of families the
+    two sums are Kronecker products of blocks of H, one small GEMM each
+    into a buffer that precomputed flat indices read, written family slice
+    by family slice.  The identity variable's coefficient is I:
+    tr(G X_i G) = 2 w_i sum_k s_k (U G^2 U^T)[r + b, l + a] and
+    tr(G G) = ||G||_F^2.  Coordinates of other variables have zero rows.
+
+    d is read off the same formula at G = I: ||X_i||_F^2 is its diagonal,
+    at H = U U^T, and n + m for the identity; with rest_sq, the squared
+    norm of each raw row outside the LMI block, and the raw right-hand
+    side b_raw, d_i = max(||row i||, |b_raw_i|, 1e-12), as DualForm's.
 
     The products read the same entries.  At a scaling factor R (I for A
     itself) and for symmetric V, with H = (U R) V (U R)^T,
@@ -182,71 +226,71 @@ class _LmiGram:
     coordinate's (a, b), plus y_t / d_t R^T R.
     """
 
-    def __init__(self, congruence: dict, var_slices, d: np.ndarray):
-        nrows, self.d = d.size, d
-        self.U = congruence["U"]
+    def __init__(self, congruence: dict, var_slices, rest_sq: np.ndarray, b_raw: np.ndarray):
+        nrows = b_raw.size
+        self.U = U = congruence["U"]
         self.identity = next(sl.start for v, sl in var_slices if v.name == congruence["identity"])
-        # families: [terms, dim, coordinates, a, b, w]
-        families, by_terms = [], {}
-        for v, sl in var_slices:
-            terms = congruence["terms"].get(v.name)
-            if terms is None or sl.stop == sl.start:
-                continue
-            entries = (np.arange(sl.start, sl.stop),) + _matrix_entries(v)
-            if terms in by_terms:
-                fam = by_terms[terms]
-                fam[2:] = [np.concatenate(pair) for pair in zip(fam[2:], entries)]
-            else:
-                by_terms[terms] = [terms, v.dim, *entries]
-                families.append(by_terms[terms])
-        self.families = families
+        self.families = families = _families(congruence, var_slices)
+
+        # ||X_i||_F^2 at H = U U^T, and the rows' scaling d
+        H = U @ U.T
+        sq = np.array(rest_sq, dtype=float)
+        for fam in families:
+            acc = 0.0
+            for l, r, s in fam.terms:
+                for l2, r2, s2 in fam.terms:
+                    la, rb, la2, rb2 = l + fam.a, r + fam.b, l2 + fam.a, r2 + fam.b
+                    acc = acc + s * s2 * (H[la, la2] * H[rb, rb2] + H[la, rb2] * H[rb, la2])
+            sq[fam.coords] += 2.0 * fam.w * fam.w * acc
+        sq[self.identity] += U.shape[1]
+        self.d = d = _equilibration(np.sqrt(sq), b_raw)
 
         # for each pair of families f <= g, the direct and the crossed
-        # product, each as the H blocks of its left and its right factors
-        self.products, at = [], 0
-        parts = [[], []]
-        for f, (tf, df, cf, af, bf, _) in enumerate(families):
-            for g, (tg, dg, cg, ag, bg, _) in enumerate(families[f:], f):
+        # product, each as the H blocks of its left and its right factors;
+        # the last slot of the buffer is the zero of rows without terms
+        self.products, at, maps = [], 0, []
+        for f, ff in enumerate(families):
+            for gg in families[f:]:
+                df, dg = ff.dim, gg.dim
                 size = df * dg
                 for crossed in (False, True):
                     left, right = [], []
-                    for l, r, s in tf:
-                        for l2, r2, s2 in tg:
-                            c, d = (r2, l2) if crossed else (l2, r2)
+                    for l, r, s in ff.terms:
+                        for l2, r2, s2 in gg.terms:
+                            c, e = (r2, l2) if crossed else (l2, r2)
                             left.append((s * s2, slice(l, l + df), slice(c, c + dg)))
-                            right.append((1.0, slice(r, r + df), slice(d, d + dg)))
+                            right.append((1.0, slice(r, r + df), slice(e, e + dg)))
                     self.products.append((at, size, left, right))
                     at += size * size
-                # direct [(a, c), (b, d)] and crossed [(a, d), (b, c)]
-                row = ((af * size + bf) * dg)[:, None]
-                flats = (row + ag * size + bg, row + bg * size + ag + size * size)
-                for part, flat in zip(parts, flats):
-                    flat += at - 2 * size * size
-                    if f == g:
-                        # (i, j) and (j, i) read one slot: exactly symmetric
-                        part.append((cf, cf, np.minimum(flat, flat.T)))
-                    else:
-                        part += [(cf, cg, flat), (cg, cf, flat.T)]
-        # the last slot of the buffer is the zero of rows without terms
-        self.index = []
-        for part in parts:
-            idx = np.full((nrows, nrows), at, dtype=np.intp)
-            for rows, cols, flat in part:
-                idx[np.ix_(rows, cols)] = flat
-            self.index.append(idx)
+                # direct [(a, c), (b, d)] and crossed [(a, d), (b, c)],
+                # each flat index a row part plus a column part
+                row = ((ff.a * size + ff.b) * dg + at - 2 * size * size)[:, None]
+                maps.append((ff, gg, row, gg.a * size + gg.b, gg.b * size + gg.a + size * size))
+        # written in place, family block by family block; the block of
+        # (g, f) is the transpose of (f, g)'s
+        self.index = [np.full((nrows, nrows), at, dtype=np.intp) for _ in range(2)]
+        for ff, gg, row, *cols in maps:
+            for idx, col in zip(self.index, cols):
+                block = idx[ff.coords, gg.coords]
+                np.add(row, col, out=block)
+                if ff is gg:
+                    # (i, j) and (j, i) read one slot: exactly symmetric
+                    np.minimum(block, col[:, None] + row.T, out=block)
+                else:
+                    np.add(col[:, None], row.T, out=idx[gg.coords, ff.coords])
         self.buffer = np.zeros(at + 1)
         self.weight = np.zeros(nrows)
         for fam in families:
-            self.weight[fam[2]] = fam[5]
+            self.weight[fam.coords] = fam.w
         # each coordinate's entries of U V U^T and of the matrix the
         # adjoint's congruence reads, one (coordinates, flat, w s) per term
-        k = self.U.shape[0]
+        k = U.shape[0]
         self.entries = [
-            (coords, (l + a) * k + r + b, w * s)
-            for terms, _, coords, a, b, w in families
-            for l, r, s in terms
+            (fam.coords, (l + fam.a) * k + r + fam.b, fam.w * s)
+            for fam in families
+            for l, r, s in fam.terms
         ]
-        v = self.weight / self.d
+        v = self.weight / d
         self.scale = 2.0 * np.outer(v, v)
 
     def term(self, R: np.ndarray) -> np.ndarray:
@@ -265,8 +309,8 @@ class _LmiGram:
         UG = UR @ R.T
         H2 = UG @ UG.T
         col = np.zeros(d.size)
-        for terms, _, coords, a, b, w in self.families:
-            col[coords] = 2.0 * w * sum(s * H2[r + b, l + a] for l, r, s in terms)
+        for fam in self.families:
+            col[fam.coords] = 2.0 * fam.w * sum(s * H2[r + fam.b, l + fam.a] for l, r, s in fam.terms)
         col /= d * d[t]
         S[t, :] = col
         S[:, t] = col
@@ -319,37 +363,46 @@ def _factor(H: np.ndarray, blocks: list, size: int) -> np.ndarray:
 
 class DualForm:
     """Both LMIs as the interior-point core's one standard pair, transposed
-    from the primal's dense form.
+    from the primal.
 
     Rows are the primal's decision coordinates (var_slices), coordinates x
-    the multipliers of its constraints, in its order (PSD first); blocks
-    holds (constraint, slice) for each.  The raw pair is A_raw = -F^T and
+    the multipliers of its constraints, in its order (the LMI's first);
+    blocks holds (constraint, slice) for each.  The raw pair is -F^T and
     b_raw = e_t, the primal objective; A and b, which the IPM sees, are its
     rows scaled by 1 / d, d_i = max(||row i||, |b_raw_i|, 1e-12).  Its y
     side is the primal, z = y / d (solve); its x side is the dual LMI
-    A_raw x = b_raw, x in K (reduce_rank).  psd_rows is the LMI block's
-    structured rows (_LmiGram) from LMI dimension _STRUCTURED_MIN_DIM on,
-    else None.  verify and verify_primal measure residuals in raw units.
+    -F^T x = b_raw, x in K (reduce_rank).
+
+    This is the one place the Schur complement's path is chosen.  Below
+    LMI dimension _STRUCTURED_MIN_DIM the pair is formed: A_raw = -F^T
+    (lmi.formed_rows), A = A_raw / d, and psd_rows is None.  From it on,
+    F's LMI rows are never formed: psd_rows is the LMI block's rows taken
+    through the congruence (_LmiGram), which also gives d, and A_raw and A
+    hold only the orthant's columns, -F_incidence^T and its scaled copy.
+    verify and verify_primal measure residuals in raw units, through the
+    same rows.
     """
 
     def __init__(self, primal: SdpFeasibilityProblem):
         self.system: StateSpaceSystem = primal.meta["system"]
         self.congruence = primal.meta["congruence"]
         self.var_slices, self.blocks = primal.variables, primal.constraints
-        self.ncone = primal.F.shape[0]
-        # the PSD blocks, then one orthant block (m >= 1 row sums) for the rest
-        psd = tuple(("s", con.dim) for con, _ in self.blocks if con.cone == "psd")
-        self.cone = ConeSpec(psd + (("l", self.ncone - sum(svec_dim(k) for _, k in psd)),))
-        self.h_slice = next(sl for con, sl in self.blocks if con.dual == "H")
+        self.ncone = self.blocks[-1][1].stop
+        # the LMI block, then one orthant block (m >= 1 row sums) for the rest
+        lmi, self.h_slice = self.blocks[0]
+        self.cone = ConeSpec((("s", lmi.dim), ("l", self.ncone - self.h_slice.stop)))
 
-        self.A_raw, self.b_raw = -primal.F.T, primal.objective
-        self.d = np.maximum(
-            np.maximum(np.linalg.norm(self.A_raw, axis=1), np.abs(self.b_raw)), 1.0e-12
-        )
+        self.b_raw = primal.objective
+        if lmi.dim >= _STRUCTURED_MIN_DIM:
+            self.A_raw = -primal.F_incidence.T
+            self.psd_rows = _LmiGram(self.congruence, self.var_slices,
+                                     np.sum(self.A_raw * self.A_raw, axis=1), self.b_raw)
+            self.d = self.psd_rows.d
+        else:
+            self.A_raw = -formed_rows(primal).T
+            self.psd_rows = None
+            self.d = _equilibration(np.linalg.norm(self.A_raw, axis=1), self.b_raw)
         self.A, self.b = self.A_raw / self.d[:, None], self.b_raw / self.d
-        # the one place the Schur complement's path is chosen
-        structured = self.congruence["U"].shape[1] >= _STRUCTURED_MIN_DIM
-        self.psd_rows = _LmiGram(self.congruence, self.var_slices, self.d) if structured else None
 
     def reconstruct(self, x: np.ndarray) -> dict:
         """The dual blocks H, f, g, X (Z) from multiplier coordinates."""
@@ -370,80 +423,89 @@ class DualForm:
             multiplier = np.asarray(assignment[con.dual], dtype=float).T / scale
             parts.append(_scalarize(multiplier, con.kind))
             max_cone = max(max_cone, _cone_violation(con, abs(scale) * parts[-1]))
-        max_eq = float(np.max(np.abs(self.A_raw @ np.concatenate(parts) - self.b_raw)))
+        x = np.concatenate(parts)
+        if self.psd_rows is None:
+            rows = self.A_raw @ x
+        else:
+            h = self.h_slice
+            lmi = self.psd_rows.apply(smat(x[h], self.cone.blocks[0][1]))
+            rows = self.d * lmi + self.A_raw @ x[h.stop:]
+        max_eq = float(np.max(np.abs(rows - self.b_raw)))
         tol_eq = TOL_EQ * (1.0 + float(np.max(np.abs(self.b_raw))))
         return max_eq <= tol_eq and max_cone <= CONE_TOL, max_eq, max_cone
 
     def verify_primal(self, z: np.ndarray) -> float:
         """Worst cone violation of the primal's rows F z."""
-        rows = -(self.A_raw.T @ z)
+        if self.psd_rows is None:
+            rows = -(self.A_raw.T @ z)
+        else:
+            lmi = svec(self.psd_rows.adjoint(z * self.d))
+            rows = -np.concatenate([lmi, self.A_raw.T @ z])
         return max((_cone_violation(con, rows[sl]) for con, sl in self.blocks), default=0.0)
 
 
 def build_dual(problem: SdpFeasibilityProblem) -> DualForm:
     """The one conic form of the primal and its dual LMI, transposed from
-    the primal's dense form."""
+    the primal."""
     return DualForm(problem)
 
 
-def _primal_true_margin(form: DualForm, assignment: dict) -> float:
-    """Achieved margin -lambda_max of the strict LMI at this assignment,
-    from L(P, M) read off the congruence, not from F, with M on its cone."""
-    P, M = assignment["P"], multiplier_matrix(assignment, form.system.nl_class)
-    core = _lmi_matrix(form.congruence, P, M)
-    w = np.linalg.eigvalsh(0.5 * (core + core.T))
-    return -float(w[-1])
+def _primal_true_margin(form: DualForm, z: np.ndarray) -> float:
+    """Achieved margin -lambda_max of the strict LMI at the decision
+    coordinates z, from L(P, M) read off the congruence, not from F, with
+    M on its cone.  Only the variables L reads are taken off z."""
+    terms = form.congruence["terms"]
+    values = {v.name: _from_coords(v.kind, z[sl], v.dim)
+              for v, sl in form.var_slices if v.name in terms}
+    M = multiplier_matrix(values, form.system.nl_class)
+    # L is exactly symmetric
+    return -float(np.linalg.eigvalsh(_lmi_matrix(form.congruence, values["P"], M))[-1])
 
 
 def solve(form: DualForm) -> SolveResult:
     """Maximize the margin t of the primal LMI, the y side of the form at
     c = 0, until an iterate certifies.
 
-    An iterate z = y / d certifies when t = b_raw.z and the achieved margin
-    -lambda_max(L(P, M)), read at M moved onto its cone, both reach
-    PRIMAL_MARGIN: that is the certificate's whole validity, so the IPM's
-    raw rows (the t-shifted LMI block and M's cone rows) do not gate it.
-    The IPM tests this before anything else and stops at the first iterate
-    that passes ("accepted"), which is then "feasible"; its raw rows are
-    measured once, for the residuals reported.  The reported margin of a
-    feasible result is therefore the achieved -lambda_max(L) of the
-    returned certificate, not an optimum: the rows are homogeneous, and a
-    feasible primal's margin is unbounded.  No iterate of an infeasible
-    primal passes the test on t, so it runs to its optimum t* = 0, and a
-    converged optimum below the threshold, with its raw rows in their
-    cones, is "infeasible".  Anything undecided comes back
-    "numerical_limit".
+    An iterate z = y / d certifies when the achieved margin
+    -lambda_max(L(P, M)), read at M moved onto its cone, reaches
+    PRIMAL_MARGIN: that is the certificate's whole validity (P > 0 follows
+    from A being Schur), so neither t nor the IPM's raw rows (the
+    t-shifted LMI block and M's cone rows) gate it.  The IPM tests this
+    before anything else and stops at the first iterate that passes
+    ("accepted"), which is then "feasible"; its raw rows are measured
+    once, for the residuals reported.  The reported margin of a feasible
+    result is therefore the achieved -lambda_max(L) of the returned
+    certificate, not an optimum: the rows are homogeneous, and a feasible
+    primal's margin is unbounded.  An infeasible primal has no iterate
+    that passes, so it runs to its optimum t* = 0, and a converged optimum
+    with its raw rows in their cones is "infeasible".  Anything undecided
+    comes back "numerical_limit".
     """
-    accepted = []  # (assignment, achieved margin) of the iterate accepted
+    accepted = []  # the achieved margin of the iterate accepted
 
     def certifies(y: np.ndarray) -> bool:
-        z = y / form.d
-        if form.b_raw @ z < PRIMAL_MARGIN:
+        if not y.any():
+            return False  # the IPM's starting point: L(0, 0) = 0
+        margin = _primal_true_margin(form, y / form.d)
+        if not margin >= PRIMAL_MARGIN:
             return False
-        assignment = _reconstruct(form.var_slices, z)
-        true_margin = _primal_true_margin(form, assignment)
-        if true_margin < PRIMAL_MARGIN:
-            return False
-        accepted.append((assignment, true_margin))
+        accepted.append(margin)
         return True
 
     res = solve_conic(form.A, form.b, np.zeros(form.ncone), form.cone, accept=certifies,
                       psd_rows=form.psd_rows)
+    # for "accepted", res.y is the iterate certifies passed, bit for bit
     z = res.y / form.d
     max_cone = form.verify_primal(z)
     if res.status == "accepted":
-        # res.y is the iterate certifies passed, bit for bit
-        status = "feasible"
-        assignment, margin = accepted[-1]
+        status, margin = "feasible", accepted[-1]
+    elif res.status == "optimal" and max_cone <= CONE_TOL:
+        status, margin = "infeasible", form.b_raw @ z
     else:
-        assignment = _reconstruct(form.var_slices, z)
-        if res.status == "optimal" and max_cone <= CONE_TOL:
-            status, margin = "infeasible", form.b_raw @ z
-        else:
-            status, margin = "numerical_limit", _primal_true_margin(form, assignment)
+        status, margin = "numerical_limit", _primal_true_margin(form, z)
     return SolveResult(
         status=status,
-        assignment=assignment,
+        assignment=_reconstruct(form.var_slices, z),
         residuals=Residuals(0.0, max_cone, margin=float(margin)),
         diagnostics={"ipm_status": res.status, "ipm_iterations": res.iterations},
     )

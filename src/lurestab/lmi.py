@@ -15,16 +15,18 @@ primal's LMI rows and the engine's structured Schur complement all read
 it from there, and the Pi form is only the reference it is tested against.
 
 P is a free symmetric variable: Schur stability of A makes P > 0 follow
-from the inequality.  build_primal returns the primal's dense form: the
-decision coordinates z of the free variables (P, M, t), and constraint
-rows F z that must lie in cones.  This module owns those coordinates, and
-writes every coefficient from the structure: the LMI's from the
-congruence terms, every other row as an incidence of the coordinates.
+from the inequality.  build_primal returns the primal: the decision
+coordinates z of the free variables (P, M, t), and constraint rows F z
+that must lie in cones.  This module owns those coordinates, and writes
+every coefficient from the structure: the LMI's from the congruence
+terms, every other row as an incidence of the coordinates.  The LMI's
+rows are only formed where a dense F is read (formed_rows); the engine's
+structured path takes them through the congruence instead.
 
 Dual: it is not written here.  Every row is homogeneous in z, and by the
 theorem of alternatives (Boyd & Vandenberghe, Convex Optimization,
 sec. 5.8) F z in K has no solution with t > 0 exactly when some y in K
-satisfies F^T y = -e_t.  The engine builds that adjoint from F.  Each
+satisfies F^T y = -e_t.  The engine builds that adjoint.  Each
 constraint names the dual block its multiplier carries
 (ConeConstraint.dual, read through DUAL_SCALE), which gives the paper's
 dual
@@ -52,6 +54,7 @@ __all__ = [
     "SdpFeasibilityProblem",
     "VarSpec",
     "build_primal",
+    "formed_rows",
     "multiplier_matrix",
     "primal_lmi_matrix",
 ]
@@ -105,16 +108,20 @@ class ConeConstraint:
 
 @dataclass(frozen=True, eq=False)
 class SdpFeasibilityProblem:
-    """The primal's dense form: rows F z over the decision coordinates z,
-    each constraint's rows in its cone, with objective.z maximized.
+    """The primal: rows F z over the decision coordinates z, each
+    constraint's rows in its cone, with objective.z maximized.
 
     variables holds (VarSpec, coordinate slice) and constraints
-    (ConeConstraint, row slice), in order, PSD constraints first.
+    (ConeConstraint, row slice), in order, the LMI's first.  F_incidence
+    holds F's rows after the LMI's, every one an incidence of the
+    coordinates; the LMI's rows are its congruence (meta["congruence"],
+    lmi_congruence) and -I at the identity variable, and formed_rows
+    writes the whole F.
     """
 
     variables: tuple
     constraints: tuple
-    F: np.ndarray
+    F_incidence: np.ndarray
     objective: np.ndarray
     meta: dict = field(default_factory=dict)
 
@@ -253,14 +260,14 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
 
     Strictness is decided by maximizing t in L <= -t I.  Every row is
     homogeneous in z, so a solution with t > 0 scales to any margin: the
-    caller stops at the first point whose margin clears its threshold, and
-    an infeasible primal's optimum is t* = 0.  The cone of M is DHD for the
-    slope class and DD for the odd one; M_ii >= 0 (and M_abs >= 0 for DD)
-    is implied by the constraints below and not stated.
+    caller stops at the first certificate, and an infeasible primal's
+    optimum is t* = 0.  The cone of M is DHD for the slope class and DD for
+    the odd one; M_ii >= 0 (and M_abs >= 0 for DD) is implied by the
+    constraints below and not stated.
 
-    Every coefficient is written from the structure: the LMI's columns from
-    the congruence terms, every other row as an incidence of the
-    coordinates.
+    The LMI's rows are left to its congruence, read by the engine's
+    structured path and written densely by formed_rows; every other row is
+    written here as an incidence of the coordinates.
     """
     if not sys.band.is_reduced:
         raise StructuralError("the primal LMI is defined on the band [0, 1] only")
@@ -277,12 +284,6 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
     variables.append(VarSpec("t", "vector", 1))
     var_slices, nz = _layout(variables)
 
-    # lmi_margin is -L - t I
-    congruence = lmi_congruence(sys)
-    lmi = {"t": -svec(np.eye(n + m))[:, None]}
-    for v in variables:
-        if v.name in congruence["terms"]:
-            lmi[v.name] = -_lmi_coefficients(congruence, v).T
     rows, cols = _offdiag_pairs(m)
     row_sums = (rows == np.arange(m)[:, None]).astype(float)
     col_sums = (cols == np.arange(m)[:, None]).astype(float)
@@ -290,9 +291,8 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
 
     # the sums run over M_abs (DD) or M_offdiag (DHD)
     summed, sign = ("M_abs", -1.0) if odd else ("M_offdiag", 1.0)
-    # (constraint, {variable: its block of F}), PSD first
+    # (constraint, {variable: its block of F}), after the LMI
     spec = [
-        (ConeConstraint("lmi_margin", "psd", n + m, dual="H"), lmi),
         (ConeConstraint("row_sums", "nonneg", m, dual="f"),
          {"M_diag": eye_m, summed: sign * row_sums}),
         (ConeConstraint("col_sums", "nonneg", m, dual="g"),
@@ -309,10 +309,12 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
         spec.append((ConeConstraint("m_offdiag_nonpos", "hollow_nonneg", m, dual="X"),
                      {"M_offdiag": -eye_h}))
 
-    blocks, nrows = _layout([con for con, _ in spec])
+    lmi = ConeConstraint("lmi_margin", "psd", n + m, dual="H")
+    blocks, _ = _layout([lmi] + [con for con, _ in spec])
+    incidence, nrows = _layout([con for con, _ in spec])
     at = {v.name: sl for v, sl in var_slices}
     F = np.zeros((nrows, nz))
-    for (_, sl), (_, coefficients) in zip(blocks, spec):
+    for (_, sl), (_, coefficients) in zip(incidence, spec):
         for name, block in coefficients.items():
             F[sl, at[name]] = block
     objective = np.zeros(nz)
@@ -320,7 +322,22 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
     return SdpFeasibilityProblem(
         variables=tuple(var_slices),
         constraints=tuple(blocks),
-        F=F,
+        F_incidence=F,
         objective=objective,
-        meta={"system": sys, "congruence": congruence},
+        meta={"system": sys, "congruence": lmi_congruence(sys)},
     )
+
+
+def formed_rows(problem: SdpFeasibilityProblem) -> np.ndarray:
+    """The primal's rows F, formed: the LMI's, -L - t I, from the
+    congruence terms, then F_incidence."""
+    congruence = problem.meta["congruence"]
+    (lmi, lmi_sl), nz = problem.constraints[0], problem.objective.size
+    F = np.zeros((lmi_sl.stop + problem.F_incidence.shape[0], nz))
+    for v, sl in problem.variables:
+        if v.name in congruence["terms"]:
+            F[lmi_sl, sl] = -_lmi_coefficients(congruence, v).T
+        elif v.name == congruence["identity"]:
+            F[lmi_sl, sl] = -svec(np.eye(lmi.dim))[:, None]
+    F[lmi_sl.stop:] = problem.F_incidence
+    return F

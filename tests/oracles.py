@@ -7,7 +7,10 @@ test suite can cross-examine the production modules.  They intentionally do
 not call into the LMI assembly code; primal_constraints writes every
 constraint of the primal from the paper's definitions, with the multiplier
 in its Pi form (multipliers.build_multiplier), as the reference for the
-dense form build_primal writes from the structure.
+rows build_primal writes from the structure.  dense_dual_rows is the one
+exception: it forms -F^T, the raw rows of the IPM's pair, from
+lmi._lmi_coefficients, column block by column block, as the dense
+reference for the structured rows that never form it.
 unscaled_max_step is the interior-point step length in the original
 coordinates, the reference for the step length taken in scaled ones.
 has_equilibrium_exactly decides, in integer arithmetic and order by order,
@@ -21,9 +24,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from lurestab.conic import ConeSpec, smat
+from lurestab.conic import ConeSpec, smat, svec
 from lurestab.engine import build_dual, reduce_rank, solve
-from lurestab.lmi import build_primal
+from lurestab.lmi import SdpFeasibilityProblem, _lmi_coefficients, build_primal
 from lurestab.multipliers import build_multiplier
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
 
@@ -33,6 +36,7 @@ __all__ = [
     "SlopeSample",
     "audit_duality",
     "audit_multiplier_inequality",
+    "dense_dual_rows",
     "has_equilibrium_exactly",
     "output_coupling_block",
     "primal_constraints",
@@ -195,6 +199,25 @@ def audit_duality(sys: StateSpaceSystem, seed: int = 0) -> DualityAuditReport:
         dual_decisive=dual_decisive,
         exclusive=not (primal_decisive and dual_decisive),
     )
+
+
+def dense_dual_rows(problem: SdpFeasibilityProblem) -> np.ndarray:
+    """-F^T, formed: row i holds decision coordinate i's coefficients in
+    every constraint row.  On the LMI block those are L's coefficients
+    (lmi._lmi_coefficients), and I for the margin t of -L - t I; after it,
+    the incidence rows build_primal writes."""
+    congruence = problem.meta["congruence"]
+    (lmi, lmi_rows) = problem.constraints[0]
+    blocks = []
+    for v, sl in problem.variables:
+        if v.name in congruence["terms"]:
+            block = _lmi_coefficients(congruence, v)
+        elif v.name == congruence["identity"]:
+            block = svec(np.eye(lmi.dim))[None, :]
+        else:
+            block = np.zeros((sl.stop - sl.start, lmi_rows.stop))
+        blocks.append(np.hstack([block, -problem.F_incidence[:, sl].T]))
+    return np.vstack(blocks)
 
 
 def primal_constraints(sys: StateSpaceSystem, v: dict) -> dict:

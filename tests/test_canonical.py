@@ -1,5 +1,6 @@
-"""The primal's dense form F z, written by build_primal from the
-structure, against every constraint written from the paper's definitions."""
+"""The primal's rows F z, written by build_primal (the incidence rows) and
+lmi._lmi_coefficients (the LMI's) from the structure and formed by the
+oracle, against every constraint written from the paper's definitions."""
 
 import dataclasses
 import importlib.util
@@ -14,7 +15,7 @@ from lurestab import engine
 from lurestab.lmi import build_primal
 from lurestab.multipliers import build_multiplier
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
-from oracles import primal_constraints
+from oracles import dense_dual_rows, primal_constraints
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -48,10 +49,11 @@ def _assert_rows_from_definitions(sysm, seed=0):
     """F z at random z equals each constraint at the assignment the
     engine reads off z."""
     problem = build_primal(sysm)
+    F = -dense_dual_rows(problem).T
     rng = np.random.default_rng(seed)
     for _ in range(3):
         z = rng.normal(size=problem.objective.size)
-        rows = problem.F @ z
+        rows = F @ z
         expect = primal_constraints(sysm, engine._reconstruct(problem.variables, z))
         assert [con.name for con, _ in problem.constraints] == list(expect)
         for con, sl in problem.constraints:

@@ -258,7 +258,8 @@ def test_a_structured_psd_term_replaces_forming_b():
     # the caller's rows, here the PSD block's taken densely
     rows = _DenseRows(A[:, :6], 3)
 
-    op, S = sc.schur(A, _row_data(A, cone, rows))
+    # with the rows object, A is read for the orthant's columns only
+    op, S = sc.schur(A[:, 6:], _row_data(A[:, 6:], cone, rows))
     assert isinstance(op, _UnformedB)
     assert len(rows.seen) == 1 and rows.seen[0] is sc.blocks[0][2]
     ref = A @ W.T @ W @ A.T

@@ -184,6 +184,28 @@ def test_a_linear_equilibrium_skips_the_primal_and_only_on_unstable_loops(
             assert engine.solve(form).status != "feasible", case.name
 
 
+def test_a_certificate_is_accepted_whatever_its_t(corpus_runs):
+    # the primal accepts the first iterate whose L(P, M), at M moved onto
+    # its cone, clears PRIMAL_MARGIN, whatever its margin variable t: these
+    # three loops stop at an iterate whose t is still below PRIMAL_MARGIN,
+    # one iteration before the first whose t clears it, and the certificate
+    # holds by the independent checker
+    checker = _load_bench("checker")
+    pinned = {"corpus-34": 2, "corpus-61": 2, "corpus-100": 6}
+    iterations = {}
+    for case, report, *_ in corpus_runs:
+        if case.name not in pinned:
+            continue
+        pipe, primal = report["diagnostics"]["pipeline"], report["primal"]
+        assert pipe["primal_ipm_status"] == "accepted", case.name
+        iterations[case.name] = pipe["primal_ipm_iterations"]
+        L, _ = checker.lmi_matrix(case, np.array(primal["P"]), np.array(primal["M"]))
+        assert np.linalg.eigvalsh(L)[-1] <= -engine.PRIMAL_MARGIN, case.name
+        assert primal["margin"] >= engine.PRIMAL_MARGIN, case.name
+        assert checker.check(case, report) == [], case.name
+    assert iterations == pinned
+
+
 def test_a_search_witness_after_the_primal_and_the_dual(corpus_runs):
     # corpus-43 holds no linear equilibrium: the primal fails, the search
     # finds a ray, and the steer point, which is not rank one, gives way to it

@@ -447,9 +447,9 @@ def test_feasible_primal_measures_its_certificate_once(decoupled_example, monkey
     seen = []
     real = engine._primal_true_margin
 
-    def recording(problem, assignment):
-        seen.append(assignment["P"])
-        return real(problem, assignment)
+    def recording(problem, z):
+        seen.append(engine._reconstruct(problem.var_slices, z)["P"])
+        return real(problem, z)
 
     monkeypatch.setattr(engine, "_primal_true_margin", recording)
     res = solve(_dual(decoupled_example))

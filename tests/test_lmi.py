@@ -22,7 +22,7 @@ from lurestab.lmi import (
 from lurestab.multipliers import build_multiplier
 from cones import ConeTag, is_member
 from helpers import random_member
-from oracles import output_coupling_block, state_equality_block
+from oracles import dense_dual_rows, output_coupling_block, state_equality_block
 
 
 def _random_system(seed, n=2, m=3, odd=False, band=SlopeBand(0.0, 1.0)):
@@ -53,7 +53,8 @@ def test_primal_decision_variables_and_kinds():
     assert slices == {"P": (0, 3), "M_diag": (3, 6), "M_offdiag": (6, 12), "t": (12, 13)}
     assert np.array_equal(prob.objective, np.eye(13)[12])
     # the LMI block's svec of 5 x 5, the row and column sums, M's off-diagonal
-    assert prob.F.shape == (15 + 3 + 3 + 6, 13)
+    assert dense_dual_rows(prob).T.shape == (15 + 3 + 3 + 6, 13)
+    assert prob.F_incidence.shape == (3 + 3 + 6, 13)
 
     prob_dd = build_primal(_random_system(1, odd=True))
     kinds_dd = {v.name: v.kind for v, _ in prob_dd.variables}
@@ -88,8 +89,8 @@ def test_every_row_of_the_primal_carries_a_dual_block(odd):
     prob = build_primal(_random_system(5, n=3, m=3, odd=odd))
     assert all(con.dual is not None for con, _ in prob.constraints)
     dual = build_dual(prob)
-    assert dual.blocks == prob.constraints and dual.ncone == prob.F.shape[0]
-    assert np.array_equal(dual.A_raw, -prob.F.T)
+    assert dual.blocks == prob.constraints and dual.ncone == dense_dual_rows(prob).shape[1]
+    assert np.array_equal(dual.A_raw, dense_dual_rows(prob))
     assert np.array_equal(dual.b_raw, prob.objective)
     blocks = dual.reconstruct(np.ones(dual.ncone))
     assert set(blocks) == ({"H", "f", "g", "X", "Z"} if odd else {"H", "f", "g", "X"})

@@ -1,9 +1,11 @@
 """The LMI block's rows taken through the LMI's congruence structure
-(engine._LmiGram) against the dense rows: the Schur term against
-B_p B_p^T, and B u, B^T y, A x and A^T y against the products with the
-dense A.  Also the one place the path is chosen, and the dual path above
-the crossover end to end, with one form and one structured term per
-analysis."""
+(engine._LmiGram) against the dense rows the oracle forms (-F^T): the
+Schur term against B_p B_p^T; B u, B^T y, A x and A^T y against the
+products with the dense A; and the row scaling d, verify and
+verify_primal against the same rows.  Also the one place the path is
+chosen, that the structured path never forms F's LMI rows, and the dual
+path above the crossover end to end, with one form and one structured
+term per analysis."""
 
 import importlib.util
 import json
@@ -12,11 +14,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, conic, engine, report
+from lurestab import (
+    NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, conic, engine, lmi, report,
+)
 from lurestab.conic import _row_data, _Scaling, _UnformedB, svec
 from lurestab.engine import build_dual
 from lurestab.lmi import build_primal
 from lurestab.system import normalize_band
+from oracles import dense_dual_rows
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -71,16 +76,19 @@ def _interior_point(cone, rng):
 def test_structured_gram_matches_the_dense_product(monkeypatch, n, m, odd, band):
     monkeypatch.setattr(engine, "_STRUCTURED_MIN_DIM", 0)
     sysm = normalize_band(_random_system(10 * n + m, n, m, odd, band))
-    form = build_dual(build_primal(sysm))
+    problem = build_primal(sysm)
+    form = build_dual(problem)
     rng = np.random.default_rng(n + 7 * m)
     assert form.psd_rows is not None
+    # the dense A at the form's own row scaling
+    A = dense_dual_rows(problem) / form.d[:, None]
     for _ in range(3):
         # a random NT scaling of the form's cone
         cone = form.cone
         sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
         (_, size, sl), R = cone.slices()[0], sc.blocks[0][2]
         assert size == n + m
-        op, _ = sc.schur(form.A, _row_data(form.A, cone))
+        op, _ = sc.schur(A, _row_data(A, cone))
         Bp = op.B[:, sl]
         ref = Bp @ Bp.T
         got = form.psd_rows.term(R)
@@ -92,14 +100,23 @@ def test_structured_gram_matches_the_dense_product(monkeypatch, n, m, odd, band)
 @pytest.mark.parametrize("odd", [False, True], ids=["slope", "odd"])
 def test_structured_products_equal_the_dense_ones(n, m, odd):
     sysm = normalize_band(_random_system(n + 3 * m, n, m, odd))
-    form = build_dual(build_primal(sysm))
+    problem = build_primal(sysm)
+    form = build_dual(problem)
     assert n + m >= engine._STRUCTURED_MIN_DIM
     rng = np.random.default_rng(n)
-    A, cone = form.A, form.cone
-    rows = _row_data(A, cone, form.psd_rows)
+    cone = form.cone
+    # the form holds the orthant's columns only; the dense reference forms
+    # -F^T and scales it by d, which is itself checked against its rows
+    A_raw = dense_dual_rows(problem)
+    assert form.A.shape == (A_raw.shape[0], cone.blocks[1][1])
+    assert np.array_equal(form.A_raw, A_raw[:, cone.slices()[1][2]])
+    d = np.maximum(np.maximum(np.linalg.norm(A_raw, axis=1), np.abs(form.b_raw)), 1e-12)
+    assert np.max(np.abs(form.d - d) / d) <= 1e-13
+    A = A_raw / form.d[:, None]
+    rows = _row_data(form.A, cone, form.psd_rows)
     a_op = _UnformedB(A.shape[0], cone, rows)
     sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
-    b_op, _ = sc.schur(A, rows)
+    b_op, _ = sc.schur(form.A, rows)
     B, _ = sc.schur(A, _row_data(A, cone))
     X = rng.normal(size=(2, A.shape[1]))
     Y = rng.normal(size=(2, A.shape[0]))
@@ -115,6 +132,34 @@ def test_structured_products_equal_the_dense_ones(n, m, odd):
     ]:
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # verify's raw residual and verify_primal's cone violation, through the
+    # structured rows, against the same measures on the dense -F^T
+    for k in range(3):
+        x = _interior_point(cone, rng) * rng.uniform(0.5, 2.0, size=cone.total_len)
+        ok, max_eq, max_cone = form.verify(form.reconstruct(x))
+        ref_eq = np.max(np.abs(A_raw @ x - form.b_raw))
+        assert abs(max_eq - ref_eq) <= 1e-13 * ref_eq
+        z = rng.normal(size=A.shape[0])
+        z[form.var_slices[-1][1]] = -10.0 * k  # the margin t, so the LMI block leads for k > 0
+        rows_z = -(A_raw.T @ z)
+        ref_cone = max(engine._cone_violation(con, rows_z[sl]) for con, sl in form.blocks)
+        assert abs(form.verify_primal(z) - ref_cone) <= 1e-13 * ref_cone
+
+
+def test_the_structured_path_never_forms_the_lmi_rows(monkeypatch):
+    # an analysis above the crossover reads F's LMI rows through the
+    # congruence only: _lmi_coefficients, their one writer, is never called
+    calls = []
+    real = lmi._lmi_coefficients
+    monkeypatch.setattr(lmi, "_lmi_coefficients", lambda *a: calls.append(a) or real(*a))
+    ladder = {case.name: case for case in _workloads().ladder()}
+    sysm = _system(ladder["ladder-12"])
+    assert sysm.n + sysm.m >= engine._STRUCTURED_MIN_DIM
+    assert analyze(sysm).verdict == "absolutely_stable"
+    assert calls == []
+    # below it the formed path writes them
+    analyze(_random_system(1, 3, 2, False))
+    assert calls
 
 
 def _takes_structured_path(case) -> bool:
