@@ -28,14 +28,17 @@ that block's structure and the orthant's nonzeros; A is then only the
 orthant's columns.  B B^T is factored once and the diagonal blocks of its
 Cholesky factor inverted once, so every Newton solve is matrix products
 with B, B^T and that factor; up to _TRSV_BLOCK rows the factor is one
-block, and a solve is two products with its inverse.  Step lengths are
-read off lam + alpha u and lam + alpha v.  smat is one take through index
-maps made once per block size (_svec_index).  The per-step kernels are
-written on those maps, but each floating-point operation has the operands,
-the order and the memory layout of the plain smat/svec round trip, since
-BLAS sums differently by layout; tests/test_conic.py compares the two bit
-for bit.  The linear algebra is numpy, dense except for the orthant's
-nonzeros.
+block, and a solve is two products with its inverse.  From
+_BLOCKED_MIN_ROWS rows on the factor is a left-looking blocked Cholesky
+whose updates are matrix products, each panel refined once (Golub & Van
+Loan, Matrix Computations, 4.2); below it, numpy's Cholesky.  Step
+lengths are read off lam + alpha u and lam + alpha v.  smat is one take
+through index maps made once per block size (_svec_index).  The per-step
+kernels are written on those maps, but each floating-point operation has
+the operands, the order and the memory layout of the plain smat/svec
+round trip, since BLAS sums differently by layout; tests/test_conic.py
+compares the two bit for bit.  The linear algebra is numpy, dense except
+for the orthant's nonzeros.
 """
 
 import math
@@ -51,6 +54,9 @@ __all__ = ["ConeSpec", "ConicResult", "IPM_TOL", "MAX_ITERS", "smat", "solve_con
 _SQRT2 = math.sqrt(2.0)
 # Rows per diagonal block of the substitutions in _cho_solve.
 _TRSV_BLOCK = 64
+# Fewest rows of a Schur complement factored blocked (_blocked_cholesky);
+# the measured crossover with numpy's Cholesky.
+_BLOCKED_MIN_ROWS = 3 * _TRSV_BLOCK
 # Most rounds of iterative refinement of the corrector (_step).
 _REFINE_STEPS = 2
 # Fraction of the distance to the cone boundary each step covers.
@@ -373,11 +379,15 @@ class _UnformedB:
 
 class _NormalFactor:
     """Cholesky factor L of the Schur complement and the inverses of its
-    diagonal blocks (_inverse_blocks), both computed once per step, so that
-    every solve of the step is matrix products (_cho_solve).
+    diagonal blocks, both computed once per step, so that every solve of
+    the step is matrix products (_cho_solve).
 
-    The factorization retries with an escalating diagonal regularization;
-    after eight failures it raises LinAlgError, which ends the run.
+    Below _BLOCKED_MIN_ROWS rows L is one LAPACK Cholesky and the inverses
+    are taken after it (_inverse_blocks); from there on the factor is
+    blocked (_blocked_cholesky), since numpy's Cholesky runs far below GEMM
+    speed at that size.  The factorization retries with an escalating
+    diagonal regularization; after eight failures it raises LinAlgError,
+    which ends the run.
     """
 
     def __init__(self, M: np.ndarray):
@@ -385,7 +395,12 @@ class _NormalFactor:
         reg = 0.0
         for _ in range(8):
             try:
-                self.L = np.linalg.cholesky(M + reg * np.eye(n) if reg else M)
+                Mr = M + reg * np.eye(n) if reg else M
+                if n < _BLOCKED_MIN_ROWS:
+                    self.L = np.linalg.cholesky(Mr)
+                    self.inv = _inverse_blocks(self.L)
+                else:
+                    self.L, self.inv = _blocked_cholesky(Mr)
                 break
             except np.linalg.LinAlgError:
                 if reg == 0.0:
@@ -394,11 +409,41 @@ class _NormalFactor:
                     reg *= 100.0
         else:
             raise np.linalg.LinAlgError("Schur complement not positive definite")
-        self.inv = _inverse_blocks(self.L)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^{-1} rhs, for one right-hand side or a stack of them (k, n)."""
         return _cho_solve(self.L, self.inv, rhs.T).T
+
+
+def _blocked_cholesky(M: np.ndarray):
+    """(L, the inverses of its diagonal blocks) for symmetric positive
+    definite M, by left-looking blocked Cholesky (Golub & Van Loan,
+    Matrix Computations, 4.2), _TRSV_BLOCK columns at a time, so that
+    nearly all of the work is matrix products.
+
+    Block k's columns C = M[k:, k:e] - L[k:, :k] L[k:e, :k]^T give its
+    diagonal block L_kk, one LAPACK Cholesky, and L_kk's inverse, as
+    _inverse_blocks takes it.  The panel below is P = C_low L_kk^{-T},
+    refined once by its residual: through the explicit inverse alone,
+    P L_kk^T misses C_low by several times rounding where L_kk is
+    ill-conditioned, and the factor's last bits decide some dual
+    outcomes.  A diagonal block that is not positive definite raises
+    LinAlgError.
+    """
+    n = M.shape[0]
+    L = np.zeros_like(M)
+    inv = []
+    for k in range(0, n, _TRSV_BLOCK):
+        e = min(k + _TRSV_BLOCK, n)
+        C = M[k:, k:e] - L[k:, :k] @ L[k:e, :k].T
+        Lkk = np.linalg.cholesky(C[:e - k])
+        Li = np.linalg.solve(Lkk, np.eye(e - k))
+        low = C[e - k:]
+        P = low @ Li.T
+        P += (low - P @ Lkk.T) @ Li.T
+        L[k:e, k:e], L[e:, k:e] = Lkk, P
+        inv.append(Li)
+    return L, inv
 
 
 def _inverse_blocks(L: np.ndarray) -> list:

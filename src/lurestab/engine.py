@@ -203,10 +203,13 @@ class _LmiGram:
                           (H_ll'[a, c] H_rr'[b, d] + H_lr'[a, d] H_rl'[b, c])
 
     for coordinate j at (c, d) with terms (l', r', s_l).  Variables with
-    the same terms form a family (_families); for each pair of families the
-    two sums are Kronecker products of blocks of H, one small GEMM each
-    into a buffer that precomputed flat indices read, written family slice
-    by family slice.  The identity variable's coefficient is I:
+    the same terms form a family (_families).  For each pair of families
+    f <= g one batched product gives both sums for every coordinate i of f
+    at every (c, d) of g's dimension, and one take of the columns at g's
+    coordinates writes the block straight into S, scaled by sqrt 2 w / d
+    on both sides.  The block of (g, f) is its transpose, and a diagonal
+    block copies its upper triangle from its lower one, so S is exactly
+    symmetric.  The identity variable's coefficient is I:
     tr(G X_i G) = 2 w_i sum_k s_k (U G^2 U^T)[r + b, l + a] and
     tr(G G) = ||G||_F^2.  Coordinates of other variables have zero rows.
 
@@ -227,7 +230,6 @@ class _LmiGram:
     """
 
     def __init__(self, congruence: dict, var_slices, rest_sq: np.ndarray, b_raw: np.ndarray):
-        nrows = b_raw.size
         self.U = U = congruence["U"]
         self.identity = next(sl.start for v, sl in var_slices if v.name == congruence["identity"])
         self.families = families = _families(congruence, var_slices)
@@ -243,45 +245,8 @@ class _LmiGram:
                     acc = acc + s * s2 * (H[la, la2] * H[rb, rb2] + H[la, rb2] * H[rb, la2])
             sq[fam.coords] += 2.0 * fam.w * fam.w * acc
         sq[self.identity] += U.shape[1]
-        self.d = d = _equilibration(np.sqrt(sq), b_raw)
+        self.d = _equilibration(np.sqrt(sq), b_raw)
 
-        # for each pair of families f <= g, the direct and the crossed
-        # product, each as the H blocks of its left and its right factors;
-        # the last slot of the buffer is the zero of rows without terms
-        self.products, at, maps = [], 0, []
-        for f, ff in enumerate(families):
-            for gg in families[f:]:
-                df, dg = ff.dim, gg.dim
-                size = df * dg
-                for crossed in (False, True):
-                    left, right = [], []
-                    for l, r, s in ff.terms:
-                        for l2, r2, s2 in gg.terms:
-                            c, e = (r2, l2) if crossed else (l2, r2)
-                            left.append((s * s2, slice(l, l + df), slice(c, c + dg)))
-                            right.append((1.0, slice(r, r + df), slice(e, e + dg)))
-                    self.products.append((at, size, left, right))
-                    at += size * size
-                # direct [(a, c), (b, d)] and crossed [(a, d), (b, c)],
-                # each flat index a row part plus a column part
-                row = ((ff.a * size + ff.b) * dg + at - 2 * size * size)[:, None]
-                maps.append((ff, gg, row, gg.a * size + gg.b, gg.b * size + gg.a + size * size))
-        # written in place, family block by family block; the block of
-        # (g, f) is the transpose of (f, g)'s
-        self.index = [np.full((nrows, nrows), at, dtype=np.intp) for _ in range(2)]
-        for ff, gg, row, *cols in maps:
-            for idx, col in zip(self.index, cols):
-                block = idx[ff.coords, gg.coords]
-                np.add(row, col, out=block)
-                if ff is gg:
-                    # (i, j) and (j, i) read one slot: exactly symmetric
-                    np.minimum(block, col[:, None] + row.T, out=block)
-                else:
-                    np.add(col[:, None], row.T, out=idx[gg.coords, ff.coords])
-        self.buffer = np.zeros(at + 1)
-        self.weight = np.zeros(nrows)
-        for fam in families:
-            self.weight[fam.coords] = fam.w
         # each coordinate's entries of U V U^T and of the matrix the
         # adjoint's congruence reads, one (coordinates, flat, w s) per term
         k = U.shape[0]
@@ -290,21 +255,45 @@ class _LmiGram:
             for fam in families
             for l, r, s in fam.terms
         ]
-        v = self.weight / d
-        self.scale = 2.0 * np.outer(v, v)
 
     def term(self, R: np.ndarray) -> np.ndarray:
         """The block's Schur term at the scaling factor R."""
         d = self.d
         UR = self.U @ R
         H = UR @ UR.T
-        buf = self.buffer
-        for at, size, left, right in self.products:
-            X, Y = _factor(H, left, size), _factor(H, right, size)
-            np.matmul(X.T, Y, out=buf[at:at + size * size].reshape(size, size))
-        S = np.take(buf, self.index[0])
-        S += np.take(buf, self.index[1])
-        S *= self.scale
+        S = np.zeros((d.size, d.size))
+        families = self.families
+        # each family's coordinates scale their rows and columns by sqrt 2 w / d:
+        # the rows through the left factor, the columns after the take
+        scale = [np.sqrt(2.0) * fam.w / d[fam.coords] for fam in families]
+        for f, ff in enumerate(families):
+            # each term's rows of H at l + a and r + b, [i, 0 or 1, :]
+            rows = [(s, H[np.stack((l + ff.a, r + ff.b), axis=1)]) for l, r, s in ff.terms]
+            sf = scale[f][:, None]
+            for g, gg in enumerate(families[f:], f):
+                # both sums for every coordinate i of f at every (c, d) of
+                # g's dimension, [i, c, d], in one batched product: the
+                # direct s s' H[l + a, l' + c] H[r + b, r' + d] of every
+                # pair of terms, then the crossed s s' H[r + b, l' + c]
+                # H[l + a, r' + d]
+                left, right = [], []
+                for x, y in ((0, 1), (1, 0)):
+                    for s, hr in rows:
+                        for l2, r2, s2 in gg.terms:
+                            left.append(((s * s2) * sf) * hr[:, x, l2:l2 + gg.dim])
+                            right.append(hr[:, y, r2:r2 + gg.dim])
+                sums = np.matmul(np.stack(left, axis=2), np.stack(right, axis=1))
+                # coordinate j of g reads its (c, d), straight into S (mode
+                # "clip" does not buffer the output; every index is in range)
+                block = S[ff.coords, gg.coords]
+                np.take(sums.reshape(len(ff.a), -1), gg.a * gg.dim + gg.b, axis=1, out=block,
+                        mode="clip")
+                block *= scale[g]
+                if f == g:
+                    # the upper triangle from the lower: exactly symmetric
+                    np.copyto(block, block.T, where=~np.tri(len(ff.a), dtype=bool))
+                else:
+                    S[gg.coords, ff.coords] = block.T
         t = self.identity
         UG = UR @ R.T
         H2 = UG @ UG.T
@@ -348,17 +337,6 @@ class _LmiGram:
         T += np.swapaxes(T, -1, -2)
         T += c[..., self.identity, None, None] * RtR
         return T
-
-
-def _factor(H: np.ndarray, blocks: list, size: int) -> np.ndarray:
-    """The weighted blocks s H[rows, cols] of a Kronecker sum flattened into
-    the rows of one factor, padded with a zero row to at least two: numpy's
-    product with an inner dimension of one is several times slower."""
-    out = np.zeros((max(len(blocks), 2), size))
-    for k, (s, rows, cols) in enumerate(blocks):
-        block = H[rows, cols]
-        np.multiply(block, s, out=out[k].reshape(block.shape))
-    return out
 
 
 class DualForm:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lurestab import conic
 from lurestab.conic import (
+    _BLOCKED_MIN_ROWS,
     _TRSV_BLOCK,
     ConeSpec,
     _cho_solve,
@@ -413,6 +414,70 @@ def test_blocked_cholesky_solve_matches_linalg_solve(n):
         assert x.shape == rhs.shape
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(_NormalFactor(M).solve(rhs.T), x.T)
+
+
+@pytest.mark.parametrize("n", [_BLOCKED_MIN_ROWS + 8, 611])
+def test_blocked_factor_solves_like_linalg_solve(n):
+    # from _BLOCKED_MIN_ROWS rows on, up to the ladder's largest Schur
+    # complement (n = m = 20)
+    rng = np.random.default_rng(n)
+    F = rng.normal(size=(n, n))
+    M = F @ F.T + n * np.eye(n)
+    normal = _NormalFactor(M)
+    # one inverse per block of _TRSV_BLOCK rows, the last one shorter
+    sizes = [Li.shape[0] for Li in normal.inv]
+    assert sum(sizes) == n and set(sizes[:-1]) == {_TRSV_BLOCK} and sizes[-1] < _TRSV_BLOCK
+    L = normal.L
+    assert np.array_equal(L, np.tril(L))
+    assert np.max(np.abs(L @ L.T - M)) <= 1e-14 * np.max(np.abs(M))
+    for k, Li in zip(range(0, n, _TRSV_BLOCK), normal.inv):
+        e = k + Li.shape[0]
+        assert np.max(np.abs(Li @ L[k:e, k:e] - np.eye(e - k))) <= 1e-13
+    for rhs in (rng.normal(size=n), rng.normal(size=(2, n))):
+        x = normal.solve(rhs)
+        ref = np.linalg.solve(M, rhs.T).T
+        assert x.shape == rhs.shape
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_the_refined_panel_meets_its_columns_to_rounding():
+    # the first diagonal block has condition 1e12: the panel C_low L_kk^{-T}
+    # alone, through L_kk's inverse, misses P L_kk^T = C_low by several
+    # times rounding (2.7e-15 to 7.1e-15 on twelve seeds); refined once it
+    # stays within 1.2e-15
+    n, k = _BLOCKED_MIN_ROWS + 8, _TRSV_BLOCK
+    rng = np.random.default_rng(5)
+    Q = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    A = (Q * np.logspace(0, -12, k)) @ Q.T
+    G = np.tril(rng.normal(size=(n, n)))
+    G[:k, :k] = np.linalg.cholesky(0.5 * (A + A.T))
+    G[k:, k:] += n * np.eye(n - k)
+    M = G @ G.T
+    L = _NormalFactor(M).L
+    panel = L[k:, :k] @ L[:k, :k].T - M[k:, :k]
+    assert np.max(np.abs(panel)) <= 2e-15 * np.max(np.abs(M[k:, :k]))
+
+
+def test_a_blocked_factor_indefinite_in_its_third_block_retries_then_raises(monkeypatch):
+    n = _BLOCKED_MIN_ROWS + 8
+    rng = np.random.default_rng(3)
+    F = rng.normal(size=(n, n))
+    M = F @ F.T + n * np.eye(n)
+    # beyond every regularization, which stops at trace(M) / n * 1e-2
+    bad = 2 * _TRSV_BLOCK + 5
+    M[bad, bad] = -10.0 * np.trace(M) / n
+    attempts, factored = [], []
+    real_blocked, real_cholesky = conic._blocked_cholesky, np.linalg.cholesky
+    monkeypatch.setattr(conic, "_blocked_cholesky",
+                        lambda Mr: attempts.append(Mr[0, 0] - M[0, 0]) or real_blocked(Mr))
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda a: factored.append(a.shape) or real_cholesky(a))
+    with pytest.raises(np.linalg.LinAlgError):
+        _NormalFactor(M)
+    # eight attempts at growing shifts, each failing at its third block
+    assert len(attempts) == 8 and attempts[0] == 0.0
+    assert all(0 < a < b for a, b in zip(attempts[1:], attempts[2:]))
+    assert factored == [(_TRSV_BLOCK, _TRSV_BLOCK)] * 3 * 8
 
 
 def test_batched_svec_smat_match_single_matrices():

@@ -71,6 +71,8 @@ def _interior_point(cone, rng):
         (1, 2, True, (0.0, 1.0)),
         (2, 2, False, (-0.4, 1.7)),  # normalized to [0, 1] first
         (2, 3, True, (-0.4, 1.7)),
+        (10, 10, False, (0.0, 1.0)),  # above the crossover, as analyze takes it
+        (10, 10, True, (0.0, 1.0)),
     ],
 )
 def test_structured_gram_matches_the_dense_product(monkeypatch, n, m, odd, band):
@@ -144,6 +146,25 @@ def test_structured_products_equal_the_dense_ones(n, m, odd):
         rows_z = -(A_raw.T @ z)
         ref_cone = max(engine._cone_violation(con, rows_z[sl]) for con, sl in form.blocks)
         assert abs(form.verify_primal(z) - ref_cone) <= 1e-13 * ref_cone
+
+
+def test_the_lmi_gram_holds_no_array_of_the_schur_complements_size():
+    # the term is written straight into S: the gram keeps no buffer, index
+    # map or scale of nrows^2 entries between steps
+    ladder = {case.name: case for case in _workloads().ladder()}
+    form = build_dual(build_primal(normalize_band(_system(ladder["ladder-20"]))))
+    nrows = form.d.size
+    assert nrows == 611 and form.psd_rows is not None
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from arrays(item)
+
+    sizes = [a.size for value in vars(form.psd_rows).values() for a in arrays(value)]
+    assert sizes and max(sizes) < nrows * nrows
 
 
 def test_the_structured_path_never_forms_the_lmi_rows(monkeypatch):
