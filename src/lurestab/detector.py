@@ -51,10 +51,6 @@ class DualCertificate:
     z_star: np.ndarray
     snapped: int = 0
 
-    @property
-    def h(self) -> np.ndarray:
-        return np.concatenate([self.h1, self.h2])
-
 
 @dataclass(frozen=True)
 class Inconclusive:

@@ -18,30 +18,31 @@ n + m = _STRUCTURED_MIN_DIM on, the LMI block's rows are taken through
 the congruence factors build_primal supplies (_LmiGram) and never formed:
 their norms, the Schur term and every product with A or B = A W^T.
 
-solve reads the primal off the y side and stops at the first iterate that
-certifies (the achieved -lambda_max of the strict LMI, at M moved onto
-its cone, clears the threshold, whatever the iterate's margin t; the raw
-constraint rows are measured for the report but gate nothing), and only
-such an iterate makes it "feasible"; an infeasible primal runs to its
-optimum t* = 0.  reduce_rank makes the one pass over the x side: a steer solve
-over the dual's feasible set, whose objective steers toward the branch the
-proof concludes on, returns a point or a Farkas certificate y.  Read in
-the primal's coordinates, that certificate is (P, M, t = 1) with F z in
-K, a strict primal solution; infeasibility is only declared once it
-passes the same cone check as the primal's rows (DualForm.verify_primal).
+By the theorem of alternatives either side is infeasible exactly when the
+other has a point, so every run is judged by two checks, one per side.  A
+y side certifies when the achieved margin -lambda_max(L(P, M)) at
+z = y / d, M moved onto its cone, reaches PRIMAL_MARGIN
+(_primal_true_margin); an x side is a dual point when DualForm.verify
+passes on the solver's own coordinates.  solve reads the primal off the y
+side and stops at the first iterate that certifies, whatever its margin
+t: that makes it "feasible".  An infeasible primal runs to its optimum
+t* = 0, and is "infeasible" only where the run's x verifies.
+reduce_rank makes the one pass over the x side: a steer solve over the
+dual's feasible set, whose objective steers toward the branch the proof
+concludes on, returns a point or a Farkas certificate y.  Read in the
+primal's coordinates, z = y / (b.y) / d, that certificate is (P, M, t = 1),
+and infeasibility is only declared once its margin certifies.
 The caller says whether a verified point that is not rank one is deflated
 toward rank one (analyze does so only where it knows no equilibrium
 input), and the pass returns H's rank-one factor, or None where H is not
 rank one: this is the one place "rank one" is decided.  Either way the
-verdict rests on verifying the raw constraints, never on solver status
-alone.
+verdict rests on one of the two checks, never on solver status alone.
 
 Every threshold is a module constant: TOL_RANK decides "rank one", TOL_EQ
 bounds the dual's raw residual, PRIMAL_MARGIN is the margin a certifying
-primal iterate must reach and CONE_TOL the cone violation a dual point
-and an infeasible primal's optimum may carry.  Every solve, primal, steer
-or deflation round, stops at the interior-point core's one tolerance,
-conic.IPM_TOL.
+y must reach and CONE_TOL the cone violation a dual point may carry.
+Every solve, primal, steer or deflation round, stops at the
+interior-point core's one tolerance, conic.IPM_TOL.
 """
 
 from dataclasses import dataclass, field
@@ -78,10 +79,8 @@ TOL_RANK = 1.0e-6
 TOL_EQ = 1.0e-8
 # Margin from which a max-margin primal iterate counts as strictly feasible.
 PRIMAL_MARGIN = 1.0e-7
-# Absolute bound on cone violations of returned assignments.
+# Absolute bound on the cone violation of a dual point.
 CONE_TOL = 1.0e-9
-# Largest cone violation of a b.y-normalized Farkas certificate.
-_FARKAS_TOL = 1.0e-7
 _MAX_RANK_ROUNDS = 10
 # Smallest LMI dimension n + m at which the Schur complement's LMI term is
 # built from the congruence structure (_LmiGram) rather than from B = A W^T;
@@ -91,24 +90,28 @@ _STRUCTURED_MIN_DIM = 20
 
 @dataclass(frozen=True)
 class Residuals:
-    """Raw constraint quality of the returned assignment."""
+    """Raw adjoint residual and cone violation of a dual point
+    (DualForm.verify)."""
 
     max_equality: float
     max_cone_violation: float
-    margin: Optional[float] = None
 
 
 @dataclass
 class SolveResult:
-    """The verdict of solve on the primal or of reduce_rank on the dual, the
-    assignment it rests on and that assignment's raw residuals; for
-    reduce_rank, factor is h with H = h h^T where H is rank one, else None."""
+    """The verdict of solve on the primal or of reduce_rank on the dual and
+    the assignment it rests on.  margin is the achieved margin of a y side,
+    the primal's iterate or a Farkas certificate of the dual (None where
+    there is none); residuals are those of reduce_rank's dual point (None
+    for solve), and factor is h with H = h h^T where H is rank one, else
+    None."""
 
     status: str  # "feasible" | "infeasible" | "numerical_limit"
     assignment: dict
-    residuals: Residuals
+    residuals: Optional[Residuals] = None
     diagnostics: dict = field(default_factory=dict)
     factor: Optional[np.ndarray] = None
+    margin: Optional[float] = None
 
 
 def _from_coords(kind: str, coords: np.ndarray, dim: int) -> np.ndarray:
@@ -130,21 +133,9 @@ def _reconstruct(var_slices, z: np.ndarray) -> dict:
     return {v.name: _from_coords(v.kind, z[sl], v.dim) for v, sl in var_slices}
 
 
-def _scalarize(value, kind: str) -> np.ndarray:
-    """Coordinates of a value, batched over its leading axes; the inverse
-    of _from_coords."""
-    value = np.asarray(value, dtype=float)
-    if kind == "sym":
-        return svec(0.5 * (value + np.swapaxes(value, -1, -2)))
-    if kind == "hollow":
-        rows, cols = _offdiag_pairs(value.shape[-1])
-        return value[..., rows, cols]
-    return np.atleast_1d(value)
-
-
 def _cone_violation(con, coords: np.ndarray) -> float:
-    """Worst violation of a constraint's cone by its rows, or by its
-    multiplier, given in coordinates; >= 0."""
+    """Worst violation of a constraint's cone by its multiplier, given in
+    coordinates; >= 0."""
     if con.cone == "psd":
         return float(max(0.0, -np.linalg.eigvalsh(smat(coords, con.dim))[0]))
     return float(max(0.0, -np.min(coords))) if coords.size else 0.0
@@ -357,8 +348,7 @@ class DualForm:
     F's LMI rows are never formed: psd_rows is the LMI block's rows taken
     through the congruence (_LmiGram), which also gives d, and A_raw and A
     hold only the orthant's columns, -F_incidence^T and its scaled copy.
-    verify and verify_primal measure residuals in raw units, through the
-    same rows.
+    verify measures residuals in raw units, through the same rows.
     """
 
     def __init__(self, primal: SdpFeasibilityProblem):
@@ -389,19 +379,15 @@ class DualForm:
             for con, sl in self.blocks
         }
 
-    def verify(self, assignment: dict):
-        """Raw adjoint residual and cone violation of the dual blocks.
+    def verify(self, x: np.ndarray):
+        """(ok, max_eq, max_cone): the raw adjoint residual and the cone
+        violation of the dual point x, in the solver's coordinates.
 
         The cone violation is measured on H, f, g, -X and -Z, in the units
         of the blocks, not of the multipliers.
         """
-        parts, max_cone = [], 0.0
-        for con, _ in self.blocks:
-            scale = DUAL_SCALE[con.cone]
-            multiplier = np.asarray(assignment[con.dual], dtype=float).T / scale
-            parts.append(_scalarize(multiplier, con.kind))
-            max_cone = max(max_cone, _cone_violation(con, abs(scale) * parts[-1]))
-        x = np.concatenate(parts)
+        max_cone = max(_cone_violation(con, abs(DUAL_SCALE[con.cone]) * x[sl])
+                       for con, sl in self.blocks)
         if self.psd_rows is None:
             rows = self.A_raw @ x
         else:
@@ -411,15 +397,6 @@ class DualForm:
         max_eq = float(np.max(np.abs(rows - self.b_raw)))
         tol_eq = TOL_EQ * (1.0 + float(np.max(np.abs(self.b_raw))))
         return max_eq <= tol_eq and max_cone <= CONE_TOL, max_eq, max_cone
-
-    def verify_primal(self, z: np.ndarray) -> float:
-        """Worst cone violation of the primal's rows F z."""
-        if self.psd_rows is None:
-            rows = -(self.A_raw.T @ z)
-        else:
-            lmi = svec(self.psd_rows.adjoint(z * self.d))
-            rows = -np.concatenate([lmi, self.A_raw.T @ z])
-        return max((_cone_violation(con, rows[sl]) for con, sl in self.blocks), default=0.0)
 
 
 def build_dual(problem: SdpFeasibilityProblem) -> DualForm:
@@ -450,14 +427,14 @@ def solve(form: DualForm) -> SolveResult:
     from A being Schur), so neither t nor the IPM's raw rows (the
     t-shifted LMI block and M's cone rows) gate it.  The IPM tests this
     before anything else and stops at the first iterate that passes
-    ("accepted"), which is then "feasible"; its raw rows are measured
-    once, for the residuals reported.  The reported margin of a feasible
-    result is therefore the achieved -lambda_max(L) of the returned
-    certificate, not an optimum: the rows are homogeneous, and a feasible
-    primal's margin is unbounded.  An infeasible primal has no iterate
-    that passes, so it runs to its optimum t* = 0, and a converged optimum
-    with its raw rows in their cones is "infeasible".  Anything undecided
-    comes back "numerical_limit".
+    ("accepted"), which is then "feasible".  An infeasible primal has no
+    iterate that passes, so it runs to its optimum t* = 0; it is
+    "infeasible" when the run's x side, the dual LMI, holds a point that
+    DualForm.verify accepts, and "numerical_limit" otherwise.  The margin
+    is the achieved -lambda_max(L) at the returned z on every status, the
+    accepted iterate's as the accept test measured it: not an optimum,
+    since the rows are homogeneous and a feasible primal's margin is
+    unbounded.
     """
     accepted = []  # the achieved margin of the iterate accepted
 
@@ -474,17 +451,13 @@ def solve(form: DualForm) -> SolveResult:
                       psd_rows=form.psd_rows)
     # for "accepted", res.y is the iterate certifies passed, bit for bit
     z = res.y / form.d
-    max_cone = form.verify_primal(z)
     if res.status == "accepted":
         status, margin = "feasible", accepted[-1]
-    elif res.status == "optimal" and max_cone <= CONE_TOL:
-        status, margin = "infeasible", form.b_raw @ z
     else:
-        status, margin = "numerical_limit", _primal_true_margin(form, z)
+        status = "infeasible" if form.verify(res.x)[0] else "numerical_limit"
+        margin = _primal_true_margin(form, z)
     return SolveResult(
-        status=status,
-        assignment=_reconstruct(form.var_slices, z),
-        residuals=Residuals(0.0, max_cone, margin=float(margin)),
+        status, _reconstruct(form.var_slices, z), margin=margin,
         diagnostics={"ipm_status": res.status, "ipm_iterations": res.iterations},
     )
 
@@ -514,8 +487,7 @@ def _solve_point(dual: DualForm, W: np.ndarray):
     c = np.zeros(dual.ncone)
     c[dual.h_slice] = svec(W)
     res = solve_conic(dual.A, dual.b, c, dual.cone, psd_rows=dual.psd_rows)
-    assignment = dual.reconstruct(res.x)
-    return res, assignment, dual.verify(assignment)
+    return res, dual.reconstruct(res.x), dual.verify(res.x)
 
 
 def _rank_ratio(H: np.ndarray):
@@ -539,9 +511,10 @@ def reduce_rank(dual: DualForm, deflate: bool) -> SolveResult:
     straight off the point, so leftover solver noise would show up as
     spurious slope defects; conic.IPM_TOL is tight for that reason.  A
     steer point that fails verification ends the pass: its Farkas
-    certificate is checked as a primal point (DualForm.verify_primal), and
-    one that passes makes the result "infeasible", with the certificate in the
-    diagnostics read in the primal's coordinates (P, M, t = 1); otherwise
+    certificate y, read in the primal's coordinates z = y / (b.y) / d as
+    (P, M, t = 1), is judged as a primal iterate is, and one whose margin
+    reaches PRIMAL_MARGIN makes the result "infeasible", with the
+    certificate in the diagnostics and its margin in the result; otherwise
     "numerical_limit".
 
     H is rank one when its second eigenvalue over its first, the rank
@@ -563,16 +536,16 @@ def reduce_rank(dual: DualForm, deflate: bool) -> SolveResult:
     diagnostics = {"ipm_status": res.status, "ipm_iterations": res.iterations}
     if not ok:
         # a Farkas certificate y reads as the primal point z with t = 1
-        by, q = float(dual.b @ res.y), None
+        by, margin = float(dual.b @ res.y), None
         if by > 0.0:
             z = res.y / by / dual.d
-            q = dual.verify_primal(z)
-        diagnostics["farkas_quality"] = q
+            margin = _primal_true_margin(dual, z)
         status = "numerical_limit"
-        if q is not None and q <= _FARKAS_TOL:
+        if margin is not None and margin >= PRIMAL_MARGIN:
             status = "infeasible"
             diagnostics["certificate"] = _reconstruct(dual.var_slices, z)
-        return SolveResult(status, best_assign, Residuals(best_eq, best_cone), diagnostics)
+        return SolveResult(status, best_assign, Residuals(best_eq, best_cone), diagnostics,
+                           margin=margin)
 
     best_ratio, best_V, best_h = _rank_ratio(best_assign["H"])
     trail = [best_ratio]

@@ -10,9 +10,9 @@ DHD cone (DD for odd nonlinearities) such that
             + [C D; 0 I]^T Pi(M, band) [C D; 0 I]  <  0,
 
 with Pi the paper's multiplier (multipliers.py).  L is stated once, in
-lmi_congruence, as congruences of one factor U: primal_lmi_matrix, the
-primal's LMI rows and the engine's structured Schur complement all read
-it from there, and the Pi form is only the reference it is tested against.
+lmi_congruence, as congruences of one factor U: the margin audit
+(_lmi_matrix), the primal's LMI rows and the engine's structured Schur
+complement all read it from there, and the Pi form is only the reference it is tested against.
 
 P is a free symmetric variable: Schur stability of A makes P > 0 follow
 from the inequality.  build_primal returns the primal: the decision
@@ -56,7 +56,6 @@ __all__ = [
     "build_primal",
     "formed_rows",
     "multiplier_matrix",
-    "primal_lmi_matrix",
 ]
 
 # how a constraint's rows are read, per cone: as the coordinates of the
@@ -124,12 +123,6 @@ class SdpFeasibilityProblem:
     F_incidence: np.ndarray
     objective: np.ndarray
     meta: dict = field(default_factory=dict)
-
-
-def primal_lmi_matrix(sys: StateSpaceSystem, P: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """The (n+m) x (n+m) matrix L(P, M) required negative definite by the
-    primal, batched over the leading axes of P and M."""
-    return _lmi_matrix(lmi_congruence(sys), P, M)
 
 
 def lmi_congruence(sys: StateSpaceSystem) -> dict:

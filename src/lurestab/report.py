@@ -15,10 +15,13 @@ Certificate extraction reads the rank-one factor the pass returns as the
 paper does, and the witness is mapped back to the original band, where
 the slope audit and a one-step algebraic equilibrium check run.  On every
 m a dual pass that ends numerical_limit, or a dual witness that fails
-extraction or either check, gives way to the known equilibrium.
-Every verdict carries the residuals and tolerances that produced it, and
-reports serialize to byte-stable canonical JSON (sorted keys, fixed
-17-significant-digit floats, no timestamps).
+extraction, whose map cannot be built, or that fails either check, gives
+way to the known equilibrium.  The primal's block is its status and the
+achieved margin -lambda_max(L(P, M)), with P and M when it certifies; the
+dual's carries the raw residuals of its point.  Every verdict carries the
+margin, residuals and tolerances that produced it, and reports serialize
+to byte-stable canonical JSON (sorted keys, fixed 17-significant-digit
+floats, no timestamps).
 """
 
 import json
@@ -31,7 +34,7 @@ from .detector import DualCertificate, Inconclusive, build_pwl, extract_certific
 from .conic import MAX_ITERS
 from .engine import CONE_TOL, PRIMAL_MARGIN, TOL_EQ, TOL_RANK, build_dual, reduce_rank, solve
 from .equilibria import MAX_CHANNELS, linear_equilibrium, search, zero_state
-from .errors import AssumptionViolatedError
+from .errors import AssumptionViolatedError, CertificateInconsistentError
 from .linalg import spectral_norm
 from .lmi import build_primal, multiplier_matrix
 from .pwl import PiecewiseLinearMap, eval_pwl, verify_slope
@@ -230,15 +233,17 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     report.dual is None and the pipeline has no dual_status or rank_* keys.
     After the dual pass one fallback rule holds on every m: a dual pass
     that ends "numerical_limit", or a dual witness that fails
-    (extract_certificate is Inconclusive, or the slope audit or the
-    equilibrium check fails), gives way to the known equilibrium (h1, w),
-    the eigenvector's or the search's ray's, as equilibria handed it on,
-    and diagnostics["pipeline"]["witness_source"] is "linear" or "search".
+    (extract_certificate is Inconclusive, build_pwl cannot build its map,
+    or the slope audit or the equilibrium check fails), gives way to the
+    known equilibrium (h1, w), the eigenvector's or the search's ray's, as
+    equilibria handed it on, and diagnostics["pipeline"]["witness_source"]
+    is "linear" or "search".  Where no input is known, a map that cannot
+    be built raises CertificateInconsistentError.
     After a numerical_limit pass the dual block keeps its status and
     residuals and gains the witness's entries, but no H, f, g, X or Z, and
     the pipeline has no rank_* keys.  So reason dual_not_feasible means
     that no input is known and the pass did not end feasible, or that a
-    Farkas certificate of the dual passed its independent check.  The
+    Farkas certificate of the dual certified as a primal point.  The
     dual pass deflates a point that is not rank one only where no input is
     known (m > MAX_CHANNELS with no linear equilibrium), so rank_stop
     "equilibrium" means an input is known, the reasons rank, sign and
@@ -303,9 +308,7 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         pipe["primal_ipm_iterations"] = primal_res.diagnostics["ipm_iterations"]
         primal_dict = {
             "status": primal_res.status,
-            "margin": primal_res.residuals.margin,
-            "max_equality_residual": primal_res.residuals.max_equality,
-            "max_cone_violation": primal_res.residuals.max_cone_violation,
+            "margin": primal_res.margin,
         }
         if primal_res.status == "feasible":
             # the normalized LMI at (P, M (nu - mu)^2) is a congruence of the
@@ -330,7 +333,7 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         "max_cone_violation": reduced.residuals.max_cone_violation,
     }
     if not feasible and (known is None or reduced.status == "infeasible"):
-        # no input to fall back on, or a Farkas certificate that passed
+        # no input to fall back on, or a Farkas certificate that certified
         pipe["inconclusive_reason"] = "dual_not_feasible"
         return report("inconclusive")
 
@@ -342,11 +345,15 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
         dual_dict["H"] = reduced.assignment["H"]
         outcome = extract_certificate(unit, reduced.factor)
         if not isinstance(outcome, Inconclusive):
-            witness = _witness(sys, outcome)
+            try:
+                witness = _witness(sys, outcome)
+            except CertificateInconsistentError:
+                if known is None:
+                    raise  # no input to fall back on
     fallback = known is not None and (witness is None or witness[1] is not None)
     if fallback:
         # a dual pass that ends numerical_limit, or a dual witness that
-        # fails a gate or an audit, gives way to the known equilibrium
+        # fails a gate, its map or an audit, gives way to the known equilibrium
         witness = _witness(sys, fit(unit, *known))
     if witness is None:
         pipe["inconclusive_reason"] = outcome.reason

@@ -189,7 +189,7 @@ def audit_duality(sys: StateSpaceSystem, seed: int = 0) -> DualityAuditReport:
     form = build_dual(build_primal(sys))
     primal = solve(form)
     dual = reduce_rank(form, deflate=False)  # its status is read
-    margin = primal.residuals.margin if primal.residuals.margin is not None else -np.inf
+    margin = primal.margin
     primal_decisive = primal.status == "feasible" and margin >= 1e-7
     dual_decisive = dual.status == "feasible"
     return DualityAuditReport(

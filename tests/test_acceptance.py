@@ -14,7 +14,7 @@ import pytest
 from lurestab.cli import main
 from cones import ConeTag
 from helpers import random_member
-from lurestab.lmi import primal_lmi_matrix
+from lurestab.lmi import _lmi_matrix, lmi_congruence
 from oracles import (
     audit_duality,
     audit_multiplier_inequality,
@@ -193,7 +193,7 @@ def test_criterion_5_lagrangian_round_trip():
             g = rng.normal(size=m)
             X = _hollow(rng, m)
 
-            L = primal_lmi_matrix(sysm, P, M)
+            L = _lmi_matrix(lmi_congruence(sysm), P, M)
             dyn = state_equality_block(sysm, H)
             Y = output_coupling_block(sysm, H)
             lhs = np.trace(L @ H)

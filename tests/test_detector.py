@@ -25,7 +25,7 @@ def test_extract_slope_certificate(slope_example, slope_dual_reduced):
     assert isinstance(cert, DualCertificate)
 
     # the factor reproduces H and the pieces are consistent
-    h = cert.h
+    h = np.concatenate([cert.h1, cert.h2])
     assert np.linalg.norm(np.outer(h, h) - slope_dual_reduced.assignment["H"]) <= 1.0e-6
     z = slope_example.C @ cert.h1 + slope_example.D @ cert.h2
     assert np.array_equal(cert.z_star, z)
@@ -45,7 +45,7 @@ def test_extract_odd_certificate_carries_z(odd_example, odd_dual_reduced):
     assert Z.shape == (odd_example.m, odd_example.m)
     cert = extract_certificate(odd_example, odd_dual_reduced.factor)
     assert isinstance(cert, DualCertificate)
-    h = cert.h
+    h = np.concatenate([cert.h1, cert.h2])
     assert np.linalg.norm(np.outer(h, h) - odd_dual_reduced.assignment["H"]) <= 1.0e-6
 
 

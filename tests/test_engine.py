@@ -13,7 +13,7 @@ from cones import ConeTag, is_member
 from lurestab import conic, engine, report
 from lurestab.engine import build_dual, reduce_rank, solve
 from lurestab.equilibria import MAX_CHANNELS
-from lurestab.lmi import build_primal, multiplier_matrix, primal_lmi_matrix
+from lurestab.lmi import _lmi_matrix, build_primal, lmi_congruence, multiplier_matrix
 from lurestab.report import analyze
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
 from oracles import output_coupling_block, primal_constraints, state_equality_block
@@ -52,24 +52,23 @@ def _bench(name):
 def test_margin_primal_infeasible_on_slope_example(slope_example):
     res = solve(_dual(slope_example))
     assert res.status == "infeasible"
-    assert res.residuals.margin is not None
-    assert res.residuals.margin < 1.0e-7
+    assert res.margin < 1.0e-7
 
 
 def test_margin_primal_infeasible_on_odd_example(odd_example):
     res = solve(_dual(odd_example))
     assert res.status == "infeasible"
-    assert res.residuals.margin < 1.0e-7
+    assert res.margin < 1.0e-7
 
 
 def test_decoupled_primal_feasible_with_margin(decoupled_example):
     res = solve(_dual(decoupled_example))
     assert res.status == "feasible"
-    assert res.residuals.margin >= 1.0e-7
+    assert res.margin >= 1.0e-7
 
     P = res.assignment["P"]
     M = multiplier_matrix(res.assignment, decoupled_example.nl_class)
-    L = primal_lmi_matrix(decoupled_example, P, M)
+    L = _lmi_matrix(lmi_congruence(decoupled_example), P, M)
     # the verdict is certified by the assignment itself, not the solver
     assert np.max(np.linalg.eigvalsh(L)) <= -1.0e-7
 
@@ -353,7 +352,7 @@ def segment():
 
     def point(s):
         x = (1.0 - s) * x1 + s * x0
-        assert problem.verify(problem.reconstruct(x))[0]
+        assert problem.verify(x)[0]
         return x
 
     return problem, point
@@ -421,24 +420,34 @@ def test_reduce_rank_stops_after_a_round_it_does_not_keep(segment, monkeypatch):
     assert np.array_equal(red.assignment["H"], problem.reconstruct(x_steer)["H"])
 
 
-def test_primal_verify_reads_the_constraint_rows(slope_example, odd_example, decoupled_example):
-    # the worst cone violation of F z at the returned point equals the
-    # one of the constraints written from their definitions
-    for sysm in (slope_example, odd_example, decoupled_example):
-        form = _dual(sysm)
-        res = solve(form)
-        z = np.concatenate([
-            engine._scalarize(res.assignment[v.name], v.kind) for v, _ in form.var_slices
-        ])
-        expect, violation = primal_constraints(sysm, res.assignment), 0.0
-        for con, _ in form.blocks:
-            value = expect[con.name]
-            if con.cone == "psd":
-                violation = max(violation, -np.linalg.eigvalsh(value)[0])
-            elif value.size:
-                value = engine._scalarize(value, con.kind)
-                violation = max(violation, -np.min(value, initial=np.inf))
-        assert abs(form.verify_primal(z) - max(violation, 0.0)) <= 1.0e-12
+def test_the_primal_is_infeasible_only_where_its_runs_dual_point_verifies(
+    monkeypatch, slope_example
+):
+    # the slope example's primal runs to its optimum t* = 0, and the run's
+    # x side is a dual point; with DualForm.verify made to reject it,
+    # nothing shows the primal infeasible
+    form = _dual(slope_example)
+    assert solve(form).status == "infeasible"
+    monkeypatch.setattr(engine.DualForm, "verify", lambda self, x: (False, 0.0, 0.0))
+    res = solve(form)
+    assert res.status == "numerical_limit" and res.diagnostics["ipm_status"] == "optimal"
+    # the margin is the achieved one on every status
+    M = multiplier_matrix(res.assignment, slope_example.nl_class)
+    L = _lmi_matrix(lmi_congruence(slope_example), res.assignment["P"], M)
+    assert res.margin == -np.linalg.eigvalsh(L)[-1]
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_a_farkas_certificate_is_read_by_its_margin(monkeypatch, decoupled_example, below):
+    # the decoupled example's steer solve returns a Farkas certificate y;
+    # it shows the dual infeasible exactly when its margin, read as the
+    # primal point (P, M, t = 1), reaches PRIMAL_MARGIN
+    margin = np.nextafter(engine.PRIMAL_MARGIN, 0.0) if below else engine.PRIMAL_MARGIN
+    monkeypatch.setattr(engine, "_primal_true_margin", lambda form, z: margin)
+    res = reduce_rank(_dual(decoupled_example), deflate=False)
+    assert res.diagnostics["ipm_status"] == "infeasible" and res.margin == margin
+    assert res.status == ("numerical_limit" if below else "infeasible")
+    assert ("certificate" in res.diagnostics) == (not below)
 
 
 def test_feasible_primal_measures_its_certificate_once(decoupled_example, monkeypatch):
@@ -466,7 +475,7 @@ def test_reduce_rank_keeps_rank_one_warm_start(slope_example, monkeypatch):
     red = reduce_rank(problem, deflate=True)
     [steer] = results
     assert np.array_equal(red.assignment["H"], problem.reconstruct(steer.x)["H"])
-    ok, max_eq, max_cone = problem.verify(red.assignment)
+    ok, max_eq, max_cone = problem.verify(steer.x)
     assert ok and red.residuals == engine.Residuals(max_eq, max_cone)
     assert red.diagnostics["rounds"] == 0
     assert red.diagnostics["rank_stop"] == "rank_one"
@@ -481,7 +490,7 @@ def _check_primal_certificate(sysm, res):
     assert cert["t"][0] == pytest.approx(1.0, abs=1e-9)
     P = cert["P"]
     M = np.diag(cert["M_diag"]) + cert["M_offdiag"]
-    L = primal_lmi_matrix(sysm, P, M)
+    L = _lmi_matrix(lmi_congruence(sysm), P, M)
     lam = float(np.linalg.eigvalsh(0.5 * (L + L.T))[-1])
     scale = max(1.0, np.abs(L).max())
     assert lam <= -1.0 + 1e-9 * scale
@@ -494,7 +503,7 @@ def test_equality_solve_farkas_certifies_infeasible(decoupled_example):
     res = reduce_rank(_dual(decoupled_example), deflate=False)
     assert res.status == "infeasible"
     assert res.diagnostics["ipm_status"] == "infeasible"
-    assert res.diagnostics["farkas_quality"] <= 1.0e-7
+    assert res.margin >= engine.PRIMAL_MARGIN
     _check_primal_certificate(decoupled_example, res)
 
 
@@ -506,7 +515,7 @@ def test_psd_block_infeasible_toy_ends_with_a_checked_certificate():
     )
     res = reduce_rank(_dual(sysm), deflate=False)
     assert res.status == "infeasible"
-    assert res.diagnostics["farkas_quality"] <= engine._FARKAS_TOL
+    assert res.margin >= engine.PRIMAL_MARGIN
     _check_primal_certificate(sysm, res)
 
 
@@ -517,7 +526,7 @@ def test_dual_farkas_certificate_is_a_primal_certificate():
         sysm = _seeded_system(60 + seed, n, m, odd=bool(seed % 2), gain=0.5)
         res = reduce_rank(_dual(sysm), deflate=False)
         assert res.status == "infeasible"
-        assert res.diagnostics["farkas_quality"] <= engine._FARKAS_TOL
+        assert res.margin >= engine.PRIMAL_MARGIN
         _check_primal_certificate(sysm, res)
 
 
@@ -560,8 +569,8 @@ def test_witness_is_a_verified_solver_point_as_returned(monkeypatch, request, fi
     red = reduce_rank(problem, deflate=False)
     # nothing rewrites the point a solve returned before it is read
     H = red.assignment["H"]
-    assert any(np.array_equal(H, problem.reconstruct(res.x)["H"]) for res in results)
-    assert problem.verify(red.assignment)[0]
+    [x] = [res.x for res in results if np.array_equal(H, problem.reconstruct(res.x)["H"])]
+    assert problem.verify(x)[0]
 
 
 def _capture_primal_rows(monkeypatch):
@@ -649,11 +658,10 @@ def test_primal_output_holds_from_definitions(slope_example, odd_example, decoup
         M = np.diag(res.assignment["M_diag"]) + res.assignment["M_offdiag"]
         assert np.array_equal(P, P.T)
         assert is_member(M, ConeTag.DD if odd else ConeTag.DHD).member
-        assert res.residuals.max_equality == 0.0
         if res.status == "feasible":
             L = _lmi_from_definition(sysm, P, M)
             lam = float(np.linalg.eigvalsh(L)[-1])
-            assert lam <= -res.residuals.margin + 1e-12 * max(1.0, np.abs(L).max())
+            assert lam <= -res.margin + 1e-12 * max(1.0, np.abs(L).max())
     assert statuses[:3] == ["infeasible", "infeasible", "feasible"]
     assert statuses.count("feasible") >= 4 and statuses.count("infeasible") >= 4
 
@@ -680,7 +688,7 @@ def test_dual_point_is_the_one_steered_solve(monkeypatch, request, fixture):
     assert before == 0
     assert after - before == 1 + red.diagnostics["rounds"]
     steer = dual.reconstruct(results[before].x)
-    assert dual.verify(steer)[0]
+    assert dual.verify(results[before].x)[0]
     pipe = rep.diagnostics["pipeline"]
     assert "dual_source" not in pipe
     assert pipe["rank_trail"][0] == engine._rank_ratio(steer["H"])[0]
@@ -718,6 +726,19 @@ def test_stable_analyze_stops_the_primal_at_its_first_certificate(monkeypatch):
     assert "dual_status" not in pipe
 
 
+def _raw_row_violation(sysm, assignment):
+    """Worst cone violation of the primal's constraints at an assignment,
+    written from their definitions (oracles.primal_constraints)."""
+    worst = 0.0
+    for name, value in primal_constraints(sysm, assignment).items():
+        if name == "lmi_margin":
+            worst = max(worst, -np.linalg.eigvalsh(value)[0])
+        elif value.size:
+            off = ~np.eye(len(value), dtype=bool) if value.ndim == 2 else slice(None)
+            worst = max(worst, -np.min(value[off], initial=np.inf))
+    return worst
+
+
 def test_a_certificate_is_accepted_whatever_the_raw_rows():
     # the raw rows (the t-shifted LMI block and M's cone rows) do not gate
     # a certificate.  ladder-8's first certificate misses CONE_TOL on them
@@ -734,7 +755,9 @@ def test_a_certificate_is_accepted_whatever_the_raw_rows():
         assert primal["margin"] >= engine.PRIMAL_MARGIN
         iterations[case.name] = pipe["primal_ipm_iterations"]
         if case.name == "ladder-8":
-            assert primal["max_cone_violation"] == pytest.approx(0.63, abs=0.01)
+            unit = normalize_band(_system(case))
+            res = solve(_dual(unit))
+            assert _raw_row_violation(unit, res.assignment) == pytest.approx(0.63, abs=0.01)
             _, moved = checker.repair_multiplier(np.array(primal["M"]), case.odd)
             assert moved <= checker.CONE_TOL
             L, _ = checker.lmi_matrix(case, np.array(primal["P"]), np.array(primal["M"]))

@@ -14,10 +14,10 @@ from lurestab.conic import svec
 from lurestab.lmi import (
     VarSpec,
     _lmi_coefficients,
+    _lmi_matrix,
     _matrix_entries,
     lmi_congruence,
     multiplier_matrix,
-    primal_lmi_matrix,
 )
 from lurestab.multipliers import build_multiplier
 from cones import ConeTag, is_member
@@ -107,7 +107,7 @@ def test_primal_lmi_matrix_matches_congruence():
             P = rng.normal(size=(2, 2))
             P = P + P.T
             M = rng.normal(size=(3, 3))
-            L = primal_lmi_matrix(sys, P, M)
+            L = _lmi_matrix(lmi_congruence(sys), P, M)
             AB = np.hstack([sys.A, sys.B])
             I0 = np.hstack([np.eye(2), np.zeros((2, 3))])
             CD = np.hstack([sys.C, sys.D])
@@ -196,7 +196,7 @@ def test_round_trip_identity_spot():
         M = rng.normal(size=(m, m))
         Hh = rng.normal(size=(n + m, n + m))
         H = Hh + Hh.T
-        L = primal_lmi_matrix(sys, P, M)
+        L = _lmi_matrix(lmi_congruence(sys), P, M)
         lhs = np.trace(L @ H)
         rhs = (np.trace(P @ state_equality_block(sys, H))
                + 2.0 * np.trace(M @ output_coupling_block(sys, H)))

@@ -19,7 +19,7 @@ from lurestab import (
     normalize_band,
 )
 from lurestab.cli import main
-from lurestab.lmi import primal_lmi_matrix
+from lurestab.lmi import _lmi_matrix, lmi_congruence
 
 # Unstable on their bands; before the loop transformation both ended as
 # "inconclusive" because the dual existed only on [0, 1].
@@ -89,7 +89,7 @@ def test_stable_margin_is_the_achieved_margin_of_the_reported_certificate():
     assert out["verdict"] == "absolutely_stable"
     P, M = np.array(out["primal"]["P"]), np.array(out["primal"]["M"])
     width = sysm.band.nu - sysm.band.mu
-    L = primal_lmi_matrix(normalize_band(sysm), P, M * width**2)
+    L = _lmi_matrix(lmi_congruence(normalize_band(sysm)), P, M * width**2)
     achieved = -float(np.linalg.eigvalsh(0.5 * (L + L.T))[-1])
     assert out["primal"]["margin"] == pytest.approx(achieved, rel=1e-12, abs=1e-14)
 

@@ -14,6 +14,7 @@ import pytest
 
 import lurestab
 from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze
+from lurestab.cli import main
 from lurestab.errors import AssumptionViolatedError
 from lurestab.pwl import PiecewiseLinearMap
 from lurestab.report import _equilibrium_check, canonical_json
@@ -200,6 +201,36 @@ def test_skipping_the_primal_leaves_the_witness_byte_identical(monkeypatch, requ
     assert "equilibrium_search" in solved["diagnostics"]["pipeline"]
     # forced, the primal runs to its optimum t* = 0
     assert solved["diagnostics"]["pipeline"]["primal_ipm_status"] == "optimal"
+
+
+@pytest.mark.parametrize("example", ["slope", "odd", "decoupled"])
+def test_the_primal_block_is_its_status_and_margin(monkeypatch, request, example):
+    # with the linear gain patched off, the primal runs on the unstable
+    # examples too; its block is the status and the achieved margin, and
+    # the certificate (P, M) where it is stable
+    monkeypatch.setattr(lurestab.report, "linear_equilibrium", lambda unit: None)
+    rep = analyze(request.getfixturevalue(f"{example}_example"))
+    stable = example == "decoupled"
+    assert rep.verdict == ("absolutely_stable" if stable else "not_absolutely_stable")
+    assert set(rep.primal) == {"status", "margin"} | ({"P", "M"} if stable else set())
+    assert rep.primal["status"] == ("feasible" if stable else "infeasible")
+
+
+def test_a_witness_map_that_cannot_be_built_gives_way_to_the_known_input(tmp_path):
+    # the dual witness of this plant has a channel with z* = 0 and
+    # w* = 2e-6, which no map interpolates together with the origin; its
+    # linear gain (lambda = 2.871) gives the witness instead
+    plant = {"A": [[0.5804905842003484]], "B": [[0.8244122790838154, -0.33691804951042836]],
+             "C": [[0.0], [-1.1916459308176033]], "D": [[0.0, 0.0], [0.0, 0.0]],
+             "mu": 0.0, "nu": 3.0, "class": "slope"}
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps(plant))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "report.json")]) == 10
+    doc = json.loads((tmp_path / "report.json").read_text())
+    pipe = doc["diagnostics"]["pipeline"]
+    assert doc["verdict"] == "not_absolutely_stable"
+    assert pipe["witness_source"] == "linear" and pipe["rank_stop"] == "rank_one"
+    assert pipe["linear_equilibrium"] == pytest.approx(2.871, abs=1e-3)
 
 
 def test_decoupled_example_verdict(decoupled_example):
