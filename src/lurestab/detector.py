@@ -43,7 +43,7 @@ class DualCertificate:
     h = (h1, h2) is the factor of H: h1 the equilibrium candidate, h2 the
     loop input w* there and z_star = C h1 + D h2 the output.  snapped counts
     the order rows snap_to_band projected w* onto, each of which puts one
-    map segment on a band edge.
+    map segment on a band edge or levels a pair the map merges.
     """
 
     h1: np.ndarray
@@ -181,8 +181,10 @@ def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate) -> DualCertificat
     Solver rounding leaves a segment that truly lies on a band edge (such
     as a flat segment between two channels with w*_i = -w*_j) a hair
     outside the band, so rows negative at the witness's own (z*, w*) are
-    violated; a pair that build_pwl merges into one node has no segment and
-    gives no row.  w* is projected onto the
+    violated.  A pair that build_pwl merges into one node has no segment:
+    its rows are dw >= 0 and -dw >= 0, violated only where its w differ by
+    more than the merge tolerance (such as a channel with z*_i = 0 and w*_i
+    at rounding level, merged with the origin).  w* is projected onto the
     null space of the violated rows, a row the projection violates is added
     until none is, and h1 and z* are recomputed.  A witness that violates
     no row is returned unchanged, and so is one whose projection has a zero
@@ -195,11 +197,14 @@ def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate) -> DualCertificat
     order = np.argsort(z, kind="stable")
     nodes = np.vstack([np.zeros_like(s), np.diag(s)])
     diff = np.diff(nodes[order], axis=0)
-    Kw, Kz = np.vstack([diff, -diff]), np.vstack([np.zeros_like(diff), diff])
     # build_pwl merges a pair within its tolerance into one node, so the
-    # pair's slope is rounding noise with no segment behind it
-    live = np.tile(np.diff(z[order]) > _merge_tol(cert.z_star), 2)
-    rows = (Kw @ cert.h2 + Kz @ cert.z_star < 0.0) & live
+    # pair has no segment: its rows are dw >= 0 and -dw >= 0, violated only
+    # where its w differ by more than the tolerance
+    tol = _merge_tol(cert.z_star)
+    merged = np.diff(z[order]) <= tol
+    Kw, Kz = np.vstack([diff, -diff]), np.vstack([np.zeros_like(diff), diff * ~merged[:, None]])
+    slack = np.tile(np.where(merged, tol, 0.0), 2)
+    rows = Kw @ cert.h2 + Kz @ cert.z_star < -slack
     if not rows.any():
         return cert
     F, G = equilibrium_maps(sys)
@@ -211,7 +216,7 @@ def snap_to_band(sys: StateSpaceSystem, cert: DualCertificate) -> DualCertificat
         N = Vt[int(np.sum(sig > max(E.shape) * np.finfo(float).eps * sig[0])):].T
         w = N @ (N.T @ cert.h2)
         h1 = F @ w
-        new = (Kw @ w + Kz @ (sys.C @ h1 + sys.D @ w) < 0.0) & live & ~rows
+        new = (Kw @ w + Kz @ (sys.C @ h1 + sys.D @ w) < -slack) & ~rows
         rows |= new
     if zero_state(h1, w):
         return cert

@@ -13,10 +13,12 @@ equilibration (DualForm).  Its y side is the primal at c = 0, with
 y = d z, so the Schur complement is indexed by the decision coordinates;
 its x side is the dual LMI, the Farkas alternative of the primal, whose
 coordinates are the multipliers of the primal's rows, read as the blocks
-H, f, g, X (and Z) through lmi.DUAL_SCALE.  From LMI dimension
-n + m = _STRUCTURED_MIN_DIM on, the LMI block's rows are taken through
-the congruence factors build_primal supplies (_LmiGram) and never formed:
-their norms, the Schur term and every product with A or B = A W^T.
+H, f, g, X (and Z) through lmi.DUAL_SCALE.  The LMI block's rows have one
+writer, _LmiGram, which takes them through the congruence factors
+build_primal supplies: their norms, and so d, at every size.  Below LMI
+dimension n + m = _STRUCTURED_MIN_DIM it forms them once into the IPM's
+A; from it on they are never formed, and _LmiGram gives the Schur term
+and every product with A or B = A W^T.
 
 By the theorem of alternatives either side is infeasible exactly when the
 other has a point, so every run is judged by two checks, one per side.  A
@@ -57,7 +59,6 @@ from .lmi import (
     _lmi_matrix,
     _matrix_entries,
     _offdiag_pairs,
-    formed_rows,
     multiplier_matrix,
 )
 from .system import StateSpaceSystem
@@ -171,16 +172,12 @@ def _families(congruence: dict, var_slices) -> list:
     return families
 
 
-def _equilibration(norms: np.ndarray, b_raw: np.ndarray) -> np.ndarray:
-    """d_i = max(||row i||, |b_raw_i|, 1e-12), the row scaling of the IPM's
-    pair."""
-    return np.maximum(np.maximum(norms, np.abs(b_raw)), 1.0e-12)
-
-
 class _LmiGram:
     """The LMI block's rows of the IPM's A, equilibrated by d, through the
-    congruence factors of lmi.lmi_congruence, without forming A or
-    B = A W^T: the rows object conic.solve_conic takes as psd_rows.
+    congruence factors of lmi.lmi_congruence: their one writer.  From the
+    crossover on it is the rows object conic.solve_conic takes as
+    psd_rows, and neither A nor B = A W^T is formed; below it, formed
+    writes the block into A.
 
     Row i of the IPM's A holds, on the LMI block, svec(X_i) / d_i, X_i
     being the LMI's coefficient of decision coordinate i.  At the block's
@@ -207,7 +204,7 @@ class _LmiGram:
     d is read off the same formula at G = I: ||X_i||_F^2 is its diagonal,
     at H = U U^T, and n + m for the identity; with rest_sq, the squared
     norm of each raw row outside the LMI block, and the raw right-hand
-    side b_raw, d_i = max(||row i||, |b_raw_i|, 1e-12), as DualForm's.
+    side b_raw, d_i = max(||row i||, |b_raw_i|, 1e-12): DualForm's d.
 
     The products read the same entries.  At a scaling factor R (I for A
     itself) and for symmetric V, with H = (U R) V (U R)^T,
@@ -229,14 +226,13 @@ class _LmiGram:
         H = U @ U.T
         sq = np.array(rest_sq, dtype=float)
         for fam in families:
-            acc = 0.0
-            for l, r, s in fam.terms:
-                for l2, r2, s2 in fam.terms:
-                    la, rb, la2, rb2 = l + fam.a, r + fam.b, l2 + fam.a, r2 + fam.b
-                    acc = acc + s * s2 * (H[la, la2] * H[rb, rb2] + H[la, rb2] * H[rb, la2])
-            sq[fam.coords] += 2.0 * fam.w * fam.w * acc
+            # every pair of terms at once: [term, term', coordinate]
+            l, r, s = (np.array(x) for x in zip(*fam.terms))
+            la, rb = l[:, None] + fam.a, r[:, None] + fam.b
+            pairs = H[la[:, None], la] * H[rb[:, None], rb] + H[la[:, None], rb] * H[rb[:, None], la]
+            sq[fam.coords] += 2.0 * fam.w * fam.w * np.einsum("k,j,kjc->c", s, s, pairs)
         sq[self.identity] += U.shape[1]
-        self.d = _equilibration(np.sqrt(sq), b_raw)
+        self.d = np.maximum(np.maximum(np.sqrt(sq), np.abs(b_raw)), 1.0e-12)
 
         # each coordinate's entries of U V U^T and of the matrix the
         # adjoint's congruence reads, one (coordinates, flat, w s) per term
@@ -297,6 +293,18 @@ class _LmiGram:
         S[t, t] = np.sum((R.T @ R) ** 2) / d[t] ** 2
         return S
 
+    def formed(self) -> np.ndarray:
+        """The LMI block of the IPM's A, formed: row i is svec(X_i) / d_i,
+        each of the coordinate's entries giving X_i its
+        w s U[l + a]^T U[r + b] and that product's transpose."""
+        U, k = self.U, self.U.shape[0]
+        X = np.zeros((self.d.size,) + (U.shape[1],) * 2)
+        for coords, flat, ws in self.entries:
+            X[coords] += ws[:, None, None] * U[flat // k, :, None] * U[flat % k, None, :]
+        X += np.swapaxes(X, 1, 2)
+        X[self.identity] = np.eye(U.shape[1])
+        return svec(X) / self.d[:, None]
+
     def _factors(self, R: Optional[np.ndarray]):
         """(U R, R^T R), with R = I for None."""
         U = self.U
@@ -342,13 +350,14 @@ class DualForm:
     side is the primal, z = y / d (solve); its x side is the dual LMI
     -F^T x = b_raw, x in K (reduce_rank).
 
+    F's LMI rows come from one writer, gram (_LmiGram), which also gives d;
+    A_raw is the orthant's raw columns, -F_incidence^T, at every size.
     This is the one place the Schur complement's path is chosen.  Below
-    LMI dimension _STRUCTURED_MIN_DIM the pair is formed: A_raw = -F^T
-    (lmi.formed_rows), A = A_raw / d, and psd_rows is None.  From it on,
-    F's LMI rows are never formed: psd_rows is the LMI block's rows taken
-    through the congruence (_LmiGram), which also gives d, and A_raw and A
-    hold only the orthant's columns, -F_incidence^T and its scaled copy.
-    verify measures residuals in raw units, through the same rows.
+    LMI dimension _STRUCTURED_MIN_DIM the IPM's A is formed, the gram's
+    LMI block (_LmiGram.formed) beside A_raw / d, and psd_rows is None.
+    From it on the LMI's rows are never formed: psd_rows is the gram, and
+    A holds only A_raw / d.  verify measures residuals in raw units,
+    through the gram and A_raw, on either path.
     """
 
     def __init__(self, primal: SdpFeasibilityProblem):
@@ -360,17 +369,17 @@ class DualForm:
         lmi, self.h_slice = self.blocks[0]
         self.cone = ConeSpec((("s", lmi.dim), ("l", self.ncone - self.h_slice.stop)))
 
-        self.b_raw = primal.objective
-        if lmi.dim >= _STRUCTURED_MIN_DIM:
-            self.A_raw = -primal.F_incidence.T
-            self.psd_rows = _LmiGram(self.congruence, self.var_slices,
-                                     np.sum(self.A_raw * self.A_raw, axis=1), self.b_raw)
-            self.d = self.psd_rows.d
-        else:
-            self.A_raw = -formed_rows(primal).T
-            self.psd_rows = None
-            self.d = _equilibration(np.linalg.norm(self.A_raw, axis=1), self.b_raw)
+        self.b_raw, self.A_raw = primal.objective, -primal.F_incidence.T
+        self.gram = _LmiGram(self.congruence, self.var_slices,
+                             np.sum(self.A_raw * self.A_raw, axis=1), self.b_raw)
+        self.d = self.gram.d
         self.A, self.b = self.A_raw / self.d[:, None], self.b_raw / self.d
+        if lmi.dim >= _STRUCTURED_MIN_DIM:
+            self.psd_rows = self.gram
+        else:
+            self.psd_rows = None
+            # column-major, as the IPM reads A by cone block
+            self.A = np.asfortranarray(np.hstack([self.gram.formed(), self.A]))
 
     def reconstruct(self, x: np.ndarray) -> dict:
         """The dual blocks H, f, g, X (Z) from multiplier coordinates."""
@@ -388,12 +397,9 @@ class DualForm:
         """
         max_cone = max(_cone_violation(con, abs(DUAL_SCALE[con.cone]) * x[sl])
                        for con, sl in self.blocks)
-        if self.psd_rows is None:
-            rows = self.A_raw @ x
-        else:
-            h = self.h_slice
-            lmi = self.psd_rows.apply(smat(x[h], self.cone.blocks[0][1]))
-            rows = self.d * lmi + self.A_raw @ x[h.stop:]
+        h = self.h_slice
+        lmi = self.gram.apply(smat(x[h], self.cone.blocks[0][1]))
+        rows = self.d * lmi + self.A_raw @ x[h.stop:]
         max_eq = float(np.max(np.abs(rows - self.b_raw)))
         tol_eq = TOL_EQ * (1.0 + float(np.max(np.abs(self.b_raw))))
         return max_eq <= tol_eq and max_cone <= CONE_TOL, max_eq, max_cone

@@ -11,17 +11,16 @@ DHD cone (DD for odd nonlinearities) such that
 
 with Pi the paper's multiplier (multipliers.py).  L is stated once, in
 lmi_congruence, as congruences of one factor U: the margin audit
-(_lmi_matrix), the primal's LMI rows and the engine's structured Schur
-complement all read it from there, and the Pi form is only the reference it is tested against.
+(_lmi_matrix) and the primal's LMI rows, which the engine takes through
+the congruence (engine._LmiGram) at every size, both read it from there,
+and the Pi form is only the reference it is tested against.
 
 P is a free symmetric variable: Schur stability of A makes P > 0 follow
 from the inequality.  build_primal returns the primal: the decision
 coordinates z of the free variables (P, M, t), and constraint rows F z
-that must lie in cones.  This module owns those coordinates, and writes
-every coefficient from the structure: the LMI's from the congruence
-terms, every other row as an incidence of the coordinates.  The LMI's
-rows are only formed where a dense F is read (formed_rows); the engine's
-structured path takes them through the congruence instead.
+that must lie in cones.  This module owns those coordinates and writes
+every row after the LMI's as an incidence of them; the LMI's rows are
+left to the congruence terms, and the engine is their one writer.
 
 Dual: it is not written here.  Every row is homogeneous in z, and by the
 theorem of alternatives (Boyd & Vandenberghe, Convex Optimization,
@@ -43,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conic import _svec_index, svec, svec_dim
+from .conic import svec_dim
 from .errors import StructuralError
 from .multipliers import build_multiplier  # noqa: F401  bench/spans.py counts its calls here
 from .system import NonlinearityClass, StateSpaceSystem
@@ -54,7 +53,6 @@ __all__ = [
     "SdpFeasibilityProblem",
     "VarSpec",
     "build_primal",
-    "formed_rows",
     "multiplier_matrix",
 ]
 
@@ -114,8 +112,8 @@ class SdpFeasibilityProblem:
     (ConeConstraint, row slice), in order, the LMI's first.  F_incidence
     holds F's rows after the LMI's, every one an incidence of the
     coordinates; the LMI's rows are its congruence (meta["congruence"],
-    lmi_congruence) and -I at the identity variable, and formed_rows
-    writes the whole F.
+    lmi_congruence) and -I at the identity variable, which the engine
+    reads (engine._LmiGram).
     """
 
     variables: tuple
@@ -232,22 +230,6 @@ def _matrix_entries(v):
     return rows, cols, np.ones(rows.size)
 
 
-def _lmi_coefficients(congruence: dict, v) -> np.ndarray:
-    """svec of L's coefficient of each coordinate of a variable with terms,
-    one row per coordinate: w sum_k s_k (U_l^T E U_r + U_r^T E^T U_l), E
-    the unit matrix at the coordinate's entry (_matrix_entries).  Only the
-    entries (p, q) of svec's upper triangle are formed."""
-    U = congruence["U"]
-    a, b, w = _matrix_entries(v)
-    maps = _svec_index(U.shape[1])
-    p, q = np.divmod(maps.upper, U.shape[1])
-    X = 0.0
-    for l, r, s in congruence["terms"][v.name]:
-        L, R = s * U[l + a], U[r + b]
-        X = X + L[:, p] * R[:, q] + L[:, q] * R[:, p]
-    return w[:, None] * X * maps.weight
-
-
 def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
     """Assemble the max-margin strict-feasibility problem for the primal.
 
@@ -258,9 +240,9 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
     the odd one; M_ii >= 0 (and M_abs >= 0 for DD) is implied by the
     constraints below and not stated.
 
-    The LMI's rows are left to its congruence, read by the engine's
-    structured path and written densely by formed_rows; every other row is
-    written here as an incidence of the coordinates.
+    The LMI's rows are left to its congruence, which the engine reads at
+    every size (engine._LmiGram); every other row is written here as an
+    incidence of the coordinates.
     """
     if not sys.band.is_reduced:
         raise StructuralError("the primal LMI is defined on the band [0, 1] only")
@@ -320,17 +302,3 @@ def build_primal(sys: StateSpaceSystem) -> SdpFeasibilityProblem:
         meta={"system": sys, "congruence": lmi_congruence(sys)},
     )
 
-
-def formed_rows(problem: SdpFeasibilityProblem) -> np.ndarray:
-    """The primal's rows F, formed: the LMI's, -L - t I, from the
-    congruence terms, then F_incidence."""
-    congruence = problem.meta["congruence"]
-    (lmi, lmi_sl), nz = problem.constraints[0], problem.objective.size
-    F = np.zeros((lmi_sl.stop + problem.F_incidence.shape[0], nz))
-    for v, sl in problem.variables:
-        if v.name in congruence["terms"]:
-            F[lmi_sl, sl] = -_lmi_coefficients(congruence, v).T
-        elif v.name == congruence["identity"]:
-            F[lmi_sl, sl] = -svec(np.eye(lmi.dim))[:, None]
-    F[lmi_sl.stop:] = problem.F_incidence
-    return F

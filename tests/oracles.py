@@ -7,10 +7,10 @@ test suite can cross-examine the production modules.  They intentionally do
 not call into the LMI assembly code; primal_constraints writes every
 constraint of the primal from the paper's definitions, with the multiplier
 in its Pi form (multipliers.build_multiplier), as the reference for the
-rows build_primal writes from the structure.  dense_dual_rows is the one
-exception: it forms -F^T, the raw rows of the IPM's pair, from
-lmi._lmi_coefficients, column block by column block, as the dense
-reference for the structured rows that never form it.
+rows build_primal writes from the structure.  dense_dual_rows forms -F^T,
+the raw rows of the IPM's pair, by evaluating L (lmi._lmi_matrix, itself
+tested against the Pi form) at every unit coordinate, as the dense
+reference for the rows engine._LmiGram takes through the congruence.
 unscaled_max_step is the interior-point step length in the original
 coordinates, the reference for the step length taken in scaled ones.
 has_equilibrium_exactly decides, in integer arithmetic and order by order,
@@ -26,7 +26,7 @@ import numpy as np
 
 from lurestab.conic import ConeSpec, smat, svec
 from lurestab.engine import build_dual, reduce_rank, solve
-from lurestab.lmi import SdpFeasibilityProblem, _lmi_coefficients, build_primal
+from lurestab.lmi import SdpFeasibilityProblem, _lmi_matrix, build_primal
 from lurestab.multipliers import build_multiplier
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
 
@@ -201,17 +201,37 @@ def audit_duality(sys: StateSpaceSystem, seed: int = 0) -> DualityAuditReport:
     )
 
 
+def _unit_values(v, ncoords: int) -> np.ndarray:
+    """The value of each of a variable's unit coordinates, read as a matrix
+    (a vector as the diagonal of one): smat of e_k for "sym", and one entry
+    1, row-major off the diagonal for "hollow"."""
+    if v.kind == "sym":
+        return smat(np.eye(ncoords), v.dim)
+    cells = [(i, j) for i in range(v.dim) for j in range(v.dim)
+             if (i == j) == (v.kind == "vector")]
+    units = np.zeros((ncoords, v.dim, v.dim))
+    for k, (i, j) in enumerate(cells):
+        units[k, i, j] = 1.0
+    return units
+
+
 def dense_dual_rows(problem: SdpFeasibilityProblem) -> np.ndarray:
     """-F^T, formed: row i holds decision coordinate i's coefficients in
-    every constraint row.  On the LMI block those are L's coefficients
-    (lmi._lmi_coefficients), and I for the margin t of -L - t I; after it,
-    the incidence rows build_primal writes."""
+    every constraint row.  On the LMI block those are svec of L at the unit
+    coordinate (P or M = M_diag + M_offdiag set to it, the other zero), and
+    I for the margin t of -L - t I; after it, the incidence rows
+    build_primal writes."""
     congruence = problem.meta["congruence"]
     (lmi, lmi_rows) = problem.constraints[0]
+    n = next(v.dim for v, _ in problem.variables if v.name == "P")
+    m = lmi.dim - n
     blocks = []
     for v, sl in problem.variables:
-        if v.name in congruence["terms"]:
-            block = _lmi_coefficients(congruence, v)
+        units = _unit_values(v, sl.stop - sl.start)
+        if v.name == "P":
+            block = svec(_lmi_matrix(congruence, units, np.zeros((m, m))))
+        elif v.name in congruence["terms"]:
+            block = svec(_lmi_matrix(congruence, np.zeros((n, n)), units))
         elif v.name == congruence["identity"]:
             block = svec(np.eye(lmi.dim))[None, :]
         else:

@@ -1,6 +1,6 @@
-"""The primal's rows F z, written by build_primal (the incidence rows) and
-lmi._lmi_coefficients (the LMI's) from the structure and formed by the
-oracle, against every constraint written from the paper's definitions."""
+"""The primal's rows F z, as the IPM's formed pair holds them (the LMI's
+taken from engine._LmiGram, the rest written by build_primal), against
+every constraint written from the paper's definitions."""
 
 import dataclasses
 import importlib.util
@@ -15,7 +15,7 @@ from lurestab import engine
 from lurestab.lmi import build_primal
 from lurestab.multipliers import build_multiplier
 from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
-from oracles import dense_dual_rows, primal_constraints
+from oracles import primal_constraints
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -49,7 +49,9 @@ def _assert_rows_from_definitions(sysm, seed=0):
     """F z at random z equals each constraint at the assignment the
     engine reads off z."""
     problem = build_primal(sysm)
-    F = -dense_dual_rows(problem).T
+    form = engine.build_dual(problem)
+    assert form.psd_rows is None  # below the crossover: A is formed
+    F = -(form.A * form.d[:, None]).T
     rng = np.random.default_rng(seed)
     for _ in range(3):
         z = rng.normal(size=problem.objective.size)

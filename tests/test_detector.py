@@ -12,12 +12,14 @@ from lurestab.detector import (
     Inconclusive,
     build_pwl,
     extract_certificate,
+    fit,
     snap_to_band,
 )
 from lurestab import engine
+from lurestab.equilibria import equilibrium_maps
 from lurestab.errors import CertificateInconsistentError, InternalContradictionError
 from lurestab.pwl import eval_pwl, verify_slope
-from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem
+from lurestab.system import NonlinearityClass, SlopeBand, StateSpaceSystem, normalize_band
 
 
 def test_extract_slope_certificate(slope_example, slope_dual_reduced):
@@ -254,6 +256,28 @@ def test_snap_leaves_a_pair_the_map_merges_alone():
     assert verify_slope(build_pwl(sysm, cert), sysm.band).ok
     assert build_pwl(sysm, cert).breakpoints.shape == (2, 2)
     assert snap_to_band(sysm, cert) is cert
+
+
+def test_snap_levels_a_merged_pair_whose_inputs_differ():
+    # channel 1 of this plant has C = 0, so z*_1 = 0 and its node merges
+    # with the origin; an input w*_1 = 2e-6 left by rounding is more than
+    # the merge tolerance, so no map passes through both until the pair is
+    # levelled to dw = 0
+    plant = StateSpaceSystem(
+        np.array([[0.5804905842003484]]),
+        np.array([[0.8244122790838154, -0.33691804951042836]]),
+        np.array([[0.0], [-1.1916459308176033]]), np.zeros((2, 2)),
+        SlopeBand(0.0, 3.0), NonlinearityClass.SLOPE,
+    )
+    unit = normalize_band(plant)
+    F, _ = equilibrium_maps(unit)
+    w = np.array([2.0e-6, 1.0])
+    cert = fit(unit, F @ w, w)
+    assert cert.snapped == 1 and cert.h2[0] == 0.0
+    phi = build_pwl(unit, cert)
+    assert verify_slope(phi, unit.band).ok
+    h1, w = cert.h1, cert.h2
+    assert np.max(np.abs(unit.A @ h1 + unit.B @ w - h1)) <= 1.0e-14 * np.max(np.abs(h1))
 
 
 @st.composite

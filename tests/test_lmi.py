@@ -10,12 +10,8 @@ from lurestab import (
     reduce_rank,
 )
 from lurestab.engine import build_dual
-from lurestab.conic import svec
 from lurestab.lmi import (
-    VarSpec,
-    _lmi_coefficients,
     _lmi_matrix,
-    _matrix_entries,
     lmi_congruence,
     multiplier_matrix,
 )
@@ -89,8 +85,15 @@ def test_every_row_of_the_primal_carries_a_dual_block(odd):
     prob = build_primal(_random_system(5, n=3, m=3, odd=odd))
     assert all(con.dual is not None for con, _ in prob.constraints)
     dual = build_dual(prob)
-    assert dual.blocks == prob.constraints and dual.ncone == dense_dual_rows(prob).shape[1]
-    assert np.array_equal(dual.A_raw, dense_dual_rows(prob))
+    rows = dense_dual_rows(prob)
+    assert dual.blocks == prob.constraints and dual.ncone == rows.shape[1]
+    # the raw pair holds the orthant's columns exactly; the LMI's, which the
+    # form takes from its congruence, match the oracle's within rounding
+    h = dual.h_slice
+    assert np.array_equal(dual.A_raw, -prob.F_incidence.T)
+    assert np.array_equal(dual.A_raw, rows[:, h.stop:])
+    lmi = dual.A[:, h] * dual.d[:, None]
+    assert np.max(np.abs(lmi - rows[:, h])) <= 1e-14 * np.max(np.abs(rows[:, h]))
     assert np.array_equal(dual.b_raw, prob.objective)
     blocks = dual.reconstruct(np.ones(dual.ncone))
     assert set(blocks) == ({"H", "f", "g", "X", "Z"} if odd else {"H", "f", "g", "X"})
@@ -118,23 +121,6 @@ def test_primal_lmi_matrix_matches_congruence():
             assert np.array_equal(L, L.T)
             worst = max(worst, np.linalg.norm(L - expect) / np.linalg.norm(expect))
     assert worst <= 1.0e-14
-
-
-def test_lmi_coefficients_match_the_full_matrix_form():
-    # svec's upper triangle written entry by entry is svec of the full
-    # coefficient matrices, bit for bit: the same products, added in the
-    # same order
-    for seed, (n, m) in enumerate(((3, 4), (2, 1), (4, 3))):
-        congruence = lmi_congruence(_random_system(seed, n=n, m=m))
-        U = congruence["U"]
-        for v in (VarSpec("P", "sym", n), VarSpec("M_diag", "vector", m),
-                  VarSpec("M_offdiag", "hollow", m)):
-            a, b, w = _matrix_entries(v)
-            X = 0.0
-            for l, r, s in congruence["terms"][v.name]:
-                T = s * U[l + a][:, :, None] * U[r + b][:, None, :]
-                X = X + T + np.swapaxes(T, -1, -2)
-            assert np.array_equal(_lmi_coefficients(congruence, v), svec(w[:, None, None] * X))
 
 
 def test_reduced_dual_holds_from_its_definition(

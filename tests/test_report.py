@@ -15,7 +15,7 @@ import pytest
 import lurestab
 from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze
 from lurestab.cli import main
-from lurestab.errors import AssumptionViolatedError
+from lurestab.errors import AssumptionViolatedError, CertificateInconsistentError
 from lurestab.pwl import PiecewiseLinearMap
 from lurestab.report import _equilibrium_check, canonical_json
 
@@ -216,19 +216,35 @@ def test_the_primal_block_is_its_status_and_margin(monkeypatch, request, example
     assert rep.primal["status"] == ("feasible" if stable else "infeasible")
 
 
-def test_a_witness_map_that_cannot_be_built_gives_way_to_the_known_input(tmp_path):
-    # the dual witness of this plant has a channel with z* = 0 and
-    # w* = 2e-6, which no map interpolates together with the origin; its
-    # linear gain (lambda = 2.871) gives the witness instead
+def test_a_witness_map_that_cannot_be_built_gives_way_to_the_known_input(monkeypatch, tmp_path):
+    # this plant's dual witness has a channel with z* = 0 and w* at rounding
+    # level, which snap_to_band levels, so its own map decides it; made
+    # unbuildable, the dual witness gives way to the linear gain's
+    # (lambda = 2.871)
     plant = {"A": [[0.5804905842003484]], "B": [[0.8244122790838154, -0.33691804951042836]],
              "C": [[0.0], [-1.1916459308176033]], "D": [[0.0, 0.0], [0.0, 0.0]],
              "mu": 0.0, "nu": 3.0, "class": "slope"}
     path = tmp_path / "plant.json"
     path.write_text(json.dumps(plant))
-    assert main(["analyze", str(path), "--out", str(tmp_path / "report.json")]) == 10
-    doc = json.loads((tmp_path / "report.json").read_text())
-    pipe = doc["diagnostics"]["pipeline"]
-    assert doc["verdict"] == "not_absolutely_stable"
+
+    def run():
+        assert main(["analyze", str(path), "--out", str(tmp_path / "report.json")]) == 10
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["verdict"] == "not_absolutely_stable"
+        return doc["diagnostics"]["pipeline"]
+
+    assert "witness_source" not in run()
+    real, certs = lurestab.report.build_pwl, []
+
+    def unbuildable_once(unit, cert):
+        certs.append(cert)
+        if len(certs) == 1:
+            raise CertificateInconsistentError("no map interpolates the dual witness")
+        return real(unit, cert)
+
+    monkeypatch.setattr(lurestab.report, "build_pwl", unbuildable_once)
+    pipe = run()
+    assert len(certs) == 2
     assert pipe["witness_source"] == "linear" and pipe["rank_stop"] == "rank_one"
     assert pipe["linear_equilibrium"] == pytest.approx(2.871, abs=1e-3)
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from lurestab import (
-    NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, conic, engine, lmi, report,
+    NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, conic, engine, report,
 )
 from lurestab.conic import _row_data, _Scaling, _UnformedB, svec
 from lurestab.engine import build_dual
@@ -164,10 +164,11 @@ def test_the_lmi_gram_holds_no_array_of_the_schur_complements_size():
 
 def test_the_structured_path_never_forms_the_lmi_rows(monkeypatch):
     # an analysis above the crossover reads F's LMI rows through the
-    # congruence only: _lmi_coefficients, their one writer, is never called
+    # congruence only: _LmiGram.formed, the one place they are formed, is
+    # never called
     calls = []
-    real = lmi._lmi_coefficients
-    monkeypatch.setattr(lmi, "_lmi_coefficients", lambda *a: calls.append(a) or real(*a))
+    real = engine._LmiGram.formed
+    monkeypatch.setattr(engine._LmiGram, "formed", lambda self: calls.append(self) or real(self))
     ladder = {case.name: case for case in _workloads().ladder()}
     sysm = _system(ladder["ladder-12"])
     assert sysm.n + sysm.m >= engine._STRUCTURED_MIN_DIM

@@ -55,6 +55,16 @@ def critical_gain(A, B, C, D) -> float:
                 if not _schur(A, B, C, D, k))
 
 
+def loops():
+    """(label, plant, nu) of every loop, in the order printed; each is
+    analyzed on the band [0, nu] in both classes."""
+    for multiple in BANDS:
+        for n in SIZES:
+            for seed in SEEDS:
+                plant = _plant(seed, n)
+                yield f"{multiple:g}k* n={n} seed={seed}", plant, multiple * critical_gain(*plant)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -73,23 +83,18 @@ def main(argv=None) -> int:
 
     engine.solve_conic = counting
     verdicts, total_solves, total_rounds = Counter(), 0, 0
-    for multiple in BANDS:
-        for n in SIZES:
-            for seed in SEEDS:
-                plant = _plant(seed, n)
-                nu = multiple * critical_gain(*plant)
-                for cls in NonlinearityClass:
-                    solves.clear()
-                    rep = analyze(StateSpaceSystem(*plant, SlopeBand(0.0, nu), cls))
-                    pipe = rep.diagnostics["pipeline"]
-                    reason = pipe.get("inconclusive_reason", "-")
-                    rounds = pipe.get("rank_rounds", 0)
-                    print(f"{multiple:g}k* n={n} seed={seed} {cls.value}: {rep.verdict} "
-                          f"{reason} {pipe.get('witness_source', '-')} "
-                          f"solves={len(solves)} rounds={rounds}")
-                    verdicts[rep.verdict if reason == "-" else reason] += 1
-                    total_solves += len(solves)
-                    total_rounds += rounds
+    for label, plant, nu in loops():
+        for cls in NonlinearityClass:
+            solves.clear()
+            rep = analyze(StateSpaceSystem(*plant, SlopeBand(0.0, nu), cls))
+            pipe = rep.diagnostics["pipeline"]
+            reason = pipe.get("inconclusive_reason", "-")
+            rounds = pipe.get("rank_rounds", 0)
+            print(f"{label} {cls.value}: {rep.verdict} {reason} {pipe.get('witness_source', '-')} "
+                  f"solves={len(solves)} rounds={rounds}")
+            verdicts[rep.verdict if reason == "-" else reason] += 1
+            total_solves += len(solves)
+            total_rounds += rounds
     summary = " ".join(f"{k}={v}" for k, v in sorted(verdicts.items()))
     print(f"loops={sum(verdicts.values())} {summary} solves={total_solves} rounds={total_rounds}")
     return 0
