@@ -17,15 +17,17 @@ thousand rows.  Each step works in the scaled coordinates u = W^{-T} dx,
 v = W ds of CVXOPT's conelp (Vandenberghe 2010), where x and s both map
 to one point lam that is diagonal on every PSD block.  The Schur
 complement B B^T, B = A W^T, is formed cone block by cone block, as SDP
-codes do (Fujisawa, Kojima & Nakata 1997): the orthant adds its diagonal
-scaling over the nonzero pairs of its rows only, and a PSD block adds the
-product of its own columns of B.  A caller that knows the structure of
-the PSD block's rows may supply them as an object instead (psd_rows, as
-Benson, Ye & Zhang 2000 do for low-rank constraint matrices), which gives
-the block's term and its products with A: B is then never formed, and
-B u = A (W^T u), B^T y = W (A^T y) and the loop's A x and A^T y go through
-that block's structure and the orthant's nonzeros; A is then only the
-orthant's columns.  B B^T is factored once and the diagonal blocks of its
+codes do (Fujisawa, Kojima & Nakata 1997), into one buffer per run that
+every step writes once: a PSD block writes the product of its own columns
+of B, and the orthant adds its diagonal scaling over the nonzero pairs of
+its rows only, in place.  The factor reads only the lower triangle, which
+defines the matrix.  A caller that knows the structure of the PSD block's
+rows may supply them as an object instead (psd_rows, as Benson, Ye &
+Zhang 2000 do for low-rank constraint matrices), which writes the block's
+term, its lower triangle only, and gives its products with A: B is then
+never formed, and B u = A (W^T u), B^T y = W (A^T y) and the loop's A x
+and A^T y go through that block's structure and the orthant's nonzeros;
+A is then only the orthant's columns.  B B^T is factored once and the diagonal blocks of its
 Cholesky factor inverted once, so every Newton solve is matrix products
 with B, B^T and that factor; up to _TRSV_BLOCK rows the factor is one
 block, and a solve is two products with its inverse.  From
@@ -224,22 +226,25 @@ class _Scaling:
         if not (np.isfinite(self.lam).all() and all(np.isfinite(b[2]).all() for b in self.blocks)):
             raise np.linalg.LinAlgError("non-finite NT scaling")
 
-    def schur(self, A: np.ndarray, row_data: list):
-        """The Schur complement S = A W^T W A^T, cone block by cone block
-        (row_data as made by _row_data), and B = A W^T as an operator.
+    def schur(self, A: np.ndarray, row_data: list, S: np.ndarray):
+        """B = A W^T as an operator, and the Schur complement A W^T W A^T
+        written into S, cone block by cone block (row_data as made by
+        _row_data).
 
         Row i of B is W a_i.  On a PSD block that is svec(R^T A_i R), and
-        the block adds B_p B_p^T over its own columns, unless the caller
+        the block writes B_p B_p^T over its own columns, unless the caller
         gives the block's rows as an object (row_data holds it), which
-        builds the term from their structure: then B is never formed
+        writes the term from their structure: then B is never formed
         (_UnformedB).  On the orthant row i of B is a_i * w, and the block
-        adds A_l diag(w^2) A_l^T (_OrthantRows.term).  S is exactly
-        symmetric.
+        adds A_l diag(w^2) A_l^T into S in place (_OrthantRows.add_term).
+        S, C-ordered and the run's one buffer (solve_conic), is defined by
+        its lower triangle, all that _NormalFactor reads; it is exactly
+        symmetric where B is formed.
         """
         nrows = A.shape[0]
         formed = all(isinstance(data, (np.ndarray, _OrthantRows)) for data in row_data)
         B = np.empty_like(A) if formed else None
-        S = None
+        written = False
         for (sl, size, R, _), data in zip(self.blocks, row_data):
             if isinstance(data, np.ndarray):
                 # R^T A_i R for every row i: T_i = A_i R as one GEMM, then
@@ -247,16 +252,21 @@ class _Scaling:
                 T = (data.reshape(-1, size) @ R).reshape(nrows, size, size)
                 Bp = svec(np.matmul(R.T, T))
                 B[:, sl] = Bp
-                term = Bp @ Bp.T
-            else:
+                if written:
+                    S += Bp @ Bp.T
+                else:
+                    np.matmul(Bp, Bp.T, out=S)
+            elif isinstance(data, _OrthantRows):
                 if formed:
                     np.multiply(A[:, sl], R, out=B[:, sl])
-                term = data.term(R)
-            if S is None:
-                S = term
+                if not written:
+                    S.fill(0.0)
+                data.add_term(R, S)
             else:
-                S += term
-        return (_FormedB(B) if formed else _UnformedB(nrows, self.cone, row_data, self)), S
+                # the first block (_row_data): its term writes S's lower triangle
+                data.term(R, S)
+            written = True
+        return _FormedB(B) if formed else _UnformedB(nrows, self.cone, row_data, self)
 
     def scale_s(self, ds: np.ndarray) -> np.ndarray:
         """W ds: maps s-space directions (batched over leading axes) into
@@ -494,16 +504,16 @@ class _OrthantRows(NamedTuple):
     row: np.ndarray  # the nonzero entries in order of column: row,
     col: np.ndarray  # column
     val: np.ndarray  # and value
-    pair_flat: np.ndarray  # the nonzero pairs (_orthant_rows)
+    at: np.ndarray  # the distinct flat positions of the nonzero pairs,
+    pair_at: np.ndarray  # and the pairs (_orthant_rows)
     pair_col: np.ndarray
     pair_prod: np.ndarray
 
-    def term(self, w: np.ndarray) -> np.ndarray:
-        """A_l diag(w^2) A_l^T, summed over the nonzero pairs."""
-        n = self.nrows
-        term = np.bincount(self.pair_flat, self.pair_prod * (w * w)[self.pair_col], n * n)
-        # (integer zeros when the block has no nonzero pair)
-        return term.astype(float, copy=False).reshape(n, n)
+    def add_term(self, w: np.ndarray, S: np.ndarray):
+        """S += A_l diag(w^2) A_l^T in place, for C-ordered S: each entry
+        its nonzero pairs' sum, taken in their order."""
+        S.reshape(-1)[self.at] += np.bincount(self.pair_at, self.pair_prod * (w * w)[self.pair_col],
+                                              self.at.size)
 
     def apply(self, x: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
         """A_l (w x), along the last axis; w = 1 for None."""
@@ -529,11 +539,12 @@ def _sum_at(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 def _orthant_rows(A_l: np.ndarray) -> _OrthantRows:
     """The nonzero entries of an orthant block A_l (nrows, p), and its
     nonzero pairs: every (i, j, k) with A_l[i, k] and A_l[j, k] both
-    nonzero, sum_k nnz_k^2 of them, in order of k, as the flat position
-    i * nrows + j, the column k and the product A_l[i, k] A_l[j, k], so
-    that A_l diag(d) A_l^T is bincount(flat, prod * d[col]) reshaped; the
-    pairs of (i, j) and (j, i) meet the same products in the same order,
-    so the sum is exactly symmetric.
+    nonzero, sum_k nnz_k^2 of them, in order of k, as the index in at of
+    their flat position i * nrows + j, the column k and the product
+    A_l[i, k] A_l[j, k], so that A_l diag(d) A_l^T holds
+    bincount(pair_at, prod * d[col]) at the flat positions at; the pairs of
+    (i, j) and (j, i) meet the same products in the same order, so the sum
+    is exactly symmetric.
     """
     nrows = A_l.shape[0]
     # the nonzero entries in order of column, and how many share each one's
@@ -545,20 +556,23 @@ def _orthant_rows(A_l: np.ndarray) -> _OrthantRows:
     offset = np.arange(first.size) - np.repeat(np.cumsum(nnz) - nnz, nnz)
     second = np.repeat(np.searchsorted(col, col), nnz) + offset
     i, j, k = row[first], row[second], col[first]
+    at, pair_at = np.unique(i * nrows + j, return_inverse=True)
     return _OrthantRows(nrows, A_l.shape[1], row, col, A_l[row, col],
-                        i * nrows + j, k, A_l[i, k] * A_l[j, k])
+                        at, pair_at, k, A_l[i, k] * A_l[j, k])
 
 
 def _row_data(A: np.ndarray, cone: ConeSpec, psd_rows=None) -> list:
     """What _Scaling.schur and _UnformedB need of the rows of A, per cone
     block: on a PSD block psd_rows if given, else the rows restricted to it
     as (nrows, d, d); on an orthant block its nonzeros (_orthant_rows).
-    With psd_rows, A holds the orthant's columns only, in order."""
+    With psd_rows, A holds the orthant's columns only, in order, and the
+    PSD block comes first, since its term writes S rather than adding to
+    it."""
     if psd_rows is None:
         return [smat(A[:, sl], size) if tag == "s" else _orthant_rows(A[:, sl])
                 for tag, size, sl in cone.slices()]
-    if [tag for tag, _ in cone.blocks].count("s") != 1:
-        raise ValueError("psd_rows needs a cone with exactly one PSD block")
+    if [tag for tag, _ in cone.blocks].count("s") != 1 or cone.blocks[0][0] != "s":
+        raise ValueError("psd_rows needs a cone whose first block is its one PSD block")
     out, at = [], 0
     for tag, size in cone.blocks:
         if tag == "s":
@@ -580,15 +594,16 @@ def _scaled_newton(B, normal, r1, wr2, q):
     return q - wr2 + B.adjoint(dy), dy
 
 
-def _step(A, rows, b, c, row_data, cone, point, rp, rd, rg):
+def _step(A, rows, b, c, row_data, cone, S, point, rp, rd, rg):
     """Mehrotra predictor-corrector direction of the embedding and its step.
 
-    B = A W^T, as a matrix or an operator, and the Schur complement B B^T
-    are formed (_Scaling.schur), and B B^T is factored once; rows is A as
-    an operator (_FormedB(A) or _UnformedB).  The direction per unit of
-    d tau, B u = b, B^T dy + v = W c, u + v = 0, is solved together with the
-    predictor and shared with the corrector; the last row of the
-    embedding and kappa d tau + tau d kappa = rk then fix d tau and d kappa.
+    B = A W^T, as a matrix or an operator, is formed, the Schur complement
+    B B^T written into the run's buffer S (_Scaling.schur), and B B^T
+    factored once; rows is A as an operator (_FormedB(A) or _UnformedB).
+    The direction per unit of d tau, B u = b, B^T dy + v = W c, u + v = 0,
+    is solved together with the predictor and shared with the corrector;
+    the last row of the embedding and kappa d tau + tau d kappa = rk then
+    fix d tau and d kappa.
     The whole step stays in the scaled coordinates u, v: the predictor's
     u and v give its step length, gap and the second-order term, and only
     the corrector's u is refined and mapped back to dx = W^T u.  Returns
@@ -598,7 +613,7 @@ def _step(A, rows, b, c, row_data, cone, point, rp, rd, rg):
     x, y, s, tau, kappa = point
     sc = _Scaling(cone, x, s)
     lam = sc.lam
-    B, S = sc.schur(A, row_data)
+    B = sc.schur(A, row_data, S)
     normal = _NormalFactor(S)
     w_crd = sc.scale_s(np.array((c, rd)))
     wc, wrd = w_crd
@@ -698,15 +713,21 @@ def solve_conic(
     rp_rel, rd_rel and gap_rel are those of the returned iterate, normalized
     by tau.  Floating-point warnings are suppressed throughout.
 
-    psd_rows, for a cone with one PSD block of size d, is that block's rows
-    A_p of A as an object the caller builds from their structure:
-    term(R) is the block's Schur term A_p W_p^T W_p A_p^T at the scaling
-    factor R (G = R R^T, see _Scaling), apply(V, R) is A_p svec(R V R^T)
-    for symmetric V (..., d, d), and adjoint(y, R) is R^T smat(A_p^T y) R,
-    both batched over leading axes and with R = I for None.  A then holds
-    only the orthant's columns, (nrows, the orthant's length), and is read
-    only for its nonzeros; B = A W^T is never formed, and every product
-    with A or B goes through the blocks' rows (_UnformedB).
+    The Schur complement of every step is written into one buffer S,
+    allocated here once per run (_Scaling.schur).
+
+    psd_rows, for a cone whose first block is its one PSD block, of size
+    d, is that block's rows A_p of A as an object the caller builds from
+    their structure: term(R, S) writes the block's Schur term
+    A_p W_p^T W_p A_p^T at the scaling factor R (G = R R^T, see _Scaling)
+    into every entry of the lower triangle of the run's S, and may leave
+    its strict upper triangle as it finds it; apply(V, R) is
+    A_p svec(R V R^T) for symmetric V (..., d, d), and adjoint(y, R) is
+    R^T smat(A_p^T y) R, both batched over leading axes and with R = I for
+    None.  A then holds only the orthant's columns, (nrows, the orthant's
+    length), and is read only for its nonzeros; B = A W^T is never formed,
+    and every product with A or B goes through the blocks' rows
+    (_UnformedB).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -724,6 +745,7 @@ def solve_conic(
     cnorm = 1.0 + math.sqrt(c @ c)
     row_data = _row_data(A, cone, psd_rows)
     rows = _FormedB(A) if psd_rows is None else _UnformedB(nrows, cone, row_data)
+    S = np.zeros((nrows, nrows))
     tau = kappa = 1.0
     status, it, prev, prev_score = "max_iters", 0, None, np.inf
     history = []
@@ -760,7 +782,7 @@ def solve_conic(
             prev, prev_score = point, score
 
             try:
-                step = _step(A, rows, b, c, row_data, cone, point[:5], rp, rd, rg)
+                step = _step(A, rows, b, c, row_data, cone, S, point[:5], rp, rd, rg)
             except np.linalg.LinAlgError:
                 status = "stalled"
                 break

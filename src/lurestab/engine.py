@@ -191,13 +191,14 @@ class _LmiGram:
                           (H_ll'[a, c] H_rr'[b, d] + H_lr'[a, d] H_rl'[b, c])
 
     for coordinate j at (c, d) with terms (l', r', s_l).  Variables with
-    the same terms form a family (_families).  For each pair of families
-    f <= g one batched product gives both sums for every coordinate i of f
-    at every (c, d) of g's dimension, and one take of the columns at g's
-    coordinates writes the block straight into S, scaled by sqrt 2 w / d
-    on both sides.  The block of (g, f) is its transpose, and a diagonal
-    block copies its upper triangle from its lower one, so S is exactly
-    symmetric.  The identity variable's coefficient is I:
+    the same terms form a family (_families).  S is defined by its lower
+    triangle, and term writes it once per step, into the IPM run's buffer.
+    For each pair of families f <= g one batched product gives both sums
+    for every coordinate i of f at every (c, d) of g's dimension, and one
+    take of the columns at g's coordinates gives the block, scaled by
+    sqrt 2 w / d on both sides; a diagonal block is written as it is, and
+    the block of (g, f) below it as the transpose of (f, g)'s.  The
+    identity variable's coefficient is I:
     tr(G X_i G) = 2 w_i sum_k s_k (U G^2 U^T)[r + b, l + a] and
     tr(G G) = ||G||_F^2.  Coordinates of other variables have zero rows.
 
@@ -221,6 +222,9 @@ class _LmiGram:
         self.U = U = congruence["U"]
         self.identity = next(sl.start for v, sl in var_slices if v.name == congruence["identity"])
         self.families = families = _families(congruence, var_slices)
+        # the coordinates of the other variables, whose rows are zero
+        self.zero_rows = [sl for v, sl in var_slices
+                          if v.name not in congruence["terms"] and v.name != congruence["identity"]]
 
         # ||X_i||_F^2 at H = U U^T, and the rows' scaling d
         H = U @ U.T
@@ -243,12 +247,12 @@ class _LmiGram:
             for l, r, s in fam.terms
         ]
 
-    def term(self, R: np.ndarray) -> np.ndarray:
-        """The block's Schur term at the scaling factor R."""
+    def term(self, R: np.ndarray, S: np.ndarray):
+        """Write the block's Schur term at the scaling factor R into the
+        lower triangle of S; its strict upper triangle is left as it is."""
         d = self.d
         UR = self.U @ R
         H = UR @ UR.T
-        S = np.zeros((d.size, d.size))
         families = self.families
         # each family's coordinates scale their rows and columns by sqrt 2 w / d:
         # the rows through the left factor, the columns after the take
@@ -270,17 +274,17 @@ class _LmiGram:
                             left.append(((s * s2) * sf) * hr[:, x, l2:l2 + gg.dim])
                             right.append(hr[:, y, r2:r2 + gg.dim])
                 sums = np.matmul(np.stack(left, axis=2), np.stack(right, axis=1))
-                # coordinate j of g reads its (c, d), straight into S (mode
-                # "clip" does not buffer the output; every index is in range)
-                block = S[ff.coords, gg.coords]
-                np.take(sums.reshape(len(ff.a), -1), gg.a * gg.dim + gg.b, axis=1, out=block,
-                        mode="clip")
+                # coordinate j of g reads its (c, d); the block of (g, f) in
+                # the lower triangle is the transpose of (f, g)'s
+                block = sums.reshape(len(ff.a), -1).take(gg.a * gg.dim + gg.b, axis=1)
                 block *= scale[g]
                 if f == g:
-                    # the upper triangle from the lower: exactly symmetric
-                    np.copyto(block, block.T, where=~np.tri(len(ff.a), dtype=bool))
+                    S[ff.coords, ff.coords] = block
                 else:
                     S[gg.coords, ff.coords] = block.T
+        for sl in self.zero_rows:
+            S[sl, :sl.stop] = 0.0
+            S[sl.stop:, sl] = 0.0
         t = self.identity
         UG = UR @ R.T
         H2 = UG @ UG.T
@@ -288,10 +292,9 @@ class _LmiGram:
         for fam in self.families:
             col[fam.coords] = 2.0 * fam.w * sum(s * H2[r + fam.b, l + fam.a] for l, r, s in fam.terms)
         col /= d * d[t]
-        S[t, :] = col
-        S[:, t] = col
+        S[t, :t] = col[:t]
+        S[t:, t] = col[t:]
         S[t, t] = np.sum((R.T @ R) ** 2) / d[t] ** 2
-        return S
 
     def formed(self) -> np.ndarray:
         """The LMI block of the IPM's A, formed: row i is svec(X_i) / d_i,

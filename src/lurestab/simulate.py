@@ -94,11 +94,14 @@ def _iterate_loop(sys: StateSpaceSystem, phi: PiecewiseLinearMap, x: np.ndarray)
 def simulate(
     sys: StateSpaceSystem, phi: PiecewiseLinearMap, x0: np.ndarray, steps: int
 ) -> Trajectory:
-    """Run the closed loop for the given number of steps."""
+    """Run the closed loop for the given number of steps from the finite
+    state x0."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    _check_contraction(sys, phi)
     x = np.asarray(x0, dtype=float).reshape(sys.n)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
+    _check_contraction(sys, phi)
     states = np.zeros((steps + 1, sys.n))
     outputs = np.zeros((steps + 1, sys.m))
     inputs = np.zeros((steps + 1, sys.m))
@@ -126,11 +129,16 @@ def vector_field(
 ):
     """One-step displacement x_next - x on a planar grid.
 
-    Only defined for n = 2.  Returns a list of (x, dx) pairs in row-major
-    grid order (x1 outer, x2 inner), 441 nodes on the default 21 x 21 grid.
+    Only defined for n = 2, on finite limits and at least one node per
+    axis.  Returns a list of (x, dx) pairs in row-major grid order (x1
+    outer, x2 inner), 441 nodes on the default 21 x 21 grid.
     """
     if sys.n != 2:
         raise UnsupportedModeError("vector fields are only produced for n = 2")
+    if not np.all(np.isfinite(np.array([*xlim, *ylim], dtype=float))):
+        raise ValueError("the grid's limits must be finite")
+    if int(nx) < 1 or int(ny) < 1:
+        raise ValueError("the grid needs nx >= 1 and ny >= 1")
     _check_contraction(sys, phi)
     xs = np.linspace(float(xlim[0]), float(xlim[1]), int(nx))
     ys = np.linspace(float(ylim[0]), float(ylim[1]), int(ny))

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, report and CSV formats, option parsing."""
 
 import csv
+import importlib
 import json
 
 import numpy as np
@@ -155,6 +156,38 @@ def test_simulate_x0_size_mismatch(capsys, data_dir, slope_artifacts):
         ]
     )
     assert code == 1
+
+
+def _no_loop_iteration(monkeypatch):
+    """Fail the test on any loop solve."""
+    def iterate(*args):
+        raise AssertionError("the loop was iterated")
+
+    # the package exports the function simulate under the module's name
+    monkeypatch.setattr(importlib.import_module("lurestab.simulate"), "_iterate_loop", iterate)
+
+
+@pytest.mark.parametrize("x0", ["nan,0", "inf,0", "0,-inf"])
+def test_simulate_rejects_a_non_finite_x0(monkeypatch, capsys, data_dir, slope_artifacts, x0):
+    _, _, phi = slope_artifacts
+    _no_loop_iteration(monkeypatch)
+    code = main(["simulate", str(data_dir / "sys_slope.json"), "--phi", str(phi), f"--x0={x0}"])
+    assert code == 1
+    assert "x0 must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--xmin", "nan"], ["--ymax", "inf"], ["--xmax=-inf"], ["--nx", "0"], ["--ny", "-3"]],
+)
+def test_field_rejects_a_non_finite_or_empty_grid(monkeypatch, capsys, data_dir, slope_artifacts,
+                                                  option):
+    _, _, phi = slope_artifacts
+    _no_loop_iteration(monkeypatch)
+    code = main(["field", str(data_dir / "sys_slope.json"), "--phi", str(phi)] + option)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: the grid")
 
 
 def test_field_csv_contract(tmp_path, data_dir, slope_artifacts):

@@ -173,8 +173,8 @@ def test_blockwise_wsq_matches_dense_operator():
     sc = _Scaling(cone, x, s)
     W = _dense_w(sc, cone)
     A = rng.normal(size=(4, cone.total_len))
-    op, S = sc.schur(A, _row_data(A, cone))
-    B = op.B
+    S = np.empty((4, 4))
+    B = sc.schur(A, _row_data(A, cone), S).B
     assert np.max(np.abs(B - A @ W.T)) <= 1e-12 * np.max(np.abs(A @ W.T))
     # the Schur complement is A W^T W A^T, and exactly symmetric
     ref = A @ W.T @ W @ A.T
@@ -221,7 +221,8 @@ def test_schur_complement_matches_the_dense_product(cone):
     sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
     W = _dense_w(sc, cone)
     A = _sparse_orthant_rows(cone, 5, rng)
-    op, S = sc.schur(A, _row_data(A, cone))
+    S = np.empty((5, 5))
+    op = sc.schur(A, _row_data(A, cone), S)
     ref = A @ W.T @ W @ A.T
     assert isinstance(op, _FormedB)
     assert _rel(op.B - A @ W.T, A @ W.T) <= 1e-12
@@ -231,16 +232,18 @@ def test_schur_complement_matches_the_dense_product(cone):
 
 class _DenseRows:
     """A PSD block's rows A_p (nrows, d(d+1)/2) as the rows object
-    solve_conic's psd_rows takes, every product taken densely; term(R)
-    records the factors it is called with."""
+    solve_conic's psd_rows takes, every product taken densely; term(R, S)
+    writes S's lower triangle only and records the factors it is called
+    with."""
 
     def __init__(self, A_p, size):
         self.A_p, self.size, self.seen = A_p, size, []
 
-    def term(self, R):
+    def term(self, R, S):
         self.seen.append(R)
         Bp = svec(np.matmul(R.T, smat(self.A_p, self.size) @ R))
-        return Bp @ Bp.T
+        lower = np.tril_indices(len(S))
+        S[lower] = (Bp @ Bp.T)[lower]
 
     def apply(self, V, R=None):
         return svec(V if R is None else R @ V @ R.T) @ self.A_p.T
@@ -259,47 +262,75 @@ def test_a_structured_psd_term_replaces_forming_b():
     # the caller's rows, here the PSD block's taken densely
     rows = _DenseRows(A[:, :6], 3)
 
-    # with the rows object, A is read for the orthant's columns only
-    op, S = sc.schur(A[:, 6:], _row_data(A[:, 6:], cone, rows))
+    # with the rows object, A is read for the orthant's columns only; S
+    # is its lower triangle
+    S = np.full((5, 5), np.nan)
+    op = sc.schur(A[:, 6:], _row_data(A[:, 6:], cone, rows), S)
     assert isinstance(op, _UnformedB)
     assert len(rows.seen) == 1 and rows.seen[0] is sc.blocks[0][2]
     ref = A @ W.T @ W @ A.T
-    assert _rel(S - ref, ref) <= 1e-12
+    assert _rel(np.tril(S) - np.tril(ref), ref) <= 1e-12
     # B u and B^T y without B, for one vector or a stack
     U, Y = rng.normal(size=(2, cone.total_len)), rng.normal(size=(2, 5))
     assert _rel(op.apply(U) - U @ (A @ W.T).T, U @ (A @ W.T).T) <= 1e-12
     assert _rel(op.adjoint(Y[0]) - Y[0] @ (A @ W.T), Y[0] @ (A @ W.T)) <= 1e-12
     assert _rel(op.adjoint(Y)[1] - op.adjoint(Y[1]), op.adjoint(Y[1])) <= 1e-14
-    # the structured rows are for a cone with one PSD block
+    # the structured rows are for a cone whose first block is its one PSD
+    # block
     with pytest.raises(ValueError):
         _row_data(A, ConeSpec((("s", 2), ("s", 2))), rows)
+    with pytest.raises(ValueError):
+        _row_data(A[:, 6:], ConeSpec((("l", 4), ("s", 3))), rows)
 
 
 def test_orthant_pairs_cover_every_nonzero_pair():
     rng = np.random.default_rng(12)
     A_l = _sparse_orthant_rows(ConeSpec((("l", 7),)), 4, rng)
     rows = _orthant_rows(A_l)
-    flat, col, prod = rows.pair_flat, rows.pair_col, rows.pair_prod
+    flat, col, prod = rows.at[rows.pair_at], rows.pair_col, rows.pair_prod
     nnz = np.count_nonzero(A_l, axis=0)
     assert flat.size == col.size == prod.size == int(np.sum(nnz ** 2))
     assert np.all(np.diff(col) >= 0)
+    # the positions are distinct, and every one has a pair
+    assert np.all(np.diff(rows.at) > 0) and np.array_equal(np.unique(rows.pair_at),
+                                                           np.arange(rows.at.size))
     i, j = np.divmod(flat, 4)
     assert np.array_equal(prod, A_l[i, col] * A_l[j, col])
     d = rng.uniform(0.5, 2.0, size=7)
     S = np.bincount(flat, prod * d[col], 16).reshape(4, 4)
     assert _rel(S - (A_l * d) @ A_l.T, (A_l * d) @ A_l.T) <= 1e-12
-    w = np.sqrt(d)
-    assert _rel(rows.term(w) - (A_l * d) @ A_l.T, (A_l * d) @ A_l.T) <= 1e-12
+    S = np.zeros((4, 4))
+    rows.add_term(np.sqrt(d), S)
+    assert _rel(S - (A_l * d) @ A_l.T, (A_l * d) @ A_l.T) <= 1e-12
+    assert np.array_equal(S, S.T)
     # the same nonzeros give A_l x and A_l^T y, for one vector or a stack
     X, Y = rng.normal(size=(2, 7)), rng.normal(size=(2, 4))
     assert _rel(rows.apply(X) - X @ A_l.T, X @ A_l.T) <= 1e-14
     assert _rel(rows.adjoint(Y[0]) - A_l.T @ Y[0], A_l.T @ Y[0]) <= 1e-14
     assert np.array_equal(rows.adjoint(Y)[1], rows.adjoint(Y[1]))
-    # no nonzero pair at all: the orthant adds zeros
+    # no nonzero pair at all: the orthant adds nothing
     empty = _orthant_rows(np.zeros((3, 2)))
-    assert empty.pair_flat.size == 0
-    assert np.array_equal(empty.term(np.ones(2)), np.zeros((3, 3)))
+    assert empty.at.size == empty.pair_at.size == 0
+    S = np.eye(3)
+    empty.add_term(np.ones(2), S)
+    assert np.array_equal(S, np.eye(3))
     assert np.array_equal(empty.apply(np.ones((2, 2))), np.zeros((2, 3)))
+
+
+def test_the_orthant_adds_in_place_what_its_pairs_sum_to():
+    # each entry gains the sum of its pairs in their order, the entries of
+    # one bincount over every pair's flat position, bit for bit
+    rng = np.random.default_rng(14)
+    A_l = _sparse_orthant_rows(ConeSpec((("l", 12),)), 6, rng)
+    rows = _orthant_rows(A_l)
+    w = rng.uniform(0.5, 2.0, size=12)
+    flat = rows.at[rows.pair_at]
+    term = np.bincount(flat, rows.pair_prod * (w * w)[rows.pair_col], 36).reshape(6, 6)
+    assert np.bincount(flat).max() > 1  # some entry sums several pairs
+    S0 = rng.normal(size=(6, 6))
+    S = S0.copy()
+    rows.add_term(w, S)
+    assert np.array_equal(S, S0 + term)
 
 
 def _rel(err, ref):
@@ -317,7 +348,8 @@ def test_scaled_direction_meets_the_unscaled_newton_equations(seed, formed):
     sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
     W = _dense_w(sc, cone)
     A = rng.normal(size=(4, cone.total_len))
-    B, S = sc.schur(A, _row_data(A, cone))
+    S = np.empty((4, 4))
+    B = sc.schur(A, _row_data(A, cone), S)
     if not formed:
         # B through each block's rows, the PSD blocks' taken densely
         row_data = [
@@ -394,6 +426,20 @@ def test_a_schur_complement_that_stays_indefinite_raises():
     # every regularization fails on a negative definite matrix
     with pytest.raises(np.linalg.LinAlgError):
         _NormalFactor(-np.eye(3))
+
+
+@pytest.mark.parametrize("n", [_BLOCKED_MIN_ROWS - 42, _BLOCKED_MIN_ROWS + 58])
+def test_the_factor_reads_only_the_lower_triangle(n):
+    # the Schur complement is defined by its lower triangle: a NaN strict
+    # upper triangle leaves L and every diagonal block's inverse as they
+    # are, bit for bit, on numpy's Cholesky and on the blocked one
+    rng = np.random.default_rng(n)
+    F = rng.normal(size=(n, n))
+    M = F @ F.T + n * np.eye(n)
+    ref, got = _NormalFactor(M), _NormalFactor(np.where(np.tri(n, dtype=bool), M, np.nan))
+    assert np.array_equal(got.L, ref.L)
+    assert len(got.inv) == len(ref.inv) == -(-n // _TRSV_BLOCK)
+    assert all(np.array_equal(Li, ref_i) for Li, ref_i in zip(got.inv, ref.inv))
 
 
 @pytest.mark.parametrize(
@@ -564,8 +610,8 @@ def test_orthant_pairs_built_once_per_solve(monkeypatch):
     # once for the one orthant block, not once per step
     assert len(built) == 1
     A_l, rows = built[0]
-    flat, col, prod = rows.pair_flat, rows.pair_col, rows.pair_prod
-    assert flat.size == col.size == prod.size == int(np.sum(np.count_nonzero(A_l, axis=0) ** 2))
+    at, col, prod = rows.pair_at, rows.pair_col, rows.pair_prod
+    assert at.size == col.size == prod.size == int(np.sum(np.count_nonzero(A_l, axis=0) ** 2))
 
 
 def test_breakdown_ends_as_stalled(monkeypatch):

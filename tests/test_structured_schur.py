@@ -90,12 +90,12 @@ def test_structured_gram_matches_the_dense_product(monkeypatch, n, m, odd, band)
         sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
         (_, size, sl), R = cone.slices()[0], sc.blocks[0][2]
         assert size == n + m
-        op, _ = sc.schur(A, _row_data(A, cone))
-        Bp = op.B[:, sl]
+        Bp = sc.schur(A, _row_data(A, cone), np.empty((len(A), len(A)))).B[:, sl]
         ref = Bp @ Bp.T
-        got = form.psd_rows.term(R)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.array_equal(got, got.T)
+        # the term is its lower triangle (_NormalFactor reads no other)
+        got = np.full_like(ref, np.nan)
+        form.psd_rows.term(R, got)
+        assert np.max(np.abs(np.tril(got) - np.tril(ref))) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n, m", [(10, 10), (12, 12)])
@@ -118,8 +118,9 @@ def test_structured_products_equal_the_dense_ones(n, m, odd):
     rows = _row_data(form.A, cone, form.psd_rows)
     a_op = _UnformedB(A.shape[0], cone, rows)
     sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
-    b_op, _ = sc.schur(form.A, rows)
-    B, _ = sc.schur(A, _row_data(A, cone))
+    S = np.empty((A.shape[0],) * 2)
+    b_op = sc.schur(form.A, rows, S)
+    B = sc.schur(A, _row_data(A, cone), S)
     X = rng.normal(size=(2, A.shape[1]))
     Y = rng.normal(size=(2, A.shape[0]))
     for got, ref in [
@@ -141,6 +142,51 @@ def test_structured_products_equal_the_dense_ones(n, m, odd):
         _, max_eq, _ = form.verify(x)
         ref_eq = np.max(np.abs(A_raw @ x - form.b_raw))
         assert abs(max_eq - ref_eq) <= 1e-13 * ref_eq
+
+
+@pytest.mark.parametrize("structured", [True, False], ids=["structured", "formed"])
+def test_a_reused_schur_buffer_holds_what_a_fresh_one_does(monkeypatch, structured):
+    # the odd class's M_abs coordinates have orthant entries but no LMI
+    # terms: a term that left their rows as the last step did, or an
+    # orthant added onto the last step's S, would show
+    monkeypatch.setattr(engine, "_STRUCTURED_MIN_DIM", 0 if structured else 10**9)
+    form = build_dual(build_primal(normalize_band(_random_system(5, 3, 3, True))))
+    assert (form.psd_rows is not None) == structured
+    abs_rows = next(sl for v, sl in form.var_slices if v.name == "M_abs")
+    assert form.gram.zero_rows == [abs_rows] and form.A_raw[abs_rows].any()
+    cone, n = form.cone, form.d.size
+    rows = _row_data(form.A, cone, form.psd_rows)
+    rng = np.random.default_rng(3)
+    scalings = [_Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
+                for _ in range(2)]
+    S = np.empty((n, n))
+    for sc in scalings:
+        sc.schur(form.A, rows, S)
+    # every entry of a fresh buffer's lower triangle is written
+    fresh = np.full((n, n), np.nan)
+    scalings[-1].schur(form.A, rows, fresh)
+    assert np.array_equal(np.tril(S), np.tril(fresh))
+
+
+@pytest.mark.parametrize("structured", [True, False], ids=["structured", "formed"])
+def test_one_run_factors_every_step_from_one_buffer(monkeypatch, structured):
+    monkeypatch.setattr(engine, "_STRUCTURED_MIN_DIM", 0 if structured else 10**9)
+    seen = []
+
+    class Spying(conic._NormalFactor):
+        def __init__(self, M):
+            seen.append(M)
+            super().__init__(M)
+
+    monkeypatch.setattr(conic, "_NormalFactor", Spying)
+    form = build_dual(build_primal(normalize_band(_random_system(5, 3, 3, True))))
+    assert (form.psd_rows is not None) == structured
+    res = engine.solve(form)
+    assert len(seen) == res.diagnostics["ipm_iterations"] - 1 > 2
+    assert all(M is seen[0] for M in seen)
+    # the next run has its own
+    engine.solve(form)
+    assert seen[-1] is not seen[0]
 
 
 def test_the_lmi_gram_holds_no_array_of_the_schur_complements_size():
