@@ -2,8 +2,9 @@
 
 Solves   min c.x  s.t.  A x = b,  x in K,   and its dual
          max b.y  s.t.  A^T y + s = c,  s in K,
-where K is a product of PSD cones (in scaled svec coordinates) and a
-nonnegative orthant, through the homogeneous self-dual embedding
+where K is one d x d PSD cone, in scaled svec coordinates, followed by a
+nonnegative orthant of p entries (ConeSpec), the one cone the engine's
+form has, through the homogeneous self-dual embedding
     A x = b tau,  A^T y + s = c tau,  b.y - c.x = kappa,  tau, kappa >= 0
 (Ye, Todd & Mizuno 1994; in conic form Andersen, Roos & Terlaky 2003).
 One run ends either with tau > 0, and (x, y, s) / tau is optimal, or with
@@ -15,12 +16,12 @@ has it.  Nesterov-Todd scaling with a
 Mehrotra predictor-corrector step, aimed at problems with up to about a
 thousand rows.  Each step works in the scaled coordinates u = W^{-T} dx,
 v = W ds of CVXOPT's conelp (Vandenberghe 2010), where x and s both map
-to one point lam that is diagonal on every PSD block.  The Schur
-complement B B^T, B = A W^T, is formed cone block by cone block, as SDP
-codes do (Fujisawa, Kojima & Nakata 1997), into one buffer per run that
-every step writes once: a PSD block writes the product of its own columns
-of B, and the orthant adds its diagonal scaling over the nonzero pairs of
-its rows only, in place.  The factor reads only the lower triangle, which
+to one point lam that is diagonal on the PSD block.  The Schur complement
+B B^T, B = A W^T, is formed one part of the cone at a time, as SDP codes
+do (Fujisawa, Kojima & Nakata 1997), into one buffer per run that every
+step writes once: the PSD block writes the product of its columns of B,
+and the orthant adds its diagonal scaling over the nonzero pairs of its
+rows only, in place.  The factor reads only the lower triangle, which
 defines the matrix.  A caller that knows the structure of the PSD block's
 rows may supply them as an object instead (psd_rows, as Benson, Ye &
 Zhang 2000 do for low-rank constraint matrices), which writes the block's
@@ -45,7 +46,7 @@ for the orthant's nonzeros.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -127,36 +128,32 @@ def smat(x: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Ordered cone blocks: ("s", d) for a d x d PSD block, ("l", p) orthant."""
+    """The one cone of the form: a d x d PSD block in svec coordinates, then
+    a nonnegative orthant of p entries.  Its layout is computed once per
+    instance, since every step reads it."""
 
-    blocks: tuple
+    d: int
+    p: int
 
     def __post_init__(self):
-        for tag, size in self.blocks:
-            if tag not in ("s", "l") or size < 1:
-                raise ValueError(f"bad cone block ({tag!r}, {size})")
+        if self.d < 1 or self.p < 0:
+            raise ValueError(f"bad cone: PSD block of size {self.d}, orthant of {self.p}")
 
-    @property
+    @cached_property
+    def psd(self) -> slice:
+        return slice(0, svec_dim(self.d))
+
+    @cached_property
+    def orthant(self) -> slice:
+        return slice(svec_dim(self.d), self.total_len)
+
+    @cached_property
     def total_len(self) -> int:
-        return sum(svec_dim(s) if t == "s" else s for t, s in self.blocks)
+        return svec_dim(self.d) + self.p
 
-    @property
+    @cached_property
     def barrier_degree(self) -> int:
-        return sum(s for _, s in self.blocks)
-
-    def slices(self) -> tuple:
-        """(tag, size, slice) of every block in order, made once per cone."""
-        return _slices(self.blocks)
-
-
-@lru_cache(maxsize=None)
-def _slices(blocks: tuple) -> tuple:
-    out, at = [], 0
-    for tag, size in blocks:
-        ln = svec_dim(size) if tag == "s" else size
-        out.append((tag, size, slice(at, at + ln)))
-        at += ln
-    return tuple(out)
+        return self.d + self.p
 
 
 @dataclass
@@ -174,162 +171,128 @@ class ConicResult:
 
 @lru_cache(maxsize=None)
 def _identity_point(cone: ConeSpec) -> np.ndarray:
-    """e: the identity on every PSD block and ones on the orthant, made once
+    """e: the identity on the PSD block and ones on the orthant, made once
     per cone and read-only."""
     e = np.zeros(cone.total_len)
-    for tag, size, sl in cone.slices():
-        if tag == "s":
-            e[sl.start + _svec_index(size).diag] = 1.0
-        else:
-            e[sl] = 1.0
+    e[_svec_index(cone.d).diag] = 1.0
+    e[cone.orthant] = 1.0
     e.setflags(write=False)
     return e
 
 
 class _Scaling:
-    """Per-block NT scaling W of one iteration, and the scaled point lam.
+    """The NT scaling W of one iteration, and the scaled point lam.
 
-    A PSD block scales by W v = svec(R^T smat(v) R), where R = Lx V sig^{-1/2}
-    comes from the Cholesky factors of X and S and the SVD
-    Ls^T Lx = U diag(sig) V^T; then W^{-T} x = W s = svec(diag(sig)), and
-    W^T W s = x.  An orthant block scales by the vector w = sqrt(x / s) and
-    has lam = sqrt(x s).  Each entry of blocks is (slice, size, R, sig) for
-    a PSD block and (slice, None, w, lam) for the orthant.
+    The PSD block scales by W v = svec(R^T smat(v) R), where
+    R = Lx V sig^{-1/2} comes from the Cholesky factors of X and S and the
+    SVD Ls^T Lx = U diag(sig) V^T; then W^{-T} x = W s = svec(diag(sig)),
+    and W^T W s = x.  The orthant scales by the vector w = sqrt(x / s) and
+    has lam = sqrt(x s).  rr = r r^T, r = sig^{-1/2}, is what max_step
+    scales the PSD block by.
 
     The step works in the scaled coordinates u = W^{-T} dx and v = W ds,
-    where lam is diagonal on every PSD block: x + alpha dx stays in the
-    cone exactly when lam + alpha u does (see max_step).  A PSD block of x
-    or s that is not numerically positive definite raises LinAlgError.
+    where lam is diagonal on the PSD block: x + alpha dx stays in the cone
+    exactly when lam + alpha u does (see max_step).  The PSD block of x or s
+    that is not numerically positive definite raises LinAlgError.
     """
 
     def __init__(self, cone: ConeSpec, x: np.ndarray, s: np.ndarray):
         self.cone = cone
-        self.blocks = []
-        # per PSD block r r^T, r = sig^{-1/2}, which max_step scales by
-        self.rr = []
+        psd, orth = cone.psd, cone.orthant
+        Lx, Ls = np.linalg.cholesky(smat(np.array((x[psd], s[psd])), cone.d))
+        _, sig, Vt = np.linalg.svd(Ls.T @ Lx)
+        self.sig = sig = np.maximum(sig, 1.0e-150)
+        r = sig ** -0.5
+        self.R = (Lx @ Vt.T) * r
+        self.rr = r[:, None] * r[None, :]
+        self.w = np.sqrt(x[orth] / s[orth])
         self.lam = np.zeros(cone.total_len)
-        xs = np.array((x, s))
-        for tag, size, sl in cone.slices():
-            if tag == "s":
-                Lx, Ls = np.linalg.cholesky(smat(xs[:, sl], size))
-                _, sig, Vt = np.linalg.svd(Ls.T @ Lx)
-                sig = np.maximum(sig, 1.0e-150)
-                r = sig ** -0.5
-                self.blocks.append((sl, size, (Lx @ Vt.T) * r, sig))
-                self.rr.append(r[:, None] * r[None, :])
-                self.lam[sl.start + _svec_index(size).diag] = sig
-            else:
-                lam = np.sqrt(x[sl] * s[sl])
-                self.blocks.append((sl, None, np.sqrt(x[sl] / s[sl]), lam))
-                self.rr.append(None)
-                self.lam[sl] = lam
-        if not (np.isfinite(self.lam).all() and all(np.isfinite(b[2]).all() for b in self.blocks)):
+        self.lam[_svec_index(cone.d).diag] = sig
+        self.lam[orth] = np.sqrt(x[orth] * s[orth])
+        if not all(np.isfinite(a).all() for a in (self.lam, self.R, self.w)):
             raise np.linalg.LinAlgError("non-finite NT scaling")
 
-    def schur(self, A: np.ndarray, row_data: list, S: np.ndarray):
+    def schur(self, A: np.ndarray, psd, orthant: "_OrthantRows", S: np.ndarray):
         """B = A W^T as an operator, and the Schur complement A W^T W A^T
-        written into S, cone block by cone block (row_data as made by
-        _row_data).
+        written into S, the PSD block's term and then the orthant's.
 
-        Row i of B is W a_i.  On a PSD block that is svec(R^T A_i R), and
-        the block writes B_p B_p^T over its own columns, unless the caller
-        gives the block's rows as an object (row_data holds it), which
-        writes the term from their structure: then B is never formed
-        (_UnformedB).  On the orthant row i of B is a_i * w, and the block
-        adds A_l diag(w^2) A_l^T into S in place (_OrthantRows.add_term).
-        S, C-ordered and the run's one buffer (solve_conic), is defined by
-        its lower triangle, all that _NormalFactor reads; it is exactly
-        symmetric where B is formed.
+        Row i of B is W a_i.  On the PSD block that is svec(R^T A_i R):
+        where psd is the block's rows as an array (nrows, d, d), B is formed
+        and the block writes B_p B_p^T; where it is the caller's rows object
+        (solve_conic's psd_rows), the object writes the term from their
+        structure, and B is never formed (_UnformedB).  On the orthant row
+        i of B is a_i * w, and orthant adds A_l diag(w^2) A_l^T into S in
+        place (_OrthantRows.add_term).  S, C-ordered and the run's one
+        buffer (solve_conic), is defined by its lower triangle, all that
+        _NormalFactor reads; it is exactly symmetric where B is formed.
         """
-        nrows = A.shape[0]
-        formed = all(isinstance(data, (np.ndarray, _OrthantRows)) for data in row_data)
-        B = np.empty_like(A) if formed else None
-        written = False
-        for (sl, size, R, _), data in zip(self.blocks, row_data):
-            if isinstance(data, np.ndarray):
-                # R^T A_i R for every row i: T_i = A_i R as one GEMM, then
-                # R^T T_i batched over the rows
-                T = (data.reshape(-1, size) @ R).reshape(nrows, size, size)
-                Bp = svec(np.matmul(R.T, T))
-                B[:, sl] = Bp
-                if written:
-                    S += Bp @ Bp.T
-                else:
-                    np.matmul(Bp, Bp.T, out=S)
-            elif isinstance(data, _OrthantRows):
-                if formed:
-                    np.multiply(A[:, sl], R, out=B[:, sl])
-                if not written:
-                    S.fill(0.0)
-                data.add_term(R, S)
-            else:
-                # the first block (_row_data): its term writes S's lower triangle
-                data.term(R, S)
-            written = True
-        return _FormedB(B) if formed else _UnformedB(nrows, self.cone, row_data, self)
+        cone, R, w = self.cone, self.R, self.w
+        if not isinstance(psd, np.ndarray):
+            psd.term(R, S)
+            orthant.add_term(w, S)
+            return _UnformedB(cone, psd, orthant, self)
+        # R^T A_i R for every row i: T_i = A_i R as one GEMM, then R^T T_i
+        # batched over the rows
+        T = (psd.reshape(-1, cone.d) @ R).reshape(psd.shape)
+        Bp = svec(np.matmul(R.T, T))
+        B = np.empty_like(A)
+        B[:, cone.psd] = Bp
+        np.matmul(Bp, Bp.T, out=S)
+        np.multiply(A[:, cone.orthant], w, out=B[:, cone.orthant])
+        orthant.add_term(w, S)
+        return _FormedB(B)
 
     def scale_s(self, ds: np.ndarray) -> np.ndarray:
         """W ds: maps s-space directions (batched over leading axes) into
         scaled space."""
+        cone, R = self.cone, self.R
         out = np.empty_like(ds)
-        for sl, size, R, _ in self.blocks:
-            if size is None:
-                out[..., sl] = ds[..., sl] * R
-            else:
-                out[..., sl] = svec(R.T @ smat(ds[..., sl], size) @ R)
+        out[..., cone.psd] = svec(R.T @ smat(ds[..., cone.psd], cone.d) @ R)
+        out[..., cone.orthant] = ds[..., cone.orthant] * self.w
         return out
 
     def unscale_to_x(self, u: np.ndarray) -> np.ndarray:
         """W^T u: maps scaled-space vectors (batched over leading axes) back
         to x-space directions."""
+        cone, R = self.cone, self.R
         out = np.empty_like(u)
-        for sl, size, R, _ in self.blocks:
-            if size is None:
-                out[..., sl] = u[..., sl] * R
-            else:
-                out[..., sl] = svec(R @ smat(u[..., sl], size) @ R.T)
+        out[..., cone.psd] = svec(R @ smat(u[..., cone.psd], cone.d) @ R.T)
+        out[..., cone.orthant] = u[..., cone.orthant] * self.w
         return out
 
     def jordan_prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        cone = self.cone
         out = np.empty_like(u)
-        uv = np.array((u, v))
-        for sl, size, _, _ in self.blocks:
-            if size is None:
-                out[sl] = u[sl] * v[sl]
-            else:
-                U, V = smat(uv[:, sl], size)
-                out[sl] = svec(0.5 * (U @ V + V @ U))
+        U, V = smat(np.array((u[cone.psd], v[cone.psd])), cone.d)
+        out[cone.psd] = svec(0.5 * (U @ V + V @ U))
+        out[cone.orthant] = u[cone.orthant] * v[cone.orthant]
         return out
 
     def jordan_solve_lam(self, k: np.ndarray) -> np.ndarray:
         """Solve L(lam) z = k where lam is the scaling's spectral point.  On
-        a PSD block that divides entry (i, j) by (sig_i + sig_j) / 2, in
+        the PSD block that divides entry (i, j) by (sig_i + sig_j) / 2, in
         svec coordinates."""
+        cone, sig = self.cone, self.sig
+        maps = _svec_index(cone.d)
         out = np.empty_like(k)
-        for sl, size, _, lam in self.blocks:
-            if size is None:
-                out[sl] = k[sl] / lam
-            else:
-                maps = _svec_index(size)
-                denom = 0.5 * (lam[:, None] + lam[None, :])
-                out[sl] = k[sl] / maps.weight / denom.reshape(-1)[maps.upper] * maps.weight
+        denom = 0.5 * (sig[:, None] + sig[None, :])
+        out[cone.psd] = k[cone.psd] / maps.weight / denom.reshape(-1)[maps.upper] * maps.weight
+        out[cone.orthant] = k[cone.orthant] / self.lam[cone.orthant]
         return out
 
     def max_step(self, u: np.ndarray, v: np.ndarray) -> float:
         """Largest alpha with lam + alpha u and lam + alpha v both in the
         closed cone, that is, with x + alpha dx and s + alpha ds in it.
 
-        On a PSD block lam = diag(sig), so the bound is set by the least
+        On the PSD block lam = diag(sig), so the bound is set by the least
         eigenvalue of sig^{-1/2} smat(u) sig^{-1/2}, the same for v; the two
         share one eigvalsh.
         """
+        cone = self.cone
         uv = np.array((u, v))
-        least = 0.0
-        for (sl, size, _, lam), rr in zip(self.blocks, self.rr):
-            if size is None:
-                least = min(least, float((uv[:, sl] / lam).min()))
-            else:
-                least = min(least, float(np.linalg.eigvalsh(smat(uv[:, sl], size) * rr)[:, 0].min()))
+        eig = np.linalg.eigvalsh(smat(uv[:, cone.psd], cone.d) * self.rr)
+        least = min(0.0, float(eig[:, 0].min()))
+        least = min(least, float((uv[:, cone.orthant] / self.lam[cone.orthant]).min(initial=0.0)))
         return -1.0 / least if least < 0 else np.inf
 
 
@@ -351,39 +314,34 @@ class _FormedB:
 
 class _UnformedB:
     """B = A W^T at the scaling sc without forming it, or A itself when
-    sc is None, taken cone block by cone block through the structure of
-    each block's rows (row_data, as made by _row_data); apply and adjoint
-    act along the last axis like _FormedB's.
+    sc is None, taken through the structure of the PSD block's rows (psd,
+    solve_conic's psd_rows) and the orthant's nonzeros (orthant); apply
+    and adjoint act along the last axis like _FormedB's.
 
-    Each block's rows take the block's scaling factor (R of a PSD block,
-    w of the orthant, None for A): on a PSD block B u gains
-    rows.apply(smat(u), R) = A_p svec(R smat(u) R^T), and B^T y reads
-    svec(rows.adjoint(y, R)) = W_p (A_p^T y); on the orthant the two are
-    A_l (w u) and w (A_l^T y).
+    The PSD rows take the factor R and the orthant's the vector w (None for
+    A): B u is psd.apply(smat(u_p), R) = A_p svec(R smat(u_p) R^T) plus
+    A_l (w u_l), and B^T y is svec(psd.adjoint(y, R)) = W_p (A_p^T y) on
+    the PSD block and w (A_l^T y) on the orthant.
     """
 
-    def __init__(self, nrows: int, cone: ConeSpec, row_data: list, sc: Optional[_Scaling] = None):
-        self.nrows, self.ncols = nrows, cone.total_len
-        factors = [None] * len(row_data) if sc is None else [blk[2] for blk in sc.blocks]
-        # (slice, size or None on the orthant, factor or None for A, rows)
-        self.blocks = [
-            (sl, size if tag == "s" else None, factor, rows)
-            for (tag, size, sl), factor, rows in zip(cone.slices(), factors, row_data)
-        ]
+    def __init__(self, cone: ConeSpec, psd, orthant: "_OrthantRows", sc: Optional[_Scaling] = None):
+        self.cone, self.psd, self.orthant = cone, psd, orthant
+        self.R, self.w = (None, None) if sc is None else (sc.R, sc.w)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """B u."""
-        out = np.zeros(u.shape[:-1] + (self.nrows,))
-        for sl, size, factor, rows in self.blocks:
-            out += rows.apply(u[..., sl] if size is None else smat(u[..., sl], size), factor)
+        cone = self.cone
+        out = np.zeros(u.shape[:-1] + (self.orthant.nrows,))
+        out += self.psd.apply(smat(u[..., cone.psd], cone.d), self.R)
+        out += self.orthant.apply(u[..., cone.orthant], self.w)
         return out
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """B^T y."""
-        out = np.empty(y.shape[:-1] + (self.ncols,))
-        for sl, size, factor, rows in self.blocks:
-            v = rows.adjoint(y, factor)
-            out[..., sl] = v if size is None else svec(v)
+        cone = self.cone
+        out = np.empty(y.shape[:-1] + (cone.total_len,))
+        out[..., cone.psd] = svec(self.psd.adjoint(y, self.R))
+        out[..., cone.orthant] = self.orthant.adjoint(y, self.w)
         return out
 
 
@@ -561,28 +519,6 @@ def _orthant_rows(A_l: np.ndarray) -> _OrthantRows:
                         at, pair_at, k, A_l[i, k] * A_l[j, k])
 
 
-def _row_data(A: np.ndarray, cone: ConeSpec, psd_rows=None) -> list:
-    """What _Scaling.schur and _UnformedB need of the rows of A, per cone
-    block: on a PSD block psd_rows if given, else the rows restricted to it
-    as (nrows, d, d); on an orthant block its nonzeros (_orthant_rows).
-    With psd_rows, A holds the orthant's columns only, in order, and the
-    PSD block comes first, since its term writes S rather than adding to
-    it."""
-    if psd_rows is None:
-        return [smat(A[:, sl], size) if tag == "s" else _orthant_rows(A[:, sl])
-                for tag, size, sl in cone.slices()]
-    if [tag for tag, _ in cone.blocks].count("s") != 1 or cone.blocks[0][0] != "s":
-        raise ValueError("psd_rows needs a cone whose first block is its one PSD block")
-    out, at = [], 0
-    for tag, size in cone.blocks:
-        if tag == "s":
-            out.append(psd_rows)
-        else:
-            out.append(_orthant_rows(A[:, at:at + size]))
-            at += size
-    return out
-
-
 def _scaled_newton(B, normal, r1, wr2, q):
     """Solve A dx = r1, A^T dy + ds = r2, dx + W^T W ds = W^T q in the scaled
     coordinates u = W^{-T} dx, v = W ds, where they read B u = r1,
@@ -594,12 +530,13 @@ def _scaled_newton(B, normal, r1, wr2, q):
     return q - wr2 + B.adjoint(dy), dy
 
 
-def _step(A, rows, b, c, row_data, cone, S, point, rp, rd, rg):
+def _step(A, rows, b, c, psd, orthant, cone, S, point, rp, rd, rg):
     """Mehrotra predictor-corrector direction of the embedding and its step.
 
-    B = A W^T, as a matrix or an operator, is formed, the Schur complement
-    B B^T written into the run's buffer S (_Scaling.schur), and B B^T
-    factored once; rows is A as an operator (_FormedB(A) or _UnformedB).
+    B = A W^T, as a matrix or an operator, is formed from the PSD block's
+    rows psd and the orthant's nonzeros, the Schur complement B B^T
+    written into the run's buffer S (_Scaling.schur), and B B^T factored
+    once; rows is A as an operator (_FormedB(A) or _UnformedB).
     The direction per unit of d tau, B u = b, B^T dy + v = W c, u + v = 0,
     is solved together with the predictor and shared with the corrector;
     the last row of the embedding and kappa d tau + tau d kappa = rk then
@@ -613,7 +550,7 @@ def _step(A, rows, b, c, row_data, cone, S, point, rp, rd, rg):
     x, y, s, tau, kappa = point
     sc = _Scaling(cone, x, s)
     lam = sc.lam
-    B = sc.schur(A, row_data, S)
+    B = sc.schur(A, psd, orthant, S)
     normal = _NormalFactor(S)
     w_crd = sc.scale_s(np.array((c, rd)))
     wc, wrd = w_crd
@@ -716,18 +653,17 @@ def solve_conic(
     The Schur complement of every step is written into one buffer S,
     allocated here once per run (_Scaling.schur).
 
-    psd_rows, for a cone whose first block is its one PSD block, of size
-    d, is that block's rows A_p of A as an object the caller builds from
-    their structure: term(R, S) writes the block's Schur term
+    psd_rows is the PSD block's rows A_p of A as an object the caller
+    builds from their structure: term(R, S) writes the block's Schur term
     A_p W_p^T W_p A_p^T at the scaling factor R (G = R R^T, see _Scaling)
     into every entry of the lower triangle of the run's S, and may leave
     its strict upper triangle as it finds it; apply(V, R) is
     A_p svec(R V R^T) for symmetric V (..., d, d), and adjoint(y, R) is
     R^T smat(A_p^T y) R, both batched over leading axes and with R = I for
-    None.  A then holds only the orthant's columns, (nrows, the orthant's
-    length), and is read only for its nonzeros; B = A W^T is never formed,
-    and every product with A or B goes through the blocks' rows
-    (_UnformedB).
+    None.  A then holds only the orthant's columns, (nrows, p), and is
+    read only for its nonzeros; B = A W^T is never formed, and every
+    product with A or B goes through those rows and the orthant's
+    nonzeros (_UnformedB).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -743,8 +679,12 @@ def solve_conic(
         return ConicResult("optimal", x, y, s, 0, 0.0, 0.0, 0.0)
     bnorm = 1.0 + math.sqrt(b @ b)
     cnorm = 1.0 + math.sqrt(c @ c)
-    row_data = _row_data(A, cone, psd_rows)
-    rows = _FormedB(A) if psd_rows is None else _UnformedB(nrows, cone, row_data)
+    if psd_rows is None:
+        psd, orthant = smat(A[:, cone.psd], cone.d), _orthant_rows(A[:, cone.orthant])
+        rows = _FormedB(A)
+    else:
+        psd, orthant = psd_rows, _orthant_rows(A)
+        rows = _UnformedB(cone, psd, orthant)
     S = np.zeros((nrows, nrows))
     tau = kappa = 1.0
     status, it, prev, prev_score = "max_iters", 0, None, np.inf
@@ -782,7 +722,7 @@ def solve_conic(
             prev, prev_score = point, score
 
             try:
-                step = _step(A, rows, b, c, row_data, cone, S, point[:5], rp, rd, rg)
+                step = _step(A, rows, b, c, psd, orthant, cone, S, point[:5], rp, rd, rg)
             except np.linalg.LinAlgError:
                 status = "stalled"
                 break

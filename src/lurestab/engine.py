@@ -53,6 +53,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .conic import ConeSpec, smat, solve_conic, svec
+from .errors import NumericFailureError
 from .lmi import (
     DUAL_SCALE,
     SdpFeasibilityProblem,
@@ -360,22 +361,25 @@ class DualForm:
     LMI block (_LmiGram.formed) beside A_raw / d, and psd_rows is None.
     From it on the LMI's rows are never formed: psd_rows is the gram, and
     A holds only A_raw / d.  verify measures residuals in raw units,
-    through the gram and A_raw, on either path.
+    through the gram and A_raw, on either path.  A plant so badly scaled
+    that a row norm overflows has no finite d and raises NumericFailureError.
     """
 
     def __init__(self, primal: SdpFeasibilityProblem):
         self.system: StateSpaceSystem = primal.meta["system"]
         self.congruence = primal.meta["congruence"]
         self.var_slices, self.blocks = primal.variables, primal.constraints
-        self.ncone = self.blocks[-1][1].stop
-        # the LMI block, then one orthant block (m >= 1 row sums) for the rest
-        lmi, self.h_slice = self.blocks[0]
-        self.cone = ConeSpec((("s", lmi.dim), ("l", self.ncone - self.h_slice.stop)))
+        # the LMI block, then one orthant (m >= 1 row sums) for the rest
+        lmi, h = self.blocks[0]
+        self.cone = ConeSpec(lmi.dim, self.blocks[-1][1].stop - h.stop)
 
         self.b_raw, self.A_raw = primal.objective, -primal.F_incidence.T
-        self.gram = _LmiGram(self.congruence, self.var_slices,
-                             np.sum(self.A_raw * self.A_raw, axis=1), self.b_raw)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.gram = _LmiGram(self.congruence, self.var_slices,
+                                 np.sum(self.A_raw * self.A_raw, axis=1), self.b_raw)
         self.d = self.gram.d
+        if not np.isfinite(self.d).all():
+            raise NumericFailureError("the LMI's row norms overflow: the plant is too badly scaled")
         self.A, self.b = self.A_raw / self.d[:, None], self.b_raw / self.d
         if lmi.dim >= _STRUCTURED_MIN_DIM:
             self.psd_rows = self.gram
@@ -400,9 +404,8 @@ class DualForm:
         """
         max_cone = max(_cone_violation(con, abs(DUAL_SCALE[con.cone]) * x[sl])
                        for con, sl in self.blocks)
-        h = self.h_slice
-        lmi = self.gram.apply(smat(x[h], self.cone.blocks[0][1]))
-        rows = self.d * lmi + self.A_raw @ x[h.stop:]
+        lmi = self.gram.apply(smat(x[self.cone.psd], self.cone.d))
+        rows = self.d * lmi + self.A_raw @ x[self.cone.orthant]
         max_eq = float(np.max(np.abs(rows - self.b_raw)))
         tol_eq = TOL_EQ * (1.0 + float(np.max(np.abs(self.b_raw))))
         return max_eq <= tol_eq and max_cone <= CONE_TOL, max_eq, max_cone
@@ -456,8 +459,8 @@ def solve(form: DualForm) -> SolveResult:
         accepted.append(margin)
         return True
 
-    res = solve_conic(form.A, form.b, np.zeros(form.ncone), form.cone, accept=certifies,
-                      psd_rows=form.psd_rows)
+    res = solve_conic(form.A, form.b, np.zeros(form.cone.total_len), form.cone,
+                      accept=certifies, psd_rows=form.psd_rows)
     # for "accepted", res.y is the iterate certifies passed, bit for bit
     z = res.y / form.d
     if res.status == "accepted":
@@ -493,8 +496,8 @@ def _steer_matrix(sys: StateSpaceSystem) -> np.ndarray:
 def _solve_point(dual: DualForm, W: np.ndarray):
     """One solve over the dual's feasible set minimizing trace(W H): the
     solver's result, the blocks of its point and their verification."""
-    c = np.zeros(dual.ncone)
-    c[dual.h_slice] = svec(W)
+    c = np.zeros(dual.cone.total_len)
+    c[dual.cone.psd] = svec(W)
     res = solve_conic(dual.A, dual.b, c, dual.cone, psd_rows=dual.psd_rows)
     return res, dual.reconstruct(res.x), dual.verify(res.x)
 

@@ -238,7 +238,8 @@ def analyze(sys: StateSpaceSystem) -> AnalysisReport:
     known equilibrium (h1, w), the eigenvector's or the search's ray's, as
     equilibria handed it on, and diagnostics["pipeline"]["witness_source"]
     is "linear" or "search".  Where no input is known, a map that cannot
-    be built raises CertificateInconsistentError.
+    be built raises CertificateInconsistentError.  A plant so badly scaled
+    that the LMI's row norms overflow raises NumericFailureError.
     After a numerical_limit pass the dual block keeps its status and
     residuals and gains the witness's entries, but no H, f, g, X or Z, and
     the pipeline has no rank_* keys.  So reason dual_not_feasible means

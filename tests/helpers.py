@@ -1,12 +1,14 @@
-"""Test-only helpers: random members of the multiplier cones and the
-multiplier quadratic form.  Nothing in the package needs them."""
+"""Test-only helpers: random members of the multiplier cones, the
+multiplier quadratic form, and interior points and the dense NT scaling of
+the interior-point core's cone.  Nothing in the package needs them."""
 
 import numpy as np
 
 from cones import ConeTag
+from lurestab.conic import ConeSpec, _orthant_rows, smat, svec
 from lurestab.multipliers import Multiplier
 
-__all__ = ["quad_form", "random_member"]
+__all__ = ["dense_w", "formed_rows", "interior_point", "quad_form", "random_member"]
 
 
 def random_member(cone: ConeTag, m: int, seed: int) -> np.ndarray:
@@ -53,3 +55,29 @@ def quad_form(mult: Multiplier, zeta: np.ndarray, w: np.ndarray) -> float:
         )
     v = np.concatenate([zeta, w])
     return float(v @ mult.pi @ v)
+
+
+def interior_point(cone: ConeSpec, rng: np.random.Generator) -> np.ndarray:
+    """A random strictly interior point of the cone."""
+    F = rng.normal(size=(cone.d, cone.d))
+    x = np.empty(cone.total_len)
+    x[cone.psd] = svec(F @ F.T + cone.d * np.eye(cone.d))
+    x[cone.orthant] = rng.uniform(0.5, 2.0, size=cone.p)
+    return x
+
+
+def dense_w(sc) -> np.ndarray:
+    """The NT scaling W of sc (conic._Scaling) as a dense matrix; its PSD
+    block one svec basis vector at a time."""
+    cone, R = sc.cone, sc.R
+    out = np.zeros((cone.total_len, cone.total_len))
+    basis = smat(np.eye(cone.psd.stop), cone.d)
+    out[cone.psd, cone.psd] = svec(R.T @ basis @ R).T
+    out[cone.orthant, cone.orthant] = np.diag(sc.w)
+    return out
+
+
+def formed_rows(A: np.ndarray, cone: ConeSpec):
+    """The rows of A as conic._Scaling.schur takes them where B is formed:
+    the PSD block's as matrices (nrows, d, d), and the orthant's nonzeros."""
+    return smat(A[:, cone.psd], cone.d), _orthant_rows(A[:, cone.orthant])

@@ -276,22 +276,20 @@ def primal_constraints(sys: StateSpaceSystem, v: dict) -> dict:
 def unscaled_max_step(cone: ConeSpec, x: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha with x + alpha dx in the closed cone, for x interior.
 
-    A PSD block with X = L L^T allows alpha up to -1 / (least eigenvalue of
-    L^{-1} dX L^{-T}) when that eigenvalue is negative; an orthant block up
+    The PSD block with X = L L^T allows alpha up to -1 / (least eigenvalue
+    of L^{-1} dX L^{-T}) when that eigenvalue is negative; the orthant up
     to the least -x_i / dx_i over dx_i < 0.
     """
     alpha = np.inf
-    for tag, size, sl in cone.slices():
-        if tag == "s":
-            Linv = np.linalg.inv(np.linalg.cholesky(smat(x[sl], size)))
-            M = Linv @ smat(dx[sl], size) @ Linv.T
-            least = np.linalg.eigvalsh(0.5 * (M + M.T))[0]
-            if least < 0:
-                alpha = min(alpha, -1.0 / least)
-        else:
-            neg = dx[sl] < 0
-            if np.any(neg):
-                alpha = min(alpha, float(np.min(-x[sl][neg] / dx[sl][neg])))
+    psd, orth = cone.psd, cone.orthant
+    Linv = np.linalg.inv(np.linalg.cholesky(smat(x[psd], cone.d)))
+    M = Linv @ smat(dx[psd], cone.d) @ Linv.T
+    least = np.linalg.eigvalsh(0.5 * (M + M.T))[0]
+    if least < 0:
+        alpha = -1.0 / least
+    neg = dx[orth] < 0
+    if np.any(neg):
+        alpha = min(alpha, float(np.min(-x[orth][neg] / dx[orth][neg])))
     return alpha
 
 

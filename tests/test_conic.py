@@ -13,7 +13,6 @@ from lurestab.conic import (
     _FormedB,
     _NormalFactor,
     _orthant_rows,
-    _row_data,
     _scaled_newton,
     _Scaling,
     _UnformedB,
@@ -22,6 +21,7 @@ from lurestab.conic import (
     svec,
     svec_dim,
 )
+from helpers import dense_w, formed_rows, interior_point
 from oracles import unscaled_max_step
 
 
@@ -49,17 +49,23 @@ def test_svec_smat_inverse_property(d, seed):
 
 
 def test_cone_spec_slices():
-    cone = ConeSpec(blocks=(("s", 3), ("l", 2), ("s", 1)))
-    slices = list(cone.slices())
-    assert slices[0] == ("s", 3, slice(0, 6))
-    assert slices[1] == ("l", 2, slice(6, 8))
-    assert slices[2] == ("s", 1, slice(8, 9))
-    assert cone.total_len == 9
+    # the PSD block's svec coordinates, then the orthant's entries
+    cone = ConeSpec(3, 2)
+    assert (cone.psd, cone.orthant) == (slice(0, 6), slice(6, 8))
+    assert (cone.total_len, cone.barrier_degree) == (8, 5)
+    # an empty orthant is allowed, a PSD block of size 0 or a negative
+    # orthant is not
+    empty = ConeSpec(2, 0)
+    assert (empty.psd, empty.orthant, empty.total_len) == (slice(0, 3), slice(3, 3), 3)
+    for d, p in ((0, 2), (-1, 0), (2, -1)):
+        with pytest.raises(ValueError):
+            ConeSpec(d, p)
 
 
 def _lp_toy():
-    # min x0 subject to x0 + x1 = 1, x >= 0
-    return np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 0.0]), ConeSpec((("l", 2),))
+    # min x0 subject to x0 + x1 = 1, x >= 0; x0 is the 1 x 1 PSD block,
+    # whose NT scaling is that of one orthant entry
+    return np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 0.0]), ConeSpec(1, 1)
 
 
 def _sdp_toy():
@@ -67,7 +73,7 @@ def _sdp_toy():
     rng = np.random.default_rng(1)
     Cm = rng.normal(size=(3, 3))
     Cm = 0.5 * (Cm + Cm.T)
-    return svec(np.eye(3))[None, :], np.array([1.0]), svec(Cm), ConeSpec((("s", 3),))
+    return svec(np.eye(3))[None, :], np.array([1.0]), svec(Cm), ConeSpec(3, 0)
 
 
 def _mixed_toy():
@@ -77,13 +83,13 @@ def _mixed_toy():
     A[1, 3] = 1.0
     c = np.zeros(4)
     c[:3] = svec(np.diag([1.0, 2.0]))
-    return A, np.array([2.0, 0.5]), c, ConeSpec((("s", 2), ("l", 1)))
+    return A, np.array([2.0, 0.5]), c, ConeSpec(2, 1)
 
 
 def _infeasible_toy():
     # tr X = 1 and X_01 = 1 have no PSD solution
     A = np.vstack([svec(np.eye(2)), svec(np.array([[0.0, 0.5], [0.5, 0.0]]))])
-    return A, np.array([1.0, 1.0]), np.zeros(3), ConeSpec((("s", 2),))
+    return A, np.array([1.0, 1.0]), np.zeros(3), ConeSpec(2, 0)
 
 
 def test_lp_solve():
@@ -115,7 +121,8 @@ def test_mixed_cone_problem():
 
 
 def test_dual_certificates_at_optimum():
-    cone = ConeSpec(blocks=(("l", 3),))
+    # an LP: the 1 x 1 PSD block and two orthant entries
+    cone = ConeSpec(1, 2)
     rng = np.random.default_rng(2)
     A = rng.normal(size=(2, 3))
     x_feas = rng.uniform(0.5, 1.5, size=3)
@@ -137,44 +144,18 @@ def test_history_and_iterations_reported():
     assert res.gap_rel <= 1e-8
 
 
-def _interior_point(cone, rng):
-    """A random strictly interior cone point."""
-    x = np.zeros(cone.total_len)
-    for tag, size, sl in cone.slices():
-        if tag == "s":
-            F = rng.normal(size=(size, size))
-            x[sl] = svec(F @ F.T + size * np.eye(size))
-        else:
-            x[sl] = rng.uniform(0.5, 2.0, size=size)
-    return x
-
-
-def _dense_w(sc, cone):
-    """The NT scaling W as a dense matrix, one basis vector at a time."""
-    out = np.zeros((cone.total_len, cone.total_len))
-    for (tag, size, sl), blk in zip(cone.slices(), sc.blocks):
-        R = blk[2]
-        if tag == "s":
-            basis = np.eye(svec_dim(size))
-            for j in range(basis.shape[0]):
-                out[sl, sl.start + j] = svec(R.T @ smat(basis[:, j], size) @ R)
-        else:
-            out[sl, sl] = np.diag(R)
-    return out
-
-
-_MIXED = ConeSpec(blocks=(("s", 3), ("l", 2), ("s", 1)))
+_CONE = ConeSpec(3, 2)
 
 
 def test_blockwise_wsq_matches_dense_operator():
-    cone = _MIXED
+    cone = _CONE
     rng = np.random.default_rng(5)
-    x, s = _interior_point(cone, rng), _interior_point(cone, rng)
+    x, s = interior_point(cone, rng), interior_point(cone, rng)
     sc = _Scaling(cone, x, s)
-    W = _dense_w(sc, cone)
+    W = dense_w(sc)
     A = rng.normal(size=(4, cone.total_len))
     S = np.empty((4, 4))
-    B = sc.schur(A, _row_data(A, cone), S).B
+    B = sc.schur(A, *formed_rows(A, cone), S).B
     assert np.max(np.abs(B - A @ W.T)) <= 1e-12 * np.max(np.abs(A @ W.T))
     # the Schur complement is A W^T W A^T, and exactly symmetric
     ref = A @ W.T @ W @ A.T
@@ -191,38 +172,36 @@ def test_blockwise_wsq_matches_dense_operator():
     assert np.max(np.abs(sc.unscale_to_x(V[0]) - W.T @ V[0])) <= 1e-12 * np.max(np.abs(W.T @ V[0]))
 
 
-def _sparse_orthant_rows(cone, nrows, rng):
+def _sparse_rows(cone, nrows, rng):
     """Random rows whose orthant columns hold, in turn, zero, one and three
     nonzeros."""
     A = rng.normal(size=(nrows, cone.total_len))
-    for tag, size, sl in cone.slices():
-        if tag == "l":
-            for j, k in enumerate(range(sl.start, sl.stop)):
-                keep = rng.permutation(nrows)[: (0, 1, 3)[j % 3]]
-                col = np.zeros(nrows)
-                col[keep] = A[keep, k]
-                A[:, k] = col
+    for j, k in enumerate(range(cone.orthant.start, cone.orthant.stop)):
+        keep = rng.permutation(nrows)[: (0, 1, 3)[j % 3]]
+        col = np.zeros(nrows)
+        col[keep] = A[keep, k]
+        A[:, k] = col
     return A
 
 
 @pytest.mark.parametrize(
     "cone",
     [
-        ConeSpec((("s", 4), ("s", 2))),
-        ConeSpec((("l", 9),)),
-        _MIXED,
-        # an orthant of one column with no nonzero, summed first
-        ConeSpec((("l", 1), ("s", 2))),
+        ConeSpec(4, 0),
+        ConeSpec(1, 9),
+        _CONE,
+        # an orthant of one column with no nonzero
+        ConeSpec(2, 1),
     ],
     ids=["psd", "orthant", "mixed", "empty-orthant"],
 )
 def test_schur_complement_matches_the_dense_product(cone):
     rng = np.random.default_rng(11)
-    sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
-    W = _dense_w(sc, cone)
-    A = _sparse_orthant_rows(cone, 5, rng)
+    sc = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
+    W = dense_w(sc)
+    A = _sparse_rows(cone, 5, rng)
     S = np.empty((5, 5))
-    op = sc.schur(A, _row_data(A, cone), S)
+    op = sc.schur(A, *formed_rows(A, cone), S)
     ref = A @ W.T @ W @ A.T
     assert isinstance(op, _FormedB)
     assert _rel(op.B - A @ W.T, A @ W.T) <= 1e-12
@@ -254,20 +233,20 @@ class _DenseRows:
 
 
 def test_a_structured_psd_term_replaces_forming_b():
-    cone = ConeSpec((("s", 3), ("l", 4)))
+    cone = ConeSpec(3, 4)
     rng = np.random.default_rng(13)
-    sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
-    W = _dense_w(sc, cone)
-    A = _sparse_orthant_rows(cone, 5, rng)
+    sc = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
+    W = dense_w(sc)
+    A = _sparse_rows(cone, 5, rng)
     # the caller's rows, here the PSD block's taken densely
     rows = _DenseRows(A[:, :6], 3)
 
     # with the rows object, A is read for the orthant's columns only; S
     # is its lower triangle
     S = np.full((5, 5), np.nan)
-    op = sc.schur(A[:, 6:], _row_data(A[:, 6:], cone, rows), S)
+    op = sc.schur(A[:, 6:], rows, _orthant_rows(A[:, 6:]), S)
     assert isinstance(op, _UnformedB)
-    assert len(rows.seen) == 1 and rows.seen[0] is sc.blocks[0][2]
+    assert len(rows.seen) == 1 and rows.seen[0] is sc.R
     ref = A @ W.T @ W @ A.T
     assert _rel(np.tril(S) - np.tril(ref), ref) <= 1e-12
     # B u and B^T y without B, for one vector or a stack
@@ -275,17 +254,11 @@ def test_a_structured_psd_term_replaces_forming_b():
     assert _rel(op.apply(U) - U @ (A @ W.T).T, U @ (A @ W.T).T) <= 1e-12
     assert _rel(op.adjoint(Y[0]) - Y[0] @ (A @ W.T), Y[0] @ (A @ W.T)) <= 1e-12
     assert _rel(op.adjoint(Y)[1] - op.adjoint(Y[1]), op.adjoint(Y[1])) <= 1e-14
-    # the structured rows are for a cone whose first block is its one PSD
-    # block
-    with pytest.raises(ValueError):
-        _row_data(A, ConeSpec((("s", 2), ("s", 2))), rows)
-    with pytest.raises(ValueError):
-        _row_data(A[:, 6:], ConeSpec((("l", 4), ("s", 3))), rows)
 
 
 def test_orthant_pairs_cover_every_nonzero_pair():
     rng = np.random.default_rng(12)
-    A_l = _sparse_orthant_rows(ConeSpec((("l", 7),)), 4, rng)
+    A_l = _sparse_rows(ConeSpec(1, 7), 4, rng)[:, 1:]
     rows = _orthant_rows(A_l)
     flat, col, prod = rows.at[rows.pair_at], rows.pair_col, rows.pair_prod
     nnz = np.count_nonzero(A_l, axis=0)
@@ -321,7 +294,7 @@ def test_the_orthant_adds_in_place_what_its_pairs_sum_to():
     # each entry gains the sum of its pairs in their order, the entries of
     # one bincount over every pair's flat position, bit for bit
     rng = np.random.default_rng(14)
-    A_l = _sparse_orthant_rows(ConeSpec((("l", 12),)), 6, rng)
+    A_l = _sparse_rows(ConeSpec(1, 12), 6, rng)[:, 1:]
     rows = _orthant_rows(A_l)
     w = rng.uniform(0.5, 2.0, size=12)
     flat = rows.at[rows.pair_at]
@@ -343,20 +316,17 @@ def _rel(err, ref):
     + [pytest.param(seed, False, id=f"unformed-{seed}") for seed in range(4)],
 )
 def test_scaled_direction_meets_the_unscaled_newton_equations(seed, formed):
-    cone = _MIXED
+    cone = _CONE
     rng = np.random.default_rng(seed)
-    sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
-    W = _dense_w(sc, cone)
+    sc = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
+    W = dense_w(sc)
     A = rng.normal(size=(4, cone.total_len))
     S = np.empty((4, 4))
-    B = sc.schur(A, _row_data(A, cone), S)
+    B = sc.schur(A, *formed_rows(A, cone), S)
     if not formed:
-        # B through each block's rows, the PSD blocks' taken densely
-        row_data = [
-            _DenseRows(A[:, sl], size) if tag == "s" else _orthant_rows(A[:, sl])
-            for tag, size, sl in cone.slices()
-        ]
-        B = _UnformedB(4, cone, row_data, sc)
+        # B through the PSD block's rows, taken densely, and the orthant's
+        psd_rows = _DenseRows(A[:, cone.psd], cone.d)
+        B = _UnformedB(cone, psd_rows, _orthant_rows(A[:, cone.orthant]), sc)
     normal = _NormalFactor(S)
     r1 = rng.normal(size=(2, 4))
     r2, q = rng.normal(size=(2, 2, cone.total_len))
@@ -375,11 +345,11 @@ def test_scaled_direction_meets_the_unscaled_newton_equations(seed, formed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_scaled_step_length_matches_the_unscaled_reference(seed):
-    cone = _MIXED
+    cone = _CONE
     rng = np.random.default_rng(100 + seed)
-    x, s = _interior_point(cone, rng), _interior_point(cone, rng)
+    x, s = interior_point(cone, rng), interior_point(cone, rng)
     sc = _Scaling(cone, x, s)
-    W = _dense_w(sc, cone)
+    W = dense_w(sc)
     dx, ds = rng.normal(size=(2, cone.total_len)) * (1.0 + 3.0 * seed)
     u, v = np.linalg.solve(W.T, dx), W @ ds
     ref = min(unscaled_max_step(cone, x, dx), unscaled_max_step(cone, s, ds))
@@ -393,9 +363,9 @@ def test_scaled_step_length_matches_the_unscaled_reference(seed):
 
 @pytest.mark.parametrize("singular", [False, True])
 def test_stacked_cholesky_matches_factoring_each_block_alone(singular):
-    cone = _MIXED
+    cone = _CONE
     rng = np.random.default_rng(7)
-    x, s = _interior_point(cone, rng), _interior_point(cone, rng)
+    x, s = interior_point(cone, rng), interior_point(cone, rng)
     if singular:
         # the 3 x 3 block of x is numerically singular: its Cholesky fails,
         # and so does the scaling, which ends the run as "stalled"
@@ -407,19 +377,17 @@ def test_stacked_cholesky_matches_factoring_each_block_alone(singular):
             _Scaling(cone, x, s)
         return
     sc = _Scaling(cone, x, s)
-    for (tag, size, sl), (_, _, R, lam) in zip(cone.slices(), sc.blocks):
-        if tag != "s":
-            assert np.array_equal(R, np.sqrt(x[sl] / s[sl]))
-            assert np.array_equal(lam, np.sqrt(x[sl] * s[sl]))
-            continue
-        # the NT scaling of this block factored on its own
-        Lx, Ls = np.linalg.cholesky(smat(x[sl], size)), np.linalg.cholesky(smat(s[sl], size))
-        _, sig, Vt = np.linalg.svd(Ls.T @ Lx)
-        ref = (Lx @ Vt.T) * np.clip(sig, 1.0e-150, None) ** -0.5
-        assert np.array_equal(R, ref)
-        assert np.array_equal(R @ R.T, ref @ ref.T)
-        assert np.array_equal(lam, sig)
-        assert np.array_equal(sc.lam[sl], svec(np.diag(sig)))
+    orth, psd = cone.orthant, cone.psd
+    assert np.array_equal(sc.w, np.sqrt(x[orth] / s[orth]))
+    assert np.array_equal(sc.lam[orth], np.sqrt(x[orth] * s[orth]))
+    # the PSD block's NT scaling, x and s factored each on its own
+    Lx, Ls = np.linalg.cholesky(smat(x[psd], cone.d)), np.linalg.cholesky(smat(s[psd], cone.d))
+    _, sig, Vt = np.linalg.svd(Ls.T @ Lx)
+    ref = (Lx @ Vt.T) * np.clip(sig, 1.0e-150, None) ** -0.5
+    assert np.array_equal(sc.R, ref)
+    assert np.array_equal(sc.R @ sc.R.T, ref @ ref.T)
+    assert np.array_equal(sc.sig, sig)
+    assert np.array_equal(sc.lam[psd], svec(np.diag(sig)))
 
 
 def test_a_schur_complement_that_stays_indefinite_raises():
@@ -574,7 +542,7 @@ def test_lapack_calls_per_step_are_pinned(monkeypatch):
     def max_step(self, u, v):
         steps.append(len(calls))
         out = real_max_step(self, u, v)
-        # one eigvalsh per PSD block, nothing else
+        # one eigvalsh, nothing else
         assert calls[steps[-1]:] == [("eigvalsh", 3)]
         return out
 
@@ -607,7 +575,7 @@ def test_orthant_pairs_built_once_per_solve(monkeypatch):
     A, b, c, cone = _mixed_toy()
     res = solve_conic(A, b, c, cone)
     assert res.status == "optimal" and res.iterations > 2
-    # once for the one orthant block, not once per step
+    # once for the orthant, not once per step
     assert len(built) == 1
     A_l, rows = built[0]
     at, col, prod = rows.pair_at, rows.pair_col, rows.pair_prod
@@ -716,7 +684,7 @@ def test_no_rows_returns_the_identity_point_as_new_arrays():
 
 
 # The kernels of _Scaling and _cho_solve written as plain smat/svec round
-# trips, block by block: the fused kernels must equal them bit for bit.
+# trips: the fused kernels must equal them bit for bit.
 
 
 def _scatter_smat(x, d):
@@ -735,57 +703,51 @@ def _gather_svec(X):
     return flat[..., rows * d + cols] * np.where(rows == cols, 1.0, np.sqrt(2.0))
 
 
-def _round_trip_kernels(sc, cone):
+def _round_trip_kernels(sc, x, s):
     """lam, and the kernels as functions, by smat/svec round trips."""
+    cone, R, sig, w = sc.cone, sc.R, sc.sig, sc.w
+    psd, orth = cone.psd, cone.orthant
+    lam_l = np.sqrt(x[orth] * s[orth])
     lam = np.empty(cone.total_len)
-    for (sl, size, _, sig) in sc.blocks:
-        lam[sl] = sig if size is None else _gather_svec(np.diag(sig))
+    lam[psd], lam[orth] = _gather_svec(np.diag(sig)), lam_l
 
-    def blockwise(orthant, psd):
+    def partwise(orthant, psd_part):
         def kernel(*args):
             out = np.empty_like(args[0])
-            for sl, size, R, sig in sc.blocks:
-                parts = [a[..., sl] for a in args]
-                if size is None:
-                    out[..., sl] = orthant(R, sig, *parts)
-                else:
-                    out[..., sl] = _gather_svec(psd(R, sig, *[_scatter_smat(p, size) for p in parts]))
+            out[..., psd] = _gather_svec(psd_part(*[_scatter_smat(a[..., psd], cone.d) for a in args]))
+            out[..., orth] = orthant(*[a[..., orth] for a in args])
             return out
 
         return kernel
 
     def max_step(u, v):
-        least = 0.0
-        for sl, size, _, sig in sc.blocks:
-            if size is None:
-                least = min(least, float(np.min(u[sl] / sig)), float(np.min(v[sl] / sig)))
-            else:
-                r = sig ** -0.5
-                UV = _scatter_smat(np.stack([u[sl], v[sl]]), size) * (r[:, None] * r[None, :])
-                least = min(least, float(np.min(np.linalg.eigvalsh(UV)[:, 0])))
+        r = sig ** -0.5
+        UV = _scatter_smat(np.stack([u[psd], v[psd]]), cone.d) * (r[:, None] * r[None, :])
+        least = min(0.0, float(np.min(np.linalg.eigvalsh(UV)[:, 0])))
+        if cone.p:
+            least = min(least, float(np.min(u[orth] / lam_l)), float(np.min(v[orth] / lam_l)))
         return -1.0 / least if least < 0 else np.inf
 
     return lam, {
-        "scale_s": blockwise(lambda R, sig, d: d * R, lambda R, sig, D: R.T @ D @ R),
-        "unscale_to_x": blockwise(lambda R, sig, u: u * R, lambda R, sig, U: R @ U @ R.T),
-        "jordan_prod": blockwise(
-            lambda R, sig, u, v: u * v, lambda R, sig, U, V: 0.5 * (U @ V + V @ U)
-        ),
-        "jordan_solve_lam": blockwise(
-            lambda R, sig, k: k / sig,
-            lambda R, sig, K: K / (0.5 * (sig[:, None] + sig[None, :])),
+        "scale_s": partwise(lambda d: d * w, lambda D: R.T @ D @ R),
+        "unscale_to_x": partwise(lambda u: u * w, lambda U: R @ U @ R.T),
+        "jordan_prod": partwise(lambda u, v: u * v, lambda U, V: 0.5 * (U @ V + V @ U)),
+        "jordan_solve_lam": partwise(
+            lambda k: k / lam_l, lambda K: K / (0.5 * (sig[:, None] + sig[None, :]))
         ),
         "max_step": max_step,
     }
 
 
-@pytest.mark.parametrize("cone", [_MIXED, ConeSpec((("l", 5),))], ids=["mixed", "orthant"])
+@pytest.mark.parametrize(
+    "cone", [_CONE, ConeSpec(1, 5), ConeSpec(4, 0)], ids=["mixed", "orthant", "psd"]
+)
 @pytest.mark.parametrize("seed", range(5))
 def test_fused_kernels_equal_the_round_trips_bit_for_bit(cone, seed):
     rng = np.random.default_rng(200 + seed)
-    x, s = _interior_point(cone, rng), _interior_point(cone, rng)
+    x, s = interior_point(cone, rng), interior_point(cone, rng)
     sc = _Scaling(cone, x, s)
-    lam, ref = _round_trip_kernels(sc, cone)
+    lam, ref = _round_trip_kernels(sc, x, s)
     assert np.array_equal(sc.lam, lam)
     pairs = rng.normal(size=(20, 2, cone.total_len))
     assert [sc.max_step(u, v) for u, v in pairs] == [ref["max_step"](u, v) for u, v in pairs]

@@ -86,16 +86,17 @@ def test_every_row_of_the_primal_carries_a_dual_block(odd):
     assert all(con.dual is not None for con, _ in prob.constraints)
     dual = build_dual(prob)
     rows = dense_dual_rows(prob)
-    assert dual.blocks == prob.constraints and dual.ncone == rows.shape[1]
+    assert dual.blocks == prob.constraints and dual.cone.total_len == rows.shape[1]
     # the raw pair holds the orthant's columns exactly; the LMI's, which the
     # form takes from its congruence, match the oracle's within rounding
-    h = dual.h_slice
+    h = dual.cone.psd
+    assert h == prob.constraints[0][1]
     assert np.array_equal(dual.A_raw, -prob.F_incidence.T)
     assert np.array_equal(dual.A_raw, rows[:, h.stop:])
     lmi = dual.A[:, h] * dual.d[:, None]
     assert np.max(np.abs(lmi - rows[:, h])) <= 1e-14 * np.max(np.abs(rows[:, h]))
     assert np.array_equal(dual.b_raw, prob.objective)
-    blocks = dual.reconstruct(np.ones(dual.ncone))
+    blocks = dual.reconstruct(np.ones(dual.cone.total_len))
     assert set(blocks) == ({"H", "f", "g", "X", "Z"} if odd else {"H", "f", "g", "X"})
 
 

@@ -15,7 +15,9 @@ import pytest
 import lurestab
 from lurestab import NonlinearityClass, SlopeBand, StateSpaceSystem, analyze
 from lurestab.cli import main
-from lurestab.errors import AssumptionViolatedError, CertificateInconsistentError
+from lurestab.errors import (
+    AssumptionViolatedError, CertificateInconsistentError, NumericFailureError,
+)
 from lurestab.pwl import PiecewiseLinearMap
 from lurestab.report import _equilibrium_check, canonical_json
 
@@ -270,6 +272,31 @@ def test_unstable_system_is_rejected(data_dir):
 
     with pytest.raises(AssumptionViolatedError):
         analyze(_system_from_json(data_dir / "sys_unstable.json"))
+
+
+@pytest.mark.parametrize("scale", [1e75, 1e80])
+def test_a_badly_scaled_plant_gives_a_verdict_or_a_numeric_failure(tmp_path, capsys, scale):
+    # G(1) = 2.4 at every scale, so a linear gain decides the loop; from
+    # B = 1e80 on the LMI's row norms overflow, which ends the analysis in
+    # NumericFailureError (exit 2), without a numpy warning
+    plant = {"A": [[0.5]], "B": [[scale]], "C": [[1.2 / scale]], "D": [[0.0]],
+             "mu": 0.0, "nu": 1.0, "class": "slope"}
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps(plant))
+    sysm = StateSpaceSystem(*(np.array(plant[k]) for k in "ABCD"), SlopeBand(0.0, 1.0),
+                            NonlinearityClass.SLOPE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if scale < 1e80:
+            rep = analyze(sysm)
+            assert rep.verdict == "not_absolutely_stable"
+            assert json.loads(rep.to_json())["diagnostics"]["pipeline"]["linear_equilibrium"] == 2.4
+            assert main(["analyze", str(path)]) == 10
+        else:
+            with pytest.raises(NumericFailureError):
+                analyze(sysm)
+            assert main(["analyze", str(path)]) == 2
+            assert "numeric failure" in capsys.readouterr().err
 
 
 def _robustness_corpus_system(index):

@@ -17,10 +17,11 @@ import pytest
 from lurestab import (
     NonlinearityClass, SlopeBand, StateSpaceSystem, analyze, conic, engine, report,
 )
-from lurestab.conic import _row_data, _Scaling, _UnformedB, svec
+from lurestab.conic import _orthant_rows, _Scaling, _UnformedB
 from lurestab.engine import build_dual
 from lurestab.lmi import build_primal
 from lurestab.system import normalize_band
+from helpers import formed_rows, interior_point
 from oracles import dense_dual_rows
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -47,17 +48,6 @@ def _random_system(seed, n, m, odd, band=(0.0, 1.0)):
         A, 0.3 * rng.normal(size=(n, m)), 0.3 * rng.normal(size=(m, n)),
         0.1 * rng.normal(size=(m, m)), SlopeBand(*band), cls,
     )
-
-
-def _interior_point(cone, rng):
-    x = np.zeros(cone.total_len)
-    for tag, size, sl in cone.slices():
-        if tag == "s":
-            F = rng.normal(size=(size, size))
-            x[sl] = svec(F @ F.T + 0.1 * np.eye(size))
-        else:
-            x[sl] = rng.uniform(0.1, 3.0, size=size)
-    return x
 
 
 @pytest.mark.parametrize(
@@ -87,14 +77,13 @@ def test_structured_gram_matches_the_dense_product(monkeypatch, n, m, odd, band)
     for _ in range(3):
         # a random NT scaling of the form's cone
         cone = form.cone
-        sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
-        (_, size, sl), R = cone.slices()[0], sc.blocks[0][2]
-        assert size == n + m
-        Bp = sc.schur(A, _row_data(A, cone), np.empty((len(A), len(A)))).B[:, sl]
+        sc = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
+        assert cone.d == n + m
+        Bp = sc.schur(A, *formed_rows(A, cone), np.empty((len(A), len(A)))).B[:, cone.psd]
         ref = Bp @ Bp.T
         # the term is its lower triangle (_NormalFactor reads no other)
         got = np.full_like(ref, np.nan)
-        form.psd_rows.term(R, got)
+        form.psd_rows.term(sc.R, got)
         assert np.max(np.abs(np.tril(got) - np.tril(ref))) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -110,17 +99,17 @@ def test_structured_products_equal_the_dense_ones(n, m, odd):
     # the form holds the orthant's columns only; the dense reference forms
     # -F^T and scales it by d, which is itself checked against its rows
     A_raw = dense_dual_rows(problem)
-    assert form.A.shape == (A_raw.shape[0], cone.blocks[1][1])
-    assert np.array_equal(form.A_raw, A_raw[:, cone.slices()[1][2]])
+    assert form.A.shape == (A_raw.shape[0], cone.p)
+    assert np.array_equal(form.A_raw, A_raw[:, cone.orthant])
     d = np.maximum(np.maximum(np.linalg.norm(A_raw, axis=1), np.abs(form.b_raw)), 1e-12)
     assert np.max(np.abs(form.d - d) / d) <= 1e-13
     A = A_raw / form.d[:, None]
-    rows = _row_data(form.A, cone, form.psd_rows)
-    a_op = _UnformedB(A.shape[0], cone, rows)
-    sc = _Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
+    orthant = _orthant_rows(form.A)
+    a_op = _UnformedB(cone, form.psd_rows, orthant)
+    sc = _Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
     S = np.empty((A.shape[0],) * 2)
-    b_op = sc.schur(form.A, rows, S)
-    B = sc.schur(A, _row_data(A, cone), S)
+    b_op = sc.schur(form.A, form.psd_rows, orthant, S)
+    B = sc.schur(A, *formed_rows(A, cone), S)
     X = rng.normal(size=(2, A.shape[1]))
     Y = rng.normal(size=(2, A.shape[0]))
     for got, ref in [
@@ -138,7 +127,7 @@ def test_structured_products_equal_the_dense_ones(n, m, odd):
     # verify's raw residual, through the structured rows, against the same
     # measure on the dense -F^T
     for _ in range(3):
-        x = _interior_point(cone, rng) * rng.uniform(0.5, 2.0, size=cone.total_len)
+        x = interior_point(cone, rng) * rng.uniform(0.5, 2.0, size=cone.total_len)
         _, max_eq, _ = form.verify(x)
         ref_eq = np.max(np.abs(A_raw @ x - form.b_raw))
         assert abs(max_eq - ref_eq) <= 1e-13 * ref_eq
@@ -155,16 +144,17 @@ def test_a_reused_schur_buffer_holds_what_a_fresh_one_does(monkeypatch, structur
     abs_rows = next(sl for v, sl in form.var_slices if v.name == "M_abs")
     assert form.gram.zero_rows == [abs_rows] and form.A_raw[abs_rows].any()
     cone, n = form.cone, form.d.size
-    rows = _row_data(form.A, cone, form.psd_rows)
+    # the rows as solve_conic holds them on the form's path
+    rows = (form.psd_rows, _orthant_rows(form.A)) if structured else formed_rows(form.A, cone)
     rng = np.random.default_rng(3)
-    scalings = [_Scaling(cone, _interior_point(cone, rng), _interior_point(cone, rng))
+    scalings = [_Scaling(cone, interior_point(cone, rng), interior_point(cone, rng))
                 for _ in range(2)]
     S = np.empty((n, n))
     for sc in scalings:
-        sc.schur(form.A, rows, S)
+        sc.schur(form.A, *rows, S)
     # every entry of a fresh buffer's lower triangle is written
     fresh = np.full((n, n), np.nan)
-    scalings[-1].schur(form.A, rows, fresh)
+    scalings[-1].schur(form.A, *rows, fresh)
     assert np.array_equal(np.tril(S), np.tril(fresh))
 
 
