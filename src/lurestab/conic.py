@@ -36,7 +36,7 @@ _BLOCKED_MIN_ROWS rows on the factor is a left-looking blocked Cholesky
 whose updates are matrix products, each panel refined once (Golub & Van
 Loan, Matrix Computations, 4.2); below it, numpy's Cholesky.  Step
 lengths are read off lam + alpha u and lam + alpha v.  smat is one take
-through index maps made once per block size (_svec_index).  The per-step
+through index maps made once per size d (_svec_index).  The per-step
 kernels are written on those maps, but each floating-point operation has
 the operands, the order and the memory layout of the plain smat/svec
 round trip, since BLAS sums differently by layout; tests/test_conic.py

@@ -385,7 +385,7 @@ class DualForm:
             self.psd_rows = self.gram
         else:
             self.psd_rows = None
-            # column-major, as the IPM reads A by cone block
+            # column-major, as the IPM reads A's PSD and orthant columns
             self.A = np.asfortranarray(np.hstack([self.gram.formed(), self.A]))
 
     def reconstruct(self, x: np.ndarray) -> dict:

@@ -58,11 +58,13 @@ def quad_form(mult: Multiplier, zeta: np.ndarray, w: np.ndarray) -> float:
 
 
 def interior_point(cone: ConeSpec, rng: np.random.Generator) -> np.ndarray:
-    """A random strictly interior point of the cone."""
+    """A random strictly interior point of the cone, ill-conditioned as late
+    interior-point iterates are: F F^T + 0.1 I has a condition number of
+    about 40 d, and the orthant spans [0.1, 3]."""
     F = rng.normal(size=(cone.d, cone.d))
     x = np.empty(cone.total_len)
-    x[cone.psd] = svec(F @ F.T + cone.d * np.eye(cone.d))
-    x[cone.orthant] = rng.uniform(0.5, 2.0, size=cone.p)
+    x[cone.psd] = svec(F @ F.T + 0.1 * np.eye(cone.d))
+    x[cone.orthant] = rng.uniform(0.1, 3.0, size=cone.p)
     return x
 
 
